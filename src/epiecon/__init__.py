@@ -17,6 +17,7 @@ from .grid import (
     AgeGrid,
     Field1D,
     Field2D,
+    RankOneKernel,
     TimeGrid,
     constant_kernel,
     expand_blocks,

@@ -43,6 +43,10 @@ def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        if isinstance(rows, np.ndarray):  # a float table: no cell needs quoting
+            line = ",".join([_FLOAT_FMT] * rows.shape[1]) + writer.dialect.lineterminator
+            fh.writelines(line % tuple(row) for row in rows.tolist())
+            return
         for row in rows:
             writer.writerow([cell if isinstance(cell, str) else _fmt(cell)
                              for cell in row])
@@ -82,30 +86,21 @@ def cmd_simulate(cfg, out_dir=None) -> int:
     traj = scenario.simulate()
     _echo_config(cfg, out)
 
-    da = scenario.age_grid.da
-    rows = []
-    for k, t in enumerate(traj.times):
-        st = traj.states[k]
-        rows.append([t,
-                     da * st.s.values.sum(), da * st.i.values.sum(),
-                     da * st.r.values.sum(), traj.N[k], traj.Xi[k], traj.K[k],
-                     traj.L[k], traj.Y[k], traj.C[k], traj.D_cost[k],
-                     traj.deaths_flow[k]])
+    totals = scenario.age_grid.da * traj.X.sum(axis=2)  # S, I, R per node
     _write_csv(out / "trajectory.csv",
                ["t", "S", "I", "R", "N", "Xi", "K", "L", "Y", "C", "Dcost",
-                "deaths_flow"], rows)
+                "deaths_flow"],
+               np.column_stack([traj.times, totals, traj.N, traj.Xi, traj.K, traj.L,
+                                traj.Y, traj.C, traj.D_cost, traj.deaths_flow]))
 
     snap_times = cfg["output"]["snapshot_times"]
     if snap_times:
-        snap_rows = []
+        tg, times, ages = traj.time_grid, traj.times, scenario.age_grid.nodes
+        blocks = []
         for t_req in snap_times:
-            k = int(np.clip(round((t_req - traj.time_grid.t0) / traj.time_grid.dt),
-                            0, traj.n_steps))
-            st = traj.states[k]
-            for j, a in enumerate(scenario.age_grid.nodes):
-                snap_rows.append([traj.times[k], a, st.s.values[j],
-                                  st.i.values[j], st.r.values[j]])
-        _write_csv(out / "snapshots.csv", ["t", "a", "s", "i", "r"], snap_rows)
+            k = int(np.clip(round((t_req - tg.t0) / tg.dt), 0, traj.n_steps))
+            blocks.append(np.column_stack([np.full(ages.size, times[k]), ages, *traj.X[k]]))
+        _write_csv(out / "snapshots.csv", ["t", "a", "s", "i", "r"], np.concatenate(blocks))
 
     _print_table([
         ("steps", traj.n_steps),
@@ -199,7 +194,7 @@ def cmd_optimize(cfg, out_dir=None) -> int:
 def _mckendrick_battery() -> dict:
     """Built-in transport convergence table against the aging closed form."""
     from .economy import EconParams, LinearCongestion, LinearProduction, PowerLockdown
-    from .grid import AgeGrid, Field1D
+    from .grid import AgeGrid, Field1D, constant_kernel
 
     a_max, horizon = 8.0, 2.0
     mu0, mu1 = 0.08, 0.02
@@ -210,19 +205,15 @@ def _mckendrick_battery() -> dict:
         a = grid.nodes
         mu = np.full(n_age, mu0) + (mu1 * a if age_dependent else 0.0)
         s0 = np.exp(-(((a - 2.5) / 1.2) ** 2))
+        zero = Field1D.constant(grid, 0.0)
         params = epi.EpiParams(
-            mu_S=Field1D(grid, mu), mu_R=Field1D(grid, np.zeros(n_age)),
-            mu_I_base=Field1D(grid, np.zeros(n_age)),
-            gamma=Field1D(grid, np.zeros(n_age)),
-            beta=Field1D(grid, np.zeros(n_age)),
-            xi=Field1D(grid, np.zeros(n_age)),
-            m=np.zeros((n_age, n_age)),
+            mu_S=Field1D(grid, mu), mu_R=zero, mu_I_base=zero, gamma=zero, beta=zero,
+            xi=zero, m=constant_kernel(grid, 0.0),
             saturation=epi.SaturationSpec(xi_cap=1.0, psi=0.0, smooth=1.0))
-        econ = EconParams(alpha=Field1D.constant(grid, 0.0),
-                          e=Field1D.constant(grid, 0.0), delta=0.05,
+        econ = EconParams(alpha=zero, e=zero, delta=0.05,
                           F=LinearProduction(a_k=0.0, a_l=0.0),
                           phi=PowerLockdown(q=1.0), D=LinearCongestion(d1=0.0))
-        initial = epi.EpiState.from_arrays(grid, s0, np.zeros(n_age), np.zeros(n_age))
+        initial = epi.EpiState(Field1D(grid, s0), zero, zero)
         policy = epi.laissez_faire_policy(grid, tg)
         traj = epi.simulate(initial, 0.0, policy, params, econ, tg)
         T = tg.t_end
@@ -233,7 +224,7 @@ def _mckendrick_battery() -> dict:
             cum = mu0 * T
         exact = np.where(born >= 0,
                          np.exp(-(((born - 2.5) / 1.2) ** 2)) * np.exp(-cum), 0.0)
-        err = np.max(np.abs(traj.states[-1].s.values - exact))
+        err = np.max(np.abs(traj.X[-1, 0] - exact))
         return err / np.max(np.abs(exact)), tg.dt
 
     table = {}
@@ -301,6 +292,7 @@ def cmd_check(cfg, out_dir=None) -> int:
         coarse_cfg = copy.deepcopy(cfg)
         coarse_cfg["grid"]["n_age"] = n_age // 2
         coarse_cfg["grid"]["n_steps"] = n_steps // 2
+        _coarsen_tables(coarse_cfg)
         coarse = cfgmod.build_scenario(coarse_cfg)
         v_c = cfgmod.build_value_function(coarse_cfg, coarse)
         traj_c = coarse.simulate()
@@ -346,6 +338,18 @@ def cmd_check(cfg, out_dir=None) -> int:
         ("transversality decaying", transversality["decaying"]),
     ])
     return 0
+
+
+def _coarsen_tables(node) -> None:
+    """Restrict the config's per-cell tables to the half grid by 2-cell (2x2) block means."""
+    if not isinstance(node, dict):
+        return
+    if node.get("type") == "table":
+        v = np.asarray(node["values"], dtype=np.float64)
+        halves = tuple(d for n in v.shape for d in (n // 2, 2))
+        node["values"] = v.reshape(halves).mean(axis=tuple(range(1, 2 * v.ndim, 2))).tolist()
+    for child in node.values():
+        _coarsen_tables(child)
 
 
 def _extend_policy(policy: epi.PolicyField, tg: TimeGrid) -> epi.PolicyField:
@@ -421,10 +425,7 @@ def cmd_sweep(cfg, out_dir=None, jobs=1) -> int:
     header += [("" if v is None else _fmt(v)) for v in values1]
     rows = [[_fmt(v0)] + [_fmt(grid_vals[i, j]) for j in range(len(values1))]
             for i, v0 in enumerate(values0)]
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_csv(out / "sweep.csv", header, rows)
 
     detail_rows = []
     idx = 0

@@ -401,7 +401,7 @@ def dump_config(cfg: dict, path) -> None:
 # builders
 # ----------------------------------------------------------------------
 
-def sample_family(spec: dict, grid: AgeGrid, units: str = "") -> Field1D:
+def sample_family(spec: dict, grid: AgeGrid) -> Field1D:
     """Sample a named coefficient family at the grid nodes."""
     kind = spec["type"]
     a = grid.nodes
@@ -427,10 +427,11 @@ def sample_family(spec: dict, grid: AgeGrid, units: str = "") -> Field1D:
         values = spec["height"] * np.exp(-(((a - spec["center"]) / spec["width"]) ** 2))
     else:
         raise ConfigurationError(f"unknown coefficient family {kind!r}")
-    return Field1D(grid, values, units)
+    return Field1D(grid, values)
 
 
-def _build_kernel(spec: dict, grid: AgeGrid) -> np.ndarray:
+def _build_kernel(spec: dict, grid: AgeGrid):
+    """Contact kernel in the form its type allows: rank-one factors or a dense table."""
     if spec["type"] == "constant":
         return constant_kernel(grid, spec["m0"])
     if spec["type"] == "separable":
@@ -504,11 +505,11 @@ def build_scenario(cfg: dict) -> Scenario:
 
     ep = cfg["epidemic"]
     params = epi.EpiParams(
-        mu_S=sample_family(ep["mu_S"], age_grid, "1/year"),
-        mu_R=sample_family(ep["mu_R"], age_grid, "1/year"),
-        mu_I_base=sample_family(ep["mu_I_base"], age_grid, "1/year"),
-        gamma=sample_family(ep["gamma"], age_grid, "1/year"),
-        beta=sample_family(ep["beta"], age_grid, "1/year"),
+        mu_S=sample_family(ep["mu_S"], age_grid),
+        mu_R=sample_family(ep["mu_R"], age_grid),
+        mu_I_base=sample_family(ep["mu_I_base"], age_grid),
+        gamma=sample_family(ep["gamma"], age_grid),
+        beta=sample_family(ep["beta"], age_grid),
         xi=sample_family(ep["xi"], age_grid),
         m=_build_kernel(ep["contact"], age_grid),
         saturation=epi.SaturationSpec(**ep["saturation"]),
@@ -534,9 +535,9 @@ def build_scenario(cfg: dict) -> Scenario:
     )
 
     initial = epi.EpiState(
-        sample_family(ep["initial"]["s"], age_grid, "persons/year"),
-        sample_family(ep["initial"]["i"], age_grid, "persons/year"),
-        sample_family(ep["initial"]["r"], age_grid, "persons/year"),
+        sample_family(ep["initial"]["s"], age_grid),
+        sample_family(ep["initial"]["i"], age_grid),
+        sample_family(ep["initial"]["r"], age_grid),
         time=g["t0"],
     )
 

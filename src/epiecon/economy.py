@@ -207,24 +207,25 @@ class EconParams:
 # aggregates
 # ----------------------------------------------------------------------
 
-def labor_supply(state, theta_t: np.ndarray, econ: EconParams) -> float:
+# The aggregates take the state x = (s, i, r) as a (3, n_age) array or a
+# triple of arrays, so the trajectory kernel and EpiState callers share them.
+
+def labor_supply(x, theta_t: np.ndarray, econ: EconParams, da: float) -> float:
     """Efficiency-unit labor of the working compartments, L = int (s+r) alpha phi(theta)."""
-    da = state.grid.da
-    return float(da * ((state.s.values + state.r.values)
-                       * econ.alpha.values * econ.phi(theta_t)).sum())
+    s, _, r = x
+    return float(da * ((s + r) * econ.alpha.values * econ.phi(theta_t)).sum())
 
 
-def consumption_total(state, c_t: np.ndarray) -> float:
+def consumption_total(x, c_t: np.ndarray, da: float) -> float:
     """Aggregate consumption C = int c (s + i + r) da."""
-    da = state.grid.da
-    return float(da * (c_t * (state.s.values + state.i.values + state.r.values)).sum())
+    s, i, r = x
+    return float(da * (c_t * (s + i + r)).sum())
 
 
-def testing_cost(state, eta_t: np.ndarray, econ: EconParams) -> float:
+def testing_cost(x, eta_t: np.ndarray, econ: EconParams, da: float) -> float:
     """Congestion-priced testing expenditure D(int level * i * e da)."""
     level = (1.0 - eta_t) if econ.cost_complement else eta_t
-    da = state.grid.da
-    return float(econ.D(da * (level * state.i.values * econ.e.values).sum()))
+    return float(econ.D(da * (level * x[1] * econ.e.values).sum()))
 
 
 def capital_step(K: float, L: float, C: float, d_cost: float,

@@ -14,13 +14,14 @@ construction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import economy
 from .errors import ConfigurationError, ExtinctPopulation, ModelError, NonFiniteState
-from .grid import AgeGrid, Field1D, Field2D, TimeGrid
+from .grid import AgeGrid, Field1D, Field2D, RankOneKernel, TimeGrid
 from .hilbert import DEFAULT_WEIGHT_FLOOR, HilbertSpace
 
 
@@ -46,17 +47,13 @@ class SaturationSpec:
             raise ConfigurationError("overload softening width must be > 0")
 
     def multiplier(self, Xi: float) -> float:
-        return 1.0 + self.psi * _softplus((Xi - self.xi_cap) / self.smooth)
-
-
-def _softplus(x: float) -> float:
-    # log(1 + e^x) without overflow
-    return float(np.logaddexp(0.0, x))
+        # softplus log(1 + e^x) without overflow
+        return 1.0 + self.psi * float(np.logaddexp(0.0, (Xi - self.xi_cap) / self.smooth))
 
 
 @dataclass(frozen=True)
 class EpiParams:
-    """Demographic and epidemiological coefficients sampled on the grid."""
+    """Demographic and epidemiological coefficients; ``m`` is a dense table or RankOneKernel."""
 
     mu_S: Field1D
     mu_R: Field1D
@@ -77,8 +74,9 @@ class EpiParams:
                 raise ConfigurationError(f"{name} must be nonnegative")
         if np.any(self.xi.values > 1.0):
             raise ConfigurationError("critical-care prevalence xi must lie in [0, 1]")
-        m = np.asarray(self.m, dtype=np.float64)
-        if m.shape != (n, n) or not np.all(np.isfinite(m)):
+        rank_one = isinstance(self.m, RankOneKernel)
+        m = self.m if rank_one else np.asarray(self.m, dtype=np.float64)
+        if m.shape != (n, n) or not (rank_one or np.all(np.isfinite(m))):
             raise ConfigurationError("contact kernel must be a finite (n_age, n_age) table")
         object.__setattr__(self, "m", m)
 
@@ -106,8 +104,7 @@ class EpiState:
 
     @classmethod
     def from_arrays(cls, grid: AgeGrid, s, i, r, time: float = 0.0) -> "EpiState":
-        return cls(Field1D(grid, s, "persons/year"), Field1D(grid, i, "persons/year"),
-                   Field1D(grid, r, "persons/year"), time)
+        return cls(Field1D(grid, s), Field1D(grid, i), Field1D(grid, r), time)
 
     @property
     def grid(self) -> AgeGrid:
@@ -186,7 +183,7 @@ def infection_mortality(params: EpiParams, Xi: float) -> np.ndarray:
 
 
 def _force_array(i_values: np.ndarray, n_total: float, theta_t: np.ndarray,
-                 eta_t: np.ndarray, m: np.ndarray, da: float, n_floor: float) -> np.ndarray:
+                 eta_t: np.ndarray, m, da: float, n_floor: float) -> np.ndarray:
     if n_total <= n_floor:
         raise ExtinctPopulation(
             f"total population {n_total:.3e} at or below the floor {n_floor:.3e}")
@@ -202,84 +199,95 @@ def force_of_infection(state: EpiState, theta_t: np.ndarray, eta_t: np.ndarray,
     """
     lam = _force_array(state.i.values, state.total_population(), theta_t, eta_t,
                        params.m, state.grid.da, n_floor)
-    return Field1D(state.grid, lam, "1/year")
+    return Field1D(state.grid, lam)
 
 
 # ----------------------------------------------------------------------
 # time stepping
 # ----------------------------------------------------------------------
 
-def step(state: EpiState, K: float, c_t: np.ndarray, theta_t: np.ndarray,
-         eta_t: np.ndarray, params: EpiParams, econ: economy.EconParams,
-         dt: float, n_floor: float = 0.0):
-    """Advance the coupled state one step along characteristics.
+def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams,
+          da: float, dt: float, n_floor: float, out=None):
+    """The fused kernel: one time node of the coupled dynamics on plain arrays.
 
-    Within the step, rates are frozen at their start-of-step values and each
-    cohort decays by exact exponentials.  The infection outflow of s equals
-    the inflow into i exactly; inflowing infections are exposed to i's own
-    decay for half a step (midpoint correction), with the decayed share
-    routed to recovery and death in proportion to the competing rates, so
-    mass is accounted exactly.  Cohorts then shift one cell older (the last
-    cell exits at the maximum age) and the birth flow enters the first cell
-    as a density increment.  Capital advances by one explicit Euler step.
+    Computes the aggregates of ``x`` (rows s, i, r) once; with ``out`` it also
+    writes the next state there and returns the next capital (else None).
+    New infections decay for half a step (midpoint correction), the decayed
+    share split between recovery and death, so mass is accounted exactly.
     """
-    grid = state.grid
-    da = grid.da
-    s, i, r = state.as_triple()
+    s, i, r = x
     n = s + i + r
     n_total = float(da * n.sum())
-
     lam = _force_array(i, n_total, theta_t, eta_t, params.m, da, n_floor)
     Xi = float(da * (i * params.xi.values).sum())
     mu_i = infection_mortality(params, Xi)
-    mu_s = params.mu_S.values
-    mu_r = params.mu_R.values
+    L = economy.labor_supply(x, theta_t, econ, da)
+    C = economy.consumption_total(x, c_t, da)
+    d_cost = economy.testing_cost(x, eta_t, econ, da)
+    aggregates = (n_total, lam, Xi, float(da * (mu_i * i).sum()), L, econ.F(K, L),
+                  C, d_cost)
+    if out is None:
+        return aggregates, None
+
     gamma = params.gamma.values
     births = float(da * (params.beta.values * n).sum())
-
-    s_dec = s * np.exp(-(lam + mu_s) * dt)
+    s_dec = s * np.exp(-(lam + params.mu_S.values) * dt)
     new_inf = s * (-np.expm1(-lam * dt))
     out_rate = mu_i + gamma
-    stay_full = np.exp(-out_rate * dt)
-    stay_half = np.exp(-out_rate * (0.5 * dt))
-    i_dec = i * stay_full + new_inf * stay_half
-    outflow = i * (-np.expm1(-out_rate * dt)) + new_inf * (-np.expm1(-out_rate * (0.5 * dt)))
+    full_exp = -out_rate * dt
+    half_exp = -out_rate * (0.5 * dt)
+    i_dec = i * np.exp(full_exp) + new_inf * np.exp(half_exp)
+    outflow = i * (-np.expm1(full_exp)) + new_inf * (-np.expm1(half_exp))
     recovered_share = np.divide(gamma, out_rate, out=np.zeros_like(gamma), where=out_rate > 0)
-    r_dec = r * np.exp(-mu_r * dt) + recovered_share * outflow
+    r_dec = r * np.exp(-params.mu_R.values * dt) + recovered_share * outflow
 
-    s_new = np.empty_like(s)
-    i_new = np.empty_like(i)
-    r_new = np.empty_like(r)
-    s_new[0] = births * dt / da
-    i_new[0] = 0.0
-    r_new[0] = 0.0
-    s_new[1:] = s_dec[:-1]
-    i_new[1:] = i_dec[:-1]
-    r_new[1:] = r_dec[:-1]
-
-    if not (np.all(np.isfinite(s_new)) and np.all(np.isfinite(i_new))
-            and np.all(np.isfinite(r_new))):
+    out[:, 0] = (births * dt / da, 0.0, 0.0)
+    out[0, 1:] = s_dec[:-1]
+    out[1, 1:] = i_dec[:-1]
+    out[2, 1:] = r_dec[:-1]
+    if not np.isfinite(out).all():
         raise NonFiniteState("state update produced non-finite densities")
+    negative = (out < 0.0).any(axis=1)
+    if negative.any():
+        raise ConfigurationError(
+            f"state component {'sir'[int(np.argmax(negative))]} must be nonnegative")
+    return aggregates, economy.capital_step(K, L, C, d_cost, econ, dt)
 
-    L = economy.labor_supply(state, theta_t, econ)
-    C = economy.consumption_total(state, c_t)
-    d_cost = economy.testing_cost(state, eta_t, econ)
-    K1 = economy.capital_step(K, L, C, d_cost, econ, dt)
 
-    return EpiState.from_arrays(grid, s_new, i_new, r_new, state.time + dt), K1
+def step(state: EpiState, K: float, c_t: np.ndarray, theta_t: np.ndarray,
+         eta_t: np.ndarray, params: EpiParams, econ: economy.EconParams,
+         dt: float, n_floor: float = 0.0):
+    """Advance the coupled state one step; the simulation kernel on one node."""
+    x1 = np.empty((3, state.grid.n_age))
+    _, K1 = _node(np.stack(state.as_triple()), K, c_t, theta_t, eta_t, params, econ,
+                  state.grid.da, dt, n_floor, x1)
+    return EpiState.from_arrays(state.grid, *x1, state.time + dt), K1
+
+
+class _StateView(Sequence):
+    """EpiStates of a trajectory, each built from its row of ``X`` when indexed."""
+
+    def __init__(self, traj: "Trajectory"):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.X)
+
+    def __getitem__(self, k: int) -> EpiState:
+        t, k = self._traj, range(len(self._traj.X))[k]
+        return t.initial if k == 0 else EpiState.from_arrays(
+            t.initial.grid, *t.X[k], t.initial.time + k * t.time_grid.dt)
 
 
 @dataclass(eq=False)
 class Trajectory:
-    """Time-indexed states and capital plus the per-node aggregates.
-
-    All aggregate arrays have one entry per time node; the aggregates at
-    node k are computed from the state and policy slice at t_k, so the
-    capital update satisfies K[k+1] - K[k] = dt * (Y[k] - C[k] - delta*K[k]
-    - D_cost[k]) exactly.
+    """Simulated path: ``X`` of shape (n_steps + 1, 3, n_age) with (s, i, r) at t_k
+    in X[k], capital, and the per-node aggregates (``lam`` one row per node),
+    computed at t_k so K[k+1] - K[k] = dt * (Y[k] - C[k] - delta*K[k] - D_cost[k]).
     """
 
-    states: list
+    X: np.ndarray
+    initial: EpiState
     K: np.ndarray
     time_grid: TimeGrid
     N: np.ndarray
@@ -293,6 +301,11 @@ class Trajectory:
     feasible: bool
     k_violation: float
     min_K: float
+
+    @property
+    def states(self) -> Sequence:
+        """Read-only EpiState view of ``X`` (no copy is kept); states[0] is ``initial``."""
+        return _StateView(self)
 
     @property
     def n_steps(self) -> int:
@@ -325,46 +338,31 @@ def simulate(initial: EpiState, K0: float, policy: PolicyField, params: EpiParam
         raise ConfigurationError(f"initial capital must be >= 0, got {K0}")
 
     n_floor = n_floor_rel * initial.total_population()
-    dt = time_grid.dt
+    da, dt = grid.da, time_grid.dt
+    c, theta, eta = policy.c.values, policy.theta.values, policy.eta.values
 
-    states = [initial]
+    X = np.empty((n_steps + 1, 3, grid.n_age))
+    X[0] = initial.as_triple()
     K = np.empty(n_steps + 1)
     K[0] = K0
-    N = np.empty(n_steps + 1)
-    Xi = np.empty(n_steps + 1)
     lam = np.empty((n_steps + 1, grid.n_age))
-    L = np.empty(n_steps + 1)
-    Y = np.empty(n_steps + 1)
-    C = np.empty(n_steps + 1)
-    D_cost = np.empty(n_steps + 1)
-    deaths = np.empty(n_steps + 1)
+    N, Xi, deaths, L, Y, C, D_cost = np.empty((7, n_steps + 1))
 
     for k in range(n_steps + 1):
-        st = states[k]
-        c_t, theta_t, eta_t = policy.at(k)
         try:
-            N[k] = st.total_population()
-            lam[k] = _force_array(st.i.values, N[k], theta_t, eta_t,
-                                  params.m, grid.da, n_floor)
-            Xi[k] = critical_load(st, params)
-            deaths[k] = float(grid.da * (infection_mortality(params, Xi[k])
-                                         * st.i.values).sum())
-            L[k] = economy.labor_supply(st, theta_t, econ)
-            Y[k] = econ.F(K[k], L[k])
-            C[k] = economy.consumption_total(st, c_t)
-            D_cost[k] = economy.testing_cost(st, eta_t, econ)
-            if k < n_steps:
-                st1, K1 = step(st, K[k], c_t, theta_t, eta_t, params, econ, dt, n_floor)
-                states.append(st1)
-                K[k + 1] = K1
+            (N[k], lam[k], Xi[k], deaths[k], L[k], Y[k], C[k], D_cost[k]), K1 = _node(
+                X[k], K[k], c[k], theta[k], eta[k], params, econ, da, dt, n_floor,
+                X[k + 1] if k < n_steps else None)
         except ModelError as err:
             err.step_index = k
             raise
+        if k < n_steps:
+            K[k + 1] = K1
 
     neg = np.maximum(0.0, -K[1:])
     k_violation = float(dt * (neg * neg).sum())
-    return Trajectory(states=states, K=K, time_grid=time_grid, N=N, Xi=Xi, lam=lam,
-                      L=L, Y=Y, C=C, D_cost=D_cost, deaths_flow=deaths,
+    return Trajectory(X=X, initial=initial, K=K, time_grid=time_grid, N=N, Xi=Xi,
+                      lam=lam, L=L, Y=Y, C=C, D_cost=D_cost, deaths_flow=deaths,
                       feasible=bool(np.all(K >= 0.0)), k_violation=k_violation,
                       min_K=float(K.min()))
 

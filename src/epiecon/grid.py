@@ -89,19 +89,14 @@ class Field1D:
 
     grid: AgeGrid
     values: np.ndarray
-    units: str = ""
 
     def __post_init__(self):
         arr = _as_readonly(self.values, (self.grid.n_age,), "Field1D")
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def constant(cls, grid: AgeGrid, value: float, units: str = "") -> "Field1D":
-        return cls(grid, np.full(grid.n_age, float(value)), units)
-
-    @classmethod
-    def from_function(cls, grid: AgeGrid, fn, units: str = "") -> "Field1D":
-        return cls(grid, np.asarray([fn(a) for a in grid.nodes], dtype=np.float64), units)
+    def constant(cls, grid: AgeGrid, value: float) -> "Field1D":
+        return cls(grid, np.full(grid.n_age, float(value)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,25 +122,47 @@ def integrate(f: Field1D) -> float:
     return f.grid.da * float(f.values.sum())
 
 
-def integrate_kernel(m: np.ndarray, f: Field1D) -> Field1D:
+@dataclass(frozen=True, eq=False)
+class RankOneKernel:
+    """Contact kernel m0 * g(a) * g(tau) kept as factors: ``m @ x`` is O(n_age), no table.
+
+    Dense kernels are plain arrays with the same ``shape`` and ``@``.
+    """
+
+    m0: float
+    g: np.ndarray
+
+    def __post_init__(self):
+        g = _as_readonly(self.g, np.shape(self.g), "contact kernel profile")
+        if g.ndim != 1 or not np.isfinite(self.m0):
+            raise ConfigurationError("rank-one kernel needs a finite m0 and a 1-d profile")
+        object.__setattr__(self, "g", g)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.g.size, self.g.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return (self.m0 * (self.g @ x)) * self.g
+
+
+def integrate_kernel(m, f: Field1D) -> Field1D:
     """Apply an age-by-age kernel: out(a_j) = da * sum_k m(a_j, a_k) f(a_k)."""
-    m = np.asarray(m, dtype=np.float64)
     n = f.grid.n_age
-    if m.shape != (n, n):
-        raise ConfigurationError(f"kernel shape {m.shape} does not match grid ({n}, {n})")
+    if np.shape(m) != (n, n):
+        raise ConfigurationError(f"kernel shape {np.shape(m)} does not match grid ({n}, {n})")
     return Field1D(f.grid, f.grid.da * (m @ f.values))
 
 
-def constant_kernel(grid: AgeGrid, m0: float) -> np.ndarray:
-    return np.full((grid.n_age, grid.n_age), float(m0))
+def constant_kernel(grid: AgeGrid, m0: float) -> RankOneKernel:
+    return RankOneKernel(float(m0), np.ones(grid.n_age))
 
 
-def separable_kernel(grid: AgeGrid, m0: float, shape_values: np.ndarray) -> np.ndarray:
-    """Kernel m(a, tau) = m0 * g(a) * g(tau) sampled on node pairs."""
-    g = np.asarray(shape_values, dtype=np.float64)
-    if g.shape != (grid.n_age,):
+def separable_kernel(grid: AgeGrid, m0: float, shape_values: np.ndarray) -> RankOneKernel:
+    """Kernel m(a, tau) = m0 * g(a) * g(tau) with g sampled at the nodes."""
+    if np.shape(shape_values) != (grid.n_age,):
         raise ConfigurationError("separable kernel shape profile must have one value per cell")
-    return float(m0) * np.outer(g, g)
+    return RankOneKernel(float(m0), shape_values)
 
 
 def table_kernel(grid: AgeGrid, values) -> np.ndarray:

@@ -132,17 +132,24 @@ def h1_part(state: epi.EpiState, K: float, costate: CostateField,
     -<Lam h1, p1>_{pi_S} + <Lam h1, p2> + F(K, L_theta) Q - C Q - D Q
     plus the running reward of the configured target.
     """
-    s = state.s.values
+    return (_controlled_drift(state, K, costate, c_t, theta_t, eta_t, space, params,
+                              econ, n_floor)
+            + objectives.running_reward(state, K, c_t, theta_t, eta_t, params, econ, obj))
+
+
+def _controlled_drift(state, K, costate, c_t, theta_t, eta_t, space, params, econ,
+                      n_floor) -> float:
+    """H1 without the running reward: the controlled drift paired with the costate."""
+    x = state.as_triple()
     da = state.grid.da
-    lam = epi._force_array(state.i.values, state.total_population(), theta_t, eta_t,
+    lam = epi._force_array(x[1], state.total_population(), theta_t, eta_t,
                            params.m, da, n_floor)
-    lam_s = lam * s
+    lam_s = lam * x[0]
     val = -float(da * (lam_s * costate.p1 * space.w1).sum())
     val += float(da * (lam_s * costate.p2).sum())
-    val += econ.F(K, economy.labor_supply(state, theta_t, econ)) * costate.Q
-    val -= economy.consumption_total(state, c_t) * costate.Q
-    val -= economy.testing_cost(state, eta_t, econ) * costate.Q
-    val += objectives.running_reward(state, K, c_t, theta_t, eta_t, params, econ, obj)
+    val += econ.F(K, economy.labor_supply(x, theta_t, econ, da)) * costate.Q
+    val -= economy.consumption_total(x, c_t, da) * costate.Q
+    val -= economy.testing_cost(x, eta_t, econ, da) * costate.Q
     return val
 
 
@@ -197,7 +204,6 @@ class H1Result:
     theta: np.ndarray
     eta: np.ndarray
     converged: bool
-    cap_binding: bool
 
 
 def _optimal_c(n: np.ndarray, Q: float, theta_t: np.ndarray,
@@ -295,9 +301,7 @@ def maximize_h1(state, K, costate, space, params, econ, obj,
             theta = np.array(th_b, dtype=np.float64)
             eta = np.array(et_b, dtype=np.float64)
 
-    cap_binding = bool(np.any(c >= search.c_max))
-    return H1Result(value=best, c=c, theta=theta, eta=eta,
-                    converged=converged, cap_binding=cap_binding)
+    return H1Result(value=best, c=c, theta=theta, eta=eta, converged=converged)
 
 
 # ----------------------------------------------------------------------
@@ -395,27 +399,13 @@ def chain_rule_residual(v, policy, traj, space, params, econ, obj,
     for k in range(tg.n_steps):
         state = traj.states[k]
         K = float(traj.K[k])
-        h = state.as_triple()
         costate = _costate_at(v, state, K)
-        vk = v.value(h, K)
-        astar = space.apply_A_star(costate.triple())
-        a_term = space.inner(h, astar) - econ.delta * K * costate.Q
-
         c_t, th_t, et_t = policy.at(k)
-        da = state.grid.da
-        lam = epi._force_array(state.i.values, state.total_population(), th_t, et_t,
-                               params.m, da, n_floor)
-        lam_s = lam * state.s.values
-        Xi = epi.critical_load(state, params)
-        mu_i = epi.infection_mortality(params, Xi)
-        b_h = (-float(da * (lam_s * costate.p1 * space.w1).sum())
-               + float(da * ((lam_s - mu_i * state.i.values) * costate.p2).sum()))
-        drift_K = (econ.F(K, economy.labor_supply(state, th_t, econ))
-                   - economy.consumption_total(state, c_t)
-                   - economy.testing_cost(state, et_t, econ))
-        b_term = b_h + drift_K * costate.Q
-
-        acc += np.exp(-obj.rho * (tg.times[k] - tg.t0)) * (obj.rho * vk - a_term - b_term)
+        drift = (h0_part(state, K, costate, space, params, econ)
+                 + _controlled_drift(state, K, costate, c_t, th_t, et_t, space, params,
+                                     econ, n_floor))
+        acc += (np.exp(-obj.rho * (tg.times[k] - tg.t0))
+                * (obj.rho * v.value(state.as_triple(), K) - drift))
     acc *= dt
     h0 = traj.states[0].as_triple()
     hT = traj.states[-1].as_triple()
@@ -464,10 +454,7 @@ def greedy_policy(initial: epi.EpiState, K0: float, v, space, params, econ, obj,
     """
     grid = initial.grid
     n_steps = time_grid.n_steps
-    shape = (n_steps + 1, grid.n_age)
-    c_surf = np.zeros(shape)
-    th_surf = np.zeros(shape)
-    et_surf = np.zeros(shape)
+    c_surf, th_surf, et_surf = np.zeros((3, n_steps + 1, grid.n_age))
     n_floor = n_floor_rel * initial.total_population()
 
     state, K = initial, float(K0)
@@ -475,9 +462,7 @@ def greedy_policy(initial: epi.EpiState, K0: float, v, space, params, econ, obj,
         costate = _costate_at(v, state, K)
         res = maximize_h1(state, K, costate, space, params, econ, obj, search,
                           n_floor=n_floor)
-        c_surf[k] = res.c
-        th_surf[k] = res.theta
-        et_surf[k] = res.eta
+        c_surf[k], th_surf[k], et_surf[k] = res.c, res.theta, res.eta
         if k < n_steps:
             state, K = epi.step(state, K, res.c, res.theta, res.eta, params, econ,
                                 time_grid.dt, n_floor)

@@ -158,13 +158,18 @@ class ObjectiveParams:
 
 def u1_reward(state: epi.EpiState, c_t, theta_t, obj: ObjectiveParams) -> float:
     """Altruism-weighted utility flow int n^nu u(c, theta) da."""
-    n = state.n_density()
-    return float(state.grid.da * (np.power(n, obj.nu) * obj.utility(c_t, theta_t)).sum())
+    return float(_utility_flow(state.n_density(), c_t, theta_t, obj, state.grid.da))
+
+
+def _utility_flow(n, c, theta, obj: ObjectiveParams, da: float):
+    """int n^nu u(c, theta) da along the last (age) axis; leading axes are time nodes."""
+    return da * (np.power(n, obj.nu) * obj.utility(c, theta)).sum(axis=-1)
 
 
 def u2_reward(state: epi.EpiState, K: float, theta_t, econ) -> float:
     """Instantaneous production F(K, L_theta)."""
-    return float(econ.F(K, economy.labor_supply(state, theta_t, econ)))
+    return float(econ.F(K, economy.labor_supply(state.as_triple(), theta_t, econ,
+                                                state.grid.da)))
 
 
 def u3_deaths(state: epi.EpiState, params: epi.EpiParams) -> float:
@@ -233,12 +238,12 @@ def _single_target(traj, policy, params, econ, obj, which):
     dt = tg.dt
     n_steps = tg.n_steps
     elapsed = tg.times - tg.t0
+    da = traj.initial.grid.da
 
     if which == "J4":
         return float(traj.K[-1]), None
     if which == "J3":
-        final = traj.states[-1]
-        labor_all = float(final.grid.da * (final.n_density() * econ.alpha.values).sum())
+        labor_all = float(da * (traj.X[-1].sum(axis=0) * econ.alpha.values).sum())
         return float(econ.F(traj.K[-1], labor_all)), None
 
     if which in ("J1", "J2", "J5"):
@@ -247,8 +252,8 @@ def _single_target(traj, policy, params, econ, obj, which):
         else:
             m = min(n_steps, int(round(obj.T_num / dt)))
         if which == "J1":
-            u_vals = np.array([u1_reward(traj.states[k], policy.at(k)[0],
-                                         policy.at(k)[1], obj) for k in range(m)])
+            u_vals = _utility_flow(traj.X[:m].sum(axis=1), policy.c.values[:m],
+                                   policy.theta.values[:m], obj, da)
         else:
             u_vals = traj.Y[:m]
         disc = np.exp(-obj.rho * elapsed[:m])

@@ -109,15 +109,16 @@ def _project_blocks(blocks: PolicyBlocks, c_max: float) -> PolicyBlocks:
 
 
 def penalized_objective(policy: epi.PolicyField, scenario: Scenario,
-                        penalty: float = 1e6) -> float:
-    """Target value minus the quadratic capital-negativity penalty.
+                        penalty: float = 1e6):
+    """Target value minus the quadratic capital-negativity penalty, and the trajectory.
 
     Feasible trajectories return the target exactly; the penalty term
     penalty * sum_k max(0, -K_k)^2 dt has zero value and slope at K = 0.
+    Returns (value, trajectory); the violation is ``trajectory.k_violation``.
     """
     traj = scenario.simulate(policy)
     report = scenario.evaluate(policy, traj)
-    return report.value - penalty * report.violation
+    return report.value - penalty * report.violation, traj
 
 
 @dataclass
@@ -137,12 +138,12 @@ class OptimReport:
 
 def _safe_objective(blocks: PolicyBlocks, scenario: Scenario,
                     config: OptimizerConfig):
-    """Objective at block values; (None, message) when the model fails."""
+    """(objective, trajectory, None) at block values; (None, None, message) on model failure."""
     try:
         policy = blocks.expand(scenario)
-        return penalized_objective(policy, scenario, config.penalty), None
+        return (*penalized_objective(policy, scenario, config.penalty), None)
     except ModelError as err:
-        return None, f"probe failed: {err}"
+        return None, None, f"probe failed: {err}"
 
 
 _CHANNELS = ("c", "theta", "eta")
@@ -165,7 +166,7 @@ def fd_gradient(blocks: PolicyBlocks, scenario: Scenario, config: OptimizerConfi
     warnings = []
     f0 = None
     if config.grad_mode == "forward":
-        f0, msg = _safe_objective(blocks, scenario, config)
+        f0, _, msg = _safe_objective(blocks, scenario, config)
         if f0 is None:
             warnings.append(f"base point: {msg}")
 
@@ -208,7 +209,7 @@ def fd_gradient(blocks: PolicyBlocks, scenario: Scenario, config: OptimizerConfi
 def _probe(blocks, scenario, config, channel, idx, value, warnings):
     trial = blocks.copy()
     getattr(trial, channel)[idx] = value
-    f, msg = _safe_objective(trial, scenario, config)
+    f, _, msg = _safe_objective(trial, scenario, config)
     if f is None:
         warnings.append(f"{channel}{list(idx)}: {msg}")
     return f
@@ -235,21 +236,15 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
     blocks = _project_blocks(blocks, scenario.c_max)
     all_warnings = []
 
-    f, msg = _safe_objective(blocks, scenario, config)
+    f, traj, _ = _safe_objective(blocks, scenario, config)
     if f is None:
-        all_warnings.append(msg)
-        grads, warns = fd_gradient(blocks, scenario, config)
-        if all(np.all(getattr(grads, ch) == 0.0) for ch in _CHANNELS):
-            raise InfeasibleStart(
-                "objective undefined at the initial policy and at every probe; "
-                "increase K0 or reduce the consumption level")
         raise InfeasibleStart(
             "objective undefined at the initial policy; "
             "increase K0 or reduce the consumption level")
 
-    initial_blocks = blocks.copy()
+    initial_blocks, initial_traj = blocks.copy(), traj
     trace = [f]
-    viol_trace = [scenario.simulate(blocks.expand(scenario)).k_violation]
+    viol_trace = [traj.k_violation]
     converged = False
     n_iters = 0
 
@@ -267,7 +262,7 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
                                  blocks.theta + step_size * grads.theta,
                                  blocks.eta + step_size * grads.eta)
             trial = _project_blocks(trial, scenario.c_max)
-            ft, msg = _safe_objective(trial, scenario, config)
+            ft, trial_traj, _ = _safe_objective(trial, scenario, config)
             if ft is not None and ft > f:
                 accepted = True
                 break
@@ -277,31 +272,29 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
             break
         n_iters += 1
         rel_change = abs(ft - f) / max(abs(f), 1.0)
-        blocks, f = trial, ft
+        blocks, f, traj = trial, ft, trial_traj
         trace.append(f)
-        viol_trace.append(scenario.simulate(blocks.expand(scenario)).k_violation)
+        viol_trace.append(traj.k_violation)
         if rel_change < config.tol:
             converged = True
             break
 
     final_policy = blocks.expand(scenario)
-    final_traj = scenario.simulate(final_policy)
     gap_initial = gap_final = None
     if value_function is not None:
         initial_policy = initial_blocks.expand(scenario)
-        initial_traj = scenario.simulate(initial_policy)
         gaps0 = hamiltonian_gap_profile(value_function, initial_policy, initial_traj,
                                         scenario.space, scenario.epi, scenario.econ,
                                         scenario.obj, scenario.search)
-        gaps1 = hamiltonian_gap_profile(value_function, final_policy, final_traj,
+        gaps1 = hamiltonian_gap_profile(value_function, final_policy, traj,
                                         scenario.space, scenario.epi, scenario.econ,
                                         scenario.obj, scenario.search)
         gap_initial = integrated_gap(gaps0, initial_traj, scenario.obj)
-        gap_final = integrated_gap(gaps1, final_traj, scenario.obj)
+        gap_final = integrated_gap(gaps1, traj, scenario.obj)
 
     return OptimReport(objective_trace=trace, violation_trace=viol_trace,
                        blocks=blocks, policy=final_policy,
-                       feasible=final_traj.feasible, converged=converged,
+                       feasible=traj.feasible, converged=converged,
                        n_iters=n_iters, warnings=all_warnings,
                        integrated_gap_initial=gap_initial,
                        integrated_gap_final=gap_final, seed=config.seed)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import epi, objectives
 from .economy import EconParams
@@ -40,9 +40,6 @@ class Scenario:
         if traj is None:
             traj = self.simulate(policy)
         return objectives.evaluate(traj, policy, self.epi, self.econ, self.obj)
-
-    def with_policy(self, policy: epi.PolicyField) -> "Scenario":
-        return replace(self, policy=policy)
 
     @property
     def c_max(self) -> float:

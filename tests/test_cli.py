@@ -188,6 +188,32 @@ def test_check_writes_diagnostics(tmp_path):
     assert max(conv["constant_mu"]["max_rel_errors"]) <= 1e-12
 
 
+def test_check_table_kernel_coarse_companion(tmp_path):
+    # the coarse companion grid restricts per-cell tables by block means
+    cfg = small_config()
+    cfg["epidemic"]["contact"] = {
+        "type": "table",
+        "values": [[1.8 * (1.0 + 0.2 * ((j + 2 * k) % 3)) for k in range(16)]
+                   for j in range(16)]}
+    cfg["epidemic"]["initial"]["s"] = {"type": "table",
+                                       "values": [1.0 + 0.05 * j for j in range(16)]}
+    cfg["verification"] = {"adjoint_pairs": 2, "horizon_multipliers": [1.0, 2.0]}
+    out = tmp_path / "out"
+    assert cli.main(["check", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+    chain = json.loads((out / "check.json").read_text())["chain_rule_identity"]
+    assert chain["coarse_dt"] == 2 * chain["dt"]
+    assert abs(chain["coarse_residual"]) > 0.0
+
+    node = {"m": {"type": "table", "values": [[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0],
+                                              [8.0, 9.0, 10.0, 11.0],
+                                              [12.0, 13.0, 14.0, 15.0]]},
+            "s": {"type": "table", "values": [1.0, 3.0, 5.0, 7.0]}}
+    cli._coarsen_tables(node)
+    assert node["m"]["values"] == [[2.5, 4.5], [10.5, 12.5]]
+    assert node["s"]["values"] == [2.0, 6.0]
+
+
 def test_sweep_matrix_shape(tmp_path):
     cfg = small_config()
     cfg["policy"] = {"preset": "blocks", "c_level": 0.1,

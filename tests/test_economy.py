@@ -30,14 +30,15 @@ def test_labor_laissez_faire_identity():
     econ = make_econ(grid)
     theta = np.ones(20)
     # phi(1) = 1 so L = int (s + r) alpha da
-    assert ee.labor_supply(state, theta, econ) == pytest.approx((3.0 + 2.0) * 10.0)
+    L = ee.labor_supply(state.as_triple(), theta, econ, grid.da)
+    assert L == pytest.approx((3.0 + 2.0) * 10.0)
 
 
 def test_labor_zero_when_all_infected():
     grid = ee.AgeGrid(a_max=10.0, n_age=20)
     state = make_state(grid, s=0.0, i=5.0, r=0.0)
     econ = make_econ(grid)
-    assert ee.labor_supply(state, np.ones(20), econ) == 0.0
+    assert ee.labor_supply(state.as_triple(), np.ones(20), econ, grid.da) == 0.0
 
 
 def test_labor_half_lockdown_arithmetic():
@@ -45,7 +46,7 @@ def test_labor_half_lockdown_arithmetic():
     grid = ee.AgeGrid(a_max=100.0, n_age=50)
     state = make_state(grid, s=6.0, i=0.0, r=4.0)  # S + R = 1000
     econ = make_econ(grid)
-    L = ee.labor_supply(state, np.full(50, 0.5), econ)
+    L = ee.labor_supply(state.as_triple(), np.full(50, 0.5), econ, grid.da)
     assert L == pytest.approx(500.0, rel=1e-12)
 
 
@@ -54,40 +55,44 @@ def test_labor_monotone_in_theta():
     state = make_state(grid, s=1.0, r=0.5)
     econ = make_econ(grid, phi=ee.AffineLockdown(ell=0.8))
     rng = np.random.default_rng(2)
+    x = state.as_triple()
     for _ in range(20):
         lo = rng.uniform(0.0, 1.0, 16)
         hi = np.clip(lo + rng.uniform(0.0, 0.5, 16), 0.0, 1.0)
-        assert ee.labor_supply(state, hi, econ) >= ee.labor_supply(state, lo, econ)
+        assert ee.labor_supply(x, hi, econ, grid.da) >= ee.labor_supply(x, lo, econ, grid.da)
 
 
 def test_consumption_examples():
     grid = ee.AgeGrid(a_max=10.0, n_age=20)
     state = make_state(grid, s=2.0, i=1.0, r=1.0)
-    assert ee.consumption_total(state, np.zeros(20)) == 0.0
+    assert ee.consumption_total(state.as_triple(), np.zeros(20), grid.da) == 0.0
     c0 = 0.7
     N = state.total_population()
-    assert ee.consumption_total(state, np.full(20, c0)) == pytest.approx(c0 * N)
+    C = ee.consumption_total(state.as_triple(), np.full(20, c0), grid.da)
+    assert C == pytest.approx(c0 * N)
     # consumption supported only where nobody lives
     sv = np.zeros(20)
     sv[:10] = 1.0
     state2 = ee.EpiState.from_arrays(grid, sv, np.zeros(20), np.zeros(20))
     c = np.zeros(20)
     c[10:] = 5.0
-    assert ee.consumption_total(state2, c) == 0.0
+    assert ee.consumption_total(state2.as_triple(), c, grid.da) == 0.0
 
 
 def test_testing_cost_examples():
     grid = ee.AgeGrid(a_max=10.0, n_age=20)
     econ_lin = make_econ(grid, D=ee.LinearCongestion(d1=2.0))
     state0 = make_state(grid, s=1.0, i=0.0)
-    assert ee.testing_cost(state0, np.ones(20), econ_lin) == 0.0
+    assert ee.testing_cost(state0.as_triple(), np.ones(20), econ_lin, grid.da) == 0.0
     # linear: d1 = 2, int eta i e = 5 -> 10
     state = make_state(grid, s=0.0, i=0.5)  # I = 5 with e = 1, eta = 1
-    assert ee.testing_cost(state, np.ones(20), econ_lin) == pytest.approx(10.0)
+    D = ee.testing_cost(state.as_triple(), np.ones(20), econ_lin, grid.da)
+    assert D == pytest.approx(10.0)
     # concave power: d1 = 1, p = 0.5, argument 4 -> 2
     econ_cp = make_econ(grid, D=ee.ConcavePowerCongestion(d1=1.0, p=0.5))
     state4 = make_state(grid, s=0.0, i=0.4)  # I = 4
-    assert ee.testing_cost(state4, np.ones(20), econ_cp) == pytest.approx(2.0)
+    D = ee.testing_cost(state4.as_triple(), np.ones(20), econ_cp, grid.da)
+    assert D == pytest.approx(2.0)
 
 
 def test_testing_cost_monotone_and_concave():
@@ -95,10 +100,11 @@ def test_testing_cost_monotone_and_concave():
     econ = make_econ(grid, D=ee.ConcavePowerCongestion(d1=1.5, p=0.7))
     state = make_state(grid, s=0.0, i=1.0)
     rng = np.random.default_rng(4)
+    x = state.as_triple()
     for _ in range(20):
         lo = rng.uniform(0.0, 1.0, 16)
         hi = np.clip(lo + rng.uniform(0.0, 0.5, 16), 0.0, 1.0)
-        assert ee.testing_cost(state, hi, econ) >= ee.testing_cost(state, lo, econ)
+        assert ee.testing_cost(x, hi, econ, grid.da) >= ee.testing_cost(x, lo, econ, grid.da)
     # concavity of the scalar map x -> D(x)
     D = econ.D
     for _ in range(20):
@@ -113,7 +119,7 @@ def test_testing_cost_complement_switch():
     state = make_state(grid, s=0.0, i=1.0)
     eta = np.full(16, 0.25)
     expected = econ.D(grid.da * ((1 - eta) * state.i.values).sum())
-    assert ee.testing_cost(state, eta, econ) == pytest.approx(expected)
+    assert ee.testing_cost(state.as_triple(), eta, econ, grid.da) == pytest.approx(expected)
 
 
 def test_capital_step_exponential_decay():

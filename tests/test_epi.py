@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epiecon as ee
 
-from util import build_scenario, fit_order, rk4_path, smooth_bump
+from util import build_scenario, fit_order, random_block_policy, rk4_path, smooth_bump
 
 
 # ----------------------------------------------------------------------
@@ -316,13 +318,14 @@ def test_trajectory_aggregates_recomputable():
         assert traj.Xi[k] == pytest.approx(ee.critical_load(st, scen.epi), rel=1e-10)
         lam = ee.force_of_infection(st, th_t, et_t, scen.epi).values
         assert np.allclose(traj.lam[k], lam, rtol=1e-10)
-        assert traj.L[k] == pytest.approx(ee.labor_supply(st, th_t, scen.econ),
+        x = st.as_triple()
+        assert traj.L[k] == pytest.approx(ee.labor_supply(x, th_t, scen.econ, da),
                                           rel=1e-10)
         assert traj.Y[k] == pytest.approx(scen.econ.F(traj.K[k], traj.L[k]),
                                           rel=1e-10)
-        assert traj.C[k] == pytest.approx(ee.consumption_total(st, c_t), rel=1e-10)
+        assert traj.C[k] == pytest.approx(ee.consumption_total(x, c_t, da), rel=1e-10)
         assert traj.D_cost[k] == pytest.approx(
-            ee.testing_cost(st, et_t, scen.econ), rel=1e-10, abs=1e-14)
+            ee.testing_cost(x, et_t, scen.econ, da), rel=1e-10, abs=1e-14)
         assert traj.deaths_flow[k] == pytest.approx(
             ee.u3_deaths(st, scen.epi), rel=1e-10, abs=1e-14)
 
@@ -347,3 +350,84 @@ def test_simulate_rejects_mismatched_grids():
     with pytest.raises(ee.ConfigurationError):
         ee.simulate(scen.initial, scen.K0, scen.policy, scen.epi, scen.econ,
                     misaligned)
+
+
+# ----------------------------------------------------------------------
+# the array-native trajectory core
+# ----------------------------------------------------------------------
+
+def core_scenario(kernel=None, n_age=16, **kw):
+    """Every coupling active: overload mortality, births, production, testing cost."""
+    args = dict(
+        n_age=n_age, n_steps=8, mu_s=0.02, mu_r=0.02, mu_i=0.15, gamma=0.4,
+        beta=0.04, xi=0.3, m0=2.0, kernel=kernel, psi=1.0, xi_cap=0.5, smooth=0.2,
+        i0=0.05, production=ee.LinearProduction(a_k=0.03, a_l=1.0),
+        congestion=ee.LinearCongestion(d1=0.2), K0=60.0)
+    return build_scenario(**{**args, **kw})
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m0=st.one_of(st.just(0.0), st.floats(1e-6, 4.0)),
+       n_age=st.sampled_from([8, 12, 16, 24]))
+def test_rank_one_kernel_matches_dense_table(seed, m0, n_age):
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.1, 2.0, n_age)
+    dense = m0 * np.outer(g, g)
+    scen_f = core_scenario(ee.RankOneKernel(m0, g), n_age=n_age)
+    scen_d = core_scenario(dense, n_age=n_age)
+    policy = random_block_policy(scen_f, rng, n_time_blocks=4, n_age_blocks=2)
+    tf, td = scen_f.simulate(policy), scen_d.simulate(policy)
+    for name in ("X", "K", "N", "Xi", "lam", "deaths_flow", "L", "D_cost"):
+        np.testing.assert_allclose(getattr(tf, name), getattr(td, name), rtol=1e-12,
+                                   atol=0.0, err_msg=name)
+
+    # costate signs chosen so that no term of H1 cancels another
+    costate = ee.CostateField(p1=-rng.uniform(0.1, 1.0, n_age),
+                              p2=rng.uniform(0.1, 1.0, n_age),
+                              p3=rng.uniform(-1.0, 1.0, n_age), Q=0.5)
+    for k in (0, 4, 8):
+        h1 = [ee.h1_part(t.states[k], float(t.K[k]), costate, *policy.at(k),
+                         s.space, s.epi, s.econ, s.obj)
+              for s, t in ((scen_f, tf), (scen_d, td))]
+        assert h1[0] == pytest.approx(h1[1], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("rank_one", [True, False])
+def test_repeated_step_reproduces_simulate_bitwise(rank_one):
+    g = np.linspace(0.5, 1.5, 16)
+    kernel = ee.RankOneKernel(2.0, g) if rank_one else 2.0 * np.outer(g, g)
+    scen = core_scenario(kernel)
+    policy = random_block_policy(scen, np.random.default_rng(5), n_time_blocks=4,
+                                 n_age_blocks=2, c_range=(0.0, 0.2))
+    traj = scen.simulate(policy)
+    n_floor = scen.n_floor_rel * scen.initial.total_population()
+    state, K = scen.initial, scen.K0
+    for k in range(scen.time_grid.n_steps):
+        state, K = ee.step(state, K, *policy.at(k), scen.epi, scen.econ,
+                           scen.time_grid.dt, n_floor)
+        assert np.array_equal(np.stack(state.as_triple()), traj.X[k + 1])
+        assert K == traj.K[k + 1]
+
+
+def test_trajectory_states_view_matches_arrays():
+    scen = core_scenario()
+    traj = scen.simulate()
+    n_nodes = scen.time_grid.n_steps + 1
+    assert traj.X.shape == (n_nodes, 3, scen.age_grid.n_age)
+    assert len(traj.states) == n_nodes
+    assert traj.states[0] is scen.initial
+    for k, state in enumerate(traj.states):
+        assert np.array_equal(np.stack(state.as_triple()), traj.X[k])
+        assert not state.i.values.flags.writeable
+    assert np.array_equal(traj.states[-1].r.values, traj.X[-1, 2])
+    with pytest.raises(IndexError):
+        traj.states[n_nodes]
+
+
+def test_simulate_rejects_negative_densities():
+    # a sign-changing separable profile makes the force negative on old ages
+    g = np.where(np.arange(16) < 8, 1.0, -1.0)
+    scen = core_scenario(ee.RankOneKernel(5.0, g),
+                         i0=lambda a: 0.05 if a < 4.0 else 0.0)
+    with pytest.raises(ee.ConfigurationError, match="component i must be nonnegative"):
+        scen.simulate()

@@ -114,9 +114,10 @@ def test_hamiltonian_decomposition():
         mu_i = ee.infection_mortality(scen.epi, Xi)
         b_pair = (-da * (lam_s * costate.p1 / space.weights.pi_S**2).sum()
                   + da * ((lam_s - mu_i * state.i.values) * costate.p2).sum())
-        drift = (scen.econ.F(K, ee.labor_supply(state, th_t, scen.econ))
-                 - ee.consumption_total(state, c_t)
-                 - ee.testing_cost(state, et_t, scen.econ)
+        x = state.as_triple()
+        drift = (scen.econ.F(K, ee.labor_supply(x, th_t, scen.econ, da))
+                 - ee.consumption_total(x, c_t, da)
+                 - ee.testing_cost(x, et_t, scen.econ, da)
                  - scen.econ.delta * K)
         U = ee.running_reward(state, K, c_t, th_t, et_t, scen.epi, scen.econ, scen.obj)
         oracle = space.inner(state.as_triple(), astar) + b_pair + drift * costate.Q + U

@@ -70,7 +70,7 @@ def test_u2_composition():
     scen = build_scenario(production=ee.LinearProduction(a_k=0.1, a_l=2.0),
                           s0=1.0, r0=0.5)
     theta = np.full(16, 0.5)
-    L = ee.labor_supply(scen.initial, theta, scen.econ)
+    L = ee.labor_supply(scen.initial.as_triple(), theta, scen.econ, scen.age_grid.da)
     assert ee.u2_reward(scen.initial, 30.0, theta, scen.econ) == pytest.approx(
         0.1 * 30.0 + 2.0 * L, rel=1e-12)
 

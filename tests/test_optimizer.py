@@ -87,7 +87,7 @@ def test_projection_idempotent(seed):
 
 def test_penalized_objective_feasible_equals_target():
     scen = foc_toy_scenario()
-    value = ee.penalized_objective(scen.policy, scen, penalty=1e6)
+    value, _ = ee.penalized_objective(scen.policy, scen, penalty=1e6)
     assert value == pytest.approx(scen.evaluate().value, rel=1e-14)
 
 
@@ -118,8 +118,9 @@ def test_penalized_objective_constructed_violation():
     assert np.allclose(traj.K, K_oracle, rtol=1e-12)
     assert traj.k_violation == pytest.approx(expected_violation, rel=1e-12)
     rep = scen.evaluate(policy, traj)
-    value = ee.penalized_objective(policy, scen, penalty=1e6)
+    value, ran = ee.penalized_objective(policy, scen, penalty=1e6)
     assert value == pytest.approx(rep.value - 1e6 * expected_violation, rel=1e-12)
+    assert ran.k_violation == traj.k_violation
 
 
 def test_penalty_smooth_at_boundary():

@@ -76,12 +76,12 @@ def compact_triple(grid, rng, **kw):
 # scenario builder
 # ----------------------------------------------------------------------
 
-def _field(grid, spec, units=""):
+def _field(grid, spec):
     if callable(spec):
-        return ee.Field1D(grid, np.asarray([spec(a) for a in grid.nodes]), units)
+        return ee.Field1D(grid, np.asarray([spec(a) for a in grid.nodes]))
     if np.isscalar(spec):
-        return ee.Field1D.constant(grid, float(spec), units)
-    return ee.Field1D(grid, np.asarray(spec, dtype=np.float64), units)
+        return ee.Field1D.constant(grid, float(spec))
+    return ee.Field1D(grid, np.asarray(spec, dtype=np.float64))
 
 
 def build_scenario(
@@ -133,11 +133,11 @@ def build_scenario(
     if kernel is None:
         kernel = ee.constant_kernel(grid, m0)
     params = ee.EpiParams(
-        mu_S=_field(grid, mu_s, "1/year"),
-        mu_R=_field(grid, mu_r, "1/year"),
-        mu_I_base=_field(grid, mu_i, "1/year"),
-        gamma=_field(grid, gamma, "1/year"),
-        beta=_field(grid, beta, "1/year"),
+        mu_S=_field(grid, mu_s),
+        mu_R=_field(grid, mu_r),
+        mu_I_base=_field(grid, mu_i),
+        gamma=_field(grid, gamma),
+        beta=_field(grid, beta),
         xi=_field(grid, xi),
         m=kernel,
         saturation=ee.SaturationSpec(xi_cap=xi_cap, psi=psi, smooth=smooth),
@@ -158,9 +158,7 @@ def build_scenario(
         T_num=T_num,
         composite=composite,
     )
-    initial = ee.EpiState(_field(grid, s0, "persons/year"),
-                          _field(grid, i0, "persons/year"),
-                          _field(grid, r0, "persons/year"), time=t0)
+    initial = ee.EpiState(_field(grid, s0), _field(grid, i0), _field(grid, r0), time=t0)
     policy = ee.PolicyField.constant(grid, tg, c=c_level, theta=theta_level,
                                      eta=eta_level)
     search = ee.ControlSearchGrid(theta_levels=tuple(theta_levels),

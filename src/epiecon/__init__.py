@@ -48,6 +48,7 @@ from .epi import (
     SaturationSpec,
     Trajectory,
     critical_load,
+    deaths_flow,
     force_of_infection,
     full_lockdown_policy,
     hilbert_space_for,
@@ -63,14 +64,10 @@ from .objectives import (
     ShiftedCRRAUtility,
     evaluate,
     running_reward,
-    u1_reward,
-    u2_reward,
-    u3_deaths,
 )
 from .hamiltonian import (
     ControlSearchGrid,
     H1Result,
-    HamiltonianEval,
     LinearValue,
     QuadraticValue,
     TransversalityReport,
@@ -78,8 +75,8 @@ from .hamiltonian import (
     fundamental_identity_residual,
     greedy_policy,
     h0_part,
+    h1_evaluator,
     h1_part,
-    hamiltonian_eval,
     hamiltonian_gap_profile,
     integrated_gap,
     maximize_h1,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import epi, optimizer
-from .errors import ConfigurationError, InfeasibleStart, ModelError
+from .errors import ConfigurationError, InfeasibleStart, ModelError, NonFiniteState
 from .grid import TimeGrid
 from .hamiltonian import (chain_rule_residual, hamiltonian_gap_profile,
                           integrated_gap, transversality_check, validate_gradient)
@@ -53,9 +53,12 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write strict JSON; a non-finite result is a model error, not a NaN in the file."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise NonFiniteState(f"{path.name}: non-finite result ({err})") from err
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _out_dir(cfg, override) -> Path:
@@ -146,8 +149,7 @@ def cmd_optimize(cfg, out_dir=None) -> int:
     out = _out_dir(cfg, out_dir)
     scenario = cfgmod.build_scenario(cfg)
     opt_cfg = cfgmod.build_optimizer_config(cfg)
-    value_function = cfgmod.build_value_function(cfg, scenario) \
-        if "verification" in cfg else None
+    value_function = cfgmod.build_value_function(cfg, scenario)
     log.info("optimizing %dx%d control blocks, budget %d iterations",
              opt_cfg.n_time_blocks, opt_cfg.n_age_blocks, opt_cfg.max_iters)
     report = optimizer.optimize(scenario, opt_cfg, value_function=value_function)
@@ -383,6 +385,8 @@ def _sweep_point(args):
     point = copy.deepcopy(cfg)
     for path, value in overrides:
         _set_by_path(point, path, value)
+    # a swept number may land where the schema wants another type or range
+    cfgmod.validate_config(point, {path.split(".")[0] for path, _ in overrides})
     scenario = cfgmod.build_scenario(point)
     try:
         traj = scenario.simulate()
@@ -403,13 +407,9 @@ def cmd_sweep(cfg, out_dir=None, jobs=1) -> int:
     values0 = axes[0]["values"]
     values1 = axes[1]["values"] if len(axes) > 1 else [None]
 
-    tasks = []
-    for v0 in values0:
-        for v1 in values1:
-            overrides = [(axes[0]["path"], v0)]
-            if len(axes) > 1:
-                overrides.append((axes[1]["path"], v1))
-            tasks.append((cfg, overrides))
+    points = [(v0, v1) for v0 in values0 for v1 in values1]
+    paths = [axis["path"] for axis in axes]
+    tasks = [(cfg, list(zip(paths, point))) for point in points]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -427,19 +427,11 @@ def cmd_sweep(cfg, out_dir=None, jobs=1) -> int:
             for i, v0 in enumerate(values0)]
     _write_csv(out / "sweep.csv", header, rows)
 
-    detail_rows = []
-    idx = 0
-    for v0 in values0:
-        for v1 in values1:
-            r = results[idx]
-            detail_rows.append([
-                _fmt(v0), "" if v1 is None else _fmt(v1),
-                "" if r["value"] is None else _fmt(r["value"]),
-                str(r["feasible"]),
-                "" if r["violation"] is None else _fmt(r["violation"]),
-                r["error"] or "",
-            ])
-            idx += 1
+    detail_rows = [[_fmt(v0), "" if v1 is None else _fmt(v1),
+                    "" if r["value"] is None else _fmt(r["value"]), str(r["feasible"]),
+                    "" if r["violation"] is None else _fmt(r["violation"]),
+                    r["error"] or ""]
+                   for (v0, v1), r in zip(points, results)]
     _write_csv(out / "sweep_details.csv",
                ["axis0", "axis1", "value", "feasible", "violation", "error"],
                detail_rows)

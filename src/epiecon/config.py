@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -280,7 +281,8 @@ SCHEMA = {
                         "required": ["path", "values"],
                         "properties": {
                             "path": {"type": "string"},
-                            "values": {"type": "array", "minItems": 1},
+                            "values": {"type": "array", "minItems": 1,
+                                       "items": {"type": "number"}},
                         },
                     },
                 },
@@ -343,18 +345,17 @@ DEFAULTS = {
 }
 
 
-def _merge_defaults(cfg, defaults):
-    out = copy.deepcopy(cfg)
+def _merge_defaults(cfg, defaults) -> None:
+    """Fill the keys ``cfg`` lacks from (copies of) ``defaults``, in place."""
     for key, val in defaults.items():
-        if key not in out:
-            out[key] = copy.deepcopy(val)
-        elif isinstance(val, dict) and isinstance(out[key], dict):
+        if key not in cfg:
+            cfg[key] = copy.deepcopy(val)
+        elif isinstance(val, dict) and isinstance(cfg[key], dict):
             # variant objects (discriminated by "type") are atomic: a user
             # choice must not inherit keys from a different default variant
-            if "type" in val or "type" in out[key]:
+            if "type" in val or "type" in cfg[key]:
                 continue
-            out[key] = _merge_defaults(out[key], val)
-    return out
+            _merge_defaults(cfg[key], val)
 
 
 def _error_path(err: jsonschema.ValidationError) -> str:
@@ -365,9 +366,16 @@ def _error_path(err: jsonschema.ValidationError) -> str:
     return path or "<root>"
 
 
-def validate_config(cfg: dict) -> None:
-    """Schema-check a raw configuration; raises with the field path."""
-    validator = jsonschema.Draft202012Validator(SCHEMA)
+# JSON "integer" means an int: 16.0 would pass the default check and then break numpy
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, type_checker=jsonschema.Draft202012Validator
+    .TYPE_CHECKER.redefine("integer", lambda _, value: type(value) is int))
+
+
+def validate_config(cfg: dict, sections=None) -> None:
+    """Schema-check a configuration, or only its top-level ``sections``, naming the field."""
+    validator = _Validator(SCHEMA if sections is None else {
+        "properties": {key: SCHEMA["properties"][key] for key in sections}})
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
@@ -377,7 +385,8 @@ def validate_config(cfg: dict) -> None:
 def resolve_config(cfg: dict) -> dict:
     """Validate and fill defaults; the result is the canonical configuration."""
     validate_config(cfg)
-    resolved = _merge_defaults(cfg, DEFAULTS)
+    resolved = copy.deepcopy(cfg)
+    _merge_defaults(resolved, DEFAULTS)
     validate_config(resolved)
     return resolved
 
@@ -388,12 +397,28 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"config is not valid JSON: {err}") from err
+    where = _nonfinite_path(raw)
+    if where is not None:
+        raise ConfigurationError(f"config field {where}: numbers must be finite")
     return resolve_config(raw)
+
+
+def _nonfinite_path(node, path=""):
+    """Field path of the first NaN or infinite number in a JSON document, else None."""
+    if isinstance(node, float) and not math.isfinite(node):
+        return path or "<root>"
+    for key, child in (node.items() if isinstance(node, dict) else
+                       enumerate(node) if isinstance(node, list) else ()):
+        if type(child) is not float or not math.isfinite(child):  # skip finite leaves
+            found = _nonfinite_path(child, f"{path}.{key}" if path else str(key))
+            if found is not None:
+                return found
+    return None
 
 
 def dump_config(cfg: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+        json.dump(cfg, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -470,8 +495,7 @@ def _build_utility(spec: dict):
     return objectives.SeparableUtility(**kw)
 
 
-def _build_policy(cfg: dict, age_grid: AgeGrid, time_grid: TimeGrid,
-                  search: ControlSearchGrid) -> epi.PolicyField:
+def _build_policy(cfg: dict, age_grid: AgeGrid, time_grid: TimeGrid) -> epi.PolicyField:
     pol = cfg["policy"]
     preset = pol["preset"]
     if preset == "laissez_faire":
@@ -548,7 +572,7 @@ def build_scenario(cfg: dict) -> Scenario:
         max_sweeps=sr["max_sweeps"])
 
     space = epi.hilbert_space_for(params, floor=ep["weight_floor"])
-    policy = _build_policy(cfg, age_grid, time_grid, search)
+    policy = _build_policy(cfg, age_grid, time_grid)
     return Scenario(age_grid=age_grid, time_grid=time_grid, epi=params, econ=econ,
                     obj=obj, initial=initial, K0=ec["K0"], policy=policy,
                     search=search, space=space, n_floor_rel=ep["n_floor_rel"])

@@ -67,9 +67,10 @@ class CESProduction:
 
     def _raw(self, K: float, L: float) -> float:
         s = self.substitution
-        if s < 0.0 and (K == 0.0 or L == 0.0):
+        try:
+            return self.scale * (self.omega * K**s + (1.0 - self.omega) * L**s) ** (1.0 / s)
+        except (ZeroDivisionError, OverflowError):  # s < 0 with K or L at or near 0: F = 0
             return 0.0
-        return self.scale * (self.omega * K**s + (1.0 - self.omega) * L**s) ** (1.0 / s)
 
     def _at_zero_capital(self, L: float) -> float:
         s = self.substitution
@@ -208,7 +209,7 @@ class EconParams:
 # ----------------------------------------------------------------------
 
 # The aggregates take the state x = (s, i, r) as a (3, n_age) array or a
-# triple of arrays, so the trajectory kernel and EpiState callers share them.
+# triple of arrays, so the trajectory kernel and the Hamiltonian share them.
 
 def labor_supply(x, theta_t: np.ndarray, econ: EconParams, da: float) -> float:
     """Efficiency-unit labor of the working compartments, L = int (s+r) alpha phi(theta)."""

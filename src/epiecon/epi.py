@@ -14,7 +14,6 @@ construction.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,9 +171,9 @@ def full_lockdown_policy(age_grid, time_grid, c_level: float = 0.0) -> PolicyFie
 # pointwise operations
 # ----------------------------------------------------------------------
 
-def critical_load(state: EpiState, params: EpiParams) -> float:
+def critical_load(i: np.ndarray, params: EpiParams, da: float) -> float:
     """Hospital-demand aggregate Xi = int i * xi da."""
-    return float(state.grid.da * (state.i.values * params.xi.values).sum())
+    return float(da * (i * params.xi.values).sum())
 
 
 def infection_mortality(params: EpiParams, Xi: float) -> np.ndarray:
@@ -182,24 +181,23 @@ def infection_mortality(params: EpiParams, Xi: float) -> np.ndarray:
     return params.mu_I_base.values * params.saturation.multiplier(Xi)
 
 
-def _force_array(i_values: np.ndarray, n_total: float, theta_t: np.ndarray,
-                 eta_t: np.ndarray, m, da: float, n_floor: float) -> np.ndarray:
+def deaths_flow(i: np.ndarray, mu_i: np.ndarray, da: float) -> float:
+    """Disease deaths flow int mu_I(., Xi) i da, given the mortality field mu_i."""
+    return float(da * (mu_i * i).sum())
+
+
+def force_of_infection(i: np.ndarray, n_total: float, theta_t, eta_t, m, da: float,
+                       n_floor: float = 0.0) -> np.ndarray:
+    """Age-specific infection hazard of the controlled dynamics.
+
+    lambda(a) = theta(a)/N * int m(a, tau) theta(tau) eta(tau) i(tau) dtau, with
+    N = ``n_total`` the total population and ``m`` the contact kernel.  With
+    theta = eta = 1 this is the uncontrolled force of infection.
+    """
     if n_total <= n_floor:
         raise ExtinctPopulation(
             f"total population {n_total:.3e} at or below the floor {n_floor:.3e}")
-    return theta_t * (m @ (theta_t * eta_t * i_values)) * (da / n_total)
-
-
-def force_of_infection(state: EpiState, theta_t: np.ndarray, eta_t: np.ndarray,
-                       params: EpiParams, n_floor: float = 0.0) -> Field1D:
-    """Age-specific infection hazard of the controlled dynamics.
-
-    lambda(a) = theta(a)/N * int m(a, tau) theta(tau) eta(tau) i(tau) dtau.
-    With theta = eta = 1 this is the uncontrolled force of infection.
-    """
-    lam = _force_array(state.i.values, state.total_population(), theta_t, eta_t,
-                       params.m, state.grid.da, n_floor)
-    return Field1D(state.grid, lam)
+    return theta_t * (m @ (theta_t * eta_t * i)) * (da / n_total)
 
 
 # ----------------------------------------------------------------------
@@ -218,14 +216,13 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     s, i, r = x
     n = s + i + r
     n_total = float(da * n.sum())
-    lam = _force_array(i, n_total, theta_t, eta_t, params.m, da, n_floor)
-    Xi = float(da * (i * params.xi.values).sum())
+    lam = force_of_infection(i, n_total, theta_t, eta_t, params.m, da, n_floor)
+    Xi = critical_load(i, params, da)
     mu_i = infection_mortality(params, Xi)
     L = economy.labor_supply(x, theta_t, econ, da)
     C = economy.consumption_total(x, c_t, da)
     d_cost = economy.testing_cost(x, eta_t, econ, da)
-    aggregates = (n_total, lam, Xi, float(da * (mu_i * i).sum()), L, econ.F(K, L),
-                  C, d_cost)
+    aggregates = (n_total, lam, Xi, deaths_flow(i, mu_i, da), L, econ.F(K, L), C, d_cost)
     if out is None:
         return aggregates, None
 
@@ -264,21 +261,6 @@ def step(state: EpiState, K: float, c_t: np.ndarray, theta_t: np.ndarray,
     return EpiState.from_arrays(state.grid, *x1, state.time + dt), K1
 
 
-class _StateView(Sequence):
-    """EpiStates of a trajectory, each built from its row of ``X`` when indexed."""
-
-    def __init__(self, traj: "Trajectory"):
-        self._traj = traj
-
-    def __len__(self) -> int:
-        return len(self._traj.X)
-
-    def __getitem__(self, k: int) -> EpiState:
-        t, k = self._traj, range(len(self._traj.X))[k]
-        return t.initial if k == 0 else EpiState.from_arrays(
-            t.initial.grid, *t.X[k], t.initial.time + k * t.time_grid.dt)
-
-
 @dataclass(eq=False)
 class Trajectory:
     """Simulated path: ``X`` of shape (n_steps + 1, 3, n_age) with (s, i, r) at t_k
@@ -301,11 +283,6 @@ class Trajectory:
     feasible: bool
     k_violation: float
     min_K: float
-
-    @property
-    def states(self) -> Sequence:
-        """Read-only EpiState view of ``X`` (no copy is kept); states[0] is ``initial``."""
-        return _StateView(self)
 
     @property
     def n_steps(self) -> int:

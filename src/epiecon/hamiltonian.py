@@ -9,7 +9,7 @@ per-step gap between sup_z H1 and H1 at the policy, the chain-rule
 identity along the trajectory, and the transversality decay of the
 discounted terminal value.  Nothing here solves the dynamic-programming
 equation; the module only measures how far a candidate is from satisfying
-it.
+it.  States enter as (3, n_age) arrays or (s, i, r) triples, like traj.X[k].
 """
 
 from __future__ import annotations
@@ -99,72 +99,56 @@ def validate_gradient(v, probes, space: HilbertSpace, rel_tol: float = 1e-6,
 # Hamiltonian pieces
 # ----------------------------------------------------------------------
 
-@dataclass
-class HamiltonianEval:
-    """Split evaluation with total = h0 + h1."""
-
-    h0: float
-    h1: float
-    total: float
-    argmax_controls: tuple | None = None
-
-
-def h0_part(state: epi.EpiState, K: float, costate: CostateField,
-            space: HilbertSpace, params: epi.EpiParams, econ) -> float:
+def h0_part(x, K: float, costate: CostateField, space: HilbertSpace,
+            params: epi.EpiParams, econ) -> float:
     """Control-independent Hamiltonian part.
 
     <h, A* p>_H - delta K Q - <mu_I(., Xi(h)) h2, p2>_L2.
     """
-    h = state.as_triple()
+    i = x[1]
+    da = space.grid.da
     astar = space.apply_A_star(costate.triple())
-    Xi = epi.critical_load(state, params)
-    mu_i = epi.infection_mortality(params, Xi)
-    da = state.grid.da
-    sink = float(da * (mu_i * state.i.values * costate.p2).sum())
-    return space.inner(h, astar) - econ.delta * K * costate.Q - sink
+    mu_i = epi.infection_mortality(params, epi.critical_load(i, params, da))
+    sink = float(da * (mu_i * i * costate.p2).sum())
+    return space.inner(x, astar) - econ.delta * K * costate.Q - sink
 
 
-def h1_part(state: epi.EpiState, K: float, costate: CostateField,
-            c_t, theta_t, eta_t, space: HilbertSpace, params: epi.EpiParams,
-            econ, obj: objectives.ObjectiveParams, n_floor: float = 0.0) -> float:
-    """Control-dependent Hamiltonian part at the control slice (c, theta, eta).
+def h1_evaluator(x, K: float, costate: CostateField, space: HilbertSpace,
+                 params: epi.EpiParams, econ, obj: objectives.ObjectiveParams | None,
+                 n_floor: float = 0.0):
+    """H1 at one node as a function ``h1(c, theta, eta)`` of the control slice.
 
     -<Lam h1, p1>_{pi_S} + <Lam h1, p2> + F(K, L_theta) Q - C Q - D Q
-    plus the running reward of the configured target.
+    plus the running reward of the configured target; ``obj=None`` leaves the
+    reward out (the controlled drift paired with the costate).  The
+    state-only terms (N, and n^nu and the deaths flow of the reward) are
+    computed once here.
     """
-    return (_controlled_drift(state, K, costate, c_t, theta_t, eta_t, space, params,
-                              econ, n_floor)
-            + objectives.running_reward(state, K, c_t, theta_t, eta_t, params, econ, obj))
+    s, i, r = x
+    da = space.grid.da
+    n_total = float(da * (s + i + r).sum())
+    reward = None if obj is None else objectives.node_reward(x, params, obj)
+
+    def h1(c_t, theta_t, eta_t) -> float:
+        lam_s = epi.force_of_infection(i, n_total, theta_t, eta_t, params.m, da,
+                                       n_floor) * s
+        Y = econ.F(K, economy.labor_supply(x, theta_t, econ, da))
+        val = -float(da * (lam_s * costate.p1 * space.w1).sum())
+        val += float(da * (lam_s * costate.p2).sum())
+        val += Y * costate.Q
+        val -= economy.consumption_total(x, c_t, da) * costate.Q
+        val -= economy.testing_cost(x, eta_t, econ, da) * costate.Q
+        return val if reward is None else val + reward(c_t, theta_t, Y)
+
+    return h1
 
 
-def _controlled_drift(state, K, costate, c_t, theta_t, eta_t, space, params, econ,
-                      n_floor) -> float:
-    """H1 without the running reward: the controlled drift paired with the costate."""
-    x = state.as_triple()
-    da = state.grid.da
-    lam = epi._force_array(x[1], state.total_population(), theta_t, eta_t,
-                           params.m, da, n_floor)
-    lam_s = lam * x[0]
-    val = -float(da * (lam_s * costate.p1 * space.w1).sum())
-    val += float(da * (lam_s * costate.p2).sum())
-    val += econ.F(K, economy.labor_supply(x, theta_t, econ, da)) * costate.Q
-    val -= economy.consumption_total(x, c_t, da) * costate.Q
-    val -= economy.testing_cost(x, eta_t, econ, da) * costate.Q
-    return val
-
-
-def hamiltonian_eval(state, K, costate, c_t, theta_t, eta_t, space, params, econ,
-                     obj, n_floor: float = 0.0, search=None) -> HamiltonianEval:
-    """Split Hamiltonian evaluation; with ``search`` the argmax slice is attached."""
-    h0 = h0_part(state, K, costate, space, params, econ)
-    h1 = h1_part(state, K, costate, c_t, theta_t, eta_t, space, params, econ, obj,
-                 n_floor)
-    argmax = None
-    if search is not None:
-        res = maximize_h1(state, K, costate, space, params, econ, obj, search,
-                          baseline=(c_t, theta_t, eta_t), n_floor=n_floor)
-        argmax = (res.c, res.theta, res.eta)
-    return HamiltonianEval(h0=h0, h1=h1, total=h0 + h1, argmax_controls=argmax)
+def h1_part(x, K: float, costate: CostateField, c_t, theta_t, eta_t,
+            space: HilbertSpace, params: epi.EpiParams, econ,
+            obj: objectives.ObjectiveParams, n_floor: float = 0.0) -> float:
+    """Control-dependent Hamiltonian part at the control slice (c, theta, eta)."""
+    return h1_evaluator(x, K, costate, space, params, econ, obj, n_floor)(
+        c_t, theta_t, eta_t)
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +207,7 @@ def _optimal_c(n: np.ndarray, Q: float, theta_t: np.ndarray,
     return out
 
 
-def maximize_h1(state, K, costate, space, params, econ, obj,
+def maximize_h1(x, K, costate, space, params, econ, obj,
                 search: ControlSearchGrid, baseline=None,
                 n_floor: float = 0.0) -> H1Result:
     """Blockwise-exhaustive maximization of H1 over the control lattice.
@@ -239,19 +223,16 @@ def maximize_h1(state, K, costate, space, params, econ, obj,
     a candidate (with its consumption re-solved exactly), so the returned
     value dominates H1 at that slice up to the consumption argmax.
     """
-    grid = state.grid
-    n_age = grid.n_age
+    n_age = space.grid.n_age
     nb = search.n_age_blocks
     if n_age % nb != 0:
         raise ConfigurationError(f"{nb} age blocks do not divide n_age = {n_age}")
     bs = n_age // nb
     th_levels = np.asarray(search.theta_levels, dtype=np.float64)
     et_levels = np.asarray(search.eta_levels, dtype=np.float64)
-    n = state.n_density()
+    n = x[0] + x[1] + x[2]
     Q = costate.Q
-
-    def evaluate(c, th, et):
-        return h1_part(state, K, costate, c, th, et, space, params, econ, obj, n_floor)
+    evaluate = h1_evaluator(x, K, costate, space, params, econ, obj, n_floor)
 
     def ascend(start_level_index):
         theta = np.repeat(th_levels[start_level_index(th_levels)], n_age)
@@ -308,11 +289,10 @@ def maximize_h1(state, K, costate, space, params, econ, obj,
 # verification diagnostics
 # ----------------------------------------------------------------------
 
-def _costate_at(v, state, K) -> CostateField:
-    h = state.as_triple()
-    p = v.grad_h(h, K)
+def _costate_at(v, x, K) -> CostateField:
+    p = v.grad_h(x, K)
     return CostateField(p1=np.asarray(p[0]), p2=np.asarray(p[1]),
-                        p3=np.asarray(p[2]), Q=float(v.grad_K(h, K)))
+                        p3=np.asarray(p[2]), Q=float(v.grad_K(x, K)))
 
 
 def hamiltonian_gap_profile(v, policy: epi.PolicyField, traj: epi.Trajectory,
@@ -327,14 +307,13 @@ def hamiltonian_gap_profile(v, policy: epi.PolicyField, traj: epi.Trajectory,
     n_nodes = traj.n_steps + 1
     gaps = np.empty(n_nodes)
     for k in range(n_nodes):
-        state = traj.states[k]
-        K = float(traj.K[k])
-        costate = _costate_at(v, state, K)
+        x, K = traj.X[k], float(traj.K[k])
+        costate = _costate_at(v, x, K)
         c_t, th_t, et_t = policy.at(k)
-        res = maximize_h1(state, K, costate, space, params, econ, obj, search,
+        res = maximize_h1(x, K, costate, space, params, econ, obj, search,
                           baseline=(c_t, th_t, et_t), n_floor=n_floor)
-        current = h1_part(state, K, costate, c_t, th_t, et_t, space, params, econ,
-                          obj, n_floor)
+        current = h1_part(x, K, costate, c_t, th_t, et_t, space, params, econ, obj,
+                          n_floor)
         gaps[k] = res.value - current
     return gaps
 
@@ -352,8 +331,8 @@ def discounted_running_payoff(traj, policy, params, econ, obj) -> float:
     total = 0.0
     for k in range(tg.n_steps):
         c_t, th_t, et_t = policy.at(k)
-        u = objectives.running_reward(traj.states[k], float(traj.K[k]), c_t, th_t,
-                                      et_t, params, econ, obj)
+        u = objectives.running_reward(traj.X[k], float(traj.K[k]), c_t, th_t, et_t,
+                                      params, econ, obj)
         total += np.exp(-obj.rho * (tg.times[k] - tg.t0)) * u
     return float(total * tg.dt)
 
@@ -373,14 +352,13 @@ def fundamental_identity_residual(v, policy, traj, space, params, econ, obj,
     :func:`chain_rule_residual` instead.
     """
     tg = traj.time_grid
-    h0 = traj.states[0].as_triple()
-    hT = traj.states[-1].as_triple()
     payoff = discounted_running_payoff(traj, policy, params, econ, obj)
     gaps = hamiltonian_gap_profile(v, policy, traj, space, params, econ, obj,
                                    search, n_floor)
     gap_term = integrated_gap(gaps, traj, obj)
-    terminal = np.exp(-obj.rho * (tg.t_end - tg.t0)) * v.value(hT, float(traj.K[-1]))
-    return float(v.value(h0, float(traj.K[0])) - (payoff + gap_term + terminal))
+    terminal = np.exp(-obj.rho * (tg.t_end - tg.t0)) * v.value(traj.X[-1],
+                                                               float(traj.K[-1]))
+    return float(v.value(traj.X[0], float(traj.K[0])) - (payoff + gap_term + terminal))
 
 
 def chain_rule_residual(v, policy, traj, space, params, econ, obj,
@@ -397,20 +375,17 @@ def chain_rule_residual(v, policy, traj, space, params, econ, obj,
     dt = tg.dt
     acc = 0.0
     for k in range(tg.n_steps):
-        state = traj.states[k]
-        K = float(traj.K[k])
-        costate = _costate_at(v, state, K)
-        c_t, th_t, et_t = policy.at(k)
-        drift = (h0_part(state, K, costate, space, params, econ)
-                 + _controlled_drift(state, K, costate, c_t, th_t, et_t, space, params,
-                                     econ, n_floor))
+        x, K = traj.X[k], float(traj.K[k])
+        costate = _costate_at(v, x, K)
+        drift = (h0_part(x, K, costate, space, params, econ)
+                 + h1_evaluator(x, K, costate, space, params, econ, None, n_floor)(
+                     *policy.at(k)))
         acc += (np.exp(-obj.rho * (tg.times[k] - tg.t0))
-                * (obj.rho * v.value(state.as_triple(), K) - drift))
+                * (obj.rho * v.value(x, K) - drift))
     acc *= dt
-    h0 = traj.states[0].as_triple()
-    hT = traj.states[-1].as_triple()
-    terminal = np.exp(-obj.rho * (tg.t_end - tg.t0)) * v.value(hT, float(traj.K[-1]))
-    return float(v.value(h0, float(traj.K[0])) - terminal - acc)
+    terminal = np.exp(-obj.rho * (tg.t_end - tg.t0)) * v.value(traj.X[-1],
+                                                               float(traj.K[-1]))
+    return float(v.value(traj.X[0], float(traj.K[0])) - terminal - acc)
 
 
 @dataclass
@@ -429,12 +404,12 @@ def transversality_check(v, trajectories, rho: float) -> TransversalityReport:
     """
     horizons = np.array([t.time_grid.t_end - t.time_grid.t0 for t in trajectories])
     vals = np.array([
-        np.exp(-rho * T) * abs(v.value(t.states[-1].as_triple(), float(t.K[-1])))
+        np.exp(-rho * T) * abs(v.value(t.X[-1], float(t.K[-1])))
         for T, t in zip(horizons, trajectories)
     ])
-    pos = vals > 0.0
+    pos = (vals > 0.0) & np.isfinite(vals)
     exponent = None
-    if pos.sum() >= 2:
+    if pos.sum() >= 2 and np.ptp(horizons[pos]) > 0.0:  # two distinct horizons
         slope = np.polyfit(horizons[pos], np.log(vals[pos]), 1)[0]
         exponent = float(-slope)
     decaying = bool(vals[-1] <= vals[0] or np.all(vals == 0.0))
@@ -442,30 +417,33 @@ def transversality_check(v, trajectories, rho: float) -> TransversalityReport:
                                 exponent=exponent, decaying=decaying)
 
 
-def greedy_policy(initial: epi.EpiState, K0: float, v, space, params, econ, obj,
+def greedy_policy(initial, K0: float, v, space, params, econ, obj,
                   time_grid: TimeGrid, search: ControlSearchGrid,
                   n_floor_rel: float = 1e-9):
     """Roll out the policy that maximizes H1 step by step under v's gradients.
 
+    ``initial`` is the initial state as :func:`epi.simulate` takes it.
     Returns the policy surface and its trajectory.  By construction the
     Hamiltonian gap of the result vanishes on its own trajectory, which is
     the constructive side of the sufficiency argument on the control
     lattice.
     """
-    grid = initial.grid
+    grid = space.grid
     n_steps = time_grid.n_steps
     c_surf, th_surf, et_surf = np.zeros((3, n_steps + 1, grid.n_age))
     n_floor = n_floor_rel * initial.total_population()
 
-    state, K = initial, float(K0)
+    X = np.empty((n_steps + 1, 3, grid.n_age))
+    X[0] = initial.as_triple()
+    K = float(K0)
     for k in range(n_steps + 1):
-        costate = _costate_at(v, state, K)
-        res = maximize_h1(state, K, costate, space, params, econ, obj, search,
+        costate = _costate_at(v, X[k], K)
+        res = maximize_h1(X[k], K, costate, space, params, econ, obj, search,
                           n_floor=n_floor)
         c_surf[k], th_surf[k], et_surf[k] = res.c, res.theta, res.eta
         if k < n_steps:
-            state, K = epi.step(state, K, res.c, res.theta, res.eta, params, econ,
-                                time_grid.dt, n_floor)
+            K = epi._node(X[k], K, res.c, res.theta, res.eta, params, econ, grid.da,
+                          time_grid.dt, n_floor, X[k + 1])[1]
 
     policy = epi.PolicyField.from_arrays(grid, time_grid, c_surf, th_surf, et_surf)
     traj = epi.simulate(initial, K0, policy, params, econ, time_grid, n_floor_rel)

@@ -56,31 +56,11 @@ class ShiftedCRRAUtility:
         base = (c + self.eps_c) ** (1.0 - self.sigma) / (1.0 - self.sigma)
         return self.u0 + base * self.theta_weight(theta)
 
-    def marginal_c(self, c, theta):
-        c = np.asarray(c, dtype=np.float64)
-        return (c + self.eps_c) ** (-self.sigma) * self.theta_weight(theta)
-
     def optimal_c(self, n, Q, theta, nu, c_max):
-        """Pointwise maximizer of n^nu u(c, theta) - c n Q over [0, c_max].
-
-        Solves the first-order condition n^nu u_c = n Q where interior; the
-        corner c_max is taken when marginal utility never meets the price.
-        Empty cells take c = 0, except that for nu = 0 the utility weight
-        n^nu is 1 there (0^0 convention) and the argmax is the cap.
-        """
-        n = np.asarray(n, dtype=np.float64)
-        out = np.zeros_like(n)
-        pos = n > 0.0
-        if nu == 0.0:
-            out[~pos] = c_max
-        if Q <= 0.0:
-            out[pos] = c_max
-            return out
-        price = n[pos] ** (1.0 - nu) * Q
-        theta_w = self.theta_weight(np.broadcast_to(theta, n.shape))
-        c_foc = (theta_w[pos] / price) ** (1.0 / self.sigma) - self.eps_c
-        out[pos] = np.clip(c_foc, 0.0, c_max)
-        return out
+        def foc(price, pos):
+            theta_w = self.theta_weight(np.broadcast_to(theta, pos.shape))
+            return (theta_w[pos] / price) ** (1.0 / self.sigma) - self.eps_c
+        return _consumption_argmax(n, Q, nu, c_max, foc)
 
 
 @dataclass(frozen=True)
@@ -96,21 +76,29 @@ class SeparableUtility:
     def __call__(self, c, theta):
         return np.log1p(np.asarray(c, dtype=np.float64)) + self.b * np.asarray(theta)
 
-    def marginal_c(self, c, theta):
-        return 1.0 / (1.0 + np.asarray(c, dtype=np.float64))
-
     def optimal_c(self, n, Q, theta, nu, c_max):
-        n = np.asarray(n, dtype=np.float64)
-        out = np.zeros_like(n)
-        pos = n > 0.0
-        if nu == 0.0:
-            out[~pos] = c_max
-        if Q <= 0.0:
-            out[pos] = c_max
-            return out
-        c_foc = 1.0 / (n[pos] ** (1.0 - nu) * Q) - 1.0
-        out[pos] = np.clip(c_foc, 0.0, c_max)
+        return _consumption_argmax(n, Q, nu, c_max, lambda price, pos: 1.0 / price - 1.0)
+
+
+def _consumption_argmax(n, Q, nu, c_max, foc):
+    """Pointwise maximizer of n^nu u(c, theta) - c n Q over [0, c_max].
+
+    ``foc(price, pos)`` solves the first-order condition u_c = price, with
+    price = n^(1-nu) Q, on the populated cells ``pos``; the corner c_max is
+    taken when marginal utility never meets the price.  Empty cells take
+    c = 0, except that for nu = 0 the utility weight n^nu is 1 there (0^0
+    convention) and the argmax is the cap.
+    """
+    n = np.asarray(n, dtype=np.float64)
+    out = np.zeros_like(n)
+    pos = n > 0.0
+    if nu == 0.0:
+        out[~pos] = c_max
+    if Q <= 0.0:
+        out[pos] = c_max
         return out
+    out[pos] = np.clip(foc(n[pos] ** (1.0 - nu) * Q, pos), 0.0, c_max)
+    return out
 
 
 @dataclass(frozen=True)
@@ -156,43 +144,46 @@ class ObjectiveParams:
 # running rewards
 # ----------------------------------------------------------------------
 
-def u1_reward(state: epi.EpiState, c_t, theta_t, obj: ObjectiveParams) -> float:
-    """Altruism-weighted utility flow int n^nu u(c, theta) da."""
-    return float(_utility_flow(state.n_density(), c_t, theta_t, obj, state.grid.da))
-
-
 def _utility_flow(n, c, theta, obj: ObjectiveParams, da: float):
     """int n^nu u(c, theta) da along the last (age) axis; leading axes are time nodes."""
     return da * (np.power(n, obj.nu) * obj.utility(c, theta)).sum(axis=-1)
 
 
-def u2_reward(state: epi.EpiState, K: float, theta_t, econ) -> float:
-    """Instantaneous production F(K, L_theta)."""
-    return float(econ.F(K, economy.labor_supply(state.as_triple(), theta_t, econ,
-                                                state.grid.da)))
+def node_reward(x, params: epi.EpiParams, obj: ObjectiveParams):
+    """Running reward of the configured target at one state, as ``reward(c, theta, Y)``.
+
+    ``x`` is the state (s, i, r) as a (3, n_age) array or a triple; Y is the
+    output F(K, L_theta), which callers already hold.  The state-only terms
+    (n^nu for J1, the deaths flow for J6) are computed once here.  Terminal
+    targets J3 and J4 contribute nothing.
+    """
+    s, i, r = x
+    da = params.grid.da
+    active = {which: w for which, w in obj.target_weights().items()
+              if w != 0.0 and which not in ("J3", "J4")}
+    n_nu = np.power(s + i + r, obj.nu) if "J1" in active else None
+    deaths = (epi.deaths_flow(i, epi.infection_mortality(
+        params, epi.critical_load(i, params, da)), da) if "J6" in active else None)
+
+    def reward(c, theta, Y) -> float:
+        total = 0.0
+        for which, w in active.items():
+            if which == "J1":
+                total += w * float(da * (n_nu * obj.utility(c, theta)).sum())
+            elif which == "J6":
+                total += w * obj.j6_sign * deaths
+            else:  # J2 and J5: the production flow
+                total += w * float(Y)
+        return total
+
+    return reward
 
 
-def u3_deaths(state: epi.EpiState, params: epi.EpiParams) -> float:
-    """Disease deaths flow int mu_I(., Xi) i da."""
-    Xi = epi.critical_load(state, params)
-    return float(state.grid.da * (epi.infection_mortality(params, Xi) * state.i.values).sum())
-
-
-def running_reward(state, K, c_t, theta_t, eta_t, params, econ,
+def running_reward(x, K, c_t, theta_t, eta_t, params, econ,
                    obj: ObjectiveParams) -> float:
-    """Reward integrand of the configured target (0 for terminal-only targets)."""
-    total = 0.0
-    for which, w in obj.target_weights().items():
-        if w == 0.0:
-            continue
-        if which == "J1":
-            total += w * u1_reward(state, c_t, theta_t, obj)
-        elif which in ("J2", "J5"):
-            total += w * u2_reward(state, K, theta_t, econ)
-        elif which == "J6":
-            total += w * obj.j6_sign * u3_deaths(state, params)
-        # J3 and J4 carry only terminal rewards
-    return total
+    """Reward integrand of the configured target at state ``x`` and controls (c, theta)."""
+    Y = econ.F(K, economy.labor_supply(x, theta_t, econ, params.grid.da))
+    return node_reward(x, params, obj)(c_t, theta_t, Y)
 
 
 # ----------------------------------------------------------------------

@@ -85,10 +85,7 @@ def test_c3_positivity_and_conservation():
             eta_level=float(rng.uniform(0.0, 1.0)),
             c_level=float(rng.uniform(0.0, 0.2)),
         )
-        for st in scen.simulate().states:
-            assert np.all(st.s.values >= 0.0)
-            assert np.all(st.i.values >= 0.0)
-            assert np.all(st.r.values >= 0.0)
+        assert np.all(scen.simulate().X >= 0.0)
 
     for trial in range(n_conserving):
         n_age = int(rng.integers(10, 25))

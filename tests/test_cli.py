@@ -1,7 +1,12 @@
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiecon import cli, config as cfgmod
 
@@ -294,3 +299,171 @@ def test_demo_covid_smoke(tmp_path):
                      "--out", str(out)])
     assert code == 0
     assert (out / "trajectory.csv").exists()
+
+
+# ----------------------------------------------------------------------
+# robust boundary: documented exit codes, strict JSON outputs
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, section, key, literal", [
+    ("evaluate", "objective", "rho", "Infinity"),
+    ("simulate", "economy", "K0", "NaN"),
+    ("simulate", "economy", "delta", "1e400"),
+])
+def test_nonfinite_config_number_names_field(tmp_path, capsys, command, section, key,
+                                             literal):
+    cfg = small_config()
+    cfg[section][key] = "@"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace('"@"', literal))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_non_numeric_value_names_field(tmp_path, capsys):
+    cfg = small_config()
+    cfg["sweep"] = {"axes": [{"path": "economy.K0", "values": ["high", 10.0]}]}
+    code = cli.main(["sweep", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "sweep.axes.0.values.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [("grid", "n_age"), ("policy", "n_time_blocks")])
+def test_integral_float_in_integer_field_names_field(tmp_path, capsys, section, key):
+    cfg = small_config()
+    cfg["policy"]["preset"] = "blocks"
+    cfg[section][key] = 16.0 if key == "n_age" else 2.0
+    code = cli.main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [("objective.composite", 1.0),
+                                         ("economy.production", 1.0),
+                                         ("grid.n_steps", 2.5)])
+def test_sweep_path_to_non_number_names_field(tmp_path, capsys, path, value):
+    cfg = small_config()
+    cfg["sweep"] = {"axes": [{"path": path, "values": [value]}]}
+    code = cli.main(["sweep", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config field {path}" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+_NUMBER = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 1e-12, 1e6, -1e6]))
+_RATE = st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 50.0]))
+
+
+def _family(values=_NUMBER):
+    return st.one_of(
+        st.builds(lambda v: {"type": "constant", "value": v}, values),
+        st.builds(lambda v0, v1: {"type": "linear", "v0": v0, "v1": v1}, values, values),
+        st.builds(lambda lo, hi, mid, w: {"type": "logistic", "lo": lo, "hi": hi,
+                                          "midpoint": mid, "width": w},
+                  values, values, _NUMBER, st.floats(0.1, 10.0)),
+        st.builds(lambda b, r: {"type": "gompertz", "base": b, "rate": r},
+                  st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
+        st.builds(lambda lo, hi, v: {"type": "band", "lo_age": lo, "hi_age": hi,
+                                     "value": v}, _NUMBER, _NUMBER, values),
+        st.builds(lambda c, w, h: {"type": "bump", "center": c, "width": w, "height": h},
+                  _NUMBER, st.floats(0.1, 10.0), values),
+    )
+
+
+@st.composite
+def cli_cases(draw):
+    """A schema-valid config on a small grid and the command to run on it."""
+    n_age = draw(st.sampled_from([8, 16]))
+    rate = _family(_RATE)
+    cfg = {
+        "grid": {"a_max": draw(st.floats(1.0, 100.0)), "n_age": n_age,
+                 "n_steps": draw(st.sampled_from([0, 1, 2, 4, 6, 8, 4.0]))},
+        "epidemic": {
+            "mu_S": draw(rate), "mu_R": draw(rate), "mu_I_base": draw(rate),
+            "gamma": draw(rate), "beta": draw(rate),
+            "xi": draw(_family(st.floats(0.0, 1.0))),
+            "contact": draw(st.one_of(
+                st.builds(lambda m0: {"type": "constant", "m0": m0}, _RATE),
+                st.builds(lambda m0, g: {"type": "separable", "m0": m0, "shape": g},
+                          _RATE, _family()),
+                st.builds(lambda v: {"type": "table", "values": v},
+                          st.lists(st.lists(_RATE, min_size=n_age, max_size=n_age),
+                                   min_size=n_age, max_size=n_age)))),
+            "saturation": {"xi_cap": draw(_NUMBER), "psi": draw(_RATE),
+                           "smooth": draw(st.floats(0.01, 10.0))},
+            "initial": {"s": draw(_family(st.floats(0.1, 2.0))), "i": draw(_family(_RATE)),
+                        "r": draw(_family(_RATE))},
+        },
+        "economy": {
+            "alpha": draw(_family(_RATE)), "e": draw(_family(_RATE)),
+            "delta": draw(st.floats(0.001, 1.0)),
+            "production": draw(st.one_of(
+                st.builds(lambda k, l: {"type": "linear", "a_k": k, "a_l": l},
+                          _RATE, _RATE),
+                st.builds(lambda sc, om, sub, cap: {"type": "ces", "scale": sc,
+                                                    "omega": om, "substitution": sub,
+                                                    "mpk_cap": cap},
+                          st.floats(0.1, 10.0), st.floats(0.05, 0.95),
+                          st.sampled_from([-2.0, -0.5, 0.5]),
+                          st.one_of(st.none(), st.floats(0.1, 10.0))))),
+            "congestion": draw(st.one_of(
+                st.builds(lambda d1: {"type": "linear", "d1": d1}, _RATE),
+                st.builds(lambda d1, p: {"type": "concave_power", "d1": d1, "p": p},
+                          _RATE, st.floats(0.1, 1.0)))),
+            "K0": draw(st.floats(0.0, 1e3)),
+        },
+        "objective": {
+            "which": draw(st.sampled_from(["J1", "J2", "J3", "J4", "J5", "J6"])),
+            "rho": draw(st.floats(0.001, 1.0)), "nu": draw(st.floats(0.0, 1.0)),
+            "composite": draw(st.one_of(st.none(), st.dictionaries(
+                st.sampled_from(["J1", "J2", "J3", "J4", "J5", "J6"]), _NUMBER,
+                min_size=1))),
+        },
+        "policy": draw(st.one_of(
+            st.builds(lambda pre, c: {"preset": pre, "c_level": c},
+                      st.sampled_from(["laissez_faire", "full_lockdown"]), _RATE),
+            st.builds(lambda th, et: {"preset": "blocks", "theta_level": th,
+                                      "eta_level": et},
+                      st.floats(0.0, 1.0), st.floats(0.0, 1.0)))),
+        "search": {"n_age_blocks": draw(st.sampled_from([1, 2, 3])),
+                   "c_max": draw(st.floats(0.1, 10.0)), "max_sweeps": 3},
+        "optimizer": {"max_iters": draw(st.integers(0, 1)),
+                      "n_time_blocks": draw(st.sampled_from([1, 2])),
+                      "penalty": draw(st.floats(1.0, 1e6))},
+        "verification": {"adjoint_pairs": 2, "horizon_multipliers": [1.0, 2.0]},
+        "sweep": {"axes": [{"path": draw(st.sampled_from(
+            ["economy.K0", "economy.delta", "objective.rho", "policy.c_level",
+             "objective.composite", "economy.production", "grid.n_steps"])),
+            "values": draw(st.lists(_RATE, min_size=1, max_size=2))}]},
+    }
+    if draw(st.integers(0, 7)) == 0:  # a non-finite number where a finite one was valid
+        cfg["economy"]["K0"] = draw(st.sampled_from([float("nan"), float("inf")]))
+    command = draw(st.sampled_from(["simulate", "evaluate", "optimize", "check", "sweep"]))
+    return command, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cli_cases())
+def test_cli_boundary_exit_codes_and_strict_json(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if not np.isfinite(cfg["economy"]["K0"]):
+            assert code == 2
+        for produced in out.glob("*.json"):
+            _strict_json(produced.read_text())

@@ -196,6 +196,13 @@ def test_ces_negative_substitution_edges():
     assert F(2.0, 2.0) == pytest.approx(2.0)
 
 
+def test_ces_negative_substitution_near_zero_inputs():
+    # K^s overflows a float for K this small: F takes its limit 0, not an exception
+    F = ee.CESProduction(scale=1.0, omega=0.5, substitution=-2.0)
+    assert F(1e-200, 5.0) == 0.0
+    assert F(5.0, 1e-200) == 0.0
+
+
 def test_cobb_douglas_warns():
     with pytest.warns(UserWarning, match="Lipschitz"):
         F = ee.CobbDouglasProduction(scale=1.0, omega=0.3)

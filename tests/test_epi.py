@@ -12,18 +12,22 @@ from util import build_scenario, fit_order, random_block_policy, rk4_path, smoot
 # pointwise operations
 # ----------------------------------------------------------------------
 
+def critical_load(scen):
+    return ee.critical_load(scen.initial.i.values, scen.epi, scen.age_grid.da)
+
+
 def test_critical_load_examples():
     scen = build_scenario(n_age=20, a_max=100.0, xi=1.0, i0=0.0)
-    assert ee.critical_load(scen.initial, scen.epi) == 0.0
+    assert critical_load(scen) == 0.0
 
     scen = build_scenario(n_age=20, a_max=100.0, xi=1.0, i0=0.3, s0=0.0)
     total_infected = scen.initial.total_population()
-    assert ee.critical_load(scen.initial, scen.epi) == pytest.approx(total_infected)
+    assert critical_load(scen) == pytest.approx(total_infected)
 
     # COVID-like uniform hospitalization share: 2.9% of 1000 infected -> 29
     scen = build_scenario(n_age=20, a_max=100.0, xi=0.029, i0=10.0, s0=0.0)
     assert scen.initial.total_population() == pytest.approx(1000.0)
-    assert ee.critical_load(scen.initial, scen.epi) == pytest.approx(29.0, rel=1e-12)
+    assert critical_load(scen) == pytest.approx(29.0, rel=1e-12)
 
 
 def test_infection_mortality_saturation():
@@ -50,28 +54,32 @@ def test_infection_mortality_increasing_lipschitz():
     assert np.all(slopes <= lip + 1e-12)
 
 
+def force_of_infection(state, theta_t, eta_t, params, n_floor=0.0):
+    return ee.force_of_infection(state.i.values, state.total_population(), theta_t,
+                                 eta_t, params.m, state.grid.da, n_floor)
+
+
 def test_force_of_infection_zero_cases():
     scen = build_scenario(m0=5.0, i0=0.0)
-    lam = ee.force_of_infection(scen.initial, np.ones(16), np.ones(16), scen.epi)
-    assert np.all(lam.values == 0.0)
+    lam = force_of_infection(scen.initial, np.ones(16), np.ones(16), scen.epi)
+    assert np.all(lam == 0.0)
 
     scen = build_scenario(m0=5.0, i0=0.1)
-    lam = ee.force_of_infection(scen.initial, np.zeros(16), np.ones(16), scen.epi)
-    assert np.all(lam.values == 0.0)
+    lam = force_of_infection(scen.initial, np.zeros(16), np.ones(16), scen.epi)
+    assert np.all(lam == 0.0)
 
 
 def test_force_of_infection_constant_kernel():
     # m = 10/yr, I/N = 0.01 -> lambda = 0.1/yr everywhere
     scen = build_scenario(n_age=16, m0=10.0, s0=0.99, i0=0.01)
-    lam = ee.force_of_infection(scen.initial, np.ones(16), np.ones(16), scen.epi)
-    assert np.allclose(lam.values, 0.1, rtol=1e-12)
+    lam = force_of_infection(scen.initial, np.ones(16), np.ones(16), scen.epi)
+    assert np.allclose(lam, 0.1, rtol=1e-12)
 
 
 def test_force_of_infection_extinction_guard():
     scen = build_scenario(m0=1.0, s0=0.0, i0=0.0, r0=0.0)
     with pytest.raises(ee.ExtinctPopulation):
-        ee.force_of_infection(scen.initial, np.ones(16), np.ones(16), scen.epi,
-                              n_floor=1e-9)
+        force_of_infection(scen.initial, np.ones(16), np.ones(16), scen.epi, n_floor=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +97,7 @@ def test_step_mckendrick_constant_mortality_exact():
     s0 = scen.initial.s.values
     expected = np.zeros(32)
     expected[k:] = s0[:-k] * np.exp(-mu0 * k * dt)
-    assert np.allclose(traj.states[k].s.values, expected, rtol=1e-12, atol=1e-15)
+    assert np.allclose(traj.X[k, 0], expected, rtol=1e-12, atol=1e-15)
 
 
 def test_step_pure_infected_decay_with_shift():
@@ -98,7 +106,7 @@ def test_step_pure_infected_decay_with_shift():
                           s0=0.0, i0=1.0, theta_level=0.0)
     traj = scen.simulate()
     dt = scen.time_grid.dt
-    i5 = traj.states[5].i.values
+    i5 = traj.X[5, 1]
     expected = np.zeros(16)
     expected[5:] = 1.0 * np.exp(-mu1 * 5 * dt)
     assert np.allclose(i5, expected, rtol=1e-12)
@@ -117,8 +125,8 @@ def test_zero_rate_conservation():
 def test_simulate_zero_steps_identity():
     scen = build_scenario(n_steps=0)
     traj = scen.simulate()
-    assert len(traj.states) == 1
-    assert traj.states[0] is scen.initial
+    assert traj.X.shape == (1, 3, 16)
+    assert np.array_equal(traj.X[0], np.stack(scen.initial.as_triple()))
 
 
 def test_laissez_faire_unit_controls_bitwise():
@@ -128,10 +136,8 @@ def test_laissez_faire_unit_controls_bitwise():
                                        c=0.0, theta=1.0, eta=1.0)
     t1 = scen.simulate()
     t2 = scen.simulate(explicit)
-    for k in range(11):
-        assert np.array_equal(t1.states[k].s.values, t2.states[k].s.values)
-        assert np.array_equal(t1.states[k].i.values, t2.states[k].i.values)
-        assert np.array_equal(t1.states[k].r.values, t2.states[k].r.values)
+    assert t1.X.shape == (11, 3, 16)
+    assert np.array_equal(t1.X, t2.X)
 
 
 SIR_BETA, SIR_GAMMA = 1.2, 0.4  # contact rate and recovery: R0-like ratio 3
@@ -157,8 +163,8 @@ def sir_peak_error(scen):
     """Relative peak mismatch of aggregate I against a fine RK4 oracle."""
     traj = scen.simulate()
     da = scen.age_grid.da
-    S = np.array([da * st.s.values.sum() for st in traj.states])
-    I = np.array([da * st.i.values.sum() for st in traj.states])
+    S = da * traj.X[:, 0].sum(axis=1)
+    I = da * traj.X[:, 1].sum(axis=1)
     N = traj.N[0]
 
     def rhs(t, y):
@@ -188,8 +194,8 @@ def test_transmission_shutdown():
                           theta_level=0.0)
     traj = scen.simulate()
     da = scen.age_grid.da
-    I = np.array([da * st.i.values.sum() for st in traj.states])
-    S = np.array([da * st.s.values.sum() for st in traj.states])
+    I = da * traj.X[:, 1].sum(axis=1)
+    S = da * traj.X[:, 0].sum(axis=1)
     assert np.all(np.diff(I) <= 1e-14)
     assert S[-1] == pytest.approx(S[0], rel=1e-12)  # no new infections
 
@@ -217,11 +223,7 @@ def test_positivity_random_scenarios():
             eta_level=float(rng.uniform(0.0, 1.0)),
             c_level=float(rng.uniform(0.0, 0.2)),
         )
-        traj = scen.simulate()
-        for st in traj.states:
-            assert np.all(st.s.values >= 0.0)
-            assert np.all(st.i.values >= 0.0)
-            assert np.all(st.r.values >= 0.0)
+        assert np.all(scen.simulate().X >= 0.0)
 
 
 def mckendrick_error(n_age, mu_fn, horizon=2.0, a_max=8.0):
@@ -247,7 +249,7 @@ def mckendrick_error(n_age, mu_fn, horizon=2.0, a_max=8.0):
         integral = quad(mu_fn, born, aj)[0]
         exact[j] = s0_fn(born) * np.exp(-integral)
 
-    err = np.max(np.abs(traj.states[-1].s.values - exact))
+    err = np.max(np.abs(traj.X[-1, 0] - exact))
     return err / np.max(np.abs(exact))
 
 
@@ -312,13 +314,14 @@ def test_trajectory_aggregates_recomputable():
     traj = scen.simulate(policy)
     da = scen.age_grid.da
     for k in range(scen.time_grid.n_steps + 1):
-        st = traj.states[k]
+        x = traj.X[k]
         c_t, th_t, et_t = policy.at(k)
-        assert traj.N[k] == pytest.approx(st.total_population(), rel=1e-10)
-        assert traj.Xi[k] == pytest.approx(ee.critical_load(st, scen.epi), rel=1e-10)
-        lam = ee.force_of_infection(st, th_t, et_t, scen.epi).values
+        N = da * x.sum()
+        assert traj.N[k] == pytest.approx(N, rel=1e-10)
+        Xi = ee.critical_load(x[1], scen.epi, da)
+        assert traj.Xi[k] == pytest.approx(Xi, rel=1e-10)
+        lam = ee.force_of_infection(x[1], N, th_t, et_t, scen.epi.m, da)
         assert np.allclose(traj.lam[k], lam, rtol=1e-10)
-        x = st.as_triple()
         assert traj.L[k] == pytest.approx(ee.labor_supply(x, th_t, scen.econ, da),
                                           rel=1e-10)
         assert traj.Y[k] == pytest.approx(scen.econ.F(traj.K[k], traj.L[k]),
@@ -327,7 +330,8 @@ def test_trajectory_aggregates_recomputable():
         assert traj.D_cost[k] == pytest.approx(
             ee.testing_cost(x, et_t, scen.econ, da), rel=1e-10, abs=1e-14)
         assert traj.deaths_flow[k] == pytest.approx(
-            ee.u3_deaths(st, scen.epi), rel=1e-10, abs=1e-14)
+            ee.deaths_flow(x[1], ee.infection_mortality(scen.epi, Xi), da),
+            rel=1e-10, abs=1e-14)
 
 
 def test_policy_box_validation():
@@ -386,7 +390,7 @@ def test_rank_one_kernel_matches_dense_table(seed, m0, n_age):
                               p2=rng.uniform(0.1, 1.0, n_age),
                               p3=rng.uniform(-1.0, 1.0, n_age), Q=0.5)
     for k in (0, 4, 8):
-        h1 = [ee.h1_part(t.states[k], float(t.K[k]), costate, *policy.at(k),
+        h1 = [ee.h1_part(t.X[k], float(t.K[k]), costate, *policy.at(k),
                          s.space, s.epi, s.econ, s.obj)
               for s, t in ((scen_f, tf), (scen_d, td))]
         assert h1[0] == pytest.approx(h1[1], rel=1e-12, abs=0.0)
@@ -407,21 +411,6 @@ def test_repeated_step_reproduces_simulate_bitwise(rank_one):
                            scen.time_grid.dt, n_floor)
         assert np.array_equal(np.stack(state.as_triple()), traj.X[k + 1])
         assert K == traj.K[k + 1]
-
-
-def test_trajectory_states_view_matches_arrays():
-    scen = core_scenario()
-    traj = scen.simulate()
-    n_nodes = scen.time_grid.n_steps + 1
-    assert traj.X.shape == (n_nodes, 3, scen.age_grid.n_age)
-    assert len(traj.states) == n_nodes
-    assert traj.states[0] is scen.initial
-    for k, state in enumerate(traj.states):
-        assert np.array_equal(np.stack(state.as_triple()), traj.X[k])
-        assert not state.i.values.flags.writeable
-    assert np.array_equal(traj.states[-1].r.values, traj.X[-1, 2])
-    with pytest.raises(IndexError):
-        traj.states[n_nodes]
 
 
 def test_simulate_rejects_negative_densities():

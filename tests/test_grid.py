@@ -143,4 +143,4 @@ def test_expand_blocks_shapes_and_divisibility():
 def test_scenario_builder_smoke():
     scen = build_scenario(n_age=8, n_steps=4)
     traj = scen.simulate()
-    assert len(traj.states) == 5
+    assert traj.X.shape == (5, 3, 8)

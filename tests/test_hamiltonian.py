@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import epiecon as ee
@@ -51,12 +53,13 @@ def make_costate(scen, seed=0, scale=1.0, Q=0.5):
 def test_h0_zero_costate():
     scen = verification_scenario()
     zero = ee.CostateField(*(np.zeros(16) for _ in range(3)), Q=0.0)
-    assert ee.h0_part(scen.initial, 10.0, zero, scen.space, scen.epi, scen.econ) == 0.0
+    assert ee.h0_part(scen.initial.as_triple(), 10.0, zero, scen.space, scen.epi,
+                      scen.econ) == 0.0
 
 
 def test_h0_pure_capital_term():
     scen = verification_scenario(delta=0.05)
-    zero_state = ee.EpiState.from_arrays(scen.age_grid, *(np.zeros(16) for _ in range(3)))
+    zero_state = np.zeros((3, 16))
     costate = ee.CostateField(*(np.zeros(16) for _ in range(3)), Q=2.0)
     got = ee.h0_part(zero_state, 1.0, costate, scen.space, scen.epi, scen.econ)
     assert got == pytest.approx(-0.1, rel=1e-12)
@@ -68,10 +71,10 @@ def test_h0_matches_displayed_terms():
     space = scen.space
     grid = scen.age_grid
     da = grid.da
-    state = scen.initial
+    state = scen.initial.as_triple()
     K = 80.0
     costate = make_costate(scen, seed=3, Q=0.7)
-    s, i, r = state.as_triple()
+    s, i, r = state
     p1, p2, p3 = costate.p1, costate.p2, costate.p3
 
     def dda(p):
@@ -81,7 +84,7 @@ def test_h0_matches_displayed_terms():
     term2 = da * (i * (dda(p2) - space.gamma * p2
                        + space.gamma * p3 / space.weights.pi_R**2)).sum()
     term3 = da * (r * (dda(p3) + space.mu_R * p3) / space.weights.pi_R**2).sum()
-    Xi = ee.critical_load(state, scen.epi)
+    Xi = da * (i * scen.epi.xi.values).sum()
     mu_i = ee.infection_mortality(scen.epi, Xi)
     term5 = -da * (mu_i * i * p2).sum()
     oracle = term1 + term2 + term3 - scen.econ.delta * K * costate.Q + term5
@@ -93,55 +96,56 @@ def test_h0_matches_displayed_terms():
 def test_hamiltonian_decomposition():
     # independent full evaluation: <h, A* p> + <B^z(h), p> + drift*Q + U
     scen = verification_scenario()
-    state = scen.initial
+    x = np.stack(scen.initial.as_triple())
+    s, i, _ = x
     K = 60.0
     costate = make_costate(scen, seed=5, Q=0.4)
     rng = np.random.default_rng(6)
+    space = scen.space
+    da = scen.age_grid.da
+    n = x.sum(axis=0)
+    N = da * n.sum()
+    m = scen.epi.m.m0 * np.outer(scen.epi.m.g, scen.epi.m.g)
     for _ in range(10):
         c_t = rng.uniform(0.0, 1.0, 16)
         th_t = rng.uniform(0.0, 1.0, 16)
         et_t = rng.uniform(0.0, 1.0, 16)
-        split = ee.hamiltonian_eval(state, K, costate, c_t, th_t, et_t,
-                                    scen.space, scen.epi, scen.econ, scen.obj)
-        assert split.total == pytest.approx(split.h0 + split.h1, rel=1e-12)
+        total = (ee.h0_part(x, K, costate, space, scen.epi, scen.econ)
+                 + ee.h1_part(x, K, costate, c_t, th_t, et_t, space, scen.epi,
+                              scen.econ, scen.obj))
 
-        space = scen.space
-        da = scen.age_grid.da
         astar = space.apply_A_star(costate.triple())
-        lam = ee.force_of_infection(state, th_t, et_t, scen.epi).values
-        lam_s = lam * state.s.values
-        Xi = ee.critical_load(state, scen.epi)
+        lam = th_t * da * (m @ (th_t * et_t * i)) / N
+        lam_s = lam * s
+        Xi = da * (i * scen.epi.xi.values).sum()
         mu_i = ee.infection_mortality(scen.epi, Xi)
         b_pair = (-da * (lam_s * costate.p1 / space.weights.pi_S**2).sum()
-                  + da * ((lam_s - mu_i * state.i.values) * costate.p2).sum())
-        x = state.as_triple()
-        drift = (scen.econ.F(K, ee.labor_supply(x, th_t, scen.econ, da))
-                 - ee.consumption_total(x, c_t, da)
-                 - ee.testing_cost(x, et_t, scen.econ, da)
-                 - scen.econ.delta * K)
-        U = ee.running_reward(state, K, c_t, th_t, et_t, scen.epi, scen.econ, scen.obj)
-        oracle = space.inner(state.as_triple(), astar) + b_pair + drift * costate.Q + U
-        assert split.total == pytest.approx(oracle, rel=1e-11)
+                  + da * ((lam_s - mu_i * i) * costate.p2).sum())
+        L = da * ((x[0] + x[2]) * scen.econ.alpha.values * scen.econ.phi(th_t)).sum()
+        D = scen.econ.D(da * (et_t * i * scen.econ.e.values).sum())
+        drift = (scen.econ.F(K, L) - da * (c_t * n).sum() - D - scen.econ.delta * K)
+        U = da * (n ** scen.obj.nu * scen.obj.utility(c_t, th_t)).sum()  # J1
+        oracle = space.inner(x, astar) + b_pair + drift * costate.Q + U
+        assert total == pytest.approx(oracle, rel=1e-11)
 
 
 # ----------------------------------------------------------------------
 # H1 and its maximization
 # ----------------------------------------------------------------------
 
-def test_hamiltonian_eval_attaches_argmax():
+def test_maximize_h1_argmax_dominates_baseline():
     scen = verification_scenario(i0=0.05)
+    x = scen.initial.as_triple()
     costate = make_costate(scen, seed=21, scale=0.2, Q=0.6)
     c_t = np.full(16, 0.2)
     th_t = np.full(16, 0.5)
     et_t = np.full(16, 0.5)
-    split = ee.hamiltonian_eval(scen.initial, 40.0, costate, c_t, th_t, et_t,
-                                scen.space, scen.epi, scen.econ, scen.obj,
-                                search=scen.search)
-    assert split.argmax_controls is not None
-    c_star, th_star, et_star = split.argmax_controls
-    best = ee.h1_part(scen.initial, 40.0, costate, c_star, th_star, et_star,
-                      scen.space, scen.epi, scen.econ, scen.obj)
-    assert best >= split.h1 - 1e-10
+    args = (scen.space, scen.epi, scen.econ, scen.obj)
+    res = ee.maximize_h1(x, 40.0, costate, *args, scen.search,
+                         baseline=(c_t, th_t, et_t))
+    best = ee.h1_part(x, 40.0, costate, res.c, res.theta, res.eta, *args)
+    assert best == res.value
+    assert best >= ee.h1_part(x, 40.0, costate, c_t, th_t, et_t, *args) - 1e-10
 
 
 def test_h1_zero_case():
@@ -151,7 +155,7 @@ def test_h1_zero_case():
     null_utility = ee.ObjectiveParams(rho=0.08, nu=1.0,
                                       utility=ee.ShiftedCRRAUtility(u0=0.0, eps_c=0.0),
                                       which="J4")  # terminal target: zero running reward
-    got = ee.h1_part(scen.initial, 10.0, zero, np.zeros(16), np.ones(16),
+    got = ee.h1_part(scen.initial.as_triple(), 10.0, zero, np.zeros(16), np.ones(16),
                      np.ones(16), scen.space, scen.epi, scen.econ, null_utility)
     assert got == 0.0
 
@@ -164,22 +168,22 @@ def test_h1_decreasing_in_eta_argmax_zero():
     th_t = np.ones(16)
     vals = []
     for level in np.linspace(0.0, 1.0, 11):
-        vals.append(ee.h1_part(scen.initial, 10.0, costate, c_t, th_t,
+        vals.append(ee.h1_part(scen.initial.as_triple(), 10.0, costate, c_t, th_t,
                                np.full(16, level), scen.space, scen.epi,
                                scen.econ, scen.obj))
     assert np.all(np.diff(vals) < 0.0)
     search = ee.ControlSearchGrid(theta_levels=(1.0,),
                                   eta_levels=tuple(np.linspace(0.0, 1.0, 11)),
                                   n_age_blocks=1, c_max=5.0)
-    res = ee.maximize_h1(scen.initial, 10.0, costate, scen.space, scen.epi,
+    res = ee.maximize_h1(scen.initial.as_triple(), 10.0, costate, scen.space, scen.epi,
                          scen.econ, scen.obj, search)
     assert np.all(res.eta == 0.0)
 
 
 def test_consumption_foc_against_golden_section():
     scen = verification_scenario()
-    state = scen.initial
-    n = state.n_density()
+    state = scen.initial.as_triple()
+    n = scen.initial.n_density()
     da = scen.age_grid.da
     obj = scen.obj
     theta = np.full(16, 0.7)
@@ -202,7 +206,7 @@ def test_maximize_no_epidemic_opens_up():
     # i = 0: force and congestion vanish; Q > 0 and utility increasing in theta
     scen = verification_scenario(i0=0.0)
     costate = ee.CostateField(*(np.zeros(16) for _ in range(3)), Q=0.5)
-    res = ee.maximize_h1(scen.initial, 50.0, costate, scen.space, scen.epi,
+    res = ee.maximize_h1(scen.initial.as_triple(), 50.0, costate, scen.space, scen.epi,
                          scen.econ, scen.obj, scen.search)
     assert np.all(res.theta == 1.0)
 
@@ -214,7 +218,7 @@ def test_maximize_positive_infection_value_opens_up():
                               p3=np.zeros(16), Q=0.0)
     null_obj = ee.ObjectiveParams(rho=0.08, nu=1.0,
                                   utility=ee.ShiftedCRRAUtility(), which="J4")
-    res = ee.maximize_h1(scen.initial, 50.0, costate, scen.space, scen.epi,
+    res = ee.maximize_h1(scen.initial.as_triple(), 50.0, costate, scen.space, scen.epi,
                          scen.econ, null_obj, scen.search)
     assert np.all(res.theta == 1.0)
     assert np.all(res.eta == 1.0)
@@ -222,7 +226,7 @@ def test_maximize_positive_infection_value_opens_up():
 
 def test_maximize_single_block_matches_exhaustive():
     scen = verification_scenario(i0=0.05)
-    state = scen.initial
+    state = scen.initial.as_triple()
     K = 70.0
     costate = make_costate(scen, seed=11, scale=0.3, Q=0.6)
     levels = (0.0, 0.5, 1.0)
@@ -232,7 +236,7 @@ def test_maximize_single_block_matches_exhaustive():
                          scen.obj, search)
 
     best_val, best_pair = -np.inf, None
-    n = state.n_density()
+    n = scen.initial.n_density()
     for th in levels:
         for et in levels:
             th_t = np.full(16, th)
@@ -246,20 +250,45 @@ def test_maximize_single_block_matches_exhaustive():
     assert (res.theta[0], res.eta[0]) == best_pair
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_age=st.sampled_from([8, 12, 16]),
+       table=st.booleans(), composite=st.booleans(), blocks=st.sampled_from([1, 2, 4]))
+def test_maximize_h1_value_is_h1_at_argmax(seed, n_age, table, composite, blocks):
+    # one evaluator serves the search and h1_part: the reported value is H1 at the argmax
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.1, 2.0, n_age)
+    m0 = float(rng.uniform(0.0, 3.0))
+    kernel = m0 * np.outer(g, rng.uniform(0.1, 2.0, n_age)) if table \
+        else ee.RankOneKernel(m0, g)
+    weights = {"J1": float(rng.uniform(0.0, 2.0)), "J2": float(rng.uniform(-1.0, 1.0)),
+               "J6": float(rng.uniform(-5.0, 5.0))} if composite else None
+    scen = verification_scenario(n_age=n_age, kernel=kernel, i0=0.05, composite=weights,
+                                 search_blocks=blocks)
+    x = np.stack(scen.initial.as_triple())
+    K = float(rng.uniform(1.0, 100.0))
+    costate = ee.CostateField(*(rng.standard_normal((3, n_age))),
+                              Q=float(rng.uniform(-1.0, 1.0)))
+    baseline = (rng.uniform(0.0, 1.0, n_age), rng.uniform(0.0, 1.0, n_age),
+                rng.uniform(0.0, 1.0, n_age))
+    args = (scen.space, scen.epi, scen.econ, scen.obj)
+    res = ee.maximize_h1(x, K, costate, *args, scen.search, baseline=baseline)
+    assert res.value == ee.h1_part(x, K, costate, res.c, res.theta, res.eta, *args)
+
+
 def test_maximize_rejects_nondividing_blocks():
     scen = verification_scenario()  # n_age = 16
     costate = make_costate(scen, seed=1)
     bad = ee.ControlSearchGrid(theta_levels=(0.0, 1.0), eta_levels=(0.0, 1.0),
                                n_age_blocks=3, c_max=5.0)
     with pytest.raises(ee.ConfigurationError):
-        ee.maximize_h1(scen.initial, 10.0, costate, scen.space, scen.epi,
+        ee.maximize_h1(scen.initial.as_triple(), 10.0, costate, scen.space, scen.epi,
                        scen.econ, scen.obj, bad)
 
 
 def test_maximize_dominates_search_set():
     scen = verification_scenario(i0=0.05)
     costate = make_costate(scen, seed=13, scale=0.2, Q=0.8)
-    res = ee.maximize_h1(scen.initial, 40.0, costate, scen.space, scen.epi,
+    res = ee.maximize_h1(scen.initial.as_triple(), 40.0, costate, scen.space, scen.epi,
                          scen.econ, scen.obj, scen.search)
     rng = np.random.default_rng(14)
     bs = 16 // scen.search.n_age_blocks
@@ -268,7 +297,7 @@ def test_maximize_dominates_search_set():
         et = np.repeat(rng.choice(scen.search.eta_levels, scen.search.n_age_blocks), bs)
         c = scen.obj.utility.optimal_c(scen.initial.n_density(), costate.Q, th,
                                        scen.obj.nu, scen.search.c_max)
-        val = ee.h1_part(scen.initial, 40.0, costate, c, th, et, scen.space,
+        val = ee.h1_part(scen.initial.as_triple(), 40.0, costate, c, th, et, scen.space,
                          scen.epi, scen.econ, scen.obj)
         assert res.value >= val - 1e-10
 
@@ -481,6 +510,15 @@ def test_transversality_bounded_trajectory():
     report = ee.transversality_check(v, trajs, rho=0.08)
     assert report.decaying
     assert report.exponent == pytest.approx(0.08, rel=0.05)
+
+
+def test_transversality_single_horizon_has_no_exponent():
+    # zero-step trajectories all end at t0: no decay rate is measurable
+    scen = build_scenario(n_age=16, n_steps=0, K0=10.0)
+    v = ee.LinearValue(scen.space, tuple(np.full(16, 0.3) for _ in range(3)), q=0.5)
+    report = ee.transversality_check(v, [scen.simulate(), scen.simulate()], rho=0.05)
+    assert report.exponent is None
+    assert np.all(report.horizons == 0.0)
 
 
 def test_transversality_zero_value_function():

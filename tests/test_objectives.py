@@ -30,48 +30,54 @@ def test_static_population_is_stationary():
     assert np.all(np.abs(traj.N - traj.N[0]) <= 1e-12 * traj.N[0])
 
 
+def reward(scen, c_t, theta_t, K=0.0):
+    """Running reward of the scenario's target at its initial state."""
+    ones = np.ones(scen.age_grid.n_age)
+    return ee.running_reward(scen.initial.as_triple(), K, c_t, theta_t, ones,
+                             scen.epi, scen.econ, scen.obj)
+
+
 def test_u1_constant_utility_oracle():
     # u = u0 (CRRA part vanishes at c = 0 with eps_c = 0), nu = 1 -> u0 * N
     scen = static_population_scenario(n_steps=0)
-    state = scen.initial
-    got = ee.u1_reward(state, np.zeros(20), np.ones(20), scen.obj)
-    assert got == pytest.approx(1.0 * state.total_population(), rel=1e-12)
+    got = reward(scen, np.zeros(20), np.ones(20))
+    assert got == pytest.approx(1.0 * scen.initial.total_population(), rel=1e-12)
 
 
 def test_u1_zero_population():
     scen = build_scenario(s0=0.0, i0=0.0, r0=0.0, nu=1.0)
-    assert ee.u1_reward(scen.initial, np.zeros(16), np.ones(16), scen.obj) == 0.0
+    assert reward(scen, np.zeros(16), np.ones(16)) == 0.0
 
 
 def test_u1_separable_zero_case():
     scen = build_scenario(nu=0.0, utility=ee.SeparableUtility(b=2.0))
-    got = ee.u1_reward(scen.initial, np.zeros(16), np.zeros(16), scen.obj)
+    got = reward(scen, np.zeros(16), np.zeros(16))
     assert got == pytest.approx(0.0, abs=1e-14)
 
 
 def test_u3_examples():
-    scen = build_scenario(mu_i=0.3, psi=0.0, i0=0.0)
-    assert ee.u3_deaths(scen.initial, scen.epi) == 0.0
+    scen = build_scenario(mu_i=0.3, psi=0.0, i0=0.0, which="J6")
+    assert reward(scen, np.zeros(16), np.ones(16)) == 0.0
 
-    scen = build_scenario(mu_i=0.3, psi=0.0, i0=0.5, s0=0.0)
+    scen = build_scenario(mu_i=0.3, psi=0.0, i0=0.5, s0=0.0, which="J6")
     I = scen.initial.total_population()
-    assert ee.u3_deaths(scen.initial, scen.epi) == pytest.approx(0.3 * I, rel=1e-12)
+    assert reward(scen, np.zeros(16), np.ones(16)) == pytest.approx(0.3 * I, rel=1e-12)
 
     # overload regime: Xi exactly at capacity with psi = 1 gives 1 + log 2
     xi_cap = 0.5 * 8.0  # i0 = 0.5 over a_max = 8 with xi = 1 -> Xi = 4
     scen = build_scenario(mu_i=0.3, psi=1.0, xi=1.0, xi_cap=4.0, smooth=1.0,
-                          i0=0.5, s0=0.0)
+                          i0=0.5, s0=0.0, which="J6")
     I = scen.initial.total_population()
     expected = (1.0 + np.log(2.0)) * 0.3 * I
-    assert ee.u3_deaths(scen.initial, scen.epi) == pytest.approx(expected, rel=1e-12)
+    assert reward(scen, np.zeros(16), np.ones(16)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_u2_composition():
     scen = build_scenario(production=ee.LinearProduction(a_k=0.1, a_l=2.0),
-                          s0=1.0, r0=0.5)
+                          s0=1.0, r0=0.5, which="J2")
     theta = np.full(16, 0.5)
     L = ee.labor_supply(scen.initial.as_triple(), theta, scen.econ, scen.age_grid.da)
-    assert ee.u2_reward(scen.initial, 30.0, theta, scen.econ) == pytest.approx(
+    assert reward(scen, np.zeros(16), theta, K=30.0) == pytest.approx(
         0.1 * 30.0 + 2.0 * L, rel=1e-12)
 
 

@@ -15,14 +15,10 @@ from .errors import (
 )
 from .grid import (
     AgeGrid,
-    Field1D,
-    Field2D,
     RankOneKernel,
     TimeGrid,
     constant_kernel,
     expand_blocks,
-    integrate,
-    integrate_kernel,
     separable_kernel,
     table_kernel,
 )
@@ -90,7 +86,6 @@ from .optimizer import (
     fd_gradient,
     optimize,
     penalized_objective,
-    project,
 )
 from .scenario import Scenario
 

@@ -196,7 +196,7 @@ def cmd_optimize(cfg, out_dir=None) -> int:
 def _mckendrick_battery() -> dict:
     """Built-in transport convergence table against the aging closed form."""
     from .economy import EconParams, LinearCongestion, LinearProduction, PowerLockdown
-    from .grid import AgeGrid, Field1D, constant_kernel
+    from .grid import AgeGrid, constant_kernel
 
     a_max, horizon = 8.0, 2.0
     mu0, mu1 = 0.08, 0.02
@@ -207,15 +207,15 @@ def _mckendrick_battery() -> dict:
         a = grid.nodes
         mu = np.full(n_age, mu0) + (mu1 * a if age_dependent else 0.0)
         s0 = np.exp(-(((a - 2.5) / 1.2) ** 2))
-        zero = Field1D.constant(grid, 0.0)
+        zero = np.zeros(n_age)
         params = epi.EpiParams(
-            mu_S=Field1D(grid, mu), mu_R=zero, mu_I_base=zero, gamma=zero, beta=zero,
+            grid=grid, mu_S=mu, mu_R=zero, mu_I_base=zero, gamma=zero, beta=zero,
             xi=zero, m=constant_kernel(grid, 0.0),
             saturation=epi.SaturationSpec(xi_cap=1.0, psi=0.0, smooth=1.0))
         econ = EconParams(alpha=zero, e=zero, delta=0.05,
                           F=LinearProduction(a_k=0.0, a_l=0.0),
                           phi=PowerLockdown(q=1.0), D=LinearCongestion(d1=0.0))
-        initial = epi.EpiState(Field1D(grid, s0), zero, zero)
+        initial = epi.EpiState(grid, s0, zero, zero)
         policy = epi.laissez_faire_policy(grid, tg)
         traj = epi.simulate(initial, 0.0, policy, params, econ, tg)
         T = tg.t_end
@@ -314,7 +314,10 @@ def cmd_check(cfg, out_dir=None) -> int:
     # transversality over extended horizons (last policy row held)
     trajs = []
     for mult in ver["horizon_multipliers"]:
-        n_steps_m = int(round(cfg["grid"]["n_steps"] * mult))
+        n_steps_m = int(round(n_steps * mult))
+        if n_steps_m == n_steps:  # the configured horizon: that run is traj
+            trajs.append(traj)
+            continue
         tg = TimeGrid.aligned(scenario.age_grid, t0=scenario.time_grid.t0,
                               n_steps=n_steps_m)
         policy = _extend_policy(scenario.policy, tg)
@@ -362,10 +365,7 @@ def _extend_policy(policy: epi.PolicyField, tg: TimeGrid) -> epi.PolicyField:
         pad = np.repeat(values[-1:], need - values.shape[0], axis=0)
         return np.vstack([values, pad])
 
-    ag = policy.c.age_grid
-    return epi.PolicyField.from_arrays(ag, tg, extend(policy.c.values),
-                                       extend(policy.theta.values),
-                                       extend(policy.eta.values))
+    return epi.PolicyField(extend(policy.c), extend(policy.theta), extend(policy.eta))
 
 
 def _set_by_path(cfg: dict, path: str, value) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import economy, epi, objectives
 from .errors import ConfigurationError
-from .grid import AgeGrid, Field1D, TimeGrid, constant_kernel, expand_blocks, \
+from .grid import AgeGrid, TimeGrid, constant_kernel, expand_blocks, \
     separable_kernel, table_kernel
 from .hamiltonian import ControlSearchGrid, LinearValue, QuadraticValue
 from .optimizer import OptimizerConfig
@@ -426,8 +426,8 @@ def dump_config(cfg: dict, path) -> None:
 # builders
 # ----------------------------------------------------------------------
 
-def sample_family(spec: dict, grid: AgeGrid) -> Field1D:
-    """Sample a named coefficient family at the grid nodes."""
+def sample_family(spec: dict, grid: AgeGrid) -> np.ndarray:
+    """Sample a named coefficient family at the grid nodes (one value per cell)."""
     kind = spec["type"]
     a = grid.nodes
     if kind == "constant":
@@ -452,7 +452,7 @@ def sample_family(spec: dict, grid: AgeGrid) -> Field1D:
         values = spec["height"] * np.exp(-(((a - spec["center"]) / spec["width"]) ** 2))
     else:
         raise ConfigurationError(f"unknown coefficient family {kind!r}")
-    return Field1D(grid, values)
+    return values
 
 
 def _build_kernel(spec: dict, grid: AgeGrid):
@@ -461,7 +461,7 @@ def _build_kernel(spec: dict, grid: AgeGrid):
         return constant_kernel(grid, spec["m0"])
     if spec["type"] == "separable":
         return separable_kernel(grid, spec["m0"],
-                                sample_family(spec["shape"], grid).values)
+                                sample_family(spec["shape"], grid))
     return table_kernel(grid, spec["values"])
 
 
@@ -514,8 +514,7 @@ def _build_policy(cfg: dict, age_grid: AgeGrid, time_grid: TimeGrid) -> epi.Poli
             blocks = np.full(shape, fallback)
         return expand_blocks(blocks, time_grid, age_grid)
 
-    return epi.PolicyField.from_arrays(
-        age_grid, time_grid,
+    return epi.PolicyField(
         surface("c", pol["c_level"]),
         surface("theta", pol["theta_level"]),
         surface("eta", pol["eta_level"]))
@@ -529,6 +528,7 @@ def build_scenario(cfg: dict) -> Scenario:
 
     ep = cfg["epidemic"]
     params = epi.EpiParams(
+        grid=age_grid,
         mu_S=sample_family(ep["mu_S"], age_grid),
         mu_R=sample_family(ep["mu_R"], age_grid),
         mu_I_base=sample_family(ep["mu_I_base"], age_grid),
@@ -559,6 +559,7 @@ def build_scenario(cfg: dict) -> Scenario:
     )
 
     initial = epi.EpiState(
+        age_grid,
         sample_family(ep["initial"]["s"], age_grid),
         sample_family(ep["initial"]["i"], age_grid),
         sample_family(ep["initial"]["r"], age_grid),
@@ -586,7 +587,7 @@ def build_value_function(cfg: dict, scenario: Scenario):
     spec = cfg["verification"]["value_function"]
     grid = scenario.age_grid
     default = {"type": "constant", "value": 1.0}
-    w = tuple(sample_family(spec.get(key, default), grid).values
+    w = tuple(sample_family(spec.get(key, default), grid)
               for key in ("w1", "w2", "w3"))
     q = spec.get("q", 1.0)
     if spec["type"] == "linear":

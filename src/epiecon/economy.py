@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NonFiniteState
-from .grid import Field1D
+from .grid import _nonnegative
 
 
 # ----------------------------------------------------------------------
@@ -181,16 +181,17 @@ class ConcavePowerCongestion:
         return self.d1 * max(x, 0.0) ** self.p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EconParams:
-    """Age productivity, testing cost profile, and functional-form choices.
+    """Age productivity and testing cost profiles (one value per age cell), and
+    functional-form choices.
 
     ``cost_complement`` switches the testing expenditure argument from the
     transmission-retention level eta (as printed in the model) to 1 - eta.
     """
 
-    alpha: Field1D
-    e: Field1D
+    alpha: np.ndarray
+    e: np.ndarray
     delta: float
     F: object
     phi: object
@@ -200,8 +201,11 @@ class EconParams:
     def __post_init__(self):
         if not self.delta > 0:
             raise ConfigurationError(f"depreciation delta must be > 0, got {self.delta}")
-        if np.any(self.alpha.values < 0) or np.any(self.e.values < 0):
-            raise ConfigurationError("alpha and e must be nonnegative")
+        if np.ndim(self.alpha) != 1:
+            raise ConfigurationError("alpha must be a 1-d age profile")
+        for name in ("alpha", "e"):
+            object.__setattr__(self, name, _nonnegative(getattr(self, name),
+                                                        np.shape(self.alpha), name))
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +218,7 @@ class EconParams:
 def labor_supply(x, theta_t: np.ndarray, econ: EconParams, da: float) -> float:
     """Efficiency-unit labor of the working compartments, L = int (s+r) alpha phi(theta)."""
     s, _, r = x
-    return float(da * ((s + r) * econ.alpha.values * econ.phi(theta_t)).sum())
+    return float(da * ((s + r) * econ.alpha * econ.phi(theta_t)).sum())
 
 
 def consumption_total(x, c_t: np.ndarray, da: float) -> float:
@@ -226,7 +230,7 @@ def consumption_total(x, c_t: np.ndarray, da: float) -> float:
 def testing_cost(x, eta_t: np.ndarray, econ: EconParams, da: float) -> float:
     """Congestion-priced testing expenditure D(int level * i * e da)."""
     level = (1.0 - eta_t) if econ.cost_complement else eta_t
-    return float(econ.D(da * (level * x[1] * econ.e.values).sum()))
+    return float(econ.D(da * (level * x[1] * econ.e).sum()))
 
 
 def capital_step(K: float, L: float, C: float, d_cost: float,

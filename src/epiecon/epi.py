@@ -20,7 +20,7 @@ import numpy as np
 
 from . import economy
 from .errors import ConfigurationError, ExtinctPopulation, ModelError, NonFiniteState
-from .grid import AgeGrid, Field1D, Field2D, RankOneKernel, TimeGrid
+from .grid import AgeGrid, RankOneKernel, TimeGrid, _as_readonly, _nonnegative
 from .hilbert import DEFAULT_WEIGHT_FLOOR, HilbertSpace
 
 
@@ -50,28 +50,26 @@ class SaturationSpec:
         return 1.0 + self.psi * float(np.logaddexp(0.0, (Xi - self.xi_cap) / self.smooth))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpiParams:
-    """Demographic and epidemiological coefficients; ``m`` is a dense table or RankOneKernel."""
+    """Demographic and epidemiological coefficients, one value per age cell;
+    ``m`` is a dense table or RankOneKernel."""
 
-    mu_S: Field1D
-    mu_R: Field1D
-    mu_I_base: Field1D
-    gamma: Field1D
-    beta: Field1D
-    xi: Field1D
+    grid: AgeGrid
+    mu_S: np.ndarray
+    mu_R: np.ndarray
+    mu_I_base: np.ndarray
+    gamma: np.ndarray
+    beta: np.ndarray
+    xi: np.ndarray
     m: np.ndarray
     saturation: SaturationSpec
 
     def __post_init__(self):
-        n = self.mu_S.grid.n_age
+        n = self.grid.n_age
         for name in ("mu_S", "mu_R", "mu_I_base", "gamma", "beta", "xi"):
-            f = getattr(self, name)
-            if f.grid.n_age != n:
-                raise ConfigurationError(f"{name} lives on a different grid")
-            if np.any(f.values < 0):
-                raise ConfigurationError(f"{name} must be nonnegative")
-        if np.any(self.xi.values > 1.0):
+            object.__setattr__(self, name, _nonnegative(getattr(self, name), (n,), name))
+        if np.any(self.xi > 1.0):
             raise ConfigurationError("critical-care prevalence xi must lie in [0, 1]")
         rank_one = isinstance(self.m, RankOneKernel)
         m = self.m if rank_one else np.asarray(self.m, dtype=np.float64)
@@ -79,84 +77,60 @@ class EpiParams:
             raise ConfigurationError("contact kernel must be a finite (n_age, n_age) table")
         object.__setattr__(self, "m", m)
 
-    @property
-    def grid(self) -> AgeGrid:
-        return self.mu_S.grid
-
 
 @dataclass(frozen=True, eq=False)
 class EpiState:
     """Age densities of the three compartments at one time instant."""
 
-    s: Field1D
-    i: Field1D
-    r: Field1D
+    grid: AgeGrid
+    s: np.ndarray
+    i: np.ndarray
+    r: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
-        g = self.s.grid
-        if self.i.grid.n_age != g.n_age or self.r.grid.n_age != g.n_age:
-            raise ConfigurationError("state components live on different grids")
         for name in ("s", "i", "r"):
-            if np.any(getattr(self, name).values < 0):
-                raise ConfigurationError(f"state component {name} must be nonnegative")
-
-    @classmethod
-    def from_arrays(cls, grid: AgeGrid, s, i, r, time: float = 0.0) -> "EpiState":
-        return cls(Field1D(grid, s), Field1D(grid, i), Field1D(grid, r), time)
-
-    @property
-    def grid(self) -> AgeGrid:
-        return self.s.grid
+            object.__setattr__(self, name, _nonnegative(
+                getattr(self, name), (self.grid.n_age,), f"state component {name}"))
 
     def as_triple(self):
-        return (self.s.values, self.i.values, self.r.values)
-
-    def n_density(self) -> np.ndarray:
-        return self.s.values + self.i.values + self.r.values
+        return (self.s, self.i, self.r)
 
     def total_population(self) -> float:
-        return float(self.grid.da * self.n_density().sum())
+        return float(self.grid.da * (self.s + self.i + self.r).sum())
 
 
 @dataclass(frozen=True, eq=False)
 class PolicyField:
-    """Control surfaces c >= 0, theta in [0, 1], eta in [0, 1] on the age-time grid."""
+    """Control surfaces c >= 0, theta in [0, 1], eta in [0, 1], each of shape
+    (n_steps + 1, n_age): one row per time node, one column per age cell."""
 
-    c: Field2D
-    theta: Field2D
-    eta: Field2D
+    c: np.ndarray
+    theta: np.ndarray
+    eta: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.c.values < 0):
+        shape = np.shape(self.c)
+        for name in ("c", "theta", "eta"):
+            object.__setattr__(self, name, _as_readonly(getattr(self, name), shape,
+                                                        f"{name} control"))
+        if np.any(self.c < 0):
             raise ConfigurationError("consumption control must be nonnegative")
         for name in ("theta", "eta"):
-            v = getattr(self, name).values
+            v = getattr(self, name)
             if np.any(v < 0) or np.any(v > 1.0):
                 raise ConfigurationError(f"{name} control must lie in [0, 1]")
-
-    @classmethod
-    def from_arrays(cls, age_grid: AgeGrid, time_grid: TimeGrid, c, theta, eta) -> "PolicyField":
-        return cls(Field2D(age_grid, time_grid, c),
-                   Field2D(age_grid, time_grid, theta),
-                   Field2D(age_grid, time_grid, eta))
 
     @classmethod
     def constant(cls, age_grid: AgeGrid, time_grid: TimeGrid,
                  c: float = 0.0, theta: float = 1.0, eta: float = 1.0) -> "PolicyField":
         shape = (time_grid.n_steps + 1, age_grid.n_age)
-        return cls.from_arrays(age_grid, time_grid,
-                               np.full(shape, float(c)),
-                               np.full(shape, float(theta)),
-                               np.full(shape, float(eta)))
+        return cls(np.full(shape, float(c)), np.full(shape, float(theta)),
+                   np.full(shape, float(eta)))
 
     def at(self, k: int):
         """Control slice (c, theta, eta) at time node k."""
-        return (self.c.values[k], self.theta.values[k], self.eta.values[k])
-
-    @property
-    def time_grid(self) -> TimeGrid:
-        return self.c.time_grid
+        return (self.c[k], self.theta[k], self.eta[k])
 
 
 def laissez_faire_policy(age_grid, time_grid, c_level: float = 0.0) -> PolicyField:
@@ -173,12 +147,12 @@ def full_lockdown_policy(age_grid, time_grid, c_level: float = 0.0) -> PolicyFie
 
 def critical_load(i: np.ndarray, params: EpiParams, da: float) -> float:
     """Hospital-demand aggregate Xi = int i * xi da."""
-    return float(da * (i * params.xi.values).sum())
+    return float(da * (i * params.xi).sum())
 
 
 def infection_mortality(params: EpiParams, Xi: float) -> np.ndarray:
     """Infected mortality field mu_I(., Xi) including the overload multiplier."""
-    return params.mu_I_base.values * params.saturation.multiplier(Xi)
+    return params.mu_I_base * params.saturation.multiplier(Xi)
 
 
 def deaths_flow(i: np.ndarray, mu_i: np.ndarray, da: float) -> float:
@@ -226,9 +200,9 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     if out is None:
         return aggregates, None
 
-    gamma = params.gamma.values
-    births = float(da * (params.beta.values * n).sum())
-    s_dec = s * np.exp(-(lam + params.mu_S.values) * dt)
+    gamma = params.gamma
+    births = float(da * (params.beta * n).sum())
+    s_dec = s * np.exp(-(lam + params.mu_S) * dt)
     new_inf = s * (-np.expm1(-lam * dt))
     out_rate = mu_i + gamma
     full_exp = -out_rate * dt
@@ -236,7 +210,7 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     i_dec = i * np.exp(full_exp) + new_inf * np.exp(half_exp)
     outflow = i * (-np.expm1(full_exp)) + new_inf * (-np.expm1(half_exp))
     recovered_share = np.divide(gamma, out_rate, out=np.zeros_like(gamma), where=out_rate > 0)
-    r_dec = r * np.exp(-params.mu_R.values * dt) + recovered_share * outflow
+    r_dec = r * np.exp(-params.mu_R * dt) + recovered_share * outflow
 
     out[:, 0] = (births * dt / da, 0.0, 0.0)
     out[0, 1:] = s_dec[:-1]
@@ -258,7 +232,7 @@ def step(state: EpiState, K: float, c_t: np.ndarray, theta_t: np.ndarray,
     x1 = np.empty((3, state.grid.n_age))
     _, K1 = _node(np.stack(state.as_triple()), K, c_t, theta_t, eta_t, params, econ,
                   state.grid.da, dt, n_floor, x1)
-    return EpiState.from_arrays(state.grid, *x1, state.time + dt), K1
+    return EpiState(state.grid, *x1, state.time + dt), K1
 
 
 @dataclass(eq=False)
@@ -309,14 +283,14 @@ def simulate(initial: EpiState, K0: float, policy: PolicyField, params: EpiParam
         raise ConfigurationError(
             f"time step {time_grid.dt} must equal the age cell width {grid.da}")
     n_steps = time_grid.n_steps
-    if policy.c.values.shape != (n_steps + 1, grid.n_age):
+    if policy.c.shape != (n_steps + 1, grid.n_age):
         raise ConfigurationError("policy surfaces do not match the grids")
     if K0 < 0:
         raise ConfigurationError(f"initial capital must be >= 0, got {K0}")
 
     n_floor = n_floor_rel * initial.total_population()
     da, dt = grid.da, time_grid.dt
-    c, theta, eta = policy.c.values, policy.theta.values, policy.eta.values
+    c, theta, eta = policy.c, policy.theta, policy.eta
 
     X = np.empty((n_steps + 1, 3, grid.n_age))
     X[0] = initial.as_triple()
@@ -346,5 +320,5 @@ def simulate(initial: EpiState, K0: float, policy: PolicyField, params: EpiParam
 
 def hilbert_space_for(params: EpiParams, floor: float = DEFAULT_WEIGHT_FLOOR) -> HilbertSpace:
     """Weighted state space induced by the demographic coefficients."""
-    return HilbertSpace(params.grid, params.mu_S.values, params.mu_R.values,
-                        params.gamma.values, params.beta.values, floor)
+    return HilbertSpace(params.grid, params.mu_S, params.mu_R,
+                        params.gamma, params.beta, floor)

@@ -1,9 +1,9 @@
-"""Age/time discretization, sampled fields, and midpoint quadrature.
+"""Age/time discretization and contact kernels.
 
 Everything downstream shares this substrate: a uniform cell-centered age
-mesh, a time mesh locked to the same spacing (so aging is an exact index
-shift), 1-d/2-d sampled fields, and the midpoint rule for every age
-integral.
+mesh and a time mesh locked to the same spacing (so aging is an exact index
+shift).  Age profiles are plain arrays sampled at the cell centers, and
+every age integral is the midpoint rule da * sum.
 """
 
 from __future__ import annotations
@@ -16,12 +16,21 @@ from .errors import ConfigurationError
 
 
 def _as_readonly(values, shape, what):
+    """A frozen float64 copy of ``values``, checked for ``shape`` and finiteness."""
     arr = np.array(values, dtype=np.float64)
     if arr.shape != shape:
         raise ConfigurationError(f"{what}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ConfigurationError(f"{what}: values must be finite")
     arr.flags.writeable = False
+    return arr
+
+
+def _nonnegative(values, shape, what):
+    """:func:`_as_readonly`, and every value must be >= 0."""
+    arr = _as_readonly(values, shape, what)
+    if np.any(arr < 0):
+        raise ConfigurationError(f"{what} must be nonnegative")
     return arr
 
 
@@ -84,45 +93,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class Field1D:
-    """Real samples per age cell, with the grid they live on."""
-
-    grid: AgeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_readonly(self.values, (self.grid.n_age,), "Field1D")
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def constant(cls, grid: AgeGrid, value: float) -> "Field1D":
-        return cls(grid, np.full(grid.n_age, float(value)))
-
-
-@dataclass(frozen=True, eq=False)
-class Field2D:
-    """Samples indexed (time node, age cell); shape (n_steps + 1, n_age)."""
-
-    age_grid: AgeGrid
-    time_grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.time_grid.n_steps + 1, self.age_grid.n_age)
-        arr = _as_readonly(self.values, shape, "Field2D")
-        object.__setattr__(self, "values", arr)
-
-
-def integrate(f: Field1D) -> float:
-    """Midpoint quadrature of a sampled field over [0, a_max].
-
-    Exact for cell-wise-constant fields and, up to roundoff, for fields
-    linear in age.
-    """
-    return f.grid.da * float(f.values.sum())
-
-
-@dataclass(frozen=True, eq=False)
 class RankOneKernel:
     """Contact kernel m0 * g(a) * g(tau) kept as factors: ``m @ x`` is O(n_age), no table.
 
@@ -144,14 +114,6 @@ class RankOneKernel:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return (self.m0 * (self.g @ x)) * self.g
-
-
-def integrate_kernel(m, f: Field1D) -> Field1D:
-    """Apply an age-by-age kernel: out(a_j) = da * sum_k m(a_j, a_k) f(a_k)."""
-    n = f.grid.n_age
-    if np.shape(m) != (n, n):
-        raise ConfigurationError(f"kernel shape {np.shape(m)} does not match grid ({n}, {n})")
-    return Field1D(f.grid, f.grid.da * (m @ f.values))
 
 
 def constant_kernel(grid: AgeGrid, m0: float) -> RankOneKernel:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import economy, epi, objectives
 from .errors import ConfigurationError
-from .grid import TimeGrid
+from .grid import TimeGrid, _as_readonly
 from .hilbert import CostateField, HilbertSpace
 
 
@@ -28,12 +28,16 @@ from .hilbert import CostateField, HilbertSpace
 # candidate value functions
 # ----------------------------------------------------------------------
 
+def _weights(space: HilbertSpace, w) -> tuple:
+    return tuple(_as_readonly(c, (space.grid.n_age,), "value-function weight") for c in w)
+
+
 class LinearValue:
     """v(h, K) = <h, w>_H + q K with constant gradient (w, q)."""
 
     def __init__(self, space: HilbertSpace, w, q: float):
         self.space = space
-        self.w = tuple(np.asarray(c, dtype=np.float64) for c in w)
+        self.w = _weights(space, w)
         self.q = float(q)
 
     def value(self, h, K) -> float:
@@ -51,7 +55,7 @@ class QuadraticValue:
 
     def __init__(self, space: HilbertSpace, w, q: float):
         self.space = space
-        self.w = tuple(np.asarray(c, dtype=np.float64) for c in w)
+        self.w = _weights(space, w)
         self.q = float(q)
 
     def _wh(self, h):
@@ -85,9 +89,13 @@ def validate_gradient(v, probes, space: HilbertSpace, rel_tol: float = 1e-6,
         fd = (v.value(hp, K) - v.value(hm, K)) / (2.0 * eps)
         an = space.inner(v.grad_h(h, K), g)
         worst = max(worst, abs(fd - an) / max(abs(an), 1.0))
-        epsk = 1e-4 * max(abs(K), 1.0)
-        fdk = (v.value(h, K + epsk) - v.value(h, K - epsk)) / (2.0 * epsk)
         ank = v.grad_K(h, K)
+        # v(h, K +- epsk) carries round-off of about eps |v|, so the quotient is
+        # off by about eps |v| / epsk: widen the step to keep that 100x below rel_tol
+        roundoff = np.finfo(np.float64).eps * abs(v.value(h, K))
+        epsk = max(1e-4 * max(abs(K), 1.0),
+                   100.0 * roundoff / (rel_tol * max(abs(ank), 1.0)))
+        fdk = (v.value(h, K + epsk) - v.value(h, K - epsk)) / (2.0 * epsk)
         worst = max(worst, abs(fdk - ank) / max(abs(ank), 1.0))
     if worst > rel_tol:
         raise ConfigurationError(
@@ -445,6 +453,6 @@ def greedy_policy(initial, K0: float, v, space, params, econ, obj,
             K = epi._node(X[k], K, res.c, res.theta, res.eta, params, econ, grid.da,
                           time_grid.dt, n_floor, X[k + 1])[1]
 
-    policy = epi.PolicyField.from_arrays(grid, time_grid, c_surf, th_surf, et_surf)
+    policy = epi.PolicyField(c_surf, th_surf, et_surf)
     traj = epi.simulate(initial, K0, policy, params, econ, time_grid, n_floor_rel)
     return policy, traj

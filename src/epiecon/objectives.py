@@ -234,7 +234,7 @@ def _single_target(traj, policy, params, econ, obj, which):
     if which == "J4":
         return float(traj.K[-1]), None
     if which == "J3":
-        labor_all = float(da * (traj.X[-1].sum(axis=0) * econ.alpha.values).sum())
+        labor_all = float(da * (traj.X[-1].sum(axis=0) * econ.alpha).sum())
         return float(econ.F(traj.K[-1], labor_all)), None
 
     if which in ("J1", "J2", "J5"):
@@ -243,8 +243,8 @@ def _single_target(traj, policy, params, econ, obj, which):
         else:
             m = min(n_steps, int(round(obj.T_num / dt)))
         if which == "J1":
-            u_vals = _utility_flow(traj.X[:m].sum(axis=1), policy.c.values[:m],
-                                   policy.theta.values[:m], obj, da)
+            u_vals = _utility_flow(traj.X[:m].sum(axis=1), policy.c[:m],
+                                   policy.theta[:m], obj, da)
         else:
             u_vals = traj.Y[:m]
         disc = np.exp(-obj.rho * elapsed[:m])

@@ -67,12 +67,9 @@ class PolicyBlocks:
 
     def expand(self, scenario: Scenario) -> epi.PolicyField:
         tg, ag = scenario.time_grid, scenario.age_grid
-        return epi.PolicyField.from_arrays(
-            ag, tg,
-            expand_blocks(self.c, tg, ag),
-            expand_blocks(self.theta, tg, ag),
-            expand_blocks(self.eta, tg, ag),
-        )
+        return epi.PolicyField(expand_blocks(self.c, tg, ag),
+                               expand_blocks(self.theta, tg, ag),
+                               expand_blocks(self.eta, tg, ag))
 
     @classmethod
     def from_policy(cls, policy: epi.PolicyField, n_time_blocks: int,
@@ -87,19 +84,7 @@ class PolicyBlocks:
                                    n_age_blocks, na // n_age_blocks)
             return blocked.mean(axis=(1, 3))
 
-        return cls(reduce(policy.c.values), reduce(policy.theta.values),
-                   reduce(policy.eta.values))
-
-
-def project(policy: epi.PolicyField, c_max: float | None = None) -> epi.PolicyField:
-    """Clamp controls into the admissible box samplewise."""
-    hi = np.inf if c_max is None else c_max
-    return epi.PolicyField.from_arrays(
-        policy.c.age_grid, policy.time_grid,
-        np.clip(policy.c.values, 0.0, hi),
-        np.clip(policy.theta.values, 0.0, 1.0),
-        np.clip(policy.eta.values, 0.0, 1.0),
-    )
+        return cls(reduce(policy.c), reduce(policy.theta), reduce(policy.eta))
 
 
 def _project_blocks(blocks: PolicyBlocks, c_max: float) -> PolicyBlocks:

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epiecon import cli, config as cfgmod
+from epiecon.errors import ConfigurationError
+from epiecon.hamiltonian import validate_gradient
 
 
 def small_config(**grid_overrides):
@@ -217,6 +219,32 @@ def test_check_table_kernel_coarse_companion(tmp_path):
     cli._coarsen_tables(node)
     assert node["m"]["values"] == [[2.5, 4.5], [10.5, 12.5]]
     assert node["s"]["values"] == [2.0, 6.0]
+
+
+@pytest.mark.parametrize("mu_s", [2.0, 5.0])
+def test_check_accepts_exact_gradient_under_large_weights(tmp_path, mu_s):
+    # survival weights 1/pi^2 reach ~1e13..1e16 here, so |v| does too; the
+    # K-difference of the exact linear value function must not cancel away
+    cfg = small_config()
+    cfg["epidemic"]["mu_S"] = {"type": "constant", "value": mu_s}
+    out = tmp_path / "out"
+    assert cli.main(["check", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+    chain = json.loads((out / "check.json").read_text())["chain_rule_identity"]
+    assert chain["gradient_check"] <= 1e-6
+
+    scenario = cfgmod.build_scenario(cfgmod.resolve_config(cfg))
+    v = cfgmod.build_value_function(cfgmod.resolve_config(cfg), scenario)
+    probes = [(scenario.initial.as_triple(), scenario.K0)]
+    assert abs(v.value(*probes[0])) > 1e12
+
+    class OnePercentOff(type(v)):
+        def grad_K(self, h, K):
+            return 1.01 * self.q
+
+    off = OnePercentOff(scenario.space, v.w, v.q)
+    with pytest.raises(ConfigurationError, match="gradient mismatch"):
+        validate_gradient(off, probes, scenario.space)
 
 
 def test_sweep_matrix_shape(tmp_path):
@@ -467,3 +495,19 @@ def test_cli_boundary_exit_codes_and_strict_json(case):
             assert code == 2
         for produced in out.glob("*.json"):
             _strict_json(produced.read_text())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cli_cases())
+def test_resolved_config_is_schema_valid(case):
+    # resolving rejects exactly what the schema rejects, with its message, and
+    # filling the defaults keeps a valid document valid
+    _, cfg = case
+    try:
+        cfgmod.validate_config(cfg)
+    except ConfigurationError as err:
+        with pytest.raises(ConfigurationError) as again:
+            cfgmod.resolve_config(cfg)
+        assert str(again.value) == str(err)
+        return
+    cfgmod.validate_config(cfgmod.resolve_config(cfg))

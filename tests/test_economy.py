@@ -7,14 +7,14 @@ from util import build_scenario, random_block_policy
 
 
 def make_state(grid, s=1.0, i=0.0, r=0.0):
-    return ee.EpiState.from_arrays(grid, np.full(grid.n_age, s),
-                                   np.full(grid.n_age, i), np.full(grid.n_age, r))
+    return ee.EpiState(grid, np.full(grid.n_age, s),
+                       np.full(grid.n_age, i), np.full(grid.n_age, r))
 
 
 def make_econ(grid, **kw):
     defaults = dict(
-        alpha=ee.Field1D.constant(grid, 1.0),
-        e=ee.Field1D.constant(grid, 1.0),
+        alpha=np.ones(grid.n_age),
+        e=np.ones(grid.n_age),
         delta=0.05,
         F=ee.LinearProduction(a_k=0.0, a_l=0.0),
         phi=ee.PowerLockdown(q=1.0),
@@ -73,7 +73,7 @@ def test_consumption_examples():
     # consumption supported only where nobody lives
     sv = np.zeros(20)
     sv[:10] = 1.0
-    state2 = ee.EpiState.from_arrays(grid, sv, np.zeros(20), np.zeros(20))
+    state2 = ee.EpiState(grid, sv, np.zeros(20), np.zeros(20))
     c = np.zeros(20)
     c[10:] = 5.0
     assert ee.consumption_total(state2.as_triple(), c, grid.da) == 0.0
@@ -118,7 +118,7 @@ def test_testing_cost_complement_switch():
     econ = make_econ(grid, D=ee.LinearCongestion(d1=1.0), cost_complement=True)
     state = make_state(grid, s=0.0, i=1.0)
     eta = np.full(16, 0.25)
-    expected = econ.D(grid.da * ((1 - eta) * state.i.values).sum())
+    expected = econ.D(grid.da * ((1 - eta) * state.i).sum())
     assert ee.testing_cost(state.as_triple(), eta, econ, grid.da) == pytest.approx(expected)
 
 

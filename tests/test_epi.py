@@ -13,7 +13,7 @@ from util import build_scenario, fit_order, random_block_policy, rk4_path, smoot
 # ----------------------------------------------------------------------
 
 def critical_load(scen):
-    return ee.critical_load(scen.initial.i.values, scen.epi, scen.age_grid.da)
+    return ee.critical_load(scen.initial.i, scen.epi, scen.age_grid.da)
 
 
 def test_critical_load_examples():
@@ -55,7 +55,7 @@ def test_infection_mortality_increasing_lipschitz():
 
 
 def force_of_infection(state, theta_t, eta_t, params, n_floor=0.0):
-    return ee.force_of_infection(state.i.values, state.total_population(), theta_t,
+    return ee.force_of_infection(state.i, state.total_population(), theta_t,
                                  eta_t, params.m, state.grid.da, n_floor)
 
 
@@ -94,7 +94,7 @@ def test_step_mckendrick_constant_mortality_exact():
     traj = scen.simulate()
     k = 12
     dt = scen.time_grid.dt
-    s0 = scen.initial.s.values
+    s0 = scen.initial.s
     expected = np.zeros(32)
     expected[k:] = s0[:-k] * np.exp(-mu0 * k * dt)
     assert np.allclose(traj.X[k, 0], expected, rtol=1e-12, atol=1e-15)

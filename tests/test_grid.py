@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,73 +10,85 @@ import epiecon as ee
 from util import build_scenario
 
 
+# Age integrals are the midpoint rule da * sum, as in EpiState.total_population;
+# the kernel integral da * sum_k m(a_j, a_k) f(a_k) is the force of infection
+# with theta = eta = 1 and N = 1.
+
+def _population(grid, s):
+    zero = np.zeros(grid.n_age)
+    return ee.EpiState(grid, s, zero, zero).total_population()
+
+
+def _kernel_integral(m, grid, f):
+    return ee.force_of_infection(f, 1.0, 1.0, 1.0, m, grid.da)
+
+
 def test_integrate_zero_field():
     grid = ee.AgeGrid(a_max=100.0, n_age=50)
-    assert ee.integrate(ee.Field1D.constant(grid, 0.0)) == 0.0
+    assert _population(grid, np.zeros(grid.n_age)) == 0.0
 
 
 def test_integrate_constant_is_exact():
     grid = ee.AgeGrid(a_max=100.0, n_age=64)
-    assert ee.integrate(ee.Field1D.constant(grid, 1.0)) == pytest.approx(100.0, abs=1e-12)
+    assert _population(grid, np.ones(grid.n_age)) == pytest.approx(100.0, abs=1e-12)
 
 
 def test_integrate_linear_matches_antiderivative():
     # closed-form oracle: int_0^100 a da = 100^2 / 2
     grid = ee.AgeGrid(a_max=100.0, n_age=200)
-    f = ee.Field1D(grid, grid.nodes.copy())
-    assert abs(ee.integrate(f) - 5000.0) < 0.01
+    assert abs(_population(grid, grid.nodes) - 5000.0) < 0.01
 
 
 def test_integrate_nonnegative_fields():
     rng = np.random.default_rng(3)
     grid = ee.AgeGrid(a_max=10.0, n_age=32)
     for _ in range(20):
-        f = ee.Field1D(grid, rng.uniform(0.0, 5.0, grid.n_age))
-        assert ee.integrate(f) >= 0.0
+        assert _population(grid, rng.uniform(0.0, 5.0, grid.n_age)) >= 0.0
 
 
 @settings(max_examples=50, deadline=None)
-@given(alpha=st.floats(-10, 10), beta=st.floats(-10, 10), seed=st.integers(0, 1000))
+@given(alpha=st.floats(0, 10), beta=st.floats(0, 10), seed=st.integers(0, 1000))
 def test_integrate_linearity(alpha, beta, seed):
+    # densities are nonnegative, so the combination is a conic one
     rng = np.random.default_rng(seed)
     grid = ee.AgeGrid(a_max=10.0, n_age=24)
-    fv = rng.standard_normal(grid.n_age)
-    gv = rng.standard_normal(grid.n_age)
-    lhs = ee.integrate(ee.Field1D(grid, alpha * fv + beta * gv))
-    rhs = alpha * ee.integrate(ee.Field1D(grid, fv)) + beta * ee.integrate(ee.Field1D(grid, gv))
+    fv = rng.uniform(0.0, 1.0, grid.n_age)
+    gv = rng.uniform(0.0, 1.0, grid.n_age)
+    lhs = _population(grid, alpha * fv + beta * gv)
+    rhs = alpha * _population(grid, fv) + beta * _population(grid, gv)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_kernel_zero_field():
     grid = ee.AgeGrid(a_max=10.0, n_age=16)
     m = ee.constant_kernel(grid, 4.0)
-    out = ee.integrate_kernel(m, ee.Field1D.constant(grid, 0.0))
-    assert np.all(out.values == 0.0)
+    out = _kernel_integral(m, grid, np.zeros(grid.n_age))
+    assert np.all(out == 0.0)
 
 
 def test_kernel_constant_reduces_to_integrate():
     rng = np.random.default_rng(7)
     grid = ee.AgeGrid(a_max=10.0, n_age=16)
-    f = ee.Field1D(grid, rng.uniform(0.0, 2.0, grid.n_age))
+    f = rng.uniform(0.0, 2.0, grid.n_age)
     m0 = 3.5
-    out = ee.integrate_kernel(ee.constant_kernel(grid, m0), f)
-    expected = m0 * ee.integrate(f)
-    assert np.allclose(out.values, expected, rtol=1e-12)
+    out = _kernel_integral(ee.constant_kernel(grid, m0), grid, f)
+    expected = m0 * _population(grid, f)
+    assert np.allclose(out, expected, rtol=1e-12)
 
 
 def test_kernel_discrete_delta_brute_force():
     # m(a_j, a_k) = delta_{jk} / da reproduces f; oracle is the explicit double sum
     rng = np.random.default_rng(11)
     grid = ee.AgeGrid(a_max=8.0, n_age=16)
-    f = ee.Field1D(grid, rng.uniform(0.0, 1.0, grid.n_age))
+    f = rng.uniform(0.0, 1.0, grid.n_age)
     m = np.eye(grid.n_age) / grid.da
-    out = ee.integrate_kernel(m, f)
+    out = _kernel_integral(m, grid, f)
     oracle = np.array([
-        sum(grid.da * m[j, k] * f.values[k] for k in range(grid.n_age))
+        sum(grid.da * m[j, k] * f[k] for k in range(grid.n_age))
         for j in range(grid.n_age)
     ])
-    assert np.allclose(out.values, oracle, rtol=1e-13)
-    assert np.allclose(out.values, f.values, rtol=1e-12)
+    assert np.allclose(out, oracle, rtol=1e-13)
+    assert np.allclose(out, f, rtol=1e-12)
 
 
 def test_kernel_symmetric_is_self_adjoint_unweighted():
@@ -84,17 +98,19 @@ def test_kernel_symmetric_is_self_adjoint_unweighted():
     m = 0.5 * (raw + raw.T)
     f = rng.standard_normal(grid.n_age)
     g = rng.standard_normal(grid.n_age)
-    kf = ee.integrate_kernel(m, ee.Field1D(grid, f)).values
-    kg = ee.integrate_kernel(m, ee.Field1D(grid, g)).values
+    kf = _kernel_integral(m, grid, f)
+    kg = _kernel_integral(m, grid, g)
     lhs = grid.da * (kf * g).sum()
     rhs = grid.da * (f * kg).sum()
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_kernel_dimension_mismatch():
-    grid = ee.AgeGrid(a_max=8.0, n_age=16)
+    scen = build_scenario(n_age=16)
     with pytest.raises(ee.ConfigurationError):
-        ee.integrate_kernel(np.ones((4, 4)), ee.Field1D.constant(grid, 1.0))
+        dataclasses.replace(scen.epi, m=np.ones((4, 4)))
+    with pytest.raises(ee.ConfigurationError):
+        ee.separable_kernel(scen.age_grid, 1.0, np.ones(8))
 
 
 def test_age_grid_invariants():
@@ -118,11 +134,24 @@ def test_time_grid_alignment():
 
 
 def test_field_validation():
-    grid = ee.AgeGrid(a_max=10.0, n_age=16)
+    # each constructor checks its arrays' length against the grid, and finiteness
+    scen = build_scenario(n_age=16, n_steps=4)
+    short, nan = np.ones(8), np.full(16, np.nan)
+    for bad in (short, nan):
+        with pytest.raises(ee.ConfigurationError):
+            dataclasses.replace(scen.epi, mu_S=bad)
+        with pytest.raises(ee.ConfigurationError):
+            dataclasses.replace(scen.econ, alpha=bad)
+        with pytest.raises(ee.ConfigurationError):
+            ee.EpiState(scen.age_grid, bad, np.zeros(16), np.zeros(16))
+    pol = scen.policy
     with pytest.raises(ee.ConfigurationError):
-        ee.Field1D(grid, np.ones(8))
-    with pytest.raises(ee.ConfigurationError):
-        ee.Field1D(grid, np.full(16, np.nan))
+        ee.PolicyField(pol.c, pol.theta[:, :8], pol.eta)
+    # a NaN surface passes every bounds comparison; finiteness must catch it
+    nan_theta = np.array(pol.theta)
+    nan_theta[2, 3] = np.nan
+    with pytest.raises(ee.ConfigurationError, match="finite"):
+        ee.PolicyField(pol.c, nan_theta, pol.eta)
 
 
 def test_expand_blocks_shapes_and_divisibility():

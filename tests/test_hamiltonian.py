@@ -84,7 +84,7 @@ def test_h0_matches_displayed_terms():
     term2 = da * (i * (dda(p2) - space.gamma * p2
                        + space.gamma * p3 / space.weights.pi_R**2)).sum()
     term3 = da * (r * (dda(p3) + space.mu_R * p3) / space.weights.pi_R**2).sum()
-    Xi = da * (i * scen.epi.xi.values).sum()
+    Xi = da * (i * scen.epi.xi).sum()
     mu_i = ee.infection_mortality(scen.epi, Xi)
     term5 = -da * (mu_i * i * p2).sum()
     oracle = term1 + term2 + term3 - scen.econ.delta * K * costate.Q + term5
@@ -117,12 +117,12 @@ def test_hamiltonian_decomposition():
         astar = space.apply_A_star(costate.triple())
         lam = th_t * da * (m @ (th_t * et_t * i)) / N
         lam_s = lam * s
-        Xi = da * (i * scen.epi.xi.values).sum()
+        Xi = da * (i * scen.epi.xi).sum()
         mu_i = ee.infection_mortality(scen.epi, Xi)
         b_pair = (-da * (lam_s * costate.p1 / space.weights.pi_S**2).sum()
                   + da * ((lam_s - mu_i * i) * costate.p2).sum())
-        L = da * ((x[0] + x[2]) * scen.econ.alpha.values * scen.econ.phi(th_t)).sum()
-        D = scen.econ.D(da * (et_t * i * scen.econ.e.values).sum())
+        L = da * ((x[0] + x[2]) * scen.econ.alpha * scen.econ.phi(th_t)).sum()
+        D = scen.econ.D(da * (et_t * i * scen.econ.e).sum())
         drift = (scen.econ.F(K, L) - da * (c_t * n).sum() - D - scen.econ.delta * K)
         U = da * (n ** scen.obj.nu * scen.obj.utility(c_t, th_t)).sum()  # J1
         oracle = space.inner(x, astar) + b_pair + drift * costate.Q + U
@@ -183,7 +183,7 @@ def test_h1_decreasing_in_eta_argmax_zero():
 def test_consumption_foc_against_golden_section():
     scen = verification_scenario()
     state = scen.initial.as_triple()
-    n = scen.initial.n_density()
+    n = sum(state)
     da = scen.age_grid.da
     obj = scen.obj
     theta = np.full(16, 0.7)
@@ -236,7 +236,7 @@ def test_maximize_single_block_matches_exhaustive():
                          scen.obj, search)
 
     best_val, best_pair = -np.inf, None
-    n = scen.initial.n_density()
+    n = sum(scen.initial.as_triple())
     for th in levels:
         for et in levels:
             th_t = np.full(16, th)
@@ -295,7 +295,7 @@ def test_maximize_dominates_search_set():
     for _ in range(30):
         th = np.repeat(rng.choice(scen.search.theta_levels, scen.search.n_age_blocks), bs)
         et = np.repeat(rng.choice(scen.search.eta_levels, scen.search.n_age_blocks), bs)
-        c = scen.obj.utility.optimal_c(scen.initial.n_density(), costate.Q, th,
+        c = scen.obj.utility.optimal_c(sum(scen.initial.as_triple()), costate.Q, th,
                                        scen.obj.nu, scen.search.c_max)
         val = ee.h1_part(scen.initial.as_triple(), 40.0, costate, c, th, et, scen.space,
                          scen.epi, scen.econ, scen.obj)
@@ -347,8 +347,7 @@ def residual_for(n_age, v_kind, policy_seed):
     blocks_th = rng.uniform(0.3, 1.0, (4, 2))
     blocks_et = rng.uniform(0.3, 1.0, (4, 2))
     tg, ag = scen.time_grid, scen.age_grid
-    policy = ee.PolicyField.from_arrays(
-        ag, tg,
+    policy = ee.PolicyField(
         ee.expand_blocks(blocks_c, tg, ag),
         ee.expand_blocks(blocks_th, tg, ag),
         ee.expand_blocks(blocks_et, tg, ag),

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epiecon as ee
+from epiecon.optimizer import _project_blocks
 
 from util import build_scenario
 
@@ -49,40 +50,38 @@ def foc_toy_optimum(scen, weight_j4):
 
 
 def test_project_examples():
-    grid = ee.AgeGrid(a_max=8.0, n_age=8)
-    tg = ee.TimeGrid.aligned(grid, n_steps=2)
+    # the optimizer clamps block values into the control box
     shape = (3, 8)
-    raw = ee.PolicyField.from_arrays(
-        grid, tg, np.full(shape, 2.0), np.full(shape, 1.0), np.full(shape, 0.5))
-    inside = ee.project(raw, c_max=5.0)
-    assert np.array_equal(inside.c.values, raw.c.values)
+    raw = ee.PolicyBlocks(np.full(shape, 2.0), np.full(shape, 1.0), np.full(shape, 0.5))
+    inside = _project_blocks(raw, c_max=5.0)
+    assert np.array_equal(inside.c, raw.c)
+    assert np.array_equal(inside.theta, raw.theta)
+    assert np.array_equal(inside.eta, raw.eta)
 
     # out-of-box values clamp samplewise; PolicyField itself rejects them,
-    # so projection operates on raw surfaces
-    clipped = ee.PolicyField.from_arrays(
-        grid, tg,
-        np.clip(np.full(shape, -3.0), 0.0, None),
-        np.clip(np.full(shape, 1.7), 0.0, 1.0),
-        np.full(shape, 0.5))
-    assert np.all(clipped.c.values == 0.0)
-    assert np.all(clipped.theta.values == 1.0)
+    # so projection operates on raw block values
+    clipped = _project_blocks(
+        ee.PolicyBlocks(np.full(shape, -3.0), np.full(shape, 1.7), np.full(shape, 0.5)),
+        c_max=5.0)
+    assert np.all(clipped.c == 0.0)
+    assert np.all(clipped.theta == 1.0)
+    assert np.all(_project_blocks(ee.PolicyBlocks(np.full(shape, 7.0), raw.theta, raw.eta),
+                                  c_max=5.0).c == 5.0)
+    with pytest.raises(ee.ConfigurationError):
+        ee.PolicyField(np.full(shape, -3.0), raw.theta, raw.eta)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_projection_idempotent(seed):
     rng = np.random.default_rng(seed)
-    grid = ee.AgeGrid(a_max=8.0, n_age=8)
-    tg = ee.TimeGrid.aligned(grid, n_steps=2)
-    raw_c = np.clip(rng.uniform(-1.0, 8.0, (3, 8)), 0.0, None)
-    raw_th = np.clip(rng.uniform(-0.5, 1.5, (3, 8)), 0.0, 1.0)
-    raw_et = np.clip(rng.uniform(-0.5, 1.5, (3, 8)), 0.0, 1.0)
-    p = ee.PolicyField.from_arrays(grid, tg, raw_c, raw_th, raw_et)
-    once = ee.project(p, c_max=5.0)
-    twice = ee.project(once, c_max=5.0)
-    assert np.array_equal(once.c.values, twice.c.values)
-    assert np.array_equal(once.theta.values, twice.theta.values)
-    assert np.array_equal(once.eta.values, twice.eta.values)
+    raw = ee.PolicyBlocks(rng.uniform(-1.0, 8.0, (3, 8)), rng.uniform(-0.5, 1.5, (3, 8)),
+                          rng.uniform(-0.5, 1.5, (3, 8)))
+    once = _project_blocks(raw, c_max=5.0)
+    twice = _project_blocks(once, c_max=5.0)
+    assert np.array_equal(once.c, twice.c)
+    assert np.array_equal(once.theta, twice.theta)
+    assert np.array_equal(once.eta, twice.eta)
 
 
 def test_penalized_objective_feasible_equals_target():
@@ -101,14 +100,13 @@ def test_penalized_objective_constructed_violation():
         production=ee.LinearProduction(a_k=0.0, a_l=0.0),
         which="J4",
     )
-    tg, ag = scen.time_grid, scen.age_grid
+    tg = scen.time_grid
     dt = tg.dt
     N = scen.initial.total_population()
     pulse_C = (1.0 + 1.0) / dt - delta * 1.0  # lands exactly on K = -1
     c_surface = np.zeros((5, 16))
     c_surface[0, :] = pulse_C / N
-    policy = ee.PolicyField.from_arrays(ag, tg, c_surface,
-                                        np.ones((5, 16)), np.ones((5, 16)))
+    policy = ee.PolicyField(c_surface, np.ones((5, 16)), np.ones((5, 16)))
     traj = scen.simulate(policy)
 
     K_oracle = [1.0, -1.0]
@@ -211,7 +209,7 @@ def test_optimize_zero_iterations_identity():
     report = ee.optimize(scen, cfg)
     assert len(report.objective_trace) == 1
     assert report.objective_trace[0] == pytest.approx(scen.evaluate().value, rel=1e-14)
-    assert np.array_equal(report.policy.c.values, scen.policy.c.values)
+    assert np.array_equal(report.policy.c, scen.policy.c)
 
 
 def test_optimize_reduces_deaths():

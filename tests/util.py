@@ -77,11 +77,12 @@ def compact_triple(grid, rng, **kw):
 # ----------------------------------------------------------------------
 
 def _field(grid, spec):
+    """One value per age cell from a scalar, an array, or an age-callable."""
     if callable(spec):
-        return ee.Field1D(grid, np.asarray([spec(a) for a in grid.nodes]))
+        return np.asarray([spec(a) for a in grid.nodes])
     if np.isscalar(spec):
-        return ee.Field1D.constant(grid, float(spec))
-    return ee.Field1D(grid, np.asarray(spec, dtype=np.float64))
+        return np.full(grid.n_age, float(spec))
+    return np.asarray(spec, dtype=np.float64)
 
 
 def build_scenario(
@@ -133,6 +134,7 @@ def build_scenario(
     if kernel is None:
         kernel = ee.constant_kernel(grid, m0)
     params = ee.EpiParams(
+        grid=grid,
         mu_S=_field(grid, mu_s),
         mu_R=_field(grid, mu_r),
         mu_I_base=_field(grid, mu_i),
@@ -158,7 +160,7 @@ def build_scenario(
         T_num=T_num,
         composite=composite,
     )
-    initial = ee.EpiState(_field(grid, s0), _field(grid, i0), _field(grid, r0), time=t0)
+    initial = ee.EpiState(grid, _field(grid, s0), _field(grid, i0), _field(grid, r0), time=t0)
     policy = ee.PolicyField.constant(grid, tg, c=c_level, theta=theta_level,
                                      eta=eta_level)
     search = ee.ControlSearchGrid(theta_levels=tuple(theta_levels),
@@ -187,8 +189,7 @@ def random_block_policy(scenario, rng, n_time_blocks=4, n_age_blocks=2,
         eta=rng.uniform(*eta_range, size=shape),
     )
     tg, ag = scenario.time_grid, scenario.age_grid
-    return ee.PolicyField.from_arrays(
-        ag, tg,
+    return ee.PolicyField(
         ee.expand_blocks(blocks.c, tg, ag),
         ee.expand_blocks(blocks.theta, tg, ag),
         ee.expand_blocks(blocks.eta, tg, ag),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -278,19 +279,19 @@ def cmd_check(cfg, out_dir=None) -> int:
                "max_rel_residual": float(max(residuals)),
                "bound_5da": 5.0 * scenario.age_grid.da}
 
-    # chain-rule residual for the configured value function and policy,
-    # with a coarse companion for the order estimate when grids allow
+    # chain-rule residual for the configured value function and policy, with
+    # a coarse companion for the order estimate when grids and policy blocks allow
     v = cfgmod.build_value_function(cfg, scenario)
-    grad_err = validate_gradient(
-        v, [(scenario.initial.as_triple(), max(scenario.K0, 1.0))], space)
+    grad_err = validate_gradient(v, [(scenario.initial.as_triple(), max(scenario.K0, 1.0))])
     traj = scenario.simulate()
-    residual = chain_rule_residual(v, scenario.policy, traj, space, scenario.epi,
-                                   scenario.econ, scenario.obj)
+    residual = chain_rule_residual(v, scenario.policy, traj, scenario)
     chain = {"residual": float(residual), "dt": scenario.time_grid.dt,
              "gradient_check": float(grad_err)}
-    n_age = cfg["grid"]["n_age"]
-    n_steps = cfg["grid"]["n_steps"]
-    if n_age % 2 == 0 and n_age // 2 >= 8 and n_steps % 2 == 0:
+    n_age, n_steps = cfg["grid"]["n_age"], cfg["grid"]["n_steps"]
+    pol = cfg["policy"]
+    blocks = pol["preset"] == "blocks"
+    nab, ntb = (pol["n_age_blocks"], pol["n_time_blocks"]) if blocks else (1, 1)
+    if n_age % (2 * nab) == 0 and n_age // 2 >= 8 and n_steps % (2 * ntb) == 0:
         coarse_cfg = copy.deepcopy(cfg)
         coarse_cfg["grid"]["n_age"] = n_age // 2
         coarse_cfg["grid"]["n_steps"] = n_steps // 2
@@ -298,16 +299,14 @@ def cmd_check(cfg, out_dir=None) -> int:
         coarse = cfgmod.build_scenario(coarse_cfg)
         v_c = cfgmod.build_value_function(coarse_cfg, coarse)
         traj_c = coarse.simulate()
-        res_c = chain_rule_residual(v_c, coarse.policy, traj_c, coarse.space,
-                                    coarse.epi, coarse.econ, coarse.obj)
+        res_c = chain_rule_residual(v_c, coarse.policy, traj_c, coarse)
         chain["coarse_residual"] = float(res_c)
         chain["coarse_dt"] = coarse.time_grid.dt
         if abs(residual) > 0 and abs(res_c) > 0:
             chain["order"] = float(np.log2(abs(res_c) / abs(residual)))
 
     # Hamiltonian gap profile of the configured policy
-    gaps = hamiltonian_gap_profile(v, scenario.policy, traj, space, scenario.epi,
-                                   scenario.econ, scenario.obj, scenario.search)
+    gaps = hamiltonian_gap_profile(v, scenario.policy, traj, scenario)
     gap = {"min": float(gaps.min()), "max": float(gaps.max()),
            "integrated": integrated_gap(gaps, traj, scenario.obj)}
 
@@ -320,10 +319,8 @@ def cmd_check(cfg, out_dir=None) -> int:
             continue
         tg = TimeGrid.aligned(scenario.age_grid, t0=scenario.time_grid.t0,
                               n_steps=n_steps_m)
-        policy = _extend_policy(scenario.policy, tg)
-        trajs.append(epi.simulate(scenario.initial, scenario.K0, policy,
-                                  scenario.epi, scenario.econ, tg,
-                                  scenario.n_floor_rel))
+        trajs.append(dataclasses.replace(scenario, time_grid=tg).simulate(
+            _extend_policy(scenario.policy, tg)))
     tv = transversality_check(v, trajs, scenario.obj.rho)
     transversality = {"horizons": [float(x) for x in tv.horizons],
                       "weighted_values": [float(x) for x in tv.weighted_values],

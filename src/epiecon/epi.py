@@ -285,6 +285,8 @@ def simulate(initial: EpiState, K0: float, policy: PolicyField, params: EpiParam
     n_steps = time_grid.n_steps
     if policy.c.shape != (n_steps + 1, grid.n_age):
         raise ConfigurationError("policy surfaces do not match the grids")
+    if econ.alpha.shape != (grid.n_age,):  # EconParams checks e against alpha
+        raise ConfigurationError("economy profiles alpha and e do not match the age grid")
     if K0 < 0:
         raise ConfigurationError(f"initial capital must be >= 0, got {K0}")
 

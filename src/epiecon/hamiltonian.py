@@ -9,19 +9,26 @@ per-step gap between sup_z H1 and H1 at the policy, the chain-rule
 identity along the trajectory, and the transversality decay of the
 discounted terminal value.  Nothing here solves the dynamic-programming
 equation; the module only measures how far a candidate is from satisfying
-it.  States enter as (3, n_age) arrays or (s, i, r) triples, like traj.X[k].
+it.  The Hamiltonian pieces and diagnostics take the control problem as one
+``Scenario``; states enter as (3, n_age) arrays or (s, i, r) triples, like
+traj.X[k].  Their force of infection has the extinction floor of ``simulate``
+(n_floor_rel times the initial population): ``ExtinctPopulation`` at or below it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import economy, epi, objectives
 from .errors import ConfigurationError
-from .grid import TimeGrid, _as_readonly
+from .grid import _as_readonly
 from .hilbert import CostateField, HilbertSpace
+
+if TYPE_CHECKING:  # scenario.py imports this module
+    from .scenario import Scenario
 
 
 # ----------------------------------------------------------------------
@@ -71,14 +78,14 @@ class QuadraticValue:
         return self.q * K
 
 
-def validate_gradient(v, probes, space: HilbertSpace, rel_tol: float = 1e-6,
-                      seed: int = 0) -> float:
-    """Check the supplied gradient against central differences of v.
+def validate_gradient(v, probes, rel_tol: float = 1e-6) -> float:
+    """Check the supplied gradient against central differences of v in ``v.space``.
 
-    Probes are (h, K) pairs; random directions are drawn per probe.  Returns
-    the worst relative discrepancy and raises if it exceeds ``rel_tol``.
+    Probes are (h, K) pairs; seeded random directions are drawn per probe.
+    Returns the worst relative discrepancy and raises if it exceeds ``rel_tol``.
     """
-    rng = np.random.default_rng(seed)
+    space = v.space
+    rng = np.random.default_rng(0)
     worst = 0.0
     for h, K in probes:
         g = tuple(rng.standard_normal(space.grid.n_age) for _ in range(3))
@@ -107,35 +114,40 @@ def validate_gradient(v, probes, space: HilbertSpace, rel_tol: float = 1e-6,
 # Hamiltonian pieces
 # ----------------------------------------------------------------------
 
-def h0_part(x, K: float, costate: CostateField, space: HilbertSpace,
-            params: epi.EpiParams, econ) -> float:
+def _n_floor(scenario: Scenario) -> float:
+    return scenario.n_floor_rel * scenario.initial.total_population()
+
+
+def h0_part(x, K: float, costate: CostateField, scenario: Scenario) -> float:
     """Control-independent Hamiltonian part.
 
     <h, A* p>_H - delta K Q - <mu_I(., Xi(h)) h2, p2>_L2.
     """
+    space, params = scenario.space, scenario.epi
     i = x[1]
     da = space.grid.da
     astar = space.apply_A_star(costate.triple())
     mu_i = epi.infection_mortality(params, epi.critical_load(i, params, da))
     sink = float(da * (mu_i * i * costate.p2).sum())
-    return space.inner(x, astar) - econ.delta * K * costate.Q - sink
+    return space.inner(x, astar) - scenario.econ.delta * K * costate.Q - sink
 
 
-def h1_evaluator(x, K: float, costate: CostateField, space: HilbertSpace,
-                 params: epi.EpiParams, econ, obj: objectives.ObjectiveParams | None,
-                 n_floor: float = 0.0):
+def h1_evaluator(x, K: float, costate: CostateField, scenario: Scenario,
+                 reward: bool = True):
     """H1 at one node as a function ``h1(c, theta, eta)`` of the control slice.
 
     -<Lam h1, p1>_{pi_S} + <Lam h1, p2> + F(K, L_theta) Q - C Q - D Q
-    plus the running reward of the configured target; ``obj=None`` leaves the
-    reward out (the controlled drift paired with the costate).  The
+    plus the running reward of the configured target; ``reward=False`` leaves
+    the reward out (the controlled drift paired with the costate).  The
     state-only terms (N, and n^nu and the deaths flow of the reward) are
     computed once here.
     """
+    space, params, econ = scenario.space, scenario.epi, scenario.econ
     s, i, r = x
     da = space.grid.da
     n_total = float(da * (s + i + r).sum())
-    reward = None if obj is None else objectives.node_reward(x, params, obj)
+    n_floor = _n_floor(scenario)
+    running = objectives.node_reward(x, params, scenario.obj) if reward else None
 
     def h1(c_t, theta_t, eta_t) -> float:
         lam_s = epi.force_of_infection(i, n_total, theta_t, eta_t, params.m, da,
@@ -146,17 +158,15 @@ def h1_evaluator(x, K: float, costate: CostateField, space: HilbertSpace,
         val += Y * costate.Q
         val -= economy.consumption_total(x, c_t, da) * costate.Q
         val -= economy.testing_cost(x, eta_t, econ, da) * costate.Q
-        return val if reward is None else val + reward(c_t, theta_t, Y)
+        return val if running is None else val + running(c_t, theta_t, Y)
 
     return h1
 
 
 def h1_part(x, K: float, costate: CostateField, c_t, theta_t, eta_t,
-            space: HilbertSpace, params: epi.EpiParams, econ,
-            obj: objectives.ObjectiveParams, n_floor: float = 0.0) -> float:
+            scenario: Scenario) -> float:
     """Control-dependent Hamiltonian part at the control slice (c, theta, eta)."""
-    return h1_evaluator(x, K, costate, space, params, econ, obj, n_floor)(
-        c_t, theta_t, eta_t)
+    return h1_evaluator(x, K, costate, scenario)(c_t, theta_t, eta_t)
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +205,6 @@ class H1Result:
     c: np.ndarray
     theta: np.ndarray
     eta: np.ndarray
-    converged: bool
 
 
 def _optimal_c(n: np.ndarray, Q: float, theta_t: np.ndarray,
@@ -215,10 +224,8 @@ def _optimal_c(n: np.ndarray, Q: float, theta_t: np.ndarray,
     return out
 
 
-def maximize_h1(x, K, costate, space, params, econ, obj,
-                search: ControlSearchGrid, baseline=None,
-                n_floor: float = 0.0) -> H1Result:
-    """Blockwise-exhaustive maximization of H1 over the control lattice.
+def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
+    """Blockwise-exhaustive maximization of H1 over ``scenario.search``.
 
     Alternates (i) the exact per-cell consumption argmax with (ii) a
     coordinate sweep over the (theta, eta) age blocks, each block set to
@@ -231,7 +238,8 @@ def maximize_h1(x, K, costate, space, params, econ, obj,
     a candidate (with its consumption re-solved exactly), so the returned
     value dominates H1 at that slice up to the consumption argmax.
     """
-    n_age = space.grid.n_age
+    search, obj = scenario.search, scenario.obj
+    n_age = scenario.space.grid.n_age
     nb = search.n_age_blocks
     if n_age % nb != 0:
         raise ConfigurationError(f"{nb} age blocks do not divide n_age = {n_age}")
@@ -240,14 +248,13 @@ def maximize_h1(x, K, costate, space, params, econ, obj,
     et_levels = np.asarray(search.eta_levels, dtype=np.float64)
     n = x[0] + x[1] + x[2]
     Q = costate.Q
-    evaluate = h1_evaluator(x, K, costate, space, params, econ, obj, n_floor)
+    evaluate = h1_evaluator(x, K, costate, scenario)
 
     def ascend(start_level_index):
         theta = np.repeat(th_levels[start_level_index(th_levels)], n_age)
         eta = np.repeat(et_levels[start_level_index(et_levels)], n_age)
         c = _optimal_c(n, Q, theta, obj, search.c_max)
         best = evaluate(c, theta, eta)
-        converged = False
         for _ in range(search.max_sweeps):
             changed = False
             for levels, ctrl in ((th_levels, theta), (et_levels, eta)):
@@ -260,37 +267,30 @@ def maximize_h1(x, K, costate, space, params, econ, obj,
                         vals.append(evaluate(c, theta, eta))
                     pick = int(np.argmax(vals))
                     ctrl[lo:hi] = levels[pick]
-                    best = vals[pick]
-                    if levels[pick] != current:
-                        changed = True
+                    changed |= bool(levels[pick] != current)
             c_new = _optimal_c(n, Q, theta, obj, search.c_max)
             c_shift = float(np.max(np.abs(c_new - c)))
             c = c_new
             best = evaluate(c, theta, eta)
             if not changed and c_shift <= 1e-12 * (1.0 + float(np.max(np.abs(c)))):
-                converged = True
                 break
-        return best, c, theta, eta, converged
+        return best, c, theta, eta
 
     # two deterministic starts: the top corner avoids the degenerate tie at
     # theta = 0 or eta = 0 where the transmission channel is switched off
-    best, c, theta, eta, converged = ascend(lambda levels: len(levels) - 1)
+    best, c, theta, eta = ascend(lambda levels: len(levels) - 1)
     alt = ascend(lambda levels: 0)
     if alt[0] > best:
-        best, c, theta, eta, converged = alt
+        best, c, theta, eta = alt
 
     if baseline is not None:
-        _, th_b, et_b = baseline
-        c_b = _optimal_c(n, Q, np.asarray(th_b, dtype=np.float64), obj, search.c_max)
-        val_b = evaluate(c_b, np.asarray(th_b, dtype=np.float64),
-                         np.asarray(et_b, dtype=np.float64))
+        th_b, et_b = (np.array(z, dtype=np.float64) for z in baseline[1:])
+        c_b = _optimal_c(n, Q, th_b, obj, search.c_max)
+        val_b = evaluate(c_b, th_b, et_b)
         if val_b > best:
-            best = val_b
-            c = c_b
-            theta = np.array(th_b, dtype=np.float64)
-            eta = np.array(et_b, dtype=np.float64)
+            best, c, theta, eta = val_b, c_b, th_b, et_b
 
-    return H1Result(value=best, c=c, theta=theta, eta=eta, converged=converged)
+    return H1Result(value=best, c=c, theta=theta, eta=eta)
 
 
 # ----------------------------------------------------------------------
@@ -298,15 +298,11 @@ def maximize_h1(x, K, costate, space, params, econ, obj,
 # ----------------------------------------------------------------------
 
 def _costate_at(v, x, K) -> CostateField:
-    p = v.grad_h(x, K)
-    return CostateField(p1=np.asarray(p[0]), p2=np.asarray(p[1]),
-                        p3=np.asarray(p[2]), Q=float(v.grad_K(x, K)))
+    return CostateField(*map(np.asarray, v.grad_h(x, K)), Q=float(v.grad_K(x, K)))
 
 
 def hamiltonian_gap_profile(v, policy: epi.PolicyField, traj: epi.Trajectory,
-                            space, params, econ, obj,
-                            search: ControlSearchGrid,
-                            n_floor: float = 0.0) -> np.ndarray:
+                            scenario: Scenario) -> np.ndarray:
     """Per-node gap sup_z H1 - H1(policy) along a trajectory, using v's gradients.
 
     The policy's own slice is included in the search candidates, so gaps are
@@ -317,12 +313,9 @@ def hamiltonian_gap_profile(v, policy: epi.PolicyField, traj: epi.Trajectory,
     for k in range(n_nodes):
         x, K = traj.X[k], float(traj.K[k])
         costate = _costate_at(v, x, K)
-        c_t, th_t, et_t = policy.at(k)
-        res = maximize_h1(x, K, costate, space, params, econ, obj, search,
-                          baseline=(c_t, th_t, et_t), n_floor=n_floor)
-        current = h1_part(x, K, costate, c_t, th_t, et_t, space, params, econ, obj,
-                          n_floor)
-        gaps[k] = res.value - current
+        z = policy.at(k)
+        gaps[k] = (maximize_h1(x, K, costate, scenario, baseline=z).value
+                   - h1_part(x, K, costate, *z, scenario))
     return gaps
 
 
@@ -333,21 +326,19 @@ def integrated_gap(gaps: np.ndarray, traj: epi.Trajectory, obj) -> float:
     return float((disc * gaps[:tg.n_steps]).sum() * tg.dt)
 
 
-def discounted_running_payoff(traj, policy, params, econ, obj) -> float:
+def discounted_running_payoff(traj, policy, scenario: Scenario) -> float:
     """Discounted left-endpoint sum of the running reward along a trajectory."""
-    tg = traj.time_grid
+    tg, obj = traj.time_grid, scenario.obj
     total = 0.0
     for k in range(tg.n_steps):
         c_t, th_t, et_t = policy.at(k)
         u = objectives.running_reward(traj.X[k], float(traj.K[k]), c_t, th_t, et_t,
-                                      params, econ, obj)
+                                      scenario.epi, scenario.econ, obj)
         total += np.exp(-obj.rho * (tg.times[k] - tg.t0)) * u
     return float(total * tg.dt)
 
 
-def fundamental_identity_residual(v, policy, traj, space, params, econ, obj,
-                                  search: ControlSearchGrid,
-                                  n_floor: float = 0.0) -> float:
+def fundamental_identity_residual(v, policy, traj, scenario: Scenario) -> float:
     """Residual of the value decomposition into payoff plus discounted gaps.
 
     r = v(x_0) - [J + int e^{-rho t} (sup_z H_CV - H_CV(z(t))) dt
@@ -359,18 +350,15 @@ def fundamental_identity_residual(v, policy, traj, space, params, econ, obj,
     equation along this trajectory; for arbitrary smooth v use
     :func:`chain_rule_residual` instead.
     """
-    tg = traj.time_grid
-    payoff = discounted_running_payoff(traj, policy, params, econ, obj)
-    gaps = hamiltonian_gap_profile(v, policy, traj, space, params, econ, obj,
-                                   search, n_floor)
-    gap_term = integrated_gap(gaps, traj, obj)
+    tg, obj = traj.time_grid, scenario.obj
+    payoff = discounted_running_payoff(traj, policy, scenario)
+    gap_term = integrated_gap(hamiltonian_gap_profile(v, policy, traj, scenario), traj, obj)
     terminal = np.exp(-obj.rho * (tg.t_end - tg.t0)) * v.value(traj.X[-1],
                                                                float(traj.K[-1]))
     return float(v.value(traj.X[0], float(traj.K[0])) - (payoff + gap_term + terminal))
 
 
-def chain_rule_residual(v, policy, traj, space, params, econ, obj,
-                        n_floor: float = 0.0) -> float:
+def chain_rule_residual(v, policy, traj, scenario: Scenario) -> float:
     """Discrete chain-rule identity residual for an arbitrary smooth v.
 
     v(x_0) - e^{-rho T} v(x_T)
@@ -379,18 +367,16 @@ def chain_rule_residual(v, policy, traj, space, params, econ, obj,
     vanishes at rate O(dt) for any feasible policy and any smooth v whose
     gradient is compatible with the adjoint domain.
     """
-    tg = traj.time_grid
-    dt = tg.dt
+    tg, obj = traj.time_grid, scenario.obj
     acc = 0.0
     for k in range(tg.n_steps):
         x, K = traj.X[k], float(traj.K[k])
         costate = _costate_at(v, x, K)
-        drift = (h0_part(x, K, costate, space, params, econ)
-                 + h1_evaluator(x, K, costate, space, params, econ, None, n_floor)(
-                     *policy.at(k)))
+        drift = (h0_part(x, K, costate, scenario)
+                 + h1_evaluator(x, K, costate, scenario, reward=False)(*policy.at(k)))
         acc += (np.exp(-obj.rho * (tg.times[k] - tg.t0))
                 * (obj.rho * v.value(x, K) - drift))
-    acc *= dt
+    acc *= tg.dt
     terminal = np.exp(-obj.rho * (tg.t_end - tg.t0)) * v.value(traj.X[-1],
                                                                float(traj.K[-1]))
     return float(v.value(traj.X[0], float(traj.K[0])) - terminal - acc)
@@ -425,34 +411,29 @@ def transversality_check(v, trajectories, rho: float) -> TransversalityReport:
                                 exponent=exponent, decaying=decaying)
 
 
-def greedy_policy(initial, K0: float, v, space, params, econ, obj,
-                  time_grid: TimeGrid, search: ControlSearchGrid,
-                  n_floor_rel: float = 1e-9):
+def greedy_policy(v, scenario: Scenario):
     """Roll out the policy that maximizes H1 step by step under v's gradients.
 
-    ``initial`` is the initial state as :func:`epi.simulate` takes it.
+    Starts from the scenario's initial state and capital on its time grid.
     Returns the policy surface and its trajectory.  By construction the
     Hamiltonian gap of the result vanishes on its own trajectory, which is
     the constructive side of the sufficiency argument on the control
     lattice.
     """
-    grid = space.grid
-    n_steps = time_grid.n_steps
-    c_surf, th_surf, et_surf = np.zeros((3, n_steps + 1, grid.n_age))
-    n_floor = n_floor_rel * initial.total_population()
+    grid, tg = scenario.space.grid, scenario.time_grid
+    c_surf, th_surf, et_surf = np.zeros((3, tg.n_steps + 1, grid.n_age))
+    n_floor = _n_floor(scenario)
 
-    X = np.empty((n_steps + 1, 3, grid.n_age))
-    X[0] = initial.as_triple()
-    K = float(K0)
-    for k in range(n_steps + 1):
+    X = np.empty((tg.n_steps + 1, 3, grid.n_age))
+    X[0] = scenario.initial.as_triple()
+    K = float(scenario.K0)
+    for k in range(tg.n_steps + 1):
         costate = _costate_at(v, X[k], K)
-        res = maximize_h1(X[k], K, costate, space, params, econ, obj, search,
-                          n_floor=n_floor)
+        res = maximize_h1(X[k], K, costate, scenario)
         c_surf[k], th_surf[k], et_surf[k] = res.c, res.theta, res.eta
-        if k < n_steps:
-            K = epi._node(X[k], K, res.c, res.theta, res.eta, params, econ, grid.da,
-                          time_grid.dt, n_floor, X[k + 1])[1]
+        if k < tg.n_steps:
+            K = epi._node(X[k], K, res.c, res.theta, res.eta, scenario.epi,
+                          scenario.econ, grid.da, tg.dt, n_floor, X[k + 1])[1]
 
     policy = epi.PolicyField(c_surf, th_surf, et_surf)
-    traj = epi.simulate(initial, K0, policy, params, econ, time_grid, n_floor_rel)
-    return policy, traj
+    return policy, scenario.simulate(policy)

@@ -135,7 +135,7 @@ _CHANNELS = ("c", "theta", "eta")
 
 
 def _box(channel: str, scenario: Scenario):
-    return (0.0, scenario.c_max) if channel == "c" else (0.0, 1.0)
+    return (0.0, scenario.search.c_max) if channel == "c" else (0.0, 1.0)
 
 
 def fd_gradient(blocks: PolicyBlocks, scenario: Scenario, config: OptimizerConfig):
@@ -218,7 +218,7 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
         blocks.c = blocks.c + config.jitter * rng.standard_normal(blocks.c.shape)
         blocks.theta = blocks.theta + config.jitter * rng.standard_normal(blocks.theta.shape)
         blocks.eta = blocks.eta + config.jitter * rng.standard_normal(blocks.eta.shape)
-    blocks = _project_blocks(blocks, scenario.c_max)
+    blocks = _project_blocks(blocks, scenario.search.c_max)
     all_warnings = []
 
     f, traj, _ = _safe_objective(blocks, scenario, config)
@@ -246,7 +246,7 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
             trial = PolicyBlocks(blocks.c + step_size * grads.c,
                                  blocks.theta + step_size * grads.theta,
                                  blocks.eta + step_size * grads.eta)
-            trial = _project_blocks(trial, scenario.c_max)
+            trial = _project_blocks(trial, scenario.search.c_max)
             ft, trial_traj, _ = _safe_objective(trial, scenario, config)
             if ft is not None and ft > f:
                 accepted = True
@@ -269,11 +269,8 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
     if value_function is not None:
         initial_policy = initial_blocks.expand(scenario)
         gaps0 = hamiltonian_gap_profile(value_function, initial_policy, initial_traj,
-                                        scenario.space, scenario.epi, scenario.econ,
-                                        scenario.obj, scenario.search)
-        gaps1 = hamiltonian_gap_profile(value_function, final_policy, traj,
-                                        scenario.space, scenario.epi, scenario.econ,
-                                        scenario.obj, scenario.search)
+                                        scenario)
+        gaps1 = hamiltonian_gap_profile(value_function, final_policy, traj, scenario)
         gap_initial = integrated_gap(gaps0, initial_traj, scenario.obj)
         gap_final = integrated_gap(gaps1, traj, scenario.obj)
 

@@ -40,7 +40,3 @@ class Scenario:
         if traj is None:
             traj = self.simulate(policy)
         return objectives.evaluate(traj, policy, self.epi, self.econ, self.obj)
-
-    @property
-    def c_max(self) -> float:
-        return self.search.c_max

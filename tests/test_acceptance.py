@@ -192,25 +192,17 @@ def test_c6_hamiltonian_gap_certificate():
     scen = verification_scenario(n_age=16, horizon=3.0)
     v = ee.LinearValue(scen.space, interior_triple(scen.age_grid), q=0.4)
 
-    greedy_policy, greedy_traj = ee.greedy_policy(
-        scen.initial, scen.K0, v, scen.space, scen.epi, scen.econ, scen.obj,
-        scen.time_grid, scen.search)
-    gaps_greedy = ee.hamiltonian_gap_profile(
-        v, greedy_policy, greedy_traj, scen.space, scen.epi, scen.econ,
-        scen.obj, scen.search)
+    greedy_policy, greedy_traj = ee.greedy_policy(v, scen)
+    gaps_greedy = ee.hamiltonian_gap_profile(v, greedy_policy, greedy_traj, scen)
 
     rng = np.random.default_rng(99)
     random_policy = random_block_policy(scen, rng, n_time_blocks=3,
                                         n_age_blocks=2, c_range=(0.0, 0.3))
     random_traj = scen.simulate(random_policy)
-    gaps_random = ee.hamiltonian_gap_profile(
-        v, random_policy, random_traj, scen.space, scen.epi, scen.econ,
-        scen.obj, scen.search)
+    gaps_random = ee.hamiltonian_gap_profile(v, random_policy, random_traj, scen)
 
     preset_traj = scen.simulate()
-    gaps_preset = ee.hamiltonian_gap_profile(
-        v, scen.policy, preset_traj, scen.space, scen.epi, scen.econ,
-        scen.obj, scen.search)
+    gaps_preset = ee.hamiltonian_gap_profile(v, scen.policy, preset_traj, scen)
 
     for gaps in (gaps_greedy, gaps_random, gaps_preset):
         assert np.all(gaps >= -1e-10)
@@ -237,7 +229,7 @@ def test_c7_optimizer_foc_toy():
     report_b = ee.optimize(scen, cfg)
 
     c_star = foc_toy_optimum(scen, weight)
-    assert 0.0 < c_star < scen.c_max
+    assert 0.0 < c_star < scen.search.c_max
     rel = abs(report_a.blocks.c[0, 0] - c_star) / c_star
     assert rel <= 1e-3
     trace = np.asarray(report_a.objective_trace)

@@ -221,6 +221,20 @@ def test_check_table_kernel_coarse_companion(tmp_path):
     assert node["s"]["values"] == [2.0, 6.0]
 
 
+@pytest.mark.parametrize("blocks", [{"n_age_blocks": 16}, {"n_time_blocks": 8}])
+def test_check_skips_coarse_companion_for_fine_policy_blocks(tmp_path, blocks):
+    # the half grid cannot hold one policy block per cell: no order estimate, no error
+    cfg = small_config()
+    cfg["policy"] = {"preset": "blocks", **blocks}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
+    out = tmp_path / "out"
+    assert cli.main(["check", "--config", str(path), "--out", str(out)]) == 0
+    chain = json.loads((out / "check.json").read_text())["chain_rule_identity"]
+    assert "coarse_residual" not in chain and "order" not in chain
+    assert np.isfinite(chain["residual"])
+
+
 @pytest.mark.parametrize("mu_s", [2.0, 5.0])
 def test_check_accepts_exact_gradient_under_large_weights(tmp_path, mu_s):
     # survival weights 1/pi^2 reach ~1e13..1e16 here, so |v| does too; the
@@ -244,7 +258,7 @@ def test_check_accepts_exact_gradient_under_large_weights(tmp_path, mu_s):
 
     off = OnePercentOff(scenario.space, v.w, v.q)
     with pytest.raises(ConfigurationError, match="gradient mismatch"):
-        validate_gradient(off, probes, scenario.space)
+        validate_gradient(off, probes)
 
 
 def test_sweep_matrix_shape(tmp_path):

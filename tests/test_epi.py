@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -356,6 +358,13 @@ def test_simulate_rejects_mismatched_grids():
                     misaligned)
 
 
+def test_simulate_rejects_wrong_length_economy_profiles():
+    scen = build_scenario(n_age=16, n_steps=4)
+    short = dataclasses.replace(scen.econ, alpha=np.ones(8), e=np.ones(8))
+    with pytest.raises(ee.ConfigurationError, match="alpha and e"):
+        dataclasses.replace(scen, econ=short).simulate()
+
+
 # ----------------------------------------------------------------------
 # the array-native trajectory core
 # ----------------------------------------------------------------------
@@ -390,8 +399,7 @@ def test_rank_one_kernel_matches_dense_table(seed, m0, n_age):
                               p2=rng.uniform(0.1, 1.0, n_age),
                               p3=rng.uniform(-1.0, 1.0, n_age), Q=0.5)
     for k in (0, 4, 8):
-        h1 = [ee.h1_part(t.X[k], float(t.K[k]), costate, *policy.at(k),
-                         s.space, s.epi, s.econ, s.obj)
+        h1 = [ee.h1_part(t.X[k], float(t.K[k]), costate, *policy.at(k), s)
               for s, t in ((scen_f, tf), (scen_d, td))]
         assert h1[0] == pytest.approx(h1[1], rel=1e-12, abs=0.0)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,15 +55,14 @@ def make_costate(scen, seed=0, scale=1.0, Q=0.5):
 def test_h0_zero_costate():
     scen = verification_scenario()
     zero = ee.CostateField(*(np.zeros(16) for _ in range(3)), Q=0.0)
-    assert ee.h0_part(scen.initial.as_triple(), 10.0, zero, scen.space, scen.epi,
-                      scen.econ) == 0.0
+    assert ee.h0_part(scen.initial.as_triple(), 10.0, zero, scen) == 0.0
 
 
 def test_h0_pure_capital_term():
     scen = verification_scenario(delta=0.05)
     zero_state = np.zeros((3, 16))
     costate = ee.CostateField(*(np.zeros(16) for _ in range(3)), Q=2.0)
-    got = ee.h0_part(zero_state, 1.0, costate, scen.space, scen.epi, scen.econ)
+    got = ee.h0_part(zero_state, 1.0, costate, scen)
     assert got == pytest.approx(-0.1, rel=1e-12)
 
 
@@ -89,7 +90,7 @@ def test_h0_matches_displayed_terms():
     term5 = -da * (mu_i * i * p2).sum()
     oracle = term1 + term2 + term3 - scen.econ.delta * K * costate.Q + term5
 
-    got = ee.h0_part(state, K, costate, space, scen.epi, scen.econ)
+    got = ee.h0_part(state, K, costate, scen)
     assert got == pytest.approx(oracle, rel=1e-12)
 
 
@@ -110,9 +111,8 @@ def test_hamiltonian_decomposition():
         c_t = rng.uniform(0.0, 1.0, 16)
         th_t = rng.uniform(0.0, 1.0, 16)
         et_t = rng.uniform(0.0, 1.0, 16)
-        total = (ee.h0_part(x, K, costate, space, scen.epi, scen.econ)
-                 + ee.h1_part(x, K, costate, c_t, th_t, et_t, space, scen.epi,
-                              scen.econ, scen.obj))
+        total = (ee.h0_part(x, K, costate, scen)
+                 + ee.h1_part(x, K, costate, c_t, th_t, et_t, scen))
 
         astar = space.apply_A_star(costate.triple())
         lam = th_t * da * (m @ (th_t * et_t * i)) / N
@@ -140,12 +140,10 @@ def test_maximize_h1_argmax_dominates_baseline():
     c_t = np.full(16, 0.2)
     th_t = np.full(16, 0.5)
     et_t = np.full(16, 0.5)
-    args = (scen.space, scen.epi, scen.econ, scen.obj)
-    res = ee.maximize_h1(x, 40.0, costate, *args, scen.search,
-                         baseline=(c_t, th_t, et_t))
-    best = ee.h1_part(x, 40.0, costate, res.c, res.theta, res.eta, *args)
+    res = ee.maximize_h1(x, 40.0, costate, scen, baseline=(c_t, th_t, et_t))
+    best = ee.h1_part(x, 40.0, costate, res.c, res.theta, res.eta, scen)
     assert best == res.value
-    assert best >= ee.h1_part(x, 40.0, costate, c_t, th_t, et_t, *args) - 1e-10
+    assert best >= ee.h1_part(x, 40.0, costate, c_t, th_t, et_t, scen) - 1e-10
 
 
 def test_h1_zero_case():
@@ -156,7 +154,7 @@ def test_h1_zero_case():
                                       utility=ee.ShiftedCRRAUtility(u0=0.0, eps_c=0.0),
                                       which="J4")  # terminal target: zero running reward
     got = ee.h1_part(scen.initial.as_triple(), 10.0, zero, np.zeros(16), np.ones(16),
-                     np.ones(16), scen.space, scen.epi, scen.econ, null_utility)
+                     np.ones(16), dataclasses.replace(scen, obj=null_utility))
     assert got == 0.0
 
 
@@ -169,14 +167,13 @@ def test_h1_decreasing_in_eta_argmax_zero():
     vals = []
     for level in np.linspace(0.0, 1.0, 11):
         vals.append(ee.h1_part(scen.initial.as_triple(), 10.0, costate, c_t, th_t,
-                               np.full(16, level), scen.space, scen.epi,
-                               scen.econ, scen.obj))
+                               np.full(16, level), scen))
     assert np.all(np.diff(vals) < 0.0)
     search = ee.ControlSearchGrid(theta_levels=(1.0,),
                                   eta_levels=tuple(np.linspace(0.0, 1.0, 11)),
                                   n_age_blocks=1, c_max=5.0)
-    res = ee.maximize_h1(scen.initial.as_triple(), 10.0, costate, scen.space, scen.epi,
-                         scen.econ, scen.obj, search)
+    res = ee.maximize_h1(scen.initial.as_triple(), 10.0, costate,
+                         dataclasses.replace(scen, search=search))
     assert np.all(res.eta == 0.0)
 
 
@@ -189,10 +186,9 @@ def test_consumption_foc_against_golden_section():
     theta = np.full(16, 0.7)
     for Q in (0.05, 0.5, 3.0):
         costate = ee.CostateField(*(np.zeros(16) for _ in range(3)), Q=Q)
-        res = ee.maximize_h1(state, 10.0, costate, scen.space, scen.epi, scen.econ,
-                             obj, ee.ControlSearchGrid(theta_levels=(0.7,),
-                                                       eta_levels=(1.0,),
-                                                       n_age_blocks=1, c_max=5.0))
+        search = ee.ControlSearchGrid(theta_levels=(0.7,), eta_levels=(1.0,),
+                                      n_age_blocks=1, c_max=5.0)
+        res = ee.maximize_h1(state, 10.0, costate, dataclasses.replace(scen, search=search))
         for j in range(16):
             def neg_cell_value(c):
                 return -(-c * n[j] * Q + n[j] ** obj.nu * obj.utility(c, 0.7))
@@ -206,8 +202,7 @@ def test_maximize_no_epidemic_opens_up():
     # i = 0: force and congestion vanish; Q > 0 and utility increasing in theta
     scen = verification_scenario(i0=0.0)
     costate = ee.CostateField(*(np.zeros(16) for _ in range(3)), Q=0.5)
-    res = ee.maximize_h1(scen.initial.as_triple(), 50.0, costate, scen.space, scen.epi,
-                         scen.econ, scen.obj, scen.search)
+    res = ee.maximize_h1(scen.initial.as_triple(), 50.0, costate, scen)
     assert np.all(res.theta == 1.0)
 
 
@@ -218,8 +213,8 @@ def test_maximize_positive_infection_value_opens_up():
                               p3=np.zeros(16), Q=0.0)
     null_obj = ee.ObjectiveParams(rho=0.08, nu=1.0,
                                   utility=ee.ShiftedCRRAUtility(), which="J4")
-    res = ee.maximize_h1(scen.initial.as_triple(), 50.0, costate, scen.space, scen.epi,
-                         scen.econ, null_obj, scen.search)
+    res = ee.maximize_h1(scen.initial.as_triple(), 50.0, costate,
+                         dataclasses.replace(scen, obj=null_obj))
     assert np.all(res.theta == 1.0)
     assert np.all(res.eta == 1.0)
 
@@ -232,8 +227,7 @@ def test_maximize_single_block_matches_exhaustive():
     levels = (0.0, 0.5, 1.0)
     search = ee.ControlSearchGrid(theta_levels=levels, eta_levels=levels,
                                   n_age_blocks=1, c_max=5.0)
-    res = ee.maximize_h1(state, K, costate, scen.space, scen.epi, scen.econ,
-                         scen.obj, search)
+    res = ee.maximize_h1(state, K, costate, dataclasses.replace(scen, search=search))
 
     best_val, best_pair = -np.inf, None
     n = sum(scen.initial.as_triple())
@@ -242,8 +236,7 @@ def test_maximize_single_block_matches_exhaustive():
             th_t = np.full(16, th)
             et_t = np.full(16, et)
             c_t = scen.obj.utility.optimal_c(n, costate.Q, th_t, scen.obj.nu, 5.0)
-            val = ee.h1_part(state, K, costate, c_t, th_t, et_t, scen.space,
-                             scen.epi, scen.econ, scen.obj)
+            val = ee.h1_part(state, K, costate, c_t, th_t, et_t, scen)
             if val > best_val:
                 best_val, best_pair = val, (th, et)
     assert res.value == pytest.approx(best_val, rel=1e-12)
@@ -270,9 +263,8 @@ def test_maximize_h1_value_is_h1_at_argmax(seed, n_age, table, composite, blocks
                               Q=float(rng.uniform(-1.0, 1.0)))
     baseline = (rng.uniform(0.0, 1.0, n_age), rng.uniform(0.0, 1.0, n_age),
                 rng.uniform(0.0, 1.0, n_age))
-    args = (scen.space, scen.epi, scen.econ, scen.obj)
-    res = ee.maximize_h1(x, K, costate, *args, scen.search, baseline=baseline)
-    assert res.value == ee.h1_part(x, K, costate, res.c, res.theta, res.eta, *args)
+    res = ee.maximize_h1(x, K, costate, scen, baseline=baseline)
+    assert res.value == ee.h1_part(x, K, costate, res.c, res.theta, res.eta, scen)
 
 
 def test_maximize_rejects_nondividing_blocks():
@@ -281,15 +273,14 @@ def test_maximize_rejects_nondividing_blocks():
     bad = ee.ControlSearchGrid(theta_levels=(0.0, 1.0), eta_levels=(0.0, 1.0),
                                n_age_blocks=3, c_max=5.0)
     with pytest.raises(ee.ConfigurationError):
-        ee.maximize_h1(scen.initial.as_triple(), 10.0, costate, scen.space, scen.epi,
-                       scen.econ, scen.obj, bad)
+        ee.maximize_h1(scen.initial.as_triple(), 10.0, costate,
+                       dataclasses.replace(scen, search=bad))
 
 
 def test_maximize_dominates_search_set():
     scen = verification_scenario(i0=0.05)
     costate = make_costate(scen, seed=13, scale=0.2, Q=0.8)
-    res = ee.maximize_h1(scen.initial.as_triple(), 40.0, costate, scen.space, scen.epi,
-                         scen.econ, scen.obj, scen.search)
+    res = ee.maximize_h1(scen.initial.as_triple(), 40.0, costate, scen)
     rng = np.random.default_rng(14)
     bs = 16 // scen.search.n_age_blocks
     for _ in range(30):
@@ -297,9 +288,32 @@ def test_maximize_dominates_search_set():
         et = np.repeat(rng.choice(scen.search.eta_levels, scen.search.n_age_blocks), bs)
         c = scen.obj.utility.optimal_c(sum(scen.initial.as_triple()), costate.Q, th,
                                        scen.obj.nu, scen.search.c_max)
-        val = ee.h1_part(scen.initial.as_triple(), 40.0, costate, c, th, et, scen.space,
-                         scen.epi, scen.econ, scen.obj)
+        val = ee.h1_part(scen.initial.as_triple(), 40.0, costate, c, th, et, scen)
         assert res.value >= val - 1e-10
+
+
+def test_h1_shares_the_simulation_extinction_floor():
+    # the floor is n_floor_rel x N0 in simulate and in H1 alike; at
+    # n_floor_rel = 1 the initial state sits exactly on it
+    scen = verification_scenario(n_floor_rel=1.0)
+    x = scen.initial.as_triple()
+    costate = make_costate(scen, seed=2)
+    with pytest.raises(ee.ExtinctPopulation):
+        scen.simulate()
+    with pytest.raises(ee.ExtinctPopulation):
+        ee.h1_part(x, 10.0, costate, *scen.policy.at(0), scen)
+    with pytest.raises(ee.ExtinctPopulation):
+        ee.maximize_h1(x, 10.0, costate, scen)
+
+    # default floor 1e-9 x N0: a state with 1e-10 of the initial population is below it
+    scen = verification_scenario()
+    tiny = 1e-10 * np.stack(x)
+    with pytest.raises(ee.ExtinctPopulation):
+        ee.h1_part(tiny, 10.0, costate, *scen.policy.at(0), scen)
+    with pytest.raises(ee.ExtinctPopulation):
+        ee.maximize_h1(tiny, 10.0, costate, scen)
+    assert np.isfinite(ee.h1_part(1e-8 * np.stack(x), 10.0, costate, *scen.policy.at(0),
+                                  scen))
 
 
 # ----------------------------------------------------------------------
@@ -309,10 +323,8 @@ def test_maximize_dominates_search_set():
 def test_gap_profile_nonnegative_and_zero_at_argmax():
     scen = verification_scenario(n_age=16, horizon=3.0)
     v = ee.LinearValue(scen.space, interior_triple(scen.age_grid), q=0.4)
-    policy, traj = ee.greedy_policy(scen.initial, scen.K0, v, scen.space, scen.epi,
-                                    scen.econ, scen.obj, scen.time_grid, scen.search)
-    gaps = ee.hamiltonian_gap_profile(v, policy, traj, scen.space, scen.epi,
-                                      scen.econ, scen.obj, scen.search)
+    policy, traj = ee.greedy_policy(v, scen)
+    gaps = ee.hamiltonian_gap_profile(v, policy, traj, scen)
     assert np.all(gaps >= -1e-10)
     assert np.max(np.abs(gaps)) <= 1e-10
     assert ee.integrated_gap(gaps, traj, scen.obj) <= 1e-10
@@ -322,8 +334,7 @@ def test_gap_profile_positive_for_random_policy():
     scen = verification_scenario(n_age=16, horizon=3.0)
     v = ee.LinearValue(scen.space, interior_triple(scen.age_grid), q=0.4)
     traj = scen.simulate()
-    gaps = ee.hamiltonian_gap_profile(v, scen.policy, traj, scen.space, scen.epi,
-                                      scen.econ, scen.obj, scen.search)
+    gaps = ee.hamiltonian_gap_profile(v, scen.policy, traj, scen)
     assert np.all(gaps >= -1e-10)
     assert ee.integrated_gap(gaps, traj, scen.obj) > 0.0
 
@@ -359,8 +370,7 @@ def residual_for(n_age, v_kind, policy_seed):
         v = ee.LinearValue(scen.space, w, q=0.5)
     else:
         v = ee.QuadraticValue(scen.space, w, q=0.002)
-    return ee.chain_rule_residual(v, policy, traj, scen.space, scen.epi,
-                                  scen.econ, scen.obj)
+    return ee.chain_rule_residual(v, policy, traj, scen)
 
 
 @pytest.mark.parametrize("v_kind", ["linear", "quadratic"])
@@ -377,8 +387,7 @@ def test_chain_rule_residual_trivial_zero():
     scen = verification_scenario(n_age=16, horizon=2.0)
     v = ee.LinearValue(scen.space, tuple(np.zeros(16) for _ in range(3)), q=0.0)
     traj = scen.simulate()
-    assert ee.chain_rule_residual(v, scen.policy, traj, scen.space, scen.epi,
-                                  scen.econ, scen.obj) == 0.0
+    assert ee.chain_rule_residual(v, scen.policy, traj, scen) == 0.0
 
 
 def degenerate_scalar_setup():
@@ -459,11 +468,8 @@ def scalar_harness(scen, w, q, c_pol):
 def test_degenerate_scalar_harness_match():
     scen, v, w, q, c_pol = degenerate_scalar_setup()
     traj = scen.simulate()
-    chain_pkg = ee.chain_rule_residual(v, scen.policy, traj, scen.space, scen.epi,
-                                       scen.econ, scen.obj)
-    fund_pkg = ee.fundamental_identity_residual(v, scen.policy, traj, scen.space,
-                                                scen.epi, scen.econ, scen.obj,
-                                                scen.search)
+    chain_pkg = ee.chain_rule_residual(v, scen.policy, traj, scen)
+    fund_pkg = ee.fundamental_identity_residual(v, scen.policy, traj, scen)
     chain_ref, fund_ref = scalar_harness(scen, w, q, c_pol)
     scale = max(1.0, abs(chain_ref), abs(fund_ref))
     assert abs(chain_pkg - chain_ref) / scale < 1e-6
@@ -481,9 +487,7 @@ def test_fundamental_identity_all_zero_problem():
     )
     v = ee.LinearValue(scen.space, tuple(np.zeros(16) for _ in range(3)), q=0.0)
     traj = scen.simulate()
-    res = ee.fundamental_identity_residual(v, scen.policy, traj, scen.space,
-                                           scen.epi, scen.econ, scen.obj,
-                                           scen.search)
+    res = ee.fundamental_identity_residual(v, scen.policy, traj, scen)
     assert res == pytest.approx(0.0, abs=1e-12)
 
 
@@ -557,7 +561,7 @@ def test_builtin_value_function_gradients():
     w = interior_triple(scen.age_grid)
     for v in (ee.LinearValue(scen.space, w, q=0.7),
               ee.QuadraticValue(scen.space, w, q=0.01)):
-        worst = ee.validate_gradient(v, probes, scen.space, rel_tol=1e-6)
+        worst = ee.validate_gradient(v, probes, rel_tol=1e-6)
         assert worst <= 1e-6
 
 
@@ -571,4 +575,4 @@ def test_validate_gradient_catches_wrong_gradient():
     v = Broken(scen.space, interior_triple(scen.age_grid), q=0.5)
     probes = [(scen.initial.as_triple(), 10.0)]
     with pytest.raises(ee.ConfigurationError):
-        ee.validate_gradient(v, probes, scen.space)
+        ee.validate_gradient(v, probes)

@@ -184,7 +184,7 @@ def test_optimize_recovers_analytic_foc():
                              fd_eps_c=1e-6, seed=0)
     report = ee.optimize(scen, cfg)
     c_star = foc_toy_optimum(scen, weight)
-    assert 0.0 < c_star < scen.c_max  # interior optimum
+    assert 0.0 < c_star < scen.search.c_max  # interior optimum
     assert report.blocks.c[0, 0] == pytest.approx(c_star, rel=1e-3)
     # monotone ascent trace
     trace = np.asarray(report.objective_trace)

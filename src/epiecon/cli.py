@@ -295,6 +295,7 @@ def cmd_check(cfg, out_dir=None) -> int:
         coarse_cfg = copy.deepcopy(cfg)
         coarse_cfg["grid"]["n_age"] = n_age // 2
         coarse_cfg["grid"]["n_steps"] = n_steps // 2
+        coarse_cfg["search"]["n_age_blocks"] = 1  # the companion runs no control search
         _coarsen_tables(coarse_cfg)
         coarse = cfgmod.build_scenario(coarse_cfg)
         v_c = cfgmod.build_value_function(coarse_cfg, coarse)
@@ -366,20 +367,23 @@ def _extend_policy(policy: epi.PolicyField, tg: TimeGrid) -> epi.PolicyField:
 
 
 def _set_by_path(cfg: dict, path: str, value) -> None:
+    """Set ``path`` in ``cfg``; each dict on the path is replaced by a shallow copy first."""
     keys = path.split(".")
     node = cfg
     for key in keys[:-1]:
         if not isinstance(node, dict) or key not in node:
             raise ConfigurationError(f"sweep path {path!r} not found in config")
+        if isinstance(node[key], dict):
+            node[key] = dict(node[key])
         node = node[key]
     if not isinstance(node, dict) or keys[-1] not in node:
         raise ConfigurationError(f"sweep path {path!r} not found in config")
     node[keys[-1]] = value
 
 
-def _sweep_point(args):
-    cfg, overrides = args
-    point = copy.deepcopy(cfg)
+def _sweep_point(cfg, overrides):
+    # the point shares every node of cfg off its override paths: the builders only read
+    point = dict(cfg)
     for path, value in overrides:
         _set_by_path(point, path, value)
     # a swept number may land where the schema wants another type or range
@@ -395,24 +399,44 @@ def _sweep_point(args):
                 "error": str(err)}
 
 
+_worker_cfg = None  # a pool worker's copy of the sweep config, set once by _init_worker
+
+
+def _init_worker(cfg) -> None:
+    global _worker_cfg
+    _worker_cfg = cfg
+
+
+def _worker_point(overrides):
+    return _sweep_point(_worker_cfg, overrides)
+
+
+def _worker_count(jobs: int, n_points: int) -> int:
+    """Processes for ``--jobs jobs`` over ``n_points``: no more than the points or the cores."""
+    if jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
+    return min(jobs, n_points, os.cpu_count() or 1)
+
+
 def cmd_sweep(cfg, out_dir=None, jobs=1) -> int:
     if "sweep" not in cfg:
         raise ConfigurationError("config field sweep: required for the sweep command")
-    out = _out_dir(cfg, out_dir)
-    _echo_config(cfg, out)
     axes = cfg["sweep"]["axes"]
     values0 = axes[0]["values"]
     values1 = axes[1]["values"] if len(axes) > 1 else [None]
-
     points = [(v0, v1) for v0 in values0 for v1 in values1]
     paths = [axis["path"] for axis in axes]
-    tasks = [(cfg, list(zip(paths, point))) for point in points]
+    tasks = [list(zip(paths, point)) for point in points]
+    workers = _worker_count(jobs, len(tasks))
+    out = _out_dir(cfg, out_dir)
+    _echo_config(cfg, out)
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, tasks))
+    if workers > 1:  # each worker gets the config once; a task carries its overrides
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(cfg,)) as pool:
+            results = list(pool.map(_worker_point, tasks))
     else:
-        results = [_sweep_point(t) for t in tasks]
+        results = [_sweep_point(cfg, t) for t in tasks]
 
     grid_vals = np.array([[r["value"] if r["value"] is not None else np.nan
                            for r in results[i * len(values1):(i + 1) * len(values1)]]

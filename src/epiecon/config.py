@@ -571,6 +571,9 @@ def build_scenario(cfg: dict) -> Scenario:
         theta_levels=tuple(sr["theta_levels"]), eta_levels=tuple(sr["eta_levels"]),
         n_age_blocks=sr["n_age_blocks"], c_max=sr["c_max"],
         max_sweeps=sr["max_sweeps"])
+    if age_grid.n_age % search.n_age_blocks:  # fail before any simulation, not in the search
+        raise ConfigurationError(f"search.n_age_blocks: {search.n_age_blocks} age blocks "
+                                 f"do not divide n_age = {age_grid.n_age}")
 
     space = epi.hilbert_space_for(params, floor=ep["weight_floor"])
     policy = _build_policy(cfg, age_grid, time_grid)

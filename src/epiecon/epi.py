@@ -71,11 +71,11 @@ class EpiParams:
             object.__setattr__(self, name, _nonnegative(getattr(self, name), (n,), name))
         if np.any(self.xi > 1.0):
             raise ConfigurationError("critical-care prevalence xi must lie in [0, 1]")
-        rank_one = isinstance(self.m, RankOneKernel)
-        m = self.m if rank_one else np.asarray(self.m, dtype=np.float64)
-        if m.shape != (n, n) or not (rank_one or np.all(np.isfinite(m))):
-            raise ConfigurationError("contact kernel must be a finite (n_age, n_age) table")
-        object.__setattr__(self, "m", m)
+        if isinstance(self.m, RankOneKernel):
+            if self.m.shape != (n, n):
+                raise ConfigurationError("contact kernel must be a finite (n_age, n_age) table")
+        else:
+            object.__setattr__(self, "m", _as_readonly(self.m, (n, n), "contact kernel table"))
 
 
 @dataclass(frozen=True, eq=False)

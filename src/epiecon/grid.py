@@ -16,8 +16,13 @@ from .errors import ConfigurationError
 
 
 def _as_readonly(values, shape, what):
-    """A frozen float64 copy of ``values``, checked for ``shape`` and finiteness."""
-    arr = np.array(values, dtype=np.float64)
+    """A frozen float64 array of ``values``, checked for ``shape`` and finiteness.
+
+    A frozen array that owns its data is checked in place, anything else copied.
+    """
+    frozen = (isinstance(values, np.ndarray) and values.flags.owndata
+              and not values.flags.writeable)
+    arr = np.asarray(values, dtype=np.float64) if frozen else np.array(values, dtype=np.float64)
     if arr.shape != shape:
         raise ConfigurationError(f"{what}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -128,8 +133,10 @@ def separable_kernel(grid: AgeGrid, m0: float, shape_values: np.ndarray) -> Rank
 
 
 def table_kernel(grid: AgeGrid, values) -> np.ndarray:
-    n = grid.n_age
-    return np.array(_as_readonly(values, (n, n), "contact kernel table"))
+    """Dense kernel table as a frozen array; ``EpiParams`` checks its shape and values."""
+    table = np.array(values, dtype=np.float64)
+    table.flags.writeable = False
+    return table
 
 
 def expand_blocks(block_values: np.ndarray, time_grid: TimeGrid, age_grid: AgeGrid) -> np.ndarray:

@@ -1,3 +1,4 @@
+import copy
 import json
 import tempfile
 import warnings
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiecon import cli, config as cfgmod
+from epiecon import cli, config as cfgmod, epi
 from epiecon.errors import ConfigurationError
 from epiecon.hamiltonian import validate_gradient
 
@@ -197,11 +198,7 @@ def test_check_writes_diagnostics(tmp_path):
 
 def test_check_table_kernel_coarse_companion(tmp_path):
     # the coarse companion grid restricts per-cell tables by block means
-    cfg = small_config()
-    cfg["epidemic"]["contact"] = {
-        "type": "table",
-        "values": [[1.8 * (1.0 + 0.2 * ((j + 2 * k) % 3)) for k in range(16)]
-                   for j in range(16)]}
+    cfg = _table_config()
     cfg["epidemic"]["initial"]["s"] = {"type": "table",
                                        "values": [1.0 + 0.05 * j for j in range(16)]}
     cfg["verification"] = {"adjoint_pairs": 2, "horizon_multipliers": [1.0, 2.0]}
@@ -233,6 +230,67 @@ def test_check_skips_coarse_companion_for_fine_policy_blocks(tmp_path, blocks):
     chain = json.loads((out / "check.json").read_text())["chain_rule_identity"]
     assert "coarse_residual" not in chain and "order" not in chain
     assert np.isfinite(chain["residual"])
+
+
+def test_optimize_rejects_search_blocks_before_simulating(tmp_path, capsys, monkeypatch):
+    cfg = small_config()
+    cfg["search"] = {"n_age_blocks": 3}
+    cfg["optimizer"] = {"max_iters": 5}
+    calls = []
+    monkeypatch.setattr(epi, "simulate", lambda *args: calls.append(args))
+    assert cli.main(["optimize", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert calls == []
+    assert "3 age blocks do not divide n_age = 16" in capsys.readouterr().err
+
+
+def test_check_coarse_companion_ignores_search_blocks(tmp_path):
+    # 16 search blocks divide n_age = 16 but not the companion's 8, which runs no search
+    cfg = small_config()
+    cfg["search"] = {"n_age_blocks": 16, "max_sweeps": 2}
+    cfg["verification"] = {"adjoint_pairs": 2, "horizon_multipliers": [1.0]}
+    out = tmp_path / "out"
+    assert cli.main(["check", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+    chain = json.loads((out / "check.json").read_text())["chain_rule_identity"]
+    assert np.isfinite(chain["residual"]) and np.isfinite(chain["coarse_residual"])
+
+
+def _table_config():
+    cfg = small_config()
+    cfg["epidemic"]["contact"] = {
+        "type": "table",
+        "values": [[1.8 * (1.0 + 0.2 * ((j + 2 * k) % 3)) for k in range(16)]
+                   for j in range(16)]}
+    return cfg
+
+
+def _assert_builders_read_only(cfg):
+    """build_scenario, build_value_function and validate_config leave cfg as it was."""
+    before = copy.deepcopy(cfg)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfgmod.validate_config(cfg)
+            cfgmod.build_value_function(cfg, cfgmod.build_scenario(cfg))
+    except ConfigurationError:
+        pass  # a rejected config must not have been written either
+    finally:
+        assert cfg == before
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cfgmod.load_config(Path(__file__).parents[1] / "configs" / "demo_covid.json"),
+    lambda: cfgmod.resolve_config(_table_config()),
+], ids=["demo_covid", "table_kernel"])
+def test_builders_leave_config_unchanged(make):
+    _assert_builders_read_only(make())
+
+
+def test_table_kernel_is_read_only():
+    scenario = cfgmod.build_scenario(cfgmod.resolve_config(_table_config()))
+    with pytest.raises(ValueError, match="read-only"):
+        scenario.epi.m[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("mu_s", [2.0, 5.0])
@@ -293,6 +351,54 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert cli.main(["sweep", "--config", str(path), "--out", str(parallel),
                      "--jobs", "2"]) == 0
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+
+
+def test_sweep_worker_count_is_bounded(monkeypatch):
+    # the arithmetic only: no pool is started here
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._worker_count(10**9, 16) == 16
+    assert cli._worker_count(10**9, 1000) == 64
+    assert cli._worker_count(3, 16) == 3
+    assert cli._worker_count(1, 16) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(10**9, 16) == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    cfg = small_config()
+    cfg["sweep"] = {"axes": [{"path": "policy.c_level", "values": [0.1, 0.2]}]}
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out), "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_shares_config_read_only(tmp_path, monkeypatch):
+    # two axes under one section: each point sees both of its own values, and
+    # the base config the points share is left as it was
+    cfg = small_config()
+    cfg["policy"] = {"preset": "blocks", "c_level": 0.1,
+                     "theta_level": 1.0, "eta_level": 1.0}
+    cfg["sweep"] = {"axes": [
+        {"path": "policy.theta_level", "values": [0.25, 0.5, 1.0]},
+        {"path": "policy.eta_level", "values": [0.0, 0.75]},
+    ]}
+    cfg = cfgmod.resolve_config(cfg)
+    before = copy.deepcopy(cfg)
+    seen = []
+    build = cfgmod.build_scenario
+
+    def recording_build(point):
+        seen.append((point["policy"]["theta_level"], point["policy"]["eta_level"]))
+        assert point["epidemic"] is cfg["epidemic"]  # off the override paths: shared
+        return build(point)
+
+    monkeypatch.setattr(cfgmod, "build_scenario", recording_build)
+    assert cli.cmd_sweep(cfg, tmp_path / "out") == 0
+    assert seen == [(th, et) for th in (0.25, 0.5, 1.0) for et in (0.0, 0.75)]
+    assert cfg == before
 
 
 def test_sweep_requires_sweep_block(tmp_path, capsys):
@@ -525,3 +631,16 @@ def test_resolved_config_is_schema_valid(case):
         assert str(again.value) == str(err)
         return
     cfgmod.validate_config(cfgmod.resolve_config(cfg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cli_cases())
+def test_builders_leave_cli_cases_unchanged(case):
+    # sweep points share every node off their override paths, so no builder may write
+    _, cfg = case
+    if cfgmod._nonfinite_path(cfg) is None:  # NaN != NaN; load_config rejects those
+        try:
+            cfg = cfgmod.resolve_config(cfg)
+        except ConfigurationError:
+            return
+        _assert_builders_read_only(cfg)

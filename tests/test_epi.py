@@ -404,6 +404,23 @@ def test_rank_one_kernel_matches_dense_table(seed, m0, n_age):
         assert h1[0] == pytest.approx(h1[1], rel=1e-12, abs=0.0)
 
 
+def test_dense_kernel_is_read_only():
+    # EpiParams keeps one frozen copy of a dense table: the caller's array stays writable
+    g = np.linspace(0.5, 1.5, 16)
+    dense = 2.0 * np.outer(g, g)
+    scen = core_scenario(dense)
+    with pytest.raises(ValueError, match="read-only"):
+        scen.epi.m[0, 0] = 0.0
+    dense[0, 0] = -1.0
+    assert scen.epi.m[0, 0] == 2.0 * g[0] ** 2
+
+    table = ee.table_kernel(scen.age_grid, dense.tolist())
+    params = dataclasses.replace(scen.epi, m=table)
+    assert params.m is table and not table.flags.writeable
+    with pytest.raises(ee.ConfigurationError, match="contact kernel table: values must be finite"):
+        dataclasses.replace(scen.epi, m=np.full((16, 16), np.nan))
+
+
 @pytest.mark.parametrize("rank_one", [True, False])
 def test_repeated_step_reproduces_simulate_bitwise(rank_one):
     g = np.linspace(0.5, 1.5, 16)

@@ -22,7 +22,7 @@ from .grid import (
     separable_kernel,
     table_kernel,
 )
-from .hilbert import CostateField, HilbertSpace, SurvivalWeights
+from .hilbert import CostateField, HilbertSpace
 from .economy import (
     AffineLockdown,
     CESProduction,

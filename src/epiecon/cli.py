@@ -68,10 +68,6 @@ def _out_dir(cfg, override) -> Path:
     return out
 
 
-def _echo_config(cfg, out: Path) -> None:
-    cfgmod.dump_config(cfg, out / "resolved_config.json")
-
-
 def _print_table(rows) -> None:
     width = max(len(str(k)) for k, _ in rows)
     for key, value in rows:
@@ -88,7 +84,7 @@ def cmd_simulate(cfg, out_dir=None) -> int:
     log.info("simulating %d steps on %d age cells",
              scenario.time_grid.n_steps, scenario.age_grid.n_age)
     traj = scenario.simulate()
-    _echo_config(cfg, out)
+    cfgmod.dump_config(cfg, out / "resolved_config.json")
 
     totals = scenario.age_grid.da * traj.X.sum(axis=2)  # S, I, R per node
     _write_csv(out / "trajectory.csv",
@@ -133,7 +129,7 @@ def cmd_evaluate(cfg, out_dir=None) -> int:
     scenario = cfgmod.build_scenario(cfg)
     traj = scenario.simulate()
     report = scenario.evaluate(traj=traj)
-    _echo_config(cfg, out)
+    cfgmod.dump_config(cfg, out / "resolved_config.json")
     payload = _evaluation_payload(scenario, traj, report)
     _write_json(out / "evaluation.json", payload)
     _print_table([
@@ -154,7 +150,7 @@ def cmd_optimize(cfg, out_dir=None) -> int:
     log.info("optimizing %dx%d control blocks, budget %d iterations",
              opt_cfg.n_time_blocks, opt_cfg.n_age_blocks, opt_cfg.max_iters)
     report = optimizer.optimize(scenario, opt_cfg, value_function=value_function)
-    _echo_config(cfg, out)
+    cfgmod.dump_config(cfg, out / "resolved_config.json")
 
     _write_json(out / "optim_report.json", {
         "objective_trace": list(map(float, report.objective_trace)),
@@ -194,58 +190,6 @@ def cmd_optimize(cfg, out_dir=None) -> int:
     return 0
 
 
-def _mckendrick_battery() -> dict:
-    """Built-in transport convergence table against the aging closed form."""
-    from .economy import EconParams, LinearCongestion, LinearProduction, PowerLockdown
-    from .grid import AgeGrid, constant_kernel
-
-    a_max, horizon = 8.0, 2.0
-    mu0, mu1 = 0.08, 0.02
-
-    def run(n_age, age_dependent):
-        grid = AgeGrid(a_max=a_max, n_age=n_age)
-        tg = TimeGrid.aligned(grid, n_steps=int(round(horizon * n_age / a_max)))
-        a = grid.nodes
-        mu = np.full(n_age, mu0) + (mu1 * a if age_dependent else 0.0)
-        s0 = np.exp(-(((a - 2.5) / 1.2) ** 2))
-        zero = np.zeros(n_age)
-        params = epi.EpiParams(
-            grid=grid, mu_S=mu, mu_R=zero, mu_I_base=zero, gamma=zero, beta=zero,
-            xi=zero, m=constant_kernel(grid, 0.0),
-            saturation=epi.SaturationSpec(xi_cap=1.0, psi=0.0, smooth=1.0))
-        econ = EconParams(alpha=zero, e=zero, delta=0.05,
-                          F=LinearProduction(a_k=0.0, a_l=0.0),
-                          phi=PowerLockdown(q=1.0), D=LinearCongestion(d1=0.0))
-        initial = epi.EpiState(grid, s0, zero, zero)
-        policy = epi.laissez_faire_policy(grid, tg)
-        traj = epi.simulate(initial, 0.0, policy, params, econ, tg)
-        T = tg.t_end
-        born = a - T
-        if age_dependent:
-            cum = mu0 * T + 0.5 * mu1 * (a**2 - born**2)
-        else:
-            cum = mu0 * T
-        exact = np.where(born >= 0,
-                         np.exp(-(((born - 2.5) / 1.2) ** 2)) * np.exp(-cum), 0.0)
-        err = np.max(np.abs(traj.X[-1, 0] - exact))
-        return err / np.max(np.abs(exact)), tg.dt
-
-    table = {}
-    for label, age_dep in (("constant_mu", False), ("age_dependent_mu", True)):
-        errors, dts = [], []
-        for n_age in (32, 64, 128):
-            err, dt = run(n_age, age_dep)
-            errors.append(err)
-            dts.append(dt)
-        if max(errors) <= 1e-12:
-            order = None  # exact transport, order not measurable
-        else:
-            order = float(np.polyfit(np.log(dts), np.log(np.maximum(errors, 1e-300)),
-                                     1)[0])
-        table[label] = {"dts": dts, "max_rel_errors": errors, "order": order}
-    return table
-
-
 def _smooth_pair(space, rng):
     a = space.grid.nodes / space.grid.a_max
     env = np.zeros_like(a)
@@ -265,7 +209,7 @@ def cmd_check(cfg, out_dir=None) -> int:
     scenario = cfgmod.build_scenario(cfg)
     ver = cfg["verification"]
     rng = np.random.default_rng(ver["seed"])
-    _echo_config(cfg, out)
+    cfgmod.dump_config(cfg, out / "resolved_config.json")
 
     # adjoint identity on random smooth compactly supported pairs
     space = scenario.space
@@ -328,8 +272,7 @@ def cmd_check(cfg, out_dir=None) -> int:
                       "exponent": tv.exponent, "decaying": tv.decaying}
 
     payload = {"adjoint_identity": adjoint, "chain_rule_identity": chain,
-               "hamiltonian_gap": gap, "transversality": transversality,
-               "transport_convergence": _mckendrick_battery()}
+               "hamiltonian_gap": gap, "transversality": transversality}
     _write_json(out / "check.json", payload)
 
     _print_table([
@@ -429,7 +372,7 @@ def cmd_sweep(cfg, out_dir=None, jobs=1) -> int:
     tasks = [list(zip(paths, point)) for point in points]
     workers = _worker_count(jobs, len(tasks))
     out = _out_dir(cfg, out_dir)
-    _echo_config(cfg, out)
+    cfgmod.dump_config(cfg, out / "resolved_config.json")
 
     if workers > 1:  # each worker gets the config once; a task carries its overrides
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,

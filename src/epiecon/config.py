@@ -9,6 +9,7 @@ are rejected and every error names the offending field path.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 
@@ -20,6 +21,7 @@ from .errors import ConfigurationError
 from .grid import AgeGrid, TimeGrid, constant_kernel, expand_blocks, \
     separable_kernel, table_kernel
 from .hamiltonian import ControlSearchGrid, LinearValue, QuadraticValue
+from .hilbert import DEFAULT_WEIGHT_FLOOR
 from .optimizer import OptimizerConfig
 from .scenario import Scenario
 
@@ -303,7 +305,7 @@ DEFAULTS = {
     "epidemic": {
         "saturation": {"xi_cap": 1.0, "psi": 0.0, "smooth": 1.0},
         "n_floor_rel": 1e-9,
-        "weight_floor": 1e-8,
+        "weight_floor": DEFAULT_WEIGHT_FLOOR,
     },
     "economy": {
         "phi": {"type": "power", "q": 1.0},
@@ -314,8 +316,8 @@ DEFAULTS = {
     "objective": {
         "nu": 1.0,
         "T_num": None,
-        "utility": {"type": "shifted_crra", "u0": 0.1, "sigma": 0.5,
-                    "eps_c": 0.01, "w0": 0.5},
+        "utility": {"type": "shifted_crra",
+                    **dataclasses.asdict(objectives.ShiftedCRRAUtility())},
         "j6_discounted": False,
         "j6_sign": 1.0,
         "composite": None,
@@ -326,11 +328,7 @@ DEFAULTS = {
     "search": {"theta_levels": [0.0, 0.25, 0.5, 0.75, 1.0],
                "eta_levels": [0.0, 0.25, 0.5, 0.75, 1.0],
                "n_age_blocks": 1, "c_max": 10.0, "max_sweeps": 30},
-    "optimizer": {"initial_step": 1.0, "backtrack": 0.5, "max_backtracks": 12,
-                  "max_iters": 50, "grad_mode": "central",
-                  "fd_eps_c": 1e-4, "fd_eps_theta": 1e-4, "fd_eps_eta": 1e-4,
-                  "penalty": 1e6, "n_age_blocks": 1, "n_time_blocks": 1,
-                  "tol": 1e-8, "seed": 0, "jitter": 0.0},
+    "optimizer": dataclasses.asdict(OptimizerConfig()),
     "verification": {
         "value_function": {"type": "linear",
                            "w1": {"type": "constant", "value": 1.0},
@@ -395,7 +393,9 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as err:
+    except OSError as err:
+        raise ConfigurationError(f"cannot read config {path}: {err.strerror}") from err
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigurationError(f"config is not valid JSON: {err}") from err
     where = _nonfinite_path(raw)
     if where is not None:
@@ -455,6 +455,14 @@ def sample_family(spec: dict, grid: AgeGrid) -> np.ndarray:
     return values
 
 
+def _table(values, field: str) -> np.ndarray:
+    """A JSON table as a float array; a ragged or non-numeric one is a config error."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"config field {field}: not a table of numbers ({err})") from err
+
+
 def _build_kernel(spec: dict, grid: AgeGrid):
     """Contact kernel in the form its type allows: rank-one factors or a dense table."""
     if spec["type"] == "constant":
@@ -462,7 +470,7 @@ def _build_kernel(spec: dict, grid: AgeGrid):
     if spec["type"] == "separable":
         return separable_kernel(grid, spec["m0"],
                                 sample_family(spec["shape"], grid))
-    return table_kernel(grid, spec["values"])
+    return table_kernel(grid, _table(spec["values"], "epidemic.contact.values"))
 
 
 def _build_production(spec: dict):
@@ -488,11 +496,9 @@ def _build_congestion(spec: dict):
 
 
 def _build_utility(spec: dict):
-    if spec["type"] == "shifted_crra":
-        kw = {k: spec[k] for k in ("u0", "sigma", "eps_c", "w0") if k in spec}
-        return objectives.ShiftedCRRAUtility(**kw)
-    kw = {k: spec[k] for k in ("b",) if k in spec}
-    return objectives.SeparableUtility(**kw)
+    cls = (objectives.ShiftedCRRAUtility if spec["type"] == "shifted_crra"
+           else objectives.SeparableUtility)
+    return cls(**{k: v for k, v in spec.items() if k != "type"})
 
 
 def _build_policy(cfg: dict, age_grid: AgeGrid, time_grid: TimeGrid) -> epi.PolicyField:
@@ -506,7 +512,7 @@ def _build_policy(cfg: dict, age_grid: AgeGrid, time_grid: TimeGrid) -> epi.Poli
 
     def surface(key, fallback):
         if key in pol:
-            blocks = np.asarray(pol[key], dtype=np.float64)
+            blocks = _table(pol[key], f"policy.{key}")
             if blocks.shape != shape:
                 raise ConfigurationError(
                     f"policy.{key} block shape {blocks.shape} != {shape}")

@@ -21,40 +21,6 @@ DEFAULT_WEIGHT_FLOOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
-class SurvivalWeights:
-    """Sampled survival probabilities pi_S, pi_R with a positivity floor.
-
-    pi(a_j) = max(exp(-int_0^{a_j} mu), floor), the integral accumulated by
-    the midpoint rule.  The floor keeps 1/pi^2 finite where the mortality
-    integral diverges; it perturbs weighted norms only for cohorts that are
-    almost surely dead.
-    """
-
-    grid: AgeGrid
-    pi_S: np.ndarray
-    pi_R: np.ndarray
-    floor: float
-
-    @classmethod
-    def from_mortality(cls, grid: AgeGrid, mu_S: np.ndarray, mu_R: np.ndarray,
-                       floor: float = DEFAULT_WEIGHT_FLOOR) -> "SurvivalWeights":
-        if not floor > 0.0:
-            raise ConfigurationError(f"weight floor must be > 0, got {floor}")
-        return cls(grid, _survival(grid, mu_S, floor), _survival(grid, mu_R, floor), floor)
-
-
-def _survival(grid: AgeGrid, mu: np.ndarray, floor: float) -> np.ndarray:
-    mu = np.asarray(mu, dtype=np.float64)
-    if mu.shape != (grid.n_age,):
-        raise ConfigurationError("mortality field does not match the grid")
-    if np.any(mu < 0.0):
-        raise ConfigurationError("mortality rates must be nonnegative")
-    # cumulative midpoint integral up to node a_j: full cells below j plus half of cell j
-    cum = grid.da * np.cumsum(mu) - 0.5 * grid.da * mu
-    return np.maximum(np.exp(-cum), floor)
-
-
-@dataclass(frozen=True, eq=False)
 class CostateField:
     """Sampled costate (p1, p2, p3, Q) paired against (s, i, r, K)."""
 
@@ -66,23 +32,19 @@ class CostateField:
     def triple(self):
         return (self.p1, self.p2, self.p3)
 
-    def boundary_report(self, weights: SurvivalWeights) -> dict:
-        """Boundary magnitudes that vanish for costates in the adjoint domain."""
-        return {
-            "p1_over_piS_at_amax": float(abs(self.p1[-1]) / weights.pi_S[-1]),
-            "p2_at_amax": float(abs(self.p2[-1])),
-            "p3_over_piR_at_amax": float(abs(self.p3[-1]) / weights.pi_R[-1]),
-            "p1_at_zero": float(abs(self.p1[0])),
-        }
-
 
 class HilbertSpace:
     """Weighted space for (s, i, r) triples plus the transport generator.
 
     Bundles the grid, the demographic coefficients entering the linear
-    dynamics (mu_S, mu_R, gamma, beta) and the survival weights, and
-    provides the weighted inner product, the discrete generator A, its
-    adjoint A*, and the positivity diagnostics.
+    dynamics (mu_S, mu_R, gamma, beta) and the survival weights pi_S, pi_R,
+    and provides the weighted inner product, the discrete generator A and
+    its adjoint A*.
+
+    pi(a_j) = max(exp(-int_0^{a_j} mu), floor), the integral accumulated by
+    the midpoint rule.  The floor keeps 1/pi^2 finite where the mortality
+    integral diverges; it perturbs weighted norms only for cohorts that are
+    almost surely dead.
     """
 
     def __init__(self, grid: AgeGrid, mu_S, mu_R, gamma, beta,
@@ -96,10 +58,13 @@ class HilbertSpace:
                           ("gamma", self.gamma), ("beta", self.beta)):
             if arr.shape != (grid.n_age,):
                 raise ConfigurationError(f"{name} does not match the grid")
-        self.weights = SurvivalWeights.from_mortality(grid, self.mu_S, self.mu_R, floor)
+        if not floor > 0.0:
+            raise ConfigurationError(f"weight floor must be > 0, got {floor}")
+        self.pi_S = _survival(grid.da, self.mu_S, floor)
+        self.pi_R = _survival(grid.da, self.mu_R, floor)
         # reciprocal squared weights used by every weighted product
-        self.w1 = 1.0 / self.weights.pi_S**2
-        self.w3 = 1.0 / self.weights.pi_R**2
+        self.w1 = 1.0 / self.pi_S**2
+        self.w3 = 1.0 / self.pi_R**2
 
     # ------------------------------------------------------------------
     # inner products and norms
@@ -150,23 +115,13 @@ class HilbertSpace:
         out3 = _downwind(p3, da) + self.mu_R * p3
         return (out1, out2, out3)
 
-    # ------------------------------------------------------------------
-    # constraint geometry
-    # ------------------------------------------------------------------
 
-    def cone_distance(self, h) -> float:
-        """Unweighted L2 norm of the negative parts; zero iff h is in the cone."""
-        da = self.grid.da
-        total = 0.0
-        for comp in h:
-            neg = np.minimum(comp, 0.0)
-            total += float((neg * neg).sum())
-        return float(np.sqrt(da * total))
-
-    def halfspace_margin(self, h) -> float:
-        """Weighted pairing <h, 1>_H; nonnegative on the enlarged halfspace."""
-        ones = np.ones(self.grid.n_age)
-        return self.inner(h, (ones, ones, ones))
+def _survival(da: float, mu: np.ndarray, floor: float) -> np.ndarray:
+    if np.any(mu < 0.0):
+        raise ConfigurationError("mortality rates must be nonnegative")
+    # cumulative midpoint integral up to node a_j: full cells below j plus half of cell j
+    cum = da * np.cumsum(mu) - 0.5 * da * mu
+    return np.maximum(np.exp(-cum), floor)
 
 
 def _upwind(values: np.ndarray, inflow: float, da: float) -> np.ndarray:

@@ -81,10 +81,10 @@ def test_h0_matches_displayed_terms():
     def dda(p):
         return (np.concatenate((p[1:], [0.0])) - p) / da
 
-    term1 = da * (s * (dda(p1) + space.mu_S * p1) / space.weights.pi_S**2).sum()
+    term1 = da * (s * (dda(p1) + space.mu_S * p1) / space.pi_S**2).sum()
     term2 = da * (i * (dda(p2) - space.gamma * p2
-                       + space.gamma * p3 / space.weights.pi_R**2)).sum()
-    term3 = da * (r * (dda(p3) + space.mu_R * p3) / space.weights.pi_R**2).sum()
+                       + space.gamma * p3 / space.pi_R**2)).sum()
+    term3 = da * (r * (dda(p3) + space.mu_R * p3) / space.pi_R**2).sum()
     Xi = da * (i * scen.epi.xi).sum()
     mu_i = ee.infection_mortality(scen.epi, Xi)
     term5 = -da * (mu_i * i * p2).sum()
@@ -119,7 +119,7 @@ def test_hamiltonian_decomposition():
         lam_s = lam * s
         Xi = da * (i * scen.epi.xi).sum()
         mu_i = ee.infection_mortality(scen.epi, Xi)
-        b_pair = (-da * (lam_s * costate.p1 / space.weights.pi_S**2).sum()
+        b_pair = (-da * (lam_s * costate.p1 / space.pi_S**2).sum()
                   + da * ((lam_s - mu_i * i) * costate.p2).sum())
         L = da * ((x[0] + x[2]) * scen.econ.alpha * scen.econ.phi(th_t)).sum()
         D = scen.econ.D(da * (et_t * i * scen.econ.e).sum())

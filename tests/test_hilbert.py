@@ -30,7 +30,7 @@ def test_inner_weights_cancel():
     grid = ee.AgeGrid(a_max=100.0, n_age=100)
     space = ee.HilbertSpace(grid, mu_S=np.full(100, 0.01), mu_R=np.full(100, 0.02),
                             gamma=np.zeros(100), beta=np.zeros(100))
-    h = (space.weights.pi_S, np.ones(100), space.weights.pi_R)
+    h = (space.pi_S, np.ones(100), space.pi_R)
     assert space.inner(h, h) == pytest.approx(300.0, rel=1e-12)
 
 
@@ -51,9 +51,9 @@ def test_inner_symmetric_bilinear_positive():
 
 def test_survival_weights_monotone():
     grid, space = make_space()
-    assert np.all(np.diff(space.weights.pi_S) <= 0)
-    assert np.all(np.diff(space.weights.pi_R) <= 0)
-    assert space.weights.pi_S[0] <= 1.0
+    assert np.all(np.diff(space.pi_S) <= 0)
+    assert np.all(np.diff(space.pi_R) <= 0)
+    assert space.pi_S[0] <= 1.0
 
 
 def test_survival_weight_floor_under_divergent_tail():
@@ -62,8 +62,8 @@ def test_survival_weight_floor_under_divergent_tail():
     a = grid.nodes
     mu = 0.05 + 40.0 / np.maximum(grid.a_max - a, 0.5 * grid.da)
     floor = 1e-8
-    w = ee.SurvivalWeights.from_mortality(grid, mu, mu, floor=floor)
-    assert w.pi_S[-1] <= 10.0 * floor
+    space = ee.HilbertSpace(grid, mu, mu, np.zeros(64), np.zeros(64), floor=floor)
+    assert space.pi_S[-1] <= 10.0 * floor
 
 
 def test_apply_A_constant_field_interior_zero():
@@ -152,50 +152,3 @@ def test_adjoint_identity_refinement_order():
         residuals.append(abs(lhs - rhs) / (space.norm(h) * space.norm(p)))
         dts.append(grid.da)
     assert fit_order(dts, residuals) >= 0.9
-
-
-def test_cone_distance_examples():
-    grid = ee.AgeGrid(a_max=8.0, n_age=16)
-    space = ee.HilbertSpace(grid, *(np.zeros(16) for _ in range(4)))
-    h_pos = tuple(np.abs(np.random.default_rng(1).standard_normal(16)) for _ in range(3))
-    assert space.cone_distance(h_pos) == 0.0
-
-    grid2 = ee.AgeGrid(a_max=8.0, n_age=16)  # da = 0.5
-    h1 = np.zeros(16)
-    h1[3] = -1.0
-    h = (h1, np.zeros(16), np.zeros(16))
-    space2 = ee.HilbertSpace(grid2, *(np.zeros(16) for _ in range(4)))
-    assert space2.cone_distance(h) == pytest.approx(np.sqrt(0.5), rel=1e-12)
-    doubled = tuple(2.0 * c for c in h)
-    assert space2.cone_distance(doubled) == pytest.approx(2.0 * np.sqrt(0.5), rel=1e-12)
-
-
-def test_halfspace_margin():
-    grid, space = make_space(n_age=16)
-    zero = tuple(np.zeros(16) for _ in range(3))
-    assert space.halfspace_margin(zero) == 0.0
-    pos = tuple(np.full(16, 0.5) for _ in range(3))
-    assert space.halfspace_margin(pos) > 0.0
-    # mirrored construction cancels the weighted pairing exactly
-    h1 = np.zeros(16)
-    h1[2], h1[5] = 1.0 / space.w1[2], -1.0 / space.w1[5]
-    h = (h1, np.zeros(16), np.zeros(16))
-    assert space.halfspace_margin(h) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cone_implies_halfspace():
-    grid, space = make_space(n_age=16)
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        h = tuple(np.abs(rng.standard_normal(16)) for _ in range(3))
-        assert space.cone_distance(h) == 0.0
-        assert space.halfspace_margin(h) >= 0.0
-
-
-def test_costate_boundary_report():
-    grid, space = make_space(n_age=16)
-    p = ee.CostateField(p1=np.ones(16), p2=np.ones(16), p3=np.ones(16), Q=0.0)
-    report = p.boundary_report(space.weights)
-    assert set(report) == {"p1_over_piS_at_amax", "p2_at_amax",
-                           "p3_over_piR_at_amax", "p1_at_zero"}
-    assert report["p2_at_amax"] == 1.0

@@ -82,7 +82,7 @@ from .hamiltonian import (
 from .optimizer import (
     OptimReport,
     OptimizerConfig,
-    PolicyBlocks,
+    block_means,
     fd_gradient,
     optimize,
     penalized_objective,

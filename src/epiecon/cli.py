@@ -165,7 +165,7 @@ def cmd_optimize(cfg, out_dir=None) -> int:
     })
 
     blocks = report.blocks
-    ntb, nab = blocks.c.shape
+    _, ntb, nab = blocks.shape
     tg, ag = scenario.time_grid, scenario.age_grid
     rows = []
     for tb in range(ntb):
@@ -173,8 +173,7 @@ def cmd_optimize(cfg, out_dir=None) -> int:
             rows.append([tb, ab,
                          tg.t0 + tb * (tg.n_steps // ntb) * tg.dt,
                          ab * (ag.n_age // nab) * ag.da,
-                         blocks.c[tb, ab], blocks.theta[tb, ab],
-                         blocks.eta[tb, ab]])
+                         *blocks[:, tb, ab]])
     _write_csv(out / "best_policy.csv",
                ["t_block", "a_block", "t_start", "a_start", "c", "theta", "eta"],
                [[str(r[0]), str(r[1])] + r[2:] for r in rows])

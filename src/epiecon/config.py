@@ -426,8 +426,8 @@ def dump_config(cfg: dict, path) -> None:
 # builders
 # ----------------------------------------------------------------------
 
-def sample_family(spec: dict, grid: AgeGrid) -> np.ndarray:
-    """Sample a named coefficient family at the grid nodes (one value per cell)."""
+def sample_family(spec: dict, grid: AgeGrid, field: str) -> np.ndarray:
+    """Sample the family at config ``field`` on the grid nodes (one value per cell)."""
     kind = spec["type"]
     a = grid.nodes
     if kind == "constant":
@@ -435,8 +435,8 @@ def sample_family(spec: dict, grid: AgeGrid) -> np.ndarray:
     elif kind == "table":
         values = np.asarray(spec["values"], dtype=np.float64)
         if values.shape != (grid.n_age,):
-            raise ConfigurationError(
-                f"table family has {values.size} values, grid needs {grid.n_age}")
+            raise ConfigurationError(f"config field {field}: table family has "
+                                     f"{values.size} values, grid needs {grid.n_age}")
     elif kind == "linear":
         values = spec["v0"] + (spec["v1"] - spec["v0"]) * a / grid.a_max
     elif kind == "logistic":
@@ -456,11 +456,24 @@ def sample_family(spec: dict, grid: AgeGrid) -> np.ndarray:
 
 
 def _table(values, field: str) -> np.ndarray:
-    """A JSON table as a float array; a ragged or non-numeric one is a config error."""
+    """A JSON table as a float array; a ragged, non-numeric or null entry is a config error."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        table = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as err:
         raise ConfigurationError(f"config field {field}: not a table of numbers ({err})") from err
+    if not np.isfinite(table).all():
+        raise ConfigurationError(f"config field {field}: values must be finite")
+    return table
+
+
+def _check_blocks(cfg: dict, section: str) -> None:
+    """Reject block counts in config ``section`` that do not divide the grid, naming the field."""
+    for key, kind, cells in (("n_age_blocks", "age", "n_age"),
+                             ("n_time_blocks", "time", "n_steps")):
+        count = cfg[section].get(key)
+        if count is not None and cfg["grid"][cells] % count:
+            raise ConfigurationError(f"{section}.{key}: {count} {kind} blocks do not divide "
+                                     f"{cells} = {cfg['grid'][cells]}")
 
 
 def _build_kernel(spec: dict, grid: AgeGrid):
@@ -469,7 +482,7 @@ def _build_kernel(spec: dict, grid: AgeGrid):
         return constant_kernel(grid, spec["m0"])
     if spec["type"] == "separable":
         return separable_kernel(grid, spec["m0"],
-                                sample_family(spec["shape"], grid))
+                                sample_family(spec["shape"], grid, "epidemic.contact.shape"))
     return table_kernel(grid, _table(spec["values"], "epidemic.contact.values"))
 
 
@@ -508,22 +521,19 @@ def _build_policy(cfg: dict, age_grid: AgeGrid, time_grid: TimeGrid) -> epi.Poli
         return epi.laissez_faire_policy(age_grid, time_grid, pol["c_level"])
     if preset == "full_lockdown":
         return epi.full_lockdown_policy(age_grid, time_grid, pol["c_level"])
+    _check_blocks(cfg, "policy")
     shape = (pol["n_time_blocks"], pol["n_age_blocks"])
 
-    def surface(key, fallback):
-        if key in pol:
-            blocks = _table(pol[key], f"policy.{key}")
-            if blocks.shape != shape:
-                raise ConfigurationError(
-                    f"policy.{key} block shape {blocks.shape} != {shape}")
-        else:
-            blocks = np.full(shape, fallback)
-        return expand_blocks(blocks, time_grid, age_grid)
+    def table(key):
+        if key not in pol:
+            return np.full(shape, pol[f"{key}_level"])
+        blocks = _table(pol[key], f"policy.{key}")
+        if blocks.shape != shape:
+            raise ConfigurationError(f"policy.{key} block shape {blocks.shape} != {shape}")
+        return blocks
 
-    return epi.PolicyField(
-        surface("c", pol["c_level"]),
-        surface("theta", pol["theta_level"]),
-        surface("eta", pol["eta_level"]))
+    blocks = np.stack([table("c"), table("theta"), table("eta")])
+    return epi.PolicyField(*expand_blocks(blocks, time_grid, age_grid))
 
 
 def build_scenario(cfg: dict) -> Scenario:
@@ -535,20 +545,20 @@ def build_scenario(cfg: dict) -> Scenario:
     ep = cfg["epidemic"]
     params = epi.EpiParams(
         grid=age_grid,
-        mu_S=sample_family(ep["mu_S"], age_grid),
-        mu_R=sample_family(ep["mu_R"], age_grid),
-        mu_I_base=sample_family(ep["mu_I_base"], age_grid),
-        gamma=sample_family(ep["gamma"], age_grid),
-        beta=sample_family(ep["beta"], age_grid),
-        xi=sample_family(ep["xi"], age_grid),
+        mu_S=sample_family(ep["mu_S"], age_grid, "epidemic.mu_S"),
+        mu_R=sample_family(ep["mu_R"], age_grid, "epidemic.mu_R"),
+        mu_I_base=sample_family(ep["mu_I_base"], age_grid, "epidemic.mu_I_base"),
+        gamma=sample_family(ep["gamma"], age_grid, "epidemic.gamma"),
+        beta=sample_family(ep["beta"], age_grid, "epidemic.beta"),
+        xi=sample_family(ep["xi"], age_grid, "epidemic.xi"),
         m=_build_kernel(ep["contact"], age_grid),
         saturation=epi.SaturationSpec(**ep["saturation"]),
     )
 
     ec = cfg["economy"]
     econ = economy.EconParams(
-        alpha=sample_family(ec["alpha"], age_grid),
-        e=sample_family(ec["e"], age_grid),
+        alpha=sample_family(ec["alpha"], age_grid, "economy.alpha"),
+        e=sample_family(ec["e"], age_grid, "economy.e"),
         delta=ec["delta"],
         F=_build_production(ec["production"]),
         phi=_build_phi(ec["phi"]),
@@ -566,9 +576,9 @@ def build_scenario(cfg: dict) -> Scenario:
 
     initial = epi.EpiState(
         age_grid,
-        sample_family(ep["initial"]["s"], age_grid),
-        sample_family(ep["initial"]["i"], age_grid),
-        sample_family(ep["initial"]["r"], age_grid),
+        sample_family(ep["initial"]["s"], age_grid, "epidemic.initial.s"),
+        sample_family(ep["initial"]["i"], age_grid, "epidemic.initial.i"),
+        sample_family(ep["initial"]["r"], age_grid, "epidemic.initial.r"),
         time=g["t0"],
     )
 
@@ -577,9 +587,7 @@ def build_scenario(cfg: dict) -> Scenario:
         theta_levels=tuple(sr["theta_levels"]), eta_levels=tuple(sr["eta_levels"]),
         n_age_blocks=sr["n_age_blocks"], c_max=sr["c_max"],
         max_sweeps=sr["max_sweeps"])
-    if age_grid.n_age % search.n_age_blocks:  # fail before any simulation, not in the search
-        raise ConfigurationError(f"search.n_age_blocks: {search.n_age_blocks} age blocks "
-                                 f"do not divide n_age = {age_grid.n_age}")
+    _check_blocks(cfg, "search")  # fail before any simulation, not in the search
 
     space = epi.hilbert_space_for(params, floor=ep["weight_floor"])
     policy = _build_policy(cfg, age_grid, time_grid)
@@ -589,6 +597,7 @@ def build_scenario(cfg: dict) -> Scenario:
 
 
 def build_optimizer_config(cfg: dict) -> OptimizerConfig:
+    _check_blocks(cfg, "optimizer")
     return OptimizerConfig(**cfg["optimizer"])
 
 
@@ -596,7 +605,8 @@ def build_value_function(cfg: dict, scenario: Scenario):
     spec = cfg["verification"]["value_function"]
     grid = scenario.age_grid
     default = {"type": "constant", "value": 1.0}
-    w = tuple(sample_family(spec.get(key, default), grid)
+    w = tuple(sample_family(spec.get(key, default), grid,
+                            f"verification.value_function.{key}")
               for key in ("w1", "w2", "w3"))
     q = spec.get("q", 1.0)
     if spec["type"] == "linear":

@@ -140,20 +140,21 @@ def table_kernel(grid: AgeGrid, values) -> np.ndarray:
 
 
 def expand_blocks(block_values: np.ndarray, time_grid: TimeGrid, age_grid: AgeGrid) -> np.ndarray:
-    """Expand (n_time_blocks, n_age_blocks) values to a (n_steps + 1, n_age) surface.
+    """Expand (..., n_time_blocks, n_age_blocks) values to a (..., n_steps + 1, n_age) surface.
 
-    Blocks must divide both meshes evenly.  The terminal time node reuses
-    the last time block.
+    Leading axes are kept, so the (3, ...) c, theta, eta blocks of a policy
+    expand in one call.  Blocks must divide both meshes evenly.  The terminal
+    time node reuses the last time block.
     """
     bv = np.asarray(block_values, dtype=np.float64)
-    ntb, nab = bv.shape
+    ntb, nab = bv.shape[-2:]
     n_steps, n_age = time_grid.n_steps, age_grid.n_age
     if n_age % nab != 0:
         raise ConfigurationError(f"{nab} age blocks do not divide n_age = {n_age}")
     if n_steps % ntb != 0:
         raise ConfigurationError(f"{ntb} time blocks do not divide n_steps = {n_steps}")
-    rows = np.repeat(bv, n_age // nab, axis=1)
+    rows = np.repeat(bv, n_age // nab, axis=-1)
     if n_steps == 0:
-        return rows[-1:].copy()
-    full = np.repeat(rows, n_steps // ntb, axis=0)
-    return np.vstack([full, full[-1:]])
+        return rows[..., -1:, :].copy()
+    full = np.repeat(rows, n_steps // ntb, axis=-2)
+    return np.concatenate([full, full[..., -1:, :]], axis=-2)

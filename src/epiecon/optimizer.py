@@ -54,43 +54,25 @@ class OptimizerConfig:
             raise ConfigurationError("block counts must be >= 1")
 
 
-@dataclass
-class PolicyBlocks:
-    """Block-level control values, shape (n_time_blocks, n_age_blocks) each."""
+def block_means(policy: epi.PolicyField, n_time_blocks: int,
+                n_age_blocks: int) -> np.ndarray:
+    """Block means of a policy surface, shape (3, n_time_blocks, n_age_blocks).
 
-    c: np.ndarray
-    theta: np.ndarray
-    eta: np.ndarray
-
-    def copy(self) -> "PolicyBlocks":
-        return PolicyBlocks(self.c.copy(), self.theta.copy(), self.eta.copy())
-
-    def expand(self, scenario: Scenario) -> epi.PolicyField:
-        tg, ag = scenario.time_grid, scenario.age_grid
-        return epi.PolicyField(expand_blocks(self.c, tg, ag),
-                               expand_blocks(self.theta, tg, ag),
-                               expand_blocks(self.eta, tg, ag))
-
-    @classmethod
-    def from_policy(cls, policy: epi.PolicyField, n_time_blocks: int,
-                    n_age_blocks: int) -> "PolicyBlocks":
-        """Block means of an existing policy surface (exact for block-constant ones)."""
-        def reduce(values):
-            rows = values[:-1] if values.shape[0] > 1 else values
-            nt, na = rows.shape
-            if nt % n_time_blocks != 0 or na % n_age_blocks != 0:
-                raise ConfigurationError("block structure does not divide the policy grid")
-            blocked = rows.reshape(n_time_blocks, nt // n_time_blocks,
-                                   n_age_blocks, na // n_age_blocks)
-            return blocked.mean(axis=(1, 3))
-
-        return cls(reduce(policy.c), reduce(policy.theta), reduce(policy.eta))
+    Rows are c, theta, eta.  A block-constant surface gives back its block
+    values, exactly when the block sums are exact.
+    """
+    values = np.stack([policy.c, policy.theta, policy.eta])
+    rows = values[:, :-1] if values.shape[1] > 1 else values
+    _, nt, na = rows.shape
+    if nt % n_time_blocks != 0 or na % n_age_blocks != 0:
+        raise ConfigurationError("block structure does not divide the policy grid")
+    return rows.reshape(3, n_time_blocks, nt // n_time_blocks,
+                        n_age_blocks, na // n_age_blocks).mean(axis=(2, 4))
 
 
-def _project_blocks(blocks: PolicyBlocks, c_max: float) -> PolicyBlocks:
-    return PolicyBlocks(np.clip(blocks.c, 0.0, c_max),
-                        np.clip(blocks.theta, 0.0, 1.0),
-                        np.clip(blocks.eta, 0.0, 1.0))
+def _project_blocks(blocks: np.ndarray, c_max: float) -> np.ndarray:
+    """Clip block values into the control box: c to [0, c_max], theta and eta to [0, 1]."""
+    return np.clip(blocks, 0.0, np.array([c_max, 1.0, 1.0])[:, None, None])
 
 
 def penalized_objective(policy: epi.PolicyField, scenario: Scenario,
@@ -110,7 +92,7 @@ def penalized_objective(policy: epi.PolicyField, scenario: Scenario,
 class OptimReport:
     objective_trace: list
     violation_trace: list
-    blocks: PolicyBlocks
+    blocks: np.ndarray
     policy: epi.PolicyField
     feasible: bool
     converged: bool
@@ -121,83 +103,61 @@ class OptimReport:
     seed: int = 0
 
 
-def _safe_objective(blocks: PolicyBlocks, scenario: Scenario,
+def _expand(blocks: np.ndarray, scenario: Scenario) -> epi.PolicyField:
+    return epi.PolicyField(*expand_blocks(blocks, scenario.time_grid, scenario.age_grid))
+
+
+def _safe_objective(blocks: np.ndarray, scenario: Scenario,
                     config: OptimizerConfig):
     """(objective, trajectory, None) at block values; (None, None, message) on model failure."""
     try:
-        policy = blocks.expand(scenario)
-        return (*penalized_objective(policy, scenario, config.penalty), None)
+        return (*penalized_objective(_expand(blocks, scenario), scenario, config.penalty),
+                None)
     except ModelError as err:
         return None, None, f"probe failed: {err}"
 
 
-_CHANNELS = ("c", "theta", "eta")
-
-
-def _box(channel: str, scenario: Scenario):
-    return (0.0, scenario.search.c_max) if channel == "c" else (0.0, 1.0)
-
-
-def fd_gradient(blocks: PolicyBlocks, scenario: Scenario, config: OptimizerConfig):
+def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig):
     """Per-block finite-difference gradient of the penalized objective.
 
-    Probes are clamped to the control box and the difference quotient uses
-    the realized parameter displacement, so one-sided steps are taken at
-    active bounds.  Failed probes contribute a zero component and a
-    recorded warning.
+    ``blocks`` has shape (3, n_time_blocks, n_age_blocks) with rows c, theta,
+    eta.  Probes are clamped to the control box and the difference quotient
+    uses the realized parameter displacement, so one-sided steps are taken at
+    active bounds.  Forward mode probes upward unless the box blocks it and
+    takes the base point as the other end.  Failed probes contribute a zero
+    component and a recorded warning naming the block, as ``theta[0, 1]``.
     """
-    grads = PolicyBlocks(np.zeros_like(blocks.c), np.zeros_like(blocks.theta),
-                         np.zeros_like(blocks.eta))
-    warnings = []
+    grads = np.zeros_like(blocks)
+    forward = config.grad_mode == "forward"
     f0 = None
-    if config.grad_mode == "forward":
+    if forward:
         f0, _, msg = _safe_objective(blocks, scenario, config)
         if f0 is None:
-            warnings.append(f"base point: {msg}")
+            return grads, [f"base point: {msg}"]
+    names = ("c", "theta", "eta")
+    hi = (scenario.search.c_max, 1.0, 1.0)
+    eps = (config.fd_eps_c, config.fd_eps_theta, config.fd_eps_eta)
+    warnings = []
 
-    eps_by_channel = {"c": config.fd_eps_c, "theta": config.fd_eps_theta,
-                      "eta": config.fd_eps_eta}
-    for channel in _CHANNELS:
-        values = getattr(blocks, channel)
-        grad = getattr(grads, channel)
-        lo, hi = _box(channel, scenario)
-        eps = eps_by_channel[channel]
-        for idx in np.ndindex(values.shape):
-            v = values[idx]
-            if config.grad_mode == "central":
-                vp, vm = min(v + eps, hi), max(v - eps, lo)
-                if vp == vm:
-                    continue
-                fp = _probe(blocks, scenario, config, channel, idx, vp, warnings)
-                fm = _probe(blocks, scenario, config, channel, idx, vm, warnings)
-                if fp is None or fm is None:
-                    continue
-                grad[idx] = (fp - fm) / (vp - vm)
-            else:
-                vp = min(v + eps, hi)
-                if vp > v and f0 is not None:
-                    fp = _probe(blocks, scenario, config, channel, idx, vp, warnings)
-                    if fp is None:
-                        continue
-                    grad[idx] = (fp - f0) / (vp - v)
-                else:
-                    vm = max(v - eps, lo)
-                    if vm == v or f0 is None:
-                        continue
-                    fm = _probe(blocks, scenario, config, channel, idx, vm, warnings)
-                    if fm is None:
-                        continue
-                    grad[idx] = (f0 - fm) / (v - vm)
+    def probe(idx, value):
+        trial = blocks.copy()
+        trial[idx] = value
+        f, _, msg = _safe_objective(trial, scenario, config)
+        if f is None:
+            warnings.append(f"{names[idx[0]]}{list(idx[1:])}: {msg}")
+        return f
+
+    for idx in np.ndindex(blocks.shape):
+        v, row = blocks[idx], idx[0]
+        up, down = min(v + eps[row], hi[row]), max(v - eps[row], 0.0)
+        if forward:
+            up, down = (up, v) if up > v else (v, down)
+        if up == down:
+            continue
+        f_up, f_down = (f0 if forward and x == v else probe(idx, x) for x in (up, down))
+        if f_up is not None and f_down is not None:
+            grads[idx] = (f_up - f_down) / (up - down)
     return grads, warnings
-
-
-def _probe(blocks, scenario, config, channel, idx, value, warnings):
-    trial = blocks.copy()
-    getattr(trial, channel)[idx] = value
-    f, _, msg = _safe_objective(trial, scenario, config)
-    if f is None:
-        warnings.append(f"{channel}{list(idx)}: {msg}")
-    return f
 
 
 def optimize(scenario: Scenario, config: OptimizerConfig,
@@ -212,12 +172,9 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
     final policies as an optimality certificate.
     """
     rng = np.random.default_rng(config.seed)
-    blocks = PolicyBlocks.from_policy(scenario.policy, config.n_time_blocks,
-                                      config.n_age_blocks)
+    blocks = block_means(scenario.policy, config.n_time_blocks, config.n_age_blocks)
     if config.jitter > 0.0:
-        blocks.c = blocks.c + config.jitter * rng.standard_normal(blocks.c.shape)
-        blocks.theta = blocks.theta + config.jitter * rng.standard_normal(blocks.theta.shape)
-        blocks.eta = blocks.eta + config.jitter * rng.standard_normal(blocks.eta.shape)
+        blocks = blocks + config.jitter * rng.standard_normal(blocks.shape)
     blocks = _project_blocks(blocks, scenario.search.c_max)
     all_warnings = []
 
@@ -227,7 +184,7 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
             "objective undefined at the initial policy; "
             "increase K0 or reduce the consumption level")
 
-    initial_blocks, initial_traj = blocks.copy(), traj
+    initial_blocks, initial_traj = blocks, traj
     trace = [f]
     viol_trace = [traj.k_violation]
     converged = False
@@ -236,17 +193,13 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
     for _ in range(config.max_iters):
         grads, warns = fd_gradient(blocks, scenario, config)
         all_warnings.extend(warns)
-        gnorm = float(np.sqrt(sum(np.sum(getattr(grads, ch) ** 2) for ch in _CHANNELS)))
-        if gnorm == 0.0:
+        if not grads.any():
             converged = True
             break
         step_size = config.initial_step
         accepted = False
         for _bt in range(config.max_backtracks + 1):
-            trial = PolicyBlocks(blocks.c + step_size * grads.c,
-                                 blocks.theta + step_size * grads.theta,
-                                 blocks.eta + step_size * grads.eta)
-            trial = _project_blocks(trial, scenario.search.c_max)
+            trial = _project_blocks(blocks + step_size * grads, scenario.search.c_max)
             ft, trial_traj, _ = _safe_objective(trial, scenario, config)
             if ft is not None and ft > f:
                 accepted = True
@@ -264,10 +217,10 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
             converged = True
             break
 
-    final_policy = blocks.expand(scenario)
+    final_policy = _expand(blocks, scenario)
     gap_initial = gap_final = None
     if value_function is not None:
-        initial_policy = initial_blocks.expand(scenario)
+        initial_policy = _expand(initial_blocks, scenario)
         gaps0 = hamiltonian_gap_profile(value_function, initial_policy, initial_traj,
                                         scenario)
         gaps1 = hamiltonian_gap_profile(value_function, final_policy, traj, scenario)

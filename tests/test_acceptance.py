@@ -230,12 +230,12 @@ def test_c7_optimizer_foc_toy():
 
     c_star = foc_toy_optimum(scen, weight)
     assert 0.0 < c_star < scen.search.c_max
-    rel = abs(report_a.blocks.c[0, 0] - c_star) / c_star
+    rel = abs(report_a.blocks[0, 0, 0] - c_star) / c_star
     assert rel <= 1e-3
     trace = np.asarray(report_a.objective_trace)
     assert np.all(np.diff(trace) > 0.0)
     assert report_a.objective_trace == report_b.objective_trace
-    assert np.array_equal(report_a.blocks.c, report_b.blocks.c)
+    assert np.array_equal(report_a.blocks, report_b.blocks)
     report(7, "optimizer recovers the analytic first-order condition",
            f"c* rel err {rel:.2e}, monotone trace, bitwise reproducible")
 
@@ -281,7 +281,7 @@ def test_c8_budget_identity():
 
 def test_c9_gradient_validity():
     scen = foc_toy_scenario()
-    blocks = ee.PolicyBlocks.from_policy(scen.policy, 1, 1)
+    blocks = ee.block_means(scen.policy, 1, 1)
     eps = 1e-5
     central = ee.fd_gradient(blocks, scen,
                              ee.OptimizerConfig(grad_mode="central",
@@ -291,7 +291,7 @@ def test_c9_gradient_validity():
                              ee.OptimizerConfig(grad_mode="forward",
                                                 fd_eps_c=eps, fd_eps_theta=eps,
                                                 fd_eps_eta=eps))[0]
-    rel = abs(central.c[0, 0] - forward.c[0, 0]) / abs(central.c[0, 0])
+    rel = abs(central[0, 0, 0] - forward[0, 0, 0]) / abs(central[0, 0, 0])
     assert rel <= 1e-3
     report(9, "central vs forward finite differences agree",
            f"rel discrepancy {rel:.2e} at eps = 1e-5")

@@ -103,7 +103,10 @@ def test_non_utf8_config_is_config_error(tmp_path):
     ("epidemic.contact.values", [["x"] * 16] * 16),
     ("policy.c", [["x"]]),
     ("policy.theta", [[0.5, 0.5], [0.5]]),
-], ids=["ragged_kernel", "text_kernel", "text_policy", "ragged_policy"])
+    ("policy.c", [[None]]),
+    ("epidemic.contact.values", [[1.0] * 16] * 15 + [[None] * 16]),
+], ids=["ragged_kernel", "text_kernel", "text_policy", "ragged_policy", "null_policy",
+        "null_kernel"])
 def test_malformed_table_names_field(tmp_path, capsys, field, table):
     cfg = small_config()
     if field.startswith("policy"):
@@ -115,6 +118,39 @@ def test_malformed_table_names_field(tmp_path, capsys, field, table):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"config field {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["epidemic.beta", "epidemic.initial.i", "economy.alpha",
+                                   "verification.value_function.w2"])
+def test_wrong_length_table_family_names_field(tmp_path, capsys, field):
+    cfg = small_config()
+    cfg["verification"] = {"value_function": {"type": "linear"}}
+    *path, key = field.split(".")
+    node = cfg
+    for part in path:
+        node = node[part]
+    node[key] = {"type": "table", "values": [0.1, 0.2, 0.3]}
+    code = cli.main(["optimize", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert (f"config field {field}: table family has 3 values, grid needs 16"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, field", [
+    ("simulate", "policy.n_age_blocks"), ("simulate", "policy.n_time_blocks"),
+    ("optimize", "optimizer.n_age_blocks"), ("optimize", "optimizer.n_time_blocks"),
+])
+def test_block_counts_that_do_not_divide_name_field(tmp_path, capsys, command, field):
+    # 3 blocks divide neither n_age = 16 nor n_steps = 8
+    cfg = small_config()
+    cfg["policy"]["preset"] = "blocks"
+    section, key = field.split(".")
+    cfg.setdefault(section, {})[key] = 3
+    code = cli.main([command, "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{field}: 3 " in capsys.readouterr().err
 
 
 def test_defaults_match_dataclass_defaults():
@@ -452,12 +488,21 @@ def test_sweep_requires_sweep_block(tmp_path, capsys):
 
 def test_byte_determinism(tmp_path):
     cfg = small_config()
+    cfg["optimizer"] = {"max_iters": 2, "n_age_blocks": 2, "n_time_blocks": 2,
+                        "jitter": 0.05, "seed": 11}
+    cfg["verification"] = {"adjoint_pairs": 2, "horizon_multipliers": [1.0, 2.0]}
     path = write_config(tmp_path, cfg)
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert cli.main(["simulate", "--config", str(path), "--out", str(out1)]) == 0
-    assert cli.main(["simulate", "--config", str(path), "--out", str(out2)]) == 0
-    for name in ("trajectory.csv", "snapshots.csv", "resolved_config.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for command, names in (("simulate", {"trajectory.csv", "snapshots.csv"}),
+                           ("optimize", {"optim_report.json", "best_policy.csv"}),
+                           ("check", {"check.json"})):
+        out1, out2 = tmp_path / f"{command}1", tmp_path / f"{command}2"
+        assert cli.main([command, "--config", str(path), "--out", str(out1)]) == 0
+        assert cli.main([command, "--config", str(path), "--out", str(out2)]) == 0
+        files = {p.name for p in out1.iterdir()}
+        assert files == {p.name for p in out2.iterdir()}
+        assert names | {"resolved_config.json"} <= files
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (command, name)
 
 
 def test_config_round_trip(tmp_path):

@@ -169,6 +169,19 @@ def test_expand_blocks_shapes_and_divisibility():
         ee.expand_blocks(np.ones((2, 3)), tg, grid)
 
 
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), ntb=st.sampled_from([1, 2, 4]), nab=st.sampled_from([1, 2, 4, 16]),
+       steps_per_block=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_expand_blocks_stacked_equals_slices(k, ntb, nab, steps_per_block, seed):
+    # leading axes ride along: a (k, ntb, nab) stack expands slice by slice
+    grid = ee.AgeGrid(a_max=8.0, n_age=16)
+    tg = ee.TimeGrid.aligned(grid, n_steps=ntb * steps_per_block)
+    blocks = np.random.default_rng(seed).uniform(-1.0, 1.0, (k, ntb, nab))
+    stacked = ee.expand_blocks(blocks, tg, grid)
+    assert stacked.shape == (k, tg.n_steps + 1, grid.n_age)
+    assert np.array_equal(stacked, np.stack([ee.expand_blocks(b, tg, grid) for b in blocks]))
+
+
 def test_scenario_builder_smoke():
     scen = build_scenario(n_age=8, n_steps=4)
     traj = scen.simulate()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epiecon as ee
+from epiecon import optimizer
 from epiecon.optimizer import _project_blocks
 
 from util import build_scenario
@@ -52,36 +53,32 @@ def foc_toy_optimum(scen, weight_j4):
 def test_project_examples():
     # the optimizer clamps block values into the control box
     shape = (3, 8)
-    raw = ee.PolicyBlocks(np.full(shape, 2.0), np.full(shape, 1.0), np.full(shape, 0.5))
+    raw = np.stack([np.full(shape, 2.0), np.full(shape, 1.0), np.full(shape, 0.5)])
     inside = _project_blocks(raw, c_max=5.0)
-    assert np.array_equal(inside.c, raw.c)
-    assert np.array_equal(inside.theta, raw.theta)
-    assert np.array_equal(inside.eta, raw.eta)
+    assert np.array_equal(inside, raw)
 
     # out-of-box values clamp samplewise; PolicyField itself rejects them,
     # so projection operates on raw block values
     clipped = _project_blocks(
-        ee.PolicyBlocks(np.full(shape, -3.0), np.full(shape, 1.7), np.full(shape, 0.5)),
+        np.stack([np.full(shape, -3.0), np.full(shape, 1.7), np.full(shape, 0.5)]),
         c_max=5.0)
-    assert np.all(clipped.c == 0.0)
-    assert np.all(clipped.theta == 1.0)
-    assert np.all(_project_blocks(ee.PolicyBlocks(np.full(shape, 7.0), raw.theta, raw.eta),
-                                  c_max=5.0).c == 5.0)
+    assert np.all(clipped[0] == 0.0)
+    assert np.all(clipped[1] == 1.0)
+    assert np.all(_project_blocks(np.stack([np.full(shape, 7.0), raw[1], raw[2]]),
+                                  c_max=5.0)[0] == 5.0)
     with pytest.raises(ee.ConfigurationError):
-        ee.PolicyField(np.full(shape, -3.0), raw.theta, raw.eta)
+        ee.PolicyField(np.full(shape, -3.0), raw[1], raw[2])
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_projection_idempotent(seed):
     rng = np.random.default_rng(seed)
-    raw = ee.PolicyBlocks(rng.uniform(-1.0, 8.0, (3, 8)), rng.uniform(-0.5, 1.5, (3, 8)),
-                          rng.uniform(-0.5, 1.5, (3, 8)))
+    raw = np.stack([rng.uniform(-1.0, 8.0, (3, 8)), rng.uniform(-0.5, 1.5, (3, 8)),
+                    rng.uniform(-0.5, 1.5, (3, 8))])
     once = _project_blocks(raw, c_max=5.0)
     twice = _project_blocks(once, c_max=5.0)
-    assert np.array_equal(once.c, twice.c)
-    assert np.array_equal(once.theta, twice.theta)
-    assert np.array_equal(once.eta, twice.eta)
+    assert np.array_equal(once, twice)
 
 
 def test_penalized_objective_feasible_equals_target():
@@ -137,11 +134,11 @@ def test_fd_gradient_flat_objective_zero():
         production=ee.LinearProduction(a_k=0.0, a_l=0.0), K0=10.0,
         which="J4", c_level=0.0,
     )
-    blocks = ee.PolicyBlocks.from_policy(scen.policy, 1, 1)
+    blocks = ee.block_means(scen.policy, 1, 1)
     cfg = ee.OptimizerConfig(grad_mode="central")
     grads, warns = ee.fd_gradient(blocks, scen, cfg)
-    assert np.all(grads.theta == 0.0)
-    assert np.all(grads.eta == 0.0)
+    assert np.all(grads[1] == 0.0)
+    assert np.all(grads[2] == 0.0)
     assert warns == []
 
 
@@ -159,22 +156,103 @@ def test_fd_gradient_linear_slope_oracle():
     N = scen.initial.total_population()  # stationary under replacement births
     slope = -sum(growth ** (tg.n_steps - 1 - k) * N * dt
                  for k in range(tg.n_steps))
-    blocks = ee.PolicyBlocks.from_policy(scen.policy, 1, 1)
+    blocks = ee.block_means(scen.policy, 1, 1)
     for mode in ("central", "forward"):
         cfg = ee.OptimizerConfig(grad_mode=mode, fd_eps_c=1e-5)
         grads, _ = ee.fd_gradient(blocks, scen, cfg)
-        assert grads.c[0, 0] == pytest.approx(slope, rel=1e-6)
+        assert grads[0, 0, 0] == pytest.approx(slope, rel=1e-6)
 
 
 def test_fd_gradient_central_vs_forward():
     scen = foc_toy_scenario()
-    blocks = ee.PolicyBlocks.from_policy(scen.policy, 1, 1)
+    blocks = ee.block_means(scen.policy, 1, 1)
     central = ee.fd_gradient(blocks, scen,
                              ee.OptimizerConfig(grad_mode="central", fd_eps_c=1e-5))[0]
     forward = ee.fd_gradient(blocks, scen,
                              ee.OptimizerConfig(grad_mode="forward", fd_eps_c=1e-5))[0]
-    rel = abs(central.c[0, 0] - forward.c[0, 0]) / abs(central.c[0, 0])
+    rel = abs(central[0, 0, 0] - forward[0, 0, 0]) / abs(central[0, 0, 0])
     assert rel <= 1e-3
+
+
+@settings(max_examples=30, deadline=None)
+@given(ntb=st.sampled_from([1, 2, 4]), nab=st.sampled_from([1, 2, 8]),
+       steps_per_block=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_block_means_recovers_block_constant_values(ntb, nab, steps_per_block, seed):
+    # dyadic block values keep every block sum exact, so the means must be too
+    scen = build_scenario(n_age=8, n_steps=ntb * steps_per_block)
+    blocks = np.random.default_rng(seed).integers(0, 65, (3, ntb, nab)) / 64.0
+    policy = ee.PolicyField(*ee.expand_blocks(blocks, scen.time_grid, scen.age_grid))
+    assert np.array_equal(ee.block_means(policy, ntb, nab), blocks)
+
+
+def _epidemic_scenario():
+    # every control moves the objective: infections, contact, and productive labor
+    return build_scenario(
+        n_age=8, a_max=8.0, n_steps=4, mu_i=0.2, gamma=0.4, m0=2.5, xi=0.2,
+        i0=0.02, s0=1.0, production=ee.LinearProduction(a_k=0.03, a_l=1.0),
+        K0=50.0, c_level=0.5, theta_level=1.0, eta_level=0.5, which="J1",
+    )
+
+
+def _objective_at(blocks, scen):
+    tg, ag = scen.time_grid, scen.age_grid
+    policy = ee.PolicyField(*(ee.expand_blocks(b, tg, ag) for b in blocks))
+    return ee.penalized_objective(policy, scen)[0]
+
+
+@pytest.mark.parametrize("mode", ["central", "forward"])
+def test_fd_gradient_multi_block_matches_direct_quotients(mode):
+    # 2x2 blocks with theta at its upper bound 1, so each theta probe is one-sided
+    scen = _epidemic_scenario()
+    blocks = ee.block_means(scen.policy, 2, 2)
+    assert np.all(blocks[1] == 1.0)
+    eps = (1e-4, 1e-3, 1e-3)
+    cfg = ee.OptimizerConfig(grad_mode=mode, fd_eps_c=eps[0], fd_eps_theta=eps[1],
+                             fd_eps_eta=eps[2])
+    grads, warns = ee.fd_gradient(blocks, scen, cfg)
+    assert warns == []
+    hi = (scen.search.c_max, 1.0, 1.0)
+    f0 = _objective_at(blocks, scen)
+    for row in range(3):
+        for tb in range(2):
+            for ab in range(2):
+                v = blocks[row, tb, ab]
+
+                def f(x):
+                    trial = blocks.copy()
+                    trial[row, tb, ab] = x
+                    return _objective_at(trial, scen)
+
+                top, bottom = min(v + eps[row], hi[row]), max(v - eps[row], 0.0)
+                if row == 1:
+                    assert top == v == 1.0  # no room above: the quotient is one-sided
+                if mode == "central":
+                    expected = (f(top) - f(bottom)) / (top - bottom)
+                elif top > v:
+                    expected = (f(top) - f0) / (top - v)
+                else:
+                    expected = (f0 - f(bottom)) / (v - bottom)
+                assert grads[row, tb, ab] == expected
+                assert expected != 0.0
+
+
+@pytest.mark.parametrize("mode", ["central", "forward"])
+def test_fd_gradient_failed_probe_zero_component_and_warning(mode, monkeypatch):
+    # the downward theta probe of block (0, 1) fails; the upward one is clamped to 1
+    scen = _epidemic_scenario()
+    blocks = ee.block_means(scen.policy, 2, 2)
+    real = optimizer.penalized_objective
+
+    def failing(policy, scenario, penalty=1e6):
+        if policy.theta[0, -1] != 1.0:
+            raise ee.ModelError("boom")
+        return real(policy, scenario, penalty)
+
+    monkeypatch.setattr(optimizer, "penalized_objective", failing)
+    grads, warns = ee.fd_gradient(blocks, scen, ee.OptimizerConfig(grad_mode=mode))
+    assert warns == ["theta[0, 1]: probe failed: boom"]
+    assert grads[1, 0, 1] == 0.0
+    assert np.count_nonzero(grads) == grads.size - 1
 
 
 def test_optimize_recovers_analytic_foc():
@@ -185,7 +263,7 @@ def test_optimize_recovers_analytic_foc():
     report = ee.optimize(scen, cfg)
     c_star = foc_toy_optimum(scen, weight)
     assert 0.0 < c_star < scen.search.c_max  # interior optimum
-    assert report.blocks.c[0, 0] == pytest.approx(c_star, rel=1e-3)
+    assert report.blocks[0, 0, 0] == pytest.approx(c_star, rel=1e-3)
     # monotone ascent trace
     trace = np.asarray(report.objective_trace)
     assert np.all(np.diff(trace) > 0.0)
@@ -198,9 +276,7 @@ def test_optimize_seed_determinism():
     r1 = ee.optimize(scen, cfg)
     r2 = ee.optimize(scen, cfg)
     assert r1.objective_trace == r2.objective_trace
-    assert np.array_equal(r1.blocks.c, r2.blocks.c)
-    assert np.array_equal(r1.blocks.theta, r2.blocks.theta)
-    assert np.array_equal(r1.blocks.eta, r2.blocks.eta)
+    assert np.array_equal(r1.blocks, r2.blocks)
 
 
 def test_optimize_zero_iterations_identity():

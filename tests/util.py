@@ -183,14 +183,7 @@ def random_block_policy(scenario, rng, n_time_blocks=4, n_age_blocks=2,
                         c_range=(0.0, 0.0)):
     """Feasible random piecewise-constant policy surfaces."""
     shape = (n_time_blocks, n_age_blocks)
-    blocks = ee.PolicyBlocks(
-        c=rng.uniform(*c_range, size=shape),
-        theta=rng.uniform(*theta_range, size=shape),
-        eta=rng.uniform(*eta_range, size=shape),
-    )
-    tg, ag = scenario.time_grid, scenario.age_grid
-    return ee.PolicyField(
-        ee.expand_blocks(blocks.c, tg, ag),
-        ee.expand_blocks(blocks.theta, tg, ag),
-        ee.expand_blocks(blocks.eta, tg, ag),
-    )
+    blocks = np.stack([rng.uniform(*c_range, size=shape),
+                       rng.uniform(*theta_range, size=shape),
+                       rng.uniform(*eta_range, size=shape)])
+    return ee.PolicyField(*ee.expand_blocks(blocks, scenario.time_grid, scenario.age_grid))

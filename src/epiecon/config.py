@@ -598,6 +598,10 @@ def build_scenario(cfg: dict) -> Scenario:
 
 def build_optimizer_config(cfg: dict) -> OptimizerConfig:
     _check_blocks(cfg, "optimizer")
+    ntb = cfg["optimizer"].get("n_time_blocks", 1)
+    if cfg["grid"]["n_steps"] == 0 and ntb != 1:  # block means need whole rows
+        raise ConfigurationError(f"optimizer.n_time_blocks: {ntb} time blocks do not divide "
+                                 "the single policy row of a 0-step grid")
     return OptimizerConfig(**cfg["optimizer"])
 
 

@@ -1,4 +1,10 @@
-"""Labor aggregation, production, expenditure, and capital accumulation."""
+"""Labor aggregation, production, expenditure, and capital accumulation.
+
+Production F, lockdown productivity phi and congestion D take scalars or
+arrays alike, elementwise.  F and D take powers with ``np.float_power``,
+which rounds as Python's ``**`` does (``np.power`` may not), so an array
+call equals the scalar calls entry by entry.
+"""
 
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ class LinearProduction:
         if self.a_k < 0 or self.a_l < 0:
             raise ConfigurationError("linear production coefficients must be nonnegative")
 
-    def __call__(self, K: float, L: float) -> float:
+    def __call__(self, K, L):
         return self.a_k * K + self.a_l * L
 
     def lipschitz_K(self) -> float:
@@ -65,24 +71,26 @@ class CESProduction:
         if self.mpk_cap is not None and not self.mpk_cap > 0:
             raise ConfigurationError("mpk_cap must be > 0")
 
-    def _raw(self, K: float, L: float) -> float:
+    def _raw(self, K, L):
         s = self.substitution
-        try:
-            return self.scale * (self.omega * K**s + (1.0 - self.omega) * L**s) ** (1.0 / s)
-        except (ZeroDivisionError, OverflowError):  # s < 0 with K or L at or near 0: F = 0
-            return 0.0
+        with np.errstate(divide="ignore", over="ignore"):
+            inner = self.omega * np.float_power(K, s) + (1.0 - self.omega) * np.float_power(L, s)
+            power = np.float_power(inner, 1.0 / s)
+        # a power that overflows or divides by zero (s < 0 with K or L at or near 0,
+        # where Python's ** raised): F takes its limit 0
+        return self.scale * np.where(np.isinf(power), 0.0, power)
 
-    def _at_zero_capital(self, L: float) -> float:
+    def _at_zero_capital(self, L):
         s = self.substitution
         return 0.0 if s < 0.0 else self.scale * (1.0 - self.omega) ** (1.0 / s) * L
 
-    def __call__(self, K: float, L: float) -> float:
-        K = max(K, 0.0)
-        L = max(L, 0.0)
+    def __call__(self, K, L):
+        K = np.maximum(K, 0.0)
+        L = np.maximum(L, 0.0)
         raw = self._raw(K, L)
         if self.mpk_cap is None:
             return raw
-        return min(raw, self._at_zero_capital(L) + self.mpk_cap * K)
+        return np.minimum(raw, self._at_zero_capital(L) + self.mpk_cap * K)
 
     def lipschitz_K(self) -> float:
         intrinsic = (self.scale * self.omega ** (1.0 / self.substitution)
@@ -111,8 +119,9 @@ class CobbDouglasProduction:
             stacklevel=2,
         )
 
-    def __call__(self, K: float, L: float) -> float:
-        return self.scale * max(K, 0.0) ** self.omega * max(L, 0.0) ** (1.0 - self.omega)
+    def __call__(self, K, L):
+        return (self.scale * np.float_power(np.maximum(K, 0.0), self.omega)
+                * np.float_power(np.maximum(L, 0.0), 1.0 - self.omega))
 
     def lipschitz_K(self) -> float:
         return float("inf")
@@ -160,7 +169,7 @@ class LinearCongestion:
         if not self.d1 >= 0:
             raise ConfigurationError("congestion slope d1 must be >= 0")
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
         return self.d1 * x
 
 
@@ -177,8 +186,8 @@ class ConcavePowerCongestion:
         if not 0.0 < self.p <= 1.0:
             raise ConfigurationError("congestion exponent p must be in (0, 1]")
 
-    def __call__(self, x: float) -> float:
-        return self.d1 * max(x, 0.0) ** self.p
+    def __call__(self, x):
+        return self.d1 * np.float_power(np.maximum(x, 0.0), self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,11 +223,13 @@ class EconParams:
 
 # The aggregates take the state x = (s, i, r) as a (3, n_age) array or a
 # triple of arrays, so the trajectory kernel and the Hamiltonian share them.
+# Labor and the testing cost sum along the last axis: a (L, n_age) stack of
+# control slices gives one aggregate per row, each equal to that slice's.
 
-def labor_supply(x, theta_t: np.ndarray, econ: EconParams, da: float) -> float:
+def labor_supply(x, theta_t: np.ndarray, econ: EconParams, da: float):
     """Efficiency-unit labor of the working compartments, L = int (s+r) alpha phi(theta)."""
     s, _, r = x
-    return float(da * ((s + r) * econ.alpha * econ.phi(theta_t)).sum())
+    return da * ((s + r) * econ.alpha * econ.phi(theta_t)).sum(axis=-1)
 
 
 def consumption_total(x, c_t: np.ndarray, da: float) -> float:
@@ -227,16 +238,21 @@ def consumption_total(x, c_t: np.ndarray, da: float) -> float:
     return float(da * (c_t * (s + i + r)).sum())
 
 
-def testing_cost(x, eta_t: np.ndarray, econ: EconParams, da: float) -> float:
+def testing_cost(x, eta_t: np.ndarray, econ: EconParams, da: float):
     """Congestion-priced testing expenditure D(int level * i * e da)."""
     level = (1.0 - eta_t) if econ.cost_complement else eta_t
-    return float(econ.D(da * (level * x[1] * econ.e).sum()))
+    return econ.D(da * (level * x[1] * econ.e).sum(axis=-1))
 
 
 def capital_step(K: float, L: float, C: float, d_cost: float,
-                 econ: EconParams, dt: float) -> float:
-    """One explicit Euler step of the capital accumulation law."""
-    K1 = K + dt * (econ.F(K, L) - C - econ.delta * K - d_cost)
+                 econ: EconParams, dt: float, Y: float | None = None) -> float:
+    """One explicit Euler step of the capital accumulation law.
+
+    ``Y`` is the output F(K, L) when the caller already holds it.
+    """
+    if Y is None:
+        Y = econ.F(K, L)
+    K1 = K + dt * (Y - C - econ.delta * K - d_cost)
     if not np.isfinite(K1):
         raise NonFiniteState(f"capital update produced {K1}")
     return float(K1)

@@ -166,12 +166,19 @@ def force_of_infection(i: np.ndarray, n_total: float, theta_t, eta_t, m, da: flo
 
     lambda(a) = theta(a)/N * int m(a, tau) theta(tau) eta(tau) i(tau) dtau, with
     N = ``n_total`` the total population and ``m`` the contact kernel.  With
-    theta = eta = 1 this is the uncontrolled force of infection.
+    theta = eta = 1 this is the uncontrolled force of infection.  theta or
+    eta may be a (L, n_age) stack of slices; each row of the result equals
+    the hazard of that slice alone.
     """
     if n_total <= n_floor:
         raise ExtinctPopulation(
             f"total population {n_total:.3e} at or below the floor {n_floor:.3e}")
-    return theta_t * (m @ (theta_t * eta_t * i)) * (da / n_total)
+    u = theta_t * eta_t * i
+    if isinstance(m, RankOneKernel):
+        contact = m @ u
+    else:  # a table: one gemv per row, as for a single slice (a gemm rounds differently)
+        contact = (m @ u[..., None])[..., 0]
+    return theta_t * contact * (da / n_total)
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +203,8 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     L = economy.labor_supply(x, theta_t, econ, da)
     C = economy.consumption_total(x, c_t, da)
     d_cost = economy.testing_cost(x, eta_t, econ, da)
-    aggregates = (n_total, lam, Xi, deaths_flow(i, mu_i, da), L, econ.F(K, L), C, d_cost)
+    Y = econ.F(K, L)
+    aggregates = (n_total, lam, Xi, deaths_flow(i, mu_i, da), L, Y, C, d_cost)
     if out is None:
         return aggregates, None
 
@@ -222,7 +230,7 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     if negative.any():
         raise ConfigurationError(
             f"state component {'sir'[int(np.argmax(negative))]} must be nonnegative")
-    return aggregates, economy.capital_step(K, L, C, d_cost, econ, dt)
+    return aggregates, economy.capital_step(K, L, C, d_cost, econ, dt, Y)
 
 
 def step(state: EpiState, K: float, c_t: np.ndarray, theta_t: np.ndarray,

@@ -101,7 +101,9 @@ class TimeGrid:
 class RankOneKernel:
     """Contact kernel m0 * g(a) * g(tau) kept as factors: ``m @ x`` is O(n_age), no table.
 
-    Dense kernels are plain arrays with the same ``shape`` and ``@``.
+    ``m @ x`` applies the kernel along the last axis, so a (L, n_age) stack
+    gives one product per row.  Dense kernels are plain arrays with the same
+    ``shape``; ``epi.force_of_infection`` applies them to stacks row by row.
     """
 
     m0: float
@@ -118,7 +120,8 @@ class RankOneKernel:
         return (self.g.size, self.g.size)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return (self.m0 * (self.g @ x)) * self.g
+        # one dot per row, not a gemv over the stack: each row rounds as it would alone
+        return (self.m0 * (x[..., None, :] @ self.g[:, None])[..., 0]) * self.g
 
 
 def constant_kernel(grid: AgeGrid, m0: float) -> RankOneKernel:

@@ -141,6 +141,10 @@ def h1_evaluator(x, K: float, costate: CostateField, scenario: Scenario,
     the reward out (the controlled drift paired with the costate).  The
     state-only terms (N, and n^nu and the deaths flow of the reward) are
     computed once here.
+
+    theta and eta are (n_age,) slices or (L, n_age) stacks of L slices (c is
+    one slice); a stack gives L values, each equal to H1 at that slice
+    alone, since every age sum runs along the last axis row by row.
     """
     space, params, econ = scenario.space, scenario.epi, scenario.econ
     s, i, r = x
@@ -149,12 +153,12 @@ def h1_evaluator(x, K: float, costate: CostateField, scenario: Scenario,
     n_floor = _n_floor(scenario)
     running = objectives.node_reward(x, params, scenario.obj) if reward else None
 
-    def h1(c_t, theta_t, eta_t) -> float:
+    def h1(c_t, theta_t, eta_t):
         lam_s = epi.force_of_infection(i, n_total, theta_t, eta_t, params.m, da,
                                        n_floor) * s
         Y = econ.F(K, economy.labor_supply(x, theta_t, econ, da))
-        val = -float(da * (lam_s * costate.p1 * space.w1).sum())
-        val += float(da * (lam_s * costate.p2).sum())
+        val = -(da * (lam_s * costate.p1 * space.w1).sum(axis=-1))
+        val += da * (lam_s * costate.p2).sum(axis=-1)
         val += Y * costate.Q
         val -= economy.consumption_total(x, c_t, da) * costate.Q
         val -= economy.testing_cost(x, eta_t, econ, da) * costate.Q
@@ -165,8 +169,9 @@ def h1_evaluator(x, K: float, costate: CostateField, scenario: Scenario,
 
 def h1_part(x, K: float, costate: CostateField, c_t, theta_t, eta_t,
             scenario: Scenario) -> float:
-    """Control-dependent Hamiltonian part at the control slice (c, theta, eta)."""
-    return h1_evaluator(x, K, costate, scenario)(c_t, theta_t, eta_t)
+    """Control-dependent Hamiltonian part at the control slice (c, theta, eta):
+    the evaluator on a batch of one."""
+    return float(h1_evaluator(x, K, costate, scenario)(c_t, theta_t, eta_t))
 
 
 # ----------------------------------------------------------------------
@@ -231,8 +236,9 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
     coordinate sweep over the (theta, eta) age blocks, each block set to
     its best level with all others held fixed, until a fixed point.  The
     force of infection couples ages through the contact kernel, so the
-    sweep is repeated rather than decoupled.  Deterministic: levels are
-    scanned in order and the lowest-index candidate wins ties.
+    sweep is repeated rather than decoupled.  Each block's levels are
+    scored in one evaluator call on a (L, n_age) stack, one row per level.
+    Deterministic: the lowest-index level wins ties.
 
     ``baseline``, when given as a (c, theta, eta) slice, is also entered as
     a candidate (with its consumption re-solved exactly), so the returned
@@ -255,18 +261,22 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
         eta = np.repeat(et_levels[start_level_index(et_levels)], n_age)
         c = _optimal_c(n, Q, theta, obj, search.c_max)
         best = evaluate(c, theta, eta)
+        # one stack per control, each row a copy of it; only the block under
+        # scan differs between rows, and it is reset to the pick afterwards
+        th_stack = np.tile(theta, (th_levels.size, 1))
+        et_stack = np.tile(eta, (et_levels.size, 1))
         for _ in range(search.max_sweeps):
             changed = False
-            for levels, ctrl in ((th_levels, theta), (et_levels, eta)):
+            for levels, ctrl, stack in ((th_levels, theta, th_stack),
+                                        (et_levels, eta, et_stack)):
                 for b in range(nb):
                     lo, hi = b * bs, (b + 1) * bs
                     current = ctrl[lo]
-                    vals = []
-                    for lev in levels:
-                        ctrl[lo:hi] = lev
-                        vals.append(evaluate(c, theta, eta))
+                    stack[:, lo:hi] = levels[:, None]
+                    vals = (evaluate(c, stack, eta) if ctrl is theta
+                            else evaluate(c, theta, stack))
                     pick = int(np.argmax(vals))
-                    ctrl[lo:hi] = levels[pick]
+                    ctrl[lo:hi] = stack[:, lo:hi] = levels[pick]
                     changed |= bool(levels[pick] != current)
             c_new = _optimal_c(n, Q, theta, obj, search.c_max)
             c_shift = float(np.max(np.abs(c_new - c)))
@@ -290,7 +300,7 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
         if val_b > best:
             best, c, theta, eta = val_b, c_b, th_b, et_b
 
-    return H1Result(value=best, c=c, theta=theta, eta=eta)
+    return H1Result(value=float(best), c=c, theta=theta, eta=eta)
 
 
 # ----------------------------------------------------------------------

@@ -155,7 +155,8 @@ def node_reward(x, params: epi.EpiParams, obj: ObjectiveParams):
     ``x`` is the state (s, i, r) as a (3, n_age) array or a triple; Y is the
     output F(K, L_theta), which callers already hold.  The state-only terms
     (n^nu for J1, the deaths flow for J6) are computed once here.  Terminal
-    targets J3 and J4 contribute nothing.
+    targets J3 and J4 contribute nothing.  ``theta`` may be a (L, n_age)
+    stack with Y one value per row; the reward then has one entry per row.
     """
     s, i, r = x
     da = params.grid.da
@@ -165,15 +166,15 @@ def node_reward(x, params: epi.EpiParams, obj: ObjectiveParams):
     deaths = (epi.deaths_flow(i, epi.infection_mortality(
         params, epi.critical_load(i, params, da)), da) if "J6" in active else None)
 
-    def reward(c, theta, Y) -> float:
+    def reward(c, theta, Y):
         total = 0.0
         for which, w in active.items():
             if which == "J1":
-                total += w * float(da * (n_nu * obj.utility(c, theta)).sum())
+                total += w * (da * (n_nu * obj.utility(c, theta)).sum(axis=-1))
             elif which == "J6":
                 total += w * obj.j6_sign * deaths
             else:  # J2 and J5: the production flow
-                total += w * float(Y)
+                total += w * Y
         return total
 
     return reward

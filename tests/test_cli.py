@@ -153,6 +153,22 @@ def test_block_counts_that_do_not_divide_name_field(tmp_path, capsys, command, f
     assert f"{field}: 3 " in capsys.readouterr().err
 
 
+def test_zero_step_grid_optimizer_time_blocks_name_field(tmp_path, capsys, monkeypatch):
+    # a 0-step grid has one policy row: only n_time_blocks = 1 divides it
+    cfg = small_config(n_steps=0)
+    cfg["optimizer"] = {"n_time_blocks": 2}
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the config check")
+
+    monkeypatch.setattr(epi, "simulate", no_simulation)
+    code = cli.main(["optimize", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert ("optimizer.n_time_blocks: 2 time blocks do not divide the single policy "
+            "row of a 0-step grid" in capsys.readouterr().err)
+
+
 def test_defaults_match_dataclass_defaults():
     # a config without an optimizer section or a utility takes the classes' own defaults
     cfg = cfgmod.resolve_config(small_config())

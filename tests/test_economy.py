@@ -141,6 +141,15 @@ def test_capital_steady_state_exact():
     assert ee.capital_step(K, L, C, 0.0, econ, dt=0.25) == K
 
 
+def test_capital_step_given_output_equals_computed():
+    grid = ee.AgeGrid(a_max=10.0, n_age=16)
+    econ = make_econ(grid, F=ee.CESProduction(scale=1.2, omega=0.3, substitution=-0.5))
+    K, L, C, d_cost = 13.0, 7.0, 2.5, 0.4
+    Y = econ.F(K, L)
+    assert (ee.capital_step(K, L, C, d_cost, econ, 0.25, Y)
+            == ee.capital_step(K, L, C, d_cost, econ, 0.25))
+
+
 def test_overconsumption_flags_infeasible():
     scen = build_scenario(n_age=8, n_steps=4, K0=1.0, c_level=5.0, delta=0.05)
     traj = scen.simulate()
@@ -224,3 +233,71 @@ def test_congestion_validation():
         ee.ConcavePowerCongestion(d1=1.0, p=1.5)
     with pytest.raises(ee.ConfigurationError):
         ee.LinearCongestion(d1=-1.0)
+
+
+# ----------------------------------------------------------------------
+# array calls of F and D
+# ----------------------------------------------------------------------
+
+EDGE_INPUTS = np.array([0.0, 1e-300, 1e-200, -1.0, -1e-3, 0.25, 1.0, 3.7, 1e150, 1e300])
+
+
+def _former_ces(F, K, L):
+    """CES as it was written for Python floats, with the OverflowError -> F = 0 limit."""
+    K, L, s = max(K, 0.0), max(L, 0.0), F.substitution
+    try:
+        raw = F.scale * (F.omega * K**s + (1.0 - F.omega) * L**s) ** (1.0 / s)
+    except (ZeroDivisionError, OverflowError):
+        raw = 0.0
+    if F.mpk_cap is None:
+        return raw
+    zero_capital = 0.0 if s < 0.0 else F.scale * (1.0 - F.omega) ** (1.0 / s) * L
+    return min(raw, zero_capital + F.mpk_cap * K)
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+def _productions():
+    with pytest.warns(UserWarning, match="Lipschitz"):
+        cobb_douglas = ee.CobbDouglasProduction(scale=1.3, omega=0.35)
+    return {
+        "linear": (ee.LinearProduction(a_k=0.04, a_l=1.0), None),
+        "ces_complements": (ee.CESProduction(scale=2.0, omega=0.4, substitution=-2.0),
+                            _former_ces),
+        "ces_capped": (ee.CESProduction(scale=2.0, omega=0.4, substitution=0.5, mpk_cap=3.0),
+                       _former_ces),
+        "cobb_douglas": (cobb_douglas, lambda F, K, L: (
+            F.scale * max(K, 0.0) ** F.omega * max(L, 0.0) ** (1.0 - F.omega))),
+    }
+
+
+@pytest.mark.parametrize("name", ["linear", "ces_complements", "ces_capped", "cobb_douglas"])
+def test_production_array_call_equals_scalar_calls(name):
+    # one array call equals the elementwise scalar calls bit for bit, and the
+    # scalar calls equal the Python-float formula
+    F, former = _productions()[name]
+    rng = np.random.default_rng(17)
+    K, L = (np.concatenate([np.repeat(EDGE_INPUTS, EDGE_INPUTS.size),
+                            rng.uniform(0.0, 50.0, 200)]),
+            np.concatenate([np.tile(EDGE_INPUTS, EDGE_INPUTS.size),
+                            rng.uniform(0.0, 20.0, 200)]))
+    scalar = [F(float(k), float(l)) for k, l in zip(K, L)]
+    assert _same_bits(F(K, L), scalar)
+    # the Hamiltonian's stacks call F with scalar capital and one labor value per row
+    assert _same_bits(F(3.7, L), [F(3.7, float(l)) for l in L])
+    if former is not None:
+        assert _same_bits(scalar, [former(F, float(k), float(l)) for k, l in zip(K, L)])
+
+
+@pytest.mark.parametrize("D, former", [
+    (ee.LinearCongestion(d1=0.7), lambda D, x: D.d1 * x),
+    (ee.ConcavePowerCongestion(d1=0.7, p=0.6), lambda D, x: D.d1 * max(x, 0.0) ** D.p),
+    (ee.ConcavePowerCongestion(d1=0.7, p=1.0), lambda D, x: D.d1 * max(x, 0.0) ** D.p),
+])
+def test_congestion_array_call_equals_scalar_calls(D, former):
+    x = np.concatenate([EDGE_INPUTS, np.random.default_rng(18).uniform(0.0, 30.0, 200)])
+    scalar = [D(float(v)) for v in x]
+    assert _same_bits(D(x), scalar)
+    assert _same_bits(scalar, [former(D, float(v)) for v in x])

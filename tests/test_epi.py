@@ -84,6 +84,31 @@ def test_force_of_infection_extinction_guard():
         force_of_infection(scen.initial, np.ones(16), np.ones(16), scen.epi, n_floor=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_age=st.sampled_from([8, 16, 40, 80]),
+       table=st.booleans(), stacked=st.sampled_from(["theta", "eta", "both"]),
+       n_rows=st.integers(1, 5))
+def test_force_of_infection_stack_rows_equal_single_slices(seed, n_age, table, stacked,
+                                                           n_rows):
+    # a (L, n_age) stack gives each row the bits of that slice alone: one dot
+    # (rank-one) or one gemv (table) per row, never a gemv or gemm over the stack
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.1, 2.0, n_age)
+    m = (np.outer(g, rng.uniform(0.1, 2.0, n_age)) if table
+         else ee.RankOneKernel(float(rng.uniform(0.5, 3.0)), g))
+    i = rng.uniform(0.0, 1.0, n_age)
+    theta, eta = rng.uniform(0.0, 1.0, (2, n_age))
+    th = rng.uniform(0.0, 1.0, (n_rows, n_age)) if stacked != "eta" else None
+    et = rng.uniform(0.0, 1.0, (n_rows, n_age)) if stacked != "theta" else None
+    lam = ee.force_of_infection(i, 7.0, theta if th is None else th,
+                                eta if et is None else et, m, 0.5)
+    assert lam.shape == (n_rows, n_age)
+    for row in range(n_rows):
+        one = ee.force_of_infection(i, 7.0, theta if th is None else th[row],
+                                    eta if et is None else et[row], m, 0.5)
+        assert np.array_equal(lam[row], one)
+
+
 # ----------------------------------------------------------------------
 # stepping
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import epiecon as ee
+from epiecon.hamiltonian import _optimal_c
 
 from util import build_scenario, fit_order, smooth_bump
 
@@ -265,6 +267,140 @@ def test_maximize_h1_value_is_h1_at_argmax(seed, n_age, table, composite, blocks
                 rng.uniform(0.0, 1.0, n_age))
     res = ee.maximize_h1(x, K, costate, scen, baseline=baseline)
     assert res.value == ee.h1_part(x, K, costate, res.c, res.theta, res.eta, scen)
+
+
+PRODUCTIONS = {
+    "linear": lambda: ee.LinearProduction(a_k=0.04, a_l=1.0),
+    "ces_complements": lambda: ee.CESProduction(scale=1.5, omega=0.4, substitution=-1.5),
+    "ces_capped": lambda: ee.CESProduction(scale=1.5, omega=0.4, substitution=0.5,
+                                           mpk_cap=0.3),
+    "cobb_douglas": lambda: ee.CobbDouglasProduction(scale=1.2, omega=0.35),
+}
+CONGESTIONS = {
+    "linear": lambda: ee.LinearCongestion(d1=0.3),
+    "concave": lambda: ee.ConcavePowerCongestion(d1=0.3, p=0.6),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_age=st.sampled_from([8, 16, 40, 80]),
+       table=st.booleans(), production=st.sampled_from(sorted(PRODUCTIONS)),
+       congestion=st.sampled_from(sorted(CONGESTIONS)), cost_complement=st.booleans(),
+       targets=st.sets(st.sampled_from(["J1", "J2", "J5", "J6"]), min_size=1),
+       stacked=st.sampled_from(["theta", "eta", "both"]), n_rows=st.integers(1, 5))
+def test_h1_stack_rows_equal_h1_part_exactly(seed, n_age, table, production, congestion,
+                                            cost_complement, targets, stacked, n_rows):
+    # each row of a (L, n_age) stack is H1 at that slice alone, bit for bit
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.1, 2.0, n_age)
+    m0 = float(rng.uniform(0.0, 3.0))
+    kernel = m0 * np.outer(g, rng.uniform(0.1, 2.0, n_age)) if table \
+        else ee.RankOneKernel(m0, g)
+    weights = {t: float(rng.uniform(0.0 if t == "J1" else -5.0, 5.0)) for t in targets}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # Cobb-Douglas warns that it is not Lipschitz
+        F = PRODUCTIONS[production]()
+    scen = verification_scenario(n_age=n_age, kernel=kernel, composite=weights,
+                                 production=F, congestion=CONGESTIONS[congestion](),
+                                 phi=ee.PowerLockdown(q=float(rng.uniform(0.5, 2.0))))
+    scen = dataclasses.replace(
+        scen, econ=dataclasses.replace(scen.econ, cost_complement=cost_complement))
+    x = rng.uniform(0.0, 2.0, (3, n_age))
+    K = float(rng.uniform(0.0, 100.0))
+    # infection terms of any size against the rest, so a 1-ulp slip in them shows
+    costate = ee.CostateField(*(10.0 ** rng.uniform(-2.0, 3.0)
+                                * rng.standard_normal((3, n_age))),
+                              Q=float(rng.uniform(-1.0, 1.0)))
+    c = rng.uniform(0.0, 2.0, n_age)
+    theta, eta = rng.uniform(0.0, 1.0, (2, n_age))
+    th_rows = rng.uniform(0.0, 1.0, (n_rows, n_age)) if stacked != "eta" else None
+    et_rows = rng.uniform(0.0, 1.0, (n_rows, n_age)) if stacked != "theta" else None
+
+    vals = ee.h1_evaluator(x, K, costate, scen)(
+        c, theta if th_rows is None else th_rows, eta if et_rows is None else et_rows)
+    assert vals.shape == (n_rows,)
+    for row in range(n_rows):
+        one = ee.h1_part(x, K, costate, c, theta if th_rows is None else th_rows[row],
+                         eta if et_rows is None else et_rows[row], scen)
+        assert vals[row] == one
+
+
+def looped_maximize_h1(x, K, costate, scen, baseline):
+    """Reference for maximize_h1: the same sweep, scoring one level per H1 call."""
+    search, obj = scen.search, scen.obj
+    n_age = scen.age_grid.n_age
+    bs = n_age // search.n_age_blocks
+    th_levels = np.asarray(search.theta_levels, dtype=np.float64)
+    et_levels = np.asarray(search.eta_levels, dtype=np.float64)
+    n = x[0] + x[1] + x[2]
+    h1 = ee.h1_evaluator(x, K, costate, scen)
+
+    def optimal_c(theta):
+        return _optimal_c(n, costate.Q, theta, obj, search.c_max)
+
+    def ascend(start):
+        theta = np.repeat(th_levels[start(th_levels)], n_age)
+        eta = np.repeat(et_levels[start(et_levels)], n_age)
+        c = optimal_c(theta)
+        best = h1(c, theta, eta)
+        for _ in range(search.max_sweeps):
+            changed = False
+            for levels, ctrl in ((th_levels, theta), (et_levels, eta)):
+                for lo in range(0, n_age, bs):
+                    current = ctrl[lo]
+                    vals = []
+                    for lev in levels:
+                        ctrl[lo:lo + bs] = lev
+                        vals.append(h1(c, theta, eta))
+                    ctrl[lo:lo + bs] = levels[int(np.argmax(vals))]
+                    changed |= bool(ctrl[lo] != current)
+            c_new = optimal_c(theta)
+            c_shift = float(np.max(np.abs(c_new - c)))
+            c = c_new
+            best = h1(c, theta, eta)
+            if not changed and c_shift <= 1e-12 * (1.0 + float(np.max(np.abs(c)))):
+                break
+        return best, c, theta, eta
+
+    best = ascend(lambda levels: len(levels) - 1)
+    alt = ascend(lambda levels: 0)
+    if alt[0] > best[0]:
+        best = alt
+    c_b = optimal_c(baseline[1])
+    val_b = h1(c_b, baseline[1], baseline[2])
+    return (val_b, c_b, *baseline[1:]) if val_b > best[0] else best
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_age=st.sampled_from([8, 16, 40]),
+       table=st.booleans(), blocks=st.sampled_from([1, 2, 4, 8]),
+       d1=st.sampled_from([0.0, 0.1]), which=st.sampled_from(["J1", "J2", "J6"]),
+       max_sweeps=st.sampled_from([1, 2, 30]))
+def test_maximize_h1_equals_looped_reference(seed, n_age, table, blocks, d1, which,
+                                             max_sweeps):
+    # same sweep order, starts, baseline and lowest-index tie rule as one call
+    # per level; d1 = 0 leaves eta without effect where theta = 0, a tie, and
+    # a sweep cut short shows the order of the blocks
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.1, 2.0, n_age)
+    m0 = float(rng.uniform(0.0, 3.0))
+    kernel = m0 * np.outer(g, rng.uniform(0.1, 2.0, n_age)) if table \
+        else ee.RankOneKernel(m0, g)
+    scen = verification_scenario(n_age=n_age, kernel=kernel, i0=0.05, which=which,
+                                 congestion=ee.LinearCongestion(d1=d1),
+                                 search_blocks=blocks)
+    scen = dataclasses.replace(scen, search=dataclasses.replace(scen.search,
+                                                                max_sweeps=max_sweeps))
+    x = np.stack(scen.initial.as_triple())
+    K = float(rng.uniform(1.0, 100.0))
+    costate = ee.CostateField(*(rng.standard_normal((3, n_age))),
+                              Q=float(rng.uniform(-1.0, 1.0)))
+    baseline = tuple(rng.uniform(0.0, 1.0, (3, n_age)))
+    res = ee.maximize_h1(x, K, costate, scen, baseline=baseline)
+    val, c, theta, eta = looped_maximize_h1(x, K, costate, scen, baseline)
+    assert res.value == val
+    for got, want in ((res.c, c), (res.theta, theta), (res.eta, eta)):
+        assert np.array_equal(got, want)
 
 
 def test_maximize_rejects_nondividing_blocks():

@@ -40,16 +40,13 @@ from .economy import (
 from .epi import (
     EpiParams,
     EpiState,
-    PolicyField,
     SaturationSpec,
     Trajectory,
     critical_load,
     deaths_flow,
     force_of_infection,
-    full_lockdown_policy,
     hilbert_space_for,
     infection_mortality,
-    laissez_faire_policy,
     simulate,
     step,
 )

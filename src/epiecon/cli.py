@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from . import epi, optimizer
+from . import optimizer
 from .errors import ConfigurationError, InfeasibleStart, ModelError, NonFiniteState
 from .grid import TimeGrid
 from .hamiltonian import (chain_rule_residual, hamiltonian_gap_profile,
@@ -264,7 +264,7 @@ def cmd_check(cfg, out_dir=None) -> int:
         tg = TimeGrid.aligned(scenario.age_grid, t0=scenario.time_grid.t0,
                               n_steps=n_steps_m)
         trajs.append(dataclasses.replace(scenario, time_grid=tg).simulate(
-            _extend_policy(scenario.policy, tg)))
+            scenario.policy[:, np.minimum(np.arange(n_steps_m + 1), n_steps)]))
     tv = transversality_check(v, trajs, scenario.obj.rho)
     transversality = {"horizons": [float(x) for x in tv.horizons],
                       "weighted_values": [float(x) for x in tv.weighted_values],
@@ -295,17 +295,6 @@ def _coarsen_tables(node) -> None:
         node["values"] = v.reshape(halves).mean(axis=tuple(range(1, 2 * v.ndim, 2))).tolist()
     for child in node.values():
         _coarsen_tables(child)
-
-
-def _extend_policy(policy: epi.PolicyField, tg: TimeGrid) -> epi.PolicyField:
-    def extend(values):
-        need = tg.n_steps + 1
-        if need <= values.shape[0]:
-            return values[:need].copy()
-        pad = np.repeat(values[-1:], need - values.shape[0], axis=0)
-        return np.vstack([values, pad])
-
-    return epi.PolicyField(extend(policy.c), extend(policy.theta), extend(policy.eta))
 
 
 def _set_by_path(cfg: dict, path: str, value) -> None:

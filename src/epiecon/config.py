@@ -62,6 +62,12 @@ _FAMILY = {
     ],
 }
 
+
+def _block_table(**bounds) -> dict:
+    """Schema of a policy block table: rows of numbers within ``bounds``."""
+    return {"type": "array", "items": {"type": "array", "items": {"type": "number", **bounds}}}
+
+
 _LEVELS = {"type": "array", "minItems": 1,
            "items": {"type": "number", "minimum": 0, "maximum": 1}}
 
@@ -184,7 +190,7 @@ SCHEMA = {
                 "which": {"enum": list(objectives.TARGETS)},
                 "rho": {"type": "number", "exclusiveMinimum": 0},
                 "nu": {"type": "number", "minimum": 0, "maximum": 1},
-                "T_num": {"type": ["number", "null"]},
+                "T_num": {"type": ["number", "null"], "minimum": 0},
                 "utility": {
                     "type": "object",
                     "oneOf": [
@@ -218,9 +224,9 @@ SCHEMA = {
                 "eta_level": {"type": "number", "minimum": 0, "maximum": 1},
                 "n_time_blocks": {"type": "integer", "minimum": 1},
                 "n_age_blocks": {"type": "integer", "minimum": 1},
-                "c": {"type": "array"},
-                "theta": {"type": "array"},
-                "eta": {"type": "array"},
+                "c": _block_table(minimum=0),
+                "theta": _block_table(minimum=0, maximum=1),
+                "eta": _block_table(minimum=0, maximum=1),
             },
         },
         "search": {
@@ -266,7 +272,7 @@ SCHEMA = {
                     },
                 },
                 "adjoint_pairs": {"type": "integer", "minimum": 1},
-                "horizon_multipliers": {"type": "array",
+                "horizon_multipliers": {"type": "array", "minItems": 1,
                                         "items": {"type": "number",
                                                   "exclusiveMinimum": 0}},
                 "seed": {"type": "integer", "minimum": 0},
@@ -486,54 +492,46 @@ def _build_kernel(spec: dict, grid: AgeGrid):
     return table_kernel(grid, _table(spec["values"], "epidemic.contact.values"))
 
 
-def _build_production(spec: dict):
-    if spec["type"] == "linear":
-        return economy.LinearProduction(a_k=spec["a_k"], a_l=spec["a_l"])
-    if spec["type"] == "ces":
-        return economy.CESProduction(scale=spec["scale"], omega=spec["omega"],
-                                     substitution=spec["substitution"],
-                                     mpk_cap=spec.get("mpk_cap"))
-    return economy.CobbDouglasProduction(scale=spec["scale"], omega=spec["omega"])
+# type -> class, one table per variant section; each spec holds exactly the class's fields
+_CLASSES = {
+    "production": {"linear": economy.LinearProduction, "ces": economy.CESProduction,
+                   "cobb_douglas": economy.CobbDouglasProduction},
+    "phi": {"power": economy.PowerLockdown, "affine": economy.AffineLockdown},
+    "congestion": {"linear": economy.LinearCongestion,
+                   "concave_power": economy.ConcavePowerCongestion},
+    "utility": {"shifted_crra": objectives.ShiftedCRRAUtility,
+                "separable": objectives.SeparableUtility},
+}
 
 
-def _build_phi(spec: dict):
-    if spec["type"] == "power":
-        return economy.PowerLockdown(q=spec["q"])
-    return economy.AffineLockdown(ell=spec["ell"])
+def _build(section: str, spec: dict):
+    """The ``section`` object its spec's type names, built from the spec's other keys."""
+    return _CLASSES[section][spec["type"]](**{k: v for k, v in spec.items() if k != "type"})
 
 
-def _build_congestion(spec: dict):
-    if spec["type"] == "linear":
-        return economy.LinearCongestion(d1=spec["d1"])
-    return economy.ConcavePowerCongestion(d1=spec["d1"], p=spec["p"])
-
-
-def _build_utility(spec: dict):
-    cls = (objectives.ShiftedCRRAUtility if spec["type"] == "shifted_crra"
-           else objectives.SeparableUtility)
-    return cls(**{k: v for k, v in spec.items() if k != "type"})
-
-
-def _build_policy(cfg: dict, age_grid: AgeGrid, time_grid: TimeGrid) -> epi.PolicyField:
+def _build_policy(cfg: dict, age_grid: AgeGrid, time_grid: TimeGrid) -> np.ndarray:
+    """The configured policy as one frozen (3, n_steps + 1, n_age) array, rows c, theta, eta."""
     pol = cfg["policy"]
     preset = pol["preset"]
-    if preset == "laissez_faire":
-        return epi.laissez_faire_policy(age_grid, time_grid, pol["c_level"])
-    if preset == "full_lockdown":
-        return epi.full_lockdown_policy(age_grid, time_grid, pol["c_level"])
-    _check_blocks(cfg, "policy")
-    shape = (pol["n_time_blocks"], pol["n_age_blocks"])
+    if preset != "blocks":  # laissez_faire or full_lockdown: one block, eta = 1
+        theta = 1.0 if preset == "laissez_faire" else 0.0
+        blocks = np.reshape([pol["c_level"], theta, 1.0], (3, 1, 1))
+    else:
+        _check_blocks(cfg, "policy")
+        shape = (pol["n_time_blocks"], pol["n_age_blocks"])
 
-    def table(key):
-        if key not in pol:
-            return np.full(shape, pol[f"{key}_level"])
-        blocks = _table(pol[key], f"policy.{key}")
-        if blocks.shape != shape:
-            raise ConfigurationError(f"policy.{key} block shape {blocks.shape} != {shape}")
-        return blocks
+        def table(key):
+            if key not in pol:
+                return np.full(shape, pol[f"{key}_level"])
+            blocks = _table(pol[key], f"policy.{key}")
+            if blocks.shape != shape:
+                raise ConfigurationError(f"policy.{key} block shape {blocks.shape} != {shape}")
+            return blocks
 
-    blocks = np.stack([table("c"), table("theta"), table("eta")])
-    return epi.PolicyField(*expand_blocks(blocks, time_grid, age_grid))
+        blocks = np.stack([table("c"), table("theta"), table("eta")])
+    policy = expand_blocks(blocks, time_grid, age_grid)
+    policy.flags.writeable = False
+    return policy
 
 
 def build_scenario(cfg: dict) -> Scenario:
@@ -560,15 +558,15 @@ def build_scenario(cfg: dict) -> Scenario:
         alpha=sample_family(ec["alpha"], age_grid, "economy.alpha"),
         e=sample_family(ec["e"], age_grid, "economy.e"),
         delta=ec["delta"],
-        F=_build_production(ec["production"]),
-        phi=_build_phi(ec["phi"]),
-        D=_build_congestion(ec["congestion"]),
+        F=_build("production", ec["production"]),
+        phi=_build("phi", ec["phi"]),
+        D=_build("congestion", ec["congestion"]),
         cost_complement=ec["cost_complement"],
     )
 
     ob = cfg["objective"]
     obj = objectives.ObjectiveParams(
-        rho=ob["rho"], nu=ob["nu"], utility=_build_utility(ob["utility"]),
+        rho=ob["rho"], nu=ob["nu"], utility=_build("utility", ob["utility"]),
         which=ob["which"], T_num=ob["T_num"],
         j6_discounted=ob["j6_discounted"], j6_sign=float(ob["j6_sign"]),
         composite=ob["composite"],

@@ -100,47 +100,6 @@ class EpiState:
         return float(self.grid.da * (self.s + self.i + self.r).sum())
 
 
-@dataclass(frozen=True, eq=False)
-class PolicyField:
-    """Control surfaces c >= 0, theta in [0, 1], eta in [0, 1], each of shape
-    (n_steps + 1, n_age): one row per time node, one column per age cell."""
-
-    c: np.ndarray
-    theta: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        shape = np.shape(self.c)
-        for name in ("c", "theta", "eta"):
-            object.__setattr__(self, name, _as_readonly(getattr(self, name), shape,
-                                                        f"{name} control"))
-        if np.any(self.c < 0):
-            raise ConfigurationError("consumption control must be nonnegative")
-        for name in ("theta", "eta"):
-            v = getattr(self, name)
-            if np.any(v < 0) or np.any(v > 1.0):
-                raise ConfigurationError(f"{name} control must lie in [0, 1]")
-
-    @classmethod
-    def constant(cls, age_grid: AgeGrid, time_grid: TimeGrid,
-                 c: float = 0.0, theta: float = 1.0, eta: float = 1.0) -> "PolicyField":
-        shape = (time_grid.n_steps + 1, age_grid.n_age)
-        return cls(np.full(shape, float(c)), np.full(shape, float(theta)),
-                   np.full(shape, float(eta)))
-
-    def at(self, k: int):
-        """Control slice (c, theta, eta) at time node k."""
-        return (self.c[k], self.theta[k], self.eta[k])
-
-
-def laissez_faire_policy(age_grid, time_grid, c_level: float = 0.0) -> PolicyField:
-    return PolicyField.constant(age_grid, time_grid, c=c_level, theta=1.0, eta=1.0)
-
-
-def full_lockdown_policy(age_grid, time_grid, c_level: float = 0.0) -> PolicyField:
-    return PolicyField.constant(age_grid, time_grid, c=c_level, theta=0.0, eta=1.0)
-
-
 # ----------------------------------------------------------------------
 # pointwise operations
 # ----------------------------------------------------------------------
@@ -275,24 +234,42 @@ class Trajectory:
         return self.time_grid.times
 
 
-def simulate(initial: EpiState, K0: float, policy: PolicyField, params: EpiParams,
+def _checked_policy(policy, n_nodes: int, n_age: int) -> np.ndarray:
+    """``policy`` as a float array of shape (3, n_nodes, n_age), checked for the control box."""
+    u = np.asarray(policy, dtype=np.float64)
+    if u.shape != (3, n_nodes, n_age):
+        raise ConfigurationError("policy surfaces do not match the grids")
+    lo, hi = u.min(axis=(1, 2)), u.max(axis=(1, 2))  # per row; a NaN reaches both
+    for name, finite in zip(("c", "theta", "eta"), np.isfinite(lo) & np.isfinite(hi)):
+        if not finite:
+            raise ConfigurationError(f"{name} control: values must be finite")
+    if lo[0] < 0:
+        raise ConfigurationError("consumption control must be nonnegative")
+    for name, low, high in zip(("theta", "eta"), lo[1:], hi[1:]):
+        if low < 0 or high > 1.0:
+            raise ConfigurationError(f"{name} control must lie in [0, 1]")
+    return u
+
+
+def simulate(initial: EpiState, K0: float, policy: np.ndarray, params: EpiParams,
              econ: economy.EconParams, time_grid: TimeGrid,
              n_floor_rel: float = 1e-9) -> Trajectory:
     """Run the controlled dynamics over the whole time grid.
 
-    Positivity of (s, i, r) is automatic, so the run is flagged infeasible
-    only if capital goes negative; negative capital is recorded, not
-    clamped, and the squared violation integral is reported for the
-    optimizer's penalty.  Model errors are re-raised with the failing step
-    index attached.
+    ``policy`` is one (3, n_steps + 1, n_age) array, rows c >= 0, theta and
+    eta in [0, 1], one control slice per time node; it is checked here, the
+    one place a policy is.  Positivity of (s, i, r) is automatic, so the run
+    is flagged infeasible only if capital goes negative; negative capital is
+    recorded, not clamped, and the squared violation integral is reported
+    for the optimizer's penalty.  Model errors are re-raised with the
+    failing step index attached.
     """
     grid = initial.grid
     if abs(time_grid.dt - grid.da) > 1e-15 * max(1.0, grid.da):
         raise ConfigurationError(
             f"time step {time_grid.dt} must equal the age cell width {grid.da}")
     n_steps = time_grid.n_steps
-    if policy.c.shape != (n_steps + 1, grid.n_age):
-        raise ConfigurationError("policy surfaces do not match the grids")
+    u = _checked_policy(policy, n_steps + 1, grid.n_age)
     if econ.alpha.shape != (grid.n_age,):  # EconParams checks e against alpha
         raise ConfigurationError("economy profiles alpha and e do not match the age grid")
     if K0 < 0:
@@ -300,7 +277,6 @@ def simulate(initial: EpiState, K0: float, policy: PolicyField, params: EpiParam
 
     n_floor = n_floor_rel * initial.total_population()
     da, dt = grid.da, time_grid.dt
-    c, theta, eta = policy.c, policy.theta, policy.eta
 
     X = np.empty((n_steps + 1, 3, grid.n_age))
     X[0] = initial.as_triple()
@@ -312,7 +288,7 @@ def simulate(initial: EpiState, K0: float, policy: PolicyField, params: EpiParam
     for k in range(n_steps + 1):
         try:
             (N[k], lam[k], Xi[k], deaths[k], L[k], Y[k], C[k], D_cost[k]), K1 = _node(
-                X[k], K[k], c[k], theta[k], eta[k], params, econ, da, dt, n_floor,
+                X[k], K[k], *u[:, k], params, econ, da, dt, n_floor,
                 X[k + 1] if k < n_steps else None)
         except ModelError as err:
             err.step_index = k

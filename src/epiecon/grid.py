@@ -147,7 +147,8 @@ def expand_blocks(block_values: np.ndarray, time_grid: TimeGrid, age_grid: AgeGr
 
     Leading axes are kept, so the (3, ...) c, theta, eta blocks of a policy
     expand in one call.  Blocks must divide both meshes evenly.  The terminal
-    time node reuses the last time block.
+    time node reuses the last time block.  The surface is one C-ordered
+    allocation, taken from the blocks repeated along the age axis.
     """
     bv = np.asarray(block_values, dtype=np.float64)
     ntb, nab = bv.shape[-2:]
@@ -157,7 +158,5 @@ def expand_blocks(block_values: np.ndarray, time_grid: TimeGrid, age_grid: AgeGr
     if n_steps % ntb != 0:
         raise ConfigurationError(f"{ntb} time blocks do not divide n_steps = {n_steps}")
     rows = np.repeat(bv, n_age // nab, axis=-1)
-    if n_steps == 0:
-        return rows[..., -1:, :].copy()
-    full = np.repeat(rows, n_steps // ntb, axis=-2)
-    return np.concatenate([full, full[..., -1:, :]], axis=-2)
+    nodes = np.append(np.repeat(np.arange(ntb), n_steps // ntb), ntb - 1)
+    return rows.take(nodes, axis=-2)  # unlike rows[..., nodes, :], C-ordered

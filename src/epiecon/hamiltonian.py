@@ -311,7 +311,7 @@ def _costate_at(v, x, K) -> CostateField:
     return CostateField(*map(np.asarray, v.grad_h(x, K)), Q=float(v.grad_K(x, K)))
 
 
-def hamiltonian_gap_profile(v, policy: epi.PolicyField, traj: epi.Trajectory,
+def hamiltonian_gap_profile(v, policy: np.ndarray, traj: epi.Trajectory,
                             scenario: Scenario) -> np.ndarray:
     """Per-node gap sup_z H1 - H1(policy) along a trajectory, using v's gradients.
 
@@ -323,7 +323,7 @@ def hamiltonian_gap_profile(v, policy: epi.PolicyField, traj: epi.Trajectory,
     for k in range(n_nodes):
         x, K = traj.X[k], float(traj.K[k])
         costate = _costate_at(v, x, K)
-        z = policy.at(k)
+        z = policy[:, k]
         gaps[k] = (maximize_h1(x, K, costate, scenario, baseline=z).value
                    - h1_part(x, K, costate, *z, scenario))
     return gaps
@@ -341,7 +341,7 @@ def discounted_running_payoff(traj, policy, scenario: Scenario) -> float:
     tg, obj = traj.time_grid, scenario.obj
     total = 0.0
     for k in range(tg.n_steps):
-        c_t, th_t, et_t = policy.at(k)
+        c_t, th_t, et_t = policy[:, k]
         u = objectives.running_reward(traj.X[k], float(traj.K[k]), c_t, th_t, et_t,
                                       scenario.epi, scenario.econ, obj)
         total += np.exp(-obj.rho * (tg.times[k] - tg.t0)) * u
@@ -383,7 +383,7 @@ def chain_rule_residual(v, policy, traj, scenario: Scenario) -> float:
         x, K = traj.X[k], float(traj.K[k])
         costate = _costate_at(v, x, K)
         drift = (h0_part(x, K, costate, scenario)
-                 + h1_evaluator(x, K, costate, scenario, reward=False)(*policy.at(k)))
+                 + h1_evaluator(x, K, costate, scenario, reward=False)(*policy[:, k]))
         acc += (np.exp(-obj.rho * (tg.times[k] - tg.t0))
                 * (obj.rho * v.value(x, K) - drift))
     acc *= tg.dt
@@ -425,13 +425,13 @@ def greedy_policy(v, scenario: Scenario):
     """Roll out the policy that maximizes H1 step by step under v's gradients.
 
     Starts from the scenario's initial state and capital on its time grid.
-    Returns the policy surface and its trajectory.  By construction the
+    Returns the (3, n_steps + 1, n_age) policy and its trajectory.  By construction the
     Hamiltonian gap of the result vanishes on its own trajectory, which is
     the constructive side of the sufficiency argument on the control
     lattice.
     """
     grid, tg = scenario.space.grid, scenario.time_grid
-    c_surf, th_surf, et_surf = np.zeros((3, tg.n_steps + 1, grid.n_age))
+    policy = np.zeros((3, tg.n_steps + 1, grid.n_age))
     n_floor = _n_floor(scenario)
 
     X = np.empty((tg.n_steps + 1, 3, grid.n_age))
@@ -440,10 +440,8 @@ def greedy_policy(v, scenario: Scenario):
     for k in range(tg.n_steps + 1):
         costate = _costate_at(v, X[k], K)
         res = maximize_h1(X[k], K, costate, scenario)
-        c_surf[k], th_surf[k], et_surf[k] = res.c, res.theta, res.eta
+        policy[:, k] = res.c, res.theta, res.eta
         if k < tg.n_steps:
             K = epi._node(X[k], K, res.c, res.theta, res.eta, scenario.epi,
                           scenario.econ, grid.da, tg.dt, n_floor, X[k + 1])[1]
-
-    policy = epi.PolicyField(c_surf, th_surf, et_surf)
     return policy, scenario.simulate(policy)

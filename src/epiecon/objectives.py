@@ -125,6 +125,8 @@ class ObjectiveParams:
             raise ConfigurationError("discount rate rho must be > 0")
         if not 0.0 <= self.nu <= 1.0:
             raise ConfigurationError("altruism exponent nu must be in [0, 1]")
+        if self.T_num is not None and not self.T_num >= 0:
+            raise ConfigurationError(f"truncation horizon T_num must be >= 0, got {self.T_num}")
         if self.which not in TARGETS:
             raise ConfigurationError(f"unknown target {self.which!r}")
         if self.j6_sign not in (1.0, -1.0):
@@ -202,7 +204,7 @@ class EvalReport:
     components: dict
 
 
-def evaluate(traj: epi.Trajectory, policy: epi.PolicyField, params: epi.EpiParams,
+def evaluate(traj: epi.Trajectory, policy: np.ndarray, params: epi.EpiParams,
              econ, obj: ObjectiveParams) -> EvalReport:
     """Evaluate the configured target (or composite) on a simulated trajectory.
 
@@ -244,8 +246,8 @@ def _single_target(traj, policy, params, econ, obj, which):
         else:
             m = min(n_steps, int(round(obj.T_num / dt)))
         if which == "J1":
-            u_vals = _utility_flow(traj.X[:m].sum(axis=1), policy.c[:m],
-                                   policy.theta[:m], obj, da)
+            u_vals = _utility_flow(traj.X[:m].sum(axis=1), policy[0, :m],
+                                   policy[1, :m], obj, da)
         else:
             u_vals = traj.Y[:m]
         disc = np.exp(-obj.rho * elapsed[:m])

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import epi
 from .errors import ConfigurationError, InfeasibleStart, ModelError
 from .grid import expand_blocks
 from .hamiltonian import hamiltonian_gap_profile, integrated_gap
@@ -54,15 +53,14 @@ class OptimizerConfig:
             raise ConfigurationError("block counts must be >= 1")
 
 
-def block_means(policy: epi.PolicyField, n_time_blocks: int,
+def block_means(policy: np.ndarray, n_time_blocks: int,
                 n_age_blocks: int) -> np.ndarray:
-    """Block means of a policy surface, shape (3, n_time_blocks, n_age_blocks).
+    """Block means of a (3, n_steps + 1, n_age) policy, shape (3, n_time_blocks, n_age_blocks).
 
     Rows are c, theta, eta.  A block-constant surface gives back its block
     values, exactly when the block sums are exact.
     """
-    values = np.stack([policy.c, policy.theta, policy.eta])
-    rows = values[:, :-1] if values.shape[1] > 1 else values
+    rows = policy[:, :-1] if policy.shape[1] > 1 else policy
     _, nt, na = rows.shape
     if nt % n_time_blocks != 0 or na % n_age_blocks != 0:
         raise ConfigurationError("block structure does not divide the policy grid")
@@ -75,7 +73,7 @@ def _project_blocks(blocks: np.ndarray, c_max: float) -> np.ndarray:
     return np.clip(blocks, 0.0, np.array([c_max, 1.0, 1.0])[:, None, None])
 
 
-def penalized_objective(policy: epi.PolicyField, scenario: Scenario,
+def penalized_objective(policy: np.ndarray, scenario: Scenario,
                         penalty: float = 1e6):
     """Target value minus the quadratic capital-negativity penalty, and the trajectory.
 
@@ -93,7 +91,7 @@ class OptimReport:
     objective_trace: list
     violation_trace: list
     blocks: np.ndarray
-    policy: epi.PolicyField
+    policy: np.ndarray
     feasible: bool
     converged: bool
     n_iters: int
@@ -103,16 +101,12 @@ class OptimReport:
     seed: int = 0
 
 
-def _expand(blocks: np.ndarray, scenario: Scenario) -> epi.PolicyField:
-    return epi.PolicyField(*expand_blocks(blocks, scenario.time_grid, scenario.age_grid))
-
-
 def _safe_objective(blocks: np.ndarray, scenario: Scenario,
                     config: OptimizerConfig):
     """(objective, trajectory, None) at block values; (None, None, message) on model failure."""
     try:
-        return (*penalized_objective(_expand(blocks, scenario), scenario, config.penalty),
-                None)
+        policy = expand_blocks(blocks, scenario.time_grid, scenario.age_grid)
+        return (*penalized_objective(policy, scenario, config.penalty), None)
     except ModelError as err:
         return None, None, f"probe failed: {err}"
 
@@ -217,10 +211,11 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
             converged = True
             break
 
-    final_policy = _expand(blocks, scenario)
+    tg, ag = scenario.time_grid, scenario.age_grid
+    final_policy = expand_blocks(blocks, tg, ag)
     gap_initial = gap_final = None
     if value_function is not None:
-        initial_policy = _expand(initial_blocks, scenario)
+        initial_policy = expand_blocks(initial_blocks, tg, ag)
         gaps0 = hamiltonian_gap_profile(value_function, initial_policy, initial_traj,
                                         scenario)
         gaps1 = hamiltonian_gap_profile(value_function, final_policy, traj, scenario)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import epi, objectives
 from .economy import EconParams
 from .grid import AgeGrid, TimeGrid
@@ -22,18 +24,18 @@ class Scenario:
     obj: objectives.ObjectiveParams
     initial: epi.EpiState
     K0: float
-    policy: epi.PolicyField
+    policy: np.ndarray  # (3, n_steps + 1, n_age), rows c, theta, eta
     search: ControlSearchGrid
     space: HilbertSpace
     n_floor_rel: float = 1e-9
 
-    def simulate(self, policy: epi.PolicyField | None = None) -> epi.Trajectory:
+    def simulate(self, policy: np.ndarray | None = None) -> epi.Trajectory:
         if policy is None:
             policy = self.policy
         return epi.simulate(self.initial, self.K0, policy, self.epi, self.econ,
                             self.time_grid, self.n_floor_rel)
 
-    def evaluate(self, policy: epi.PolicyField | None = None,
+    def evaluate(self, policy: np.ndarray | None = None,
                  traj: epi.Trajectory | None = None) -> objectives.EvalReport:
         if policy is None:
             policy = self.policy

@@ -120,6 +120,16 @@ def test_malformed_table_names_field(tmp_path, capsys, field, table):
     assert f"config field {field}" in capsys.readouterr().err
 
 
+def test_out_of_box_policy_block_names_field(tmp_path, capsys):
+    # optimize starts from the block means, so the schema must reject the surface it never runs
+    cfg = small_config()
+    cfg["policy"] = {"preset": "blocks", "theta": [[1.5]]}
+    code = cli.main(["optimize", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config field policy.theta" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["epidemic.beta", "epidemic.initial.i", "economy.alpha",
                                    "verification.value_function.w2"])
 def test_wrong_length_table_family_names_field(tmp_path, capsys, field):
@@ -387,6 +397,18 @@ def test_table_kernel_is_read_only():
         scenario.epi.m[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("preset, theta", [("laissez_faire", 1.0), ("full_lockdown", 0.0),
+                                           ("blocks", 0.5)])
+def test_scenario_policy_is_one_read_only_array(preset, theta):
+    cfg = small_config()
+    cfg["policy"] = {"preset": preset, "c_level": 0.1, "theta_level": 0.5}
+    policy = cfgmod.build_scenario(cfgmod.resolve_config(cfg)).policy
+    assert policy.shape == (3, 9, 16)
+    assert np.array_equal(policy, np.broadcast_to([[[0.1]], [[theta]], [[1.0]]], (3, 9, 16)))
+    with pytest.raises(ValueError, match="read-only"):
+        policy[1, 0, 0] = 0.25
+
+
 @pytest.mark.parametrize("mu_s", [2.0, 5.0])
 def test_check_accepts_exact_gradient_under_large_weights(tmp_path, mu_s):
     # survival weights 1/pi^2 reach ~1e13..1e16 here, so |v| does too; the
@@ -570,6 +592,23 @@ def test_nonfinite_config_number_names_field(tmp_path, capsys, command, section,
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("evaluate", "objective", "T_num", -1),
+    ("check", "verification", "horizon_multipliers", []),
+], ids=["negative_T_num", "no_horizons"])
+def test_demo_config_out_of_range_names_field(tmp_path, capsys, command, section, key,
+                                              value):
+    # evaluate would sum a negative T_num's reward rows from the end; check needs a horizon
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo_covid.json"
+    cfg = json.loads(demo.read_text())
+    cfg[section][key] = value
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    assert f"config field {section}.{key}" in capsys.readouterr().err
     assert not out.exists()
 
 

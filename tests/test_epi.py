@@ -159,8 +159,7 @@ def test_simulate_zero_steps_identity():
 def test_laissez_faire_unit_controls_bitwise():
     scen = build_scenario(n_age=16, n_steps=10, mu_s=0.01, mu_i=0.2, gamma=0.3,
                           beta=0.02, m0=1.5, i0=0.01, s0=1.0)
-    explicit = ee.PolicyField.constant(scen.age_grid, scen.time_grid,
-                                       c=0.0, theta=1.0, eta=1.0)
+    explicit = np.reshape([0.0, 1.0, 1.0], (3, 1, 1)) * np.ones((11, 16))
     t1 = scen.simulate()
     t2 = scen.simulate(explicit)
     assert t1.X.shape == (11, 3, 16)
@@ -342,7 +341,7 @@ def test_trajectory_aggregates_recomputable():
     da = scen.age_grid.da
     for k in range(scen.time_grid.n_steps + 1):
         x = traj.X[k]
-        c_t, th_t, et_t = policy.at(k)
+        c_t, th_t, et_t = policy[:, k]
         N = da * x.sum()
         assert traj.N[k] == pytest.approx(N, rel=1e-10)
         Xi = ee.critical_load(x[1], scen.epi, da)
@@ -362,18 +361,21 @@ def test_trajectory_aggregates_recomputable():
 
 
 def test_policy_box_validation():
-    grid = ee.AgeGrid(a_max=8.0, n_age=8)
-    tg = ee.TimeGrid.aligned(grid, n_steps=2)
-    with pytest.raises(ee.ConfigurationError):
-        ee.PolicyField.constant(grid, tg, c=-1.0)
-    with pytest.raises(ee.ConfigurationError):
-        ee.PolicyField.constant(grid, tg, theta=1.4)
+    # simulate checks the policy array: c >= 0, theta and eta in [0, 1]
+    scen = build_scenario(n_age=8, a_max=8.0, n_steps=2)
+    for row, value, text in ((0, -1.0, "consumption control must be nonnegative"),
+                             (1, 1.4, "theta control must lie in"),
+                             (2, -0.1, "eta control must lie in")):
+        bad = np.array(scen.policy)
+        bad[row] = value
+        with pytest.raises(ee.ConfigurationError, match=text):
+            scen.simulate(bad)
 
 
 def test_simulate_rejects_mismatched_grids():
     scen = build_scenario(n_age=16, n_steps=4)
     short_tg = ee.TimeGrid.aligned(scen.age_grid, n_steps=2)
-    short_policy = ee.PolicyField.constant(scen.age_grid, short_tg)
+    short_policy = np.reshape([0.0, 1.0, 1.0], (3, 1, 1)) * np.ones((short_tg.n_steps + 1, 16))
     with pytest.raises(ee.ConfigurationError):
         ee.simulate(scen.initial, scen.K0, short_policy, scen.epi, scen.econ,
                     scen.time_grid)
@@ -424,7 +426,7 @@ def test_rank_one_kernel_matches_dense_table(seed, m0, n_age):
                               p2=rng.uniform(0.1, 1.0, n_age),
                               p3=rng.uniform(-1.0, 1.0, n_age), Q=0.5)
     for k in (0, 4, 8):
-        h1 = [ee.h1_part(t.X[k], float(t.K[k]), costate, *policy.at(k), s)
+        h1 = [ee.h1_part(t.X[k], float(t.K[k]), costate, *policy[:, k], s)
               for s, t in ((scen_f, tf), (scen_d, td))]
         assert h1[0] == pytest.approx(h1[1], rel=1e-12, abs=0.0)
 
@@ -457,7 +459,7 @@ def test_repeated_step_reproduces_simulate_bitwise(rank_one):
     n_floor = scen.n_floor_rel * scen.initial.total_population()
     state, K = scen.initial, scen.K0
     for k in range(scen.time_grid.n_steps):
-        state, K = ee.step(state, K, *policy.at(k), scen.epi, scen.econ,
+        state, K = ee.step(state, K, *policy[:, k], scen.epi, scen.econ,
                            scen.time_grid.dt, n_floor)
         assert np.array_equal(np.stack(state.as_triple()), traj.X[k + 1])
         assert K == traj.K[k + 1]

@@ -144,14 +144,15 @@ def test_field_validation():
             dataclasses.replace(scen.econ, alpha=bad)
         with pytest.raises(ee.ConfigurationError):
             ee.EpiState(scen.age_grid, bad, np.zeros(16), np.zeros(16))
-    pol = scen.policy
+    # simulate checks the policy array's shape, and finiteness
     with pytest.raises(ee.ConfigurationError):
-        ee.PolicyField(pol.c, pol.theta[:, :8], pol.eta)
+        scen.simulate(scen.policy[:, :, :8])
     # a NaN surface passes every bounds comparison; finiteness must catch it
-    nan_theta = np.array(pol.theta)
-    nan_theta[2, 3] = np.nan
-    with pytest.raises(ee.ConfigurationError, match="finite"):
-        ee.PolicyField(pol.c, nan_theta, pol.eta)
+    for row, name, value in ((1, "theta", np.nan), (0, "c", np.inf), (2, "eta", -np.inf)):
+        bad = np.array(scen.policy)
+        bad[row, 2, 3] = value
+        with pytest.raises(ee.ConfigurationError, match=f"^{name} control: values must be finite"):
+            scen.simulate(bad)
 
 
 def test_expand_blocks_shapes_and_divisibility():
@@ -167,6 +168,29 @@ def test_expand_blocks_shapes_and_divisibility():
         ee.expand_blocks(np.ones((3, 2)), tg, grid)
     with pytest.raises(ee.ConfigurationError):
         ee.expand_blocks(np.ones((2, 3)), tg, grid)
+
+
+def _repeat_and_concatenate(blocks, tg, grid):
+    """Reference expansion: repeat along both axes, then append the terminal row."""
+    ntb, nab = blocks.shape[-2:]
+    rows = np.repeat(blocks, grid.n_age // nab, axis=-1)
+    if tg.n_steps == 0:
+        return rows[..., -1:, :]
+    full = np.repeat(rows, tg.n_steps // ntb, axis=-2)
+    return np.concatenate([full, full[..., -1:, :]], axis=-2)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("ntb, nab, n_steps", [(1, 1, 0), (4, 2, 0), (1, 4, 3), (4, 2, 8),
+                                               (2, 16, 6)])
+def test_expand_blocks_matches_repeat_and_concatenate(lead, ntb, nab, n_steps):
+    # n_steps = 0 with several time blocks: the single (terminal) row takes the last block
+    grid = ee.AgeGrid(a_max=8.0, n_age=16)
+    tg = ee.TimeGrid.aligned(grid, n_steps=n_steps)
+    blocks = np.random.default_rng(n_steps).uniform(size=(*lead, ntb, nab))
+    surface = ee.expand_blocks(blocks, tg, grid)
+    assert surface.shape == (*lead, n_steps + 1, 16) and surface.flags.c_contiguous
+    assert np.array_equal(surface, _repeat_and_concatenate(blocks, tg, grid))
 
 
 @settings(max_examples=40, deadline=None)

@@ -437,7 +437,7 @@ def test_h1_shares_the_simulation_extinction_floor():
     with pytest.raises(ee.ExtinctPopulation):
         scen.simulate()
     with pytest.raises(ee.ExtinctPopulation):
-        ee.h1_part(x, 10.0, costate, *scen.policy.at(0), scen)
+        ee.h1_part(x, 10.0, costate, *scen.policy[:, 0], scen)
     with pytest.raises(ee.ExtinctPopulation):
         ee.maximize_h1(x, 10.0, costate, scen)
 
@@ -445,10 +445,10 @@ def test_h1_shares_the_simulation_extinction_floor():
     scen = verification_scenario()
     tiny = 1e-10 * np.stack(x)
     with pytest.raises(ee.ExtinctPopulation):
-        ee.h1_part(tiny, 10.0, costate, *scen.policy.at(0), scen)
+        ee.h1_part(tiny, 10.0, costate, *scen.policy[:, 0], scen)
     with pytest.raises(ee.ExtinctPopulation):
         ee.maximize_h1(tiny, 10.0, costate, scen)
-    assert np.isfinite(ee.h1_part(1e-8 * np.stack(x), 10.0, costate, *scen.policy.at(0),
+    assert np.isfinite(ee.h1_part(1e-8 * np.stack(x), 10.0, costate, *scen.policy[:, 0],
                                   scen))
 
 
@@ -494,11 +494,7 @@ def residual_for(n_age, v_kind, policy_seed):
     blocks_th = rng.uniform(0.3, 1.0, (4, 2))
     blocks_et = rng.uniform(0.3, 1.0, (4, 2))
     tg, ag = scen.time_grid, scen.age_grid
-    policy = ee.PolicyField(
-        ee.expand_blocks(blocks_c, tg, ag),
-        ee.expand_blocks(blocks_th, tg, ag),
-        ee.expand_blocks(blocks_et, tg, ag),
-    )
+    policy = ee.expand_blocks(np.stack([blocks_c, blocks_th, blocks_et]), tg, ag)
     traj = scen.simulate(policy)
     assert traj.feasible
     w = interior_triple(ag, scales=(1.0, 0.7, 1.3))

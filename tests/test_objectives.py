@@ -222,6 +222,15 @@ def test_infeasible_run_reports_violation():
     assert rep.violation > 0.0
 
 
+def test_objective_params_reject_negative_truncation():
+    # a negative T_num would make evaluate sum the reward rows from the end
+    with pytest.raises(ee.ConfigurationError, match="T_num"):
+        ee.ObjectiveParams(rho=0.1, nu=1.0, utility=ee.ShiftedCRRAUtility(), T_num=-1.0)
+    for t_num in (None, 0.0, 2.5):
+        assert ee.ObjectiveParams(rho=0.1, nu=1.0, utility=ee.ShiftedCRRAUtility(),
+                                  T_num=t_num).T_num == t_num
+
+
 def test_utility_validation():
     with pytest.raises(ee.ConfigurationError):
         ee.ShiftedCRRAUtility(sigma=1.5)

@@ -57,7 +57,7 @@ def test_project_examples():
     inside = _project_blocks(raw, c_max=5.0)
     assert np.array_equal(inside, raw)
 
-    # out-of-box values clamp samplewise; PolicyField itself rejects them,
+    # out-of-box values clamp samplewise; simulate rejects them in a policy,
     # so projection operates on raw block values
     clipped = _project_blocks(
         np.stack([np.full(shape, -3.0), np.full(shape, 1.7), np.full(shape, 0.5)]),
@@ -66,8 +66,10 @@ def test_project_examples():
     assert np.all(clipped[1] == 1.0)
     assert np.all(_project_blocks(np.stack([np.full(shape, 7.0), raw[1], raw[2]]),
                                   c_max=5.0)[0] == 5.0)
+    scen = build_scenario(n_age=8, n_steps=3)
     with pytest.raises(ee.ConfigurationError):
-        ee.PolicyField(np.full(shape, -3.0), raw[1], raw[2])
+        scen.simulate(ee.expand_blocks(np.stack([np.full(shape, -3.0), raw[1], raw[2]]),
+                                       scen.time_grid, scen.age_grid))
 
 
 @settings(max_examples=30, deadline=None)
@@ -103,7 +105,7 @@ def test_penalized_objective_constructed_violation():
     pulse_C = (1.0 + 1.0) / dt - delta * 1.0  # lands exactly on K = -1
     c_surface = np.zeros((5, 16))
     c_surface[0, :] = pulse_C / N
-    policy = ee.PolicyField(c_surface, np.ones((5, 16)), np.ones((5, 16)))
+    policy = np.stack([c_surface, np.ones((5, 16)), np.ones((5, 16))])
     traj = scen.simulate(policy)
 
     K_oracle = [1.0, -1.0]
@@ -181,7 +183,7 @@ def test_block_means_recovers_block_constant_values(ntb, nab, steps_per_block, s
     # dyadic block values keep every block sum exact, so the means must be too
     scen = build_scenario(n_age=8, n_steps=ntb * steps_per_block)
     blocks = np.random.default_rng(seed).integers(0, 65, (3, ntb, nab)) / 64.0
-    policy = ee.PolicyField(*ee.expand_blocks(blocks, scen.time_grid, scen.age_grid))
+    policy = ee.expand_blocks(blocks, scen.time_grid, scen.age_grid)
     assert np.array_equal(ee.block_means(policy, ntb, nab), blocks)
 
 
@@ -195,8 +197,7 @@ def _epidemic_scenario():
 
 
 def _objective_at(blocks, scen):
-    tg, ag = scen.time_grid, scen.age_grid
-    policy = ee.PolicyField(*(ee.expand_blocks(b, tg, ag) for b in blocks))
+    policy = ee.expand_blocks(blocks, scen.time_grid, scen.age_grid)
     return ee.penalized_objective(policy, scen)[0]
 
 
@@ -244,7 +245,7 @@ def test_fd_gradient_failed_probe_zero_component_and_warning(mode, monkeypatch):
     real = optimizer.penalized_objective
 
     def failing(policy, scenario, penalty=1e6):
-        if policy.theta[0, -1] != 1.0:
+        if policy[1, 0, -1] != 1.0:
             raise ee.ModelError("boom")
         return real(policy, scenario, penalty)
 
@@ -285,7 +286,7 @@ def test_optimize_zero_iterations_identity():
     report = ee.optimize(scen, cfg)
     assert len(report.objective_trace) == 1
     assert report.objective_trace[0] == pytest.approx(scen.evaluate().value, rel=1e-14)
-    assert np.array_equal(report.policy.c, scen.policy.c)
+    assert np.array_equal(report.policy[0], scen.policy[0])
 
 
 def test_optimize_reduces_deaths():

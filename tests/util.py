@@ -161,8 +161,8 @@ def build_scenario(
         composite=composite,
     )
     initial = ee.EpiState(grid, _field(grid, s0), _field(grid, i0), _field(grid, r0), time=t0)
-    policy = ee.PolicyField.constant(grid, tg, c=c_level, theta=theta_level,
-                                     eta=eta_level)
+    policy = (np.reshape([c_level, theta_level, eta_level], (3, 1, 1))
+              * np.ones((tg.n_steps + 1, grid.n_age)))
     search = ee.ControlSearchGrid(theta_levels=tuple(theta_levels),
                                   eta_levels=tuple(eta_levels),
                                   n_age_blocks=search_blocks, c_max=c_max)
@@ -181,9 +181,9 @@ def band_profile(grid, lo_age, hi_age, value):
 def random_block_policy(scenario, rng, n_time_blocks=4, n_age_blocks=2,
                         theta_range=(0.3, 1.0), eta_range=(0.3, 1.0),
                         c_range=(0.0, 0.0)):
-    """Feasible random piecewise-constant policy surfaces."""
+    """A feasible random piecewise-constant (3, n_steps + 1, n_age) policy."""
     shape = (n_time_blocks, n_age_blocks)
     blocks = np.stack([rng.uniform(*c_range, size=shape),
                        rng.uniform(*theta_range, size=shape),
                        rng.uniform(*eta_range, size=shape)])
-    return ee.PolicyField(*ee.expand_blocks(blocks, scenario.time_grid, scenario.age_grid))
+    return ee.expand_blocks(blocks, scenario.time_grid, scenario.age_grid)

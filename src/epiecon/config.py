@@ -209,7 +209,7 @@ SCHEMA = {
                 "j6_sign": {"enum": [1.0, -1.0, 1, -1]},
                 "composite": {
                     "type": ["object", "null"],
-                    "additionalProperties": False,
+                    "additionalProperties": False, "minProperties": 1,
                     "properties": {t: {"type": "number"}
                                    for t in objectives.TARGETS},
                 },
@@ -387,11 +387,10 @@ def validate_config(cfg: dict, sections=None) -> None:
 
 
 def resolve_config(cfg: dict) -> dict:
-    """Validate and fill defaults; the result is the canonical configuration."""
+    """Validate and fill defaults into a copy; the result is the canonical configuration."""
     validate_config(cfg)
     resolved = copy.deepcopy(cfg)
     _merge_defaults(resolved, DEFAULTS)
-    validate_config(resolved)
     return resolved
 
 
@@ -406,7 +405,9 @@ def load_config(path) -> dict:
     where = _nonfinite_path(raw)
     if where is not None:
         raise ConfigurationError(f"config field {where}: numbers must be finite")
-    return resolve_config(raw)
+    validate_config(raw)  # once: DEFAULTS is schema-valid, and raw is ours to fill in place
+    _merge_defaults(raw, DEFAULTS)
+    return raw
 
 
 def _nonfinite_path(node, path=""):
@@ -464,12 +465,14 @@ def sample_family(spec: dict, grid: AgeGrid, field: str) -> np.ndarray:
 def _table(values, field: str) -> np.ndarray:
     """A JSON table as a float array; a ragged, non-numeric or null entry is a config error."""
     try:
-        table = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as err:
+        table = np.asarray(values)  # one type for all: any text or null makes it non-numeric
+        if table.dtype.kind not in "fiu":
+            raise ValueError("every entry must be a JSON number")
+    except ValueError as err:
         raise ConfigurationError(f"config field {field}: not a table of numbers ({err})") from err
     if not np.isfinite(table).all():
         raise ConfigurationError(f"config field {field}: values must be finite")
-    return table
+    return table.astype(np.float64, copy=False)
 
 
 def _check_blocks(cfg: dict, section: str) -> None:
@@ -486,10 +489,13 @@ def _build_kernel(spec: dict, grid: AgeGrid):
     """Contact kernel in the form its type allows: rank-one factors or a dense table."""
     if spec["type"] == "constant":
         return constant_kernel(grid, spec["m0"])
-    if spec["type"] == "separable":
-        return separable_kernel(grid, spec["m0"],
-                                sample_family(spec["shape"], grid, "epidemic.contact.shape"))
-    return table_kernel(grid, _table(spec["values"], "epidemic.contact.values"))
+    separable = spec["type"] == "separable"
+    field = "epidemic.contact." + ("shape" if separable else "values")
+    v = sample_family(spec["shape"], grid, field) if separable else _table(spec["values"], field)
+    try:  # the kernel's constructor checks its rates: finite and >= 0
+        return separable_kernel(grid, spec["m0"], v) if separable else table_kernel(grid, v)
+    except ConfigurationError as err:
+        raise ConfigurationError(f"config field {field}: {err}") from err
 
 
 # type -> class, one table per variant section; each spec holds exactly the class's fields

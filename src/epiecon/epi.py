@@ -9,7 +9,7 @@ at the step's start, then all cohorts shift one cell older and newborns
 enter the first cell.  Aging is therefore exact and free of numerical
 diffusion; all truncation error comes from freezing the reaction rates,
 which is first order in dt.  Positivity of (s, i, r) holds exactly by
-construction.
+construction, given contact rates m >= 0 (checked when the kernel is built).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import economy
 from .errors import ConfigurationError, ExtinctPopulation, ModelError, NonFiniteState
-from .grid import AgeGrid, RankOneKernel, TimeGrid, _as_readonly, _nonnegative
+from .grid import AgeGrid, RankOneKernel, TimeGrid, _nonnegative
 from .hilbert import DEFAULT_WEIGHT_FLOOR, HilbertSpace
 
 
@@ -53,7 +53,7 @@ class SaturationSpec:
 @dataclass(frozen=True, eq=False)
 class EpiParams:
     """Demographic and epidemiological coefficients, one value per age cell;
-    ``m`` is a dense table or RankOneKernel."""
+    ``m`` is a dense table or RankOneKernel, whose contact rates are >= 0."""
 
     grid: AgeGrid
     mu_S: np.ndarray
@@ -75,7 +75,7 @@ class EpiParams:
             if self.m.shape != (n, n):
                 raise ConfigurationError("contact kernel must be a finite (n_age, n_age) table")
         else:
-            object.__setattr__(self, "m", _as_readonly(self.m, (n, n), "contact kernel table"))
+            object.__setattr__(self, "m", _nonnegative(self.m, (n, n), "contact kernel table"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +163,7 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     C = economy.consumption_total(x, c_t, da)
     d_cost = economy.testing_cost(x, eta_t, econ, da)
     Y = econ.F(K, L)
-    aggregates = (n_total, lam, Xi, deaths_flow(i, mu_i, da), L, Y, C, d_cost)
+    aggregates = (n_total, Xi, deaths_flow(i, mu_i, da), L, Y, C, d_cost)
     if out is None:
         return aggregates, None
 
@@ -185,10 +185,6 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     out[2, 1:] = r_dec[:-1]
     if not np.isfinite(out).all():
         raise NonFiniteState("state update produced non-finite densities")
-    negative = (out < 0.0).any(axis=1)
-    if negative.any():
-        raise ConfigurationError(
-            f"state component {'sir'[int(np.argmax(negative))]} must be nonnegative")
     return aggregates, economy.capital_step(K, L, C, d_cost, econ, dt, Y)
 
 
@@ -205,8 +201,8 @@ def step(state: EpiState, K: float, c_t: np.ndarray, theta_t: np.ndarray,
 @dataclass(eq=False)
 class Trajectory:
     """Simulated path: ``X`` of shape (n_steps + 1, 3, n_age) with (s, i, r) at t_k
-    in X[k], capital, and the per-node aggregates (``lam`` one row per node),
-    computed at t_k so K[k+1] - K[k] = dt * (Y[k] - C[k] - delta*K[k] - D_cost[k]).
+    in X[k], capital, and the per-node aggregates, computed at t_k so
+    K[k+1] - K[k] = dt * (Y[k] - C[k] - delta*K[k] - D_cost[k]).
     """
 
     X: np.ndarray
@@ -215,7 +211,6 @@ class Trajectory:
     time_grid: TimeGrid
     N: np.ndarray
     Xi: np.ndarray
-    lam: np.ndarray
     L: np.ndarray
     Y: np.ndarray
     C: np.ndarray
@@ -282,12 +277,11 @@ def simulate(initial: EpiState, K0: float, policy: np.ndarray, params: EpiParams
     X[0] = initial.as_triple()
     K = np.empty(n_steps + 1)
     K[0] = K0
-    lam = np.empty((n_steps + 1, grid.n_age))
     N, Xi, deaths, L, Y, C, D_cost = np.empty((7, n_steps + 1))
 
     for k in range(n_steps + 1):
         try:
-            (N[k], lam[k], Xi[k], deaths[k], L[k], Y[k], C[k], D_cost[k]), K1 = _node(
+            (N[k], Xi[k], deaths[k], L[k], Y[k], C[k], D_cost[k]), K1 = _node(
                 X[k], K[k], *u[:, k], params, econ, da, dt, n_floor,
                 X[k + 1] if k < n_steps else None)
         except ModelError as err:
@@ -299,7 +293,7 @@ def simulate(initial: EpiState, K0: float, policy: np.ndarray, params: EpiParams
     neg = np.maximum(0.0, -K[1:])
     k_violation = float(dt * (neg * neg).sum())
     return Trajectory(X=X, initial=initial, K=K, time_grid=time_grid, N=N, Xi=Xi,
-                      lam=lam, L=L, Y=Y, C=C, D_cost=D_cost, deaths_flow=deaths,
+                      L=L, Y=Y, C=C, D_cost=D_cost, deaths_flow=deaths,
                       feasible=bool(np.all(K >= 0.0)), k_violation=k_violation,
                       min_K=float(K.min()))
 

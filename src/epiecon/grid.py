@@ -104,6 +104,7 @@ class RankOneKernel:
     ``m @ x`` applies the kernel along the last axis, so a (L, n_age) stack
     gives one product per row.  Dense kernels are plain arrays with the same
     ``shape``; ``epi.force_of_infection`` applies them to stacks row by row.
+    Every rate m0 * g(a) * g(tau) must be >= 0: m0 >= 0 and g of one sign.
     """
 
     m0: float
@@ -113,6 +114,9 @@ class RankOneKernel:
         g = _as_readonly(self.g, np.shape(self.g), "contact kernel profile")
         if g.ndim != 1 or not np.isfinite(self.m0):
             raise ConfigurationError("rank-one kernel needs a finite m0 and a 1-d profile")
+        if self.m0 < 0 or (np.any(g < 0) and np.any(g > 0)):
+            raise ConfigurationError("contact rates must be nonnegative: "
+                                     "m0 >= 0 and a profile g of one sign")
         object.__setattr__(self, "g", g)
 
     @property
@@ -136,10 +140,8 @@ def separable_kernel(grid: AgeGrid, m0: float, shape_values: np.ndarray) -> Rank
 
 
 def table_kernel(grid: AgeGrid, values) -> np.ndarray:
-    """Dense kernel table as a frozen array; ``EpiParams`` checks its shape and values."""
-    table = np.array(values, dtype=np.float64)
-    table.flags.writeable = False
-    return table
+    """Dense kernel table as a frozen (n_age, n_age) array of finite rates >= 0."""
+    return _nonnegative(values, (grid.n_age, grid.n_age), "contact kernel table")
 
 
 def expand_blocks(block_values: np.ndarray, time_grid: TimeGrid, age_grid: AgeGrid) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import AgeGrid
+from .grid import AgeGrid, _nonnegative
 
 DEFAULT_WEIGHT_FLOOR = 1e-8
 
@@ -50,14 +50,9 @@ class HilbertSpace:
     def __init__(self, grid: AgeGrid, mu_S, mu_R, gamma, beta,
                  floor: float = DEFAULT_WEIGHT_FLOOR):
         self.grid = grid
-        self.mu_S = np.asarray(mu_S, dtype=np.float64)
-        self.mu_R = np.asarray(mu_R, dtype=np.float64)
-        self.gamma = np.asarray(gamma, dtype=np.float64)
-        self.beta = np.asarray(beta, dtype=np.float64)
-        for name, arr in (("mu_S", self.mu_S), ("mu_R", self.mu_R),
-                          ("gamma", self.gamma), ("beta", self.beta)):
-            if arr.shape != (grid.n_age,):
-                raise ConfigurationError(f"{name} does not match the grid")
+        self.mu_S, self.mu_R, self.gamma, self.beta = (
+            _nonnegative(v, (grid.n_age,), name) for name, v in
+            (("mu_S", mu_S), ("mu_R", mu_R), ("gamma", gamma), ("beta", beta)))
         if not floor > 0.0:
             raise ConfigurationError(f"weight floor must be > 0, got {floor}")
         self.pi_S = _survival(grid.da, self.mu_S, floor)
@@ -117,8 +112,6 @@ class HilbertSpace:
 
 
 def _survival(da: float, mu: np.ndarray, floor: float) -> np.ndarray:
-    if np.any(mu < 0.0):
-        raise ConfigurationError("mortality rates must be nonnegative")
     # cumulative midpoint integral up to node a_j: full cells below j plus half of cell j
     cum = da * np.cumsum(mu) - 0.5 * da * mu
     return np.maximum(np.exp(-cum), floor)

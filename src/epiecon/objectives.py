@@ -106,9 +106,9 @@ class ObjectiveParams:
     """Discounting, altruism, truncation horizon, and target selection.
 
     ``T_num`` truncates the infinite-horizon targets J1/J2 (None means the
-    scenario horizon).  ``composite`` maps target names to weights and
-    overrides ``which`` when present; the J1 weight must be nonnegative so
-    the consumption subproblem stays concave.
+    scenario horizon).  ``composite`` maps target names (at least one) to
+    weights and overrides ``which`` when present; the J1 weight must be
+    nonnegative so the consumption subproblem stays concave.
     """
 
     rho: float
@@ -132,6 +132,8 @@ class ObjectiveParams:
         if self.j6_sign not in (1.0, -1.0):
             raise ConfigurationError("j6_sign must be +1 or -1")
         if self.composite is not None:
+            if not self.composite:
+                raise ConfigurationError("composite target needs at least one weight")
             for key, w in self.composite.items():
                 if key not in TARGETS:
                     raise ConfigurationError(f"unknown composite target {key!r}")

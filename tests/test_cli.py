@@ -105,8 +105,9 @@ def test_non_utf8_config_is_config_error(tmp_path):
     ("policy.theta", [[0.5, 0.5], [0.5]]),
     ("policy.c", [[None]]),
     ("epidemic.contact.values", [[1.0] * 16] * 15 + [[None] * 16]),
+    ("epidemic.contact.values", [["2.5"] * 16] * 16),
 ], ids=["ragged_kernel", "text_kernel", "text_policy", "ragged_policy", "null_policy",
-        "null_kernel"])
+        "null_kernel", "quoted_kernel"])
 def test_malformed_table_names_field(tmp_path, capsys, field, table):
     cfg = small_config()
     if field.startswith("policy"):
@@ -118,6 +119,27 @@ def test_malformed_table_names_field(tmp_path, capsys, field, table):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"config field {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("contact, field", [
+    ({"type": "table", "values": [[1.0] * 16] * 15 + [[1.0] * 15 + [-1.0]]},
+     "epidemic.contact.values"),
+    ({"type": "separable", "m0": 1.8, "shape": {"type": "linear", "v0": 1.0, "v1": -0.2}},
+     "epidemic.contact.shape"),
+], ids=["negative_table_cell", "sign_changing_shape"])
+def test_negative_contact_rate_names_field(tmp_path, capsys, monkeypatch, contact, field):
+    # the paper's contact kernel is nonnegative; the kernel is checked before any step
+    cfg = small_config()
+    cfg["epidemic"]["contact"] = contact
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the contact kernel was checked")
+
+    monkeypatch.setattr(epi, "simulate", no_simulation)
+    code = cli.main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config field {field}: contact" in capsys.readouterr().err
 
 
 def test_out_of_box_policy_block_names_field(tmp_path, capsys):
@@ -557,6 +579,15 @@ def test_config_round_trip(tmp_path):
     assert first == second
 
 
+def test_load_config_equals_resolve_config():
+    # load_config fills the tree json.load built for it; resolve_config fills a copy
+    root = Path(__file__).resolve().parent.parent / "configs"
+    for name in ("demo_covid.json", "demo_sweep.json"):
+        raw = json.loads((root / name).read_text(encoding="utf-8"))
+        assert cfgmod.load_config(root / name) == cfgmod.resolve_config(raw)
+        assert raw == json.loads((root / name).read_text(encoding="utf-8"))
+
+
 def test_shipped_demo_configs_validate():
     root = Path(__file__).resolve().parent.parent / "configs"
     for name in ("demo_covid.json", "demo_sweep.json"):
@@ -598,10 +629,12 @@ def test_nonfinite_config_number_names_field(tmp_path, capsys, command, section,
 @pytest.mark.parametrize("command, section, key, value", [
     ("evaluate", "objective", "T_num", -1),
     ("check", "verification", "horizon_multipliers", []),
-], ids=["negative_T_num", "no_horizons"])
+    ("evaluate", "objective", "composite", {}),
+], ids=["negative_T_num", "no_horizons", "empty_composite"])
 def test_demo_config_out_of_range_names_field(tmp_path, capsys, command, section, key,
                                               value):
-    # evaluate would sum a negative T_num's reward rows from the end; check needs a horizon
+    # evaluate would sum a negative T_num's reward rows from the end; check needs a horizon;
+    # an empty composite would evaluate to 0.0 under the name J1
     demo = Path(__file__).resolve().parent.parent / "configs" / "demo_covid.json"
     cfg = json.loads(demo.read_text())
     cfg[section][key] = value

@@ -251,6 +251,36 @@ def test_positivity_random_scenarios():
         )
         assert np.all(scen.simulate().X >= 0.0)
 
+    # positivity rests on m >= 0 alone: dense tables with zero cells, profiles of
+    # either sign (zeros included) and random block policies over the control box
+    def divisors(n):
+        return [d for d in range(1, n + 1) if n % d == 0]
+
+    rng = np.random.default_rng(101)
+    for trial in range(30):
+        n_age, n_steps = int(rng.choice([8, 12, 16, 24])), int(rng.choice([4, 6, 8, 12]))
+        kind = trial % 3
+        if kind == 0:
+            kernel = rng.uniform(0.0, 4.0 / n_age, (n_age, n_age))
+            kernel[rng.uniform(size=kernel.shape) < 0.3] = 0.0
+        else:
+            g = rng.uniform(0.0, 2.0, n_age)
+            g[rng.uniform(size=n_age) < 0.2] = 0.0
+            kernel = ee.RankOneKernel(float(rng.uniform(0.0, 4.0)), g if kind == 1 else -g)
+        scen = build_scenario(
+            n_age=n_age, a_max=float(rng.uniform(4.0, 12.0)), n_steps=n_steps,
+            mu_s=float(rng.uniform(0.0, 0.3)), mu_r=float(rng.uniform(0.0, 0.3)),
+            mu_i=float(rng.uniform(0.0, 0.5)), gamma=float(rng.uniform(0.0, 1.0)),
+            beta=float(rng.uniform(0.0, 0.1)), xi=float(rng.uniform(0.0, 1.0)),
+            kernel=kernel, psi=float(rng.uniform(0.0, 2.0)),
+            s0=float(rng.uniform(0.1, 2.0)), i0=lambda a: float(rng.uniform(0.0, 0.5)),
+            r0=float(rng.uniform(0.0, 0.5)))
+        policy = random_block_policy(
+            scen, rng, n_time_blocks=int(rng.choice(divisors(n_steps))),
+            n_age_blocks=int(rng.choice(divisors(n_age))), theta_range=(0.0, 1.0),
+            eta_range=(0.0, 1.0), c_range=(0.0, 0.2))
+        assert np.all(scen.simulate(policy).X >= 0.0)
+
 
 def mckendrick_error(n_age, mu_fn, horizon=2.0, a_max=8.0):
     """Normalized sup error against the closed-form aging solution."""
@@ -346,8 +376,6 @@ def test_trajectory_aggregates_recomputable():
         assert traj.N[k] == pytest.approx(N, rel=1e-10)
         Xi = ee.critical_load(x[1], scen.epi, da)
         assert traj.Xi[k] == pytest.approx(Xi, rel=1e-10)
-        lam = ee.force_of_infection(x[1], N, th_t, et_t, scen.epi.m, da)
-        assert np.allclose(traj.lam[k], lam, rtol=1e-10)
         assert traj.L[k] == pytest.approx(ee.labor_supply(x, th_t, scen.econ, da),
                                           rel=1e-10)
         assert traj.Y[k] == pytest.approx(scen.econ.F(traj.K[k], traj.L[k]),
@@ -417,7 +445,7 @@ def test_rank_one_kernel_matches_dense_table(seed, m0, n_age):
     scen_d = core_scenario(dense, n_age=n_age)
     policy = random_block_policy(scen_f, rng, n_time_blocks=4, n_age_blocks=2)
     tf, td = scen_f.simulate(policy), scen_d.simulate(policy)
-    for name in ("X", "K", "N", "Xi", "lam", "deaths_flow", "L", "D_cost"):
+    for name in ("X", "K", "N", "Xi", "deaths_flow", "L", "D_cost"):
         np.testing.assert_allclose(getattr(tf, name), getattr(td, name), rtol=1e-12,
                                    atol=0.0, err_msg=name)
 
@@ -438,7 +466,7 @@ def test_dense_kernel_is_read_only():
     scen = core_scenario(dense)
     with pytest.raises(ValueError, match="read-only"):
         scen.epi.m[0, 0] = 0.0
-    dense[0, 0] = -1.0
+    dense[0, 0] = 7.0
     assert scen.epi.m[0, 0] == 2.0 * g[0] ** 2
 
     table = ee.table_kernel(scen.age_grid, dense.tolist())
@@ -466,9 +494,18 @@ def test_repeated_step_reproduces_simulate_bitwise(rank_one):
 
 
 def test_simulate_rejects_negative_densities():
-    # a sign-changing separable profile makes the force negative on old ages
+    # only a negative contact rate could make a density negative, and the kernel
+    # rejects one where it is built: a sign-changing profile, m0 < 0, a negative cell
     g = np.where(np.arange(16) < 8, 1.0, -1.0)
-    scen = core_scenario(ee.RankOneKernel(5.0, g),
-                         i0=lambda a: 0.05 if a < 4.0 else 0.0)
-    with pytest.raises(ee.ConfigurationError, match="component i must be nonnegative"):
-        scen.simulate()
+    with pytest.raises(ee.ConfigurationError, match="contact rates must be nonnegative"):
+        ee.RankOneKernel(5.0, g)
+    with pytest.raises(ee.ConfigurationError, match="contact rates must be nonnegative"):
+        ee.RankOneKernel(-5.0, np.ones(16))
+    dense = np.ones((16, 16))
+    dense[3, 12] = -1e-3
+    with pytest.raises(ee.ConfigurationError, match="contact kernel table must be nonnegative"):
+        core_scenario(dense)
+    with pytest.raises(ee.ConfigurationError, match="contact kernel table must be nonnegative"):
+        ee.table_kernel(ee.AgeGrid(a_max=8.0, n_age=16), dense)
+    # a profile of one sign gives rates >= 0, whatever that sign
+    assert np.all(ee.RankOneKernel(5.0, -np.abs(g)) @ np.ones(16) >= 0.0)

@@ -152,3 +152,19 @@ def test_adjoint_identity_refinement_order():
         residuals.append(abs(lhs - rhs) / (space.norm(h) * space.norm(p)))
         dts.append(grid.da)
     assert fit_order(dts, residuals) >= 0.9
+
+
+@pytest.mark.parametrize("name, value, text", [
+    ("mu_S", np.full(64, -0.01), "mu_S must be nonnegative"),
+    ("gamma", np.full(64, np.nan), "gamma: values must be finite"),
+    ("beta", np.ones(8), r"beta: expected shape \(64,\)"),
+])
+def test_space_checks_coefficients_once_at_construction(name, value, text):
+    # the space keeps frozen, checked copies: shape, finiteness and sign
+    grid = ee.AgeGrid(a_max=10.0, n_age=64)
+    coeffs = {key: np.full(64, 0.02) for key in ("mu_S", "mu_R", "gamma", "beta")}
+    space = ee.HilbertSpace(grid, **coeffs)
+    assert not space.mu_S.flags.writeable
+    coeffs[name] = value
+    with pytest.raises(ee.ConfigurationError, match=text):
+        ee.HilbertSpace(grid, **coeffs)

@@ -231,6 +231,15 @@ def test_objective_params_reject_negative_truncation():
                                   T_num=t_num).T_num == t_num
 
 
+def test_objective_params_reject_empty_composite():
+    # an empty composite would evaluate to 0.0 under the name of ``which``
+    with pytest.raises(ee.ConfigurationError, match="at least one"):
+        ee.ObjectiveParams(rho=0.1, nu=1.0, utility=ee.ShiftedCRRAUtility(), composite={})
+    obj = ee.ObjectiveParams(rho=0.1, nu=1.0, utility=ee.ShiftedCRRAUtility(),
+                             composite={"J6": 0.0})
+    assert obj.target_weights() == {"J6": 0.0}
+
+
 def test_utility_validation():
     with pytest.raises(ee.ConfigurationError):
         ee.ShiftedCRRAUtility(sigma=1.5)

@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 
 import jsonschema
 import numpy as np
@@ -463,16 +464,29 @@ def sample_family(spec: dict, grid: AgeGrid, field: str) -> np.ndarray:
 
 
 def _table(values, field: str) -> np.ndarray:
-    """A JSON table as a float array; a ragged, non-numeric or null entry is a config error."""
+    """A JSON table as a float array; a ragged, non-numeric, boolean or null entry is
+    a config error."""
     try:
         table = np.asarray(values)  # one type for all: any text or null makes it non-numeric
-        if table.dtype.kind not in "fiu":
+        if table.dtype.kind not in "fiu" or _holds_bool(values, table):
             raise ValueError("every entry must be a JSON number")
     except ValueError as err:
         raise ConfigurationError(f"config field {field}: not a table of numbers ({err})") from err
     if not np.isfinite(table).all():
         raise ConfigurationError(f"config field {field}: values must be finite")
     return table.astype(np.float64, copy=False)
+
+
+def _holds_bool(values, table: np.ndarray) -> bool:
+    """Whether a true or false sits among the numbers of a 2-d JSON table.
+
+    numpy reads them as 1 and 0, so only rows holding a 0 or a 1 can hide
+    one, and only those rows' entries have their types looked at.
+    """
+    if table.ndim != 2:
+        return False
+    rows = np.flatnonzero(((table == 0) | (table == 1)).any(axis=1))
+    return any(bool in set(map(type, values[k])) for k in rows)
 
 
 def _check_blocks(cfg: dict, section: str) -> None:
@@ -540,6 +554,22 @@ def _build_policy(cfg: dict, age_grid: AgeGrid, time_grid: TimeGrid) -> np.ndarr
     return policy
 
 
+def _with_profiles(build, section: dict, path: str, keys, age_grid: AgeGrid, **rest):
+    """``build(**rest)`` with the age profiles ``keys`` sampled from config ``section``.
+
+    The checks of the built dataclass name a profile they reject by its
+    key, so the error is re-raised naming its config field ``path.key``.
+    """
+    profiles = {key: sample_family(section[key], age_grid, f"{path}.{key}") for key in keys}
+    try:
+        return build(**profiles, **rest)
+    except ConfigurationError as err:
+        key = next((k for k in keys if re.search(rf"\b{k}\b", str(err))), None)
+        if key is None:
+            raise
+        raise ConfigurationError(f"config field {path}.{key}: {err}") from err
+
+
 def build_scenario(cfg: dict) -> Scenario:
     """Assemble a Scenario from a resolved configuration document."""
     g = cfg["grid"]
@@ -547,28 +577,16 @@ def build_scenario(cfg: dict) -> Scenario:
     time_grid = TimeGrid.aligned(age_grid, t0=g["t0"], n_steps=g["n_steps"])
 
     ep = cfg["epidemic"]
-    params = epi.EpiParams(
-        grid=age_grid,
-        mu_S=sample_family(ep["mu_S"], age_grid, "epidemic.mu_S"),
-        mu_R=sample_family(ep["mu_R"], age_grid, "epidemic.mu_R"),
-        mu_I_base=sample_family(ep["mu_I_base"], age_grid, "epidemic.mu_I_base"),
-        gamma=sample_family(ep["gamma"], age_grid, "epidemic.gamma"),
-        beta=sample_family(ep["beta"], age_grid, "epidemic.beta"),
-        xi=sample_family(ep["xi"], age_grid, "epidemic.xi"),
-        m=_build_kernel(ep["contact"], age_grid),
-        saturation=epi.SaturationSpec(**ep["saturation"]),
-    )
+    params = _with_profiles(
+        epi.EpiParams, ep, "epidemic", ("mu_S", "mu_R", "mu_I_base", "gamma", "beta", "xi"),
+        age_grid, grid=age_grid, m=_build_kernel(ep["contact"], age_grid),
+        saturation=epi.SaturationSpec(**ep["saturation"]))
 
     ec = cfg["economy"]
-    econ = economy.EconParams(
-        alpha=sample_family(ec["alpha"], age_grid, "economy.alpha"),
-        e=sample_family(ec["e"], age_grid, "economy.e"),
-        delta=ec["delta"],
-        F=_build("production", ec["production"]),
-        phi=_build("phi", ec["phi"]),
-        D=_build("congestion", ec["congestion"]),
-        cost_complement=ec["cost_complement"],
-    )
+    econ = _with_profiles(
+        economy.EconParams, ec, "economy", ("alpha", "e"), age_grid, delta=ec["delta"],
+        F=_build("production", ec["production"]), phi=_build("phi", ec["phi"]),
+        D=_build("congestion", ec["congestion"]), cost_complement=ec["cost_complement"])
 
     ob = cfg["objective"]
     obj = objectives.ObjectiveParams(
@@ -578,13 +596,8 @@ def build_scenario(cfg: dict) -> Scenario:
         composite=ob["composite"],
     )
 
-    initial = epi.EpiState(
-        age_grid,
-        sample_family(ep["initial"]["s"], age_grid, "epidemic.initial.s"),
-        sample_family(ep["initial"]["i"], age_grid, "epidemic.initial.i"),
-        sample_family(ep["initial"]["r"], age_grid, "epidemic.initial.r"),
-        time=g["t0"],
-    )
+    initial = _with_profiles(epi.EpiState, ep["initial"], "epidemic.initial", ("s", "i", "r"),
+                             age_grid, grid=age_grid, time=g["t0"])
 
     sr = cfg["search"]
     search = ControlSearchGrid(

@@ -223,8 +223,9 @@ class EconParams:
 
 # The aggregates take the state x = (s, i, r) as a (3, n_age) array or a
 # triple of arrays, so the trajectory kernel and the Hamiltonian share them.
-# Labor and the testing cost sum along the last axis: a (L, n_age) stack of
-# control slices gives one aggregate per row, each equal to that slice's.
+# They sum along the last axis: a (L, n_age) stack of control slices gives
+# one aggregate per row, each equal to that slice's, and a node stack of
+# states (each component shaped to broadcast against the rows) one per node.
 
 def labor_supply(x, theta_t: np.ndarray, econ: EconParams, da: float):
     """Efficiency-unit labor of the working compartments, L = int (s+r) alpha phi(theta)."""
@@ -232,10 +233,10 @@ def labor_supply(x, theta_t: np.ndarray, econ: EconParams, da: float):
     return da * ((s + r) * econ.alpha * econ.phi(theta_t)).sum(axis=-1)
 
 
-def consumption_total(x, c_t: np.ndarray, da: float) -> float:
+def consumption_total(x, c_t: np.ndarray, da: float):
     """Aggregate consumption C = int c (s + i + r) da."""
     s, i, r = x
-    return float(da * (c_t * (s + i + r)).sum())
+    return da * (c_t * (s + i + r)).sum(axis=-1)
 
 
 def testing_cost(x, eta_t: np.ndarray, econ: EconParams, da: float):

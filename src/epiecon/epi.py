@@ -119,19 +119,32 @@ def deaths_flow(i: np.ndarray, mu_i: np.ndarray, da: float) -> float:
     return float(da * (mu_i * i).sum())
 
 
+def extinction_check(n_total, n_floor: float) -> None:
+    """Raise ExtinctPopulation for the first total population at or below the floor.
+
+    ``n_total`` is one total, or an array of them with one per time node.
+    """
+    low = np.flatnonzero(np.ravel(n_total) <= n_floor)
+    if low.size:
+        raise ExtinctPopulation(f"total population {np.ravel(n_total)[low[0]]:.3e} "
+                                f"at or below the floor {n_floor:.3e}")
+
+
 def force_of_infection(i: np.ndarray, n_total: float, theta_t, eta_t, m, da: float,
-                       n_floor: float = 0.0) -> np.ndarray:
+                       n_floor: float | None = 0.0) -> np.ndarray:
     """Age-specific infection hazard of the controlled dynamics.
 
     lambda(a) = theta(a)/N * int m(a, tau) theta(tau) eta(tau) i(tau) dtau, with
     N = ``n_total`` the total population and ``m`` the contact kernel.  With
     theta = eta = 1 this is the uncontrolled force of infection.  theta or
     eta may be a (L, n_age) stack of slices; each row of the result equals
-    the hazard of that slice alone.
+    the hazard of that slice alone.  A node stack puts the node axis first,
+    with i and ``n_total`` shaped to broadcast against the rows; its caller
+    passes ``n_floor=None`` and makes the floor test once per node
+    (:func:`extinction_check`).
     """
-    if n_total <= n_floor:
-        raise ExtinctPopulation(
-            f"total population {n_total:.3e} at or below the floor {n_floor:.3e}")
+    if n_floor is not None and n_total <= n_floor:
+        extinction_check(n_total, n_floor)
     u = theta_t * eta_t * i
     if isinstance(m, RankOneKernel):
         contact = m @ u

@@ -11,7 +11,8 @@ discounted terminal value.  Nothing here solves the dynamic-programming
 equation; the module only measures how far a candidate is from satisfying
 it.  The Hamiltonian pieces and diagnostics take the control problem as one
 ``Scenario``; states enter as (3, n_age) arrays or (s, i, r) triples, like
-traj.X[k].  Their force of infection has the extinction floor of ``simulate``
+traj.X[k], and H1 and its maximization also take a node stack such as traj.X.
+Their force of infection has the extinction floor of ``simulate``
 (n_floor_rel times the initial population): ``ExtinctPopulation`` at or below it.
 """
 
@@ -132,46 +133,66 @@ def h0_part(x, K: float, costate: CostateField, scenario: Scenario) -> float:
     return space.inner(x, astar) - scenario.econ.delta * K * costate.Q - sink
 
 
-def h1_evaluator(x, K: float, costate: CostateField, scenario: Scenario,
-                 reward: bool = True):
-    """H1 at one node as a function ``h1(c, theta, eta)`` of the control slice.
+def h1_evaluator(x, K, costate: CostateField, scenario: Scenario, reward: bool = True):
+    """H1 at one node, or at each node of a node stack, as a function
+    ``h1(c, theta, eta)`` of the control slices.
 
     -<Lam h1, p1>_{pi_S} + <Lam h1, p2> + F(K, L_theta) Q - C Q - D Q
     plus the running reward of the configured target; ``reward=False`` leaves
     the reward out (the controlled drift paired with the costate).  The
     state-only terms (N, and n^nu and the deaths flow of the reward) are
-    computed once here.
+    computed once here, one value per node, and so is the extinction-floor
+    test, which raises for the first node at or below the floor.
 
-    theta and eta are (n_age,) slices or (L, n_age) stacks of L slices (c is
-    one slice); a stack gives L values, each equal to H1 at that slice
-    alone, since every age sum runs along the last axis row by row.
+    One node: ``x`` is (3, n_age) or a triple, K and Q are scalars; theta and
+    eta are (n_age,) slices or (L, n_age) stacks of L slices (c is one
+    slice), and a stack gives L values.  A node stack puts the node axis
+    first: x is (n_nodes, 3, n_age), K and Q have one value per node, p1 and
+    p2 are (n_age,) or (n_nodes, n_age), and every control carries one slice
+    or one (L, n_age) stack per node, giving (n_nodes,) or (n_nodes, L)
+    values.  Each value equals H1 at that node and slice alone, bit for bit,
+    since every age sum runs along the last axis row by row.
     """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 2:  # one node: a node stack of one
+        h1 = h1_evaluator(x[None], K, costate, scenario, reward)
+        return lambda *z: h1(*(np.asarray(u)[None] for u in z))[0]
     space, params, econ = scenario.space, scenario.epi, scenario.econ
-    s, i, r = x
     da = space.grid.da
-    n_total = float(da * (s + i + r).sum())
-    n_floor = _n_floor(scenario)
-    running = objectives.node_reward(x, params, scenario.obj) if reward else None
+    # each state component as (n_nodes, 1, n_age), per-node scalars as
+    # (n_nodes, 1): both broadcast against (n_nodes, L, n_age) control rows
+    state = s, i, r = tuple(x[:, k, None] for k in range(3))
+    n_total = da * (s + i + r).sum(axis=-1)
+    epi.extinction_check(n_total, _n_floor(scenario))
+    n_total = n_total[..., None]
+    K, Q = np.reshape(K, (-1, 1)), np.reshape(costate.Q, (-1, 1))
+    p1, p2 = (np.expand_dims(p, -2) for p in (costate.p1, costate.p2))
+    running = objectives.node_reward(state, params, scenario.obj) if reward else None
 
     def h1(c_t, theta_t, eta_t):
+        stacked = max(np.ndim(theta_t), np.ndim(eta_t)) == 3
+        c_t, theta_t, eta_t = (u if np.ndim(u) == 3 else u[:, None]
+                               for u in (c_t, theta_t, eta_t))
         lam_s = epi.force_of_infection(i, n_total, theta_t, eta_t, params.m, da,
-                                       n_floor) * s
-        Y = econ.F(K, economy.labor_supply(x, theta_t, econ, da))
-        val = -(da * (lam_s * costate.p1 * space.w1).sum(axis=-1))
-        val += da * (lam_s * costate.p2).sum(axis=-1)
-        val += Y * costate.Q
-        val -= economy.consumption_total(x, c_t, da) * costate.Q
-        val -= economy.testing_cost(x, eta_t, econ, da) * costate.Q
-        return val if running is None else val + running(c_t, theta_t, Y)
+                                       n_floor=None) * s
+        Y = econ.F(K, economy.labor_supply(state, theta_t, econ, da))
+        val = -(da * (lam_s * p1 * space.w1).sum(axis=-1))
+        val += da * (lam_s * p2).sum(axis=-1)
+        val += Y * Q
+        val -= economy.consumption_total(state, c_t, da) * Q
+        val -= economy.testing_cost(state, eta_t, econ, da) * Q
+        if running is not None:
+            val = val + running(c_t, theta_t, Y)
+        return val if stacked else val[:, 0]
 
     return h1
 
 
-def h1_part(x, K: float, costate: CostateField, c_t, theta_t, eta_t,
-            scenario: Scenario) -> float:
+def h1_part(x, K, costate: CostateField, c_t, theta_t, eta_t, scenario: Scenario):
     """Control-dependent Hamiltonian part at the control slice (c, theta, eta):
-    the evaluator on a batch of one."""
-    return float(h1_evaluator(x, K, costate, scenario)(c_t, theta_t, eta_t))
+    the evaluator on a batch of one, a float; on a node stack, one per node."""
+    val = h1_evaluator(x, K, costate, scenario)(c_t, theta_t, eta_t)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 # ----------------------------------------------------------------------
@@ -212,20 +233,20 @@ class H1Result:
     eta: np.ndarray
 
 
-def _optimal_c(n: np.ndarray, Q: float, theta_t: np.ndarray,
+def _optimal_c(n: np.ndarray, Q, theta_t: np.ndarray,
                obj: objectives.ObjectiveParams, c_max: float) -> np.ndarray:
     """Exact per-cell consumption argmax of H1 given (theta, eta).
 
     Only a J1 component makes H1 depend on c through the utility; other
     targets leave the linear capital price -c n Q, so the argmax is a
     corner decided by the sign of Q.  Cells without population take c = 0.
+    ``n`` and ``theta_t`` may be (n_nodes, n_age) stacks with one Q per node.
     """
     w_u = obj.target_weights().get("J1", 0.0)
     if w_u > 0.0:
         return obj.utility.optimal_c(n, Q / w_u, theta_t, obj.nu, c_max)
     out = np.zeros_like(n)
-    if Q < 0.0:
-        out[n > 0.0] = c_max
+    out[(n > 0.0) & (np.expand_dims(Q, -1) < 0.0)] = c_max
     return out
 
 
@@ -243,6 +264,14 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
     ``baseline``, when given as a (c, theta, eta) slice, is also entered as
     a candidate (with its consumption re-solved exactly), so the returned
     value dominates H1 at that slice up to the consumption argmax.
+
+    A node stack (x, K and the costate as :func:`h1_evaluator` takes them,
+    ``baseline`` one (3, n_nodes, n_age) array) is searched in lockstep: one
+    evaluator call scores a block's levels at every node.  Each node keeps
+    its own stop test; a node that has passed it only repeats its last
+    sweep while the others go on, so its result is, bit for bit, the one it
+    gets alone.  ``value`` is then one per node, and c, theta and eta are
+    (n_nodes, n_age).  One node is a stack of one, with a float ``value``.
     """
     search, obj = scenario.search, scenario.obj
     n_age = scenario.space.grid.n_age
@@ -252,55 +281,66 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
     bs = n_age // nb
     th_levels = np.asarray(search.theta_levels, dtype=np.float64)
     et_levels = np.asarray(search.eta_levels, dtype=np.float64)
-    n = x[0] + x[1] + x[2]
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 2
+    nodes = x[None] if single else x
+    n_nodes = nodes.shape[0]
+    n = nodes[:, 0] + nodes[:, 1] + nodes[:, 2]
     Q = costate.Q
-    evaluate = h1_evaluator(x, K, costate, scenario)
+    evaluate = h1_evaluator(nodes, K, costate, scenario)
 
     def ascend(start_level_index):
-        theta = np.repeat(th_levels[start_level_index(th_levels)], n_age)
-        eta = np.repeat(et_levels[start_level_index(et_levels)], n_age)
+        theta = np.full((n_nodes, n_age), th_levels[start_level_index(th_levels)])
+        eta = np.full((n_nodes, n_age), et_levels[start_level_index(et_levels)])
         c = _optimal_c(n, Q, theta, obj, search.c_max)
         best = evaluate(c, theta, eta)
-        # one stack per control, each row a copy of it; only the block under
-        # scan differs between rows, and it is reset to the pick afterwards
-        th_stack = np.tile(theta, (th_levels.size, 1))
-        et_stack = np.tile(eta, (et_levels.size, 1))
+        # one stack per control and node, each row a copy of it; only the block
+        # under scan differs between rows, and it is reset to the pick afterwards
+        th_stack = np.repeat(theta[:, None], th_levels.size, axis=1)
+        et_stack = np.repeat(eta[:, None], et_levels.size, axis=1)
         for _ in range(search.max_sweeps):
-            changed = False
+            changed = np.zeros(n_nodes, dtype=bool)
             for levels, ctrl, stack in ((th_levels, theta, th_stack),
                                         (et_levels, eta, et_stack)):
                 for b in range(nb):
                     lo, hi = b * bs, (b + 1) * bs
-                    current = ctrl[lo]
-                    stack[:, lo:hi] = levels[:, None]
+                    current = ctrl[:, lo].copy()
+                    stack[:, :, lo:hi] = levels[:, None]
                     vals = (evaluate(c, stack, eta) if ctrl is theta
                             else evaluate(c, theta, stack))
-                    pick = int(np.argmax(vals))
-                    ctrl[lo:hi] = stack[:, lo:hi] = levels[pick]
-                    changed |= bool(levels[pick] != current)
+                    pick = levels[np.argmax(vals, axis=-1)]
+                    ctrl[:, lo:hi] = pick[:, None]
+                    stack[:, :, lo:hi] = pick[:, None, None]
+                    changed |= pick != current
             c_new = _optimal_c(n, Q, theta, obj, search.c_max)
-            c_shift = float(np.max(np.abs(c_new - c)))
+            c_shift = np.max(np.abs(c_new - c), axis=-1)
             c = c_new
             best = evaluate(c, theta, eta)
-            if not changed and c_shift <= 1e-12 * (1.0 + float(np.max(np.abs(c)))):
+            # a node that passes its stop test changed no control, so its c is
+            # the same and every later sweep repeats this one exactly: the
+            # search stops once all nodes pass, each where it would alone
+            if np.all(~changed & (c_shift <= 1e-12 * (1.0 + np.max(np.abs(c), axis=-1)))):
                 break
         return best, c, theta, eta
 
+    def keep_better(current, candidate):
+        better = candidate[0] > current[0]
+        return tuple(np.where(better if new.ndim == 1 else better[:, None], new, old)
+                     for old, new in zip(current, candidate))
+
     # two deterministic starts: the top corner avoids the degenerate tie at
     # theta = 0 or eta = 0 where the transmission channel is switched off
-    best, c, theta, eta = ascend(lambda levels: len(levels) - 1)
-    alt = ascend(lambda levels: 0)
-    if alt[0] > best:
-        best, c, theta, eta = alt
-
+    best = keep_better(ascend(lambda levels: len(levels) - 1), ascend(lambda levels: 0))
     if baseline is not None:
-        th_b, et_b = (np.array(z, dtype=np.float64) for z in baseline[1:])
+        th_b, et_b = (np.array(z, dtype=np.float64).reshape(n_nodes, n_age)
+                      for z in baseline[1:])
         c_b = _optimal_c(n, Q, th_b, obj, search.c_max)
-        val_b = evaluate(c_b, th_b, et_b)
-        if val_b > best:
-            best, c, theta, eta = val_b, c_b, th_b, et_b
+        best = keep_better(best, (evaluate(c_b, th_b, et_b), c_b, th_b, et_b))
 
-    return H1Result(value=float(best), c=c, theta=theta, eta=eta)
+    value, c, theta, eta = best
+    if single:
+        return H1Result(value=float(value[0]), c=c[0], theta=theta[0], eta=eta[0])
+    return H1Result(value=value, c=c, theta=theta, eta=eta)
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +348,22 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
 # ----------------------------------------------------------------------
 
 def _costate_at(v, x, K) -> CostateField:
-    return CostateField(*map(np.asarray, v.grad_h(x, K)), Q=float(v.grad_K(x, K)))
+    """v's gradients at one node, or at each node of a (n_nodes, 3, n_age) stack."""
+    x = np.asarray(x)
+    if x.ndim == 2:
+        return CostateField(*map(np.asarray, v.grad_h(x, K)), Q=float(v.grad_K(x, K)))
+    h = tuple(x.transpose(1, 0, 2))  # (s, i, r), each (n_nodes, n_age)
+    return CostateField(*map(np.asarray, v.grad_h(h, K)),
+                        Q=np.broadcast_to(np.asarray(v.grad_K(h, K), dtype=np.float64),
+                                          np.shape(K)))
+
+
+# Most cells in one (nodes, levels, n_age) stack of the gap certificate's
+# lockstep search.  A stack of 16,000 floats (125 KB) stays in a core's L2
+# cache and under glibc's 128 KiB threshold for fresh pages from the kernel:
+# at n_age 400 with 5 levels, all 81 nodes in one stack took 1.8x as long as
+# chunks of 8 nodes (16,000 cells), chunks of 16 1.7x and chunks of 4 1.3x.
+_STACK_CELLS = 16_000
 
 
 def hamiltonian_gap_profile(v, policy: np.ndarray, traj: epi.Trajectory,
@@ -316,17 +371,23 @@ def hamiltonian_gap_profile(v, policy: np.ndarray, traj: epi.Trajectory,
     """Per-node gap sup_z H1 - H1(policy) along a trajectory, using v's gradients.
 
     The policy's own slice is included in the search candidates, so gaps are
-    nonnegative up to the tolerance of the consumption argmax.
+    nonnegative up to the tolerance of the consumption argmax.  The nodes go
+    through one lockstep :func:`maximize_h1` call and one :func:`h1_part`
+    call per chunk of the node stack (one chunk unless a stack would exceed
+    ``_STACK_CELLS``), with v's gradients taken at the state as (s, i, r)
+    components of shape (n_nodes, n_age) and K of shape (n_nodes,).  An
+    extinct node raises for the first one.
     """
-    n_nodes = traj.n_steps + 1
-    gaps = np.empty(n_nodes)
-    for k in range(n_nodes):
-        x, K = traj.X[k], float(traj.K[k])
-        costate = _costate_at(v, x, K)
-        z = policy[:, k]
-        gaps[k] = (maximize_h1(x, K, costate, scenario, baseline=z).value
-                   - h1_part(x, K, costate, *z, scenario))
-    return gaps
+    search = scenario.search
+    levels = max(len(search.theta_levels), len(search.eta_levels))
+    chunk = max(1, _STACK_CELLS // (levels * traj.X.shape[-1]))
+    gaps = []
+    for lo in range(0, traj.n_steps + 1, chunk):
+        X, K, z = traj.X[lo:lo + chunk], traj.K[lo:lo + chunk], policy[:, lo:lo + chunk]
+        costate = _costate_at(v, X, K)
+        best = maximize_h1(X, K, costate, scenario, baseline=z).value
+        gaps.append(best - h1_part(X, K, costate, *z, scenario))
+    return np.concatenate(gaps)
 
 
 def integrated_gap(gaps: np.ndarray, traj: epi.Trajectory, obj) -> float:

@@ -84,20 +84,23 @@ def _consumption_argmax(n, Q, nu, c_max, foc):
     """Pointwise maximizer of n^nu u(c, theta) - c n Q over [0, c_max].
 
     ``foc(price, pos)`` solves the first-order condition u_c = price, with
-    price = n^(1-nu) Q, on the populated cells ``pos``; the corner c_max is
-    taken when marginal utility never meets the price.  Empty cells take
-    c = 0, except that for nu = 0 the utility weight n^nu is 1 there (0^0
-    convention) and the argmax is the cap.
+    price = n^(1-nu) Q, on the cells ``pos`` (populated, with Q > 0); the
+    corner c_max is taken when marginal utility never meets the price, and
+    on populated cells with Q <= 0.  Empty cells take c = 0, except that for
+    nu = 0 the utility weight n^nu is 1 there (0^0 convention) and the
+    argmax is the cap.  ``n`` may be a (n_nodes, n_age) stack with one Q
+    per node.
     """
     n = np.asarray(n, dtype=np.float64)
+    price = np.broadcast_to(np.expand_dims(Q, -1), n.shape)
     out = np.zeros_like(n)
     pos = n > 0.0
     if nu == 0.0:
         out[~pos] = c_max
-    if Q <= 0.0:
-        out[pos] = c_max
-        return out
-    out[pos] = np.clip(foc(n[pos] ** (1.0 - nu) * Q, pos), 0.0, c_max)
+    corner = pos & (price <= 0.0)
+    out[corner] = c_max
+    pos &= ~corner
+    out[pos] = np.clip(foc(n[pos] ** (1.0 - nu) * price[pos], pos), 0.0, c_max)
     return out
 
 
@@ -161,24 +164,29 @@ def node_reward(x, params: epi.EpiParams, obj: ObjectiveParams):
     (n^nu for J1, the deaths flow for J6) are computed once here.  Terminal
     targets J3 and J4 contribute nothing.  ``theta`` may be a (L, n_age)
     stack with Y one value per row; the reward then has one entry per row.
+    A triple of node stacks, each component (n_nodes, 1, n_age), gives one
+    reward per node and row.
     """
     s, i, r = x
     da = params.grid.da
     active = {which: w for which, w in obj.target_weights().items()
               if w != 0.0 and which not in ("J3", "J4")}
     n_nu = np.power(s + i + r, obj.nu) if "J1" in active else None
-    deaths = (epi.deaths_flow(i, epi.infection_mortality(
-        params, epi.critical_load(i, params, da)), da) if "J6" in active else None)
+    deaths = None
+    if "J6" in active:  # node by node: the overload multiplier takes one load
+        deaths = np.reshape([epi.deaths_flow(i_k, epi.infection_mortality(
+            params, epi.critical_load(i_k, params, da)), da)
+            for i_k in np.reshape(i, (-1, np.shape(i)[-1]))], np.shape(i)[:-1])
 
     def reward(c, theta, Y):
         total = 0.0
         for which, w in active.items():
             if which == "J1":
-                total += w * (da * (n_nu * obj.utility(c, theta)).sum(axis=-1))
+                total = total + w * (da * (n_nu * obj.utility(c, theta)).sum(axis=-1))
             elif which == "J6":
-                total += w * obj.j6_sign * deaths
+                total = total + w * obj.j6_sign * deaths
             else:  # J2 and J5: the production flow
-                total += w * Y
+                total = total + w * Y
         return total
 
     return reward

@@ -106,8 +106,11 @@ def test_non_utf8_config_is_config_error(tmp_path):
     ("policy.c", [[None]]),
     ("epidemic.contact.values", [[1.0] * 16] * 15 + [[None] * 16]),
     ("epidemic.contact.values", [["2.5"] * 16] * 16),
+    ("epidemic.contact.values", [[2.5] * 16] * 15 + [[2.5] * 15 + [True]]),
+    ("epidemic.contact.values", [[False] + [2.5] * 15] + [[2.5] * 16] * 15),
+    ("policy.theta", [[0.5, True]]),
 ], ids=["ragged_kernel", "text_kernel", "text_policy", "ragged_policy", "null_policy",
-        "null_kernel", "quoted_kernel"])
+        "null_kernel", "quoted_kernel", "true_kernel", "false_kernel", "true_policy"])
 def test_malformed_table_names_field(tmp_path, capsys, field, table):
     cfg = small_config()
     if field.startswith("policy"):
@@ -140,6 +143,27 @@ def test_negative_contact_rate_names_field(tmp_path, capsys, monkeypatch, contac
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"config field {field}: contact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    *((f"epidemic.{key}", -0.1)
+      for key in ("mu_S", "mu_R", "mu_I_base", "gamma", "beta", "xi")),
+    ("epidemic.xi", 1.5),
+    *((f"epidemic.initial.{key}", -0.1) for key in ("s", "i", "r")),
+    ("economy.alpha", -0.1), ("economy.e", -0.1),
+])
+def test_out_of_range_age_profile_names_field(tmp_path, capsys, field, value):
+    # the coefficient and state dataclasses reject the profile; the message names its field
+    cfg = small_config()
+    *path, key = field.split(".")
+    node = cfg
+    for part in path:
+        node = node[part]
+    node[key] = {"type": "constant", "value": value}
+    code = cli.main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config field {field}: " in capsys.readouterr().err
 
 
 def test_out_of_box_policy_block_names_field(tmp_path, capsys):

@@ -79,6 +79,28 @@ def test_consumption_examples():
     assert ee.consumption_total(state2.as_triple(), c, grid.da) == 0.0
 
 
+def test_consumption_stack_rows_equal_slices_exactly():
+    # like labor and the testing cost, C sums along the last axis: each row of a
+    # (L, n_age) stack, and each node of a node stack, is that slice alone bit
+    # for bit, and one slice is the former scalar sum the simulator records
+    rng = np.random.default_rng(23)
+    n_age, da = 37, 0.3
+    x = rng.uniform(0.0, 3.0, (3, n_age))
+    stack = rng.uniform(0.0, 2.0, (5, n_age))
+    rows = ee.consumption_total(x, stack, da)
+    assert rows.shape == (5,)
+    for row, c in zip(rows, stack):
+        one = ee.consumption_total(x, c, da)
+        assert one == row
+        assert one == float(da * (c * (x[0] + x[1] + x[2])).sum())
+    nodes = rng.uniform(0.0, 3.0, (4, 3, n_age))
+    per_node = ee.consumption_total(tuple(nodes[:, k, None] for k in range(3)),
+                                    stack[:4, None], da)
+    assert per_node.shape == (4, 1)
+    for k in range(4):
+        assert per_node[k, 0] == ee.consumption_total(nodes[k], stack[k], da)
+
+
 def test_testing_cost_examples():
     grid = ee.AgeGrid(a_max=10.0, n_age=20)
     econ_lin = make_econ(grid, D=ee.LinearCongestion(d1=2.0))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import epiecon as ee
-from epiecon.hamiltonian import _optimal_c
+from epiecon import hamiltonian
+from epiecon.hamiltonian import _costate_at, _optimal_c
 
 from util import build_scenario, fit_order, smooth_bump
 
@@ -473,6 +474,140 @@ def test_gap_profile_positive_for_random_policy():
     gaps = ee.hamiltonian_gap_profile(v, scen.policy, traj, scen)
     assert np.all(gaps >= -1e-10)
     assert ee.integrated_gap(gaps, traj, scen.obj) > 0.0
+
+
+def looped_gap_profile(v, policy, traj, scen):
+    """Reference for hamiltonian_gap_profile: the single-node search at one node
+    at a time.  Returns the gaps and each node's maximize_h1 result."""
+    gaps, results = np.empty(traj.n_steps + 1), []
+    for k in range(traj.n_steps + 1):
+        x, K = traj.X[k], float(traj.K[k])
+        costate = _costate_at(v, x, K)
+        results.append(ee.maximize_h1(x, K, costate, scen, baseline=policy[:, k]))
+        gaps[k] = results[-1].value - ee.h1_part(x, K, costate, *policy[:, k], scen)
+    return gaps, results
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_age=st.sampled_from([8, 16]),
+       table=st.booleans(), target=st.sampled_from(["J1", "J2", "J6", "composite"]),
+       quadratic=st.booleans(), max_sweeps=st.sampled_from([1, 2, 30]),
+       d1=st.sampled_from([0.0, 0.1]), blocks=st.sampled_from([1, 2, 4]),
+       chunk=st.sampled_from([None, 1, 3]))
+def test_gap_profile_equals_looped_single_node_search(seed, n_age, table, target, quadratic,
+                                                      max_sweeps, d1, blocks, chunk):
+    # the lockstep search over all nodes gives each node its single-node result
+    # bit for bit: same sweep order, starts, baseline, tie rule (d1 = 0 leaves
+    # eta without effect where theta = 0) and stop test, a sweep cut short
+    # included; consumption far above output drives capital below zero, so the
+    # quadratic value's Q = q K takes both signs in one batch.  ``chunk`` caps
+    # the nodes per lockstep search (None: all nodes in one stack).
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.1, 2.0, n_age)
+    m0 = float(rng.uniform(0.0, 3.0))
+    kernel = m0 * np.outer(g, rng.uniform(0.1, 2.0, n_age)) if table \
+        else ee.RankOneKernel(m0, g)
+    composite = ({"J1": float(rng.uniform(0.0, 2.0)), "J2": float(rng.uniform(-1.0, 1.0)),
+                  "J6": float(rng.uniform(-5.0, 5.0))} if target == "composite" else None)
+    scen = verification_scenario(n_age=n_age, kernel=kernel, i0=0.05, K0=5.0,
+                                 which="J1" if composite else target, composite=composite,
+                                 congestion=ee.LinearCongestion(d1=d1), search_blocks=blocks)
+    scen = dataclasses.replace(scen, search=dataclasses.replace(scen.search,
+                                                                max_sweeps=max_sweeps))
+    shape = (scen.time_grid.n_steps + 1, n_age)
+    policy = np.stack([rng.uniform(2.0, 6.0, shape), rng.uniform(0.0, 1.0, shape),
+                       rng.uniform(0.0, 1.0, shape)])
+    traj = scen.simulate(policy)
+    w = interior_triple(scen.age_grid)
+    if quadratic:
+        v = ee.QuadraticValue(scen.space, w, q=float(rng.uniform(0.01, 1.0)))
+        assert traj.K.max() > 0.0 > traj.K.min()
+    else:
+        v = ee.LinearValue(scen.space, w, q=float(rng.uniform(-1.0, 1.0)))
+
+    stack_cells = hamiltonian._STACK_CELLS
+    if chunk is not None:
+        hamiltonian._STACK_CELLS = chunk * len(scen.search.theta_levels) * n_age
+    try:
+        gaps = ee.hamiltonian_gap_profile(v, policy, traj, scen)
+    finally:
+        hamiltonian._STACK_CELLS = stack_cells
+    want, singles = looped_gap_profile(v, policy, traj, scen)
+    assert gaps.tobytes() == want.tobytes()
+    res = ee.maximize_h1(traj.X, traj.K, _costate_at(v, traj.X, traj.K), scen,
+                         baseline=policy)
+    assert res.value.tobytes() == np.array([one.value for one in singles]).tobytes()
+    for name in ("c", "theta", "eta"):
+        assert np.array_equal(getattr(res, name),
+                              np.stack([getattr(one, name) for one in singles]))
+
+
+def test_lockstep_nodes_stop_at_different_sweeps(monkeypatch):
+    # a node without epidemic and a zero costate sits at its optimum from the top
+    # start; a node whose infections are costly sweeps longer.  In the lockstep
+    # search the first repeats its last sweep while the second goes on, and each
+    # gets its lone result.
+    scen = verification_scenario(i0=0.1)
+    scen = dataclasses.replace(scen, search=dataclasses.replace(scen.search,
+                                                                eta_levels=(1.0,)))
+    epidemic = np.stack(scen.initial.as_triple())
+    healthy = epidemic.copy()
+    healthy[0] += healthy[1]
+    healthy[1] = 0.0
+    X, K = np.stack([healthy, epidemic]), np.array([50.0, 50.0])
+    p1 = np.stack([np.zeros(16), np.full(16, 40.0)])
+    zero = np.zeros((2, 16))
+    costate = ee.CostateField(p1, zero, zero, Q=np.array([0.5, 0.5]))
+
+    calls = []
+    evaluator = hamiltonian.h1_evaluator
+
+    def counting(*args, **kwargs):
+        h1 = evaluator(*args, **kwargs)
+
+        def counted(*z):
+            calls[-1] += 1
+            return h1(*z)
+        return counted
+
+    monkeypatch.setattr(hamiltonian, "h1_evaluator", counting)
+    singles = []
+    for k in range(2):
+        calls.append(0)
+        singles.append(ee.maximize_h1(X[k], 50.0, ee.CostateField(p1[k], zero[k], zero[k],
+                                                                  Q=0.5), scen))
+    assert calls[0] < calls[1]
+    calls.append(0)
+    res = ee.maximize_h1(X, K, costate, scen)
+    assert calls[2] == calls[1]  # the stack sweeps as long as its slowest node
+    assert np.all(res.theta[0] == 1.0) and not np.all(res.theta[1] == 1.0)
+    for k, one in enumerate(singles):
+        assert res.value[k] == one.value
+        for name in ("c", "theta", "eta"):
+            assert np.array_equal(getattr(res, name)[k], getattr(one, name))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+def test_gap_profile_extinct_node_raises_like_the_loop(monkeypatch, chunk):
+    # nodes 2 and 4 fall below the floor (1e-9 N0); both searches name node 2's
+    # population, the first the node-by-node loop reaches, with all nodes in
+    # one stack or in chunks of ``chunk`` nodes
+    scen = verification_scenario(n_age=8, horizon=4.0)
+    if chunk is not None:
+        monkeypatch.setattr(hamiltonian, "_STACK_CELLS",
+                            chunk * len(scen.search.theta_levels) * 8)
+    traj = scen.simulate()
+    X = traj.X.copy()
+    X[2] *= 1e-12
+    X[4] *= 1e-13
+    traj = dataclasses.replace(traj, X=X)
+    v = ee.LinearValue(scen.space, interior_triple(scen.age_grid), q=0.4)
+    with pytest.raises(ee.ExtinctPopulation) as batched:
+        ee.hamiltonian_gap_profile(v, scen.policy, traj, scen)
+    with pytest.raises(ee.ExtinctPopulation) as looped:
+        looped_gap_profile(v, scen.policy, traj, scen)
+    assert str(batched.value) == str(looped.value)
+    assert f"{scen.age_grid.da * X[2].sum():.3e}" in str(batched.value)
 
 
 # ----------------------------------------------------------------------

@@ -245,14 +245,9 @@ def testing_cost(x, eta_t: np.ndarray, econ: EconParams, da: float):
     return econ.D(da * (level * x[1] * econ.e).sum(axis=-1))
 
 
-def capital_step(K: float, L: float, C: float, d_cost: float,
-                 econ: EconParams, dt: float, Y: float | None = None) -> float:
-    """One explicit Euler step of the capital accumulation law.
-
-    ``Y`` is the output F(K, L) when the caller already holds it.
-    """
-    if Y is None:
-        Y = econ.F(K, L)
+def capital_step(K: float, Y: float, C: float, d_cost: float,
+                 econ: EconParams, dt: float) -> float:
+    """One explicit Euler step of the capital accumulation law, given the output Y = F(K, L)."""
     K1 = K + dt * (Y - C - econ.delta * K - d_cost)
     if not np.isfinite(K1):
         raise NonFiniteState(f"capital update produced {K1}")

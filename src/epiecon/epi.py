@@ -10,6 +10,10 @@ enter the first cell.  Aging is therefore exact and free of numerical
 diffusion; all truncation error comes from freezing the reaction rates,
 which is first order in dt.  Positivity of (s, i, r) holds exactly by
 construction, given contact rates m >= 0 (checked when the kernel is built).
+
+The aggregates take one node's infected density or a (n_nodes, n_age) stack:
+age sums run along the last axis, so a stack gives one value per node, bit
+for bit that node's alone.
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ class SaturationSpec:
         if not self.smooth > 0:
             raise ConfigurationError("overload softening width must be > 0")
 
-    def multiplier(self, Xi: float) -> float:
+    def multiplier(self, Xi):
         # softplus log(1 + e^x) without overflow
-        return 1.0 + self.psi * float(np.logaddexp(0.0, (Xi - self.xi_cap) / self.smooth))
+        return 1.0 + self.psi * np.logaddexp(0.0, (Xi - self.xi_cap) / self.smooth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,19 +108,20 @@ class EpiState:
 # pointwise operations
 # ----------------------------------------------------------------------
 
-def critical_load(i: np.ndarray, params: EpiParams, da: float) -> float:
+def critical_load(i: np.ndarray, params: EpiParams, da: float):
     """Hospital-demand aggregate Xi = int i * xi da."""
-    return float(da * (i * params.xi).sum())
+    return da * (i * params.xi).sum(axis=-1)
 
 
-def infection_mortality(params: EpiParams, Xi: float) -> np.ndarray:
-    """Infected mortality field mu_I(., Xi) including the overload multiplier."""
-    return params.mu_I_base * params.saturation.multiplier(Xi)
+def infection_mortality(params: EpiParams, Xi) -> np.ndarray:
+    """Infected mortality field mu_I(., Xi) including the overload multiplier;
+    one row per load when ``Xi`` has one per node."""
+    return params.mu_I_base * params.saturation.multiplier(Xi)[..., None]
 
 
-def deaths_flow(i: np.ndarray, mu_i: np.ndarray, da: float) -> float:
+def deaths_flow(i: np.ndarray, mu_i: np.ndarray, da: float):
     """Disease deaths flow int mu_I(., Xi) i da, given the mortality field mu_i."""
-    return float(da * (mu_i * i).sum())
+    return da * (mu_i * i).sum(axis=-1)
 
 
 def extinction_check(n_total, n_floor: float) -> None:
@@ -198,7 +203,7 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     out[2, 1:] = r_dec[:-1]
     if not np.isfinite(out).all():
         raise NonFiniteState("state update produced non-finite densities")
-    return aggregates, economy.capital_step(K, L, C, d_cost, econ, dt, Y)
+    return aggregates, economy.capital_step(K, Y, C, d_cost, econ, dt)
 
 
 def step(state: EpiState, K: float, c_t: np.ndarray, theta_t: np.ndarray,

@@ -11,8 +11,11 @@ discounted terminal value.  Nothing here solves the dynamic-programming
 equation; the module only measures how far a candidate is from satisfying
 it.  The Hamiltonian pieces and diagnostics take the control problem as one
 ``Scenario``; states enter as (3, n_age) arrays or (s, i, r) triples, like
-traj.X[k], and H1 and its maximization also take a node stack such as traj.X.
-Their force of infection has the extinction floor of ``simulate``
+traj.X[k], or as a node stack like traj.X with one K per node (see ``hilbert``),
+which gives one value per node, so the diagnostics need no loop over nodes.
+``greedy_policy`` and ``transversality_check`` keep theirs: a rollout is
+sequential, and the trajectories of a transversality check differ in length.
+The force of infection has the extinction floor of ``simulate``
 (n_floor_rel times the initial population): ``ExtinctPopulation`` at or below it.
 """
 
@@ -26,7 +29,7 @@ import numpy as np
 from . import economy, epi, objectives
 from .errors import ConfigurationError
 from .grid import _as_readonly
-from .hilbert import CostateField, HilbertSpace
+from .hilbert import CostateField, HilbertSpace, components
 
 if TYPE_CHECKING:  # scenario.py imports this module
     from .scenario import Scenario
@@ -41,14 +44,14 @@ def _weights(space: HilbertSpace, w) -> tuple:
 
 
 class LinearValue:
-    """v(h, K) = <h, w>_H + q K with constant gradient (w, q)."""
+    """v(h, K) = <h, w>_H + q K with constant gradient (w, q); one value per node of a stack."""
 
     def __init__(self, space: HilbertSpace, w, q: float):
         self.space = space
         self.w = _weights(space, w)
         self.q = float(q)
 
-    def value(self, h, K) -> float:
+    def value(self, h, K):
         return self.space.inner(h, self.w) + self.q * K
 
     def grad_h(self, h, K):
@@ -67,9 +70,9 @@ class QuadraticValue:
         self.q = float(q)
 
     def _wh(self, h):
-        return tuple(wc * hc for wc, hc in zip(self.w, h))
+        return tuple(wc * hc for wc, hc in zip(self.w, components(h)))
 
-    def value(self, h, K) -> float:
+    def value(self, h, K):
         return 0.5 * self.space.inner(h, self._wh(h)) + 0.5 * self.q * K * K
 
     def grad_h(self, h, K):
@@ -119,17 +122,17 @@ def _n_floor(scenario: Scenario) -> float:
     return scenario.n_floor_rel * scenario.initial.total_population()
 
 
-def h0_part(x, K: float, costate: CostateField, scenario: Scenario) -> float:
-    """Control-independent Hamiltonian part.
+def h0_part(x, K, costate: CostateField, scenario: Scenario):
+    """Control-independent Hamiltonian part, one value per node of a node stack.
 
     <h, A* p>_H - delta K Q - <mu_I(., Xi(h)) h2, p2>_L2.
     """
     space, params = scenario.space, scenario.epi
-    i = x[1]
+    i = components(x)[1]
     da = space.grid.da
     astar = space.apply_A_star(costate.triple())
     mu_i = epi.infection_mortality(params, epi.critical_load(i, params, da))
-    sink = float(da * (mu_i * i * costate.p2).sum())
+    sink = da * (mu_i * i * costate.p2).sum(axis=-1)
     return space.inner(x, astar) - scenario.econ.delta * K * costate.Q - sink
 
 
@@ -348,13 +351,9 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
 # ----------------------------------------------------------------------
 
 def _costate_at(v, x, K) -> CostateField:
-    """v's gradients at one node, or at each node of a (n_nodes, 3, n_age) stack."""
-    x = np.asarray(x)
-    if x.ndim == 2:
-        return CostateField(*map(np.asarray, v.grad_h(x, K)), Q=float(v.grad_K(x, K)))
-    h = tuple(x.transpose(1, 0, 2))  # (s, i, r), each (n_nodes, n_age)
-    return CostateField(*map(np.asarray, v.grad_h(h, K)),
-                        Q=np.broadcast_to(np.asarray(v.grad_K(h, K), dtype=np.float64),
+    """v's gradients at one node, or at each node of a node stack (Q one per node)."""
+    return CostateField(*map(np.asarray, v.grad_h(x, K)),
+                        Q=np.broadcast_to(np.asarray(v.grad_K(x, K), dtype=np.float64),
                                           np.shape(K)))
 
 
@@ -374,9 +373,7 @@ def hamiltonian_gap_profile(v, policy: np.ndarray, traj: epi.Trajectory,
     nonnegative up to the tolerance of the consumption argmax.  The nodes go
     through one lockstep :func:`maximize_h1` call and one :func:`h1_part`
     call per chunk of the node stack (one chunk unless a stack would exceed
-    ``_STACK_CELLS``), with v's gradients taken at the state as (s, i, r)
-    components of shape (n_nodes, n_age) and K of shape (n_nodes,).  An
-    extinct node raises for the first one.
+    ``_STACK_CELLS``).  An extinct node raises for the first one.
     """
     search = scenario.search
     levels = max(len(search.theta_levels), len(search.eta_levels))
@@ -397,16 +394,19 @@ def integrated_gap(gaps: np.ndarray, traj: epi.Trajectory, obj) -> float:
     return float((disc * gaps[:tg.n_steps]).sum() * tg.dt)
 
 
+def _discounted_sum(terms, tg, rho: float):
+    """sum_k e^{-rho (t_k - t0)} terms[k] over the first len(terms) nodes, added
+    one by one from 0.0 in node order (np.sum adds pairwise, with other bits)."""
+    disc = np.exp(-rho * (tg.times[:len(terms)] - tg.t0))
+    return np.cumsum(np.append(0.0, disc * terms))[-1]
+
+
 def discounted_running_payoff(traj, policy, scenario: Scenario) -> float:
     """Discounted left-endpoint sum of the running reward along a trajectory."""
-    tg, obj = traj.time_grid, scenario.obj
-    total = 0.0
-    for k in range(tg.n_steps):
-        c_t, th_t, et_t = policy[:, k]
-        u = objectives.running_reward(traj.X[k], float(traj.K[k]), c_t, th_t, et_t,
-                                      scenario.epi, scenario.econ, obj)
-        total += np.exp(-obj.rho * (tg.times[k] - tg.t0)) * u
-    return float(total * tg.dt)
+    tg, n = traj.time_grid, traj.n_steps
+    u = objectives.running_reward(traj.X[:n], traj.K[:n], *policy[:, :n],
+                                  scenario.epi, scenario.econ, scenario.obj)
+    return float(_discounted_sum(u, tg, scenario.obj.rho) * tg.dt)
 
 
 def fundamental_identity_residual(v, policy, traj, scenario: Scenario) -> float:
@@ -424,8 +424,7 @@ def fundamental_identity_residual(v, policy, traj, scenario: Scenario) -> float:
     tg, obj = traj.time_grid, scenario.obj
     payoff = discounted_running_payoff(traj, policy, scenario)
     gap_term = integrated_gap(hamiltonian_gap_profile(v, policy, traj, scenario), traj, obj)
-    terminal = np.exp(-obj.rho * (tg.t_end - tg.t0)) * v.value(traj.X[-1],
-                                                               float(traj.K[-1]))
+    terminal = np.exp(-obj.rho * (tg.t_end - tg.t0)) * v.value(traj.X[-1], traj.K[-1])
     return float(v.value(traj.X[0], float(traj.K[0])) - (payoff + gap_term + terminal))
 
 
@@ -438,18 +437,13 @@ def chain_rule_residual(v, policy, traj, scenario: Scenario) -> float:
     vanishes at rate O(dt) for any feasible policy and any smooth v whose
     gradient is compatible with the adjoint domain.
     """
-    tg, obj = traj.time_grid, scenario.obj
-    acc = 0.0
-    for k in range(tg.n_steps):
-        x, K = traj.X[k], float(traj.K[k])
-        costate = _costate_at(v, x, K)
-        drift = (h0_part(x, K, costate, scenario)
-                 + h1_evaluator(x, K, costate, scenario, reward=False)(*policy[:, k]))
-        acc += (np.exp(-obj.rho * (tg.times[k] - tg.t0))
-                * (obj.rho * v.value(x, K) - drift))
-    acc *= tg.dt
-    terminal = np.exp(-obj.rho * (tg.t_end - tg.t0)) * v.value(traj.X[-1],
-                                                               float(traj.K[-1]))
+    tg, obj, n = traj.time_grid, scenario.obj, traj.n_steps
+    X, K = traj.X[:n], traj.K[:n]
+    costate = _costate_at(v, X, K)
+    drift = (h0_part(X, K, costate, scenario)
+             + h1_evaluator(X, K, costate, scenario, reward=False)(*policy[:, :n]))
+    acc = _discounted_sum(obj.rho * v.value(X, K) - drift, tg, obj.rho) * tg.dt
+    terminal = np.exp(-obj.rho * (tg.t_end - tg.t0)) * v.value(traj.X[-1], traj.K[-1])
     return float(v.value(traj.X[0], float(traj.K[0])) - terminal - acc)
 
 

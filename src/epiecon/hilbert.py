@@ -6,6 +6,11 @@ probabilities 1/pi_S^2 and 1/pi_R^2 (no weight on the infected component).
 The transport-plus-reaction generator A and its adjoint A* are discretized
 with mirrored upwind/downwind stencils so that discrete adjointness holds
 up to O(da) without assembling matrices.
+
+A state or costate is a triple of components, or an array with them on its
+second-to-last axis: (3, n_age) like traj.X[k], or a (n_nodes, 3, n_age)
+node stack like traj.X.  Age sums run along the last axis, so a stack gives
+one value per node, bit for bit that node's alone.
 """
 
 from __future__ import annotations
@@ -18,6 +23,11 @@ from .errors import ConfigurationError
 from .grid import AgeGrid, _nonnegative
 
 DEFAULT_WEIGHT_FLOOR = 1e-8
+
+
+def components(h) -> tuple:
+    """The three components of a state or costate ``h`` (see the module docstring)."""
+    return h if isinstance(h, tuple) else tuple(np.moveaxis(h, -2, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,17 +75,16 @@ class HilbertSpace:
     # inner products and norms
     # ------------------------------------------------------------------
 
-    def inner(self, h, g) -> float:
-        """Weighted inner product <h, g>_H."""
-        h1, h2, h3 = h
-        g1, g2, g3 = g
-        da = self.grid.da
-        return float(da * ((h1 * g1 * self.w1).sum()
-                           + (h2 * g2).sum()
-                           + (h3 * g3 * self.w3).sum()))
+    def inner(self, h, g):
+        """Weighted inner product <h, g>_H, one per node of a node stack."""
+        h1, h2, h3 = components(h)
+        g1, g2, g3 = components(g)
+        return self.grid.da * ((h1 * g1 * self.w1).sum(axis=-1)
+                               + (h2 * g2).sum(axis=-1)
+                               + (h3 * g3 * self.w3).sum(axis=-1))
 
-    def norm(self, h) -> float:
-        return float(np.sqrt(max(self.inner(h, h), 0.0)))
+    def norm(self, h):
+        return np.sqrt(np.maximum(self.inner(h, h), 0.0))
 
     # ------------------------------------------------------------------
     # generator and adjoint
@@ -88,9 +97,9 @@ class HilbertSpace:
         enters the first cell of the susceptible component, zero inflow for
         the other components.
         """
-        h1, h2, h3 = h
+        h1, h2, h3 = components(h)
         da = self.grid.da
-        births = da * (self.beta * (h1 + h2 + h3)).sum()
+        births = da * (self.beta * (h1 + h2 + h3)).sum(axis=-1)
         out1 = -_upwind(h1, births, da) - self.mu_S * h1
         out2 = -_upwind(h2, 0.0, da) - self.gamma * h2
         out3 = self.gamma * h2 - _upwind(h3, 0.0, da) - self.mu_R * h3
@@ -103,7 +112,7 @@ class HilbertSpace:
         boundary conditions (p1/pi_S, p2, p3/pi_R vanish at a_max) and the
         cohort exit flux of the forward dynamics.
         """
-        p1, p2, p3 = p
+        p1, p2, p3 = components(p)
         da = self.grid.da
         out1 = _downwind(p1, da) + self.mu_S * p1
         out2 = _downwind(p2, da) - self.gamma * p2 + self.gamma * self.w3 * p3
@@ -117,15 +126,15 @@ def _survival(da: float, mu: np.ndarray, floor: float) -> np.ndarray:
     return np.maximum(np.exp(-cum), floor)
 
 
-def _upwind(values: np.ndarray, inflow: float, da: float) -> np.ndarray:
+def _upwind(values: np.ndarray, inflow, da: float) -> np.ndarray:
     shifted = np.empty_like(values)
-    shifted[0] = inflow
-    shifted[1:] = values[:-1]
+    shifted[..., 0] = inflow
+    shifted[..., 1:] = values[..., :-1]
     return (values - shifted) / da
 
 
 def _downwind(values: np.ndarray, da: float) -> np.ndarray:
     shifted = np.empty_like(values)
-    shifted[-1] = 0.0
-    shifted[:-1] = values[1:]
+    shifted[..., -1] = 0.0
+    shifted[..., :-1] = values[..., 1:]
     return (shifted - values) / da

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import economy, epi
 from .errors import ConfigurationError
+from .hilbert import components
 
 TARGETS = ("J1", "J2", "J3", "J4", "J5", "J6")
 
@@ -159,24 +160,23 @@ def _utility_flow(n, c, theta, obj: ObjectiveParams, da: float):
 def node_reward(x, params: epi.EpiParams, obj: ObjectiveParams):
     """Running reward of the configured target at one state, as ``reward(c, theta, Y)``.
 
-    ``x`` is the state (s, i, r) as a (3, n_age) array or a triple; Y is the
-    output F(K, L_theta), which callers already hold.  The state-only terms
-    (n^nu for J1, the deaths flow for J6) are computed once here.  Terminal
-    targets J3 and J4 contribute nothing.  ``theta`` may be a (L, n_age)
-    stack with Y one value per row; the reward then has one entry per row.
-    A triple of node stacks, each component (n_nodes, 1, n_age), gives one
-    reward per node and row.
+    ``x`` is the state (s, i, r): (3, n_age), a node stack or a triple (see
+    ``hilbert``); Y is the output F(K, L_theta), which callers already hold.
+    The state-only terms (n^nu for J1, the deaths flow for J6) are computed
+    once here, one per node.  Terminal targets J3 and J4 contribute nothing.
+    ``theta`` may be a (L, n_age) stack with Y one value per row; the reward
+    then has one entry per row.  A triple of node stacks, each component
+    (n_nodes, 1, n_age), gives one reward per node and row.
     """
-    s, i, r = x
+    s, i, r = components(x)
     da = params.grid.da
     active = {which: w for which, w in obj.target_weights().items()
               if w != 0.0 and which not in ("J3", "J4")}
     n_nu = np.power(s + i + r, obj.nu) if "J1" in active else None
     deaths = None
-    if "J6" in active:  # node by node: the overload multiplier takes one load
-        deaths = np.reshape([epi.deaths_flow(i_k, epi.infection_mortality(
-            params, epi.critical_load(i_k, params, da)), da)
-            for i_k in np.reshape(i, (-1, np.shape(i)[-1]))], np.shape(i)[:-1])
+    if "J6" in active:
+        deaths = epi.deaths_flow(
+            i, epi.infection_mortality(params, epi.critical_load(i, params, da)), da)
 
     def reward(c, theta, Y):
         total = 0.0
@@ -192,9 +192,10 @@ def node_reward(x, params: epi.EpiParams, obj: ObjectiveParams):
     return reward
 
 
-def running_reward(x, K, c_t, theta_t, eta_t, params, econ,
-                   obj: ObjectiveParams) -> float:
-    """Reward integrand of the configured target at state ``x`` and controls (c, theta)."""
+def running_reward(x, K, c_t, theta_t, eta_t, params, econ, obj: ObjectiveParams):
+    """Reward integrand of the configured target at state ``x`` and controls (c, theta);
+    on a node stack (K and each control with one value or slice per node), one per node."""
+    x = components(x)
     Y = econ.F(K, economy.labor_supply(x, theta_t, econ, params.grid.da))
     return node_reward(x, params, obj)(c_t, theta_t, Y)
 

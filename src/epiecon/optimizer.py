@@ -103,12 +103,12 @@ class OptimReport:
 
 def _safe_objective(blocks: np.ndarray, scenario: Scenario,
                     config: OptimizerConfig):
-    """(objective, trajectory, None) at block values; (None, None, message) on model failure."""
+    """(objective, trajectory, None) at block values; (None, None, error) on model failure."""
     try:
         policy = expand_blocks(blocks, scenario.time_grid, scenario.age_grid)
         return (*penalized_objective(policy, scenario, config.penalty), None)
     except ModelError as err:
-        return None, None, f"probe failed: {err}"
+        return None, None, err
 
 
 def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig):
@@ -125,9 +125,9 @@ def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig)
     forward = config.grad_mode == "forward"
     f0 = None
     if forward:
-        f0, _, msg = _safe_objective(blocks, scenario, config)
+        f0, _, err = _safe_objective(blocks, scenario, config)
         if f0 is None:
-            return grads, [f"base point: {msg}"]
+            return grads, [f"base point: probe failed: {err}"]
     names = ("c", "theta", "eta")
     hi = (scenario.search.c_max, 1.0, 1.0)
     eps = (config.fd_eps_c, config.fd_eps_theta, config.fd_eps_eta)
@@ -136,9 +136,9 @@ def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig)
     def probe(idx, value):
         trial = blocks.copy()
         trial[idx] = value
-        f, _, msg = _safe_objective(trial, scenario, config)
+        f, _, err = _safe_objective(trial, scenario, config)
         if f is None:
-            warnings.append(f"{names[idx[0]]}{list(idx[1:])}: {msg}")
+            warnings.append(f"{names[idx[0]]}{list(idx[1:])}: probe failed: {err}")
         return f
 
     for idx in np.ndindex(blocks.shape):
@@ -172,11 +172,11 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
     blocks = _project_blocks(blocks, scenario.search.c_max)
     all_warnings = []
 
-    f, traj, _ = _safe_objective(blocks, scenario, config)
+    f, traj, err = _safe_objective(blocks, scenario, config)
     if f is None:
         raise InfeasibleStart(
-            "objective undefined at the initial policy; "
-            "increase K0 or reduce the consumption level")
+            "objective undefined at the initial policy; increase K0 or reduce the "
+            f"consumption level (model error at step {err.step_index}: {err})")
 
     initial_blocks, initial_traj = blocks, traj
     trace = [f]

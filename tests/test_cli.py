@@ -276,6 +276,24 @@ def test_optimizer_infeasible_start_exit_code(tmp_path):
     assert code == 4
 
 
+def test_optimizer_infeasible_start_names_the_model_error(tmp_path, capsys):
+    # the population dies out without births: optimize exits 4 and says so,
+    # with the step that simulate names
+    cfg = small_config()
+    for key in ("mu_S", "mu_R", "mu_I_base"):
+        cfg["epidemic"][key] = {"type": "constant", "value": 50.0}
+    cfg["epidemic"]["beta"] = {"type": "constant", "value": 0.0}
+    path = str(write_config(tmp_path, cfg))
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == 3
+    model_error = capsys.readouterr().err.strip()
+    assert model_error.startswith("model error at step ")
+    assert "total population" in model_error
+    assert cli.main(["optimize", "--config", path, "--out", str(tmp_path / "opt")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("optimizer error: objective undefined at the initial policy")
+    assert model_error in err
+
+
 def test_evaluate_matches_library_bitwise(tmp_path):
     cfg = small_config()
     out = tmp_path / "out"
@@ -344,6 +362,47 @@ def test_check_writes_diagnostics(tmp_path):
     assert adj["max_rel_residual"] <= adj["bound_5da"]
     assert payload["chain_rule_identity"]["order"] >= 0.9
     assert payload["hamiltonian_gap"]["min"] >= -1e-10
+
+
+def looped_adjoint_residuals(space, rng, n_pairs):
+    """Reference for the adjoint block of ``check``: one (h, p) pair at a time,
+    each component's three mode coefficients drawn in its own call."""
+    a = space.grid.nodes / space.grid.a_max
+    env = np.zeros_like(a)
+    inside = np.abs(a - 0.5) < 0.3
+    env[inside] = np.exp(-1.0 / (1.0 - ((a[inside] - 0.5) / 0.3) ** 2))
+
+    def triple():
+        return tuple(env * sum(c * np.sin((k + 1) * np.pi * a)
+                               for k, c in enumerate(rng.standard_normal(3)))
+                     for _ in range(3))
+
+    pairs, residuals = [], []
+    for _ in range(n_pairs):
+        h, p = triple(), triple()
+        lhs = space.inner(space.apply_A(h), p)
+        rhs = space.inner(h, space.apply_A_star(p))
+        residuals.append(abs(lhs - rhs) / (space.norm(h) * space.norm(p)))
+        pairs.append((h, p))
+    return pairs, residuals
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7919, 2**31 - 1])
+def test_check_adjoint_block_equals_looped_pairs(tmp_path, seed):
+    # the stacked pairs and check.json's max residual equal the per-pair loop's bit for bit
+    cfg = small_config(n_age=24, n_steps=4)
+    cfg["verification"] = {"adjoint_pairs": 7, "seed": seed}
+    scenario = cfgmod.build_scenario(cfgmod.resolve_config(cfg))
+    pairs, residuals = looped_adjoint_residuals(scenario.space,
+                                                np.random.default_rng(seed), 7)
+    h, p = cli._smooth_pairs(scenario.space, np.random.default_rng(seed), 7)
+    assert h.tobytes() == np.array([pair[0] for pair in pairs]).tobytes()
+    assert p.tobytes() == np.array([pair[1] for pair in pairs]).tobytes()
+    out = tmp_path / "out"
+    assert cli.main(["check", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+    adjoint = json.loads((out / "check.json").read_text())["adjoint_identity"]
+    assert adjoint["max_rel_residual"] == float(max(residuals))
 
 
 def test_check_table_kernel_coarse_companion(tmp_path):

@@ -145,7 +145,7 @@ def test_testing_cost_complement_switch():
 
 
 def test_capital_step_exponential_decay():
-    # F = 0, C = D = 0, delta = 0.05: 20 Euler steps of dt = 0.05 track e^{-0.05}
+    # Y = C = D = 0, delta = 0.05: 20 Euler steps of dt = 0.05 track e^{-0.05}
     grid = ee.AgeGrid(a_max=10.0, n_age=16)
     econ = make_econ(grid)
     K = 1.0
@@ -160,16 +160,7 @@ def test_capital_steady_state_exact():
     L = 7.0
     C = 2.0 * L
     K = 13.0
-    assert ee.capital_step(K, L, C, 0.0, econ, dt=0.25) == K
-
-
-def test_capital_step_given_output_equals_computed():
-    grid = ee.AgeGrid(a_max=10.0, n_age=16)
-    econ = make_econ(grid, F=ee.CESProduction(scale=1.2, omega=0.3, substitution=-0.5))
-    K, L, C, d_cost = 13.0, 7.0, 2.5, 0.4
-    Y = econ.F(K, L)
-    assert (ee.capital_step(K, L, C, d_cost, econ, 0.25, Y)
-            == ee.capital_step(K, L, C, d_cost, econ, 0.25))
+    assert ee.capital_step(K, econ.F(K, L), C, 0.0, econ, dt=0.25) == K
 
 
 def test_overconsumption_flags_infeasible():

@@ -56,6 +56,35 @@ def test_infection_mortality_increasing_lipschitz():
     assert np.all(slopes <= lip + 1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(0, 5),
+       psi=st.sampled_from([0.0, 1.5]))
+def test_aggregate_stack_rows_equal_single_node_calls(seed, n_nodes, psi):
+    # critical load, overload multiplier, mortality field and deaths flow of a
+    # (n_nodes, n_age) stack of infected densities equal the one-node calls
+    # bit for bit, with loads from far below to far above the capacity
+    rng = np.random.default_rng(seed)
+    scen = build_scenario(n_age=16, mu_i=lambda a: 0.1 + 0.02 * a, xi=lambda a: 0.05 * a,
+                          psi=psi, xi_cap=1.0, smooth=0.05)
+    params, da = scen.epi, scen.age_grid.da
+    i = rng.uniform(0.0, 1.0, (n_nodes, 16)) * 10.0 ** rng.uniform(-3.0, 1.0, (n_nodes, 1))
+
+    def looped(f, *args):
+        return np.array([f(*(a[k] for a in args)) for k in range(n_nodes)])
+
+    Xi = ee.critical_load(i, params, da)
+    assert Xi.tobytes() == looped(lambda i_k: ee.critical_load(i_k, params, da), i).tobytes()
+    mult = params.saturation.multiplier(Xi)
+    assert mult.tobytes() == looped(lambda x: params.saturation.multiplier(float(x)),
+                                    Xi).tobytes()
+    mu_i = ee.infection_mortality(params, Xi)
+    assert mu_i.tobytes() == looped(lambda x: ee.infection_mortality(params, float(x)),
+                                    Xi).reshape(n_nodes, 16).tobytes()
+    deaths = ee.deaths_flow(i, mu_i, da)
+    assert deaths.tobytes() == looped(lambda i_k, mu_k: ee.deaths_flow(i_k, mu_k, da),
+                                      i, mu_i).tobytes()
+
+
 def force_of_infection(state, theta_t, eta_t, params, n_floor=0.0):
     return ee.force_of_infection(state.i, state.total_population(), theta_t,
                                  eta_t, params.m, state.grid.da, n_floor)

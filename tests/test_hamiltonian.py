@@ -657,6 +657,72 @@ def test_chain_rule_residual_trivial_zero():
     assert ee.chain_rule_residual(v, scen.policy, traj, scen) == 0.0
 
 
+def looped_chain_rule_residual(v, policy, traj, scen):
+    """Reference for chain_rule_residual: H0, the drift and v at one node at a
+    time, the discounted terms added one by one in node order."""
+    tg, obj = traj.time_grid, scen.obj
+    acc = 0.0
+    for k in range(tg.n_steps):
+        x, K = traj.X[k], float(traj.K[k])
+        costate = _costate_at(v, x, K)
+        drift = (ee.h0_part(x, K, costate, scen)
+                 + hamiltonian.h1_evaluator(x, K, costate, scen, reward=False)(*policy[:, k]))
+        acc += (np.exp(-obj.rho * (tg.times[k] - tg.t0))
+                * (obj.rho * v.value(x, K) - drift))
+    acc *= tg.dt
+    terminal = np.exp(-obj.rho * (tg.t_end - tg.t0)) * v.value(traj.X[-1],
+                                                               float(traj.K[-1]))
+    return float(v.value(traj.X[0], float(traj.K[0])) - terminal - acc)
+
+
+def looped_running_payoff(traj, policy, scen):
+    """Reference for discounted_running_payoff: one running_reward call per node."""
+    tg, obj = traj.time_grid, scen.obj
+    total = 0.0
+    for k in range(tg.n_steps):
+        u = ee.running_reward(traj.X[k], float(traj.K[k]), *policy[:, k],
+                              scen.epi, scen.econ, obj)
+        total += np.exp(-obj.rho * (tg.times[k] - tg.t0)) * u
+    return float(total * tg.dt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_age=st.sampled_from([8, 16]),
+       table=st.booleans(), quadratic=st.booleans(), n_steps=st.sampled_from([0, 1, 5, 16]),
+       target=st.sampled_from(["J1", "J2", "J6", "composite"]))
+def test_chain_rule_residual_equals_looped_single_node_terms(seed, n_age, table, quadratic,
+                                                             n_steps, target):
+    # one stacked pass over traj.X[:n_steps] gives the per-node loop's residual
+    # and payoff bit for bit, with the overload multiplier active (the load
+    # straddles the capacity) and n_steps = 0 an empty stack
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.1, 2.0, n_age)
+    m0 = float(rng.uniform(0.0, 3.0))
+    kernel = m0 * np.outer(g, rng.uniform(0.1, 2.0, n_age)) if table \
+        else ee.RankOneKernel(m0, g)
+    composite = ({"J1": float(rng.uniform(0.0, 2.0)), "J2": float(rng.uniform(-1.0, 1.0)),
+                  "J6": float(rng.uniform(-5.0, 5.0))} if target == "composite" else None)
+    scen = verification_scenario(n_age=n_age, kernel=kernel, i0=0.05, psi=1.5,
+                                 xi_cap=float(rng.uniform(0.0, 0.2)), smooth=0.02,
+                                 which="J1" if composite else target, composite=composite)
+    scen = dataclasses.replace(scen, time_grid=ee.TimeGrid.aligned(scen.age_grid,
+                                                                   n_steps=n_steps))
+    shape = (n_steps + 1, n_age)
+    policy = np.stack([rng.uniform(0.0, 6.0, shape), rng.uniform(0.0, 1.0, shape),
+                       rng.uniform(0.0, 1.0, shape)])
+    traj = scen.simulate(policy)
+    w = interior_triple(scen.age_grid, scales=tuple(rng.uniform(-1.0, 1.0, 3)))
+    q = float(rng.uniform(-1.0, 1.0))
+    v = ee.QuadraticValue(scen.space, w, q) if quadratic else ee.LinearValue(scen.space, w, q)
+
+    got = ee.chain_rule_residual(v, policy, traj, scen)
+    want = looped_chain_rule_residual(v, policy, traj, scen)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    got = hamiltonian.discounted_running_payoff(traj, policy, scen)
+    want = looped_running_payoff(traj, policy, scen)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def degenerate_scalar_setup():
     """Age-constant stationary problem whose fields collapse to scalars."""
     a_max, n_age, n_steps = 8.0, 8, 6

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epiecon as ee
 
@@ -127,6 +129,32 @@ def test_adjoint_identity_random_compact_pairs():
         rhs = space.inner(h, space.apply_A_star(p))
         rel = abs(lhs - rhs) / (space.norm(h) * space.norm(p))
         assert rel <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(0, 5),
+       n_age=st.sampled_from([8, 33, 64]))
+def test_node_stack_rows_equal_single_node_calls(seed, n_nodes, n_age):
+    # a (n_nodes, 3, n_age) stack gets, row by row and bit for bit, what each
+    # node gets alone; so does a triple of stacked components paired with one
+    # node's (3, n_age) array
+    _, space = make_space(n_age=n_age)
+    rng = np.random.default_rng(seed)
+    h, p = rng.standard_normal((2, n_nodes, 3, n_age))
+
+    def looped(f, *args):
+        return np.array([f(*(a[k] for a in args)) for k in range(n_nodes)])
+
+    assert space.inner(h, p).tobytes() == looped(space.inner, h, p).tobytes()
+    assert space.norm(h).tobytes() == looped(space.norm, h).tobytes()
+    for op in (space.apply_A, space.apply_A_star):
+        got = np.stack(op(h), axis=1)
+        want = looped(lambda x: np.stack(op(x)), h).reshape(n_nodes, 3, n_age)
+        assert got.tobytes() == want.tobytes()
+    triple = tuple(np.moveaxis(h, 1, 0))
+    one = rng.standard_normal((3, n_age))
+    assert (space.inner(triple, one).tobytes()
+            == looped(lambda x: space.inner(x, one), h).tobytes())
 
 
 def test_adjoint_identity_refinement_order():

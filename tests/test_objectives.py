@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epiecon as ee
 
@@ -250,3 +252,26 @@ def test_utility_validation():
     with pytest.raises(ee.ConfigurationError):
         ee.ObjectiveParams(rho=0.1, nu=1.0, utility=ee.ShiftedCRRAUtility(),
                            composite={"J1": -1.0})
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(0, 5),
+       target=st.sampled_from(["J6", "composite"]), nu=st.sampled_from([0.0, 0.5, 1.0]))
+def test_running_reward_stack_rows_equal_single_node_calls(seed, n_nodes, target, nu):
+    # a (n_nodes, 3, n_age) stack with one K and one control slice per node gives
+    # each node's reward bit for bit, the J6 deaths flow with the overload on
+    rng = np.random.default_rng(seed)
+    composite = ({"J1": float(rng.uniform(0.0, 2.0)), "J2": float(rng.uniform(-1.0, 1.0)),
+                  "J6": float(rng.uniform(-5.0, 5.0))} if target == "composite" else None)
+    scen = build_scenario(mu_i=0.2, xi=lambda a: 0.05 * a, psi=1.5, xi_cap=0.5, smooth=0.1,
+                          nu=nu, which="J6", composite=composite,
+                          production=ee.LinearProduction(a_k=0.04, a_l=1.0))
+    X = rng.uniform(0.0, 2.0, (n_nodes, 3, 16))
+    K = rng.uniform(0.0, 50.0, n_nodes)
+    c, theta, eta = rng.uniform(0.0, 1.0, (3, n_nodes, 16))
+    got = ee.running_reward(X, K, c, theta, eta, scen.epi, scen.econ, scen.obj)
+    want = np.array([ee.running_reward(X[k], float(K[k]), c[k], theta[k], eta[k],
+                                       scen.epi, scen.econ, scen.obj)
+                     for k in range(n_nodes)])
+    assert got.shape == (n_nodes,)
+    assert got.tobytes() == want.tobytes()

@@ -79,11 +79,11 @@ def _print_table(rows) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_simulate(cfg, out_dir=None) -> int:
-    out = _out_dir(cfg, out_dir)
     scenario = cfgmod.build_scenario(cfg)
     log.info("simulating %d steps on %d age cells",
              scenario.time_grid.n_steps, scenario.age_grid.n_age)
     traj = scenario.simulate()
+    out = _out_dir(cfg, out_dir)  # each command computes, then writes: a rejection writes nothing
     cfgmod.dump_config(cfg, out / "resolved_config.json")
 
     totals = scenario.age_grid.da * traj.X.sum(axis=2)  # S, I, R per node
@@ -125,10 +125,10 @@ def _evaluation_payload(scenario, traj, report) -> dict:
 
 
 def cmd_evaluate(cfg, out_dir=None) -> int:
-    out = _out_dir(cfg, out_dir)
     scenario = cfgmod.build_scenario(cfg)
     traj = scenario.simulate()
     report = scenario.evaluate(traj=traj)
+    out = _out_dir(cfg, out_dir)
     cfgmod.dump_config(cfg, out / "resolved_config.json")
     payload = _evaluation_payload(scenario, traj, report)
     _write_json(out / "evaluation.json", payload)
@@ -143,13 +143,13 @@ def cmd_evaluate(cfg, out_dir=None) -> int:
 
 
 def cmd_optimize(cfg, out_dir=None) -> int:
-    out = _out_dir(cfg, out_dir)
     scenario = cfgmod.build_scenario(cfg)
     opt_cfg = cfgmod.build_optimizer_config(cfg)
     value_function = cfgmod.build_value_function(cfg, scenario)
     log.info("optimizing %dx%d control blocks, budget %d iterations",
              opt_cfg.n_time_blocks, opt_cfg.n_age_blocks, opt_cfg.max_iters)
     report = optimizer.optimize(scenario, opt_cfg, value_function=value_function)
+    out = _out_dir(cfg, out_dir)
     cfgmod.dump_config(cfg, out / "resolved_config.json")
 
     _write_json(out / "optim_report.json", {
@@ -201,11 +201,9 @@ def _smooth_pairs(space, rng, n_pairs):
 
 
 def cmd_check(cfg, out_dir=None) -> int:
-    out = _out_dir(cfg, out_dir)
     scenario = cfgmod.build_scenario(cfg)
     ver = cfg["verification"]
     rng = np.random.default_rng(ver["seed"])
-    cfgmod.dump_config(cfg, out / "resolved_config.json")
 
     # adjoint identity on random smooth compactly supported pairs
     space = scenario.space
@@ -226,9 +224,7 @@ def cmd_check(cfg, out_dir=None) -> int:
     chain = {"residual": float(residual), "dt": scenario.time_grid.dt,
              "gradient_check": float(grad_err)}
     n_age, n_steps = cfg["grid"]["n_age"], cfg["grid"]["n_steps"]
-    pol = cfg["policy"]
-    blocks = pol["preset"] == "blocks"
-    nab, ntb = (pol["n_age_blocks"], pol["n_time_blocks"]) if blocks else (1, 1)
+    nab, ntb = cfg["policy"]["n_age_blocks"], cfg["policy"]["n_time_blocks"]
     if n_age % (2 * nab) == 0 and n_age // 2 >= 8 and n_steps % (2 * ntb) == 0:
         coarse_cfg = copy.deepcopy(cfg)
         coarse_cfg["grid"]["n_age"] = n_age // 2
@@ -267,6 +263,8 @@ def cmd_check(cfg, out_dir=None) -> int:
 
     payload = {"adjoint_identity": adjoint, "chain_rule_identity": chain,
                "hamiltonian_gap": gap, "transversality": transversality}
+    out = _out_dir(cfg, out_dir)
+    cfgmod.dump_config(cfg, out / "resolved_config.json")
     _write_json(out / "check.json", payload)
 
     _print_table([
@@ -312,7 +310,7 @@ def _sweep_point(cfg, overrides):
     point = dict(cfg)
     for path, value in overrides:
         _set_by_path(point, path, value)
-    # a swept number may land where the schema wants another type or range
+    # a swept number may land where the schema wants another type; the builders check values
     cfgmod.validate_config(point, {path.split(".")[0] for path, _ in overrides})
     scenario = cfgmod.build_scenario(point)
     try:
@@ -354,15 +352,14 @@ def cmd_sweep(cfg, out_dir=None, jobs=1) -> int:
     paths = [axis["path"] for axis in axes]
     tasks = [list(zip(paths, point)) for point in points]
     workers = _worker_count(jobs, len(tasks))
-    out = _out_dir(cfg, out_dir)
-    cfgmod.dump_config(cfg, out / "resolved_config.json")
-
     if workers > 1:  # each worker gets the config once; a task carries its overrides
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(cfg,)) as pool:
             results = list(pool.map(_worker_point, tasks))
     else:
         results = [_sweep_point(cfg, t) for t in tasks]
+    out = _out_dir(cfg, out_dir)
+    cfgmod.dump_config(cfg, out / "resolved_config.json")
 
     grid_vals = np.array([[r["value"] if r["value"] is not None else np.nan
                            for r in results[i * len(values1):(i + 1) * len(values1)]]

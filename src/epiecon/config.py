@@ -2,8 +2,9 @@
 
 A configuration is one JSON document.  Age-dependent coefficients are given
 either as literal tables (one value per cell) or as named parametric
-families sampled at grid construction.  Validation is strict: unknown keys
-are rejected and every error names the offending field path.
+families sampled at grid construction.  Validation is strict: the schema
+checks shape, each value rule lives in the constructor of the object it
+configures, and every error names the offending field path.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 
 from . import economy, epi, objectives
 from .errors import ConfigurationError
-from .grid import AgeGrid, TimeGrid, constant_kernel, expand_blocks, \
-    separable_kernel, table_kernel
+from .grid import AgeGrid, TimeGrid, expand_blocks, separable_kernel, table_kernel
 from .hamiltonian import ControlSearchGrid, LinearValue, QuadraticValue
 from .hilbert import DEFAULT_WEIGHT_FLOOR
 from .optimizer import OptimizerConfig
@@ -69,8 +69,7 @@ def _block_table(**bounds) -> dict:
     return {"type": "array", "items": {"type": "array", "items": {"type": "number", **bounds}}}
 
 
-_LEVELS = {"type": "array", "minItems": 1,
-           "items": {"type": "number", "minimum": 0, "maximum": 1}}
+_LEVELS = {"type": "array", "items": {"type": "number"}}
 
 SCHEMA = {
     "type": "object",
@@ -81,10 +80,8 @@ SCHEMA = {
             "type": "object", "additionalProperties": False,
             "required": ["a_max", "n_age", "n_steps"],
             "properties": {
-                "a_max": {"type": "number", "exclusiveMinimum": 0},
-                "n_age": {"type": "integer", "minimum": 8},
-                "t0": {"type": "number"},
-                "n_steps": {"type": "integer", "minimum": 0},
+                "a_max": {"type": "number"}, "n_age": {"type": "integer"},
+                "t0": {"type": "number"}, "n_steps": {"type": "integer"},
             },
         },
         "epidemic": {
@@ -98,10 +95,10 @@ SCHEMA = {
                     "type": "object",
                     "oneOf": [
                         {"properties": {"type": {"const": "constant"},
-                                        "m0": {"type": "number", "minimum": 0}},
+                                        "m0": {"type": "number"}},
                          "required": ["type", "m0"], "additionalProperties": False},
                         {"properties": {"type": {"const": "separable"},
-                                        "m0": {"type": "number", "minimum": 0},
+                                        "m0": {"type": "number"},
                                         "shape": _FAMILY},
                          "required": ["type", "m0", "shape"],
                          "additionalProperties": False},
@@ -114,9 +111,8 @@ SCHEMA = {
                 "saturation": {
                     "type": "object", "additionalProperties": False,
                     "properties": {
-                        "xi_cap": {"type": "number"},
-                        "psi": {"type": "number", "minimum": 0},
-                        "smooth": {"type": "number", "exclusiveMinimum": 0},
+                        "xi_cap": {"type": "number"}, "psi": {"type": "number"},
+                        "smooth": {"type": "number"},
                     },
                 },
                 "initial": {
@@ -125,7 +121,7 @@ SCHEMA = {
                     "properties": {"s": _FAMILY, "i": _FAMILY, "r": _FAMILY},
                 },
                 "n_floor_rel": {"type": "number", "exclusiveMinimum": 0},
-                "weight_floor": {"type": "number", "exclusiveMinimum": 0},
+                "weight_floor": {"type": "number"},
             },
         },
         "economy": {
@@ -133,13 +129,13 @@ SCHEMA = {
             "required": ["alpha", "e", "delta", "production"],
             "properties": {
                 "alpha": _FAMILY, "e": _FAMILY,
-                "delta": {"type": "number", "exclusiveMinimum": 0},
+                "delta": {"type": "number"},
                 "production": {
                     "type": "object",
                     "oneOf": [
                         {"properties": {"type": {"const": "linear"},
-                                        "a_k": {"type": "number", "minimum": 0},
-                                        "a_l": {"type": "number", "minimum": 0}},
+                                        "a_k": {"type": "number"},
+                                        "a_l": {"type": "number"}},
                          "required": ["type", "a_k", "a_l"],
                          "additionalProperties": False},
                         {"properties": {"type": {"const": "ces"},
@@ -188,10 +184,8 @@ SCHEMA = {
             "type": "object", "additionalProperties": False,
             "required": ["which", "rho"],
             "properties": {
-                "which": {"enum": list(objectives.TARGETS)},
-                "rho": {"type": "number", "exclusiveMinimum": 0},
-                "nu": {"type": "number", "minimum": 0, "maximum": 1},
-                "T_num": {"type": ["number", "null"], "minimum": 0},
+                "which": {"type": "string"}, "rho": {"type": "number"},
+                "nu": {"type": "number"}, "T_num": {"type": ["number", "null"]},
                 "utility": {
                     "type": "object",
                     "oneOf": [
@@ -207,13 +201,9 @@ SCHEMA = {
                     ],
                 },
                 "j6_discounted": {"type": "boolean"},
-                "j6_sign": {"enum": [1.0, -1.0, 1, -1]},
-                "composite": {
-                    "type": ["object", "null"],
-                    "additionalProperties": False, "minProperties": 1,
-                    "properties": {t: {"type": "number"}
-                                   for t in objectives.TARGETS},
-                },
+                "j6_sign": {"type": "number"},
+                "composite": {"type": ["object", "null"],
+                              "additionalProperties": {"type": "number"}},
             },
         },
         "policy": {
@@ -233,11 +223,9 @@ SCHEMA = {
         "search": {
             "type": "object", "additionalProperties": False,
             "properties": {
-                "theta_levels": _LEVELS,
-                "eta_levels": _LEVELS,
-                "n_age_blocks": {"type": "integer", "minimum": 1},
-                "c_max": {"type": "number", "exclusiveMinimum": 0},
-                "max_sweeps": {"type": "integer", "minimum": 1},
+                "theta_levels": _LEVELS, "eta_levels": _LEVELS,
+                "n_age_blocks": {"type": "integer"}, "c_max": {"type": "number"},
+                "max_sweeps": {"type": "integer"},
             },
         },
         "optimizer": {
@@ -387,9 +375,22 @@ def validate_config(cfg: dict, sections=None) -> None:
         raise ConfigurationError(f"config field {_error_path(err)}: {err.message}")
 
 
+def _validate_raw(cfg: dict) -> None:
+    """Schema-check a configuration as written, and reject a block setting or sweep axis
+    that its one-block policy preset would ignore (a resolved config echoes the defaults)."""
+    validate_config(cfg)
+    pol, defaults = cfg.get("policy", {}), DEFAULTS["policy"]
+    preset = pol.get("preset", defaults["preset"])
+    swept = {axis["path"] for axis in cfg.get("sweep", {}).get("axes", ())}
+    for key in (("theta_level", "eta_level", "n_time_blocks", "n_age_blocks", "c", "theta",
+                 "eta") if preset != "blocks" else ()):
+        if pol.get(key, defaults.get(key)) != defaults.get(key) or f"policy.{key}" in swept:
+            raise ConfigurationError(f"config field policy.{key}: the {preset} preset ignores it")
+
+
 def resolve_config(cfg: dict) -> dict:
     """Validate and fill defaults into a copy; the result is the canonical configuration."""
-    validate_config(cfg)
+    _validate_raw(cfg)
     resolved = copy.deepcopy(cfg)
     _merge_defaults(resolved, DEFAULTS)
     return resolved
@@ -406,7 +407,7 @@ def load_config(path) -> dict:
     where = _nonfinite_path(raw)
     if where is not None:
         raise ConfigurationError(f"config field {where}: numbers must be finite")
-    validate_config(raw)  # once: DEFAULTS is schema-valid, and raw is ours to fill in place
+    _validate_raw(raw)  # once: DEFAULTS is schema-valid, and raw is ours to fill in place
     _merge_defaults(raw, DEFAULTS)
     return raw
 
@@ -495,21 +496,38 @@ def _check_blocks(cfg: dict, section: str) -> None:
                              ("n_time_blocks", "time", "n_steps")):
         count = cfg[section].get(key)
         if count is not None and cfg["grid"][cells] % count:
-            raise ConfigurationError(f"{section}.{key}: {count} {kind} blocks do not divide "
-                                     f"{cells} = {cfg['grid'][cells]}")
+            raise ConfigurationError(f"config field {section}.{key}: {count} {kind} blocks "
+                                     f"do not divide {cells} = {cfg['grid'][cells]}")
+
+
+def _named(path: str, names, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a rejection re-raised naming its config field: the key
+    under ``path`` of the argument its message names first, ``names`` mapping argument
+    names to keys (or listing keys named as themselves), else ``path`` itself."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigurationError as err:
+        found = [(m.start(), key) for name, key in
+                 (names.items() if isinstance(names, dict) else zip(names, names))
+                 if (m := re.search(rf"\b{name}\b", str(err)))]
+        field = f"{path}.{min(found)[1]}" if found else path
+        raise ConfigurationError(f"config field {field}: {err}") from err
+
+
+def _profiles(section: dict, path: str, keys, grid: AgeGrid) -> dict:
+    """The age profiles ``keys`` of config ``section`` (at ``path``), sampled on the grid."""
+    return {key: sample_family(section[key], grid, f"{path}.{key}") for key in keys}
 
 
 def _build_kernel(spec: dict, grid: AgeGrid):
     """Contact kernel in the form its type allows: rank-one factors or a dense table."""
-    if spec["type"] == "constant":
-        return constant_kernel(grid, spec["m0"])
-    separable = spec["type"] == "separable"
-    field = "epidemic.contact." + ("shape" if separable else "values")
-    v = sample_family(spec["shape"], grid, field) if separable else _table(spec["values"], field)
-    try:  # the kernel's constructor checks its rates: finite and >= 0
-        return separable_kernel(grid, spec["m0"], v) if separable else table_kernel(grid, v)
-    except ConfigurationError as err:
-        raise ConfigurationError(f"config field {field}: {err}") from err
+    if spec["type"] == "table":
+        field = "epidemic.contact.values"
+        return _named(field, (), table_kernel, grid, _table(spec["values"], field))
+    g = (sample_family(spec["shape"], grid, "epidemic.contact.shape")
+         if spec["type"] == "separable" else np.ones(grid.n_age))
+    return _named("epidemic.contact", {"m0": "m0", "g": "shape"}, separable_kernel, grid,
+                  spec["m0"], g)
 
 
 # type -> class, one table per variant section; each spec holds exactly the class's fields
@@ -524,89 +542,72 @@ _CLASSES = {
 }
 
 
-def _build(section: str, spec: dict):
-    """The ``section`` object its spec's type names, built from the spec's other keys."""
-    return _CLASSES[section][spec["type"]](**{k: v for k, v in spec.items() if k != "type"})
+def _build(path: str, spec: dict, cls=None):
+    """``cls`` (by default the class the spec's type names) built from the spec's other keys."""
+    cls = cls or _CLASSES[path.split(".")[-1]][spec["type"]]
+    fields = [field.name for field in dataclasses.fields(cls)]
+    return _named(path, fields, cls, **{k: v for k, v in spec.items() if k != "type"})
 
 
 def _build_policy(cfg: dict, age_grid: AgeGrid, time_grid: TimeGrid) -> np.ndarray:
     """The configured policy as one frozen (3, n_steps + 1, n_age) array, rows c, theta, eta."""
     pol = cfg["policy"]
-    preset = pol["preset"]
-    if preset != "blocks":  # laissez_faire or full_lockdown: one block, eta = 1
-        theta = 1.0 if preset == "laissez_faire" else 0.0
-        blocks = np.reshape([pol["c_level"], theta, 1.0], (3, 1, 1))
-    else:
-        _check_blocks(cfg, "policy")
-        shape = (pol["n_time_blocks"], pol["n_age_blocks"])
+    if pol["preset"] == "full_lockdown":  # a preset is one block at the default levels
+        pol = {**pol, "theta_level": 0.0}  # but this theta
+    _check_blocks(cfg, "policy")
+    shape = (pol["n_time_blocks"], pol["n_age_blocks"])
 
-        def table(key):
-            if key not in pol:
-                return np.full(shape, pol[f"{key}_level"])
-            blocks = _table(pol[key], f"policy.{key}")
-            if blocks.shape != shape:
-                raise ConfigurationError(f"policy.{key} block shape {blocks.shape} != {shape}")
-            return blocks
+    def table(key):
+        if key not in pol:
+            return np.full(shape, pol[f"{key}_level"])
+        blocks = _table(pol[key], f"policy.{key}")
+        if blocks.shape != shape:
+            raise ConfigurationError(f"config field policy.{key}: block shape {blocks.shape} "
+                                     f"!= {shape}")
+        return blocks
 
-        blocks = np.stack([table("c"), table("theta"), table("eta")])
-    policy = expand_blocks(blocks, time_grid, age_grid)
+    policy = expand_blocks(np.stack([table("c"), table("theta"), table("eta")]),
+                           time_grid, age_grid)
     policy.flags.writeable = False
     return policy
-
-
-def _with_profiles(build, section: dict, path: str, keys, age_grid: AgeGrid, **rest):
-    """``build(**rest)`` with the age profiles ``keys`` sampled from config ``section``.
-
-    The checks of the built dataclass name a profile they reject by its
-    key, so the error is re-raised naming its config field ``path.key``.
-    """
-    profiles = {key: sample_family(section[key], age_grid, f"{path}.{key}") for key in keys}
-    try:
-        return build(**profiles, **rest)
-    except ConfigurationError as err:
-        key = next((k for k in keys if re.search(rf"\b{k}\b", str(err))), None)
-        if key is None:
-            raise
-        raise ConfigurationError(f"config field {path}.{key}: {err}") from err
 
 
 def build_scenario(cfg: dict) -> Scenario:
     """Assemble a Scenario from a resolved configuration document."""
     g = cfg["grid"]
-    age_grid = AgeGrid(a_max=g["a_max"], n_age=g["n_age"])
-    time_grid = TimeGrid.aligned(age_grid, t0=g["t0"], n_steps=g["n_steps"])
+    age_grid = _named("grid", ("a_max", "n_age"), AgeGrid, a_max=g["a_max"], n_age=g["n_age"])
+    time_grid = _named("grid", ("n_steps",), TimeGrid.aligned, age_grid, t0=g["t0"],
+                       n_steps=g["n_steps"])
 
     ep = cfg["epidemic"]
-    params = _with_profiles(
-        epi.EpiParams, ep, "epidemic", ("mu_S", "mu_R", "mu_I_base", "gamma", "beta", "xi"),
-        age_grid, grid=age_grid, m=_build_kernel(ep["contact"], age_grid),
-        saturation=epi.SaturationSpec(**ep["saturation"]))
+    rates = ("mu_S", "mu_R", "mu_I_base", "gamma", "beta", "xi")
+    params = _named(
+        "epidemic", rates, epi.EpiParams, grid=age_grid,
+        **_profiles(ep, "epidemic", rates, age_grid), m=_build_kernel(ep["contact"], age_grid),
+        saturation=_build("epidemic.saturation", ep["saturation"], epi.SaturationSpec))
 
     ec = cfg["economy"]
-    econ = _with_profiles(
-        economy.EconParams, ec, "economy", ("alpha", "e"), age_grid, delta=ec["delta"],
-        F=_build("production", ec["production"]), phi=_build("phi", ec["phi"]),
-        D=_build("congestion", ec["congestion"]), cost_complement=ec["cost_complement"])
+    econ = _named(
+        "economy", ("alpha", "e", "delta"), economy.EconParams,
+        **_profiles(ec, "economy", ("alpha", "e"), age_grid), delta=ec["delta"],
+        F=_build("economy.production", ec["production"]), phi=_build("economy.phi", ec["phi"]),
+        D=_build("economy.congestion", ec["congestion"]), cost_complement=ec["cost_complement"])
 
     ob = cfg["objective"]
-    obj = objectives.ObjectiveParams(
-        rho=ob["rho"], nu=ob["nu"], utility=_build("utility", ob["utility"]),
-        which=ob["which"], T_num=ob["T_num"],
-        j6_discounted=ob["j6_discounted"], j6_sign=float(ob["j6_sign"]),
-        composite=ob["composite"],
-    )
+    obj = _build("objective", {**ob, "utility": _build("objective.utility", ob["utility"]),
+                               "j6_sign": float(ob["j6_sign"])}, objectives.ObjectiveParams)
 
-    initial = _with_profiles(epi.EpiState, ep["initial"], "epidemic.initial", ("s", "i", "r"),
-                             age_grid, grid=age_grid, time=g["t0"])
+    initial = _named("epidemic.initial", ("s", "i", "r"), epi.EpiState, age_grid,
+                     **_profiles(ep["initial"], "epidemic.initial", ("s", "i", "r"), age_grid),
+                     time=g["t0"])
 
     sr = cfg["search"]
-    search = ControlSearchGrid(
-        theta_levels=tuple(sr["theta_levels"]), eta_levels=tuple(sr["eta_levels"]),
-        n_age_blocks=sr["n_age_blocks"], c_max=sr["c_max"],
-        max_sweeps=sr["max_sweeps"])
+    search = _build("search", {**sr, "theta_levels": tuple(sr["theta_levels"]),
+                               "eta_levels": tuple(sr["eta_levels"])}, ControlSearchGrid)
     _check_blocks(cfg, "search")  # fail before any simulation, not in the search
 
-    space = epi.hilbert_space_for(params, floor=ep["weight_floor"])
+    space = _named("epidemic", {"floor": "weight_floor"}, epi.hilbert_space_for, params,
+                   floor=ep["weight_floor"])
     policy = _build_policy(cfg, age_grid, time_grid)
     return Scenario(age_grid=age_grid, time_grid=time_grid, epi=params, econ=econ,
                     obj=obj, initial=initial, K0=ec["K0"], policy=policy,
@@ -617,8 +618,8 @@ def build_optimizer_config(cfg: dict) -> OptimizerConfig:
     _check_blocks(cfg, "optimizer")
     ntb = cfg["optimizer"].get("n_time_blocks", 1)
     if cfg["grid"]["n_steps"] == 0 and ntb != 1:  # block means need whole rows
-        raise ConfigurationError(f"optimizer.n_time_blocks: {ntb} time blocks do not divide "
-                                 "the single policy row of a 0-step grid")
+        raise ConfigurationError(f"config field optimizer.n_time_blocks: {ntb} time blocks "
+                                 "do not divide the single policy row of a 0-step grid")
     return OptimizerConfig(**cfg["optimizer"])
 
 

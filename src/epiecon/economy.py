@@ -29,8 +29,9 @@ class LinearProduction:
     a_l: float
 
     def __post_init__(self):
-        if self.a_k < 0 or self.a_l < 0:
-            raise ConfigurationError("linear production coefficients must be nonnegative")
+        for name in ("a_k", "a_l"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"linear production coefficient {name} must be >= 0")
 
     def __call__(self, K, L):
         return self.a_k * K + self.a_l * L
@@ -66,7 +67,7 @@ class CESProduction:
             raise ConfigurationError("CES substitution exponent must be < 1 and nonzero")
         if self.mpk_cap is None and self.substitution > 0.0:
             raise ConfigurationError(
-                "CES with substitution in (0, 1) needs a finite mpk_cap to be "
+                "CES needs a finite mpk_cap when substitution is in (0, 1), to be "
                 "Lipschitz in capital")
         if self.mpk_cap is not None and not self.mpk_cap > 0:
             raise ConfigurationError("mpk_cap must be > 0")

@@ -47,7 +47,7 @@ class SaturationSpec:
         if self.psi < 0:
             raise ConfigurationError("overload slope psi must be >= 0")
         if not self.smooth > 0:
-            raise ConfigurationError("overload softening width must be > 0")
+            raise ConfigurationError("overload softening width smooth must be > 0")
 
     def multiplier(self, Xi):
         # softplus log(1 + e^x) without overflow

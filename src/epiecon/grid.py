@@ -114,9 +114,10 @@ class RankOneKernel:
         g = _as_readonly(self.g, np.shape(self.g), "contact kernel profile")
         if g.ndim != 1 or not np.isfinite(self.m0):
             raise ConfigurationError("rank-one kernel needs a finite m0 and a 1-d profile")
-        if self.m0 < 0 or (np.any(g < 0) and np.any(g > 0)):
-            raise ConfigurationError("contact rates must be nonnegative: "
-                                     "m0 >= 0 and a profile g of one sign")
+        if self.m0 < 0:
+            raise ConfigurationError(f"contact rates must be nonnegative: m0 >= 0, got {self.m0}")
+        if np.any(g < 0) and np.any(g > 0):
+            raise ConfigurationError("contact rates must be nonnegative: g must be of one sign")
         object.__setattr__(self, "g", g)
 
     @property

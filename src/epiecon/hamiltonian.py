@@ -222,8 +222,9 @@ class ControlSearchGrid:
             levels = getattr(self, name)
             if len(levels) == 0 or any(not 0.0 <= x <= 1.0 for x in levels):
                 raise ConfigurationError(f"{name} must be a nonempty subset of [0, 1]")
-        if self.n_age_blocks < 1:
-            raise ConfigurationError("n_age_blocks must be >= 1")
+        for name in ("n_age_blocks", "max_sweeps"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
         if not self.c_max > 0:
             raise ConfigurationError("c_max must be > 0")
 

@@ -44,8 +44,9 @@ class ShiftedCRRAUtility:
     def __post_init__(self):
         if not 0.0 < self.sigma < 1.0:
             raise ConfigurationError("CRRA exponent sigma must be in (0, 1)")
-        if self.u0 < 0 or self.eps_c < 0:
-            raise ConfigurationError("utility shift u0 and eps_c must be >= 0")
+        for name in ("u0", "eps_c"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"utility shift {name} must be >= 0")
         if not 0.0 < self.w0 <= 1.0:
             raise ConfigurationError("mobility weight w0 must be in (0, 1]")
 
@@ -132,7 +133,8 @@ class ObjectiveParams:
         if self.T_num is not None and not self.T_num >= 0:
             raise ConfigurationError(f"truncation horizon T_num must be >= 0, got {self.T_num}")
         if self.which not in TARGETS:
-            raise ConfigurationError(f"unknown target {self.which!r}")
+            raise ConfigurationError(f"which must name a target in {TARGETS}, "
+                                     f"got {self.which!r}")
         if self.j6_sign not in (1.0, -1.0):
             raise ConfigurationError("j6_sign must be +1 or -1")
         if self.composite is not None:
@@ -273,5 +275,3 @@ def _single_target(traj, policy, params, econ, obj, which):
         disc = np.exp(-obj.rho * elapsed[:n_steps]) if obj.j6_discounted else 1.0
         value = float((disc * traj.deaths_flow[:n_steps]).sum() * dt)
         return obj.j6_sign * value, None
-
-    raise ConfigurationError(f"unknown target {which!r}")

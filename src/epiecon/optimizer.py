@@ -174,9 +174,8 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
 
     f, traj, err = _safe_objective(blocks, scenario, config)
     if f is None:
-        raise InfeasibleStart(
-            "objective undefined at the initial policy; increase K0 or reduce the "
-            f"consumption level (model error at step {err.step_index}: {err})")
+        raise InfeasibleStart("objective undefined at the initial policy "
+                              f"(model error at step {err.step_index}: {err})")
 
     initial_blocks, initial_traj = blocks, traj
     trace = [f]

@@ -1,12 +1,14 @@
 import copy
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epiecon import cli, config as cfgmod, epi
@@ -14,6 +16,7 @@ from epiecon.errors import ConfigurationError
 from epiecon.hamiltonian import validate_gradient
 from epiecon.objectives import ShiftedCRRAUtility
 from epiecon.optimizer import OptimizerConfig
+from util import MOVED_RULES, schema_with_rules
 
 
 def small_config(**grid_overrides):
@@ -292,6 +295,8 @@ def test_optimizer_infeasible_start_names_the_model_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("optimizer error: objective undefined at the initial policy")
     assert model_error in err
+    # negative capital is penalized, not raised: no K0 or consumption level cures this
+    assert "K0" not in err and "consumption" not in err
 
 
 def test_evaluate_matches_library_bitwise(tmp_path):
@@ -504,14 +509,45 @@ def test_table_kernel_is_read_only():
 
 @pytest.mark.parametrize("preset, theta", [("laissez_faire", 1.0), ("full_lockdown", 0.0),
                                            ("blocks", 0.5)])
-def test_scenario_policy_is_one_read_only_array(preset, theta):
+def test_scenario_policy_is_one_read_only_array(tmp_path, capsys, preset, theta):
     cfg = small_config()
     cfg["policy"] = {"preset": preset, "c_level": 0.1, "theta_level": 0.5}
-    policy = cfgmod.build_scenario(cfgmod.resolve_config(cfg)).policy
+    if preset != "blocks":  # a preset fixes its theta level: setting one exits 2
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out)]) == 2
+        assert "config field policy.theta_level: " in capsys.readouterr().err
+        assert not out.exists()
+        del cfg["policy"]["theta_level"]
+    resolved = cfgmod.resolve_config(cfg)
+    assert cfgmod.resolve_config(resolved) == resolved  # the echo of each default loads again
+    policy = cfgmod.build_scenario(resolved).policy
     assert policy.shape == (3, 9, 16)
     assert np.array_equal(policy, np.broadcast_to([[[0.1]], [[theta]], [[1.0]]], (3, 9, 16)))
     with pytest.raises(ValueError, match="read-only"):
         policy[1, 0, 0] = 0.25
+
+
+@pytest.mark.parametrize("preset", ["laissez_faire", "full_lockdown"])
+@pytest.mark.parametrize("key, value", [
+    ("eta_level", 0.5), ("n_time_blocks", 2), ("n_age_blocks", 2), ("c", [[0.1]]),
+    ("theta", [[1.0]]), ("eta", [[1.0]]), ("sweep", "policy.theta_level"),
+    ("sweep", "policy.eta_level")])
+def test_preset_rejects_the_block_settings_it_ignores(tmp_path, capsys, preset, key, value):
+    # a preset is one block at fixed levels; a block setting or sweep axis it would
+    # ignore exits 2 naming the field, before any output
+    cfg = small_config()
+    cfg["policy"]["preset"] = preset
+    if key == "sweep":
+        key = value.split(".")[1]
+        cfg["sweep"] = {"axes": [{"path": value, "values": [0.5, 1.0]}]}
+    else:
+        cfg["policy"][key] = value
+    out = tmp_path / "out"
+    assert cli.main(["sweep" if "sweep" in cfg else "simulate", "--config",
+                     str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert f"config field policy.{key}: the {preset} preset" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mu_s", [2.0, 5.0])
@@ -728,6 +764,37 @@ def test_demo_config_out_of_range_names_field(tmp_path, capsys, command, section
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value, field", [
+    ("economy", "production", {"type": "ces", "scale": 1.0, "omega": 2.0,
+                               "substitution": -0.5}, "economy.production.omega"),
+    ("economy", "production", {"type": "ces", "scale": 1.0, "omega": 0.5,
+                               "substitution": 0.5}, "economy.production.mpk_cap"),
+    ("economy", "phi", {"type": "power", "q": 0.0}, "economy.phi.q"),
+    ("economy", "phi", {"type": "affine", "ell": 2.0}, "economy.phi.ell"),
+    ("economy", "congestion", {"type": "concave_power", "d1": 0.5, "p": 2.0},
+     "economy.congestion.p"),
+    ("objective", "utility", {"type": "shifted_crra", "sigma": 2.0}, "objective.utility.sigma"),
+    ("objective", "utility", {"type": "separable", "b": -1.0}, "objective.utility.b"),
+    ("objective", "composite", {"J1": -1.0, "J6": 1.0}, "objective.composite"),
+    ("economy", "delta", 0.0, "economy.delta"),
+    ("epidemic", "saturation", {"xi_cap": 1.0, "psi": 2.0, "smooth": 0.0},
+     "epidemic.saturation.smooth"),
+], ids=["ces_omega", "ces_no_mpk_cap", "power_q", "affine_ell", "concave_power_p", "crra_sigma",
+        "separable_b", "composite_j1", "delta", "smooth"])
+def test_constructor_rejection_names_field_and_writes_nothing(tmp_path, capsys, section, key,
+                                                              value, field):
+    # the constructors check these values, and the config error names the field
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo_covid.json"
+    cfg = json.loads(demo.read_text())
+    cfg[section][key] = value
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)])
+    assert code == 2
+    assert f"configuration error: config field {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_non_numeric_value_names_field(tmp_path, capsys):
     cfg = small_config()
     cfg["sweep"] = {"axes": [{"path": "economy.K0", "values": ["high", 10.0]}]}
@@ -902,3 +969,76 @@ def test_builders_leave_cli_cases_unchanged(case):
         except ConfigurationError:
             return
         _assert_builders_read_only(cfg)
+
+
+# the schema that also checked MOVED_RULES' values, as it did before the constructors
+# became the one check of each
+_RULES_SCHEMA = schema_with_rules(cfgmod.SCHEMA, MOVED_RULES)
+# a small valid variant to hold a moved field of that variant
+_VARIANTS = {"epidemic.contact[constant]": {"type": "constant", "m0": 1.0},
+             "epidemic.contact[separable]": {"type": "separable", "m0": 1.0,
+                                             "shape": {"type": "constant", "value": 1.0}},
+             "economy.production[linear]": {"type": "linear", "a_k": 0.04, "a_l": 1.0}}
+
+
+def _probes(rules):
+    """Values at, just inside, just past and far past each bound in ``rules``, the
+    members of an enum and some non-members, and the bools."""
+    values = [True, False]
+    for key, out in (("minimum", -1), ("exclusiveMinimum", -1), ("maximum", 1)):
+        if key in rules:
+            bound = rules[key]
+            values += [bound, bound - out * 1e-9, bound + out * 1e-9, bound + out,
+                       bound + out * 10**6]
+    if "enum" in rules:
+        values += rules["enum"] + ["J7", "", 0, 2, 0.5]
+    if "items" in rules:
+        values += [[]] + [[v] for v in _probes(rules["items"])] + [[0.5, 1.5]]
+    if "properties" in rules:
+        values += [{}, {"J7": 1.0}] + [{t: v} for t in rules["properties"]
+                                       for v in (1.0, -1.0, True)]
+    return values
+
+
+def _set_field(cfg, path, value):
+    """Set config field ``path``, a variant on the path replaced by a small valid one."""
+    *parents, key = path.split(".")
+    node = cfg
+    for i, part in enumerate(parents):
+        name, variant, _ = part.partition("[")
+        if variant:
+            node[name] = copy.deepcopy(_VARIANTS[".".join(parents[:i + 1])])
+        node = node.setdefault(name, {})
+    node[key] = value
+
+
+def _rejection(cfg, schema):
+    """The message rejecting ``cfg`` under ``schema`` and the builders, else None."""
+    with mock.patch.object(cfgmod, "SCHEMA", schema), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            cfgmod.build_scenario(cfgmod.resolve_config(cfg))
+        except ConfigurationError as err:
+            return str(err)
+    return None
+
+
+@pytest.mark.parametrize("path", sorted(MOVED_RULES))
+@settings(max_examples=4, deadline=None)
+@given(case=cli_cases())
+def test_constructors_reject_what_the_schema_rules_rejected(path, case):
+    # oracle: the schema that held the moved value rules, then the builders, rejects
+    # the same configs as the builders alone, and names the same field; but the
+    # schema named a list's entry where the constructor names the list, and a
+    # oneOf's variant where the constructor names the field in it
+    _, cfg = case
+    assume(_rejection(cfg, _RULES_SCHEMA) is None and _rejection(cfg, cfgmod.SCHEMA) is None)
+    for value in _probes(MOVED_RULES[path]):
+        _set_field(cfg, path, value)
+        before, after = _rejection(cfg, _RULES_SCHEMA), _rejection(cfg, cfgmod.SCHEMA)
+        assert (before is None) == (after is None), (value, before, after)
+        if before is not None:
+            field, named = (re.match(r"config field (\S+): ", m).group(1)
+                            for m in (before, after))
+            assert (named == field or re.fullmatch(rf"{re.escape(named)}\.\d+", field)
+                    or "[" in path and named.startswith(f"{field}.")), (value, before, after)

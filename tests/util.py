@@ -7,9 +7,68 @@ independent of the code paths they check.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 import epiecon as ee
+
+
+# ----------------------------------------------------------------------
+# the config schema's former value rules
+# ----------------------------------------------------------------------
+
+_LEVEL_RULES = {"minItems": 1, "items": {"type": "number", "minimum": 0, "maximum": 1}}
+
+# The range and enum keywords the config schema carried for the rules that
+# the constructors check, by config field (a variant as ``key[type]``).
+# ``schema_with_rules(SCHEMA, MOVED_RULES)`` is the schema that checked them.
+MOVED_RULES = {
+    "grid.a_max": {"exclusiveMinimum": 0},
+    "grid.n_age": {"minimum": 8},
+    "grid.n_steps": {"minimum": 0},
+    "epidemic.contact[constant].m0": {"minimum": 0},
+    "epidemic.contact[separable].m0": {"minimum": 0},
+    "epidemic.saturation.psi": {"minimum": 0},
+    "epidemic.saturation.smooth": {"exclusiveMinimum": 0},
+    "epidemic.weight_floor": {"exclusiveMinimum": 0},
+    "economy.delta": {"exclusiveMinimum": 0},
+    "economy.production[linear].a_k": {"minimum": 0},
+    "economy.production[linear].a_l": {"minimum": 0},
+    "objective.which": {"enum": ["J1", "J2", "J3", "J4", "J5", "J6"]},
+    "objective.rho": {"exclusiveMinimum": 0},
+    "objective.nu": {"minimum": 0, "maximum": 1},
+    "objective.T_num": {"minimum": 0},
+    "objective.j6_sign": {"enum": [1.0, -1.0, 1, -1]},
+    "objective.composite": {"additionalProperties": False, "minProperties": 1,
+                            "properties": {t: {"type": "number"}
+                                           for t in ("J1", "J2", "J3", "J4", "J5", "J6")}},
+    "search.theta_levels": _LEVEL_RULES,
+    "search.eta_levels": _LEVEL_RULES,
+    "search.n_age_blocks": {"minimum": 1},
+    "search.c_max": {"exclusiveMinimum": 0},
+    "search.max_sweeps": {"minimum": 1},
+}
+
+
+def schema_node(schema: dict, path: str) -> dict:
+    """The subschema of config field ``path`` (a variant as ``key[type]``)."""
+    node = schema
+    for part in path.split("."):
+        key, _, variant = part.partition("[")
+        node = node["properties"][key]
+        if variant:
+            node = next(branch for branch in node["oneOf"]
+                        if branch["properties"]["type"]["const"] == variant[:-1])
+    return node
+
+
+def schema_with_rules(schema: dict, rules: dict) -> dict:
+    """A copy of ``schema`` with each field's ``rules`` keywords put back."""
+    schema = copy.deepcopy(schema)
+    for path, keywords in rules.items():
+        schema_node(schema, path).update(copy.deepcopy(keywords))
+    return schema
 
 
 # ----------------------------------------------------------------------

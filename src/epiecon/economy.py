@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NonFiniteState
+from .errors import ConfigurationError
 from .grid import _nonnegative
 
 
@@ -246,10 +246,9 @@ def testing_cost(x, eta_t: np.ndarray, econ: EconParams, da: float):
     return econ.D(da * (level * x[1] * econ.e).sum(axis=-1))
 
 
-def capital_step(K: float, Y: float, C: float, d_cost: float,
-                 econ: EconParams, dt: float) -> float:
-    """One explicit Euler step of the capital accumulation law, given the output Y = F(K, L)."""
-    K1 = K + dt * (Y - C - econ.delta * K - d_cost)
-    if not np.isfinite(K1):
-        raise NonFiniteState(f"capital update produced {K1}")
-    return float(K1)
+def capital_step(K, Y, C, d_cost, econ: EconParams, dt: float):
+    """One explicit Euler step of the capital accumulation law, given the output Y = F(K, L).
+
+    Elementwise over a batch; the stepping kernel checks the result per row.
+    """
+    return K + dt * (Y - C - econ.delta * K - d_cost)

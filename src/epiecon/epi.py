@@ -1,7 +1,8 @@
 """Controlled age-structured SIR dynamics.
 
 State representation, force of infection, saturation-dependent infected
-mortality, the one-step update, and full trajectory simulation.
+mortality, the one-step update, and full trajectory simulation: one policy,
+or a stack of policies stepped together as a batch whose rows fail apart.
 
 The stepper follows characteristics on the cohort-aligned grid (dt = da):
 within a step every cohort decays by exact exponentials with rates frozen
@@ -124,6 +125,11 @@ def deaths_flow(i: np.ndarray, mu_i: np.ndarray, da: float):
     return da * (mu_i * i).sum(axis=-1)
 
 
+def _extinct(n_total, n_floor: float) -> ExtinctPopulation:
+    return ExtinctPopulation(f"total population {n_total:.3e} "
+                             f"at or below the floor {n_floor:.3e}")
+
+
 def extinction_check(n_total, n_floor: float) -> None:
     """Raise ExtinctPopulation for the first total population at or below the floor.
 
@@ -131,8 +137,7 @@ def extinction_check(n_total, n_floor: float) -> None:
     """
     low = np.flatnonzero(np.ravel(n_total) <= n_floor)
     if low.size:
-        raise ExtinctPopulation(f"total population {np.ravel(n_total)[low[0]]:.3e} "
-                                f"at or below the floor {n_floor:.3e}")
+        raise _extinct(np.ravel(n_total)[low[0]], n_floor)
 
 
 def force_of_infection(i: np.ndarray, n_total: float, theta_t, eta_t, m, da: float,
@@ -164,29 +169,41 @@ def force_of_infection(i: np.ndarray, n_total: float, theta_t, eta_t, m, da: flo
 
 def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams,
           da: float, dt: float, n_floor: float, out=None):
-    """The fused kernel: one time node of the coupled dynamics on plain arrays.
+    """The fused kernel: one time node of the coupled dynamics, for one state or a batch.
 
-    Computes the aggregates of ``x`` (rows s, i, r) once; with ``out`` it also
-    writes the next state there and returns the next capital (else None).
-    New infections decay for half a step (midpoint correction), the decayed
-    share split between recovery and death, so mass is accounted exactly.
+    ``x`` is one (3, n_age) state (rows s, i, r) or a (B, 3, n_age) batch,
+    with ``K`` one capital or B of them and each control one (n_age,) slice
+    or B of them.  Computes the aggregates of ``x`` once, one value per
+    state; with ``out`` shaped like ``x`` it also writes the next states
+    there and returns the next capitals (else None).  New infections decay
+    for half a step (midpoint correction), the decayed share split between
+    recovery and death, so mass is accounted exactly.  Every age sum runs
+    along the last axis and the contact kernel is applied row by row, so
+    each batch row is bit for bit that state alone.
+
+    The third result maps each failed row (0 for one state) to its
+    ModelError: the first of the floor test, a non-finite state and a
+    non-finite capital, the order in which one state's step meets them.  A
+    failed row's other results are meaningless; callers run the kernel under
+    ``np.errstate(all="ignore")`` and report the failures instead.
     """
-    s, i, r = x
+    s, i, r = x[..., 0, :], x[..., 1, :], x[..., 2, :]
     n = s + i + r
-    n_total = float(da * n.sum())
-    lam = force_of_infection(i, n_total, theta_t, eta_t, params.m, da, n_floor)
+    n_total = da * n.sum(axis=-1)
+    lam = force_of_infection(i, n_total[..., None], theta_t, eta_t, params.m, da, None)
     Xi = critical_load(i, params, da)
     mu_i = infection_mortality(params, Xi)
-    L = economy.labor_supply(x, theta_t, econ, da)
-    C = economy.consumption_total(x, c_t, da)
-    d_cost = economy.testing_cost(x, eta_t, econ, da)
+    L = economy.labor_supply((s, i, r), theta_t, econ, da)
+    C = economy.consumption_total((s, i, r), c_t, da)
+    d_cost = economy.testing_cost((s, i, r), eta_t, econ, da)
     Y = econ.F(K, L)
     aggregates = (n_total, Xi, deaths_flow(i, mu_i, da), L, Y, C, d_cost)
+    above = n_total > n_floor
     if out is None:
-        return aggregates, None
+        return aggregates, None, _failures(above, n_total, n_floor)
 
     gamma = params.gamma
-    births = float(da * (params.beta * n).sum())
+    births = da * (params.beta * n).sum(axis=-1)
     s_dec = s * np.exp(-(lam + params.mu_S) * dt)
     new_inf = s * (-np.expm1(-lam * dt))
     out_rate = mu_i + gamma
@@ -194,16 +211,47 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     half_exp = -out_rate * (0.5 * dt)
     i_dec = i * np.exp(full_exp) + new_inf * np.exp(half_exp)
     outflow = i * (-np.expm1(full_exp)) + new_inf * (-np.expm1(half_exp))
-    recovered_share = np.divide(gamma, out_rate, out=np.zeros_like(gamma), where=out_rate > 0)
+    recovered_share = np.divide(gamma, out_rate, out=np.zeros_like(out_rate),
+                                where=out_rate > 0)
     r_dec = r * np.exp(-params.mu_R * dt) + recovered_share * outflow
 
-    out[:, 0] = (births * dt / da, 0.0, 0.0)
-    out[0, 1:] = s_dec[:-1]
-    out[1, 1:] = i_dec[:-1]
-    out[2, 1:] = r_dec[:-1]
-    if not np.isfinite(out).all():
-        raise NonFiniteState("state update produced non-finite densities")
-    return aggregates, economy.capital_step(K, Y, C, d_cost, econ, dt)
+    out[..., 0, 0] = births * dt / da
+    out[..., 1:, 0] = 0.0
+    out[..., 0, 1:] = s_dec[..., :-1]
+    out[..., 1, 1:] = i_dec[..., :-1]
+    out[..., 2, 1:] = r_dec[..., :-1]
+    K1 = economy.capital_step(K, Y, C, d_cost, econ, dt)
+    return aggregates, K1, _failures(above, n_total, n_floor,
+                                     np.isfinite(out).all(axis=(-2, -1)), K1)
+
+
+def _failures(above, n_total, n_floor, state_ok=True, K1=0.0) -> dict:
+    """Each failed row of a node (0 for one state) and its ModelError, the
+    first of: the total population at or below the floor, a non-finite
+    state, a non-finite capital."""
+    ok = above & state_ok & np.isfinite(K1)
+    if ok.all() if ok.ndim else ok:  # a numpy bool for one state, where .all() costs 2 us
+        return {}
+    failed = {}
+    for b in np.flatnonzero(~ok).tolist():
+        if not np.ravel(above)[b]:
+            failed[b] = _extinct(np.ravel(n_total)[b], n_floor)
+        elif not np.ravel(state_ok)[b]:
+            failed[b] = NonFiniteState("state update produced non-finite densities")
+        else:
+            failed[b] = NonFiniteState(f"capital update produced {np.ravel(K1)[b]}")
+    return failed
+
+
+def _advance(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams,
+             da: float, dt: float, n_floor: float, out) -> float:
+    """:func:`_node` on one (3, n_age) state: writes the next state to ``out``
+    and returns the next capital, or raises the node's ModelError."""
+    with np.errstate(all="ignore"):
+        _, K1, failed = _node(x, K, c_t, theta_t, eta_t, params, econ, da, dt, n_floor, out)
+    if failed:
+        raise failed[0]
+    return float(K1)
 
 
 def step(state: EpiState, K: float, c_t: np.ndarray, theta_t: np.ndarray,
@@ -211,7 +259,7 @@ def step(state: EpiState, K: float, c_t: np.ndarray, theta_t: np.ndarray,
          dt: float, n_floor: float = 0.0):
     """Advance the coupled state one step; the simulation kernel on one node."""
     x1 = np.empty((3, state.grid.n_age))
-    _, K1 = _node(np.stack(state.as_triple()), K, c_t, theta_t, eta_t, params, econ,
+    K1 = _advance(np.stack(state.as_triple()), K, c_t, theta_t, eta_t, params, econ,
                   state.grid.da, dt, n_floor, x1)
     return EpiState(state.grid, *x1, state.time + dt), K1
 
@@ -220,7 +268,8 @@ def step(state: EpiState, K: float, c_t: np.ndarray, theta_t: np.ndarray,
 class Trajectory:
     """Simulated path: ``X`` of shape (n_steps + 1, 3, n_age) with (s, i, r) at t_k
     in X[k], capital, and the per-node aggregates, computed at t_k so
-    K[k+1] - K[k] = dt * (Y[k] - C[k] - delta*K[k] - D_cost[k]).
+    K[k+1] - K[k] = dt * (Y[k] - C[k] - delta*K[k] - D_cost[k]).  A row of
+    :func:`simulate_batch` holds views of the batch's arrays.
     """
 
     X: np.ndarray
@@ -247,12 +296,20 @@ class Trajectory:
         return self.time_grid.times
 
 
-def _checked_policy(policy, n_nodes: int, n_age: int) -> np.ndarray:
-    """``policy`` as a float array of shape (3, n_nodes, n_age), checked for the control box."""
-    u = np.asarray(policy, dtype=np.float64)
-    if u.shape != (3, n_nodes, n_age):
+def _checked_run(initial: EpiState, K0, policies, econ: economy.EconParams,
+                 time_grid: TimeGrid, n_floor_rel) -> np.ndarray:
+    """The arguments of a run, checked once: returns ``policies`` as a float array.
+
+    ``policies`` is a (B, 3, n_nodes, n_age) stack, checked for the control box.
+    """
+    grid = initial.grid
+    if abs(time_grid.dt - grid.da) > 1e-15 * max(1.0, grid.da):
+        raise ConfigurationError(
+            f"time step {time_grid.dt} must equal the age cell width {grid.da}")
+    u = np.asarray(policies, dtype=np.float64)
+    if u.shape[1:] != (3, time_grid.n_steps + 1, grid.n_age) or not len(u):
         raise ConfigurationError("policy surfaces do not match the grids")
-    lo, hi = u.min(axis=(1, 2)), u.max(axis=(1, 2))  # per row; a NaN reaches both
+    lo, hi = u.min(axis=(0, 2, 3)), u.max(axis=(0, 2, 3))  # per control; a NaN reaches both
     for name, finite in zip(("c", "theta", "eta"), np.isfinite(lo) & np.isfinite(hi)):
         if not finite:
             raise ConfigurationError(f"{name} control: values must be finite")
@@ -261,7 +318,72 @@ def _checked_policy(policy, n_nodes: int, n_age: int) -> np.ndarray:
     for name, low, high in zip(("theta", "eta"), lo[1:], hi[1:]):
         if low < 0 or high > 1.0:
             raise ConfigurationError(f"{name} control must lie in [0, 1]")
+    if econ.alpha.shape != (grid.n_age,):  # EconParams checks e against alpha
+        raise ConfigurationError("economy profiles alpha and e do not match the age grid")
+    if not (np.isfinite(K0) and K0 >= 0):
+        raise ConfigurationError(f"initial capital K0 must be finite and >= 0, got {K0}")
+    if not (np.isfinite(n_floor_rel) and n_floor_rel >= 0):
+        raise ConfigurationError(
+            f"extinction floor n_floor_rel must be finite and >= 0, got {n_floor_rel}")
     return u
+
+
+def simulate_batch(initial: EpiState, K0: float, policies: np.ndarray, params: EpiParams,
+                   econ: economy.EconParams, time_grid: TimeGrid,
+                   n_floor_rel: float = 1e-9) -> list:
+    """Run the controlled dynamics once per policy of a (B, 3, n_steps + 1, n_age) stack.
+
+    All rows start from ``initial`` and ``K0`` and step together through
+    :func:`_node`.  Returns one entry per row: its :class:`Trajectory`, whose
+    arrays are views of the batch's, or the ModelError that its single run
+    raises, with ``step_index`` set.  A failed row leaves the batch at its
+    failing step; the others go on, each bit for bit its single run.
+    """
+    u = _checked_run(initial, K0, policies, econ, time_grid, n_floor_rel)
+    grid, n_steps = initial.grid, time_grid.n_steps
+    n_floor = n_floor_rel * initial.total_population()
+    da, dt = grid.da, time_grid.dt
+    B = len(u)
+
+    X = np.empty((B, n_steps + 1, 3, grid.n_age))
+    X[:, 0] = initial.as_triple()
+    K = np.empty((B, n_steps + 1))
+    K[:, 0] = K0
+    agg = np.empty((7, B, n_steps + 1))  # N, Xi, deaths, L, Y, C, D_cost
+    errors = {}
+    rows = np.arange(B)  # the rows still running
+    every = 0 if B == 1 else slice(None)  # a batch of one steps its row as one state
+    with np.errstate(all="ignore"):
+        for k in range(n_steps + 1):
+            whole = len(rows) == B
+            at = every if whole else rows
+            out = None
+            if k < n_steps:
+                out = X[at, k + 1] if whole else np.empty((len(rows), 3, grid.n_age))
+            agg[:, at, k], K1, failed = _node(X[at, k], K[at, k], u[at, 0, k], u[at, 1, k],
+                                              u[at, 2, k], params, econ, da, dt, n_floor, out)
+            if out is not None:
+                K[at, k + 1] = K1
+                if not whole:
+                    X[rows, k + 1] = out
+            if failed:
+                for j, err in failed.items():
+                    err.step_index = k
+                    errors[int(rows[j])] = err
+                rows = np.delete(rows, list(failed))
+                if not len(rows):
+                    break
+        neg = np.maximum(0.0, -K[:, 1:])
+        k_violation = dt * (neg * neg).sum(axis=-1)
+        feasible = np.all(K >= 0.0, axis=-1)
+        min_K = K.min(axis=-1)
+    N, Xi, deaths, L, Y, C, D_cost = agg
+    return [errors[b] if b in errors else
+            Trajectory(X=X[b], initial=initial, K=K[b], time_grid=time_grid, N=N[b],
+                       Xi=Xi[b], L=L[b], Y=Y[b], C=C[b], D_cost=D_cost[b],
+                       deaths_flow=deaths[b], feasible=bool(feasible[b]),
+                       k_violation=float(k_violation[b]), min_K=float(min_K[b]))
+            for b in range(B)]
 
 
 def simulate(initial: EpiState, K0: float, policy: np.ndarray, params: EpiParams,
@@ -270,50 +392,20 @@ def simulate(initial: EpiState, K0: float, policy: np.ndarray, params: EpiParams
     """Run the controlled dynamics over the whole time grid.
 
     ``policy`` is one (3, n_steps + 1, n_age) array, rows c >= 0, theta and
-    eta in [0, 1], one control slice per time node; it is checked here, the
-    one place a policy is.  Positivity of (s, i, r) is automatic, so the run
-    is flagged infeasible only if capital goes negative; negative capital is
-    recorded, not clamped, and the squared violation integral is reported
-    for the optimizer's penalty.  Model errors are re-raised with the
-    failing step index attached.
+    eta in [0, 1], one control slice per time node; :func:`simulate_batch`
+    runs it as a batch of one and checks it, with ``K0`` >= 0 and
+    ``n_floor_rel`` >= 0 (both finite), the one place a run's inputs are
+    checked.  Positivity of (s, i, r) is automatic, so the run is flagged
+    infeasible only if capital goes negative; negative capital is recorded,
+    not clamped, and the squared violation integral is reported for the
+    optimizer's penalty.  Model errors are raised with the failing step
+    index attached.
     """
-    grid = initial.grid
-    if abs(time_grid.dt - grid.da) > 1e-15 * max(1.0, grid.da):
-        raise ConfigurationError(
-            f"time step {time_grid.dt} must equal the age cell width {grid.da}")
-    n_steps = time_grid.n_steps
-    u = _checked_policy(policy, n_steps + 1, grid.n_age)
-    if econ.alpha.shape != (grid.n_age,):  # EconParams checks e against alpha
-        raise ConfigurationError("economy profiles alpha and e do not match the age grid")
-    if K0 < 0:
-        raise ConfigurationError(f"initial capital must be >= 0, got {K0}")
-
-    n_floor = n_floor_rel * initial.total_population()
-    da, dt = grid.da, time_grid.dt
-
-    X = np.empty((n_steps + 1, 3, grid.n_age))
-    X[0] = initial.as_triple()
-    K = np.empty(n_steps + 1)
-    K[0] = K0
-    N, Xi, deaths, L, Y, C, D_cost = np.empty((7, n_steps + 1))
-
-    for k in range(n_steps + 1):
-        try:
-            (N[k], Xi[k], deaths[k], L[k], Y[k], C[k], D_cost[k]), K1 = _node(
-                X[k], K[k], *u[:, k], params, econ, da, dt, n_floor,
-                X[k + 1] if k < n_steps else None)
-        except ModelError as err:
-            err.step_index = k
-            raise
-        if k < n_steps:
-            K[k + 1] = K1
-
-    neg = np.maximum(0.0, -K[1:])
-    k_violation = float(dt * (neg * neg).sum())
-    return Trajectory(X=X, initial=initial, K=K, time_grid=time_grid, N=N, Xi=Xi,
-                      L=L, Y=Y, C=C, D_cost=D_cost, deaths_flow=deaths,
-                      feasible=bool(np.all(K >= 0.0)), k_violation=k_violation,
-                      min_K=float(K.min()))
+    result, = simulate_batch(initial, K0, np.asarray(policy, dtype=np.float64)[None], params,
+                             econ, time_grid, n_floor_rel)
+    if isinstance(result, ModelError):
+        raise result
+    return result
 
 
 def hilbert_space_for(params: EpiParams, floor: float = DEFAULT_WEIGHT_FLOOR) -> HilbertSpace:

@@ -498,6 +498,6 @@ def greedy_policy(v, scenario: Scenario):
         res = maximize_h1(X[k], K, costate, scenario)
         policy[:, k] = res.c, res.theta, res.eta
         if k < tg.n_steps:
-            K = epi._node(X[k], K, res.c, res.theta, res.eta, scenario.epi,
-                          scenario.econ, grid.da, tg.dt, n_floor, X[k + 1])[1]
+            K = epi._advance(X[k], K, res.c, res.theta, res.eta, scenario.epi,
+                             scenario.econ, grid.da, tg.dt, n_floor, X[k + 1])
     return policy, scenario.simulate(policy)

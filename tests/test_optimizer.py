@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ import epiecon as ee
 from epiecon import optimizer
 from epiecon.optimizer import _project_blocks
 
-from util import build_scenario
+from util import build_scenario, looped_fd_gradient
 
 
 TOY_AK, TOY_AL, TOY_DELTA = 0.03, 3.0, 0.06
@@ -242,18 +245,63 @@ def test_fd_gradient_failed_probe_zero_component_and_warning(mode, monkeypatch):
     # the downward theta probe of block (0, 1) fails; the upward one is clamped to 1
     scen = _epidemic_scenario()
     blocks = ee.block_means(scen.policy, 2, 2)
-    real = optimizer.penalized_objective
+    real = ee.Scenario.simulate_batch
 
-    def failing(policy, scenario, penalty=1e6):
-        if policy[1, 0, -1] != 1.0:
-            raise ee.ModelError("boom")
-        return real(policy, scenario, penalty)
+    def failing(scenario, policies):
+        return [ee.ModelError("boom") if policy[1, 0, -1] != 1.0 else run
+                for policy, run in zip(policies, real(scenario, policies))]
 
-    monkeypatch.setattr(optimizer, "penalized_objective", failing)
+    monkeypatch.setattr(ee.Scenario, "simulate_batch", failing)
     grads, warns = ee.fd_gradient(blocks, scen, ee.OptimizerConfig(grad_mode=mode))
     assert warns == ["theta[0, 1]: probe failed: boom"]
     assert grads[1, 0, 1] == 0.0
     assert np.count_nonzero(grads) == grads.size - 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["central", "forward"]),
+       ntb=st.sampled_from([1, 2, 4]), nab=st.sampled_from([1, 2]),
+       chunk=st.sampled_from([None, 1, 3]))
+def test_fd_gradient_equals_looped_probes(seed, mode, ntb, nab, chunk):
+    # the batched probes give the per-probe loop's gradient and warnings bit for
+    # bit; ``chunk`` caps the rows per batch (None: the module's budget), so an
+    # odd probe count spans chunk boundaries
+    rng = np.random.default_rng(seed)
+    scen = _epidemic_scenario()
+    blocks = _project_blocks(np.stack([rng.uniform(0.0, 1.0, (ntb, nab)),
+                                       rng.choice([0.0, 0.5, 1.0], (ntb, nab)),
+                                       rng.uniform(0.0, 1.0, (ntb, nab))]),
+                             scen.search.c_max)
+    cfg = ee.OptimizerConfig(grad_mode=mode, fd_eps_theta=1e-3, fd_eps_eta=1e-3)
+    cells = optimizer._PROBE_CELLS
+    if chunk is not None:
+        optimizer._PROBE_CELLS = chunk * 3 * (scen.time_grid.n_steps + 1) * scen.age_grid.n_age
+    try:
+        grads, warns = ee.fd_gradient(blocks, scen, cfg)
+    finally:
+        optimizer._PROBE_CELLS = cells
+    want, want_warns = looped_fd_gradient(blocks, scen, cfg)
+    assert grads.tobytes() == want.tobytes()
+    assert warns == want_warns
+
+
+@pytest.mark.parametrize("mode", ["central", "forward"])
+def test_fd_gradient_floor_fails_some_probes(mode):
+    # an extinction floor at the base point's smallest population: probes that
+    # lower it fail (a zero component and a warning), the others give quotients
+    base = _epidemic_scenario()
+    blocks = ee.block_means(base.policy, 2, 2)
+    cfg = ee.OptimizerConfig(grad_mode=mode, fd_eps_theta=1e-2, fd_eps_eta=1e-2)
+    n_min = base.simulate().N.min() / base.initial.total_population()
+    scen = dataclasses.replace(base, n_floor_rel=float(np.nextafter(n_min, 0.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grads, warns = ee.fd_gradient(blocks, scen, cfg)
+    want, want_warns = looped_fd_gradient(blocks, scen, cfg)
+    assert grads.tobytes() == want.tobytes()
+    assert warns == want_warns
+    assert warns and all("at or below the floor" in w for w in warns)
+    assert np.count_nonzero(grads) > 0
 
 
 def test_optimize_recovers_analytic_foc():

@@ -246,3 +246,50 @@ def random_block_policy(scenario, rng, n_time_blocks=4, n_age_blocks=2,
                        rng.uniform(*theta_range, size=shape),
                        rng.uniform(*eta_range, size=shape)])
     return ee.expand_blocks(blocks, scenario.time_grid, scenario.age_grid)
+
+
+# ----------------------------------------------------------------------
+# serial reference of the batched finite-difference gradient
+# ----------------------------------------------------------------------
+
+def looped_fd_gradient(blocks, scenario, config):
+    """Reference for ``fd_gradient``: one ``penalized_objective`` run per probe,
+    in block order, the up probe before the down probe."""
+    def objective(trial):
+        try:
+            policy = ee.expand_blocks(trial, scenario.time_grid, scenario.age_grid)
+            return ee.penalized_objective(policy, scenario, config.penalty)[0], None
+        except ee.ModelError as err:
+            return None, err
+
+    grads = np.zeros_like(blocks)
+    forward = config.grad_mode == "forward"
+    f0 = None
+    if forward:
+        f0, err = objective(blocks)
+        if f0 is None:
+            return grads, [f"base point: probe failed: {err}"]
+    names = ("c", "theta", "eta")
+    hi = (scenario.search.c_max, 1.0, 1.0)
+    eps = (config.fd_eps_c, config.fd_eps_theta, config.fd_eps_eta)
+    warnings = []
+
+    def probe(idx, value):
+        trial = blocks.copy()
+        trial[idx] = value
+        f, err = objective(trial)
+        if f is None:
+            warnings.append(f"{names[idx[0]]}{list(idx[1:])}: probe failed: {err}")
+        return f
+
+    for idx in np.ndindex(blocks.shape):
+        v, row = blocks[idx], idx[0]
+        up, down = min(v + eps[row], hi[row]), max(v - eps[row], 0.0)
+        if forward:
+            up, down = (up, v) if up > v else (v, down)
+        if up == down:
+            continue
+        f_up, f_down = (f0 if forward and x == v else probe(idx, x) for x in (up, down))
+        if f_up is not None and f_down is not None:
+            grads[idx] = (f_up - f_down) / (up - down)
+    return grads, warnings

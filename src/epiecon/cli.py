@@ -306,33 +306,24 @@ def _set_by_path(cfg: dict, path: str, value) -> None:
 
 
 def _sweep_point(cfg, overrides):
+    """The config of one sweep point, schema-checked where it overrides ``cfg``."""
     # the point shares every node of cfg off its override paths: the builders only read
     point = dict(cfg)
     for path, value in overrides:
         _set_by_path(point, path, value)
     # a swept number may land where the schema wants another type; the builders check values
     cfgmod.validate_config(point, {path.split(".")[0] for path, _ in overrides})
-    scenario = cfgmod.build_scenario(point)
-    try:
-        traj = scenario.simulate()
-        report = scenario.evaluate(traj=traj)
-        return {"value": report.value, "feasible": report.feasible,
-                "violation": report.violation, "error": None}
-    except ModelError as err:
-        return {"value": None, "feasible": False, "violation": None,
-                "error": str(err)}
+    return point
 
 
-_worker_cfg = None  # a pool worker's copy of the sweep config, set once by _init_worker
-
-
-def _init_worker(cfg) -> None:
-    global _worker_cfg
-    _worker_cfg = cfg
-
-
-def _worker_point(overrides):
-    return _sweep_point(_worker_cfg, overrides)
+def _score_group(scenario, blocks) -> list:
+    """The rows of a group's (B, 3, n_time_blocks, n_age_blocks) policy block stack:
+    each point's score, or its model error."""
+    return [{"value": None, "feasible": False, "violation": None, "error": str(report)}
+            if isinstance(report, ModelError) else
+            {"value": report.value, "feasible": report.feasible,
+             "violation": report.violation, "error": None}
+            for report in scenario.score(blocks)]
 
 
 def _worker_count(jobs: int, n_points: int) -> int:
@@ -342,22 +333,46 @@ def _worker_count(jobs: int, n_points: int) -> int:
     return min(jobs, n_points, os.cpu_count() or 1)
 
 
-def cmd_sweep(cfg, out_dir=None, jobs=1) -> int:
-    if "sweep" not in cfg:
-        raise ConfigurationError("config field sweep: required for the sweep command")
+def _sweep_results(cfg, tasks, jobs: int) -> list:
+    """One row per sweep point, each task the point's (path, value) overrides.
+
+    Points that differ only in their policy share one scenario: they group by
+    their other overrides (by repr, so 1, 1.0 and -0.0 stay apart) and their
+    block shape, and each group's policies are scored as one batch.  Points
+    are checked and built in order, as a loop over them would, so a rejected
+    point raises that loop's error.  ``--jobs`` spreads the groups.
+    """
+    workers = _worker_count(jobs, len(tasks))
+    groups = {}  # key -> (scenario, point indices, policy blocks)
+    for k, overrides in enumerate(tasks):
+        point = _sweep_point(cfg, overrides)
+        key = (tuple((path, repr(value)) for path, value in overrides
+                     if not path.startswith("policy.")),
+               point["policy"]["n_time_blocks"], point["policy"]["n_age_blocks"])
+        if key not in groups:
+            groups[key] = (cfgmod.build_scenario(point), [], [])
+        groups[key][1].append(k)
+        groups[key][2].append(cfgmod.policy_blocks(point))
+    scenarios = [scenario for scenario, _, _ in groups.values()]
+    stacks = [np.stack(blocks) for _, _, blocks in groups.values()]
+    workers = min(workers, len(groups))
+    if workers > 1:  # a task carries its group's scenario and blocks
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            scored = list(pool.map(_score_group, scenarios, stacks))
+    else:
+        scored = list(map(_score_group, scenarios, stacks))
+    results = [None] * len(tasks)
+    for (_, indices, _), rows in zip(groups.values(), scored):
+        for k, row in zip(indices, rows):
+            results[k] = row
+    return results
+
+
+def _write_sweep(cfg, out_dir, points, results) -> Path:
+    """Write the echo and the sweep tables of ``points`` (value pairs) and their rows."""
     axes = cfg["sweep"]["axes"]
     values0 = axes[0]["values"]
     values1 = axes[1]["values"] if len(axes) > 1 else [None]
-    points = [(v0, v1) for v0 in values0 for v1 in values1]
-    paths = [axis["path"] for axis in axes]
-    tasks = [list(zip(paths, point)) for point in points]
-    workers = _worker_count(jobs, len(tasks))
-    if workers > 1:  # each worker gets the config once; a task carries its overrides
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(cfg,)) as pool:
-            results = list(pool.map(_worker_point, tasks))
-    else:
-        results = [_sweep_point(cfg, t) for t in tasks]
     out = _out_dir(cfg, out_dir)
     cfgmod.dump_config(cfg, out / "resolved_config.json")
 
@@ -379,7 +394,19 @@ def cmd_sweep(cfg, out_dir=None, jobs=1) -> int:
     _write_csv(out / "sweep_details.csv",
                ["axis0", "axis1", "value", "feasible", "violation", "error"],
                detail_rows)
-    print(f"swept {len(tasks)} points -> {out}")
+    return out
+
+
+def cmd_sweep(cfg, out_dir=None, jobs=1) -> int:
+    if "sweep" not in cfg:
+        raise ConfigurationError("config field sweep: required for the sweep command")
+    axes = cfg["sweep"]["axes"]
+    points = [(v0, v1) for v0 in axes[0]["values"]
+              for v1 in (axes[1]["values"] if len(axes) > 1 else [None])]
+    paths = [axis["path"] for axis in axes]
+    results = _sweep_results(cfg, [list(zip(paths, point)) for point in points], jobs)
+    out = _write_sweep(cfg, out_dir, points, results)
+    print(f"swept {len(points)} points -> {out}")
     return 0
 
 

@@ -425,9 +425,31 @@ def _nonfinite_path(node, path=""):
     return None
 
 
+_ENCODE = json.JSONEncoder(allow_nan=False).encode  # the C encoder: items joined by ", "
+
+
+def _write_json(fh, node, indent: str = "\n") -> None:
+    """Write ``node`` (string keys) as ``json.dump(node, indent=2, sort_keys=True,
+    allow_nan=False)`` does, piece by piece: a list of plain numbers goes
+    through the C encoder in one call, everything else through this walk."""
+    inner = indent + "  "
+    if isinstance(node, (list, tuple)) and node and all(type(v) in (int, float) for v in node):
+        fh.write("[" + inner + _ENCODE(node)[1:-1].replace(", ", "," + inner) + indent + "]")
+    elif isinstance(node, (list, tuple, dict)) and node:
+        keyed = isinstance(node, dict)
+        fh.write("{" if keyed else "[")
+        for n, item in enumerate(sorted(node.items()) if keyed else node):
+            fh.write(("," if n else "") + inner + (_ENCODE(item[0]) + ": " if keyed else ""))
+            _write_json(fh, item[1] if keyed else item, inner)
+        fh.write(indent + ("}" if keyed else "]"))
+    else:
+        fh.write(_ENCODE(node))
+
+
 def dump_config(cfg: dict, path) -> None:
+    """Echo the configuration as canonical JSON (2-space indent, sorted keys, strict)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True, allow_nan=False)
+        _write_json(fh, cfg)
         fh.write("\n")
 
 
@@ -549,11 +571,12 @@ def _build(path: str, spec: dict, cls=None):
     return _named(path, fields, cls, **{k: v for k, v in spec.items() if k != "type"})
 
 
-def _build_policy(cfg: dict, age_grid: AgeGrid, time_grid: TimeGrid) -> np.ndarray:
-    """The configured policy as one frozen (3, n_steps + 1, n_age) array, rows c, theta, eta."""
+def policy_blocks(cfg: dict) -> np.ndarray:
+    """The configured policy's (3, n_time_blocks, n_age_blocks) block values, rows c,
+    theta, eta; a preset is one block at the default levels (theta 0 for full_lockdown)."""
     pol = cfg["policy"]
-    if pol["preset"] == "full_lockdown":  # a preset is one block at the default levels
-        pol = {**pol, "theta_level": 0.0}  # but this theta
+    if pol["preset"] == "full_lockdown":
+        pol = {**pol, "theta_level": 0.0}
     _check_blocks(cfg, "policy")
     shape = (pol["n_time_blocks"], pol["n_age_blocks"])
 
@@ -566,10 +589,7 @@ def _build_policy(cfg: dict, age_grid: AgeGrid, time_grid: TimeGrid) -> np.ndarr
                                      f"!= {shape}")
         return blocks
 
-    policy = expand_blocks(np.stack([table("c"), table("theta"), table("eta")]),
-                           time_grid, age_grid)
-    policy.flags.writeable = False
-    return policy
+    return np.stack([table("c"), table("theta"), table("eta")])
 
 
 def build_scenario(cfg: dict) -> Scenario:
@@ -608,7 +628,8 @@ def build_scenario(cfg: dict) -> Scenario:
 
     space = _named("epidemic", {"floor": "weight_floor"}, epi.hilbert_space_for, params,
                    floor=ep["weight_floor"])
-    policy = _build_policy(cfg, age_grid, time_grid)
+    policy = expand_blocks(policy_blocks(cfg), time_grid, age_grid)
+    policy.flags.writeable = False
     return Scenario(age_grid=age_grid, time_grid=time_grid, epi=params, econ=econ,
                     obj=obj, initial=initial, K0=ec["K0"], policy=policy,
                     search=search, space=space, n_floor_rel=ep["n_floor_rel"])

@@ -1,8 +1,9 @@
 """Controlled age-structured SIR dynamics.
 
 State representation, force of infection, saturation-dependent infected
-mortality, the one-step update, and full trajectory simulation: one policy,
-or a stack of policies stepped together as a batch whose rows fail apart.
+mortality, the one-step update, and the one stepping loop: one policy, or a
+stack of policies stepped together as a batch whose rows fail apart, keeping
+every state (trajectory simulation) or only per-node scalars (scoring).
 
 The stepper follows characteristics on the cohort-aligned grid (dt = da):
 within a step every cohort decays by exact exponentials with rates frozen
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import economy
 from .errors import ConfigurationError, ExtinctPopulation, ModelError, NonFiniteState
-from .grid import AgeGrid, RankOneKernel, TimeGrid, _nonnegative
+from .grid import AgeGrid, RankOneKernel, TimeGrid, _nonnegative, block_layout
 from .hilbert import DEFAULT_WEIGHT_FLOOR, HilbertSpace
 
 
@@ -140,8 +141,7 @@ def extinction_check(n_total, n_floor: float) -> None:
         raise _extinct(np.ravel(n_total)[low[0]], n_floor)
 
 
-def force_of_infection(i: np.ndarray, n_total: float, theta_t, eta_t, m, da: float,
-                       n_floor: float | None = 0.0) -> np.ndarray:
+def force_of_infection(i: np.ndarray, n_total, theta_t, eta_t, m, da: float) -> np.ndarray:
     """Age-specific infection hazard of the controlled dynamics.
 
     lambda(a) = theta(a)/N * int m(a, tau) theta(tau) eta(tau) i(tau) dtau, with
@@ -149,12 +149,10 @@ def force_of_infection(i: np.ndarray, n_total: float, theta_t, eta_t, m, da: flo
     theta = eta = 1 this is the uncontrolled force of infection.  theta or
     eta may be a (L, n_age) stack of slices; each row of the result equals
     the hazard of that slice alone.  A node stack puts the node axis first,
-    with i and ``n_total`` shaped to broadcast against the rows; its caller
-    passes ``n_floor=None`` and makes the floor test once per node
-    (:func:`extinction_check`).
+    with i and ``n_total`` shaped to broadcast against the rows.  The
+    extinction floor is its callers' test, made once per node
+    (:func:`extinction_check`, or the stepping kernel's failure report).
     """
-    if n_floor is not None and n_total <= n_floor:
-        extinction_check(n_total, n_floor)
     u = theta_t * eta_t * i
     if isinstance(m, RankOneKernel):
         contact = m @ u
@@ -190,7 +188,7 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     s, i, r = x[..., 0, :], x[..., 1, :], x[..., 2, :]
     n = s + i + r
     n_total = da * n.sum(axis=-1)
-    lam = force_of_infection(i, n_total[..., None], theta_t, eta_t, params.m, da, None)
+    lam = force_of_infection(i, n_total[..., None], theta_t, eta_t, params.m, da)
     Xi = critical_load(i, params, da)
     mu_i = infection_mortality(params, Xi)
     L = economy.labor_supply((s, i, r), theta_t, econ, da)
@@ -296,19 +294,17 @@ class Trajectory:
         return self.time_grid.times
 
 
-def _checked_run(initial: EpiState, K0, policies, econ: economy.EconParams,
-                 time_grid: TimeGrid, n_floor_rel) -> np.ndarray:
-    """The arguments of a run, checked once: returns ``policies`` as a float array.
+def _checked_run(initial: EpiState, K0, u: np.ndarray, econ: economy.EconParams,
+                 time_grid: TimeGrid, n_floor_rel) -> None:
+    """The arguments of a run, checked once.
 
-    ``policies`` is a (B, 3, n_nodes, n_age) stack, checked for the control box.
+    ``u`` is the float (B, 3, ., .) stack of controls, policies or their
+    blocks, checked for the control box (blocks hold the values they expand to).
     """
     grid = initial.grid
     if abs(time_grid.dt - grid.da) > 1e-15 * max(1.0, grid.da):
         raise ConfigurationError(
             f"time step {time_grid.dt} must equal the age cell width {grid.da}")
-    u = np.asarray(policies, dtype=np.float64)
-    if u.shape[1:] != (3, time_grid.n_steps + 1, grid.n_age) or not len(u):
-        raise ConfigurationError("policy surfaces do not match the grids")
     lo, hi = u.min(axis=(0, 2, 3)), u.max(axis=(0, 2, 3))  # per control; a NaN reaches both
     for name, finite in zip(("c", "theta", "eta"), np.isfinite(lo) & np.isfinite(hi)):
         if not finite:
@@ -325,7 +321,83 @@ def _checked_run(initial: EpiState, K0, policies, econ: economy.EconParams,
     if not (np.isfinite(n_floor_rel) and n_floor_rel >= 0):
         raise ConfigurationError(
             f"extinction floor n_floor_rel must be finite and >= 0, got {n_floor_rel}")
-    return u
+
+
+@dataclass(eq=False)
+class BatchRun:
+    """What one stepping loop keeps of B runs, one row per run.
+
+    ``X`` holds every state, (B, n_steps + 1, 3, n_age), or only the last
+    one stepped, (B, 3, n_age); ``K`` (B, n_steps + 1); ``agg`` the seven
+    aggregates N, Xi, deaths flow, L, Y, C, D_cost, (7, B, n_steps + 1);
+    ``flow`` the per-node values of the caller's ``flow`` hook, or None;
+    ``errors`` maps each failed row to its ModelError (its values are
+    meaningless); and the capital summary per row.
+    """
+
+    X: np.ndarray
+    K: np.ndarray
+    agg: np.ndarray
+    flow: np.ndarray | None
+    errors: dict
+    feasible: np.ndarray
+    k_violation: np.ndarray
+    min_K: np.ndarray
+
+
+def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
+         econ: economy.EconParams, time_grid: TimeGrid, n_floor_rel: float,
+         keep_states: bool, flow=None) -> BatchRun:
+    """The stepping loop: B runs from ``initial`` and ``K0`` stepped together through
+    :func:`_node`, ``controls(k)`` giving the (B, 3, n_age) control slices at node k.
+
+    ``keep_states`` keeps every state, else only two nodes' are held.
+    ``flow(x, c, theta)``, if given, is evaluated on each node's running rows
+    and kept per node.  A failed row leaves the batch at its failing step,
+    its ModelError with ``step_index`` set; the others go on, each bit for
+    bit its single run, and a batch of one steps its row as one state.
+    """
+    grid, n_steps = initial.grid, time_grid.n_steps
+    n_floor = n_floor_rel * initial.total_population()
+    da, dt = grid.da, time_grid.dt
+
+    X = np.empty((B, n_steps + 1, 3, grid.n_age) if keep_states else (2, B, 3, grid.n_age))
+    state = (lambda k: X[:, k]) if keep_states else (lambda k: X[k % 2])
+    state(0)[:] = initial.as_triple()
+    K = np.empty((B, n_steps + 1))
+    K[:, 0] = K0
+    agg = np.empty((7, B, n_steps + 1))  # N, Xi, deaths, L, Y, C, D_cost
+    flows = None if flow is None else np.empty((B, n_steps + 1))
+    errors = {}
+    rows = np.arange(B)  # the rows still running
+    every = 0 if B == 1 else slice(None)
+    with np.errstate(all="ignore"):
+        for k in range(n_steps + 1):
+            whole = len(rows) == B
+            at = every if whole else rows
+            x, u = state(k)[at], controls(k)[at]
+            out = None
+            if k < n_steps:
+                out = state(k + 1)[at] if whole else np.empty((len(rows), 3, grid.n_age))
+            agg[:, at, k], K1, failed = _node(x, K[at, k], u[..., 0, :], u[..., 1, :],
+                                              u[..., 2, :], params, econ, da, dt, n_floor, out)
+            if flows is not None:
+                flows[at, k] = flow(x, u[..., 0, :], u[..., 1, :])
+            if out is not None:
+                K[at, k + 1] = K1
+                if not whole:
+                    state(k + 1)[rows] = out
+            if failed:
+                for j, err in failed.items():
+                    err.step_index = k
+                    errors[int(rows[j])] = err
+                rows = np.delete(rows, list(failed))
+                if not len(rows):
+                    break
+        neg = np.maximum(0.0, -K[:, 1:])
+        return BatchRun(X=X if keep_states else state(n_steps), K=K, agg=agg, flow=flows,
+                        errors=errors, feasible=np.all(K >= 0.0, axis=-1),
+                        k_violation=dt * (neg * neg).sum(axis=-1), min_K=K.min(axis=-1))
 
 
 def simulate_batch(initial: EpiState, K0: float, policies: np.ndarray, params: EpiParams,
@@ -339,51 +411,47 @@ def simulate_batch(initial: EpiState, K0: float, policies: np.ndarray, params: E
     raises, with ``step_index`` set.  A failed row leaves the batch at its
     failing step; the others go on, each bit for bit its single run.
     """
-    u = _checked_run(initial, K0, policies, econ, time_grid, n_floor_rel)
-    grid, n_steps = initial.grid, time_grid.n_steps
-    n_floor = n_floor_rel * initial.total_population()
-    da, dt = grid.da, time_grid.dt
-    B = len(u)
-
-    X = np.empty((B, n_steps + 1, 3, grid.n_age))
-    X[:, 0] = initial.as_triple()
-    K = np.empty((B, n_steps + 1))
-    K[:, 0] = K0
-    agg = np.empty((7, B, n_steps + 1))  # N, Xi, deaths, L, Y, C, D_cost
-    errors = {}
-    rows = np.arange(B)  # the rows still running
-    every = 0 if B == 1 else slice(None)  # a batch of one steps its row as one state
-    with np.errstate(all="ignore"):
-        for k in range(n_steps + 1):
-            whole = len(rows) == B
-            at = every if whole else rows
-            out = None
-            if k < n_steps:
-                out = X[at, k + 1] if whole else np.empty((len(rows), 3, grid.n_age))
-            agg[:, at, k], K1, failed = _node(X[at, k], K[at, k], u[at, 0, k], u[at, 1, k],
-                                              u[at, 2, k], params, econ, da, dt, n_floor, out)
-            if out is not None:
-                K[at, k + 1] = K1
-                if not whole:
-                    X[rows, k + 1] = out
-            if failed:
-                for j, err in failed.items():
-                    err.step_index = k
-                    errors[int(rows[j])] = err
-                rows = np.delete(rows, list(failed))
-                if not len(rows):
-                    break
-        neg = np.maximum(0.0, -K[:, 1:])
-        k_violation = dt * (neg * neg).sum(axis=-1)
-        feasible = np.all(K >= 0.0, axis=-1)
-        min_K = K.min(axis=-1)
-    N, Xi, deaths, L, Y, C, D_cost = agg
-    return [errors[b] if b in errors else
-            Trajectory(X=X[b], initial=initial, K=K[b], time_grid=time_grid, N=N[b],
+    u = np.asarray(policies, dtype=np.float64)
+    if u.shape[1:] != (3, time_grid.n_steps + 1, initial.grid.n_age) or not len(u):
+        raise ConfigurationError("policy surfaces do not match the grids")
+    _checked_run(initial, K0, u, econ, time_grid, n_floor_rel)
+    run = _run(initial, K0, lambda k: u[:, :, k], len(u), params, econ, time_grid,
+               n_floor_rel, keep_states=True)
+    N, Xi, deaths, L, Y, C, D_cost = run.agg
+    return [run.errors[b] if b in run.errors else
+            Trajectory(X=run.X[b], initial=initial, K=run.K[b], time_grid=time_grid, N=N[b],
                        Xi=Xi[b], L=L[b], Y=Y[b], C=C[b], D_cost=D_cost[b],
-                       deaths_flow=deaths[b], feasible=bool(feasible[b]),
-                       k_violation=float(k_violation[b]), min_K=float(min_K[b]))
-            for b in range(B)]
+                       deaths_flow=deaths[b], feasible=bool(run.feasible[b]),
+                       k_violation=float(run.k_violation[b]), min_K=float(run.min_K[b]))
+            for b in range(len(u))]
+
+
+def run_blocks(initial: EpiState, K0: float, blocks: np.ndarray, params: EpiParams,
+               econ: economy.EconParams, time_grid: TimeGrid, n_floor_rel: float = 1e-9,
+               flow=None) -> BatchRun:
+    """Run each policy of a (B, 3, n_time_blocks, n_age_blocks) block stack, keeping
+    no trajectory: :func:`_run` with only the last states held.
+
+    Each step's control slices are expanded from the blocks as
+    :func:`grid.expand_blocks` places them, so the (B, 3, n_steps + 1, n_age)
+    policy stack is never built; each row is bit for bit the run of its
+    expanded policy.  The blocks are checked as :func:`simulate` checks a policy.
+    """
+    u = np.asarray(blocks, dtype=np.float64)
+    if u.ndim != 4 or u.shape[1] != 3 or not len(u):
+        raise ConfigurationError("policy blocks must be a (B, 3, n_time_blocks, "
+                                 "n_age_blocks) stack")
+    nodes, width = block_layout(*u.shape[2:], time_grid, initial.grid)
+    _checked_run(initial, K0, u, econ, time_grid, n_floor_rel)
+    held = [None, None]  # the time block whose slices are expanded, and those slices
+
+    def controls(k):
+        if held[0] != nodes[k]:
+            held[:] = nodes[k], np.repeat(u[:, :, nodes[k]], width, axis=-1)
+        return held[1]
+
+    return _run(initial, K0, controls, len(u), params, econ, time_grid, n_floor_rel,
+                keep_states=False, flow=flow)
 
 
 def simulate(initial: EpiState, K0: float, policy: np.ndarray, params: EpiParams,

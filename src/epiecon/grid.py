@@ -145,21 +145,28 @@ def table_kernel(grid: AgeGrid, values) -> np.ndarray:
     return _nonnegative(values, (grid.n_age, grid.n_age), "contact kernel table")
 
 
-def expand_blocks(block_values: np.ndarray, time_grid: TimeGrid, age_grid: AgeGrid) -> np.ndarray:
-    """Expand (..., n_time_blocks, n_age_blocks) values to a (..., n_steps + 1, n_age) surface.
-
-    Leading axes are kept, so the (3, ...) c, theta, eta blocks of a policy
-    expand in one call.  Blocks must divide both meshes evenly.  The terminal
-    time node reuses the last time block.  The surface is one C-ordered
-    allocation, taken from the blocks repeated along the age axis.
-    """
-    bv = np.asarray(block_values, dtype=np.float64)
-    ntb, nab = bv.shape[-2:]
+def block_layout(n_time_blocks: int, n_age_blocks: int, time_grid: TimeGrid,
+                 age_grid: AgeGrid):
+    """Where the blocks sit on the grids: each time node's time block, and the age
+    cells per age block.  Blocks must divide both meshes evenly; the terminal
+    time node reuses the last time block."""
+    ntb, nab = n_time_blocks, n_age_blocks
     n_steps, n_age = time_grid.n_steps, age_grid.n_age
     if n_age % nab != 0:
         raise ConfigurationError(f"{nab} age blocks do not divide n_age = {n_age}")
     if n_steps % ntb != 0:
         raise ConfigurationError(f"{ntb} time blocks do not divide n_steps = {n_steps}")
-    rows = np.repeat(bv, n_age // nab, axis=-1)
-    nodes = np.append(np.repeat(np.arange(ntb), n_steps // ntb), ntb - 1)
-    return rows.take(nodes, axis=-2)  # unlike rows[..., nodes, :], C-ordered
+    return np.append(np.repeat(np.arange(ntb), n_steps // ntb), ntb - 1), n_age // nab
+
+
+def expand_blocks(block_values: np.ndarray, time_grid: TimeGrid, age_grid: AgeGrid) -> np.ndarray:
+    """Expand (..., n_time_blocks, n_age_blocks) values to a (..., n_steps + 1, n_age) surface.
+
+    Leading axes are kept, so the (3, ...) c, theta, eta blocks of a policy
+    expand in one call.  The blocks sit as :func:`block_layout` places them.
+    The surface is one C-ordered allocation, taken from the blocks repeated
+    along the age axis.
+    """
+    bv = np.asarray(block_values, dtype=np.float64)
+    nodes, width = block_layout(*bv.shape[-2:], time_grid, age_grid)
+    return np.repeat(bv, width, axis=-1).take(nodes, axis=-2)  # unlike [..., nodes, :], C-ordered

@@ -176,8 +176,7 @@ def h1_evaluator(x, K, costate: CostateField, scenario: Scenario, reward: bool =
         stacked = max(np.ndim(theta_t), np.ndim(eta_t)) == 3
         c_t, theta_t, eta_t = (u if np.ndim(u) == 3 else u[:, None]
                                for u in (c_t, theta_t, eta_t))
-        lam_s = epi.force_of_infection(i, n_total, theta_t, eta_t, params.m, da,
-                                       n_floor=None) * s
+        lam_s = epi.force_of_infection(i, n_total, theta_t, eta_t, params.m, da) * s
         Y = econ.F(K, economy.labor_supply(state, theta_t, econ, da))
         val = -(da * (lam_s * p1 * space.w1).sum(axis=-1))
         val += da * (lam_s * p2).sum(axis=-1)

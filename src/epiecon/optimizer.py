@@ -2,11 +2,12 @@
 
 The policy is parameterized by piecewise-constant blocks over the age-time
 grid.  Gradients are finite differences of the penalized objective at block
-granularity; the probes of one gradient run as batched simulations (one
-row per probe, each row bit for bit its single run), the ascent is
-projected onto the control box with backtracking line search, and the
-capital positivity constraint enters through a smooth quadratic penalty.
-Everything is deterministic given the configuration and seed.
+granularity.  The probes of one gradient and each line-search trial are
+scored from their block values without keeping a trajectory
+(``Scenario.score``; one row per probe, each bit for bit its single run).
+The ascent is projected onto the control box with backtracking line search,
+and the capital positivity constraint enters through a smooth quadratic
+penalty.  Everything is deterministic given the configuration and seed.
 """
 
 from __future__ import annotations
@@ -74,6 +75,14 @@ def _project_blocks(blocks: np.ndarray, c_max: float) -> np.ndarray:
     return np.clip(blocks, 0.0, np.array([c_max, 1.0, 1.0])[:, None, None])
 
 
+def _penalized(report, penalty: float):
+    """The objective the search ascends: the target value minus penalty times the
+    capital violation, from an EvalReport; a ModelError is passed through."""
+    if isinstance(report, ModelError):
+        return report
+    return report.value - penalty * report.violation
+
+
 def penalized_objective(policy: np.ndarray, scenario: Scenario,
                         penalty: float = 1e6):
     """Target value minus the quadratic capital-negativity penalty, and the trajectory.
@@ -81,10 +90,11 @@ def penalized_objective(policy: np.ndarray, scenario: Scenario,
     Feasible trajectories return the target exactly; the penalty term
     penalty * sum_k max(0, -K_k)^2 dt has zero value and slope at K = 0.
     Returns (value, trajectory); the violation is ``trajectory.k_violation``.
+    The search itself scores block values with ``Scenario.score``, which
+    keeps no trajectory and gives the same value bit for bit.
     """
     traj = scenario.simulate(policy)
-    report = scenario.evaluate(policy, traj)
-    return report.value - penalty * report.violation, traj
+    return _penalized(scenario.evaluate(policy, traj), penalty), traj
 
 
 @dataclass
@@ -102,26 +112,6 @@ class OptimReport:
     seed: int = 0
 
 
-def _safe_objective(blocks: np.ndarray, scenario: Scenario,
-                    config: OptimizerConfig):
-    """(objective, trajectory, None) at block values; (None, None, error) on model failure."""
-    try:
-        policy = expand_blocks(blocks, scenario.time_grid, scenario.age_grid)
-        return (*penalized_objective(policy, scenario, config.penalty), None)
-    except ModelError as err:
-        return None, None, err
-
-
-# Most cells (rows x 3 x (n_steps + 1) x n_age) in one chunk of finite-difference
-# probes; a chunk holds its expanded policies and its trajectory states, each at
-# most this many floats (400 KB).  At n_age 100 and 20 steps (8 rows a chunk,
-# 6 chunks a gradient) the optimize command ran in 80-105 ms against 215-235 ms
-# for the serial probes (in-process medians of 9, shared 2-vCPU Xeon host), at
-# +0.7 MB peak RSS over 43 MB; 10 rows a chunk took +1.0 MB and all 48 rows in
-# one +4.6 MB, for the same speed within the noise.
-_PROBE_CELLS = 51_200
-
-
 def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig):
     """Per-block finite-difference gradient of the penalized objective.
 
@@ -131,9 +121,10 @@ def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig)
     active bounds.  Forward mode probes upward unless the box blocks it and
     takes the base point as the other end.  The probes (the base point
     first in forward mode) form one (P, 3, n_time_blocks, n_age_blocks)
-    stack, expanded and simulated as batches of rows (``_PROBE_CELLS``);
-    each row is its single run.  Failed probes contribute a zero component
-    and a recorded warning naming the block, as ``theta[0, 1]``.
+    stack, scored by ``Scenario.score`` in batches of rows, which keeps no
+    trajectory; each row's score is bit for bit its single run's.  Failed
+    probes contribute a zero component and a recorded warning naming the
+    block, as ``theta[0, 1]``.
     """
     grads = np.zeros_like(blocks)
     forward = config.grad_mode == "forward"
@@ -164,18 +155,10 @@ def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig)
         if idx is not None:
             stack[(p, *idx)] = x
 
-    tg, ag = scenario.time_grid, scenario.age_grid
-    chunk = max(1, _PROBE_CELLS // (3 * (tg.n_steps + 1) * ag.n_age))
-    scores = []  # penalized objective of each probe row, or its ModelError
-    for lo in range(0, len(probes), chunk):
-        policies = expand_blocks(stack[lo:lo + chunk], tg, ag)
-        for policy, run in zip(policies, scenario.simulate_batch(policies)):
-            if not isinstance(run, ModelError):
-                report = scenario.evaluate(policy, run)
-                run = report.value - config.penalty * report.violation
-            scores.append(run)
-        if forward and isinstance(scores[0], ModelError):
-            return grads, [f"base point: probe failed: {scores[0]}"]
+    # the penalized objective of each probe row, or its ModelError
+    scores = [_penalized(report, config.penalty) for report in scenario.score(stack)]
+    if forward and isinstance(scores[0], ModelError):
+        return grads, [f"base point: probe failed: {scores[0]}"]
 
     warnings = []
     for idx, up, down, ends in plan:
@@ -205,14 +188,15 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
     blocks = _project_blocks(blocks, scenario.search.c_max)
     all_warnings = []
 
-    f, traj, err = _safe_objective(blocks, scenario, config)
-    if f is None:
+    report, = scenario.score(blocks[None])
+    f = _penalized(report, config.penalty)
+    if isinstance(report, ModelError):
         raise InfeasibleStart("objective undefined at the initial policy "
-                              f"(model error at step {err.step_index}: {err})")
+                              f"(model error at step {report.step_index}: {report})")
 
-    initial_blocks, initial_traj = blocks, traj
+    initial_blocks = blocks
     trace = [f]
-    viol_trace = [traj.k_violation]
+    viol_trace = [report.violation]
     converged = False
     n_iters = 0
 
@@ -226,8 +210,9 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
         accepted = False
         for _bt in range(config.max_backtracks + 1):
             trial = _project_blocks(blocks + step_size * grads, scenario.search.c_max)
-            ft, trial_traj, _ = _safe_objective(trial, scenario, config)
-            if ft is not None and ft > f:
+            trial_report, = scenario.score(trial[None])
+            ft = _penalized(trial_report, config.penalty)
+            if not isinstance(ft, ModelError) and ft > f:
                 accepted = True
                 break
             step_size *= config.backtrack
@@ -236,9 +221,9 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
             break
         n_iters += 1
         rel_change = abs(ft - f) / max(abs(f), 1.0)
-        blocks, f, traj = trial, ft, trial_traj
+        blocks, f, report = trial, ft, trial_report
         trace.append(f)
-        viol_trace.append(traj.k_violation)
+        viol_trace.append(report.violation)
         if rel_change < config.tol:
             converged = True
             break
@@ -246,8 +231,10 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
     tg, ag = scenario.time_grid, scenario.age_grid
     final_policy = expand_blocks(blocks, tg, ag)
     gap_initial = gap_final = None
-    if value_function is not None:
+    if value_function is not None:  # the certificate reads both trajectories: run them again
         initial_policy = expand_blocks(initial_blocks, tg, ag)
+        initial_traj = scenario.simulate(initial_policy)
+        traj = scenario.simulate(final_policy)
         gaps0 = hamiltonian_gap_profile(value_function, initial_policy, initial_traj,
                                         scenario)
         gaps1 = hamiltonian_gap_profile(value_function, final_policy, traj, scenario)
@@ -256,7 +243,7 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
 
     return OptimReport(objective_trace=trace, violation_trace=viol_trace,
                        blocks=blocks, policy=final_policy,
-                       feasible=traj.feasible, converged=converged,
+                       feasible=report.feasible, converged=converged,
                        n_iters=n_iters, warnings=all_warnings,
                        integrated_gap_initial=gap_initial,
                        integrated_gap_final=gap_final, seed=config.seed)

@@ -35,11 +35,12 @@ class Scenario:
         return epi.simulate(self.initial, self.K0, policy, self.epi, self.econ,
                             self.time_grid, self.n_floor_rel)
 
-    def simulate_batch(self, policies: np.ndarray) -> list:
-        """Each policy of a (B, 3, n_steps + 1, n_age) stack run from this scenario's
-        start: one Trajectory or ModelError per row (see :func:`epi.simulate_batch`)."""
-        return epi.simulate_batch(self.initial, self.K0, policies, self.epi, self.econ,
-                                  self.time_grid, self.n_floor_rel)
+    def score(self, blocks: np.ndarray) -> list:
+        """Each policy of a (B, 3, n_time_blocks, n_age_blocks) block stack run from this
+        scenario's start and scored, keeping no trajectory: one EvalReport or
+        ModelError per row (see :func:`objectives.score_blocks`)."""
+        return objectives.score_blocks(blocks, self.initial, self.K0, self.epi, self.econ,
+                                       self.time_grid, self.n_floor_rel, self.obj)
 
     def evaluate(self, policy: np.ndarray | None = None,
                  traj: epi.Trajectory | None = None) -> objectives.EvalReport:

@@ -16,7 +16,7 @@ from epiecon.errors import ConfigurationError
 from epiecon.hamiltonian import validate_gradient
 from epiecon.objectives import ShiftedCRRAUtility
 from epiecon.optimizer import OptimizerConfig
-from util import MOVED_RULES, schema_with_rules
+from util import MOVED_RULES, looped_sweep, schema_with_rules
 
 
 def small_config(**grid_overrides):
@@ -645,17 +645,105 @@ def test_sweep_shares_config_read_only(tmp_path, monkeypatch):
     cfg = cfgmod.resolve_config(cfg)
     before = copy.deepcopy(cfg)
     seen = []
-    build = cfgmod.build_scenario
+    blocks = cfgmod.policy_blocks
 
-    def recording_build(point):
+    def recording_blocks(point):
         seen.append((point["policy"]["theta_level"], point["policy"]["eta_level"]))
         assert point["epidemic"] is cfg["epidemic"]  # off the override paths: shared
-        return build(point)
+        return blocks(point)
 
-    monkeypatch.setattr(cfgmod, "build_scenario", recording_build)
+    monkeypatch.setattr(cfgmod, "policy_blocks", recording_blocks)
     assert cli.cmd_sweep(cfg, tmp_path / "out") == 0
-    assert seen == [(th, et) for th in (0.25, 0.5, 1.0) for et in (0.0, 0.75)]
+    # the one scenario is built from the first point (its policy too), then each
+    # point's policy blocks are built
+    assert seen == [(0.25, 0.0)] + [(th, et) for th in (0.25, 0.5, 1.0) for et in (0.0, 0.75)]
     assert cfg == before
+
+
+# a swept axis's values, and a value its point rejects (schema, constructor or block count)
+_SWEEP_AXES = {
+    "policy.theta_level": ([0.0, 0.5, 1.0], 1.5),
+    "policy.eta_level": ([0.25, 1.0], -0.5),
+    "policy.c_level": ([0.1, 2.0, 8.0], -1.0),
+    "policy.n_time_blocks": ([1, 2, 4], 3),
+    "epidemic.contact.m0": ([0.5, 1.8, 4.0], -1.0),
+    "economy.K0": ([0.0, 100.0, 20.0], -1.0),
+    "objective.rho": ([0.08, 0.3], -0.1),
+}
+
+
+@st.composite
+def sweep_cases(draw):
+    """A resolved sweep config: policy-only, mixed or non-policy axes, a rank-one or
+    table kernel, one of J1 (truncated), J3, J5/J6 and a composite; floors that some
+    points reach (theta 1), capital that consumption 8 drives negative, and maybe
+    a rejected value at one point."""
+    cfg = small_config()
+    cfg["policy"] = {"preset": "blocks", "c_level": 0.1, "theta_level": 1.0, "eta_level": 1.0}
+    table = draw(st.booleans())
+    if table:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cfg["epidemic"]["contact"] = {"type": "table",
+                                      "values": rng.uniform(0.9, 2.7, (16, 16)).tolist()}
+    cfg["epidemic"]["n_floor_rel"] = draw(st.sampled_from([1e-9, 0.62]))
+    cfg["objective"] = draw(st.sampled_from([
+        {"which": "J1", "rho": 0.08, "T_num": 2.5}, {"which": "J3", "rho": 0.08},
+        {"which": "J6", "rho": 0.03, "composite": {"J5": 1.0, "J6": -20.0}},
+        {"which": "J1", "rho": 0.08, "composite": {"J1": 0.5, "J4": 1.0, "J6": -5.0}}]))
+    kind = draw(st.sampled_from(["policy", "mixed", "other"]))
+    policy_paths = [p for p in _SWEEP_AXES if p.startswith("policy.")]
+    other_paths = [p for p in _SWEEP_AXES if not p.startswith("policy.")
+                   and not (table and p == "epidemic.contact.m0")]
+    pools = {"policy": (policy_paths, policy_paths), "other": (other_paths, other_paths),
+             "mixed": (policy_paths, other_paths)}[kind]
+    paths = [draw(st.sampled_from(pool)) for pool in pools]
+    if draw(st.booleans()):
+        paths.reverse()
+    if paths[0] == paths[1]:
+        paths = paths[:1]
+    axes = [{"path": p, "values": list(_SWEEP_AXES[p][0])} for p in paths]
+    if draw(st.integers(0, 3)) == 0:
+        axis = draw(st.sampled_from(axes))
+        at = draw(st.integers(0, len(axis["values"]) - 1))
+        axis["values"][at] = _SWEEP_AXES[axis["path"]][1]
+    cfg["sweep"] = {"axes": axes}
+    return cfgmod.resolve_config(cfg)
+
+
+def _sweep_outcome(run, cfg, out):
+    """The error message of a rejected sweep, else its two tables as bytes."""
+    try:
+        run(copy.deepcopy(cfg), out)
+    except ConfigurationError as err:
+        return str(err)
+    return [(out / name).read_bytes() for name in ("sweep.csv", "sweep_details.csv")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=sweep_cases())
+def test_grouped_sweep_equals_looped_points(cfg):
+    # grouping points by scenario and scoring each group as one batch writes the
+    # per-point loop's tables byte for byte, and a rejected point raises its message
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        grouped = _sweep_outcome(cli.cmd_sweep, cfg, Path(tmp) / "grouped")
+        looped = _sweep_outcome(looped_sweep, cfg, Path(tmp) / "looped")
+    assert grouped == looped
+
+
+def test_mixed_sweep_parallel_matches_serial(tmp_path):
+    # a policy axis against an epidemic axis: one group per m0, spread over two workers
+    cfg = small_config()
+    cfg["policy"] = {"preset": "blocks", "c_level": 0.1, "theta_level": 1.0, "eta_level": 1.0}
+    cfg["sweep"] = {"axes": [{"path": "policy.theta_level", "values": [0.5, 1.0]},
+                             {"path": "epidemic.contact.m0", "values": [1.0, 2.0, 3.0]}]}
+    path = write_config(tmp_path, cfg)
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert cli.main(["sweep", "--config", str(path), "--out", str(serial)]) == 0
+    assert cli.main(["sweep", "--config", str(path), "--out", str(parallel),
+                     "--jobs", "2"]) == 0
+    for name in ("sweep.csv", "sweep_details.csv"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
 def test_sweep_requires_sweep_block(tmp_path, capsys):
@@ -696,6 +784,38 @@ def test_config_round_trip(tmp_path):
     first = json.loads(echoed.read_text())
     second = json.loads((out2 / "resolved_config.json").read_text())
     assert first == second
+
+
+_FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, 1e-310, 1e308, -1e308]))
+_JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40), _FLOAT,
+    st.text(max_size=8), st.sampled_from(["a, b", "[1, 2], 3", "Zürich, Genève", "\u2603, x"]))
+_JSON = st.recursive(_JSON_LEAF, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.dictionaries(st.text(max_size=6), children, max_size=4),
+    st.lists(st.one_of(st.integers(), _FLOAT), max_size=6),  # the C encoder's lists
+    st.lists(st.one_of(st.integers(), _FLOAT, st.booleans()), max_size=6)), max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=st.dictionaries(st.text(max_size=6), _JSON, max_size=6))
+def test_dump_config_writes_what_json_dump_writes(cfg, tmp_path_factory):
+    # the echo writer against the encoder it replaces: nested and empty lists and
+    # dicts, number lists with and without bools, separators and non-ASCII text in
+    # strings, signed zeros, subnormals, extreme and big numbers
+    path = tmp_path_factory.mktemp("echo") / "resolved_config.json"
+    cfgmod.dump_config(cfg, path)
+    want = json.dumps(cfg, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", ["number_list", "mixed_list", "value"])
+def test_dump_config_rejects_non_finite_numbers(tmp_path, bad, where):
+    cfg = {"number_list": {"a": [1.0, bad]}, "mixed_list": {"a": [True, bad]},
+           "value": {"a": bad}}[where]
+    with pytest.raises(ValueError):
+        cfgmod.dump_config(cfg, tmp_path / "resolved_config.json")
 
 
 def test_load_config_equals_resolve_config():

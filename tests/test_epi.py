@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epiecon as ee
+from epiecon import objectives
 
 from util import build_scenario, fit_order, random_block_policy, rk4_path, smooth_bump
 
@@ -86,9 +87,9 @@ def test_aggregate_stack_rows_equal_single_node_calls(seed, n_nodes, psi):
                                       i, mu_i).tobytes()
 
 
-def force_of_infection(state, theta_t, eta_t, params, n_floor=0.0):
+def force_of_infection(state, theta_t, eta_t, params):
     return ee.force_of_infection(state.i, state.total_population(), theta_t,
-                                 eta_t, params.m, state.grid.da, n_floor)
+                                 eta_t, params.m, state.grid.da)
 
 
 def test_force_of_infection_zero_cases():
@@ -106,12 +107,6 @@ def test_force_of_infection_constant_kernel():
     scen = build_scenario(n_age=16, m0=10.0, s0=0.99, i0=0.01)
     lam = force_of_infection(scen.initial, np.ones(16), np.ones(16), scen.epi)
     assert np.allclose(lam, 0.1, rtol=1e-12)
-
-
-def test_force_of_infection_extinction_guard():
-    scen = build_scenario(m0=1.0, s0=0.0, i0=0.0, r0=0.0)
-    with pytest.raises(ee.ExtinctPopulation):
-        force_of_infection(scen.initial, np.ones(16), np.ones(16), scen.epi, n_floor=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -548,6 +543,11 @@ def test_simulate_rejects_negative_densities():
 TRAJECTORY_ARRAYS = ("X", "K", "N", "Xi", "L", "Y", "C", "D_cost", "deaths_flow")
 
 
+def simulate_batch(scen, policies):
+    return ee.simulate_batch(scen.initial, scen.K0, policies, scen.epi, scen.econ,
+                             scen.time_grid, scen.n_floor_rel)
+
+
 def assert_same_run(row, single):
     """``row`` is ``single`` bit for bit: states, capital, the seven aggregates and
     the feasibility summary."""
@@ -591,7 +591,7 @@ def test_simulate_batch_rows_equal_single_runs(seed, table, production, power_ph
     policies = np.stack([random_block_policy(scen, rng, n_time_blocks=4, n_age_blocks=2,
                                              theta_range=(0.0, 1.0), eta_range=(0.0, 1.0),
                                              c_range=(0.0, 3.0)) for _ in range(batch)])
-    rows = scen.simulate_batch(policies)
+    rows = simulate_batch(scen, policies)
     assert len(rows) == batch
     for policy, row in zip(policies, rows):
         assert_same_run(row, scen.simulate(policy))
@@ -625,7 +625,7 @@ def test_simulate_batch_failed_rows_match_single_runs():
     scen, policies = _failing_rows()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = scen.simulate_batch(policies)
+        rows = simulate_batch(scen, policies)
         singles = []
         for policy in policies:
             try:
@@ -649,7 +649,7 @@ def test_simulate_batch_failed_rows_match_single_runs():
     assert str(rows[7]) == "capital update produced -inf"
 
 
-@pytest.mark.parametrize("run", ["simulate", "simulate_batch"])
+@pytest.mark.parametrize("run", ["simulate", "simulate_batch", "score"])
 @pytest.mark.parametrize("field, value", [("K0", np.nan), ("K0", np.inf), ("K0", -1.0),
                                           ("n_floor_rel", np.nan),
                                           ("n_floor_rel", -1e-9)])
@@ -661,5 +661,134 @@ def test_run_rejects_bad_start_arguments(run, field, value):
         with pytest.raises(ee.ConfigurationError, match=field):
             if run == "simulate":
                 scen.simulate()
+            elif run == "simulate_batch":
+                simulate_batch(scen, scen.policy[None])
             else:
-                scen.simulate_batch(scen.policy[None])
+                scen.score(np.ones((1, 3, 1, 1)))
+
+
+# ----------------------------------------------------------------------
+# scoring without trajectories: each row of Scenario.score is evaluate on its run
+# ----------------------------------------------------------------------
+
+def report_bytes(report):
+    """A score as bytes: an EvalReport's numbers (with their types) and flag, or a
+    ModelError's class, text and step."""
+    if isinstance(report, ee.ModelError):
+        return type(report).__name__, str(report), report.step_index
+
+    def exact(x):
+        return None if x is None else (type(x), np.float64(x).tobytes())
+
+    return (exact(report.value), report.feasible, exact(report.violation),
+            exact(report.tail_bound), {k: exact(v) for k, v in report.components.items()})
+
+
+def looped_scores(scen, blocks):
+    """Reference for ``Scenario.score``: evaluate(simulate(row)) for each expanded row."""
+    scores = []
+    for row in blocks:
+        policy = ee.expand_blocks(row, scen.time_grid, scen.age_grid)
+        try:
+            scores.append(scen.evaluate(policy, scen.simulate(policy)))
+        except ee.ModelError as err:
+            scores.append(err)
+    return scores
+
+
+def assert_scores_equal(scen, blocks, batch_rows=None):
+    """``scen.score(blocks)`` is the looped reference as bytes; ``batch_rows`` caps
+    the rows of one batch (None: the module's budget)."""
+    cells = objectives._BATCH_CELLS
+    if batch_rows is not None:
+        objectives._BATCH_CELLS = batch_rows * scen.age_grid.n_age
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = scen.score(blocks)
+    finally:
+        objectives._BATCH_CELLS = cells
+    want = looped_scores(scen, blocks)
+    assert [report_bytes(r) for r in scores] == [report_bytes(r) for r in want]
+    return scores
+
+
+_TARGETS = ("J1", "J2", "J3", "J4", "J5", "J6")
+
+
+@st.composite
+def objective_params(draw):
+    """One of the six targets or a composite, with the options that change their sums."""
+    which = draw(st.sampled_from(_TARGETS + ("composite",)))
+    composite = None
+    if which == "composite":
+        composite = draw(st.dictionaries(st.sampled_from(_TARGETS), st.floats(-5.0, 5.0),
+                                         min_size=2))
+        composite = {k: abs(w) if k == "J1" else w for k, w in composite.items()}
+        which = "J1"
+    utility = draw(st.one_of(
+        st.builds(ee.ShiftedCRRAUtility, u0=st.floats(0.0, 1.0), sigma=st.floats(0.1, 0.9),
+                  eps_c=st.floats(0.0, 0.1), w0=st.floats(0.1, 1.0)),
+        st.builds(ee.SeparableUtility, b=st.floats(0.0, 2.0))))
+    return ee.ObjectiveParams(
+        rho=draw(st.floats(0.01, 0.5)), utility=utility, which=which,
+        nu=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)),
+        T_num=draw(st.one_of(st.none(), st.floats(0.0, 6.0))),
+        j6_discounted=draw(st.booleans()), j6_sign=draw(st.sampled_from([1.0, -1.0])),
+        composite=composite)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), table=st.booleans(),
+       production=st.sampled_from(["linear", "ces", "cobb_douglas"]),
+       power_phi=st.booleans(), concave=st.booleans(), complement=st.booleans(),
+       batch=st.sampled_from([1, 2, 5]), shape=st.sampled_from([(1, 1), (2, 2), (4, 2), (8, 4)]),
+       obj=objective_params(), n_floor_rel=st.sampled_from([1e-9, 0.575, 0.5805]),
+       batch_rows=st.sampled_from([None, 1, 3]))
+def test_score_rows_equal_evaluate_on_single_runs(seed, table, production, power_phi,
+                                                  concave, complement, batch, shape, obj,
+                                                  n_floor_rel, batch_rows):
+    # the families of the batch test and every target; consumption up to 4.5
+    # drives capital below zero in about a quarter of the rows, and the raised
+    # floors (N falls to 0.57-0.58 of N0 as cohorts age out) stop some rows
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.2, 1.5, 16)
+    m0 = float(rng.uniform(0.5, 3.0))
+    kernel = m0 * np.outer(g, rng.uniform(0.2, 1.5, 16)) if table else ee.RankOneKernel(m0, g)
+    scen = core_scenario(
+        kernel, production=_production(production),
+        phi=ee.PowerLockdown(q=0.7) if power_phi else ee.AffineLockdown(ell=0.6),
+        congestion=(ee.ConcavePowerCongestion(d1=0.3, p=0.5) if concave
+                    else ee.LinearCongestion(d1=0.3)), n_floor_rel=n_floor_rel)
+    scen = dataclasses.replace(scen, obj=obj, econ=dataclasses.replace(
+        scen.econ, cost_complement=complement))
+    blocks = rng.uniform(0.0, 1.0, (batch, 3, *shape)) * np.array([4.5, 1.0, 1.0])[:, None, None]
+    assert_scores_equal(scen, blocks, batch_rows)
+
+
+@pytest.mark.parametrize("batch_rows", [None, 1, 3])
+@pytest.mark.parametrize("which", _TARGETS)
+def test_score_failed_rows_match_single_runs(which, batch_rows):
+    # the failures of the batch test, one time block per step: the floor at two
+    # steps, a non-finite state and a non-finite capital, among rows that succeed
+    scen, policies = _failing_rows()
+    scen = dataclasses.replace(scen, obj=dataclasses.replace(scen.obj, which=which))
+    blocks = np.ascontiguousarray(policies[:, :, :-1, :1])
+    scores = assert_scores_equal(scen, blocks, batch_rows)
+    kinds = [type(r).__name__ for r in scores]
+    assert kinds.count("EvalReport") >= 1
+    assert {"ExtinctPopulation", "NonFiniteState"} <= set(kinds)
+
+
+@pytest.mark.parametrize("row, value", [(0, -1.0), (1, 1.5), (2, -0.5), (1, np.nan)])
+def test_score_checks_the_box_on_the_blocks(row, value):
+    # the blocks hold the values their policy expands to: the same rejection
+    scen = core_scenario()
+    blocks = np.full((2, 3, 2, 2), 0.5)
+    blocks[1, row, 1, 0] = value
+    policy = ee.expand_blocks(blocks[1], scen.time_grid, scen.age_grid)
+    with pytest.raises(ee.ConfigurationError) as single:
+        scen.simulate(policy)
+    with pytest.raises(ee.ConfigurationError) as scored:
+        scen.score(blocks)
+    assert str(scored.value) == str(single.value)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epiecon as ee
-from epiecon import optimizer
+from epiecon import objectives
 from epiecon.optimizer import _project_blocks
 
 from util import build_scenario, looped_fd_gradient
@@ -245,13 +245,13 @@ def test_fd_gradient_failed_probe_zero_component_and_warning(mode, monkeypatch):
     # the downward theta probe of block (0, 1) fails; the upward one is clamped to 1
     scen = _epidemic_scenario()
     blocks = ee.block_means(scen.policy, 2, 2)
-    real = ee.Scenario.simulate_batch
+    real = ee.Scenario.score
 
-    def failing(scenario, policies):
-        return [ee.ModelError("boom") if policy[1, 0, -1] != 1.0 else run
-                for policy, run in zip(policies, real(scenario, policies))]
+    def failing(scenario, blocks):
+        return [ee.ModelError("boom") if row[1, 0, -1] != 1.0 else report
+                for row, report in zip(blocks, real(scenario, blocks))]
 
-    monkeypatch.setattr(ee.Scenario, "simulate_batch", failing)
+    monkeypatch.setattr(ee.Scenario, "score", failing)
     grads, warns = ee.fd_gradient(blocks, scen, ee.OptimizerConfig(grad_mode=mode))
     assert warns == ["theta[0, 1]: probe failed: boom"]
     assert grads[1, 0, 1] == 0.0
@@ -263,9 +263,9 @@ def test_fd_gradient_failed_probe_zero_component_and_warning(mode, monkeypatch):
        ntb=st.sampled_from([1, 2, 4]), nab=st.sampled_from([1, 2]),
        chunk=st.sampled_from([None, 1, 3]))
 def test_fd_gradient_equals_looped_probes(seed, mode, ntb, nab, chunk):
-    # the batched probes give the per-probe loop's gradient and warnings bit for
-    # bit; ``chunk`` caps the rows per batch (None: the module's budget), so an
-    # odd probe count spans chunk boundaries
+    # the scored probes give the per-probe loop's gradient and warnings bit for
+    # bit; ``chunk`` caps the rows per batch (None: the scorer's budget), so an
+    # odd probe count spans batch boundaries
     rng = np.random.default_rng(seed)
     scen = _epidemic_scenario()
     blocks = _project_blocks(np.stack([rng.uniform(0.0, 1.0, (ntb, nab)),
@@ -273,13 +273,13 @@ def test_fd_gradient_equals_looped_probes(seed, mode, ntb, nab, chunk):
                                        rng.uniform(0.0, 1.0, (ntb, nab))]),
                              scen.search.c_max)
     cfg = ee.OptimizerConfig(grad_mode=mode, fd_eps_theta=1e-3, fd_eps_eta=1e-3)
-    cells = optimizer._PROBE_CELLS
+    cells = objectives._BATCH_CELLS
     if chunk is not None:
-        optimizer._PROBE_CELLS = chunk * 3 * (scen.time_grid.n_steps + 1) * scen.age_grid.n_age
+        objectives._BATCH_CELLS = chunk * scen.age_grid.n_age
     try:
         grads, warns = ee.fd_gradient(blocks, scen, cfg)
     finally:
-        optimizer._PROBE_CELLS = cells
+        objectives._BATCH_CELLS = cells
     want, want_warns = looped_fd_gradient(blocks, scen, cfg)
     assert grads.tobytes() == want.tobytes()
     assert warns == want_warns

@@ -12,6 +12,7 @@ import copy
 import numpy as np
 
 import epiecon as ee
+from epiecon import cli, config as cfgmod
 
 
 # ----------------------------------------------------------------------
@@ -293,3 +294,27 @@ def looped_fd_gradient(blocks, scenario, config):
         if f_up is not None and f_down is not None:
             grads[idx] = (f_up - f_down) / (up - down)
     return grads, warnings
+
+
+# ----------------------------------------------------------------------
+# serial reference of the grouped sweep
+# ----------------------------------------------------------------------
+
+def looped_sweep(cfg, out_dir):
+    """Reference for ``cli.cmd_sweep``: one scenario built, simulated and evaluated
+    per point, in point order; writes the same tables."""
+    axes = cfg["sweep"]["axes"]
+    points = [(v0, v1) for v0 in axes[0]["values"]
+              for v1 in (axes[1]["values"] if len(axes) > 1 else [None])]
+    results = []
+    for point in points:
+        overrides = [(axis["path"], value) for axis, value in zip(axes, point)]
+        scenario = cfgmod.build_scenario(cli._sweep_point(cfg, overrides))
+        try:
+            report = scenario.evaluate()
+            results.append({"value": report.value, "feasible": report.feasible,
+                            "violation": report.violation, "error": None})
+        except ee.ModelError as err:
+            results.append({"value": None, "feasible": False, "violation": None,
+                            "error": str(err)})
+    return cli._write_sweep(cfg, out_dir, points, results)

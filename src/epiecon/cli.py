@@ -245,18 +245,18 @@ def cmd_check(cfg, out_dir=None) -> int:
     gap = {"min": float(gaps.min()), "max": float(gaps.max()),
            "integrated": integrated_gap(gaps, traj, scenario.obj)}
 
-    # transversality over extended horizons (last policy row held)
-    trajs = []
-    for mult in ver["horizon_multipliers"]:
-        n_steps_m = int(round(n_steps * mult))
-        if n_steps_m == n_steps:  # the configured horizon: that run is traj
-            trajs.append(traj)
-            continue
-        tg = TimeGrid.aligned(scenario.age_grid, t0=scenario.time_grid.t0,
-                              n_steps=n_steps_m)
-        trajs.append(dataclasses.replace(scenario, time_grid=tg).simulate(
-            scenario.policy[:, np.minimum(np.arange(n_steps_m + 1), n_steps)]))
-    tv = transversality_check(v, trajs, scenario.obj.rho)
+    # transversality over extended horizons, the last policy row held: each horizon's
+    # run is, bit for bit, a prefix of the longest one, so that one run serves them all
+    steps = [int(round(n_steps * mult)) for mult in ver["horizon_multipliers"]]
+    tg = TimeGrid.aligned(scenario.age_grid, t0=scenario.time_grid.t0, n_steps=max(steps))
+    longest = traj
+    if tg.n_steps > n_steps:
+        longest = dataclasses.replace(scenario, time_grid=tg).simulate(
+            scenario.policy[:, np.minimum(np.arange(tg.n_steps + 1), n_steps)])
+    heads = [dataclasses.replace(longest, X=longest.X[:n + 1], K=longest.K[:n + 1],
+                                 time_grid=dataclasses.replace(tg, n_steps=n))
+             for n in steps]  # cut to each horizon: all that transversality_check reads
+    tv = transversality_check(v, heads, scenario.obj.rho)
     transversality = {"horizons": [float(x) for x in tv.horizons],
                       "weighted_values": [float(x) for x in tv.weighted_values],
                       "exponent": tv.exponent, "decaying": tv.decaying}

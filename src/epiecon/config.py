@@ -3,8 +3,9 @@
 A configuration is one JSON document.  Age-dependent coefficients are given
 either as literal tables (one value per cell) or as named parametric
 families sampled at grid construction.  Validation is strict: the schema
-checks shape, each value rule lives in the constructor of the object it
-configures, and every error names the offending field path.
+checks shape (``validate_config``, one walker over the JSON tree for the
+keywords ``SCHEMA`` uses), each value rule lives in the constructor of the
+object it configures, and every error names the offending field path.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import copy
 import dataclasses
 import json
 import math
+import operator
 import re
 
-import jsonschema
 import numpy as np
 
 from . import economy, epi, objectives
@@ -351,28 +352,84 @@ def _merge_defaults(cfg, defaults) -> None:
             _merge_defaults(cfg[key], val)
 
 
-def _error_path(err: jsonschema.ValidationError) -> str:
-    path = ".".join(str(p) for p in err.absolute_path)
-    if err.validator == "required":
-        missing = err.message.split("'")[1]
-        path = f"{path}.{missing}" if path else missing
-    return path or "<root>"
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
+# keyword -> (the JSON type it checks, the test that breaks it, the message)
+_LIMITS = {"minimum": ("number", operator.lt, "is less than the minimum"),
+           "exclusiveMinimum": ("number", operator.le, "is less than or equal to the minimum"),
+           "maximum": ("number", operator.gt, "is greater than the maximum"),
+           "exclusiveMaximum": ("number", operator.ge, "is greater than or equal to the maximum"),
+           "minItems": ("array", operator.lt, "has fewer items than"),
+           "maxItems": ("array", operator.gt, "has more items than"),
+           "minProperties": ("object", operator.lt, "has fewer properties than")}
 
 
-# JSON "integer" means an int: 16.0 would pass the default check and then break numpy
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator, type_checker=jsonschema.Draft202012Validator
-    .TYPE_CHECKER.redefine("integer", lambda _, value: type(value) is int))
+def _is(value, kind: str) -> bool:
+    """JSON type test: a bool is no number, and an integer is an int (16.0 would pass
+    as integral and then break numpy)."""
+    if kind in ("number", "integer"):
+        return type(value) is int or kind == "number" and isinstance(value, float)
+    return isinstance(value, _JSON_TYPES[kind])
+
+
+def _same(a, b) -> bool:
+    """JSON equality, for ``const`` and ``enum``: true is not 1, while 1 is 1.0."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _walk(node, schema: dict, path: tuple = ()):
+    """Yield ``(path, field, message)`` for each rule of ``schema`` that ``node`` breaks.
+
+    ``path`` is the key path of the node the rule checks, ``field`` the one to
+    name: a missing key's, or a ``oneOf`` branch's own.  A ``oneOf`` picks its
+    branch by the ``type`` const of each branch (unmatched, it names ``.type``).
+    """
+    obj = isinstance(node, dict)
+    for key, rule in schema.items():
+        if key == "type":
+            if not any(_is(node, kind) for kind in ([rule] if isinstance(rule, str) else rule)):
+                yield path, path, f"{node!r} is not of type {rule!r}"
+        elif key in ("const", "enum"):
+            if not any(_same(node, value) for value in ([rule] if key == "const" else rule)):
+                yield path, path, f"{node!r} is not {'one of ' if key == 'enum' else ''}{rule!r}"
+        elif key in _LIMITS:
+            kind, test, words = _LIMITS[key]
+            if _is(node, kind) and test(node if kind == "number" else len(node), rule):
+                yield path, path, f"{node!r} {words} {rule!r}"
+        elif key == "items":
+            for index, item in enumerate(node if isinstance(node, list) else ()):
+                yield from _walk(item, rule, (*path, index))
+        elif key == "properties":
+            for name, sub in rule.items() if obj else ():
+                if name in node:
+                    yield from _walk(node[name], sub, (*path, name))
+        elif key == "required":
+            yield from ((path, (*path, name), f"{name!r} is a required property")
+                        for name in (rule if obj else ()) if name not in node)
+        elif key == "additionalProperties":
+            extra = [k for k in node if k not in schema.get("properties", {})] if obj else []
+            if rule is False and extra:
+                yield path, path, f"additional properties are not allowed ({extra} unexpected)"
+            for name in extra if isinstance(rule, dict) else ():
+                yield from _walk(node[name], rule, (*path, name))
+        elif key == "oneOf":
+            kinds = [branch["properties"]["type"]["const"] for branch in rule]
+            kind = node.get("type") if obj else None
+            match = [branch for branch, const in zip(rule, kinds) if _same(kind, const)]
+            yield from (_walk(node, match[0], path) if match else
+                        [(path, (*path, "type"), f"{kind!r} is not one of {kinds}")])
+        else:
+            raise KeyError(f"schema keyword {key!r} is not supported")
 
 
 def validate_config(cfg: dict, sections=None) -> None:
-    """Schema-check a configuration, or only its top-level ``sections``, naming the field."""
-    validator = _Validator(SCHEMA if sections is None else {
-        "properties": {key: SCHEMA["properties"][key] for key in sections}})
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    """Schema-check a configuration, or only its top-level ``sections``, naming the field
+    of the error with the smallest key path (on a tie, the first rule in schema order)."""
+    errors = list(_walk(cfg, SCHEMA if sections is None else {
+        "properties": {key: SCHEMA["properties"][key] for key in sections}}))
     if errors:
-        err = errors[0]
-        raise ConfigurationError(f"config field {_error_path(err)}: {err.message}")
+        _, field, message = min(errors, key=lambda err: err[0])
+        raise ConfigurationError(f"config field {'.'.join(map(str, field)) or '<root>'}: "
+                                 f"{message}")
 
 
 def _validate_raw(cfg: dict) -> None:

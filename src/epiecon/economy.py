@@ -36,9 +36,6 @@ class LinearProduction:
     def __call__(self, K, L):
         return self.a_k * K + self.a_l * L
 
-    def lipschitz_K(self) -> float:
-        return self.a_k
-
 
 @dataclass(frozen=True)
 class CESProduction:
@@ -93,13 +90,6 @@ class CESProduction:
             return raw
         return np.minimum(raw, self._at_zero_capital(L) + self.mpk_cap * K)
 
-    def lipschitz_K(self) -> float:
-        intrinsic = (self.scale * self.omega ** (1.0 / self.substitution)
-                     if self.substitution < 0.0 else float("inf"))
-        if self.mpk_cap is None:
-            return intrinsic
-        return min(intrinsic, self.mpk_cap)
-
 
 @dataclass(frozen=True)
 class CobbDouglasProduction:
@@ -123,9 +113,6 @@ class CobbDouglasProduction:
     def __call__(self, K, L):
         return (self.scale * np.float_power(np.maximum(K, 0.0), self.omega)
                 * np.float_power(np.maximum(L, 0.0), 1.0 - self.omega))
-
-    def lipschitz_K(self) -> float:
-        return float("inf")
 
 
 # ----------------------------------------------------------------------

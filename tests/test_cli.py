@@ -1,7 +1,11 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -11,12 +15,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import epiecon as ee
 from epiecon import cli, config as cfgmod, epi
 from epiecon.errors import ConfigurationError
 from epiecon.hamiltonian import validate_gradient
 from epiecon.objectives import ShiftedCRRAUtility
 from epiecon.optimizer import OptimizerConfig
-from util import MOVED_RULES, looped_sweep, schema_with_rules
+from util import (MOVED_RULES, jsonschema_field, looped_horizon_runs, looped_sweep,
+                  schema_with_rules)
 
 
 def small_config(**grid_overrides):
@@ -1105,7 +1111,8 @@ def _probes(rules):
     """Values at, just inside, just past and far past each bound in ``rules``, the
     members of an enum and some non-members, and the bools."""
     values = [True, False]
-    for key, out in (("minimum", -1), ("exclusiveMinimum", -1), ("maximum", 1)):
+    for key, out in (("minimum", -1), ("exclusiveMinimum", -1), ("maximum", 1),
+                     ("exclusiveMaximum", 1)):
         if key in rules:
             bound = rules[key]
             values += [bound, bound - out * 1e-9, bound + out * 1e-9, bound + out,
@@ -1162,3 +1169,225 @@ def test_constructors_reject_what_the_schema_rules_rejected(path, case):
                             for m in (before, after))
             assert (named == field or re.fullmatch(rf"{re.escape(named)}\.\d+", field)
                     or "[" in path and named.startswith(f"{field}.")), (value, before, after)
+
+
+# ----------------------------------------------------------------------
+# the schema walker against jsonschema
+# ----------------------------------------------------------------------
+
+_ODD = [True, False, None, 16.0, 16, 0, -1, -1e-9, 0.5, 2, "x", "", [], [1.0], [True],
+        [[0.5, True]], {}, {"J7": 1.0}, {"type": "cubic"}, {"type": "constant"},
+        {"type": "constant", "value": True}]
+_ODD_VALUES = st.sampled_from(_ODD)
+
+
+def _schema_keys(node):
+    """Every key that a ``properties`` in schema ``node`` names, at any depth."""
+    if isinstance(node, dict):
+        yield from node.get("properties", ())
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            yield from _schema_keys(child)
+
+
+_ADDED_KEYS = st.sampled_from(sorted(set(_schema_keys(_RULES_SCHEMA))) + ["unknown_knob"])
+
+
+def _schema_fields(schema, path=""):
+    """Each field path of ``schema`` outside its oneOfs, with its subschema."""
+    for key, sub in schema.get("properties", {}).items():
+        field = f"{path}.{key}" if path else key
+        yield field, sub
+        yield from _schema_fields(sub, field)
+
+
+# the fields with a rule past their type and keys
+_RULED_FIELDS = [(field, sub) for field, sub in _schema_fields(_RULES_SCHEMA)
+                 if sub.keys() - {"type", "properties", "additionalProperties", "required"}]
+_FIELDS = st.sampled_from(_RULED_FIELDS)
+
+
+@st.composite
+def mutated_cli_cases(draw):
+    """A ``cli_cases`` config with some edits, and the top-level sections to check
+    (None: all).  First up to two ruled fields are set to values at or near their
+    bounds; then up to two nodes are set to odd values, deleted, or joined by an odd
+    value under a schema key or an unknown one."""
+    _, cfg = draw(cli_cases())
+    for field, sub in draw(st.lists(_FIELDS, max_size=2)):
+        _set_field(cfg, field, copy.deepcopy(draw(st.sampled_from(_probes(sub)))))
+    for _ in range(draw(st.integers(0, 2))):
+        node = cfg
+        while node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else
+                                       range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+                continue
+            action = draw(st.sampled_from(["set", "delete", "add"]))
+            if action == "set" or isinstance(node, list):
+                node[key] = copy.deepcopy(draw(_ODD_VALUES))
+            elif action == "delete":
+                del node[key]
+            else:
+                node[draw(_ADDED_KEYS)] = copy.deepcopy(draw(_ODD_VALUES))
+            break
+    sections = draw(st.none() | st.sets(st.sampled_from(sorted(cfgmod.SCHEMA["properties"]))))
+    return cfg, sections
+
+
+def _walker_field(cfg, schema, sections=None):
+    """The field ``config.validate_config`` rejects ``cfg`` at under ``schema``, else None."""
+    with mock.patch.object(cfgmod, "SCHEMA", schema):
+        try:
+            cfgmod.validate_config(cfg, sections)
+        except ConfigurationError as err:
+            return re.match(r"config field (\S+): ", str(err)).group(1)
+    return None
+
+
+def _assert_walker_matches_jsonschema(cfg, schema, sections=None):
+    # the same verdict, at the same field, or below it for a oneOf's object
+    want = jsonschema_field(cfg, schema if sections is None else {
+        "properties": {key: schema["properties"][key] for key in sections}})
+    got = _walker_field(cfg, schema, sections)
+    assert (want is None) == (got is None), (want, got)
+    if want is not None:
+        field, one_of = want
+        assert got == field or one_of and got.startswith(f"{field}."), (want, got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mutated_cli_cases())
+def test_schema_walker_matches_jsonschema(case):
+    cfg, sections = case
+    for schema in (cfgmod.SCHEMA, _RULES_SCHEMA):
+        _assert_walker_matches_jsonschema(cfg, schema, sections)
+
+
+@pytest.mark.parametrize("schema", [cfgmod.SCHEMA, _RULES_SCHEMA], ids=["schema", "rules"])
+def test_schema_walker_matches_jsonschema_on_every_field(schema):
+    # each ruled field outside a oneOf, set in a valid config to each value at or
+    # near its bounds and to a few of the wrong type
+    for field, sub in _RULED_FIELDS:
+        for value in _probes(sub) + ["x", None, 16.0, {}]:
+            cfg = small_config()
+            _set_field(cfg, field, copy.deepcopy(value))
+            _assert_walker_matches_jsonschema(cfg, schema)
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize("edits, named, rules", [
+    ({"grid.n_age": True}, "grid.n_age", False),
+    ({"grid.n_age": 16.0}, "grid.n_age", False),
+    ({"policy.theta": [[0.5, True]]}, "policy.theta.0.1", False),
+    ({"objective.composite": {"J1": True}}, "objective.composite.J1", False),
+    ({"objective.composite": {"J7": 1.0}}, "objective.composite", True),
+    ({"objective.composite": {}}, "objective.composite", True),
+    ({"objective.j6_sign": True}, "objective.j6_sign", True),
+    ({"optimizer.penalty": 0}, "optimizer.penalty", False),
+    ({"economy.delta": _DELETE}, "economy.delta", False),
+    ({"economy.delta": _DELETE, "economy.alpha": "x"}, "economy.delta", False),
+    ({"epidemic.mu_S": {"type": "cubic", "value": 0.02}}, "epidemic.mu_S.type", False),
+    ({"epidemic.mu_S": {"type": "constant", "value": True}}, "epidemic.mu_S.value", False),
+    ({"verification.horizon_multipliers": []}, "verification.horizon_multipliers", False),
+    ({"sweep.axes": [{"path": "economy.K0", "values": [1.0]}] * 3}, "sweep.axes", False),
+], ids=["true_integer", "float_integer", "true_in_table", "true_composite_weight",
+        "unknown_composite_key", "empty_composite", "true_j6_sign", "zero_penalty",
+        "missing_key", "missing_key_before_its_siblings", "unknown_family",
+        "family_field", "empty_horizons", "three_axes"])
+def test_schema_walker_names_the_field(edits, named, rules):
+    # a missing key is named below its object, but ranks as the object itself
+    cfg = small_config()
+    cfg["policy"] = {"preset": "blocks", "n_time_blocks": 1, "n_age_blocks": 2}
+    for field, value in edits.items():
+        if value is _DELETE:
+            section, key = field.split(".")
+            del cfg[section][key]
+        else:
+            _set_field(cfg, field, value)
+    schema = _RULES_SCHEMA if rules else cfgmod.SCHEMA
+    assert _walker_field(cfg, schema) == named
+    _assert_walker_matches_jsonschema(cfg, schema)
+
+
+@pytest.mark.parametrize("rule, value, valid", [
+    ({"enum": [1.0, -1]}, 1, True), ({"enum": [1.0, -1]}, -1.0, True),
+    ({"enum": [1.0, -1]}, True, False), ({"enum": [1.0, -1]}, "1", False),
+    ({"const": 1}, 1.0, True), ({"const": 1}, True, False), ({"const": True}, 1, False),
+    ({"const": True}, True, True)])
+def test_schema_walker_keeps_true_apart_from_one(rule, value, valid):
+    # no enum or const of SCHEMA can meet a bool past its type check, so a small schema
+    schema = {"properties": {"field": rule}}
+    assert (_walker_field({"field": value}, schema) is None) == valid
+    _assert_walker_matches_jsonschema({"field": value}, schema)
+
+
+def test_runtime_never_imports_jsonschema(tmp_path):
+    # numpy is the one runtime dependency: with jsonschema unimportable, a valid
+    # config runs and a bad one is rejected at its field
+    bad = small_config()
+    bad["economy"]["delta"] = "0.05"
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["jsonschema"] = None  # any import of it raises ImportError
+        from epiecon import cli
+        codes = [cli.main(["simulate", "--config", sys.argv[k], "--out", sys.argv[k + 1]])
+                 for k in (1, 3)]
+        loaded = [name for name, module in sys.modules.items()
+                  if name.split(".")[0] == "jsonschema" and module is not None]
+        print(codes, loaded)
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(write_config(tmp_path, small_config())),
+         str(tmp_path / "good"), str(write_config(tmp_path, bad, "bad.json")),
+         str(tmp_path / "bad")],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 2] []"
+    assert "config field economy.delta: " in proc.stderr
+    assert (tmp_path / "good" / "trajectory.csv").exists()
+
+
+# ----------------------------------------------------------------------
+# check's extended horizons: one run, cut to each horizon
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_steps, multipliers", [
+    (8, [1.0, 2.0, 4.0]), (8, [4.0, 2.0, 1.0]), (8, [0.5, 3.0, 0.5, 1.0]), (8, [0.25]),
+    (8, [2.0, 2.0]), (0, [1.0, 3.0])])
+def test_check_horizons_equal_looped_runs(tmp_path, n_steps, multipliers):
+    cfg = small_config(n_steps=n_steps)
+    cfg["verification"] = {"adjoint_pairs": 2, "horizon_multipliers": multipliers}
+    out = tmp_path / "out"
+    assert cli.main(["check", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+    resolved = cfgmod.resolve_config(cfg)
+    scenario = cfgmod.build_scenario(resolved)
+    tv = ee.transversality_check(cfgmod.build_value_function(resolved, scenario),
+                                 looped_horizon_runs(scenario, multipliers), scenario.obj.rho)
+    assert json.loads((out / "check.json").read_text())["transversality"] == {
+        "horizons": tv.horizons.tolist(), "weighted_values": tv.weighted_values.tolist(),
+        "exponent": tv.exponent, "decaying": tv.decaying}
+
+
+@pytest.mark.parametrize("multipliers", [[1.5, 4.0], [4.0, 1.5], [2.0, 4.0], [3.0, 1.0, 0.5]])
+def test_check_horizon_failure_equals_looped_runs(tmp_path, capsys, multipliers):
+    # without births every cohort has aged off the 16-cell grid at step 16: the first
+    # horizon that reaches it fails there, as its own run did
+    cfg = small_config()
+    cfg["epidemic"]["beta"] = {"type": "constant", "value": 0.0}
+    cfg["verification"] = {"adjoint_pairs": 2, "horizon_multipliers": multipliers}
+    scenario = cfgmod.build_scenario(cfgmod.resolve_config(cfg))
+    with pytest.raises(ee.ModelError) as want:
+        looped_horizon_runs(scenario, multipliers)
+    assert want.value.step_index > scenario.time_grid.n_steps
+    out = tmp_path / "out"
+    assert cli.main(["check", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"model error at step {want.value.step_index}: {want.value}")
+    assert not out.exists()

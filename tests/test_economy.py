@@ -194,12 +194,14 @@ def test_budget_identity_random_scenarios():
 
 
 def test_production_lipschitz_sampled():
-    lin = ee.LinearProduction(a_k=0.7, a_l=1.0)
-    ces_complements = ee.CESProduction(scale=2.0, omega=0.4, substitution=-1.0)
-    ces_capped = ee.CESProduction(scale=2.0, omega=0.4, substitution=0.5, mpk_cap=3.0)
+    # each F is Lipschitz in K with the constant beside it: a_k for linear F; for
+    # CES with s < 0, scale * omega^(1/s) (the marginal product's bound), or the cap
+    lin = (ee.LinearProduction(a_k=0.7, a_l=1.0), 0.7)
+    ces_complements = (ee.CESProduction(scale=2.0, omega=0.4, substitution=-1.0),
+                       2.0 * 0.4 ** (1.0 / -1.0))
+    ces_capped = (ee.CESProduction(scale=2.0, omega=0.4, substitution=0.5, mpk_cap=3.0), 3.0)
     rng = np.random.default_rng(8)
-    for F in (lin, ces_complements, ces_capped):
-        c_f = F.lipschitz_K()
+    for F, c_f in (lin, ces_complements, ces_capped):
         for _ in range(200):
             K1, K2 = rng.uniform(0.0, 50.0, 2)
             L = rng.uniform(0.0, 20.0)
@@ -229,7 +231,6 @@ def test_cobb_douglas_warns():
     with pytest.warns(UserWarning, match="Lipschitz"):
         F = ee.CobbDouglasProduction(scale=1.0, omega=0.3)
     assert F(4.0, 9.0) == pytest.approx(4.0**0.3 * 9.0**0.7)
-    assert F.lipschitz_K() == np.inf
 
 
 def test_phi_validation():

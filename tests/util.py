@@ -8,7 +8,9 @@ independent of the code paths they check.
 from __future__ import annotations
 
 import copy
+import dataclasses
 
+import jsonschema
 import numpy as np
 
 import epiecon as ee
@@ -70,6 +72,27 @@ def schema_with_rules(schema: dict, rules: dict) -> dict:
     for path, keywords in rules.items():
         schema_node(schema, path).update(copy.deepcopy(keywords))
     return schema
+
+
+# JSON "integer" means an int, as the config walker reads it: jsonschema's own
+# check would take 16.0
+_JSONSCHEMA = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, type_checker=jsonschema.Draft202012Validator
+    .TYPE_CHECKER.redefine("integer", lambda _, value: type(value) is int))
+
+
+def jsonschema_field(cfg, schema: dict):
+    """Oracle for ``config.validate_config``: the field jsonschema rejects ``cfg`` at
+    under ``schema`` (the error with the smallest path; a missing key named below its
+    object), and whether that error is a ``oneOf``'s; None for a valid ``cfg``."""
+    errors = sorted(_JSONSCHEMA(schema).iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    err = errors[0]
+    path = [str(key) for key in err.absolute_path]
+    if err.validator == "required":
+        path.append(err.message.split("'")[1])
+    return ".".join(path) or "<root>", err.validator == "oneOf"
 
 
 # ----------------------------------------------------------------------
@@ -318,3 +341,16 @@ def looped_sweep(cfg, out_dir):
             results.append({"value": None, "feasible": False, "violation": None,
                             "error": str(err)})
     return cli._write_sweep(cfg, out_dir, points, results)
+
+
+def looped_horizon_runs(scenario, multipliers):
+    """Reference for ``cli.cmd_check``'s transversality runs: one simulation per horizon
+    multiplier, in order, each holding the scenario policy's last row."""
+    n_steps = scenario.time_grid.n_steps
+    runs = []
+    for mult in multipliers:
+        n = int(round(n_steps * mult))
+        tg = ee.TimeGrid.aligned(scenario.age_grid, t0=scenario.time_grid.t0, n_steps=n)
+        runs.append(dataclasses.replace(scenario, time_grid=tg).simulate(
+            scenario.policy[:, np.minimum(np.arange(n + 1), n_steps)]))
+    return runs

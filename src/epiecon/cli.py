@@ -219,11 +219,26 @@ def cmd_check(cfg, out_dir=None) -> int:
     # a coarse companion for the order estimate when grids and policy blocks allow
     v = cfgmod.build_value_function(cfg, scenario)
     grad_err = validate_gradient(v, [(scenario.initial.as_triple(), max(scenario.K0, 1.0))])
-    traj = scenario.simulate()
+    # one run serves every horizon: with the last policy row held, each horizon's
+    # run is, bit for bit, a prefix of the longest one
+    n_steps = cfg["grid"]["n_steps"]
+    steps = [int(round(n_steps * mult)) for mult in ver["horizon_multipliers"]]
+    tg = TimeGrid.aligned(scenario.age_grid, t0=scenario.time_grid.t0, n_steps=max(steps))
+    longest = None  # the run to the longest horizon past the configured one, or its error
+    if tg.n_steps > n_steps:
+        try:
+            longest = dataclasses.replace(scenario, time_grid=tg).simulate(
+                scenario.policy[:, np.minimum(np.arange(tg.n_steps + 1), n_steps)])
+        except ModelError as err:  # raised where the horizons need it, unless the
+            longest = err          # configured run fails first
+    if longest is None or isinstance(longest, ModelError):
+        traj = scenario.simulate()
+    else:
+        traj = _head(longest, n_steps)
     residual = chain_rule_residual(v, scenario.policy, traj, scenario)
     chain = {"residual": float(residual), "dt": scenario.time_grid.dt,
              "gradient_check": float(grad_err)}
-    n_age, n_steps = cfg["grid"]["n_age"], cfg["grid"]["n_steps"]
+    n_age = cfg["grid"]["n_age"]
     nab, ntb = cfg["policy"]["n_age_blocks"], cfg["policy"]["n_time_blocks"]
     if n_age % (2 * nab) == 0 and n_age // 2 >= 8 and n_steps % (2 * ntb) == 0:
         coarse_cfg = copy.deepcopy(cfg)
@@ -245,17 +260,10 @@ def cmd_check(cfg, out_dir=None) -> int:
     gap = {"min": float(gaps.min()), "max": float(gaps.max()),
            "integrated": integrated_gap(gaps, traj, scenario.obj)}
 
-    # transversality over extended horizons, the last policy row held: each horizon's
-    # run is, bit for bit, a prefix of the longest one, so that one run serves them all
-    steps = [int(round(n_steps * mult)) for mult in ver["horizon_multipliers"]]
-    tg = TimeGrid.aligned(scenario.age_grid, t0=scenario.time_grid.t0, n_steps=max(steps))
-    longest = traj
-    if tg.n_steps > n_steps:
-        longest = dataclasses.replace(scenario, time_grid=tg).simulate(
-            scenario.policy[:, np.minimum(np.arange(tg.n_steps + 1), n_steps)])
-    heads = [dataclasses.replace(longest, X=longest.X[:n + 1], K=longest.K[:n + 1],
-                                 time_grid=dataclasses.replace(tg, n_steps=n))
-             for n in steps]  # cut to each horizon: all that transversality_check reads
+    # transversality over extended horizons, each run cut from the longest
+    if isinstance(longest, ModelError):
+        raise longest
+    heads = [_head(traj if longest is None else longest, n) for n in steps]
     tv = transversality_check(v, heads, scenario.obj.rho)
     transversality = {"horizons": [float(x) for x in tv.horizons],
                       "weighted_values": [float(x) for x in tv.weighted_values],
@@ -276,6 +284,13 @@ def cmd_check(cfg, out_dir=None) -> int:
         ("transversality decaying", transversality["decaying"]),
     ])
     return 0
+
+
+def _head(traj, n_steps: int):
+    """The first ``n_steps`` steps of a run, as far as the checks read one: its
+    states, its capital and its time grid."""
+    return dataclasses.replace(traj, X=traj.X[:n_steps + 1], K=traj.K[:n_steps + 1],
+                               time_grid=dataclasses.replace(traj.time_grid, n_steps=n_steps))
 
 
 def _coarsen_tables(node) -> None:

@@ -363,6 +363,13 @@ _LIMITS = {"minimum": ("number", operator.lt, "is less than the minimum"),
            "minProperties": ("object", operator.lt, "has fewer properties than")}
 
 
+def _shown(value) -> str:
+    """An offending value as a message shows it: its repr, cut short from 80
+    characters on (a 200 x 200 table's repr is 240 KB)."""
+    text = repr(value)
+    return text if len(text) < 80 else text[:76] + " ..."
+
+
 def _is(value, kind: str) -> bool:
     """JSON type test: a bool is no number, and an integer is an int (16.0 would pass
     as integral and then break numpy)."""
@@ -387,14 +394,15 @@ def _walk(node, schema: dict, path: tuple = ()):
     for key, rule in schema.items():
         if key == "type":
             if not any(_is(node, kind) for kind in ([rule] if isinstance(rule, str) else rule)):
-                yield path, path, f"{node!r} is not of type {rule!r}"
+                yield path, path, f"{_shown(node)} is not of type {rule!r}"
         elif key in ("const", "enum"):
             if not any(_same(node, value) for value in ([rule] if key == "const" else rule)):
-                yield path, path, f"{node!r} is not {'one of ' if key == 'enum' else ''}{rule!r}"
+                yield path, path, (f"{_shown(node)} is not "
+                                   f"{'one of ' if key == 'enum' else ''}{rule!r}")
         elif key in _LIMITS:
             kind, test, words = _LIMITS[key]
             if _is(node, kind) and test(node if kind == "number" else len(node), rule):
-                yield path, path, f"{node!r} {words} {rule!r}"
+                yield path, path, f"{_shown(node)} {words} {rule!r}"
         elif key == "items":
             for index, item in enumerate(node if isinstance(node, list) else ()):
                 yield from _walk(item, rule, (*path, index))

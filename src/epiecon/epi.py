@@ -3,7 +3,9 @@
 State representation, force of infection, saturation-dependent infected
 mortality, the one-step update, and the one stepping loop: one policy, or a
 stack of policies stepped together as a batch whose rows fail apart, keeping
-every state (trajectory simulation) or only per-node scalars (scoring).
+every state (trajectory simulation) or only per-node scalars (scoring).  A
+scored row that shares row 0's controls up to some node joins the batch
+there, from row 0's state, so a shared head is stepped once.
 
 The stepper follows characteristics on the cohort-aligned grid (dt = da):
 within a step every cohort decays by exact exponentials with rates frozen
@@ -20,6 +22,7 @@ for bit that node's alone.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,7 +350,7 @@ class BatchRun:
 
 def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
          econ: economy.EconParams, time_grid: TimeGrid, n_floor_rel: float,
-         keep_states: bool, flow=None) -> BatchRun:
+         keep_states: bool, flow=None, joins=None) -> BatchRun:
     """The stepping loop: B runs from ``initial`` and ``K0`` stepped together through
     :func:`_node`, ``controls(k)`` giving the (B, 3, n_age) control slices at node k.
 
@@ -356,6 +359,15 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
     and kept per node.  A failed row leaves the batch at its failing step,
     its ModelError with ``step_index`` set; the others go on, each bit for
     bit its single run, and a batch of one steps its row as one state.
+
+    Rows join late when only the last states are kept: ``joins[b]`` is the
+    node at which row b joins the batch (0 for row 0), and its controls must
+    equal row 0's at every earlier node.  Until then it is not stepped; at
+    its node it takes row 0's state and K there, and row 0's earlier K,
+    aggregates and flow values.  A row that joins at n_steps + 1 is row 0's
+    whole run, and one that joins after row 0 failed carries a copy of row
+    0's ModelError.  Rows in the order of their nodes keep the running rows
+    a prefix of the batch, which the kernel steps in place.
     """
     grid, n_steps = initial.grid, time_grid.n_steps
     n_floor = n_floor_rel * initial.total_population()
@@ -370,22 +382,50 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
     flows = None if flow is None else np.empty((B, n_steps + 1))
     errors = {}
     rows = np.arange(B)  # the rows still running
-    every = 0 if B == 1 else slice(None)
+    later = {}  # node -> the rows that join there
+    if joins is not None:
+        for b, k in enumerate(joins):
+            if k:
+                later.setdefault(int(k), []).append(b)
+        rows = np.array([b for b in range(B) if not joins[b]])
+
+    def join(new, k):  # rows ``new`` take row 0's run up to node k, or its error
+        if 0 in errors:
+            errors.update((b, copy.copy(errors[0])) for b in new)
+            return
+        K[new, :k + 1] = K[0, :k + 1]
+        agg[:, new, :k] = agg[:, :1, :k]
+        if flows is not None:
+            flows[new, :k] = flows[0, :k]
+        state(min(k, n_steps))[new] = state(min(k, n_steps))[0]
+
+    def address(rows):  # one state for a batch of one, a prefix as views, else the rows
+        if int(rows[-1]) == len(rows) - 1:
+            return (0 if B == 1 else slice(0, len(rows))), True
+        return rows, False
+
+    at, prefix = address(rows)
     with np.errstate(all="ignore"):
         for k in range(n_steps + 1):
-            whole = len(rows) == B
-            at = every if whole else rows
+            if k in later:
+                new = later.pop(k)
+                join(new, k)
+                if 0 not in errors:
+                    running = np.zeros(B, dtype=bool)
+                    running[rows] = running[new] = True
+                    rows = np.flatnonzero(running)
+                    at, prefix = address(rows)
             x, u = state(k)[at], controls(k)[at]
             out = None
             if k < n_steps:
-                out = state(k + 1)[at] if whole else np.empty((len(rows), 3, grid.n_age))
+                out = state(k + 1)[at] if prefix else np.empty((len(rows), 3, grid.n_age))
             agg[:, at, k], K1, failed = _node(x, K[at, k], u[..., 0, :], u[..., 1, :],
                                               u[..., 2, :], params, econ, da, dt, n_floor, out)
             if flows is not None:
                 flows[at, k] = flow(x, u[..., 0, :], u[..., 1, :])
             if out is not None:
                 K[at, k + 1] = K1
-                if not whole:
+                if not prefix:
                     state(k + 1)[rows] = out
             if failed:
                 for j, err in failed.items():
@@ -394,6 +434,9 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
                 rows = np.delete(rows, list(failed))
                 if not len(rows):
                     break
+                at, prefix = address(rows)
+        for k, new in later.items():  # after row 0 failed, or equal to row 0 throughout
+            join(new, k)
         neg = np.maximum(0.0, -K[:, 1:])
         return BatchRun(X=X if keep_states else state(n_steps), K=K, agg=agg, flow=flows,
                         errors=errors, feasible=np.all(K >= 0.0, axis=-1),
@@ -435,7 +478,10 @@ def run_blocks(initial: EpiState, K0: float, blocks: np.ndarray, params: EpiPara
     Each step's control slices are expanded from the blocks as
     :func:`grid.expand_blocks` places them, so the (B, 3, n_steps + 1, n_age)
     policy stack is never built; each row is bit for bit the run of its
-    expanded policy.  The blocks are checked as :func:`simulate` checks a policy.
+    expanded policy.  A row whose blocks equal row 0's, bit for bit, before
+    time block j joins the batch at j's first node (see :func:`_run`); a row
+    equal to row 0 is not stepped at all.  The blocks are checked as
+    :func:`simulate` checks a policy.
     """
     u = np.asarray(blocks, dtype=np.float64)
     if u.ndim != 4 or u.shape[1] != 3 or not len(u):
@@ -443,6 +489,18 @@ def run_blocks(initial: EpiState, K0: float, blocks: np.ndarray, params: EpiPara
                                  "n_age_blocks) stack")
     nodes, width = block_layout(*u.shape[2:], time_grid, initial.grid)
     _checked_run(initial, K0, u, econ, time_grid, n_floor_rel)
+    # each row joins at the first node of its first time block that differs from
+    # row 0's, bit for bit (compared as bytes: a row unlike row 0 costs one compare)
+    firsts = {}
+    for k, j in enumerate(nodes.tolist()):
+        firsts.setdefault(j, k)
+    heads = [u[0, :, j].tobytes() for j in range(u.shape[2])]
+    joins = [0]
+    for row in u[1:]:
+        j = 0
+        while j < len(heads) and row[:, j].tobytes() == heads[j]:
+            j += 1
+        joins.append(firsts.get(j, len(nodes)))
     held = [None, None]  # the time block whose slices are expanded, and those slices
 
     def controls(k):
@@ -451,7 +509,7 @@ def run_blocks(initial: EpiState, K0: float, blocks: np.ndarray, params: EpiPara
         return held[1]
 
     return _run(initial, K0, controls, len(u), params, econ, time_grid, n_floor_rel,
-                keep_states=False, flow=flow)
+                keep_states=False, flow=flow, joins=joins)
 
 
 def simulate(initial: EpiState, K0: float, policy: np.ndarray, params: EpiParams,

@@ -375,16 +375,28 @@ def hamiltonian_gap_profile(v, policy: np.ndarray, traj: epi.Trajectory,
     call per chunk of the node stack (one chunk unless a stack would exceed
     ``_STACK_CELLS``).  An extinct node raises for the first one.
     """
+    return _gap_profiles(v, [policy], [traj], scenario)[0]
+
+
+def _gap_profiles(v, policies: list, trajs: list, scenario: Scenario) -> list:
+    """The gap profiles of several runs, as :func:`hamiltonian_gap_profile` gives
+    each: the nodes of all runs form one stack, and each profile is bit for bit
+    the one of its run alone."""
+    def stack(arrays, axis=0):  # one run's arrays are read in place
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+
+    X, K = stack([t.X for t in trajs]), stack([t.K for t in trajs])
+    Z = stack(policies, axis=1)
     search = scenario.search
     levels = max(len(search.theta_levels), len(search.eta_levels))
-    chunk = max(1, _STACK_CELLS // (levels * traj.X.shape[-1]))
+    chunk = max(1, _STACK_CELLS // (levels * X.shape[-1]))
     gaps = []
-    for lo in range(0, traj.n_steps + 1, chunk):
-        X, K, z = traj.X[lo:lo + chunk], traj.K[lo:lo + chunk], policy[:, lo:lo + chunk]
-        costate = _costate_at(v, X, K)
-        best = maximize_h1(X, K, costate, scenario, baseline=z).value
-        gaps.append(best - h1_part(X, K, costate, *z, scenario))
-    return np.concatenate(gaps)
+    for lo in range(0, len(X), chunk):
+        x, k, z = X[lo:lo + chunk], K[lo:lo + chunk], Z[:, lo:lo + chunk]
+        costate = _costate_at(v, x, k)
+        best = maximize_h1(x, k, costate, scenario, baseline=z).value
+        gaps.append(best - h1_part(x, k, costate, *z, scenario))
+    return np.split(np.concatenate(gaps), np.cumsum([len(t.X) for t in trajs[:-1]]))
 
 
 def integrated_gap(gaps: np.ndarray, traj: epi.Trajectory, obj) -> float:

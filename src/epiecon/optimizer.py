@@ -2,9 +2,13 @@
 
 The policy is parameterized by piecewise-constant blocks over the age-time
 grid.  Gradients are finite differences of the penalized objective at block
-granularity.  The probes of one gradient and each line-search trial are
-scored from their block values without keeping a trajectory
-(``Scenario.score``; one row per probe, each bit for bit its single run).
+granularity.  The probes of one gradient are scored from their block
+values without keeping a trajectory (``Scenario.score``; one row per probe,
+each bit for bit its single run); the base point is row 0 and a probe
+joins its run at the probe's time block, so a shared head is stepped once.
+That row re-runs the current point, which the search has already run.
+The start and each line-search trial are simulated with their
+trajectories, which the gap certificate reads, so it simulates nothing.
 The ascent is projected onto the control box with backtracking line search,
 and the capital positivity constraint enters through a smooth quadratic
 penalty.  Everything is deterministic given the configuration and seed.
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InfeasibleStart, ModelError
 from .grid import expand_blocks
-from .hamiltonian import hamiltonian_gap_profile, integrated_gap
+from .hamiltonian import _gap_profiles, integrated_gap
 from .scenario import Scenario
 
 
@@ -90,8 +94,10 @@ def penalized_objective(policy: np.ndarray, scenario: Scenario,
     Feasible trajectories return the target exactly; the penalty term
     penalty * sum_k max(0, -K_k)^2 dt has zero value and slope at K = 0.
     Returns (value, trajectory); the violation is ``trajectory.k_violation``.
-    The search itself scores block values with ``Scenario.score``, which
-    keeps no trajectory and gives the same value bit for bit.
+    A model error is raised with its step.  :func:`optimize` runs its start
+    and each line-search trial here and keeps the trajectory for the gap
+    certificate; the gradient's probes keep none (``Scenario.score``, the
+    same value bit for bit).
     """
     traj = scenario.simulate(policy)
     return _penalized(scenario.evaluate(policy, traj), penalty), traj
@@ -119,12 +125,16 @@ def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig)
     eta.  Probes are clamped to the control box and the difference quotient
     uses the realized parameter displacement, so one-sided steps are taken at
     active bounds.  Forward mode probes upward unless the box blocks it and
-    takes the base point as the other end.  The probes (the base point
-    first in forward mode) form one (P, 3, n_time_blocks, n_age_blocks)
-    stack, scored by ``Scenario.score`` in batches of rows, which keeps no
-    trajectory; each row's score is bit for bit its single run's.  Failed
-    probes contribute a zero component and a recorded warning naming the
-    block, as ``theta[0, 1]``.
+    takes the base point as the other end.  The base point and the probes
+    form one (P, 3, n_time_blocks, n_age_blocks) stack, the base point
+    first and the probes by time block, scored by ``Scenario.score`` in
+    batches of rows, which keeps no trajectory; each row's score is bit for
+    bit its single run's.  A probe runs the base point's run until its time
+    block, so it joins the batch there, and an end at the base point (a
+    one-sided step) is the base point's row.  In central mode the base
+    point's row is left out when nothing reads it: at one time block with
+    no end at the base point.  Failed probes contribute a zero component
+    and a recorded warning naming the block, as ``theta[0, 1]``.
     """
     grads = np.zeros_like(blocks)
     forward = config.grad_mode == "forward"
@@ -132,10 +142,10 @@ def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig)
     hi = (scenario.search.c_max, 1.0, 1.0)
     eps = (config.fd_eps_c, config.fd_eps_theta, config.fd_eps_eta)
 
-    probes, plan = [], []  # probes: (block index, value), the base point as (None, None)
-    if forward:
-        probes.append((None, None))
-    for idx in np.ndindex(blocks.shape):
+    probes, plan = [blocks], []  # the probe stack's rows, row 0 the base point
+    # in time-block order: a probe of time block j joins the base point's run at
+    # j's first node (``epi.run_blocks``), and the running rows stay a prefix
+    for idx in sorted(np.ndindex(blocks.shape), key=lambda idx: idx[1]):
         v, row = blocks[idx], idx[0]
         up, down = min(v + eps[row], hi[row]), max(v - eps[row], 0.0)
         if forward:
@@ -144,24 +154,25 @@ def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig)
             continue
         ends = []  # the probe rows of f(up) and f(down)
         for x in (up, down):
-            if forward and x == v:
+            if x == v:
                 ends.append(0)
             else:
                 ends.append(len(probes))
-                probes.append((idx, x))
+                probes.append(blocks.copy())
+                probes[-1][idx] = x
         plan.append((idx, up, down, ends))
-    stack = np.repeat(blocks[None], len(probes), axis=0)
-    for p, (idx, x) in enumerate(probes):
-        if idx is not None:
-            stack[(p, *idx)] = x
+    if not forward and blocks.shape[1] == 1 and all(0 not in ends for *_, ends in plan):
+        # one time block and no end at the base point: no row would read its run
+        probes = probes[1:]
+        plan = [(idx, up, down, [p - 1 for p in ends]) for idx, up, down, ends in plan]
 
     # the penalized objective of each probe row, or its ModelError
-    scores = [_penalized(report, config.penalty) for report in scenario.score(stack)]
+    scores = [_penalized(report, config.penalty) for report in scenario.score(np.stack(probes))]
     if forward and isinstance(scores[0], ModelError):
         return grads, [f"base point: probe failed: {scores[0]}"]
 
     warnings = []
-    for idx, up, down, ends in plan:
+    for idx, up, down, ends in sorted(plan):  # in block order
         f_up, f_down = (scores[p] for p in ends)
         failed = [f for f in (f_up, f_down) if isinstance(f, ModelError)]
         warnings.extend(f"{names[idx[0]]}{list(idx[1:])}: probe failed: {err}" for err in failed)
@@ -179,24 +190,27 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
     the loop stops on the relative-change tolerance, a failed line search,
     or the iteration budget.  When a candidate value function is supplied
     the report carries the integrated Hamiltonian gap of the initial and
-    final policies as an optimality certificate.
+    final policies as an optimality certificate, read from the trajectories
+    of the start and the last accepted trial and searched as one stack.
     """
     rng = np.random.default_rng(config.seed)
     blocks = block_means(scenario.policy, config.n_time_blocks, config.n_age_blocks)
     if config.jitter > 0.0:
         blocks = blocks + config.jitter * rng.standard_normal(blocks.shape)
     blocks = _project_blocks(blocks, scenario.search.c_max)
+    tg, ag = scenario.time_grid, scenario.age_grid
     all_warnings = []
 
-    report, = scenario.score(blocks[None])
-    f = _penalized(report, config.penalty)
-    if isinstance(report, ModelError):
+    policy = expand_blocks(blocks, tg, ag)
+    try:
+        f, traj = penalized_objective(policy, scenario, config.penalty)
+    except ModelError as err:
         raise InfeasibleStart("objective undefined at the initial policy "
-                              f"(model error at step {report.step_index}: {report})")
+                              f"(model error at step {err.step_index}: {err})") from err
 
-    initial_blocks = blocks
+    initial_policy, initial_traj = policy, traj
     trace = [f]
-    viol_trace = [report.violation]
+    viol_trace = [traj.k_violation]
     converged = False
     n_iters = 0
 
@@ -210,9 +224,12 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
         accepted = False
         for _bt in range(config.max_backtracks + 1):
             trial = _project_blocks(blocks + step_size * grads, scenario.search.c_max)
-            trial_report, = scenario.score(trial[None])
-            ft = _penalized(trial_report, config.penalty)
-            if not isinstance(ft, ModelError) and ft > f:
+            trial_policy = expand_blocks(trial, tg, ag)
+            try:
+                ft, trial_traj = penalized_objective(trial_policy, scenario, config.penalty)
+            except ModelError:
+                ft = None
+            if ft is not None and ft > f:
                 accepted = True
                 break
             step_size *= config.backtrack
@@ -221,29 +238,23 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
             break
         n_iters += 1
         rel_change = abs(ft - f) / max(abs(f), 1.0)
-        blocks, f, report = trial, ft, trial_report
+        blocks, policy, f, traj = trial, trial_policy, ft, trial_traj
         trace.append(f)
-        viol_trace.append(report.violation)
+        viol_trace.append(traj.k_violation)
         if rel_change < config.tol:
             converged = True
             break
 
-    tg, ag = scenario.time_grid, scenario.age_grid
-    final_policy = expand_blocks(blocks, tg, ag)
     gap_initial = gap_final = None
-    if value_function is not None:  # the certificate reads both trajectories: run them again
-        initial_policy = expand_blocks(initial_blocks, tg, ag)
-        initial_traj = scenario.simulate(initial_policy)
-        traj = scenario.simulate(final_policy)
-        gaps0 = hamiltonian_gap_profile(value_function, initial_policy, initial_traj,
-                                        scenario)
-        gaps1 = hamiltonian_gap_profile(value_function, final_policy, traj, scenario)
-        gap_initial = integrated_gap(gaps0, initial_traj, scenario.obj)
-        gap_final = integrated_gap(gaps1, traj, scenario.obj)
+    if value_function is not None:  # both runs' trajectories searched as one node stack
+        gaps = _gap_profiles(value_function, [initial_policy, policy],
+                             [initial_traj, traj], scenario)
+        gap_initial = integrated_gap(gaps[0], initial_traj, scenario.obj)
+        gap_final = integrated_gap(gaps[1], traj, scenario.obj)
 
     return OptimReport(objective_trace=trace, violation_trace=viol_trace,
-                       blocks=blocks, policy=final_policy,
-                       feasible=report.feasible, converged=converged,
+                       blocks=blocks, policy=policy,
+                       feasible=traj.feasible, converged=converged,
                        n_iters=n_iters, warnings=all_warnings,
                        integrated_gap_initial=gap_initial,
                        integrated_gap_final=gap_final, seed=config.seed)

@@ -1391,3 +1391,68 @@ def test_check_horizon_failure_equals_looped_runs(tmp_path, capsys, multipliers)
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"model error at step {want.value.step_index}: {want.value}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("multipliers", [[1.0, 2.0, 4.0], [0.5, 1.0], [4.0], [0.5]])
+def test_check_runs_the_model_once_per_grid(tmp_path, monkeypatch, multipliers):
+    # one run on the configured grid, to the longest horizon (the configured run and
+    # every horizon cut from it), and one for the coarse companion; the chain rule
+    # and the gap are those of a fresh configured run
+    cfg = small_config()
+    cfg["verification"] = {"adjoint_pairs": 2, "horizon_multipliers": multipliers}
+    runs, run = [], epi._run
+
+    def counted(initial, K0, controls, B, params, econ, time_grid, *args, **kwargs):
+        runs.append(time_grid.n_steps)
+        return run(initial, K0, controls, B, params, econ, time_grid, *args, **kwargs)
+
+    monkeypatch.setattr(epi, "_run", counted)
+    out = tmp_path / "out"
+    assert cli.main(["check", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+    assert runs == [max(8, round(8 * max(multipliers))), 4]
+    resolved = cfgmod.resolve_config(cfg)
+    scenario = cfgmod.build_scenario(resolved)
+    v = cfgmod.build_value_function(resolved, scenario)
+    traj = scenario.simulate()
+    payload = json.loads((out / "check.json").read_text())
+    assert payload["chain_rule_identity"]["residual"] == ee.chain_rule_residual(
+        v, scenario.policy, traj, scenario)
+    gaps = ee.hamiltonian_gap_profile(v, scenario.policy, traj, scenario)
+    assert payload["hamiltonian_gap"] == {"min": gaps.min(), "max": gaps.max(),
+                                          "integrated": ee.integrated_gap(gaps, traj,
+                                                                          scenario.obj)}
+
+
+def test_a_table_in_a_number_field_names_it_in_a_short_message(tmp_path, capsys):
+    # the message shows the offending value cut short: a 200 x 200 table's repr is
+    # 240 KB; a value whose repr is under 80 characters is shown whole
+    cfg = small_config()
+    cfg["economy"]["delta"] = [[0.05] * 200 for _ in range(200)]
+    assert cli.main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: config field economy.delta: [[0.05, 0.05")
+    assert err.endswith(" ... is not of type 'number'\n")
+    assert len(err.encode()) < 1024
+    for value in ([0.05] * 12, [0.05] * 13):  # reprs of 72 and 78 characters
+        cfg["economy"]["delta"] = value
+        assert cli.main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"configuration error: config field economy.delta: "
+                                           f"{value!r} is not of type 'number'\n")
+
+
+def test_check_failing_configured_run_exits_as_simulate(tmp_path, capsys):
+    # no births over 20 steps: every cohort has aged off the 16-cell grid at step 16,
+    # inside the configured run; check reports the step and message simulate does
+    cfg = small_config(n_steps=20)
+    cfg["epidemic"]["beta"] = {"type": "constant", "value": 0.0}
+    cfg["verification"] = {"adjoint_pairs": 2, "horizon_multipliers": [1.0, 2.0]}
+    path = str(write_config(tmp_path, cfg))
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == 3
+    want = capsys.readouterr().err
+    assert "model error at step 16: " in want
+    assert cli.main(["check", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "out").exists()

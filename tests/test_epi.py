@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epiecon as ee
-from epiecon import objectives
+from epiecon import epi, objectives
 
 from util import build_scenario, fit_order, random_block_policy, rk4_path, smooth_bump
 
@@ -792,3 +792,63 @@ def test_score_checks_the_box_on_the_blocks(row, value):
     with pytest.raises(ee.ConfigurationError) as scored:
         scen.score(blocks)
     assert str(scored.value) == str(single.value)
+
+
+# ----------------------------------------------------------------------
+# late joins: a scored row that copies row 0 up to a time block joins the batch there
+# ----------------------------------------------------------------------
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), table=st.booleans(), obj=objective_params(),
+       ntb=st.sampled_from([1, 2, 4, 8]), batch=st.integers(1, 6),
+       n_floor_rel=st.sampled_from([1e-9, 0.5805, 0.63, 0.6815]),
+       batch_rows=st.sampled_from([None, 1, 3]), data=st.data())
+def test_rows_joining_row_0_equal_evaluate_on_single_runs(seed, table, obj, ntb, batch,
+                                                          n_floor_rel, batch_rows, data):
+    # each row after row 0 copies row 0's blocks before a drawn time block (all of
+    # them: the row is row 0) and joins the batch at that block's first node; the
+    # raised floors (N falls to 0.63-0.68 of N0 at steps 6 and 7, 0.58 at step 8)
+    # fail rows, row 0 among them, before and after the others join
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.2, 1.5, 16)
+    m0 = float(rng.uniform(0.5, 3.0))
+    kernel = m0 * np.outer(g, rng.uniform(0.2, 1.5, 16)) if table else ee.RankOneKernel(m0, g)
+    scen = dataclasses.replace(core_scenario(kernel, n_floor_rel=n_floor_rel), obj=obj)
+    blocks = rng.uniform(0.0, 1.0, (batch + 1, 3, ntb, 2)) * np.array([4.5, 1.0, 1.0])[:, None,
+                                                                                       None]
+    for b in range(1, batch + 1):
+        j = data.draw(st.integers(0, ntb), label=f"row {b} copies row 0 before block")
+        blocks[b, :, :j] = blocks[0, :, :j]
+    assert_scores_equal(scen, blocks, batch_rows)
+
+
+@pytest.mark.parametrize("batch_rows", [None, 1, 3])
+def test_rows_joining_after_row_0_failed_carry_its_error(batch_rows):
+    # one time block per step; row 0 turns non-finite at step 1, and row b copies it
+    # before block b, then runs the batch test's feasible row: rows 2-6 join after
+    # row 0 failed (row 6 is row 0) and fail as their own runs do, at step 1
+    scen, policies = _failing_rows()
+    blocks = np.ascontiguousarray(policies[:, :, :-1, :1])
+    stack = np.repeat(blocks[[4]], 7, axis=0)
+    for b in range(1, 7):
+        stack[b, :, b:] = blocks[0, :, b:]
+    scores = assert_scores_equal(scen, stack, batch_rows)
+    assert all(str(r) == str(scores[0]) and r.step_index == 1 for r in scores[2:])
+    assert len({id(r) for r in scores}) == len(scores)  # each row its own error
+
+
+def test_joined_rows_step_only_from_their_node(monkeypatch):
+    # rows that copy row 0 before time block j are stepped from j's first node on
+    # (one block per 2 steps); a copy of row 0 is not stepped at all
+    scen = core_scenario()
+    blocks = np.repeat(np.full((1, 3, 4, 2), 0.5), 6, axis=0)
+    for b, j in enumerate([None, 0, 1, 3, 2, 4]):
+        if j is not None and j < 4:
+            blocks[b, 1, j, 0] = 0.25
+    want = [report_bytes(r) for r in looped_scores(scen, blocks)]
+    rows = []  # the rows of each kernel call
+    node = epi._node
+    monkeypatch.setattr(epi, "_node", lambda x, *a, **k: rows.append(
+        1 if x.ndim == 2 else len(x)) or node(x, *a, **k))
+    assert [report_bytes(r) for r in scen.score(blocks)] == want
+    assert rows == [2, 2, 3, 3, 4, 4, 5, 5, 5]

@@ -909,3 +909,47 @@ def test_validate_gradient_catches_wrong_gradient():
     probes = [(scen.initial.as_triple(), 10.0)]
     with pytest.raises(ee.ConfigurationError):
         ee.validate_gradient(v, probes)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3, 7])
+def test_one_search_over_two_runs_equals_two_profiles(monkeypatch, chunk):
+    # the optimizer's certificate: the nodes of two runs in one stack give each
+    # run's profile bit for bit.  ``chunk`` nodes a stack make the 2 x 17 nodes
+    # exceed ``_STACK_CELLS``, and a chunk spans the two runs (3 and 7 do not
+    # divide 17); the second run is cut short, so the runs differ in length
+    scen = verification_scenario(n_age=8, horizon=16.0)
+    rng = np.random.default_rng(chunk or 0)
+    shape = (scen.time_grid.n_steps + 1, 8)
+    policies = [scen.policy, np.stack([rng.uniform(0.0, 2.0, shape), rng.uniform(0.0, 1.0, shape),
+                                       rng.uniform(0.0, 1.0, shape)])]
+    trajs = [scen.simulate(policy) for policy in policies]
+    trajs[1] = dataclasses.replace(trajs[1], X=trajs[1].X[:12], K=trajs[1].K[:12],
+                                   time_grid=dataclasses.replace(scen.time_grid, n_steps=11))
+    policies[1] = policies[1][:, :12]
+    v = ee.QuadraticValue(scen.space, interior_triple(scen.age_grid), q=0.3)
+    want = [ee.hamiltonian_gap_profile(v, p, t, scen) for p, t in zip(policies, trajs)]
+    if chunk is not None:
+        monkeypatch.setattr(hamiltonian, "_STACK_CELLS",
+                            chunk * len(scen.search.theta_levels) * 8)
+    gaps = hamiltonian._gap_profiles(v, policies, trajs, scen)
+    assert [g.tobytes() for g in gaps] == [g.tobytes() for g in want]
+    assert [len(g) for g in gaps] == [17, 12]
+
+
+def test_gap_profile_is_entered_once_per_call(monkeypatch):
+    # a wrapper patched over the module's name, as a tracer installs one, sees one
+    # entry per call: the function does not call itself through that name
+    scen = verification_scenario(n_age=8, horizon=4.0)
+    v = ee.QuadraticValue(scen.space, interior_triple(scen.age_grid), q=0.3)
+    traj = scen.simulate()
+    real, calls = hamiltonian.hamiltonian_gap_profile, []
+
+    def wrapper(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(hamiltonian, "hamiltonian_gap_profile", wrapper)
+    want = real(v, scen.policy, traj, scen)
+    gaps = hamiltonian.hamiltonian_gap_profile(v, scen.policy, traj, scen)
+    assert calls == [1]
+    assert gaps.tobytes() == want.tobytes()

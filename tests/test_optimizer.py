@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epiecon as ee
-from epiecon import objectives
+from epiecon import epi, objectives, optimizer
 from epiecon.optimizer import _project_blocks
 
 from util import build_scenario, looped_fd_gradient
@@ -285,6 +285,69 @@ def test_fd_gradient_equals_looped_probes(seed, mode, ntb, nab, chunk):
     assert warns == want_warns
 
 
+def _long_scenario():
+    # the epidemic scenario over 20 steps, with births to keep the population
+    return build_scenario(
+        n_age=8, a_max=8.0, n_steps=20, mu_i=0.2, gamma=0.4, m0=2.5, xi=0.2, beta=0.125,
+        i0=0.02, s0=1.0, production=ee.LinearProduction(a_k=0.03, a_l=1.0),
+        K0=50.0, c_level=0.5, theta_level=1.0, eta_level=0.5, which="J1",
+    )
+
+
+@pytest.mark.parametrize("ntb", [4, 5])
+@pytest.mark.parametrize("mode", ["central", "forward"])
+def test_fd_gradient_equals_looped_probes_over_time_blocks(mode, ntb):
+    # probes join the base point's run at their time block (5 or 4 steps a block);
+    # theta at the box's edges in some blocks makes ends that are the base point
+    rng = np.random.default_rng(ntb)
+    scen = _long_scenario()
+    blocks = np.stack([rng.uniform(0.0, 1.0, (ntb, 2)), rng.choice([0.0, 0.5, 1.0], (ntb, 2)),
+                       rng.uniform(0.0, 1.0, (ntb, 2))])
+    cfg = ee.OptimizerConfig(grad_mode=mode, fd_eps_theta=1e-3, fd_eps_eta=1e-3)
+    grads, warns = ee.fd_gradient(blocks, scen, cfg)
+    want, want_warns = looped_fd_gradient(blocks, scen, cfg)
+    assert grads.tobytes() == want.tobytes()
+    assert warns == want_warns
+    assert np.count_nonzero(grads) > 0
+
+
+@pytest.mark.parametrize("mode, row_steps", [("central", 21 + 12 * (21 + 16 + 11 + 6)),
+                                             ("forward", 21 + 6 * (21 + 16 + 11 + 6))])
+def test_fd_gradient_steps_each_probe_from_its_time_block(monkeypatch, mode, row_steps):
+    # 4 x 2 interior blocks over 20 steps: the base point runs all 21 nodes, and a
+    # probe of time block j joins it at node 5 j (669 row-steps in central mode,
+    # where a probe per node would take 48 x 21 = 1008)
+    scen = _long_scenario()
+    blocks = np.full((3, 4, 2), 0.5)
+    rows = []
+    node = epi._node
+    monkeypatch.setattr(epi, "_node", lambda x, *a, **k: rows.append(
+        1 if x.ndim == 2 else len(x)) or node(x, *a, **k))
+    ee.fd_gradient(blocks, scen, ee.OptimizerConfig(grad_mode=mode))
+    assert sum(rows) == row_steps
+
+
+@pytest.mark.parametrize("theta, mode, rows", [(0.5, "central", 12), (1.0, "central", 12),
+                                               (0.5, "forward", 7), (1.0, "forward", 7)])
+def test_fd_gradient_at_one_time_block_steps_no_more_rows_than_probes(monkeypatch, theta,
+                                                                      mode, rows):
+    # at one time block no probe joins late: central mode scores the base point only
+    # where an end is at it (theta at the box's edge), so the rows are those of a
+    # probe per end, 2 x 3 x 2 in central mode and the base point + 3 x 2 forward
+    scen = _long_scenario()
+    blocks = np.full((3, 1, 2), 0.5)
+    blocks[1, 0, 1] = theta
+    steps = []
+    node = epi._node
+    monkeypatch.setattr(epi, "_node", lambda x, *a, **k: steps.append(
+        1 if x.ndim == 2 else len(x)) or node(x, *a, **k))
+    cfg = ee.OptimizerConfig(grad_mode=mode)
+    grads, _ = ee.fd_gradient(blocks, scen, cfg)
+    assert sum(steps) == rows * 21
+    want, _ = looped_fd_gradient(blocks, scen, cfg)
+    assert grads.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("mode", ["central", "forward"])
 def test_fd_gradient_floor_fails_some_probes(mode):
     # an extinction floor at the base point's smallest population: probes that
@@ -390,3 +453,45 @@ def test_optimizer_config_validation():
         ee.OptimizerConfig(backtrack=1.5)
     with pytest.raises(ee.ConfigurationError):
         ee.OptimizerConfig(n_age_blocks=0)
+
+
+def test_optimize_gaps_equal_gaps_of_fresh_runs():
+    # the certificate reads the trajectories the search already ran (the start and
+    # the last accepted trial), both in one node stack: the same gaps as fresh runs
+    weight = 0.02
+    scen = foc_toy_scenario(weight_j4=weight, c_start=0.2)
+    v = ee.LinearValue(scen.space, tuple(np.linspace(0.1, 0.3, 10) for _ in range(3)), q=0.01)
+    cfg = ee.OptimizerConfig(initial_step=50.0, max_iters=5, tol=1e-12, fd_eps_c=1e-6,
+                             n_time_blocks=2)
+    report = ee.optimize(scen, cfg, value_function=v)
+    assert report.n_iters > 0
+    start = ee.expand_blocks(_project_blocks(ee.block_means(scen.policy, 2, 1),
+                                             scen.search.c_max), scen.time_grid, scen.age_grid)
+    for policy, gap in ((start, report.integrated_gap_initial),
+                        (report.policy, report.integrated_gap_final)):
+        traj = scen.simulate(policy)
+        fresh = ee.integrated_gap(ee.hamiltonian_gap_profile(v, policy, traj, scen), traj,
+                                  scen.obj)
+        assert np.float64(gap).tobytes() == np.float64(fresh).tobytes()
+    assert report.integrated_gap_initial != report.integrated_gap_final
+
+
+def test_a_failed_line_search_trial_backtracks(monkeypatch):
+    # a trial that fails as a model error is not taken: the search halves the step,
+    # as if it had started from half the step
+    scen = _epidemic_scenario()
+    cfg = ee.OptimizerConfig(max_iters=1, n_time_blocks=2)
+    want = ee.optimize(scen, dataclasses.replace(cfg, initial_step=0.5))
+    real, calls = optimizer.penalized_objective, []
+
+    def failing(policy, scenario, penalty):
+        calls.append(policy)
+        if len(calls) == 2:  # the first trial, after the start
+            raise ee.ModelError("boom")
+        return real(policy, scenario, penalty)
+
+    monkeypatch.setattr(optimizer, "penalized_objective", failing)
+    report = ee.optimize(scen, cfg)
+    assert report.n_iters == want.n_iters == 1
+    assert report.objective_trace == want.objective_trace
+    assert report.blocks.tobytes() == want.blocks.tobytes()

@@ -95,12 +95,17 @@ def cmd_simulate(cfg, out_dir=None) -> int:
 
     snap_times = cfg["output"]["snapshot_times"]
     if snap_times:
-        tg, times, ages = traj.time_grid, traj.times, scenario.age_grid.nodes
-        blocks = []
-        for t_req in snap_times:
-            k = int(np.clip(round((t_req - tg.t0) / tg.dt), 0, traj.n_steps))
-            blocks.append(np.column_stack([np.full(ages.size, times[k]), ages, *traj.X[k]]))
-        _write_csv(out / "snapshots.csv", ["t", "a", "s", "i", "r"], np.concatenate(blocks))
+        tg, times = traj.time_grid, traj.times
+        # a block's rows differ only in (s, i, r): t and the ages are text in its template
+        age_rows = [f",{a},{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT}"
+                    for a in map(_fmt, scenario.age_grid.nodes.tolist())]
+        with open(out / "snapshots.csv", "w", newline="", encoding="utf-8") as fh:
+            fh.write("t,a,s,i,r\r\n")
+            for t_req in snap_times:
+                k = int(np.clip(round((t_req - tg.t0) / tg.dt), 0, traj.n_steps))
+                t = _fmt(times[k])
+                block = t + ("\r\n" + t).join(age_rows) + "\r\n"
+                fh.write(block % tuple(traj.X[k].T.ravel().tolist()))
 
     _print_table([
         ("steps", traj.n_steps),

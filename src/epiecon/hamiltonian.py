@@ -155,6 +155,14 @@ def h1_evaluator(x, K, costate: CostateField, scenario: Scenario, reward: bool =
     or one (L, n_age) stack per node, giving (n_nodes,) or (n_nodes, L)
     values.  Each value equals H1 at that node and slice alone, bit for bit,
     since every age sum runs along the last axis row by row.
+
+    A node stack's evaluator also scores the scan passes of a search, where
+    one control varies and the others stay: ``h1.theta_scan(c, eta)`` and
+    ``h1.eta_scan(c, theta)`` return a function of the (n_nodes, L, n_age)
+    stack of the varying control.  The terms the pass holds fixed are
+    computed once: C Q and D Q in a theta pass; F(K, L_theta) Q, C Q and
+    the reward in an eta pass.  The terms are added in the order above, so
+    each value is the full evaluator's, bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:  # one node: a node stack of one
@@ -172,21 +180,47 @@ def h1_evaluator(x, K, costate: CostateField, scenario: Scenario, reward: bool =
     p1, p2 = (np.expand_dims(p, -2) for p in (costate.p1, costate.p2))
     running = objectives.node_reward(state, params, scenario.obj) if reward else None
 
-    def h1(c_t, theta_t, eta_t):
-        stacked = max(np.ndim(theta_t), np.ndim(eta_t)) == 3
-        c_t, theta_t, eta_t = (u if np.ndim(u) == 3 else u[:, None]
-                               for u in (c_t, theta_t, eta_t))
-        lam_s = epi.force_of_infection(i, n_total, theta_t, eta_t, params.m, da) * s
+    def rows(u):  # one slice per node as (n_nodes, 1, n_age); a stack stays
+        return u if np.ndim(u) == 3 else u[:, None]
+
+    def output(c_t, theta_t):  # F(K, L_theta) Q and the reward
         Y = econ.F(K, economy.labor_supply(state, theta_t, econ, da))
+        return Y * Q, None if running is None else running(c_t, theta_t, Y)
+
+    def spending(c_t):
+        return economy.consumption_total(state, c_t, da) * Q
+
+    def testing(eta_t):
+        return economy.testing_cost(state, eta_t, econ, da) * Q
+
+    def total(theta_t, eta_t, YQ, CQ, DQ, payoff):
+        lam_s = epi.force_of_infection(i, n_total, theta_t, eta_t, params.m, da) * s
         val = -(da * (lam_s * p1 * space.w1).sum(axis=-1))
         val += da * (lam_s * p2).sum(axis=-1)
-        val += Y * Q
-        val -= economy.consumption_total(state, c_t, da) * Q
-        val -= economy.testing_cost(state, eta_t, econ, da) * Q
-        if running is not None:
-            val = val + running(c_t, theta_t, Y)
-        return val if stacked else val[:, 0]
+        val += YQ
+        val -= CQ
+        val -= DQ
+        return val if payoff is None else val + payoff
 
+    def theta_scan(c_t, eta_t):
+        c_t, eta_t = rows(c_t), rows(eta_t)
+        CQ, DQ = spending(c_t), testing(eta_t)
+
+        def score(theta_t):
+            YQ, payoff = output(c_t, theta_t)
+            return total(theta_t, eta_t, YQ, CQ, DQ, payoff)
+        return score
+
+    def eta_scan(c_t, theta_t):
+        c_t, theta_t = rows(c_t), rows(theta_t)
+        CQ, (YQ, payoff) = spending(c_t), output(c_t, theta_t)
+        return lambda eta_t: total(theta_t, eta_t, YQ, CQ, testing(eta_t), payoff)
+
+    def h1(c_t, theta_t, eta_t):
+        val = theta_scan(c_t, eta_t)(rows(theta_t))
+        return val if max(np.ndim(theta_t), np.ndim(eta_t)) == 3 else val[:, 0]
+
+    h1.theta_scan, h1.eta_scan = theta_scan, eta_scan
     return h1
 
 
@@ -261,8 +295,15 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
     its best level with all others held fixed, until a fixed point.  The
     force of infection couples ages through the contact kernel, so the
     sweep is repeated rather than decoupled.  Each block's levels are
-    scored in one evaluator call on a (L, n_age) stack, one row per level.
-    Deterministic: the lowest-index level wins ties.
+    scored in one call on a (L, n_age) stack, one row per level, through the
+    evaluator's scan of that control, which computes the terms a pass over
+    its blocks holds fixed once.  Deterministic: the lowest-index level wins
+    ties.
+
+    There are two starts, the top and the bottom corner of the lattice, and
+    the better result wins (the top one on a tie).  When the node stack
+    taken twice fits ``_STACK_CELLS`` (2 x nodes x levels x n_age cells),
+    both starts run as one lockstep search over it, else one after the other.
 
     ``baseline``, when given as a (c, theta, eta) slice, is also entered as
     a candidate (with its consumption re-solved exactly), so the returned
@@ -273,8 +314,9 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
     evaluator call scores a block's levels at every node.  Each node keeps
     its own stop test; a node that has passed it only repeats its last
     sweep while the others go on, so its result is, bit for bit, the one it
-    gets alone.  ``value`` is then one per node, and c, theta and eta are
-    (n_nodes, n_age).  One node is a stack of one, with a float ``value``.
+    gets alone, and so is each start's.  ``value`` is then one per node, and
+    c, theta and eta are (n_nodes, n_age).  One node is a stack of one, with
+    a float ``value``.
     """
     search, obj = scenario.search, scenario.obj
     n_age = scenario.space.grid.n_age
@@ -288,13 +330,19 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
     single = x.ndim == 2
     nodes = x[None] if single else x
     n_nodes = nodes.shape[0]
+    # the rows searched: the nodes, or the nodes twice when both starts fit one stack
+    lockstep = 2 * n_nodes * max(th_levels.size, et_levels.size) * n_age <= _STACK_CELLS
+    rows = np.tile(np.arange(n_nodes), 2) if lockstep else slice(None)
+    nodes = nodes[rows]
+    K = np.broadcast_to(np.asarray(K, dtype=np.float64), (n_nodes,))[rows]
+    Q = np.broadcast_to(np.asarray(costate.Q, dtype=np.float64), (n_nodes,))[rows]
+    p1, p2 = (p[rows] if np.ndim(p) == 2 else p for p in (costate.p1, costate.p2))
+    evaluate = h1_evaluator(nodes, K, CostateField(p1, p2, costate.p3, Q), scenario)
     n = nodes[:, 0] + nodes[:, 1] + nodes[:, 2]
-    Q = costate.Q
-    evaluate = h1_evaluator(nodes, K, costate, scenario)
 
-    def ascend(start_level_index):
-        theta = np.full((n_nodes, n_age), th_levels[start_level_index(th_levels)])
-        eta = np.full((n_nodes, n_age), et_levels[start_level_index(et_levels)])
+    def ascend(theta_start, eta_start):
+        theta = np.repeat(theta_start[:, None], n_age, axis=1)
+        eta = np.repeat(eta_start[:, None], n_age, axis=1)
         c = _optimal_c(n, Q, theta, obj, search.c_max)
         best = evaluate(c, theta, eta)
         # one stack per control and node, each row a copy of it; only the block
@@ -302,16 +350,16 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
         th_stack = np.repeat(theta[:, None], th_levels.size, axis=1)
         et_stack = np.repeat(eta[:, None], et_levels.size, axis=1)
         for _ in range(search.max_sweeps):
-            changed = np.zeros(n_nodes, dtype=bool)
+            changed = np.zeros(len(n), dtype=bool)
             for levels, ctrl, stack in ((th_levels, theta, th_stack),
                                         (et_levels, eta, et_stack)):
+                score = (evaluate.theta_scan(c, eta) if ctrl is theta
+                         else evaluate.eta_scan(c, theta))
                 for b in range(nb):
                     lo, hi = b * bs, (b + 1) * bs
                     current = ctrl[:, lo].copy()
                     stack[:, :, lo:hi] = levels[:, None]
-                    vals = (evaluate(c, stack, eta) if ctrl is theta
-                            else evaluate(c, theta, stack))
-                    pick = levels[np.argmax(vals, axis=-1)]
+                    pick = levels[np.argmax(score(stack), axis=-1)]
                     ctrl[:, lo:hi] = pick[:, None]
                     stack[:, :, lo:hi] = pick[:, None, None]
                     changed |= pick != current
@@ -331,14 +379,23 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
         return tuple(np.where(better if new.ndim == 1 else better[:, None], new, old)
                      for old, new in zip(current, candidate))
 
+    def nodes_of(result, start=0):  # a start's own rows of a search's result
+        return tuple(a[start * n_nodes:(start + 1) * n_nodes] for a in result)
+
     # two deterministic starts: the top corner avoids the degenerate tie at
     # theta = 0 or eta = 0 where the transmission channel is switched off
-    best = keep_better(ascend(lambda levels: len(levels) - 1), ascend(lambda levels: 0))
+    corners = (th_levels[-1], et_levels[-1]), (th_levels[0], et_levels[0])
+    if lockstep:
+        both = ascend(*(np.repeat(pair, n_nodes) for pair in zip(*corners)))
+        best = keep_better(nodes_of(both), nodes_of(both, 1))
+    else:
+        best = keep_better(*(ascend(*(np.full(n_nodes, level) for level in corner))
+                             for corner in corners))
     if baseline is not None:
-        th_b, et_b = (np.array(z, dtype=np.float64).reshape(n_nodes, n_age)
+        th_b, et_b = (np.array(z, dtype=np.float64).reshape(n_nodes, n_age)[rows]
                       for z in baseline[1:])
         c_b = _optimal_c(n, Q, th_b, obj, search.c_max)
-        best = keep_better(best, (evaluate(c_b, th_b, et_b), c_b, th_b, et_b))
+        best = keep_better(best, nodes_of((evaluate(c_b, th_b, et_b), c_b, th_b, et_b)))
 
     value, c, theta, eta = best
     if single:
@@ -362,6 +419,13 @@ def _costate_at(v, x, K) -> CostateField:
 # cache and under glibc's 128 KiB threshold for fresh pages from the kernel:
 # at n_age 400 with 5 levels, all 81 nodes in one stack took 1.8x as long as
 # chunks of 8 nodes (16,000 cells), chunks of 16 1.7x and chunks of 4 1.3x.
+# The budget counts both starts of a search: ``_gap_profiles`` chunks by
+# nodes, and ``maximize_h1`` runs its two starts in one lockstep stack only
+# when the chunk taken twice fits.  At n_age 80 with 5 levels, a theta-pass
+# call took 150-220 us on 17 nodes, 340-360 us on 34 and 1,110-1,170 us on
+# 68 (27,200 cells); running both starts in one stack always, with the chunk
+# halved to fit, made the optimize benchmark command 7% slower, since its
+# 42 nodes x 3 levels x 100 cells do not fit twice.
 _STACK_CELLS = 16_000
 
 

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import epiecon as ee
@@ -1257,7 +1257,10 @@ def _assert_walker_matches_jsonschema(cfg, schema, sections=None):
         assert got == field or one_of and got.startswith(f"{field}."), (want, got)
 
 
-@settings(max_examples=150, deadline=None)
+# no shrink phase: shrinking configs that carry 16 x 16 contact tables took
+# about 5 minutes to report a failure, which the unshrunk example shows as well
+@settings(max_examples=150, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(case=mutated_cli_cases())
 def test_schema_walker_matches_jsonschema(case):
     cfg, sections = case

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import epiecon as ee
-from epiecon import hamiltonian
+from epiecon import hamiltonian, objectives
 from epiecon.hamiltonian import _costate_at, _optimal_c
 
 from util import build_scenario, fit_order, smooth_bump
@@ -326,6 +326,76 @@ def test_h1_stack_rows_equal_h1_part_exactly(seed, n_age, table, production, con
         assert vals[row] == one
 
 
+def termwise_h1(x, K, p1, p2, Q, c, theta, eta, scen, reward):
+    """Reference for one node and one slice: each term of H1 computed afresh on
+    (n_age,) arrays and added in the order of the formula."""
+    s, i, r = x
+    params, econ, da = scen.epi, scen.econ, scen.age_grid.da
+    lam_s = ee.force_of_infection(i, da * (s + i + r).sum(), theta, eta, params.m, da) * s
+    val = -(da * (lam_s * p1 * scen.space.w1).sum())
+    val += da * (lam_s * p2).sum()
+    Y = econ.F(K, ee.labor_supply(x, theta, econ, da))
+    val += Y * Q
+    val -= ee.consumption_total(x, c, da) * Q
+    val -= ee.testing_cost(x, eta, econ, da) * Q
+    return val + objectives.node_reward(x, params, scen.obj)(c, theta, Y) if reward else val
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_age=st.sampled_from([8, 16, 40, 80]),
+       n_nodes=st.integers(1, 4), table=st.booleans(),
+       production=st.sampled_from(sorted(PRODUCTIONS)),
+       congestion=st.sampled_from(sorted(CONGESTIONS)), cost_complement=st.booleans(),
+       target=st.sampled_from(["J1", "J2", "J5", "J6", "composite"]), reward=st.booleans(),
+       shared_p=st.booleans(), n_rows=st.integers(1, 5))
+def test_scan_passes_equal_termwise_h1_exactly(seed, n_age, n_nodes, table, production,
+                                               congestion, cost_complement, target, reward,
+                                               shared_p, n_rows):
+    # a theta pass holds C Q and D Q, an eta pass F(K, L) Q, C Q and the reward:
+    # each score equals H1 at that node and slice computed afresh, bit for bit,
+    # and the full evaluator's value on the same stack
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.1, 2.0, n_age)
+    m0 = float(rng.uniform(0.0, 3.0))
+    kernel = m0 * np.outer(g, rng.uniform(0.1, 2.0, n_age)) if table \
+        else ee.RankOneKernel(m0, g)
+    weights = ({t: float(rng.uniform(0.0 if t == "J1" else -5.0, 5.0))
+                for t in ("J1", "J2", "J5", "J6")} if target == "composite" else None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # Cobb-Douglas warns that it is not Lipschitz
+        F = PRODUCTIONS[production]()
+    scen = verification_scenario(n_age=n_age, kernel=kernel, composite=weights,
+                                 which="J1" if weights else target,
+                                 production=F, congestion=CONGESTIONS[congestion](),
+                                 phi=ee.PowerLockdown(q=float(rng.uniform(0.5, 2.0))))
+    scen = dataclasses.replace(
+        scen, econ=dataclasses.replace(scen.econ, cost_complement=cost_complement))
+    x = rng.uniform(0.0, 2.0, (n_nodes, 3, n_age))
+    K = rng.uniform(0.0, 100.0, n_nodes)
+    Q = rng.uniform(-1.0, 1.0, n_nodes)
+    # infection terms of any size against the rest, so a 1-ulp slip in them shows
+    p1, p2 = 10.0 ** rng.uniform(-2.0, 3.0) * rng.standard_normal(
+        (2, n_age) if shared_p else (2, n_nodes, n_age))
+    costate = ee.CostateField(p1, p2, np.zeros(n_age), Q=Q)
+    c = rng.uniform(0.0, 2.0, (n_nodes, n_age))
+    theta, eta = rng.uniform(0.0, 1.0, (2, n_nodes, n_age))
+    stack = rng.uniform(0.0, 1.0, (n_nodes, n_rows, n_age))
+
+    h1 = ee.h1_evaluator(x, K, costate, scen, reward=reward)
+    th_scores = h1.theta_scan(c, eta)(stack)
+    et_scores = h1.eta_scan(c, theta)(stack)
+    assert th_scores.shape == et_scores.shape == (n_nodes, n_rows)
+    assert th_scores.tobytes() == h1(c, stack, eta).tobytes()
+    assert et_scores.tobytes() == h1(c, theta, stack).tobytes()
+    for k in range(n_nodes):
+        pk = (p1, p2) if shared_p else (p1[k], p2[k])
+        for row in range(n_rows):
+            want = [termwise_h1(x[k], K[k], *pk, Q[k], c[k], th, et, scen, reward)
+                    for th, et in ((stack[k, row], eta[k]), (theta[k], stack[k, row]))]
+            assert np.array([th_scores[k, row], et_scores[k, row]]).tobytes() \
+                == np.array(want).tobytes()
+
+
 def looped_maximize_h1(x, K, costate, scen, baseline):
     """Reference for maximize_h1: the same sweep, scoring one level per H1 call."""
     search, obj = scen.search, scen.obj
@@ -477,13 +547,13 @@ def test_gap_profile_positive_for_random_policy():
 
 
 def looped_gap_profile(v, policy, traj, scen):
-    """Reference for hamiltonian_gap_profile: the single-node search at one node
-    at a time.  Returns the gaps and each node's maximize_h1 result."""
+    """Reference for hamiltonian_gap_profile: the looped single-node search at one
+    node at a time.  Returns the gaps and each node's search result."""
     gaps, results = np.empty(traj.n_steps + 1), []
     for k in range(traj.n_steps + 1):
         x, K = traj.X[k], float(traj.K[k])
         costate = _costate_at(v, x, K)
-        results.append(ee.maximize_h1(x, K, costate, scen, baseline=policy[:, k]))
+        results.append(ee.H1Result(*looped_maximize_h1(x, K, costate, scen, policy[:, k])))
         gaps[k] = results[-1].value - ee.h1_part(x, K, costate, *policy[:, k], scen)
     return gaps, results
 
@@ -542,11 +612,36 @@ def test_gap_profile_equals_looped_single_node_search(seed, n_age, table, target
                               np.stack([getattr(one, name) for one in singles]))
 
 
+def count_h1_calls(monkeypatch) -> list:
+    """Patch the module's evaluator to count every scoring call, full or in a
+    scan pass, into the last entry of the returned list."""
+    calls, evaluator = [], hamiltonian.h1_evaluator
+
+    def counting(*args, **kwargs):
+        h1 = evaluator(*args, **kwargs)
+
+        def counted(score):
+            def call(*z):
+                calls[-1] += 1
+                return score(*z)
+            return call
+        wrapped = counted(h1)
+        wrapped.theta_scan = lambda *z: counted(h1.theta_scan(*z))
+        wrapped.eta_scan = lambda *z: counted(h1.eta_scan(*z))
+        return wrapped
+
+    monkeypatch.setattr(hamiltonian, "h1_evaluator", counting)
+    return calls
+
+
 def test_lockstep_nodes_stop_at_different_sweeps(monkeypatch):
     # a node without epidemic and a zero costate sits at its optimum from the top
     # start; a node whose infections are costly sweeps longer.  In the lockstep
     # search the first repeats its last sweep while the second goes on, and each
-    # gets its lone result.
+    # gets its lone result.  The two starts run one after the other, so each
+    # start's own stop shows in the count (in one lockstep pass over both
+    # starts, a lone node sweeps as long as its slower start).
+    monkeypatch.setattr(hamiltonian, "_STACK_CELLS", 1)
     scen = verification_scenario(i0=0.1)
     scen = dataclasses.replace(scen, search=dataclasses.replace(scen.search,
                                                                 eta_levels=(1.0,)))
@@ -559,18 +654,7 @@ def test_lockstep_nodes_stop_at_different_sweeps(monkeypatch):
     zero = np.zeros((2, 16))
     costate = ee.CostateField(p1, zero, zero, Q=np.array([0.5, 0.5]))
 
-    calls = []
-    evaluator = hamiltonian.h1_evaluator
-
-    def counting(*args, **kwargs):
-        h1 = evaluator(*args, **kwargs)
-
-        def counted(*z):
-            calls[-1] += 1
-            return h1(*z)
-        return counted
-
-    monkeypatch.setattr(hamiltonian, "h1_evaluator", counting)
+    calls = count_h1_calls(monkeypatch)
     singles = []
     for k in range(2):
         calls.append(0)
@@ -585,6 +669,67 @@ def test_lockstep_nodes_stop_at_different_sweeps(monkeypatch):
         assert res.value[k] == one.value
         for name in ("c", "theta", "eta"):
             assert np.array_equal(getattr(res, name)[k], getattr(one, name))
+
+
+@pytest.mark.parametrize("table", [False, True])
+@pytest.mark.parametrize("short, want_calls", [(0, 12), (1, 23)])
+def test_two_starts_share_one_pass_when_the_stack_fits_twice(monkeypatch, table, short,
+                                                             want_calls):
+    # 9 nodes x 5 levels x 16 cells, taken twice, fit a budget of 1,440 cells: both
+    # starts run as one lockstep pass, and the evaluator calls halve (each start
+    # takes two sweeps of 2 + 2 blocks and a final score: 1 + 2 x 5 calls, plus one
+    # for the baseline).  One cell short, the starts run one after the other,
+    # 2 x (1 + 2 x 5) + 1 calls.  Either way each node gets the bytes of the
+    # looped single-node search.
+    rng = np.random.default_rng(5)
+    g = rng.uniform(0.1, 2.0, 16)
+    kernel = 1.8 * np.outer(g, rng.uniform(0.1, 2.0, 16)) if table \
+        else ee.RankOneKernel(1.8, g)
+    scen = verification_scenario(n_age=16, horizon=4.0, i0=0.05, kernel=kernel)
+    traj = scen.simulate()
+    v = ee.LinearValue(scen.space, interior_triple(scen.age_grid), q=0.4)
+    costate = _costate_at(v, traj.X, traj.K)
+    monkeypatch.setattr(hamiltonian, "_STACK_CELLS",
+                        2 * len(traj.X) * len(scen.search.theta_levels) * 16 - short)
+    calls = count_h1_calls(monkeypatch)
+    calls.append(0)
+    res = ee.maximize_h1(traj.X, traj.K, costate, scen, baseline=scen.policy)
+    assert calls == [want_calls]
+    _, singles = looped_gap_profile(v, scen.policy, traj, scen)
+    assert res.value.tobytes() == np.array([one.value for one in singles]).tobytes()
+    for name in ("c", "theta", "eta"):
+        assert getattr(res, name).tobytes() == np.stack([getattr(one, name)
+                                                         for one in singles]).tobytes()
+
+
+@pytest.mark.parametrize("stack_cells", [None, 1])
+def test_each_start_wins_where_it_should(monkeypatch, stack_cells):
+    # the corners of a (0, 1) x (0, 1) lattice on one age block.  With costly
+    # infections and testing priced on 1 - eta, the top start drops theta and sticks
+    # at (0, 1), while the bottom start raises theta and reaches the better (1, 0).
+    # With infections valued, costly testing and no labor, theta is idle where
+    # eta = 0: after one sweep the top start sits at (1, 0) and the bottom one at
+    # (0, 0), with the same value, and the top start wins the tie.  Both in one
+    # lockstep pass and one after the other (``stack_cells`` 1).
+    if stack_cells is not None:
+        monkeypatch.setattr(hamiltonian, "_STACK_CELLS", stack_cells)
+    corners = dict(i0=0.1, which="J6", theta_levels=(0.0, 1.0), eta_levels=(0.0, 1.0),
+                   search_blocks=1)
+    sticky = verification_scenario(congestion=ee.LinearCongestion(d1=2.0), **corners)
+    sticky = dataclasses.replace(sticky, econ=dataclasses.replace(sticky.econ,
+                                                                  cost_complement=True))
+    tied = verification_scenario(alpha=0.0, congestion=ee.LinearCongestion(d1=5.0), **corners)
+    tied = dataclasses.replace(tied, search=dataclasses.replace(tied.search, max_sweeps=1))
+    zero, one = np.zeros(16), np.ones(16)
+    for scen, costate, other, beaten in (
+            (sticky, ee.CostateField(np.full(16, 10.0), zero, zero, Q=1.0), (zero, one), True),
+            (tied, ee.CostateField(zero, one, zero, Q=1.0), (zero, zero), False)):
+        x = np.stack(scen.initial.as_triple())
+        res = ee.maximize_h1(x, 50.0, costate, scen)
+        assert np.array_equal(res.theta, one) and np.array_equal(res.eta, zero)
+        assert res.value == ee.h1_part(x, 50.0, costate, res.c, one, zero, scen)
+        other_value = ee.h1_part(x, 50.0, costate, res.c, *other, scen)
+        assert other_value < res.value if beaten else other_value == res.value
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 3])

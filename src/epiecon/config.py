@@ -478,9 +478,17 @@ def load_config(path) -> dict:
 
 
 def _nonfinite_path(node, path=""):
-    """Field path of the first NaN or infinite number in a JSON document, else None."""
-    if isinstance(node, float) and not math.isfinite(node):
-        return path or "<root>"
+    """Field path of the first number in a JSON document that is no finite float, else None."""
+    if isinstance(node, (int, float)):
+        try:
+            return None if math.isfinite(node) else path or "<root>"
+        except OverflowError:  # an int beyond the float range
+            return path or "<root>"
+    try:  # a row of numbers in one pass: only a row that fails is walked
+        if isinstance(node, list) and all(map(math.isfinite, node)):
+            return None
+    except (TypeError, OverflowError):
+        pass
     for key, child in (node.items() if isinstance(node, dict) else
                        enumerate(node) if isinstance(node, list) else ()):
         if type(child) is not float or not math.isfinite(child):  # skip finite leaves
@@ -495,10 +503,14 @@ _ENCODE = json.JSONEncoder(allow_nan=False).encode  # the C encoder: items joine
 
 def _write_json(fh, node, indent: str = "\n") -> None:
     """Write ``node`` (string keys) as ``json.dump(node, indent=2, sort_keys=True,
-    allow_nan=False)`` does, piece by piece: a list of plain numbers goes
-    through the C encoder in one call, everything else through this walk."""
+    allow_nan=False)`` does, piece by piece: a list of plain numbers in one
+    write, everything else through this walk."""
     inner = indent + "  "
-    if isinstance(node, (list, tuple)) and node and all(type(v) in (int, float) for v in node):
+    kinds = set(map(type, node)) if isinstance(node, (list, tuple)) and node else ()
+    text = ("," + inner).join(map(repr, node)) if kinds == {float} else ""
+    if text and "n" not in text:  # repr of a finite float is the encoder's text and has no n
+        fh.write("[" + inner + text + indent + "]")
+    elif kinds and kinds <= {int, float}:  # with an int, or a float the encoder rejects
         fh.write("[" + inner + _ENCODE(node)[1:-1].replace(", ", "," + inner) + indent + "]")
     elif isinstance(node, (list, tuple, dict)) and node:
         keyed = isinstance(node, dict)

@@ -218,19 +218,19 @@ class EconParams:
 def labor_supply(x, theta_t: np.ndarray, econ: EconParams, da: float):
     """Efficiency-unit labor of the working compartments, L = int (s+r) alpha phi(theta)."""
     s, _, r = x
-    return da * ((s + r) * econ.alpha * econ.phi(theta_t)).sum(axis=-1)
+    return da * np.add.reduce((s + r) * econ.alpha * econ.phi(theta_t), -1)
 
 
 def consumption_total(x, c_t: np.ndarray, da: float):
     """Aggregate consumption C = int c (s + i + r) da."""
     s, i, r = x
-    return da * (c_t * (s + i + r)).sum(axis=-1)
+    return da * np.add.reduce(c_t * (s + i + r), -1)
 
 
 def testing_cost(x, eta_t: np.ndarray, econ: EconParams, da: float):
     """Congestion-priced testing expenditure D(int level * i * e da)."""
     level = (1.0 - eta_t) if econ.cost_complement else eta_t
-    return econ.D(da * (level * x[1] * econ.e).sum(axis=-1))
+    return econ.D(da * np.add.reduce(level * x[1] * econ.e, -1))
 
 
 def capital_step(K, Y, C, d_cost, econ: EconParams, dt: float):

@@ -115,7 +115,7 @@ class EpiState:
 
 def critical_load(i: np.ndarray, params: EpiParams, da: float):
     """Hospital-demand aggregate Xi = int i * xi da."""
-    return da * (i * params.xi).sum(axis=-1)
+    return da * np.add.reduce(i * params.xi, -1)
 
 
 def infection_mortality(params: EpiParams, Xi) -> np.ndarray:
@@ -126,7 +126,7 @@ def infection_mortality(params: EpiParams, Xi) -> np.ndarray:
 
 def deaths_flow(i: np.ndarray, mu_i: np.ndarray, da: float):
     """Disease deaths flow int mu_I(., Xi) i da, given the mortality field mu_i."""
-    return da * (mu_i * i).sum(axis=-1)
+    return da * np.add.reduce(mu_i * i, -1)
 
 
 def _extinct(n_total, n_floor: float) -> ExtinctPopulation:
@@ -169,7 +169,7 @@ def force_of_infection(i: np.ndarray, n_total, theta_t, eta_t, m, da: float) -> 
 # ----------------------------------------------------------------------
 
 def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams,
-          da: float, dt: float, n_floor: float, out=None):
+          da: float, dt: float, n_floor: float, out=None, fixed=None):
     """The fused kernel: one time node of the coupled dynamics, for one state or a batch.
 
     ``x`` is one (3, n_age) state (rows s, i, r) or a (B, 3, n_age) batch,
@@ -190,7 +190,7 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     """
     s, i, r = x[..., 0, :], x[..., 1, :], x[..., 2, :]
     n = s + i + r
-    n_total = da * n.sum(axis=-1)
+    n_total = da * np.add.reduce(n, -1)
     lam = force_of_infection(i, n_total[..., None], theta_t, eta_t, params.m, da)
     Xi = critical_load(i, params, da)
     mu_i = infection_mortality(params, Xi)
@@ -203,18 +203,20 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     if out is None:
         return aggregates, None, _failures(above, n_total, n_floor)
 
+    keep_r, gamma_pos = fixed or _fixed(params, dt)  # the run's, else made here
     gamma = params.gamma
-    births = da * (params.beta * n).sum(axis=-1)
-    s_dec = s * np.exp(-(lam + params.mu_S) * dt)
-    new_inf = s * (-np.expm1(-lam * dt))
+    births = da * np.add.reduce(params.beta * n, -1)
+    # -dt rides on the scalar and gain = -(new infections): no array is negated, same bits
+    s_dec = s * np.exp((lam + params.mu_S) * -dt)
+    gain = s * np.expm1(lam * -dt)
     out_rate = mu_i + gamma
-    full_exp = -out_rate * dt
-    half_exp = -out_rate * (0.5 * dt)
-    i_dec = i * np.exp(full_exp) + new_inf * np.exp(half_exp)
-    outflow = i * (-np.expm1(full_exp)) + new_inf * (-np.expm1(half_exp))
-    recovered_share = np.divide(gamma, out_rate, out=np.zeros_like(out_rate),
-                                where=out_rate > 0)
-    r_dec = r * np.exp(-params.mu_R * dt) + recovered_share * outflow
+    full_exp = out_rate * -dt
+    half_exp = out_rate * (-0.5 * dt)
+    i_dec = i * np.exp(full_exp) - gain * np.exp(half_exp)
+    outflow = gain * np.expm1(half_exp) - i * np.expm1(full_exp)
+    recovered_share = (gamma / out_rate if gamma_pos else  # then out_rate >= gamma > 0
+                       np.divide(gamma, out_rate, out=np.zeros_like(out_rate), where=out_rate > 0))
+    r_dec = r * keep_r + recovered_share * outflow
 
     out[..., 0, 0] = births * dt / da
     out[..., 1:, 0] = 0.0
@@ -223,7 +225,12 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     out[..., 2, 1:] = r_dec[..., :-1]
     K1 = economy.capital_step(K, Y, C, d_cost, econ, dt)
     return aggregates, K1, _failures(above, n_total, n_floor,
-                                     np.isfinite(out).all(axis=(-2, -1)), K1)
+                                     np.logical_and.reduce(np.isfinite(out), (-2, -1)), K1)
+
+
+def _fixed(params: EpiParams, dt: float):
+    """The constants every node of a run shares: exp(-mu_R dt), and whether every gamma > 0."""
+    return np.exp(-params.mu_R * dt), bool((params.gamma > 0).all())
 
 
 def _failures(above, n_total, n_floor, state_ok=True, K1=0.0) -> dict:
@@ -231,7 +238,7 @@ def _failures(above, n_total, n_floor, state_ok=True, K1=0.0) -> dict:
     first of: the total population at or below the floor, a non-finite
     state, a non-finite capital."""
     ok = above & state_ok & np.isfinite(K1)
-    if ok.all() if ok.ndim else ok:  # a numpy bool for one state, where .all() costs 2 us
+    if np.logical_and.reduce(ok) if ok.ndim else ok:  # a numpy bool for one state
         return {}
     failed = {}
     for b in np.flatnonzero(~ok).tolist():
@@ -371,7 +378,7 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
     """
     grid, n_steps = initial.grid, time_grid.n_steps
     n_floor = n_floor_rel * initial.total_population()
-    da, dt = grid.da, time_grid.dt
+    da, dt, fixed = grid.da, time_grid.dt, _fixed(params, time_grid.dt)
 
     X = np.empty((B, n_steps + 1, 3, grid.n_age) if keep_states else (2, B, 3, grid.n_age))
     state = (lambda k: X[:, k]) if keep_states else (lambda k: X[k % 2])
@@ -420,7 +427,8 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
             if k < n_steps:
                 out = state(k + 1)[at] if prefix else np.empty((len(rows), 3, grid.n_age))
             agg[:, at, k], K1, failed = _node(x, K[at, k], u[..., 0, :], u[..., 1, :],
-                                              u[..., 2, :], params, econ, da, dt, n_floor, out)
+                                              u[..., 2, :], params, econ, da, dt, n_floor,
+                                              out, fixed)
             if flows is not None:
                 flows[at, k] = flow(x, u[..., 0, :], u[..., 1, :])
             if out is not None:

@@ -22,7 +22,7 @@ from epiecon.hamiltonian import validate_gradient
 from epiecon.objectives import ShiftedCRRAUtility
 from epiecon.optimizer import OptimizerConfig
 from util import (MOVED_RULES, jsonschema_field, looped_horizon_runs, looped_sweep,
-                  schema_with_rules)
+                  reference_nonfinite_path, schema_with_rules)
 
 
 def small_config(**grid_overrides):
@@ -797,10 +797,25 @@ _FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 _JSON_LEAF = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40), _FLOAT,
     st.text(max_size=8), st.sampled_from(["a, b", "[1, 2], 3", "Zürich, Genève", "\u2603, x"]))
+
+
+def _long_row(seed, n):
+    """``n`` finite floats of every magnitude, with signed zeros, subnormals and the
+    extremes among them, drawn from ``seed`` (a row of a contact table)."""
+    rng = np.random.default_rng(seed)
+    row = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    special = rng.random(n) < 0.1
+    row[special] = rng.choice([0.0, -0.0, 5e-324, -1e-310, 1.7976931348623157e308, -1e308,
+                               0.1, 1.0, 100.0], special.sum())
+    return row.tolist()
+
+
+_LONG_ROW = st.builds(_long_row, st.integers(0, 2**32 - 1), st.integers(200, 260))
 _JSON = st.recursive(_JSON_LEAF, lambda children: st.one_of(
     st.lists(children, max_size=4), st.dictionaries(st.text(max_size=6), children, max_size=4),
     st.lists(st.one_of(st.integers(), _FLOAT), max_size=6),  # the C encoder's lists
-    st.lists(st.one_of(st.integers(), _FLOAT, st.booleans()), max_size=6)), max_leaves=40)
+    st.lists(st.one_of(st.integers(), _FLOAT, st.booleans()), max_size=6),
+    st.lists(_FLOAT, min_size=1, max_size=6), _LONG_ROW), max_leaves=40)  # the repr rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -808,7 +823,8 @@ _JSON = st.recursive(_JSON_LEAF, lambda children: st.one_of(
 def test_dump_config_writes_what_json_dump_writes(cfg, tmp_path_factory):
     # the echo writer against the encoder it replaces: nested and empty lists and
     # dicts, number lists with and without bools, separators and non-ASCII text in
-    # strings, signed zeros, subnormals, extreme and big numbers
+    # strings, signed zeros, subnormals, extreme and big numbers, and float rows of
+    # table length
     path = tmp_path_factory.mktemp("echo") / "resolved_config.json"
     cfgmod.dump_config(cfg, path)
     want = json.dumps(cfg, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -816,12 +832,43 @@ def test_dump_config_writes_what_json_dump_writes(cfg, tmp_path_factory):
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("where", ["number_list", "mixed_list", "value"])
+@pytest.mark.parametrize("where", ["number_list", "mixed_list", "value", "long_row"])
 def test_dump_config_rejects_non_finite_numbers(tmp_path, bad, where):
     cfg = {"number_list": {"a": [1.0, bad]}, "mixed_list": {"a": [True, bad]},
-           "value": {"a": bad}}[where]
+           "value": {"a": bad}, "long_row": {"a": [0.5] * 150 + [bad] + [0.25] * 49}}[where]
     with pytest.raises(ValueError):
         cfgmod.dump_config(cfg, tmp_path / "resolved_config.json")
+
+
+_BAD = st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, -(10**400)])
+
+
+@st.composite
+def _number_tree(draw):
+    """A JSON tree of number rows: long float rows with NaN, infinities or ints beyond
+    the float range at drawn positions, rows mixing ints, floats and bools, and rows
+    nested in rows and objects."""
+    def row(depth=0):
+        kind = draw(st.sampled_from(["floats", "mixed"] + ["nested", "object"] * (depth < 2)))
+        if kind == "nested":
+            return [row(depth + 1) for _ in range(draw(st.integers(0, 3)))]
+        if kind == "object":
+            return {"k": row(depth + 1), "n": draw(st.sampled_from([1, 2.5, "x", None]))}
+        values = _long_row(draw(st.integers(0, 2**32 - 1)), draw(st.integers(200, 240)))
+        if kind == "mixed":
+            values = [draw(st.sampled_from([v, int(v), True, False, 0, 1]))
+                      if j % 7 == 0 and abs(v) < 2**53 else v for j, v in enumerate(values)]
+        for _ in range(draw(st.integers(0, 2))):
+            values[draw(st.integers(0, len(values) - 1))] = draw(_BAD)
+        return values
+    return {draw(st.text(max_size=4)): row() for _ in range(draw(st.integers(1, 3)))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_number_tree())
+def test_nonfinite_path_names_what_the_element_walk_names(tree):
+    # the row-at-a-time check against the walk that looks at every element
+    assert cfgmod._nonfinite_path(tree) == reference_nonfinite_path(tree)
 
 
 def test_load_config_equals_resolve_config():
@@ -858,6 +905,9 @@ def test_demo_covid_smoke(tmp_path):
     ("evaluate", "objective", "rho", "Infinity"),
     ("simulate", "economy", "K0", "NaN"),
     ("simulate", "economy", "delta", "1e400"),
+    # a 400-digit int, beyond the float range
+    *(pytest.param("simulate", section, key, "1" + "0" * 399, id=f"simulate-{key}-int400")
+      for section, key in (("economy", "delta"), ("economy", "K0"), ("grid", "n_age"))),
 ])
 def test_nonfinite_config_number_names_field(tmp_path, capsys, command, section, key,
                                              literal):

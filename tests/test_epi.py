@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import epiecon as ee
 from epiecon import epi, objectives
 
-from util import build_scenario, fit_order, random_block_policy, rk4_path, smooth_bump
+from util import (build_scenario, fit_order, random_block_policy, reference_node, rk4_path,
+                  smooth_bump)
 
 
 # ----------------------------------------------------------------------
@@ -647,6 +648,85 @@ def test_simulate_batch_failed_rows_match_single_runs():
                         (state, 1), (floor, 5), (state, 2)]
     assert str(rows[4]) == str(rows[5]) == "state update produced non-finite densities"
     assert str(rows[7]) == "capital update produced -inf"
+
+
+def _signed_zeros(rng, values, share=0.25):
+    """``values`` with about ``share`` of the entries set to 0.0 or -0.0."""
+    zero = rng.random(values.shape) < share
+    return np.where(zero, np.where(rng.random(values.shape) < 0.5, 0.0, -0.0), values)
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, but for the sign of a NaN (meaningless in a failed row)."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([None, 1, 4]),
+       table=st.booleans(), gamma_zeros=st.booleans(), overflow=st.booleans(),
+       step=st.booleans(), fixed=st.booleans(), shared=st.booleans(),
+       complement=st.booleans(), a_max=st.sampled_from([8.0, 3.0]))
+def test_node_equals_reference_kernel_bitwise(seed, batch, table, gamma_zeros, overflow, step,
+                                              fixed, shared, complement, a_max):
+    # the stepping kernel against its arithmetic as first written (tests/util.py):
+    # aggregates, next states, capitals and each failed row's error, for one state
+    # or a batch, with signed zeros everywhere (a cell whose s, i and r are all
+    # zeros of drawn signs tells a negated sum from a sum of negated terms), zero
+    # recovery rates or none, overflow rows whose critical load is infinite and whose
+    # mortality is 0 * inf = NaN, a floor some rows fail and a capital that overflows
+    rng = np.random.default_rng(seed)
+    n_age, rows = 8, batch or 1
+    grid = ee.AgeGrid(a_max=a_max, n_age=n_age)
+    da = grid.da
+
+    def coef(lo, hi, shape=n_age):
+        return _signed_zeros(rng, rng.uniform(lo, hi, shape))
+
+    g = rng.uniform(0.2, 1.5, n_age)
+    gamma = coef(0.1, 0.5) if gamma_zeros else rng.uniform(0.1, 0.5, n_age)
+    params = ee.EpiParams(
+        grid=grid, mu_S=coef(0.0, 0.1), mu_R=coef(0.0, 0.1), mu_I_base=coef(0.0, 0.3),
+        gamma=gamma, beta=coef(0.0, 0.1), xi=rng.uniform(0.3, 1.0, n_age),
+        m=coef(0.0, 3.0, (n_age, n_age)) if table else ee.RankOneKernel(2.0, g),
+        saturation=ee.SaturationSpec(xi_cap=0.5, psi=1.0, smooth=0.2))
+    econ = ee.EconParams(alpha=coef(0.5, 1.0), e=coef(0.5, 1.0), delta=0.05,
+                         F=ee.CESProduction(scale=1.2, omega=0.3, substitution=0.5,
+                                            mpk_cap=0.4),
+                         phi=ee.AffineLockdown(ell=0.6), D=ee.LinearCongestion(d1=0.3),
+                         cost_complement=complement)
+    x = _signed_zeros(rng, rng.uniform(0.0, 1.0, (rows, 3, n_age)), share=0.15)
+    cells = rng.random((rows, n_age)) < 0.25  # cells whose s, i and r are all zeros
+    x = np.where(cells[:, None], np.where(rng.random(x.shape) < 0.5, 0.0, -0.0), x)
+    n_floor = rng.choice([0.0, 0.5, 1.0]) * da * (x[0, 0] + x[0, 1] + x[0, 2]).sum()
+    if overflow:
+        x[rng.integers(rows), 1] = 1e308
+    n_slices = 1 if shared else rows
+    c = coef(0.0, 2.0, (n_slices, n_age))
+    c[rng.random(n_slices) < 0.2] = 1e308  # drives a capital to -inf
+    theta, eta = coef(0.0, 1.0, (n_slices, n_age)), coef(0.0, 1.0, (n_slices, n_age))
+    K = rng.uniform(0.0, 100.0, rows)
+    if batch is None:
+        x, K, c, theta, eta = x[0], K[0], c[0], theta[0], eta[0]
+    elif shared:
+        c, theta, eta = c[0], theta[0], eta[0]
+    got_out, want_out = (np.full(x.shape, 7.0), np.full(x.shape, 7.0)) if step else (None, None)
+    with np.errstate(all="ignore"):
+        got = epi._node(x, K, c, theta, eta, params, econ, da, da, n_floor, got_out,
+                        epi._fixed(params, da) if fixed else None)
+        want = reference_node(x, K, c, theta, eta, params, econ, da, da, n_floor, want_out)
+    for have, expect in zip(got[0], want[0]):
+        assert np.asarray(have).tobytes() == np.asarray(expect).tobytes()
+    assert (got[1] is None) == (want[1] is None)
+    if step:
+        assert np.asarray(got[1]).tobytes() == np.asarray(want[1]).tobytes()
+        assert _same_bits(got_out, want_out)
+        stepped = [b for b in range(rows) if b not in want[2]]  # every bit, NaN signs too
+        assert got_out.reshape(rows, 3, n_age)[stepped].tobytes() == \
+            want_out.reshape(rows, 3, n_age)[stepped].tobytes()
+    assert got[2].keys() == want[2].keys()
+    for b, err in want[2].items():
+        assert (type(got[2][b]), str(got[2][b])) == (type(err), str(err))
 
 
 @pytest.mark.parametrize("run", ["simulate", "simulate_batch", "score"])

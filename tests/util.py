@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 
 import jsonschema
 import numpy as np
 
 import epiecon as ee
-from epiecon import cli, config as cfgmod
+from epiecon import cli, config as cfgmod, epi
 
 
 # ----------------------------------------------------------------------
@@ -153,6 +154,88 @@ def compact_profile(grid, rng=None, lo=0.2, hi=0.8, n_modes=3):
 
 def compact_triple(grid, rng, **kw):
     return tuple(compact_profile(grid, rng, **kw) for _ in range(3))
+
+
+# ----------------------------------------------------------------------
+# the stepping kernel and the config walk as first written
+# ----------------------------------------------------------------------
+
+def reference_node(x, K, c_t, theta_t, eta_t, params, econ, da, dt, n_floor, out=None):
+    """``epi._node`` as first written, with the aggregates it called inlined: age
+    sums through ``ndarray.sum``, the outflow a sum of negated ``expm1`` terms,
+    and exp(-mu_R dt) and the masked recovered share made at every node.  The
+    contact kernel and the economy's forms are called as the kernel calls them."""
+    s, i, r = x[..., 0, :], x[..., 1, :], x[..., 2, :]
+    n = s + i + r
+    n_total = da * n.sum(axis=-1)
+    lam = epi.force_of_infection(i, n_total[..., None], theta_t, eta_t, params.m, da)
+    Xi = da * (i * params.xi).sum(axis=-1)
+    mu_i = params.mu_I_base * params.saturation.multiplier(Xi)[..., None]
+    L = da * ((s + r) * econ.alpha * econ.phi(theta_t)).sum(axis=-1)
+    C = da * (c_t * (s + i + r)).sum(axis=-1)
+    level = (1.0 - eta_t) if econ.cost_complement else eta_t
+    d_cost = econ.D(da * (level * i * econ.e).sum(axis=-1))
+    Y = econ.F(K, L)
+    aggregates = (n_total, Xi, da * (mu_i * i).sum(axis=-1), L, Y, C, d_cost)
+    above = n_total > n_floor
+    if out is None:
+        return aggregates, None, _reference_failures(above, n_total, n_floor)
+
+    gamma = params.gamma
+    births = da * (params.beta * n).sum(axis=-1)
+    s_dec = s * np.exp(-(lam + params.mu_S) * dt)
+    new_inf = s * (-np.expm1(-lam * dt))
+    out_rate = mu_i + gamma
+    full_exp = -out_rate * dt
+    half_exp = -out_rate * (0.5 * dt)
+    i_dec = i * np.exp(full_exp) + new_inf * np.exp(half_exp)
+    outflow = i * (-np.expm1(full_exp)) + new_inf * (-np.expm1(half_exp))
+    recovered_share = np.divide(gamma, out_rate, out=np.zeros_like(out_rate),
+                                where=out_rate > 0)
+    r_dec = r * np.exp(-params.mu_R * dt) + recovered_share * outflow
+
+    out[..., 0, 0] = births * dt / da
+    out[..., 1:, 0] = 0.0
+    out[..., 0, 1:] = s_dec[..., :-1]
+    out[..., 1, 1:] = i_dec[..., :-1]
+    out[..., 2, 1:] = r_dec[..., :-1]
+    K1 = K + dt * (Y - C - econ.delta * K - d_cost)
+    return aggregates, K1, _reference_failures(above, n_total, n_floor,
+                                               np.isfinite(out).all(axis=(-2, -1)), K1)
+
+
+def _reference_failures(above, n_total, n_floor, state_ok=True, K1=0.0) -> dict:
+    ok = above & state_ok & np.isfinite(K1)
+    if ok.all():
+        return {}
+    failed = {}
+    for b in np.flatnonzero(~np.ravel(ok)).tolist():
+        if not np.ravel(above)[b]:
+            failed[b] = ee.ExtinctPopulation(f"total population {np.ravel(n_total)[b]:.3e} "
+                                             f"at or below the floor {n_floor:.3e}")
+        elif not np.ravel(state_ok)[b]:
+            failed[b] = ee.NonFiniteState("state update produced non-finite densities")
+        else:
+            failed[b] = ee.NonFiniteState(f"capital update produced {np.ravel(K1)[b]}")
+    return failed
+
+
+def reference_nonfinite_path(node, path=""):
+    """The config's non-finite check as an element-by-element walk: the field path of
+    the first NaN, infinite or float-overflowing number, else None."""
+    if isinstance(node, float) and not math.isfinite(node):
+        return path or "<root>"
+    if type(node) is int:
+        try:
+            float(node)
+        except OverflowError:
+            return path or "<root>"
+    for key, child in (node.items() if isinstance(node, dict) else
+                       enumerate(node) if isinstance(node, list) else ()):
+        found = reference_nonfinite_path(child, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,6 @@ from .epi import (
     hilbert_space_for,
     infection_mortality,
     simulate,
-    simulate_batch,
     step,
 )
 from .objectives import (

@@ -207,7 +207,10 @@ def _smooth_pairs(space, rng, n_pairs):
 
 def cmd_check(cfg, out_dir=None) -> int:
     scenario = cfgmod.build_scenario(cfg)
-    ver = cfg["verification"]
+    ver, n_steps = cfg["verification"], cfg["grid"]["n_steps"]
+    steps = [cfgmod.step_count(n_steps * mult, scenario.age_grid.n_age,
+                               "verification.horizon_multipliers")
+             for mult in ver["horizon_multipliers"]]
     rng = np.random.default_rng(ver["seed"])
 
     # adjoint identity on random smooth compactly supported pairs
@@ -226,8 +229,6 @@ def cmd_check(cfg, out_dir=None) -> int:
     grad_err = validate_gradient(v, [(scenario.initial.as_triple(), max(scenario.K0, 1.0))])
     # one run serves every horizon: with the last policy row held, each horizon's
     # run is, bit for bit, a prefix of the longest one
-    n_steps = cfg["grid"]["n_steps"]
-    steps = [int(round(n_steps * mult)) for mult in ver["horizon_multipliers"]]
     tg = TimeGrid.aligned(scenario.age_grid, t0=scenario.time_grid.t0, n_steps=max(steps))
     longest = None  # the run to the longest horizon past the configured one, or its error
     if tg.n_steps > n_steps:

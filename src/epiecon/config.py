@@ -669,10 +669,21 @@ def policy_blocks(cfg: dict) -> np.ndarray:
     return np.stack([table("c"), table("theta"), table("eta")])
 
 
+def step_count(count, n_age: int, field: str) -> int:
+    """A step count, rounded, rejected naming ``field`` when its (count + 1, 3, n_age)
+    float64 trajectory exceeds the largest array numpy can address."""
+    rounded = int(round(count)) if math.isfinite(count) else count
+    if not (rounded + 1) * 3 * n_age * 8 <= np.iinfo(np.intp).max:
+        raise ConfigurationError(f"config field {field}: {count} steps of {n_age} age cells "
+                                 "exceed the largest array numpy can address")
+    return rounded
+
+
 def build_scenario(cfg: dict) -> Scenario:
     """Assemble a Scenario from a resolved configuration document."""
     g = cfg["grid"]
     age_grid = _named("grid", ("a_max", "n_age"), AgeGrid, a_max=g["a_max"], n_age=g["n_age"])
+    step_count(g["n_steps"], g["n_age"], "grid.n_steps")
     time_grid = _named("grid", ("n_steps",), TimeGrid.aligned, age_grid, t0=g["t0"],
                        n_steps=g["n_steps"])
 

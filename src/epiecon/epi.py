@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import economy
-from .errors import ConfigurationError, ExtinctPopulation, ModelError, NonFiniteState
+from .errors import ConfigurationError, ExtinctPopulation, NonFiniteState
 from .grid import AgeGrid, RankOneKernel, TimeGrid, _nonnegative, block_layout
 from .hilbert import DEFAULT_WEIGHT_FLOOR, HilbertSpace
 
@@ -276,8 +276,8 @@ def step(state: EpiState, K: float, c_t: np.ndarray, theta_t: np.ndarray,
 class Trajectory:
     """Simulated path: ``X`` of shape (n_steps + 1, 3, n_age) with (s, i, r) at t_k
     in X[k], capital, and the per-node aggregates, computed at t_k so
-    K[k+1] - K[k] = dt * (Y[k] - C[k] - delta*K[k] - D_cost[k]).  A row of
-    :func:`simulate_batch` holds views of the batch's arrays.
+    K[k+1] - K[k] = dt * (Y[k] - C[k] - delta*K[k] - D_cost[k]); the arrays
+    are views of those of the stepping loop.
     """
 
     X: np.ndarray
@@ -451,32 +451,6 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
                         k_violation=dt * (neg * neg).sum(axis=-1), min_K=K.min(axis=-1))
 
 
-def simulate_batch(initial: EpiState, K0: float, policies: np.ndarray, params: EpiParams,
-                   econ: economy.EconParams, time_grid: TimeGrid,
-                   n_floor_rel: float = 1e-9) -> list:
-    """Run the controlled dynamics once per policy of a (B, 3, n_steps + 1, n_age) stack.
-
-    All rows start from ``initial`` and ``K0`` and step together through
-    :func:`_node`.  Returns one entry per row: its :class:`Trajectory`, whose
-    arrays are views of the batch's, or the ModelError that its single run
-    raises, with ``step_index`` set.  A failed row leaves the batch at its
-    failing step; the others go on, each bit for bit its single run.
-    """
-    u = np.asarray(policies, dtype=np.float64)
-    if u.shape[1:] != (3, time_grid.n_steps + 1, initial.grid.n_age) or not len(u):
-        raise ConfigurationError("policy surfaces do not match the grids")
-    _checked_run(initial, K0, u, econ, time_grid, n_floor_rel)
-    run = _run(initial, K0, lambda k: u[:, :, k], len(u), params, econ, time_grid,
-               n_floor_rel, keep_states=True)
-    N, Xi, deaths, L, Y, C, D_cost = run.agg
-    return [run.errors[b] if b in run.errors else
-            Trajectory(X=run.X[b], initial=initial, K=run.K[b], time_grid=time_grid, N=N[b],
-                       Xi=Xi[b], L=L[b], Y=Y[b], C=C[b], D_cost=D_cost[b],
-                       deaths_flow=deaths[b], feasible=bool(run.feasible[b]),
-                       k_violation=float(run.k_violation[b]), min_K=float(run.min_K[b]))
-            for b in range(len(u))]
-
-
 def run_blocks(initial: EpiState, K0: float, blocks: np.ndarray, params: EpiParams,
                econ: economy.EconParams, time_grid: TimeGrid, n_floor_rel: float = 1e-9,
                flow=None) -> BatchRun:
@@ -526,20 +500,28 @@ def simulate(initial: EpiState, K0: float, policy: np.ndarray, params: EpiParams
     """Run the controlled dynamics over the whole time grid.
 
     ``policy`` is one (3, n_steps + 1, n_age) array, rows c >= 0, theta and
-    eta in [0, 1], one control slice per time node; :func:`simulate_batch`
-    runs it as a batch of one and checks it, with ``K0`` >= 0 and
-    ``n_floor_rel`` >= 0 (both finite), the one place a run's inputs are
-    checked.  Positivity of (s, i, r) is automatic, so the run is flagged
-    infeasible only if capital goes negative; negative capital is recorded,
-    not clamped, and the squared violation integral is reported for the
+    eta in [0, 1], one control slice per time node, checked here with
+    ``K0`` >= 0 and ``n_floor_rel`` >= 0 (both finite), the one place a
+    run's inputs are checked; :func:`_run` steps it as a batch of one.
+    Positivity of (s, i, r) is automatic, so the run is flagged infeasible
+    only if capital goes negative; negative capital is recorded, not
+    clamped, and the squared violation integral is reported for the
     optimizer's penalty.  Model errors are raised with the failing step
     index attached.
     """
-    result, = simulate_batch(initial, K0, np.asarray(policy, dtype=np.float64)[None], params,
-                             econ, time_grid, n_floor_rel)
-    if isinstance(result, ModelError):
-        raise result
-    return result
+    u = np.asarray(policy, dtype=np.float64)[None]
+    if u.shape[1:] != (3, time_grid.n_steps + 1, initial.grid.n_age):
+        raise ConfigurationError("policy surfaces do not match the grids")
+    _checked_run(initial, K0, u, econ, time_grid, n_floor_rel)
+    run = _run(initial, K0, lambda k: u[:, :, k], 1, params, econ, time_grid,
+               n_floor_rel, keep_states=True)
+    if run.errors:
+        raise run.errors[0]
+    N, Xi, deaths, L, Y, C, D_cost = run.agg[:, 0]
+    return Trajectory(X=run.X[0], initial=initial, K=run.K[0], time_grid=time_grid, N=N, Xi=Xi,
+                      L=L, Y=Y, C=C, D_cost=D_cost, deaths_flow=deaths,
+                      feasible=bool(run.feasible[0]), k_violation=float(run.k_violation[0]),
+                      min_K=float(run.min_K[0]))
 
 
 def hilbert_space_for(params: EpiParams, floor: float = DEFAULT_WEIGHT_FLOOR) -> HilbertSpace:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import economy, epi, objectives
 from .errors import ConfigurationError
-from .grid import _as_readonly
+from .grid import RankOneKernel, _as_readonly
 from .hilbert import CostateField, HilbertSpace, components
 
 if TYPE_CHECKING:  # scenario.py imports this module
@@ -156,13 +156,7 @@ def h1_evaluator(x, K, costate: CostateField, scenario: Scenario, reward: bool =
     values.  Each value equals H1 at that node and slice alone, bit for bit,
     since every age sum runs along the last axis row by row.
 
-    A node stack's evaluator also scores the scan passes of a search, where
-    one control varies and the others stay: ``h1.theta_scan(c, eta)`` and
-    ``h1.eta_scan(c, theta)`` return a function of the (n_nodes, L, n_age)
-    stack of the varying control.  The terms the pass holds fixed are
-    computed once: C Q and D Q in a theta pass; F(K, L_theta) Q, C Q and
-    the reward in an eta pass.  The terms are added in the order above, so
-    each value is the full evaluator's, bit for bit.
+    The evaluator keeps the state's running reward as ``h1.running``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:  # one node: a node stack of one
@@ -183,44 +177,21 @@ def h1_evaluator(x, K, costate: CostateField, scenario: Scenario, reward: bool =
     def rows(u):  # one slice per node as (n_nodes, 1, n_age); a stack stays
         return u if np.ndim(u) == 3 else u[:, None]
 
-    def output(c_t, theta_t):  # F(K, L_theta) Q and the reward
-        Y = econ.F(K, economy.labor_supply(state, theta_t, econ, da))
-        return Y * Q, None if running is None else running(c_t, theta_t, Y)
-
-    def spending(c_t):
-        return economy.consumption_total(state, c_t, da) * Q
-
-    def testing(eta_t):
-        return economy.testing_cost(state, eta_t, econ, da) * Q
-
-    def total(theta_t, eta_t, YQ, CQ, DQ, payoff):
+    def h1(c_t, theta_t, eta_t):
+        stacked = max(np.ndim(theta_t), np.ndim(eta_t)) == 3
+        c_t, theta_t, eta_t = rows(c_t), rows(theta_t), rows(eta_t)
         lam_s = epi.force_of_infection(i, n_total, theta_t, eta_t, params.m, da) * s
         val = -(da * (lam_s * p1 * space.w1).sum(axis=-1))
         val += da * (lam_s * p2).sum(axis=-1)
-        val += YQ
-        val -= CQ
-        val -= DQ
-        return val if payoff is None else val + payoff
+        Y = econ.F(K, economy.labor_supply(state, theta_t, econ, da))
+        val += Y * Q
+        val -= economy.consumption_total(state, c_t, da) * Q
+        val -= economy.testing_cost(state, eta_t, econ, da) * Q
+        if running is not None:
+            val = val + running(c_t, theta_t, Y)
+        return val if stacked else val[:, 0]
 
-    def theta_scan(c_t, eta_t):
-        c_t, eta_t = rows(c_t), rows(eta_t)
-        CQ, DQ = spending(c_t), testing(eta_t)
-
-        def score(theta_t):
-            YQ, payoff = output(c_t, theta_t)
-            return total(theta_t, eta_t, YQ, CQ, DQ, payoff)
-        return score
-
-    def eta_scan(c_t, theta_t):
-        c_t, theta_t = rows(c_t), rows(theta_t)
-        CQ, (YQ, payoff) = spending(c_t), output(c_t, theta_t)
-        return lambda eta_t: total(theta_t, eta_t, YQ, CQ, testing(eta_t), payoff)
-
-    def h1(c_t, theta_t, eta_t):
-        val = theta_scan(c_t, eta_t)(rows(theta_t))
-        return val if max(np.ndim(theta_t), np.ndim(eta_t)) == 3 else val[:, 0]
-
-    h1.theta_scan, h1.eta_scan = theta_scan, eta_scan
+    h1.running = running
     return h1
 
 
@@ -287,6 +258,23 @@ def _optimal_c(n: np.ndarray, Q, theta_t: np.ndarray,
     return out
 
 
+# A pick scored from block sums stands when it beats the runner-up by more than
+# _MARGIN M (see maximize_h1).  Either score of a level, from block sums or from
+# the exact evaluator, lies within about (2 n_age + 20) ulps of M of the true
+# value, so below 10^5 age cells the margin is over ten times both roundings.
+_MARGIN = 1e-9
+
+
+# Most cells, 2 x nodes x levels x n_age, for which maximize_h1 runs its two
+# starts in one lockstep stack: that halves the passes, but each node sweeps as
+# long as its slower start.  In-process, min of 15 (2-vCPU host), lockstep
+# against one start after the other: 17 nodes x 5 levels x 80 cells (check
+# benchmark) 2.9 against 4.3 ms, 42 x 3 x 100 (optimize's certificate) 3.3
+# against 5.0, 42,000 cells 5.9 against 6.5, 61,000 even, 82,000 (demo_covid)
+# 6.7 against 5.3, 324,000 26 against 17.
+_STACK_CELLS = 50_000
+
+
 def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
     """Blockwise-exhaustive maximization of H1 over ``scenario.search``.
 
@@ -294,11 +282,22 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
     coordinate sweep over the (theta, eta) age blocks, each block set to
     its best level with all others held fixed, until a fixed point.  The
     force of infection couples ages through the contact kernel, so the
-    sweep is repeated rather than decoupled.  Each block's levels are
-    scored in one call on a (L, n_age) stack, one row per level, through the
-    evaluator's scan of that control, which computes the terms a pass over
-    its blocks holds fixed once.  Deterministic: the lowest-index level wins
-    ties.
+    sweep is repeated rather than decoupled.  Deterministic: the
+    lowest-index level wins ties.
+
+    A sweep holds c, and theta and eta are constant on each block, so H1 at
+    each level of a block follows from per-block sums: of labor, of testing,
+    of the J1 utility (evaluated once per sweep at every level), and, for a
+    rank-one kernel m0 g g, of the infection term coef S W, with
+    S = sum g theta eta i and W = sum theta g s (p2 - p1 w1).  A pass scores
+    a block's levels on (rows, levels) arrays.  A pick stands only where the
+    best level beats the runner-up by more than ``_MARGIN`` M, with M the sum
+    of the magnitudes that bound each term's rounding: there the exact
+    evaluator (:func:`h1_evaluator`) picks the same level.  It scores every
+    other row itself, and every row of a dense ``table`` kernel, except at
+    an eta block without infected cells, where all levels score the same and
+    the first wins.  So every pick and every value returned is the exact
+    evaluator's, bit for bit.  The block sums raise no numpy warnings.
 
     There are two starts, the top and the bottom corner of the lattice, and
     the better result wins (the top one on a tie).  When the node stack
@@ -310,17 +309,16 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
     value dominates H1 at that slice up to the consumption argmax.
 
     A node stack (x, K and the costate as :func:`h1_evaluator` takes them,
-    ``baseline`` one (3, n_nodes, n_age) array) is searched in lockstep: one
-    evaluator call scores a block's levels at every node.  Each node keeps
-    its own stop test; a node that has passed it only repeats its last
-    sweep while the others go on, so its result is, bit for bit, the one it
-    gets alone, and so is each start's.  ``value`` is then one per node, and
-    c, theta and eta are (n_nodes, n_age).  One node is a stack of one, with
-    a float ``value``.
+    ``baseline`` one (3, n_nodes, n_age) array) is searched in lockstep.
+    Each node keeps its own stop test; a node that has passed it only
+    repeats its last sweep while the others go on, so its result is, bit
+    for bit, the one it gets alone, and so is each start's.  ``value`` is
+    then one per node, and c, theta and eta are (n_nodes, n_age).  One node
+    is a stack of one, with a float ``value``.
     """
-    search, obj = scenario.search, scenario.obj
-    n_age = scenario.space.grid.n_age
-    nb = search.n_age_blocks
+    search, obj, econ = scenario.search, scenario.obj, scenario.econ
+    grid, nb, m = scenario.space.grid, search.n_age_blocks, scenario.epi.m
+    n_age, da = grid.n_age, grid.da
     if n_age % nb != 0:
         raise ConfigurationError(f"{nb} age blocks do not divide n_age = {n_age}")
     bs = n_age // nb
@@ -337,42 +335,111 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
     K = np.broadcast_to(np.asarray(K, dtype=np.float64), (n_nodes,))[rows]
     Q = np.broadcast_to(np.asarray(costate.Q, dtype=np.float64), (n_nodes,))[rows]
     p1, p2 = (p[rows] if np.ndim(p) == 2 else p for p in (costate.p1, costate.p2))
-    evaluate = h1_evaluator(nodes, K, CostateField(p1, p2, costate.p3, Q), scenario)
-    n = nodes[:, 0] + nodes[:, 1] + nodes[:, 2]
+    caller = np.geterr()
 
-    def ascend(theta_start, eta_start):
-        theta = np.repeat(theta_start[:, None], n_age, axis=1)
-        eta = np.repeat(eta_start[:, None], n_age, axis=1)
-        c = _optimal_c(n, Q, theta, obj, search.c_max)
-        best = evaluate(c, theta, eta)
-        # one stack per control and node, each row a copy of it; only the block
-        # under scan differs between rows, and it is reset to the pick afterwards
-        th_stack = np.repeat(theta[:, None], th_levels.size, axis=1)
-        et_stack = np.repeat(eta[:, None], et_levels.size, axis=1)
+    def evaluator(sub=slice(None)):  # the exact evaluator of the rows ``sub``
+        return h1_evaluator(nodes[sub], K[sub], CostateField(
+            *(p[sub] if np.ndim(p) == 2 else p for p in (p1, p2)), costate.p3, Q[sub]),
+            scenario)
+
+    evaluate = evaluator()
+    s, i, r = nodes[:, 0], nodes[:, 1], nodes[:, 2]
+    n = s + i + r
+    R = len(n)
+
+    def blocks(cells):  # the sum over each age block, along the last axis
+        return np.add.reduce(cells.reshape(*cells.shape[:-1], nb, bs), -1)
+
+    # the per-block sums and per-row terms of the block-sum scores
+    with np.errstate(all="ignore"):
+        idle = ~(i.reshape(R, nb, bs) != 0).any(-1)
+        # a table, or a grid too fine for the margin, scores exactly
+        rank_one, infection = isinstance(m, RankOneKernel) and n_age < 10**5, 0.0
+        if rank_one:
+            coef, w1 = (m.m0 * da / n.sum(-1))[:, None], scenario.space.w1
+            # S and W per unit of theta eta and of theta on each block
+            GI, GSP = blocks(m.g * i), blocks(m.g * s * (p2 - p1 * w1))
+            infection = coef[:, 0] * (np.abs(m.g) * i).sum(-1) * (np.abs(m.g) * s * (
+                np.abs(p1 * w1) + np.abs(p2))).sum(-1)
+        active, n_nu, deaths = evaluate.running.terms
+        w_u, w_y = active.get("J1", 0.0), [w for k, w in active.items() if k in ("J2", "J5")]
+        j6 = active["J6"] * obj.j6_sign * deaths[:, 0] if "J6" in active else 0.0
+        Kc, Qc = K[:, None], Q[:, None]
+        QY, Y0 = Qc + sum(w_y), econ.F(Kc, 0.0)
+        # F rounds within a few ulps of |Y| per ulp of L (CES within 1/|s| ulps), and
+        # Y - F(K, 0) bounds L dF/dL for F concave in L
+        y_mag = (1.0 + 1.0 / abs(getattr(econ.F, "substitution", 1.0))) * (
+            np.abs(Qc) + sum(map(abs, w_y)))
+        LB, E = da * blocks((s + r) * econ.alpha), da * blocks(i * econ.e)
+    others, ar, blk = 1.0 - np.eye(nb), np.arange(R), np.arange(nb)
+
+    def level(eta):  # the testing expenditure's argument
+        return 1.0 - eta if econ.cost_complement else eta
+
+    def parts(th, et, U):  # S, W, L, U and X of each block at each level
+        return np.stack(np.broadcast_arrays(th * et * GI[..., None], th * GSP[..., None],
+                                            econ.phi(th) * LB[..., None], U,
+                                            level(et) * E[..., None]))
+
+    def approx(S, W, L, U, X, base, bound):  # the scores, and M per row
+        Y, DQ = econ.F(Kc, L), econ.D(X) * Qc
+        mag = (y_mag * (np.abs(Y) + np.abs(Y - Y0)) + U + np.abs(DQ)).max(-1) + bound
+        return coef * S * W + QY * Y + U - DQ + base, mag
+
+    def exact(sub, b, c, ti, ei, theta):  # the exact evaluator's picks of block b
+        th, et = th_levels[ti[sub]].repeat(bs, -1), et_levels[ei[sub]].repeat(bs, -1)
+        levels = th_levels if theta else et_levels
+        stack = np.repeat((th if theta else et)[:, None], levels.size, axis=1)
+        stack[:, :, b * bs:(b + 1) * bs] = levels[:, None]
+        with np.errstate(**caller):
+            h1 = evaluate if sub.size == R else evaluator(sub)
+            return (h1(c[sub], stack, et) if theta else h1(c[sub], th, stack)).argmax(-1)
+
+    def scan(CP, base, c, ti, ei, theta):  # one pass over a control's blocks, in place
+        idx = ti if theta else ei
+        P = None if CP is None else CP[:, ar[:, None], blk, idx]  # the current parts
+        for b in range(nb):
+            ok, pick = np.zeros(R, dtype=bool), np.zeros(R, dtype=np.intp)
+            if P is not None:
+                score, mag = approx(*((P @ others[b])[..., None] + CP[:, :, b]), *base)
+                pick, top = score.argmax(-1), np.sort(score, -1)
+                runner_up = top[:, -2] if top.shape[-1] > 1 else -np.inf
+                ok = np.isfinite(top[:, -1]) & (top[:, -1] - runner_up > _MARGIN * mag)
+            if not theta:
+                ok |= idle[:, b]
+                pick[idle[:, b]] = 0
+            if not ok.all():
+                sub = np.flatnonzero(~ok)
+                pick[sub] = exact(sub, b, c, ti, ei, theta)
+            idx[:, b] = pick
+            if P is not None:
+                P[:, :, b] = CP[:, ar, b, pick]
+
+    def ascend(ti, ei):  # from the level indices (R, nb) of a start
+        c = _optimal_c(n, Q, th_levels[ti].repeat(bs, -1), obj, search.c_max)
         for _ in range(search.max_sweeps):
-            changed = np.zeros(len(n), dtype=bool)
-            for levels, ctrl, stack in ((th_levels, theta, th_stack),
-                                        (et_levels, eta, et_stack)):
-                score = (evaluate.theta_scan(c, eta) if ctrl is theta
-                         else evaluate.eta_scan(c, theta))
-                for b in range(nb):
-                    lo, hi = b * bs, (b + 1) * bs
-                    current = ctrl[:, lo].copy()
-                    stack[:, :, lo:hi] = levels[:, None]
-                    pick = levels[np.argmax(score(stack), axis=-1)]
-                    ctrl[:, lo:hi] = pick[:, None]
-                    stack[:, :, lo:hi] = pick[:, None, None]
-                    changed |= pick != current
-            c_new = _optimal_c(n, Q, theta, obj, search.c_max)
+            before = th_levels[ti], et_levels[ei]
+            with np.errstate(all="ignore"):
+                CQ = economy.consumption_total((s, i, r), c, da) * Q
+                base = (j6 - CQ)[:, None], infection + np.abs(j6) + np.abs(CQ)
+                # the J1 utility of each block at each theta level, >= 0
+                U = (w_u * da * blocks(n_nu * obj.utility(c[:, None], th_levels[:, None]))
+                     ).swapaxes(1, 2) if w_u else np.zeros((R, nb, th_levels.size))
+                scan(parts(th_levels, et_levels[ei][..., None], U) if rank_one else None,
+                     base, c, ti, ei, True)
+                scan(parts(th_levels[ti][..., None], et_levels, U[ar[:, None], blk, ti, None])
+                     if rank_one else None, base, c, ti, ei, False)
+            c_new = _optimal_c(n, Q, th_levels[ti].repeat(bs, -1), obj, search.c_max)
             c_shift = np.max(np.abs(c_new - c), axis=-1)
             c = c_new
-            best = evaluate(c, theta, eta)
+            changed = ((th_levels[ti] != before[0]) | (et_levels[ei] != before[1])).any(-1)
             # a node that passes its stop test changed no control, so its c is
             # the same and every later sweep repeats this one exactly: the
             # search stops once all nodes pass, each where it would alone
             if np.all(~changed & (c_shift <= 1e-12 * (1.0 + np.max(np.abs(c), axis=-1)))):
                 break
-        return best, c, theta, eta
+        theta, eta = th_levels[ti].repeat(bs, -1), et_levels[ei].repeat(bs, -1)
+        return evaluate(c, theta, eta), c, theta, eta
 
     def keep_better(current, candidate):
         better = candidate[0] > current[0]
@@ -384,13 +451,17 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
 
     # two deterministic starts: the top corner avoids the degenerate tie at
     # theta = 0 or eta = 0 where the transmission channel is switched off
-    corners = (th_levels[-1], et_levels[-1]), (th_levels[0], et_levels[0])
+    corners = np.array([[th_levels.size - 1, et_levels.size - 1], [0, 0]])
+
+    def start(*which):  # the theta and eta level indices of the starts' rows
+        idx = np.repeat(corners[list(which)], n_nodes, axis=0)
+        return np.repeat(idx[:, :1], nb, axis=1), np.repeat(idx[:, 1:], nb, axis=1)
+
     if lockstep:
-        both = ascend(*(np.repeat(pair, n_nodes) for pair in zip(*corners)))
+        both = ascend(*start(0, 1))
         best = keep_better(nodes_of(both), nodes_of(both, 1))
     else:
-        best = keep_better(*(ascend(*(np.full(n_nodes, level) for level in corner))
-                             for corner in corners))
+        best = keep_better(ascend(*start(0)), ascend(*start(1)))
     if baseline is not None:
         th_b, et_b = (np.array(z, dtype=np.float64).reshape(n_nodes, n_age)[rows]
                       for z in baseline[1:])
@@ -414,30 +485,17 @@ def _costate_at(v, x, K) -> CostateField:
                                           np.shape(K)))
 
 
-# Most cells in one (nodes, levels, n_age) stack of the gap certificate's
-# lockstep search.  A stack of 16,000 floats (125 KB) stays in a core's L2
-# cache and under glibc's 128 KiB threshold for fresh pages from the kernel:
-# at n_age 400 with 5 levels, all 81 nodes in one stack took 1.8x as long as
-# chunks of 8 nodes (16,000 cells), chunks of 16 1.7x and chunks of 4 1.3x.
-# The budget counts both starts of a search: ``_gap_profiles`` chunks by
-# nodes, and ``maximize_h1`` runs its two starts in one lockstep stack only
-# when the chunk taken twice fits.  At n_age 80 with 5 levels, a theta-pass
-# call took 150-220 us on 17 nodes, 340-360 us on 34 and 1,110-1,170 us on
-# 68 (27,200 cells); running both starts in one stack always, with the chunk
-# halved to fit, made the optimize benchmark command 7% slower, since its
-# 42 nodes x 3 levels x 100 cells do not fit twice.
-_STACK_CELLS = 16_000
-
-
 def hamiltonian_gap_profile(v, policy: np.ndarray, traj: epi.Trajectory,
                             scenario: Scenario) -> np.ndarray:
     """Per-node gap sup_z H1 - H1(policy) along a trajectory, using v's gradients.
 
     The policy's own slice is included in the search candidates, so gaps are
     nonnegative up to the tolerance of the consumption argmax.  The nodes go
-    through one lockstep :func:`maximize_h1` call and one :func:`h1_part`
-    call per chunk of the node stack (one chunk unless a stack would exceed
-    ``_STACK_CELLS``).  An extinct node raises for the first one.
+    through one lockstep :func:`maximize_h1` call and one :func:`h1_part` call
+    on the whole node stack: the search's sweeps cost the same Python work at
+    any stack size, so chunks of nodes only repeat it (on demo_covid, 41 nodes
+    in chunks of 16 took 9.5 ms against 5.3 in one stack, and 81 x 5 x 400
+    cells 50 against 17).  An extinct node raises for the first one.
     """
     return _gap_profiles(v, [policy], [traj], scenario)[0]
 
@@ -451,16 +509,10 @@ def _gap_profiles(v, policies: list, trajs: list, scenario: Scenario) -> list:
 
     X, K = stack([t.X for t in trajs]), stack([t.K for t in trajs])
     Z = stack(policies, axis=1)
-    search = scenario.search
-    levels = max(len(search.theta_levels), len(search.eta_levels))
-    chunk = max(1, _STACK_CELLS // (levels * X.shape[-1]))
-    gaps = []
-    for lo in range(0, len(X), chunk):
-        x, k, z = X[lo:lo + chunk], K[lo:lo + chunk], Z[:, lo:lo + chunk]
-        costate = _costate_at(v, x, k)
-        best = maximize_h1(x, k, costate, scenario, baseline=z).value
-        gaps.append(best - h1_part(x, k, costate, *z, scenario))
-    return np.split(np.concatenate(gaps), np.cumsum([len(t.X) for t in trajs[:-1]]))
+    costate = _costate_at(v, X, K)
+    gaps = (maximize_h1(X, K, costate, scenario, baseline=Z).value
+            - h1_part(X, K, costate, *Z, scenario))
+    return np.split(gaps, np.cumsum([len(t.X) for t in trajs[:-1]]))
 
 
 def integrated_gap(gaps: np.ndarray, traj: epi.Trajectory, obj) -> float:

@@ -165,7 +165,8 @@ def node_reward(x, params: epi.EpiParams, obj: ObjectiveParams):
     ``x`` is the state (s, i, r): (3, n_age), a node stack or a triple (see
     ``hilbert``); Y is the output F(K, L_theta), which callers already hold.
     The state-only terms (n^nu for J1, the deaths flow for J6) are computed
-    once here, one per node.  Terminal targets J3 and J4 contribute nothing.
+    once here, one per node, and kept with the nonzero weights as
+    ``reward.terms``.  Terminal targets J3 and J4 contribute nothing.
     ``theta`` may be a (L, n_age) stack with Y one value per row; the reward
     then has one entry per row.  A triple of node stacks, each component
     (n_nodes, 1, n_age), gives one reward per node and row.
@@ -191,6 +192,7 @@ def node_reward(x, params: epi.EpiParams, obj: ObjectiveParams):
                 total = total + w * Y
         return total
 
+    reward.terms = active, n_nu, deaths
     return reward
 
 

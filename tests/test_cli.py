@@ -925,11 +925,16 @@ def test_nonfinite_config_number_names_field(tmp_path, capsys, command, section,
     ("evaluate", "objective", "T_num", -1),
     ("check", "verification", "horizon_multipliers", []),
     ("evaluate", "objective", "composite", {}),
-], ids=["negative_T_num", "no_horizons", "empty_composite"])
+    ("check", "verification", "horizon_multipliers", [1.0, 1e300]),
+    ("check", "verification", "horizon_multipliers", [1e18]),
+    ("simulate", "grid", "n_steps", 10**30),
+], ids=["negative_T_num", "no_horizons", "empty_composite", "horizon_1e300", "horizon_1e18",
+        "n_steps_1e30"])
 def test_demo_config_out_of_range_names_field(tmp_path, capsys, command, section, key,
                                               value):
     # evaluate would sum a negative T_num's reward rows from the end; check needs a horizon;
-    # an empty composite would evaluate to 0.0 under the name J1
+    # an empty composite would evaluate to 0.0 under the name J1; a step count whose
+    # trajectory numpy cannot address ended in a traceback
     demo = Path(__file__).resolve().parent.parent / "configs" / "demo_covid.json"
     cfg = json.loads(demo.read_text())
     cfg[section][key] = value

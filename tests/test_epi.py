@@ -10,7 +10,7 @@ import epiecon as ee
 from epiecon import epi, objectives
 
 from util import (build_scenario, fit_order, random_block_policy, reference_node, rk4_path,
-                  smooth_bump)
+                  simulate_batch as batch_runs, smooth_bump)
 
 
 # ----------------------------------------------------------------------
@@ -538,15 +538,15 @@ def test_simulate_rejects_negative_densities():
 
 
 # ----------------------------------------------------------------------
-# the batch axis: each row of simulate_batch is its single run
+# the batch axis: each row of a batched run is its single run
 # ----------------------------------------------------------------------
 
 TRAJECTORY_ARRAYS = ("X", "K", "N", "Xi", "L", "Y", "C", "D_cost", "deaths_flow")
 
 
 def simulate_batch(scen, policies):
-    return ee.simulate_batch(scen.initial, scen.K0, policies, scen.epi, scen.econ,
-                             scen.time_grid, scen.n_floor_rel)
+    return batch_runs(scen.initial, scen.K0, policies, scen.epi, scen.econ,
+                      scen.time_grid, scen.n_floor_rel)
 
 
 def assert_same_run(row, single):

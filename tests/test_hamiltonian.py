@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import epiecon as ee
-from epiecon import hamiltonian, objectives
+from epiecon import config as cfgmod, hamiltonian, objectives
 from epiecon.hamiltonian import _costate_at, _optimal_c
 
 from util import build_scenario, fit_order, smooth_bump
@@ -351,9 +352,9 @@ def termwise_h1(x, K, p1, p2, Q, c, theta, eta, scen, reward):
 def test_scan_passes_equal_termwise_h1_exactly(seed, n_age, n_nodes, table, production,
                                                congestion, cost_complement, target, reward,
                                                shared_p, n_rows):
-    # a theta pass holds C Q and D Q, an eta pass F(K, L) Q, C Q and the reward:
-    # each score equals H1 at that node and slice computed afresh, bit for bit,
-    # and the full evaluator's value on the same stack
+    # the exact scores of a search pass, a theta stack with eta held or an eta
+    # stack with theta held: each equals H1 at that node and slice computed
+    # afresh, bit for bit
     rng = np.random.default_rng(seed)
     g = rng.uniform(0.1, 2.0, n_age)
     m0 = float(rng.uniform(0.0, 3.0))
@@ -382,11 +383,8 @@ def test_scan_passes_equal_termwise_h1_exactly(seed, n_age, n_nodes, table, prod
     stack = rng.uniform(0.0, 1.0, (n_nodes, n_rows, n_age))
 
     h1 = ee.h1_evaluator(x, K, costate, scen, reward=reward)
-    th_scores = h1.theta_scan(c, eta)(stack)
-    et_scores = h1.eta_scan(c, theta)(stack)
+    th_scores, et_scores = h1(c, stack, eta), h1(c, theta, stack)
     assert th_scores.shape == et_scores.shape == (n_nodes, n_rows)
-    assert th_scores.tobytes() == h1(c, stack, eta).tobytes()
-    assert et_scores.tobytes() == h1(c, theta, stack).tobytes()
     for k in range(n_nodes):
         pk = (p1, p2) if shared_p else (p1[k], p2[k])
         for row in range(n_rows):
@@ -442,36 +440,144 @@ def looped_maximize_h1(x, K, costate, scen, baseline):
     return (val_b, c_b, *baseline[1:]) if val_b > best[0] else best
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_age=st.sampled_from([8, 16, 40]),
-       table=st.booleans(), blocks=st.sampled_from([1, 2, 4, 8]),
-       d1=st.sampled_from([0.0, 0.1]), which=st.sampled_from(["J1", "J2", "J6"]),
-       max_sweeps=st.sampled_from([1, 2, 30]))
-def test_maximize_h1_equals_looped_reference(seed, n_age, table, blocks, d1, which,
-                                             max_sweeps):
-    # same sweep order, starts, baseline and lowest-index tie rule as one call
-    # per level; d1 = 0 leaves eta without effect where theta = 0, a tie, and
-    # a sweep cut short shows the order of the blocks
-    rng = np.random.default_rng(seed)
+LEVELS = (0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9, 1.0)
+
+
+@st.composite
+def search_cases(draw):
+    """A node stack to search and its problem, drawn over the forms H1 takes: the
+    utilities, productions, lockdown and congestion forms, targets, signs of Q, age
+    blocks without infected cells, theta = 0 with d1 = 0 (eta then has no effect,
+    a tie), level lists with duplicates in any order, and the two starts in one
+    lockstep stack or one after the other.  Returns the scenario, the stack (x, K,
+    costate, baseline) and the ``_STACK_CELLS`` budget to search it under."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_age, blocks = draw(st.sampled_from([8, 16, 40])), draw(st.sampled_from([1, 2, 4, 8]))
+    n_nodes = draw(st.integers(1, 3))
     g = rng.uniform(0.1, 2.0, n_age)
     m0 = float(rng.uniform(0.0, 3.0))
-    kernel = m0 * np.outer(g, rng.uniform(0.1, 2.0, n_age)) if table \
+    kernel = m0 * np.outer(g, rng.uniform(0.1, 2.0, n_age)) if draw(st.booleans()) \
         else ee.RankOneKernel(m0, g)
-    scen = verification_scenario(n_age=n_age, kernel=kernel, i0=0.05, which=which,
-                                 congestion=ee.LinearCongestion(d1=d1),
-                                 search_blocks=blocks)
-    scen = dataclasses.replace(scen, search=dataclasses.replace(scen.search,
-                                                                max_sweeps=max_sweeps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # Cobb-Douglas warns that it is not Lipschitz
+        F = PRODUCTIONS[draw(st.sampled_from(sorted(PRODUCTIONS)))]()
+    phi = draw(st.sampled_from([ee.PowerLockdown(q=0.6), ee.PowerLockdown(q=1.7),
+                                ee.AffineLockdown(ell=0.7)]))
+    D = draw(st.sampled_from([ee.LinearCongestion(d1=0.0), ee.LinearCongestion(d1=0.1),
+                              ee.ConcavePowerCongestion(d1=0.2, p=0.6)]))
+    utility = draw(st.sampled_from([ee.ShiftedCRRAUtility(u0=0.2, sigma=0.5, eps_c=0.05,
+                                                          w0=0.6),
+                                    ee.SeparableUtility(b=0.7)]))
+    target = draw(st.sampled_from(["J1", "J2", "J6", "composite"]))
+    composite = {"J1": 0.8, "J5": 1.3, "J6": -4.0} if target == "composite" else None
+    levels = [tuple(draw(st.lists(st.sampled_from(LEVELS), min_size=1, max_size=6)))
+              for _ in range(2)]
+    scen = verification_scenario(n_age=n_age, kernel=kernel, i0=0.05, production=F, phi=phi,
+                                 congestion=D, utility=utility, composite=composite,
+                                 which="J1" if composite else target, search_blocks=blocks,
+                                 theta_levels=levels[0], eta_levels=levels[1])
+    scen = dataclasses.replace(
+        scen, econ=dataclasses.replace(scen.econ, cost_complement=draw(st.booleans())),
+        search=dataclasses.replace(scen.search, max_sweeps=draw(st.sampled_from([1, 2, 30]))))
+    x = np.stack(scen.initial.as_triple()) * rng.uniform(0.5, 1.5, (n_nodes, 3, 1))
+    idle = rng.random((n_nodes, blocks)) < 0.4  # blocks without infected cells
+    x[:, 1] *= ~np.repeat(idle, n_age // blocks, axis=1)
+    K = rng.uniform(1.0, 100.0, n_nodes)
+    Q = 10.0 ** rng.uniform(-1.5, 1.5, n_nodes) * rng.choice([-1.0, 0.0, 1.0], n_nodes)
+    # infection terms of any size against the rest
+    p1, p2, p3 = 10.0 ** rng.uniform(-3.0, 2.0) * rng.standard_normal((3, n_nodes, n_age))
+    baseline = rng.uniform(0.0, 1.0, (3, n_nodes, n_age))
+    stack_cells = draw(st.sampled_from([None, 1]))  # None: both starts in one stack
+    return scen, (x, K, ee.CostateField(p1, p2, p3, Q=Q), baseline), stack_cells
+
+
+def search(scen, case, stack_cells, margin=None):
+    """maximize_h1 on a drawn stack under a ``_STACK_CELLS`` budget (None: the
+    module's) and a certified ``_MARGIN`` (None: the module's)."""
+    saved = hamiltonian._STACK_CELLS, hamiltonian._MARGIN
+    try:
+        hamiltonian._STACK_CELLS = saved[0] if stack_cells is None else stack_cells
+        hamiltonian._MARGIN = saved[1] if margin is None else margin
+        return ee.maximize_h1(*case[:3], scen, baseline=case[3])
+    finally:
+        hamiltonian._STACK_CELLS, hamiltonian._MARGIN = saved
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=search_cases())
+def test_maximize_h1_equals_looped_reference(drawn):
+    # each node gets the result of the same sweep order, starts, baseline and
+    # lowest-index tie rule with one exact H1 call per level, bit for bit; a
+    # sweep cut short shows the order of the blocks
+    scen, case, stack_cells = drawn
+    res = search(scen, case, stack_cells)
+    x, K, costate, baseline = case
+    for k in range(len(x)):
+        one = ee.CostateField(costate.p1[k], costate.p2[k], costate.p3[k], Q=costate.Q[k])
+        val, c, theta, eta = looped_maximize_h1(x[k], K[k], one, scen, baseline[:, k])
+        assert res.value[k].tobytes() == np.float64(val).tobytes()
+        for got, want in ((res.c, c), (res.theta, theta), (res.eta, eta)):
+            assert got[k].tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=search_cases())
+def test_maximize_h1_with_every_pick_exact_is_unchanged(drawn):
+    # an infinite margin certifies no pick from block sums, so every block's
+    # levels go to the exact evaluator (bar the eta blocks without infected
+    # cells, whose levels all score the same): the same picks and values
+    scen, case, stack_cells = drawn
+    res, exact = search(scen, case, stack_cells), search(scen, case, stack_cells, np.inf)
+    for name in ("value", "c", "theta", "eta"):
+        assert getattr(res, name).tobytes() == getattr(exact, name).tobytes()
+
+
+@pytest.mark.parametrize("near", [False, True])
+def test_ties_and_near_ties_reach_the_exact_evaluator(monkeypatch, near):
+    # theta held at 0 with d1 = 0 leaves eta without effect: every eta pick is an
+    # exact tie, which the block sums cannot certify.  With infected cells 1e-13 of
+    # the rest on the first block, eta moves H1 there by far less than the margin:
+    # a near tie.  Both go to the exact evaluator, with an eta stack, and the
+    # search still equals the looped one.
+    scen = verification_scenario(i0=0.05, congestion=ee.LinearCongestion(d1=0.1 if near else 0.0),
+                                 theta_levels=(1.0,) if near else (0.0,),
+                                 eta_levels=(0.0, 0.5, 1.0), search_blocks=4)
     x = np.stack(scen.initial.as_triple())
-    K = float(rng.uniform(1.0, 100.0))
-    costate = ee.CostateField(*(rng.standard_normal((3, n_age))),
-                              Q=float(rng.uniform(-1.0, 1.0)))
-    baseline = tuple(rng.uniform(0.0, 1.0, (3, n_age)))
-    res = ee.maximize_h1(x, K, costate, scen, baseline=baseline)
-    val, c, theta, eta = looped_maximize_h1(x, K, costate, scen, baseline)
-    assert res.value == val
+    if near:
+        x[1, :4] *= 1e-13
+    costate = make_costate(scen, seed=3, scale=5.0)
+    baseline = tuple(np.full((3, 16), 0.5))
+    scored, evaluator = [], hamiltonian.h1_evaluator
+
+    def counting(*args, **kwargs):
+        h1 = evaluator(*args, **kwargs)
+
+        def call(c, theta, eta):
+            scored.append(np.ndim(eta) == 3)
+            return h1(c, theta, eta)
+        call.running = getattr(h1, "running", None)
+        return call
+
+    monkeypatch.setattr(hamiltonian, "h1_evaluator", counting)
+    res = ee.maximize_h1(x, 50.0, costate, scen, baseline=baseline)
+    assert sum(scored) >= (1 if near else 4)  # at least one sweep's tied blocks
+    monkeypatch.undo()
+    val, c, theta, eta = looped_maximize_h1(x, 50.0, costate, scen, baseline)
+    assert np.float64(res.value).tobytes() == np.float64(val).tobytes()
     for got, want in ((res.c, c), (res.theta, theta), (res.eta, eta)):
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_demo_gap_profile_with_every_pick_exact_is_unchanged(monkeypatch):
+    # the gap profile that ``check`` reports on the demo, at the certified margin
+    # and with every block scored by the exact evaluator
+    demo = cfgmod.load_config(Path(__file__).resolve().parent.parent / "configs"
+                              / "demo_covid.json")
+    scen = cfgmod.build_scenario(demo)
+    v, traj = cfgmod.build_value_function(demo, scen), scen.simulate()
+    gaps = ee.hamiltonian_gap_profile(v, scen.policy, traj, scen)
+    monkeypatch.setattr(hamiltonian, "_MARGIN", np.inf)
+    assert gaps.tobytes() == ee.hamiltonian_gap_profile(v, scen.policy, traj, scen).tobytes()
 
 
 def test_maximize_rejects_nondividing_blocks():
@@ -563,15 +669,15 @@ def looped_gap_profile(v, policy, traj, scen):
        table=st.booleans(), target=st.sampled_from(["J1", "J2", "J6", "composite"]),
        quadratic=st.booleans(), max_sweeps=st.sampled_from([1, 2, 30]),
        d1=st.sampled_from([0.0, 0.1]), blocks=st.sampled_from([1, 2, 4]),
-       chunk=st.sampled_from([None, 1, 3]))
+       lockstep=st.booleans())
 def test_gap_profile_equals_looped_single_node_search(seed, n_age, table, target, quadratic,
-                                                      max_sweeps, d1, blocks, chunk):
+                                                      max_sweeps, d1, blocks, lockstep):
     # the lockstep search over all nodes gives each node its single-node result
     # bit for bit: same sweep order, starts, baseline, tie rule (d1 = 0 leaves
     # eta without effect where theta = 0) and stop test, a sweep cut short
     # included; consumption far above output drives capital below zero, so the
-    # quadratic value's Q = q K takes both signs in one batch.  ``chunk`` caps
-    # the nodes per lockstep search (None: all nodes in one stack).
+    # quadratic value's Q = q K takes both signs in one batch.  The two starts
+    # run in one lockstep stack, or (``lockstep`` false) one after the other.
     rng = np.random.default_rng(seed)
     g = rng.uniform(0.1, 2.0, n_age)
     m0 = float(rng.uniform(0.0, 3.0))
@@ -596,8 +702,8 @@ def test_gap_profile_equals_looped_single_node_search(seed, n_age, table, target
         v = ee.LinearValue(scen.space, w, q=float(rng.uniform(-1.0, 1.0)))
 
     stack_cells = hamiltonian._STACK_CELLS
-    if chunk is not None:
-        hamiltonian._STACK_CELLS = chunk * len(scen.search.theta_levels) * n_age
+    if not lockstep:
+        hamiltonian._STACK_CELLS = 1
     try:
         gaps = ee.hamiltonian_gap_profile(v, policy, traj, scen)
     finally:
@@ -613,8 +719,9 @@ def test_gap_profile_equals_looped_single_node_search(seed, n_age, table, target
 
 
 def count_h1_calls(monkeypatch) -> list:
-    """Patch the module's evaluator to count every scoring call, full or in a
-    scan pass, into the last entry of the returned list."""
+    """Patch the module's evaluator to count every scoring call, of the whole
+    stack or of the rows that a search scores exactly, into the last entry of
+    the returned list."""
     calls, evaluator = [], hamiltonian.h1_evaluator
 
     def counting(*args, **kwargs):
@@ -626,11 +733,23 @@ def count_h1_calls(monkeypatch) -> list:
                 return score(*z)
             return call
         wrapped = counted(h1)
-        wrapped.theta_scan = lambda *z: counted(h1.theta_scan(*z))
-        wrapped.eta_scan = lambda *z: counted(h1.eta_scan(*z))
+        wrapped.running = getattr(h1, "running", None)  # a single node's has none
         return wrapped
 
     monkeypatch.setattr(hamiltonian, "h1_evaluator", counting)
+    return calls
+
+
+def count_sweeps(monkeypatch) -> list:
+    """Patch the module's consumption argmax, solved once at each start and once
+    per sweep, to count into the last entry of the returned list."""
+    calls, optimal_c = [], hamiltonian._optimal_c
+
+    def counting(*args):
+        calls[-1] += 1
+        return optimal_c(*args)
+
+    monkeypatch.setattr(hamiltonian, "_optimal_c", counting)
     return calls
 
 
@@ -654,7 +773,7 @@ def test_lockstep_nodes_stop_at_different_sweeps(monkeypatch):
     zero = np.zeros((2, 16))
     costate = ee.CostateField(p1, zero, zero, Q=np.array([0.5, 0.5]))
 
-    calls = count_h1_calls(monkeypatch)
+    calls = count_sweeps(monkeypatch)
     singles = []
     for k in range(2):
         calls.append(0)
@@ -671,16 +790,18 @@ def test_lockstep_nodes_stop_at_different_sweeps(monkeypatch):
             assert np.array_equal(getattr(res, name)[k], getattr(one, name))
 
 
-@pytest.mark.parametrize("table", [False, True])
-@pytest.mark.parametrize("short, want_calls", [(0, 12), (1, 23)])
+@pytest.mark.parametrize("table, short, want_calls",
+                         [(False, 0, 2), (False, 1, 3), (True, 0, 10), (True, 1, 19)])
 def test_two_starts_share_one_pass_when_the_stack_fits_twice(monkeypatch, table, short,
                                                              want_calls):
     # 9 nodes x 5 levels x 16 cells, taken twice, fit a budget of 1,440 cells: both
-    # starts run as one lockstep pass, and the evaluator calls halve (each start
-    # takes two sweeps of 2 + 2 blocks and a final score: 1 + 2 x 5 calls, plus one
-    # for the baseline).  One cell short, the starts run one after the other,
-    # 2 x (1 + 2 x 5) + 1 calls.  Either way each node gets the bytes of the
-    # looped single-node search.
+    # starts run as one lockstep pass, with fewer evaluator calls.  On the
+    # rank-one kernel the block sums certify every pick, so the evaluator scores
+    # only each search's result and the baseline: 1 + 1 calls.  A table's blocks
+    # are all scored exactly: each start takes two sweeps of 2 + 2 blocks and a
+    # final score, 2 x 4 + 1 calls, plus one for the baseline.  One cell short,
+    # the starts run one after the other, 2 x 1 + 1 and 2 x (2 x 4 + 1) + 1 calls.
+    # Either way each node gets the bytes of the looped single-node search.
     rng = np.random.default_rng(5)
     g = rng.uniform(0.1, 2.0, 16)
     kernel = 1.8 * np.outer(g, rng.uniform(0.1, 2.0, 16)) if table \
@@ -732,15 +853,16 @@ def test_each_start_wins_where_it_should(monkeypatch, stack_cells):
         assert other_value < res.value if beaten else other_value == res.value
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 3])
-def test_gap_profile_extinct_node_raises_like_the_loop(monkeypatch, chunk):
+@pytest.mark.parametrize("stack_nodes", [None, 1, 3])
+def test_gap_profile_extinct_node_raises_like_the_loop(monkeypatch, stack_nodes):
     # nodes 2 and 4 fall below the floor (1e-9 N0); both searches name node 2's
-    # population, the first the node-by-node loop reaches, with all nodes in
-    # one stack or in chunks of ``chunk`` nodes
+    # population, the first the node-by-node loop reaches, with the two starts
+    # in one lockstep stack or, under a budget of ``stack_nodes`` nodes' cells,
+    # one after the other
     scen = verification_scenario(n_age=8, horizon=4.0)
-    if chunk is not None:
+    if stack_nodes is not None:
         monkeypatch.setattr(hamiltonian, "_STACK_CELLS",
-                            chunk * len(scen.search.theta_levels) * 8)
+                            stack_nodes * len(scen.search.theta_levels) * 8)
     traj = scen.simulate()
     X = traj.X.copy()
     X[2] *= 1e-12
@@ -1056,14 +1178,14 @@ def test_validate_gradient_catches_wrong_gradient():
         ee.validate_gradient(v, probes)
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 3, 7])
-def test_one_search_over_two_runs_equals_two_profiles(monkeypatch, chunk):
+@pytest.mark.parametrize("stack_nodes", [None, 1, 3, 7])
+def test_one_search_over_two_runs_equals_two_profiles(monkeypatch, stack_nodes):
     # the optimizer's certificate: the nodes of two runs in one stack give each
-    # run's profile bit for bit.  ``chunk`` nodes a stack make the 2 x 17 nodes
-    # exceed ``_STACK_CELLS``, and a chunk spans the two runs (3 and 7 do not
-    # divide 17); the second run is cut short, so the runs differ in length
+    # run's profile bit for bit, with the two starts in one lockstep stack or,
+    # under a budget of ``stack_nodes`` nodes' cells, one after the other; the
+    # second run is cut short, so the runs differ in length
     scen = verification_scenario(n_age=8, horizon=16.0)
-    rng = np.random.default_rng(chunk or 0)
+    rng = np.random.default_rng(stack_nodes or 0)
     shape = (scen.time_grid.n_steps + 1, 8)
     policies = [scen.policy, np.stack([rng.uniform(0.0, 2.0, shape), rng.uniform(0.0, 1.0, shape),
                                        rng.uniform(0.0, 1.0, shape)])]
@@ -1073,9 +1195,9 @@ def test_one_search_over_two_runs_equals_two_profiles(monkeypatch, chunk):
     policies[1] = policies[1][:, :12]
     v = ee.QuadraticValue(scen.space, interior_triple(scen.age_grid), q=0.3)
     want = [ee.hamiltonian_gap_profile(v, p, t, scen) for p, t in zip(policies, trajs)]
-    if chunk is not None:
+    if stack_nodes is not None:
         monkeypatch.setattr(hamiltonian, "_STACK_CELLS",
-                            chunk * len(scen.search.theta_levels) * 8)
+                            stack_nodes * len(scen.search.theta_levels) * 8)
     gaps = hamiltonian._gap_profiles(v, policies, trajs, scen)
     assert [g.tobytes() for g in gaps] == [g.tobytes() for g in want]
     assert [len(g) for g in gaps] == [17, 12]

@@ -204,6 +204,29 @@ def reference_node(x, K, c_t, theta_t, eta_t, params, econ, da, dt, n_floor, out
                                                np.isfinite(out).all(axis=(-2, -1)), K1)
 
 
+def simulate_batch(initial, K0, policies, params, econ, time_grid, n_floor_rel=1e-9) -> list:
+    """Run the controlled dynamics once per policy of a (B, 3, n_steps + 1, n_age) stack,
+    all rows through the package's one stepping loop (``epi._run``) as one batch.
+
+    Returns one entry per row: its Trajectory, whose arrays are views of the
+    batch's, or the ModelError of its failing step, with ``step_index`` set.
+    The policies are checked as ``simulate`` checks one.
+    """
+    u = np.asarray(policies, dtype=np.float64)
+    if u.shape[1:] != (3, time_grid.n_steps + 1, initial.grid.n_age) or not len(u):
+        raise ee.ConfigurationError("policy surfaces do not match the grids")
+    epi._checked_run(initial, K0, u, econ, time_grid, n_floor_rel)
+    run = epi._run(initial, K0, lambda k: u[:, :, k], len(u), params, econ, time_grid,
+                   n_floor_rel, keep_states=True)
+    N, Xi, deaths, L, Y, C, D_cost = run.agg
+    return [run.errors[b] if b in run.errors else
+            epi.Trajectory(X=run.X[b], initial=initial, K=run.K[b], time_grid=time_grid,
+                           N=N[b], Xi=Xi[b], L=L[b], Y=Y[b], C=C[b], D_cost=D_cost[b],
+                           deaths_flow=deaths[b], feasible=bool(run.feasible[b]),
+                           k_violation=float(run.k_violation[b]), min_K=float(run.min_K[b]))
+            for b in range(len(u))]
+
+
 def _reference_failures(above, n_total, n_floor, state_ok=True, K1=0.0) -> dict:
     ok = above & state_ok & np.isfinite(K1)
     if ok.all():

@@ -227,20 +227,14 @@ def cmd_check(cfg, out_dir=None) -> int:
     # a coarse companion for the order estimate when grids and policy blocks allow
     v = cfgmod.build_value_function(cfg, scenario)
     grad_err = validate_gradient(v, [(scenario.initial.as_triple(), max(scenario.K0, 1.0))])
-    # one run serves every horizon: with the last policy row held, each horizon's
-    # run is, bit for bit, a prefix of the longest one
-    tg = TimeGrid.aligned(scenario.age_grid, t0=scenario.time_grid.t0, n_steps=max(steps))
-    longest = None  # the run to the longest horizon past the configured one, or its error
-    if tg.n_steps > n_steps:
-        try:
-            longest = dataclasses.replace(scenario, time_grid=tg).simulate(
-                scenario.policy[:, np.minimum(np.arange(tg.n_steps + 1), n_steps)])
-        except ModelError as err:  # raised where the horizons need it, unless the
-            longest = err          # configured run fails first
-    if longest is None or isinstance(longest, ModelError):
-        traj = scenario.simulate()
-    else:
-        traj = _head(longest, n_steps)
+    # one run serves every horizon: with the last policy row held, the configured
+    # run and each horizon's are, bit for bit, prefixes of the longest one, and a
+    # failure in any of them is the longest run's at the same step
+    tg = TimeGrid.aligned(scenario.age_grid, t0=scenario.time_grid.t0,
+                          n_steps=max(n_steps, *steps))
+    longest = dataclasses.replace(scenario, time_grid=tg).simulate(
+        scenario.policy[:, np.minimum(np.arange(tg.n_steps + 1), n_steps)])
+    traj = _head(longest, n_steps)
     residual = chain_rule_residual(v, scenario.policy, traj, scenario)
     chain = {"residual": float(residual), "dt": scenario.time_grid.dt,
              "gradient_check": float(grad_err)}
@@ -267,10 +261,7 @@ def cmd_check(cfg, out_dir=None) -> int:
            "integrated": integrated_gap(gaps, traj, scenario.obj)}
 
     # transversality over extended horizons, each run cut from the longest
-    if isinstance(longest, ModelError):
-        raise longest
-    heads = [_head(traj if longest is None else longest, n) for n in steps]
-    tv = transversality_check(v, heads, scenario.obj.rho)
+    tv = transversality_check(v, [_head(longest, n) for n in steps], scenario.obj.rho)
     transversality = {"horizons": [float(x) for x in tv.horizons],
                       "weighted_values": [float(x) for x in tv.weighted_values],
                       "exponent": tv.exponent, "decaying": tv.decaying}
@@ -463,6 +454,9 @@ def main(argv=None) -> int:
         return args.fn(cfg, args.out)
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # a grid or horizon too large for this machine
+        print(f"configuration error: the run does not fit in memory: {err}", file=sys.stderr)
         return 2
     except InfeasibleStart as err:
         print(f"optimizer error: {err}", file=sys.stderr)

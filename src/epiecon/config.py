@@ -535,31 +535,33 @@ def dump_config(cfg: dict, path) -> None:
 # ----------------------------------------------------------------------
 
 def sample_family(spec: dict, grid: AgeGrid, field: str) -> np.ndarray:
-    """Sample the family at config ``field`` on the grid nodes (one value per cell)."""
+    """Sample the family at config ``field`` on the grid nodes (one value per cell).
+    An overflow warns nothing: the caller rejects a value that is not finite."""
     kind = spec["type"]
     a = grid.nodes
-    if kind == "constant":
-        values = np.full(grid.n_age, float(spec["value"]))
-    elif kind == "table":
-        values = np.asarray(spec["values"], dtype=np.float64)
-        if values.shape != (grid.n_age,):
-            raise ConfigurationError(f"config field {field}: table family has "
-                                     f"{values.size} values, grid needs {grid.n_age}")
-    elif kind == "linear":
-        values = spec["v0"] + (spec["v1"] - spec["v0"]) * a / grid.a_max
-    elif kind == "logistic":
-        z = (a - spec["midpoint"]) / spec["width"]
-        values = spec["lo"] + (spec["hi"] - spec["lo"]) / (1.0 + np.exp(-z))
-    elif kind == "gompertz":
-        values = spec["base"] * np.exp(spec["rate"] * a)
-    elif kind == "band":
-        bg = spec.get("background", 0.0)
-        values = np.where((a >= spec["lo_age"]) & (a < spec["hi_age"]),
-                          spec["value"], bg)
-    elif kind == "bump":
-        values = spec["height"] * np.exp(-(((a - spec["center"]) / spec["width"]) ** 2))
-    else:
-        raise ConfigurationError(f"unknown coefficient family {kind!r}")
+    with np.errstate(all="ignore"):
+        if kind == "constant":
+            values = np.full(grid.n_age, float(spec["value"]))
+        elif kind == "table":
+            values = np.asarray(spec["values"], dtype=np.float64)
+            if values.shape != (grid.n_age,):
+                raise ConfigurationError(f"config field {field}: table family has "
+                                         f"{values.size} values, grid needs {grid.n_age}")
+        elif kind == "linear":
+            values = spec["v0"] + (spec["v1"] - spec["v0"]) * a / grid.a_max
+        elif kind == "logistic":
+            z = (a - spec["midpoint"]) / spec["width"]
+            values = spec["lo"] + (spec["hi"] - spec["lo"]) / (1.0 + np.exp(-z))
+        elif kind == "gompertz":
+            values = spec["base"] * np.exp(spec["rate"] * a)
+        elif kind == "band":
+            bg = spec.get("background", 0.0)
+            values = np.where((a >= spec["lo_age"]) & (a < spec["hi_age"]),
+                              spec["value"], bg)
+        elif kind == "bump":
+            values = spec["height"] * np.exp(-(((a - spec["center"]) / spec["width"]) ** 2))
+        else:
+            raise ConfigurationError(f"unknown coefficient family {kind!r}")
     return values
 
 

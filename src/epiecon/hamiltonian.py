@@ -265,16 +265,6 @@ def _optimal_c(n: np.ndarray, Q, theta_t: np.ndarray,
 _MARGIN = 1e-9
 
 
-# Most cells, 2 x nodes x levels x n_age, for which maximize_h1 runs its two
-# starts in one lockstep stack: that halves the passes, but each node sweeps as
-# long as its slower start.  In-process, min of 15 (2-vCPU host), lockstep
-# against one start after the other: 17 nodes x 5 levels x 80 cells (check
-# benchmark) 2.9 against 4.3 ms, 42 x 3 x 100 (optimize's certificate) 3.3
-# against 5.0, 42,000 cells 5.9 against 6.5, 61,000 even, 82,000 (demo_covid)
-# 6.7 against 5.3, 324,000 26 against 17.
-_STACK_CELLS = 50_000
-
-
 def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
     """Blockwise-exhaustive maximization of H1 over ``scenario.search``.
 
@@ -300,9 +290,10 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
     evaluator's, bit for bit.  The block sums raise no numpy warnings.
 
     There are two starts, the top and the bottom corner of the lattice, and
-    the better result wins (the top one on a tie).  When the node stack
-    taken twice fits ``_STACK_CELLS`` (2 x nodes x levels x n_age cells),
-    both starts run as one lockstep search over it, else one after the other.
+    the better result wins (the top one on a tie).  Both run as one lockstep
+    search over the node stack taken twice.  A search stops when a sweep
+    moves no theta or eta level: c is the argmax of the theta levels alone,
+    so it is re-solved only after a sweep that moved one.
 
     ``baseline``, when given as a (c, theta, eta) slice, is also entered as
     a candidate (with its consumption re-solved exactly), so the returned
@@ -328,9 +319,7 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
     single = x.ndim == 2
     nodes = x[None] if single else x
     n_nodes = nodes.shape[0]
-    # the rows searched: the nodes, or the nodes twice when both starts fit one stack
-    lockstep = 2 * n_nodes * max(th_levels.size, et_levels.size) * n_age <= _STACK_CELLS
-    rows = np.tile(np.arange(n_nodes), 2) if lockstep else slice(None)
+    rows = np.tile(np.arange(n_nodes), 2)  # the rows searched: the nodes, once per start
     nodes = nodes[rows]
     K = np.broadcast_to(np.asarray(K, dtype=np.float64), (n_nodes,))[rows]
     Q = np.broadcast_to(np.asarray(costate.Q, dtype=np.float64), (n_nodes,))[rows]
@@ -429,15 +418,12 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
                      base, c, ti, ei, True)
                 scan(parts(th_levels[ti][..., None], et_levels, U[ar[:, None], blk, ti, None])
                      if rank_one else None, base, c, ti, ei, False)
-            c_new = _optimal_c(n, Q, th_levels[ti].repeat(bs, -1), obj, search.c_max)
-            c_shift = np.max(np.abs(c_new - c), axis=-1)
-            c = c_new
-            changed = ((th_levels[ti] != before[0]) | (et_levels[ei] != before[1])).any(-1)
-            # a node that passes its stop test changed no control, so its c is
-            # the same and every later sweep repeats this one exactly: the
-            # search stops once all nodes pass, each where it would alone
-            if np.all(~changed & (c_shift <= 1e-12 * (1.0 + np.max(np.abs(c), axis=-1)))):
+            # a row whose sweep moved no level keeps its c, and every later sweep
+            # repeats this one exactly: the search stops once no row moved, each
+            # where it would alone
+            if all(map(np.array_equal, (th_levels[ti], et_levels[ei]), before)):
                 break
+            c = _optimal_c(n, Q, th_levels[ti].repeat(bs, -1), obj, search.c_max)
         theta, eta = th_levels[ti].repeat(bs, -1), et_levels[ei].repeat(bs, -1)
         return evaluate(c, theta, eta), c, theta, eta
 
@@ -451,17 +437,9 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
 
     # two deterministic starts: the top corner avoids the degenerate tie at
     # theta = 0 or eta = 0 where the transmission channel is switched off
-    corners = np.array([[th_levels.size - 1, et_levels.size - 1], [0, 0]])
-
-    def start(*which):  # the theta and eta level indices of the starts' rows
-        idx = np.repeat(corners[list(which)], n_nodes, axis=0)
-        return np.repeat(idx[:, :1], nb, axis=1), np.repeat(idx[:, 1:], nb, axis=1)
-
-    if lockstep:
-        both = ascend(*start(0, 1))
-        best = keep_better(nodes_of(both), nodes_of(both, 1))
-    else:
-        best = keep_better(ascend(*start(0)), ascend(*start(1)))
+    top = (np.arange(R) < n_nodes)[:, None].repeat(nb, 1)
+    both = ascend(np.where(top, th_levels.size - 1, 0), np.where(top, et_levels.size - 1, 0))
+    best = keep_better(nodes_of(both), nodes_of(both, 1))
     if baseline is not None:
         th_b, et_b = (np.array(z, dtype=np.float64).reshape(n_nodes, n_age)[rows]
                       for z in baseline[1:])

@@ -945,6 +945,29 @@ def test_demo_config_out_of_range_names_field(tmp_path, capsys, command, section
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("simulate", "grid", "n_steps", 10**14),
+    ("simulate", "grid", "n_age", 10**14),
+    ("check", "verification", "horizon_multipliers", [1.0, 1e12]),
+    ("check", "verification", "adjoint_pairs", 10**13),
+], ids=["n_steps_1e14", "n_age_1e14", "horizon_1e12", "adjoint_pairs_1e13"])
+def test_run_too_large_for_memory_exits_2(tmp_path, capsys, command, section, key, value):
+    # each run asks numpy for an array larger than the 128 TiB a process can
+    # address, so the allocation fails at once whatever the overcommit setting;
+    # the one line of stderr quotes numpy's message, and nothing is written
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo_covid.json"
+    cfg = json.loads(demo.read_text())
+    cfg[section][key] = value
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: the run does not fit in memory: "
+                          "Unable to allocate ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, key, value, field", [
     ("economy", "production", {"type": "ces", "scale": 1.0, "omega": 2.0,
                                "substitution": -0.5}, "economy.production.omega"),
@@ -960,11 +983,14 @@ def test_demo_config_out_of_range_names_field(tmp_path, capsys, command, section
     ("economy", "delta", 0.0, "economy.delta"),
     ("epidemic", "saturation", {"xi_cap": 1.0, "psi": 2.0, "smooth": 0.0},
      "epidemic.saturation.smooth"),
+    # the gompertz death rate overflows to inf on ages up to 1e300
+    ("grid", "a_max", 1e300, "epidemic.mu_S"),
 ], ids=["ces_omega", "ces_no_mpk_cap", "power_q", "affine_ell", "concave_power_p", "crra_sigma",
-        "separable_b", "composite_j1", "delta", "smooth"])
-def test_constructor_rejection_names_field_and_writes_nothing(tmp_path, capsys, section, key,
-                                                              value, field):
-    # the constructors check these values, and the config error names the field
+        "separable_b", "composite_j1", "delta", "smooth", "a_max_1e300"])
+def test_constructor_rejection_names_field_and_writes_nothing(tmp_path, capsys, recwarn,
+                                                              section, key, value, field):
+    # the constructors check these values, and the config error names the field in
+    # the one line of stderr, with no warning before it
     demo = Path(__file__).resolve().parent.parent / "configs" / "demo_covid.json"
     cfg = json.loads(demo.read_text())
     cfg[section][key] = value
@@ -972,7 +998,10 @@ def test_constructor_rejection_names_field_and_writes_nothing(tmp_path, capsys, 
     code = cli.main(["simulate", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(out)])
     assert code == 2
-    assert f"configuration error: config field {field}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: config field {field}: ")
+    assert err.count("\n") == 1
+    assert not recwarn.list
     assert not out.exists()
 
 

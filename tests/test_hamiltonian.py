@@ -448,9 +448,8 @@ def search_cases(draw):
     """A node stack to search and its problem, drawn over the forms H1 takes: the
     utilities, productions, lockdown and congestion forms, targets, signs of Q, age
     blocks without infected cells, theta = 0 with d1 = 0 (eta then has no effect,
-    a tie), level lists with duplicates in any order, and the two starts in one
-    lockstep stack or one after the other.  Returns the scenario, the stack (x, K,
-    costate, baseline) and the ``_STACK_CELLS`` budget to search it under."""
+    a tie) and level lists with duplicates in any order.  Returns the scenario and
+    the stack (x, K, costate, baseline)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_age, blocks = draw(st.sampled_from([8, 16, 40])), draw(st.sampled_from([1, 2, 4, 8]))
     n_nodes = draw(st.integers(1, 3))
@@ -487,20 +486,17 @@ def search_cases(draw):
     # infection terms of any size against the rest
     p1, p2, p3 = 10.0 ** rng.uniform(-3.0, 2.0) * rng.standard_normal((3, n_nodes, n_age))
     baseline = rng.uniform(0.0, 1.0, (3, n_nodes, n_age))
-    stack_cells = draw(st.sampled_from([None, 1]))  # None: both starts in one stack
-    return scen, (x, K, ee.CostateField(p1, p2, p3, Q=Q), baseline), stack_cells
+    return scen, (x, K, ee.CostateField(p1, p2, p3, Q=Q), baseline)
 
 
-def search(scen, case, stack_cells, margin=None):
-    """maximize_h1 on a drawn stack under a ``_STACK_CELLS`` budget (None: the
-    module's) and a certified ``_MARGIN`` (None: the module's)."""
-    saved = hamiltonian._STACK_CELLS, hamiltonian._MARGIN
+def search(scen, case, margin=None):
+    """maximize_h1 on a drawn stack under a certified ``_MARGIN`` (None: the module's)."""
+    saved = hamiltonian._MARGIN
     try:
-        hamiltonian._STACK_CELLS = saved[0] if stack_cells is None else stack_cells
-        hamiltonian._MARGIN = saved[1] if margin is None else margin
+        hamiltonian._MARGIN = saved if margin is None else margin
         return ee.maximize_h1(*case[:3], scen, baseline=case[3])
     finally:
-        hamiltonian._STACK_CELLS, hamiltonian._MARGIN = saved
+        hamiltonian._MARGIN = saved
 
 
 @settings(max_examples=150, deadline=None)
@@ -509,8 +505,8 @@ def test_maximize_h1_equals_looped_reference(drawn):
     # each node gets the result of the same sweep order, starts, baseline and
     # lowest-index tie rule with one exact H1 call per level, bit for bit; a
     # sweep cut short shows the order of the blocks
-    scen, case, stack_cells = drawn
-    res = search(scen, case, stack_cells)
+    scen, case = drawn
+    res = search(scen, case)
     x, K, costate, baseline = case
     for k in range(len(x)):
         one = ee.CostateField(costate.p1[k], costate.p2[k], costate.p3[k], Q=costate.Q[k])
@@ -526,8 +522,8 @@ def test_maximize_h1_with_every_pick_exact_is_unchanged(drawn):
     # an infinite margin certifies no pick from block sums, so every block's
     # levels go to the exact evaluator (bar the eta blocks without infected
     # cells, whose levels all score the same): the same picks and values
-    scen, case, stack_cells = drawn
-    res, exact = search(scen, case, stack_cells), search(scen, case, stack_cells, np.inf)
+    scen, case = drawn
+    res, exact = search(scen, case), search(scen, case, np.inf)
     for name in ("value", "c", "theta", "eta"):
         assert getattr(res, name).tobytes() == getattr(exact, name).tobytes()
 
@@ -668,16 +664,14 @@ def looped_gap_profile(v, policy, traj, scen):
 @given(seed=st.integers(0, 2**32 - 1), n_age=st.sampled_from([8, 16]),
        table=st.booleans(), target=st.sampled_from(["J1", "J2", "J6", "composite"]),
        quadratic=st.booleans(), max_sweeps=st.sampled_from([1, 2, 30]),
-       d1=st.sampled_from([0.0, 0.1]), blocks=st.sampled_from([1, 2, 4]),
-       lockstep=st.booleans())
+       d1=st.sampled_from([0.0, 0.1]), blocks=st.sampled_from([1, 2, 4]))
 def test_gap_profile_equals_looped_single_node_search(seed, n_age, table, target, quadratic,
-                                                      max_sweeps, d1, blocks, lockstep):
+                                                      max_sweeps, d1, blocks):
     # the lockstep search over all nodes gives each node its single-node result
     # bit for bit: same sweep order, starts, baseline, tie rule (d1 = 0 leaves
     # eta without effect where theta = 0) and stop test, a sweep cut short
     # included; consumption far above output drives capital below zero, so the
-    # quadratic value's Q = q K takes both signs in one batch.  The two starts
-    # run in one lockstep stack, or (``lockstep`` false) one after the other.
+    # quadratic value's Q = q K takes both signs in one batch.
     rng = np.random.default_rng(seed)
     g = rng.uniform(0.1, 2.0, n_age)
     m0 = float(rng.uniform(0.0, 3.0))
@@ -701,13 +695,7 @@ def test_gap_profile_equals_looped_single_node_search(seed, n_age, table, target
     else:
         v = ee.LinearValue(scen.space, w, q=float(rng.uniform(-1.0, 1.0)))
 
-    stack_cells = hamiltonian._STACK_CELLS
-    if not lockstep:
-        hamiltonian._STACK_CELLS = 1
-    try:
-        gaps = ee.hamiltonian_gap_profile(v, policy, traj, scen)
-    finally:
-        hamiltonian._STACK_CELLS = stack_cells
+    gaps = ee.hamiltonian_gap_profile(v, policy, traj, scen)
     want, singles = looped_gap_profile(v, policy, traj, scen)
     assert gaps.tobytes() == want.tobytes()
     res = ee.maximize_h1(traj.X, traj.K, _costate_at(v, traj.X, traj.K), scen,
@@ -740,45 +728,83 @@ def count_h1_calls(monkeypatch) -> list:
     return calls
 
 
-def count_sweeps(monkeypatch) -> list:
-    """Patch the module's consumption argmax, solved once at each start and once
-    per sweep, to count into the last entry of the returned list."""
+def count_sweeps(monkeypatch, thetas=None) -> list:
+    """Patch the module's consumption argmax, solved once at the start and once
+    per sweep that moved a level, to count into the last entry of the returned
+    list (and append each call's theta stack to ``thetas``)."""
     calls, optimal_c = [], hamiltonian._optimal_c
 
     def counting(*args):
         calls[-1] += 1
+        if thetas is not None:
+            thetas.append(args[2])
         return optimal_c(*args)
 
     monkeypatch.setattr(hamiltonian, "_optimal_c", counting)
     return calls
 
 
-def test_lockstep_nodes_stop_at_different_sweeps(monkeypatch):
-    # a node without epidemic and a zero costate sits at its optimum from the top
-    # start; a node whose infections are costly sweeps longer.  In the lockstep
-    # search the first repeats its last sweep while the second goes on, and each
-    # gets its lone result.  The two starts run one after the other, so each
-    # start's own stop shows in the count (in one lockstep pass over both
-    # starts, a lone node sweeps as long as its slower start).
-    monkeypatch.setattr(hamiltonian, "_STACK_CELLS", 1)
+def healthy_and_epidemic(theta_levels=None, max_sweeps=30):
+    """A problem with eta fixed at 1 and two nodes: one without epidemic and a
+    zero costate, at its optimum at theta = 1, and one whose infections are
+    costly (p1 = 10), which sweeps longer.  Returns the scenario, X, K and the
+    costate of the stack."""
     scen = verification_scenario(i0=0.1)
-    scen = dataclasses.replace(scen, search=dataclasses.replace(scen.search,
-                                                                eta_levels=(1.0,)))
+    scen = dataclasses.replace(scen, search=dataclasses.replace(
+        scen.search, eta_levels=(1.0,), max_sweeps=max_sweeps,
+        theta_levels=theta_levels or scen.search.theta_levels))
     epidemic = np.stack(scen.initial.as_triple())
     healthy = epidemic.copy()
     healthy[0] += healthy[1]
     healthy[1] = 0.0
-    X, K = np.stack([healthy, epidemic]), np.array([50.0, 50.0])
-    p1 = np.stack([np.zeros(16), np.full(16, 40.0)])
-    zero = np.zeros((2, 16))
-    costate = ee.CostateField(p1, zero, zero, Q=np.array([0.5, 0.5]))
+    p1, zero = np.stack([np.zeros(16), np.full(16, 10.0)]), np.zeros((2, 16))
+    return (scen, np.stack([healthy, epidemic]), np.array([50.0, 50.0]),
+            ee.CostateField(p1, zero, zero, Q=np.array([0.5, 0.5])))
 
+
+@pytest.mark.parametrize("node, theta_levels, max_sweeps, want_calls",
+                         [(0, (1.0,), 30, 1), (0, None, 30, 2), (0, None, 1, 2),
+                          (1, None, 30, 6), (1, None, 3, 4)],
+                         ids=["one_level", "healthy", "healthy_cut", "epidemic", "epidemic_cut"])
+def test_consumption_is_solved_once_per_sweep_that_moved(monkeypatch, node, theta_levels,
+                                                         max_sweeps, want_calls):
+    # c is the argmax of the theta levels alone, so a sweep that moves no level
+    # leaves it as it is: the search solves it at the start and after each sweep
+    # that moved a level, and the sweep that finds the fixed point solves none.
+    # With one theta level nothing moves; from the bottom start the healthy node
+    # moves to theta = 1 in its first sweep and the second confirms it; the
+    # epidemic node moves in five sweeps, or in each of three when cut short.
+    # eta is fixed, so each re-solve sees a new theta, and the search equals
+    # the looped one, which re-solves c after every sweep.  The baseline's c
+    # is one more call, the last.
+    scen, X, K, costate = healthy_and_epidemic(theta_levels, max_sweeps)
+    one = ee.CostateField(*(p[node] for p in costate.triple()), Q=0.5)
+    baseline = scen.policy[:, 0]
+    thetas = []
+    calls = count_sweeps(monkeypatch, thetas)
+    calls.append(0)
+    res = ee.maximize_h1(X[node], 50.0, one, scen, baseline=baseline)
+    assert calls == [want_calls + 1]
+    assert all(not np.array_equal(a, b) for a, b in zip(thetas, thetas[1:-1]))
+    monkeypatch.undo()
+    val, c, theta, eta = looped_maximize_h1(X[node], 50.0, one, scen, baseline)
+    assert np.float64(res.value).tobytes() == np.float64(val).tobytes()
+    for got, want in ((res.c, c), (res.theta, theta), (res.eta, eta)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_lockstep_nodes_stop_at_different_sweeps(monkeypatch):
+    # the healthy node stops after its second sweep, the epidemic one sweeps
+    # longer.  In the lockstep search the first repeats its last sweep while the
+    # second goes on, and each gets its lone result.  A lone node runs both
+    # starts in one pass and sweeps as long as its slower start.
+    scen, X, K, costate = healthy_and_epidemic()
     calls = count_sweeps(monkeypatch)
     singles = []
     for k in range(2):
         calls.append(0)
-        singles.append(ee.maximize_h1(X[k], 50.0, ee.CostateField(p1[k], zero[k], zero[k],
-                                                                  Q=0.5), scen))
+        singles.append(ee.maximize_h1(X[k], 50.0, ee.CostateField(
+            *(p[k] for p in costate.triple()), Q=0.5), scen))
     assert calls[0] < calls[1]
     calls.append(0)
     res = ee.maximize_h1(X, K, costate, scen)
@@ -790,18 +816,14 @@ def test_lockstep_nodes_stop_at_different_sweeps(monkeypatch):
             assert np.array_equal(getattr(res, name)[k], getattr(one, name))
 
 
-@pytest.mark.parametrize("table, short, want_calls",
-                         [(False, 0, 2), (False, 1, 3), (True, 0, 10), (True, 1, 19)])
-def test_two_starts_share_one_pass_when_the_stack_fits_twice(monkeypatch, table, short,
-                                                             want_calls):
-    # 9 nodes x 5 levels x 16 cells, taken twice, fit a budget of 1,440 cells: both
-    # starts run as one lockstep pass, with fewer evaluator calls.  On the
+@pytest.mark.parametrize("table, want_calls", [(False, 2), (True, 10)])
+def test_two_starts_share_one_pass(monkeypatch, table, want_calls):
+    # both starts run as one lockstep pass over 9 nodes taken twice.  On the
     # rank-one kernel the block sums certify every pick, so the evaluator scores
-    # only each search's result and the baseline: 1 + 1 calls.  A table's blocks
-    # are all scored exactly: each start takes two sweeps of 2 + 2 blocks and a
-    # final score, 2 x 4 + 1 calls, plus one for the baseline.  One cell short,
-    # the starts run one after the other, 2 x 1 + 1 and 2 x (2 x 4 + 1) + 1 calls.
-    # Either way each node gets the bytes of the looped single-node search.
+    # only the search's result and the baseline: 1 + 1 calls.  A table's blocks
+    # are all scored exactly: two sweeps of 2 + 2 blocks and a final score,
+    # 2 x 4 + 1 calls, plus one for the baseline.  Each node gets the bytes of
+    # the looped single-node search.
     rng = np.random.default_rng(5)
     g = rng.uniform(0.1, 2.0, 16)
     kernel = 1.8 * np.outer(g, rng.uniform(0.1, 2.0, 16)) if table \
@@ -810,8 +832,6 @@ def test_two_starts_share_one_pass_when_the_stack_fits_twice(monkeypatch, table,
     traj = scen.simulate()
     v = ee.LinearValue(scen.space, interior_triple(scen.age_grid), q=0.4)
     costate = _costate_at(v, traj.X, traj.K)
-    monkeypatch.setattr(hamiltonian, "_STACK_CELLS",
-                        2 * len(traj.X) * len(scen.search.theta_levels) * 16 - short)
     calls = count_h1_calls(monkeypatch)
     calls.append(0)
     res = ee.maximize_h1(traj.X, traj.K, costate, scen, baseline=scen.policy)
@@ -823,17 +843,13 @@ def test_two_starts_share_one_pass_when_the_stack_fits_twice(monkeypatch, table,
                                                          for one in singles]).tobytes()
 
 
-@pytest.mark.parametrize("stack_cells", [None, 1])
-def test_each_start_wins_where_it_should(monkeypatch, stack_cells):
+def test_each_start_wins_where_it_should():
     # the corners of a (0, 1) x (0, 1) lattice on one age block.  With costly
     # infections and testing priced on 1 - eta, the top start drops theta and sticks
     # at (0, 1), while the bottom start raises theta and reaches the better (1, 0).
     # With infections valued, costly testing and no labor, theta is idle where
     # eta = 0: after one sweep the top start sits at (1, 0) and the bottom one at
-    # (0, 0), with the same value, and the top start wins the tie.  Both in one
-    # lockstep pass and one after the other (``stack_cells`` 1).
-    if stack_cells is not None:
-        monkeypatch.setattr(hamiltonian, "_STACK_CELLS", stack_cells)
+    # (0, 0), with the same value, and the top start wins the tie.
     corners = dict(i0=0.1, which="J6", theta_levels=(0.0, 1.0), eta_levels=(0.0, 1.0),
                    search_blocks=1)
     sticky = verification_scenario(congestion=ee.LinearCongestion(d1=2.0), **corners)
@@ -853,16 +869,10 @@ def test_each_start_wins_where_it_should(monkeypatch, stack_cells):
         assert other_value < res.value if beaten else other_value == res.value
 
 
-@pytest.mark.parametrize("stack_nodes", [None, 1, 3])
-def test_gap_profile_extinct_node_raises_like_the_loop(monkeypatch, stack_nodes):
+def test_gap_profile_extinct_node_raises_like_the_loop():
     # nodes 2 and 4 fall below the floor (1e-9 N0); both searches name node 2's
-    # population, the first the node-by-node loop reaches, with the two starts
-    # in one lockstep stack or, under a budget of ``stack_nodes`` nodes' cells,
-    # one after the other
+    # population, the first the node-by-node loop reaches
     scen = verification_scenario(n_age=8, horizon=4.0)
-    if stack_nodes is not None:
-        monkeypatch.setattr(hamiltonian, "_STACK_CELLS",
-                            stack_nodes * len(scen.search.theta_levels) * 8)
     traj = scen.simulate()
     X = traj.X.copy()
     X[2] *= 1e-12
@@ -1178,14 +1188,13 @@ def test_validate_gradient_catches_wrong_gradient():
         ee.validate_gradient(v, probes)
 
 
-@pytest.mark.parametrize("stack_nodes", [None, 1, 3, 7])
-def test_one_search_over_two_runs_equals_two_profiles(monkeypatch, stack_nodes):
+@pytest.mark.parametrize("seed", [0, 1, 3, 7])
+def test_one_search_over_two_runs_equals_two_profiles(seed):
     # the optimizer's certificate: the nodes of two runs in one stack give each
-    # run's profile bit for bit, with the two starts in one lockstep stack or,
-    # under a budget of ``stack_nodes`` nodes' cells, one after the other; the
-    # second run is cut short, so the runs differ in length
+    # run's profile bit for bit; the second run, under a random policy, is cut
+    # short, so the runs differ in length
     scen = verification_scenario(n_age=8, horizon=16.0)
-    rng = np.random.default_rng(stack_nodes or 0)
+    rng = np.random.default_rng(seed)
     shape = (scen.time_grid.n_steps + 1, 8)
     policies = [scen.policy, np.stack([rng.uniform(0.0, 2.0, shape), rng.uniform(0.0, 1.0, shape),
                                        rng.uniform(0.0, 1.0, shape)])]
@@ -1195,9 +1204,6 @@ def test_one_search_over_two_runs_equals_two_profiles(monkeypatch, stack_nodes):
     policies[1] = policies[1][:, :12]
     v = ee.QuadraticValue(scen.space, interior_triple(scen.age_grid), q=0.3)
     want = [ee.hamiltonian_gap_profile(v, p, t, scen) for p, t in zip(policies, trajs)]
-    if stack_nodes is not None:
-        monkeypatch.setattr(hamiltonian, "_STACK_CELLS",
-                            stack_nodes * len(scen.search.theta_levels) * 8)
     gaps = hamiltonian._gap_profiles(v, policies, trajs, scen)
     assert [g.tobytes() for g in gaps] == [g.tobytes() for g in want]
     assert [len(g) for g in gaps] == [17, 12]

@@ -215,16 +215,20 @@ class EconParams:
 # one aggregate per row, each equal to that slice's, and a node stack of
 # states (each component shaped to broadcast against the rows) one per node.
 
-def labor_supply(x, theta_t: np.ndarray, econ: EconParams, da: float):
-    """Efficiency-unit labor of the working compartments, L = int (s+r) alpha phi(theta)."""
+def labor_supply(x, theta_t: np.ndarray, econ: EconParams, da: float, phi=None):
+    """Efficiency-unit labor of the working compartments, L = int (s+r) alpha phi(theta);
+    ``phi``, when given, is phi(theta) already made."""
     s, _, r = x
-    return da * np.add.reduce((s + r) * econ.alpha * econ.phi(theta_t), -1)
+    if phi is None:
+        phi = econ.phi(theta_t)
+    return da * np.add.reduce((s + r) * econ.alpha * phi, -1)
 
 
-def consumption_total(x, c_t: np.ndarray, da: float):
-    """Aggregate consumption C = int c (s + i + r) da."""
+def consumption_total(x, c_t: np.ndarray, da: float, n=None):
+    """Aggregate consumption C = int c (s + i + r) da; ``n``, when given, is s + i + r
+    already made."""
     s, i, r = x
-    return da * np.add.reduce(c_t * (s + i + r), -1)
+    return da * np.add.reduce(c_t * (s + i + r if n is None else n), -1)
 
 
 def testing_cost(x, eta_t: np.ndarray, econ: EconParams, da: float):

@@ -4,8 +4,11 @@ State representation, force of infection, saturation-dependent infected
 mortality, the one-step update, and the one stepping loop: one policy, or a
 stack of policies stepped together as a batch whose rows fail apart, keeping
 every state (trajectory simulation) or only per-node scalars (scoring).  A
-scored row that shares row 0's controls up to some node joins the batch
-there, from row 0's state, so a shared head is stepped once.
+batch is held component-major, (3, B, n_age) a node, so the kernel works on
+plain (B, n_age) arrays, and the terms of the controls alone are made once
+per control slice, so once per time block when scoring blocks.  A scored
+row that shares row 0's controls up to some node joins the batch there,
+from row 0's state, so a shared head is stepped once.
 
 The stepper follows characteristics on the cohort-aligned grid (dt = da):
 within a step every cohort decays by exact exponentials with rates frozen
@@ -144,7 +147,8 @@ def extinction_check(n_total, n_floor: float) -> None:
         raise _extinct(np.ravel(n_total)[low[0]], n_floor)
 
 
-def force_of_infection(i: np.ndarray, n_total, theta_t, eta_t, m, da: float) -> np.ndarray:
+def force_of_infection(i: np.ndarray, n_total, theta_t, eta_t, m, da: float,
+                       theta_eta=None) -> np.ndarray:
     """Age-specific infection hazard of the controlled dynamics.
 
     lambda(a) = theta(a)/N * int m(a, tau) theta(tau) eta(tau) i(tau) dtau, with
@@ -152,11 +156,13 @@ def force_of_infection(i: np.ndarray, n_total, theta_t, eta_t, m, da: float) -> 
     theta = eta = 1 this is the uncontrolled force of infection.  theta or
     eta may be a (L, n_age) stack of slices; each row of the result equals
     the hazard of that slice alone.  A node stack puts the node axis first,
-    with i and ``n_total`` shaped to broadcast against the rows.  The
+    with i and ``n_total`` shaped to broadcast against the rows.
+    ``theta_eta``, when given, is the product theta * eta already made (the
+    stepping loop makes it once per control slice), and stands for it.  The
     extinction floor is its callers' test, made once per node
     (:func:`extinction_check`, or the stepping kernel's failure report).
     """
-    u = theta_t * eta_t * i
+    u = (theta_t * eta_t if theta_eta is None else theta_eta) * i
     if isinstance(m, RankOneKernel):
         contact = m @ u
     else:  # a table: one gemv per row, as for a single slice (a gemm rounds differently)
@@ -169,10 +175,11 @@ def force_of_infection(i: np.ndarray, n_total, theta_t, eta_t, m, da: float) -> 
 # ----------------------------------------------------------------------
 
 def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams,
-          da: float, dt: float, n_floor: float, out=None, fixed=None):
+          da: float, dt: float, n_floor: float, out=None, fixed=None, terms=None):
     """The fused kernel: one time node of the coupled dynamics, for one state or a batch.
 
-    ``x`` is one (3, n_age) state (rows s, i, r) or a (B, 3, n_age) batch,
+    ``x`` is one (3, n_age) state (rows s, i, r) or a component-major
+    (3, B, n_age) batch, so each component is one plain (B, n_age) array,
     with ``K`` one capital or B of them and each control one (n_age,) slice
     or B of them.  Computes the aggregates of ``x`` once, one value per
     state; with ``out`` shaped like ``x`` it also writes the next states
@@ -180,7 +187,10 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     for half a step (midpoint correction), the decayed share split between
     recovery and death, so mass is accounted exactly.  Every age sum runs
     along the last axis and the contact kernel is applied row by row, so
-    each batch row is bit for bit that state alone.
+    each batch row is bit for bit that state alone.  ``terms`` are the
+    control slices' own terms (:func:`_control_terms`), made here when not
+    given; with a flow hook's function among them, its value at the node's
+    population n is an eighth aggregate.
 
     The third result maps each failed row (0 for one state) to its
     ModelError: the first of the floor test, a non-finite state and a
@@ -188,17 +198,20 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     failed row's other results are meaningless; callers run the kernel under
     ``np.errstate(all="ignore")`` and report the failures instead.
     """
-    s, i, r = x[..., 0, :], x[..., 1, :], x[..., 2, :]
+    s, i, r = x[0], x[1], x[2]  # indexed: unpacking iterates, which costs more
     n = s + i + r
     n_total = da * np.add.reduce(n, -1)
-    lam = force_of_infection(i, n_total[..., None], theta_t, eta_t, params.m, da)
+    phi, theta_eta, node_flow = terms or _control_terms(c_t, theta_t, eta_t, econ)
+    lam = force_of_infection(i, n_total[..., None], theta_t, eta_t, params.m, da, theta_eta)
     Xi = critical_load(i, params, da)
     mu_i = infection_mortality(params, Xi)
-    L = economy.labor_supply((s, i, r), theta_t, econ, da)
-    C = economy.consumption_total((s, i, r), c_t, da)
+    L = economy.labor_supply((s, i, r), theta_t, econ, da, phi)
+    C = economy.consumption_total((s, i, r), c_t, da, n)
     d_cost = economy.testing_cost((s, i, r), eta_t, econ, da)
     Y = econ.F(K, L)
     aggregates = (n_total, Xi, deaths_flow(i, mu_i, da), L, Y, C, d_cost)
+    if node_flow is not None:
+        aggregates += (node_flow(n),)
     above = n_total > n_floor
     if out is None:
         return aggregates, None, _failures(above, n_total, n_floor)
@@ -218,14 +231,22 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
                        np.divide(gamma, out_rate, out=np.zeros_like(out_rate), where=out_rate > 0))
     r_dec = r * keep_r + recovered_share * outflow
 
-    out[..., 0, 0] = births * dt / da
-    out[..., 1:, 0] = 0.0
-    out[..., 0, 1:] = s_dec[..., :-1]
-    out[..., 1, 1:] = i_dec[..., :-1]
-    out[..., 2, 1:] = r_dec[..., :-1]
+    out[0, ..., 0] = births * dt / da
+    out[1:, ..., 0] = 0.0
+    out[0, ..., 1:] = s_dec[..., :-1]
+    out[1, ..., 1:] = i_dec[..., :-1]
+    out[2, ..., 1:] = r_dec[..., :-1]
     K1 = economy.capital_step(K, Y, C, d_cost, econ, dt)
+    finite = np.isfinite(out)  # reduced per row only when some entry is not finite
     return aggregates, K1, _failures(above, n_total, n_floor,
-                                     np.logical_and.reduce(np.isfinite(out), (-2, -1)), K1)
+                                     np.logical_and.reduce(finite, None)
+                                     or np.logical_and.reduce(finite, (0, -1)), K1)
+
+
+def _control_terms(c_t, theta_t, eta_t, econ: economy.EconParams, flow=None):
+    """What a node takes from its control slices alone: phi(theta), theta * eta, and
+    the node function ``flow(c, theta)`` of a flow hook (see :func:`_run`), or None."""
+    return econ.phi(theta_t), theta_t * eta_t, None if flow is None else flow(c_t, theta_t)
 
 
 def _fixed(params: EpiParams, dt: float):
@@ -240,11 +261,11 @@ def _failures(above, n_total, n_floor, state_ok=True, K1=0.0) -> dict:
     ok = above & state_ok & np.isfinite(K1)
     if np.logical_and.reduce(ok) if ok.ndim else ok:  # a numpy bool for one state
         return {}
-    failed = {}
+    failed, state_ok = {}, np.ravel(np.broadcast_to(state_ok, np.shape(ok)))
     for b in np.flatnonzero(~ok).tolist():
         if not np.ravel(above)[b]:
             failed[b] = _extinct(np.ravel(n_total)[b], n_floor)
-        elif not np.ravel(state_ok)[b]:
+        elif not state_ok[b]:
             failed[b] = NonFiniteState("state update produced non-finite densities")
         else:
             failed[b] = NonFiniteState(f"capital update produced {np.ravel(K1)[b]}")
@@ -338,11 +359,12 @@ class BatchRun:
     """What one stepping loop keeps of B runs, one row per run.
 
     ``X`` holds every state, (B, n_steps + 1, 3, n_age), or only the last
-    one stepped, (B, 3, n_age); ``K`` (B, n_steps + 1); ``agg`` the seven
-    aggregates N, Xi, deaths flow, L, Y, C, D_cost, (7, B, n_steps + 1);
-    ``flow`` the per-node values of the caller's ``flow`` hook, or None;
-    ``errors`` maps each failed row to its ModelError (its values are
-    meaningless); and the capital summary per row.
+    one stepped, (B, 3, n_age), as a view of the loop's component-major
+    states; ``K`` (B, n_steps + 1); ``agg`` the seven aggregates N, Xi,
+    deaths flow, L, Y, C, D_cost, (7, B, n_steps + 1); ``flow`` the per-node
+    values of the caller's ``flow`` hook, or None; ``errors`` maps each
+    failed row to its ModelError (its values are meaningless); and the
+    capital summary per row.
     """
 
     X: np.ndarray
@@ -359,13 +381,19 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
          econ: economy.EconParams, time_grid: TimeGrid, n_floor_rel: float,
          keep_states: bool, flow=None, joins=None) -> BatchRun:
     """The stepping loop: B runs from ``initial`` and ``K0`` stepped together through
-    :func:`_node`, ``controls(k)`` giving the (B, 3, n_age) control slices at node k.
+    :func:`_node`, ``controls(k)`` giving the (3, B, n_age) control slices at node k.
 
-    ``keep_states`` keeps every state, else only two nodes' are held.
-    ``flow(x, c, theta)``, if given, is evaluated on each node's running rows
-    and kept per node.  A failed row leaves the batch at its failing step,
-    its ModelError with ``step_index`` set; the others go on, each bit for
-    bit its single run, and a batch of one steps its row as one state.
+    The states are held component-major, (3, B, n_age) a node, so the kernel
+    reads and writes each component of the running rows as one plain array;
+    ``keep_states`` keeps every node's, else only two nodes' are held.  The
+    terms of the controls alone (:func:`_control_terms`) are made once per
+    control slice object: ``controls`` that return one object for several
+    nodes share them.  ``flow(c, theta)``, if given, returns a node's flow
+    as a function of its population n = s + i + r, evaluated on each node's
+    running rows and kept per node.  A failed row leaves the batch at its
+    failing step, its ModelError with ``step_index`` set; the others go on,
+    each bit for bit its single run, and a batch of one steps its row as
+    one (3, n_age) state.
 
     Rows join late when only the last states are kept: ``joins[b]`` is the
     node at which row b joins the batch (0 for row 0), and its controls must
@@ -380,13 +408,13 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
     n_floor = n_floor_rel * initial.total_population()
     da, dt, fixed = grid.da, time_grid.dt, _fixed(params, time_grid.dt)
 
-    X = np.empty((B, n_steps + 1, 3, grid.n_age) if keep_states else (2, B, 3, grid.n_age))
-    state = (lambda k: X[:, k]) if keep_states else (lambda k: X[k % 2])
-    state(0)[:] = initial.as_triple()
+    X = np.empty((n_steps + 1 if keep_states else 2, 3, B, grid.n_age))
+    state = (lambda k: X[k]) if keep_states else (lambda k: X[k % 2])
+    X[0] = np.stack(initial.as_triple())[:, None]
     K = np.empty((B, n_steps + 1))
     K[:, 0] = K0
-    agg = np.empty((7, B, n_steps + 1))  # N, Xi, deaths, L, Y, C, D_cost
-    flows = None if flow is None else np.empty((B, n_steps + 1))
+    # N, Xi, deaths, L, Y, C, D_cost, and the flow hook's values
+    agg = np.empty((7 if flow is None else 8, B, n_steps + 1))
     errors = {}
     rows = np.arange(B)  # the rows still running
     later = {}  # node -> the rows that join there
@@ -402,9 +430,7 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
             return
         K[new, :k + 1] = K[0, :k + 1]
         agg[:, new, :k] = agg[:, :1, :k]
-        if flows is not None:
-            flows[new, :k] = flows[0, :k]
-        state(min(k, n_steps))[new] = state(min(k, n_steps))[0]
+        state(min(k, n_steps))[:, new] = state(min(k, n_steps))[:, :1]
 
     def address(rows):  # one state for a batch of one, a prefix as views, else the rows
         if int(rows[-1]) == len(rows) - 1:
@@ -412,6 +438,7 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
         return rows, False
 
     at, prefix = address(rows)
+    held = None  # the control slices whose terms are made, for the rows ``at``
     with np.errstate(all="ignore"):
         for k in range(n_steps + 1):
             if k in later:
@@ -422,19 +449,20 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
                     running[rows] = running[new] = True
                     rows = np.flatnonzero(running)
                     at, prefix = address(rows)
-            x, u = state(k)[at], controls(k)[at]
-            out = None
+                    held = None
+            u = controls(k)
+            if u is not held:
+                held, c, theta, eta = u, u[0, at], u[1, at], u[2, at]
+                terms = _control_terms(c, theta, eta, econ, flow)
+            x, out = state(k)[:, at], None
             if k < n_steps:
-                out = state(k + 1)[at] if prefix else np.empty((len(rows), 3, grid.n_age))
-            agg[:, at, k], K1, failed = _node(x, K[at, k], u[..., 0, :], u[..., 1, :],
-                                              u[..., 2, :], params, econ, da, dt, n_floor,
-                                              out, fixed)
-            if flows is not None:
-                flows[at, k] = flow(x, u[..., 0, :], u[..., 1, :])
+                out = state(k + 1)[:, at] if prefix else np.empty(x.shape)
+            agg[:, at, k], K1, failed = _node(x, K[at, k], c, theta, eta, params, econ, da,
+                                              dt, n_floor, out, fixed, terms)
             if out is not None:
                 K[at, k + 1] = K1
                 if not prefix:
-                    state(k + 1)[rows] = out
+                    state(k + 1)[:, rows] = out
             if failed:
                 for j, err in failed.items():
                     err.step_index = k
@@ -443,10 +471,12 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
                 if not len(rows):
                     break
                 at, prefix = address(rows)
+                held = None
         for k, new in later.items():  # after row 0 failed, or equal to row 0 throughout
             join(new, k)
         neg = np.maximum(0.0, -K[:, 1:])
-        return BatchRun(X=X if keep_states else state(n_steps), K=K, agg=agg, flow=flows,
+        kept = X.transpose(2, 0, 1, 3) if keep_states else state(n_steps).swapaxes(0, 1)
+        return BatchRun(X=kept, K=K, agg=agg[:7], flow=None if flow is None else agg[7],
                         errors=errors, feasible=np.all(K >= 0.0, axis=-1),
                         k_violation=dt * (neg * neg).sum(axis=-1), min_K=K.min(axis=-1))
 
@@ -457,9 +487,11 @@ def run_blocks(initial: EpiState, K0: float, blocks: np.ndarray, params: EpiPara
     """Run each policy of a (B, 3, n_time_blocks, n_age_blocks) block stack, keeping
     no trajectory: :func:`_run` with only the last states held.
 
-    Each step's control slices are expanded from the blocks as
-    :func:`grid.expand_blocks` places them, so the (B, 3, n_steps + 1, n_age)
-    policy stack is never built; each row is bit for bit the run of its
+    Each time block's (3, B, n_age) control slices are expanded from the
+    blocks once, as :func:`grid.expand_blocks` places them, and are the one
+    object every node of the block is given, so the (B, 3, n_steps + 1,
+    n_age) policy stack is never built and the terms of the controls alone
+    are made once per time block; each row is bit for bit the run of its
     expanded policy.  A row whose blocks equal row 0's, bit for bit, before
     time block j joins the batch at j's first node (see :func:`_run`); a row
     equal to row 0 is not stepped at all.  The blocks are checked as
@@ -483,11 +515,12 @@ def run_blocks(initial: EpiState, K0: float, blocks: np.ndarray, params: EpiPara
         while j < len(heads) and row[:, j].tobytes() == heads[j]:
             j += 1
         joins.append(firsts.get(j, len(nodes)))
+    by_component = u.transpose(1, 0, 2, 3)
     held = [None, None]  # the time block whose slices are expanded, and those slices
 
     def controls(k):
         if held[0] != nodes[k]:
-            held[:] = nodes[k], np.repeat(u[:, :, nodes[k]], width, axis=-1)
+            held[:] = nodes[k], np.repeat(by_component[:, :, nodes[k]], width, axis=-1)
         return held[1]
 
     return _run(initial, K0, controls, len(u), params, econ, time_grid, n_floor_rel,
@@ -513,7 +546,8 @@ def simulate(initial: EpiState, K0: float, policy: np.ndarray, params: EpiParams
     if u.shape[1:] != (3, time_grid.n_steps + 1, initial.grid.n_age):
         raise ConfigurationError("policy surfaces do not match the grids")
     _checked_run(initial, K0, u, econ, time_grid, n_floor_rel)
-    run = _run(initial, K0, lambda k: u[:, :, k], 1, params, econ, time_grid,
+    by_node = u.transpose(1, 2, 0, 3)  # (3, n_steps + 1, 1, n_age)
+    run = _run(initial, K0, lambda k: by_node[:, k], 1, params, econ, time_grid,
                n_floor_rel, keep_states=True)
     if run.errors:
         raise run.errors[0]

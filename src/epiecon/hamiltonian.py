@@ -440,11 +440,12 @@ def maximize_h1(x, K, costate, scenario: Scenario, baseline=None) -> H1Result:
     top = (np.arange(R) < n_nodes)[:, None].repeat(nb, 1)
     both = ascend(np.where(top, th_levels.size - 1, 0), np.where(top, et_levels.size - 1, 0))
     best = keep_better(nodes_of(both), nodes_of(both, 1))
-    if baseline is not None:
-        th_b, et_b = (np.array(z, dtype=np.float64).reshape(n_nodes, n_age)[rows]
+    if baseline is not None:  # scored on the first copy of the node stack
+        th_b, et_b = (np.array(z, dtype=np.float64).reshape(n_nodes, n_age)
                       for z in baseline[1:])
-        c_b = _optimal_c(n, Q, th_b, obj, search.c_max)
-        best = keep_better(best, nodes_of((evaluate(c_b, th_b, et_b), c_b, th_b, et_b)))
+        c_b = _optimal_c(n[:n_nodes], Q[:n_nodes], th_b, obj, search.c_max)
+        h1 = evaluator(slice(0, n_nodes))
+        best = keep_better(best, (h1(c_b, th_b, et_b), c_b, th_b, et_b))
 
     value, c, theta, eta = best
     if single:

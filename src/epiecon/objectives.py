@@ -154,9 +154,10 @@ class ObjectiveParams:
 # running rewards
 # ----------------------------------------------------------------------
 
-def _utility_flow(n, c, theta, obj: ObjectiveParams, da: float):
-    """int n^nu u(c, theta) da along the last (age) axis; leading axes are time nodes."""
-    return da * (np.power(n, obj.nu) * obj.utility(c, theta)).sum(axis=-1)
+def _utility_flow(n, utility, obj: ObjectiveParams, da: float):
+    """int n^nu u da along the last (age) axis, given the utility values u = u(c, theta);
+    leading axes are time nodes."""
+    return da * (np.power(n, obj.nu) * utility).sum(axis=-1)
 
 
 def node_reward(x, params: epi.EpiParams, obj: ObjectiveParams):
@@ -230,18 +231,21 @@ def evaluate(traj: epi.Trajectory, policy: np.ndarray, params: epi.EpiParams,
     """
     da, flow = traj.initial.grid.da, None
     if "J1" in obj.target_weights():
-        flow = _utility_flow(traj.X.sum(axis=1), policy[0], policy[1], obj, da)[None]
+        flow = _utility_flow(traj.X.sum(axis=1), obj.utility(policy[0], policy[1]), obj,
+                             da)[None]
     return _reports(traj.K[None], traj.Y[None], traj.deaths_flow[None], flow, traj.X[-1][None],
                     [traj.feasible], [traj.k_violation], traj.time_grid, da, econ, obj)[0]
 
 
-# Most rows x n_age cells stepped as one batch.  Each (rows, n_age) temporary of
-# the kernel then stays within 80 KB, so a step's working set stays in cache.
-# fd_gradient (interleaved in-process medians of 7, shared 2-vCPU Xeon host) ran
-# 192 probes at n_age 200 in 135 ms at this cap (51 rows a batch) against
-# 140-191 ms at 40, 64 or 81 rows, and 48 probes at 800 in 492 ms (12 rows)
-# against 510-661 ms at 10, 16 or 20; at 1600, 5-10 rows took 0.94-1.03 s.
-_BATCH_CELLS = 10_240
+# Most rows x n_age cells stepped as one batch.  Each batch steps its own row 0 (a
+# gradient's base point) and a row joins only its own batch's row 0, so fewer batches
+# step fewer rows; the cap bounds the working set, each (rows, n_age) temporary of the
+# kernel within 320 KB.  fd_gradient in central mode (interleaved in-process medians of
+# 5-15, shared 2-vCPU Xeon host, 2 MiB L2 a core) at caps of 10,240 / 20,480 / 40,960 /
+# 81,920 cells: 192 probes at n_age 200 over 40 steps 36 / 34 / 30 / 30 ms, 192 at 800
+# over 80 steps 263 / 235 / 226 / 212 ms, 48 at 1600 over 160 steps 300 / 271 / 232 /
+# 271 ms.
+_BATCH_CELLS = 40_960
 
 
 def score_blocks(blocks: np.ndarray, initial: epi.EpiState, K0: float,
@@ -255,12 +259,15 @@ def score_blocks(blocks: np.ndarray, initial: epi.EpiState, K0: float,
     on the simulated trajectory of its expanded policy, or the ModelError
     that simulation raises.  The loop keeps per-node scalars only, plus the
     J1 utility flow of each node when a target needs it and the final
-    states; the targets are summed over all rows of a batch at once.
+    states; the targets are summed over all rows of a batch at once.  The
+    flow hook makes u(c, theta) once per time block, and each node's flow
+    from it and the population n the kernel has made.
     """
     da, flow = initial.grid.da, None
     if "J1" in obj.target_weights():
-        def flow(x, c, theta):
-            return _utility_flow(x.sum(axis=-2), c, theta, obj, da)
+        def flow(c, theta):
+            utility = obj.utility(c, theta)
+            return lambda n: _utility_flow(n, utility, obj, da)
     rows, scores = max(1, _BATCH_CELLS // initial.grid.n_age), []
     for lo in range(0, len(blocks), rows):
         run = epi.run_blocks(initial, K0, blocks[lo:lo + rows], params, econ, time_grid,

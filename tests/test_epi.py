@@ -710,19 +710,23 @@ def test_node_equals_reference_kernel_bitwise(seed, batch, table, gamma_zeros, o
         x, K, c, theta, eta = x[0], K[0], c[0], theta[0], eta[0]
     elif shared:
         c, theta, eta = c[0], theta[0], eta[0]
-    got_out, want_out = (np.full(x.shape, 7.0), np.full(x.shape, 7.0)) if step else (None, None)
+    # the kernel takes a batch component-major, (3, B, n_age); the reference (B, 3, n_age)
+    x_node = x if batch is None else np.ascontiguousarray(x.swapaxes(0, 1))
+    got_out, want_out = ((np.full(x_node.shape, 7.0), np.full(x.shape, 7.0)) if step
+                         else (None, None))
     with np.errstate(all="ignore"):
-        got = epi._node(x, K, c, theta, eta, params, econ, da, da, n_floor, got_out,
+        got = epi._node(x_node, K, c, theta, eta, params, econ, da, da, n_floor, got_out,
                         epi._fixed(params, da) if fixed else None)
         want = reference_node(x, K, c, theta, eta, params, econ, da, da, n_floor, want_out)
     for have, expect in zip(got[0], want[0]):
         assert np.asarray(have).tobytes() == np.asarray(expect).tobytes()
     assert (got[1] is None) == (want[1] is None)
     if step:
+        got_rows = got_out if batch is None else got_out.swapaxes(0, 1)
         assert np.asarray(got[1]).tobytes() == np.asarray(want[1]).tobytes()
-        assert _same_bits(got_out, want_out)
+        assert _same_bits(got_rows, want_out)
         stepped = [b for b in range(rows) if b not in want[2]]  # every bit, NaN signs too
-        assert got_out.reshape(rows, 3, n_age)[stepped].tobytes() == \
+        assert got_rows.reshape(rows, 3, n_age)[stepped].tobytes() == \
             want_out.reshape(rows, 3, n_age)[stepped].tobytes()
     assert got[2].keys() == want[2].keys()
     for b, err in want[2].items():
@@ -929,6 +933,79 @@ def test_joined_rows_step_only_from_their_node(monkeypatch):
     rows = []  # the rows of each kernel call
     node = epi._node
     monkeypatch.setattr(epi, "_node", lambda x, *a, **k: rows.append(
-        1 if x.ndim == 2 else len(x)) or node(x, *a, **k))
+        1 if x.ndim == 2 else x.shape[1]) or node(x, *a, **k))
     assert [report_bytes(r) for r in scen.score(blocks)] == want
     assert rows == [2, 2, 3, 3, 4, 4, 5, 5, 5]
+
+
+# ----------------------------------------------------------------------
+# the terms of the controls alone: made once per control slice of a run
+# ----------------------------------------------------------------------
+
+class _Counted:
+    """A callable that counts its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.f(*args)
+
+
+@pytest.mark.parametrize("batch_rows, n_batches", [(None, 1), (2, 3)])
+def test_control_terms_are_made_once_per_time_block_and_batch(monkeypatch, batch_rows,
+                                                              n_batches):
+    # phi(theta) and the J1 utility u(c, theta) depend on the controls alone: a scored
+    # batch makes them once per time block (a row that joins late included), a
+    # simulation once per node, and evaluate once on the whole trajectory
+    scen = core_scenario(phi=ee.PowerLockdown(q=0.7))
+    phi, utility = _Counted(scen.econ.phi), _Counted(scen.obj.utility)
+    scen = dataclasses.replace(scen, econ=dataclasses.replace(scen.econ, phi=phi),
+                               obj=dataclasses.replace(scen.obj, utility=utility))
+    ntb = 4
+    blocks = np.random.default_rng(0).uniform(0.2, 0.8, (5, 3, ntb, 2))
+    blocks[2, :, :2] = blocks[0, :, :2]  # joins row 0's batch at time block 2
+    if batch_rows is not None:
+        monkeypatch.setattr(objectives, "_BATCH_CELLS", batch_rows * scen.age_grid.n_age)
+    scores = scen.score(blocks)
+    assert (phi.calls, utility.calls) == (ntb * n_batches, ntb * n_batches)
+    phi.calls = utility.calls = 0
+    want = looped_scores(scen, blocks)  # a simulate and an evaluate per row
+    assert (phi.calls, utility.calls) == (len(blocks) * (scen.time_grid.n_steps + 1),
+                                          len(blocks))
+    assert [report_bytes(r) for r in scores] == [report_bytes(r) for r in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), table=st.booleans(),
+       targets=st.sampled_from([{"J1": 1.0}, {"J2": 1.0}, {"J6": 1.0},
+                                {"J1": 1.0, "J6": -2.0}]),
+       phi=st.sampled_from([ee.PowerLockdown(q=0.6), ee.PowerLockdown(q=1.7),
+                            ee.AffineLockdown(ell=0.6)]),
+       crra=st.booleans(), ntb=st.sampled_from([2, 4, 8]), batch=st.integers(4, 9),
+       batch_rows=st.sampled_from([2, 3]), n_floor_rel=st.sampled_from([1e-9, 0.63]),
+       data=st.data())
+def test_score_with_terms_per_time_block_equals_looped_runs(seed, table, targets, phi, crra,
+                                                            ntb, batch, batch_rows,
+                                                            n_floor_rel, data):
+    # the terms of the controls alone are made once per time block and batch, and again
+    # when the running rows change: rows joining row 0 late, rows failing (a raised
+    # floor, and a consumption of 1e308 that makes one capital -inf mid-run) and
+    # batches of 2 or 3 rows leave every score evaluate(simulate(row)) as bytes
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.2, 1.5, 16)
+    m0 = float(rng.uniform(0.5, 3.0))
+    kernel = m0 * np.outer(g, rng.uniform(0.2, 1.5, 16)) if table else ee.RankOneKernel(m0, g)
+    scen = core_scenario(kernel, phi=phi, n_floor_rel=n_floor_rel)
+    utility = ee.ShiftedCRRAUtility() if crra else ee.SeparableUtility(b=0.7)
+    scen = dataclasses.replace(scen, obj=dataclasses.replace(
+        scen.obj, utility=utility, which=next(iter(targets)),
+        composite=targets if len(targets) > 1 else None))
+    blocks = rng.uniform(0.0, 1.0, (batch, 3, ntb, 2)) * np.array([4.5, 1.0, 1.0])[:, None, None]
+    for b in range(1, batch):
+        j = data.draw(st.integers(0, ntb), label=f"row {b} copies row 0 before block")
+        blocks[b, :, :j] = blocks[0, :, :j]
+    spike = data.draw(st.integers(0, batch - 1), label="row with a consumption of 1e308")
+    blocks[spike, 0, data.draw(st.integers(0, ntb - 1), label="its time block")] = 1e308
+    assert_scores_equal(scen, blocks, batch_rows)

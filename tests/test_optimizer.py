@@ -322,7 +322,7 @@ def test_fd_gradient_steps_each_probe_from_its_time_block(monkeypatch, mode, row
     rows = []
     node = epi._node
     monkeypatch.setattr(epi, "_node", lambda x, *a, **k: rows.append(
-        1 if x.ndim == 2 else len(x)) or node(x, *a, **k))
+        1 if x.ndim == 2 else x.shape[1]) or node(x, *a, **k))
     ee.fd_gradient(blocks, scen, ee.OptimizerConfig(grad_mode=mode))
     assert sum(rows) == row_steps
 
@@ -340,7 +340,7 @@ def test_fd_gradient_at_one_time_block_steps_no_more_rows_than_probes(monkeypatc
     steps = []
     node = epi._node
     monkeypatch.setattr(epi, "_node", lambda x, *a, **k: steps.append(
-        1 if x.ndim == 2 else len(x)) or node(x, *a, **k))
+        1 if x.ndim == 2 else x.shape[1]) or node(x, *a, **k))
     cfg = ee.OptimizerConfig(grad_mode=mode)
     grads, _ = ee.fd_gradient(blocks, scen, cfg)
     assert sum(steps) == rows * 21

@@ -16,6 +16,7 @@ import json
 import math
 import operator
 import re
+import typing
 
 import numpy as np
 
@@ -72,6 +73,37 @@ def _block_table(**bounds) -> dict:
 
 _LEVELS = {"type": "array", "items": {"type": "number"}}
 
+# type -> class, one table per variant section; a branch and a spec hold exactly its fields
+_CLASSES = {
+    "production": {"linear": economy.LinearProduction, "ces": economy.CESProduction,
+                   "cobb_douglas": economy.CobbDouglasProduction},
+    "phi": {"power": economy.PowerLockdown, "affine": economy.AffineLockdown},
+    "congestion": {"linear": economy.LinearCongestion,
+                   "concave_power": economy.ConcavePowerCongestion},
+    "utility": {"shifted_crra": objectives.ShiftedCRRAUtility,
+                "separable": objectives.SeparableUtility},
+}
+
+
+def _numbers(cls) -> dict:
+    """The schema of each field of the dataclass ``cls``, in field order: a number, or also
+    null where its annotation allows None (the parameters of a model form)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: {"type": ["number", "null"] if type(None) in typing.get_args(hints[f.name])
+                     else "number"} for f in dataclasses.fields(cls)}
+
+
+def _variants(section: str) -> dict:
+    """Schema of a variant section: one branch per class of ``_CLASSES[section]``, its
+    ``type`` and then the class's fields, required where they have no default."""
+    return {"type": "object", "oneOf": [
+        {"properties": {"type": {"const": kind}, **_numbers(cls)},
+         "required": ["type"] + [f.name for f in dataclasses.fields(cls)
+                                 if f.default is dataclasses.MISSING],
+         "additionalProperties": False}
+        for kind, cls in _CLASSES[section].items()]}
+
+
 SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -109,13 +141,8 @@ SCHEMA = {
                          "additionalProperties": False},
                     ],
                 },
-                "saturation": {
-                    "type": "object", "additionalProperties": False,
-                    "properties": {
-                        "xi_cap": {"type": "number"}, "psi": {"type": "number"},
-                        "smooth": {"type": "number"},
-                    },
-                },
+                "saturation": {"type": "object", "additionalProperties": False,
+                               "properties": _numbers(epi.SaturationSpec)},
                 "initial": {
                     "type": "object", "additionalProperties": False,
                     "required": ["s", "i", "r"],
@@ -131,52 +158,7 @@ SCHEMA = {
             "properties": {
                 "alpha": _FAMILY, "e": _FAMILY,
                 "delta": {"type": "number"},
-                "production": {
-                    "type": "object",
-                    "oneOf": [
-                        {"properties": {"type": {"const": "linear"},
-                                        "a_k": {"type": "number"},
-                                        "a_l": {"type": "number"}},
-                         "required": ["type", "a_k", "a_l"],
-                         "additionalProperties": False},
-                        {"properties": {"type": {"const": "ces"},
-                                        "scale": {"type": "number"},
-                                        "omega": {"type": "number"},
-                                        "substitution": {"type": "number"},
-                                        "mpk_cap": {"type": ["number", "null"]}},
-                         "required": ["type", "scale", "omega", "substitution"],
-                         "additionalProperties": False},
-                        {"properties": {"type": {"const": "cobb_douglas"},
-                                        "scale": {"type": "number"},
-                                        "omega": {"type": "number"}},
-                         "required": ["type", "scale", "omega"],
-                         "additionalProperties": False},
-                    ],
-                },
-                "phi": {
-                    "type": "object",
-                    "oneOf": [
-                        {"properties": {"type": {"const": "power"},
-                                        "q": {"type": "number"}},
-                         "required": ["type", "q"], "additionalProperties": False},
-                        {"properties": {"type": {"const": "affine"},
-                                        "ell": {"type": "number"}},
-                         "required": ["type", "ell"], "additionalProperties": False},
-                    ],
-                },
-                "congestion": {
-                    "type": "object",
-                    "oneOf": [
-                        {"properties": {"type": {"const": "linear"},
-                                        "d1": {"type": "number"}},
-                         "required": ["type", "d1"], "additionalProperties": False},
-                        {"properties": {"type": {"const": "concave_power"},
-                                        "d1": {"type": "number"},
-                                        "p": {"type": "number"}},
-                         "required": ["type", "d1", "p"],
-                         "additionalProperties": False},
-                    ],
-                },
+                **{key: _variants(key) for key in ("production", "phi", "congestion")},
                 "cost_complement": {"type": "boolean"},
                 "K0": {"type": "number", "minimum": 0},
             },
@@ -187,20 +169,7 @@ SCHEMA = {
             "properties": {
                 "which": {"type": "string"}, "rho": {"type": "number"},
                 "nu": {"type": "number"}, "T_num": {"type": ["number", "null"]},
-                "utility": {
-                    "type": "object",
-                    "oneOf": [
-                        {"properties": {"type": {"const": "shifted_crra"},
-                                        "u0": {"type": "number"},
-                                        "sigma": {"type": "number"},
-                                        "eps_c": {"type": "number"},
-                                        "w0": {"type": "number"}},
-                         "required": ["type"], "additionalProperties": False},
-                        {"properties": {"type": {"const": "separable"},
-                                        "b": {"type": "number"}},
-                         "required": ["type"], "additionalProperties": False},
-                    ],
-                },
+                "utility": _variants("utility"),
                 "j6_discounted": {"type": "boolean"},
                 "j6_sign": {"type": "number"},
                 "composite": {"type": ["object", "null"],
@@ -440,25 +409,28 @@ def validate_config(cfg: dict, sections=None) -> None:
                                  f"{message}")
 
 
-def _validate_raw(cfg: dict) -> None:
-    """Schema-check a configuration as written, and reject a block setting or sweep axis
-    that its one-block policy preset would ignore (a resolved config echoes the defaults)."""
-    validate_config(cfg)
-    pol, defaults = cfg.get("policy", {}), DEFAULTS["policy"]
+def _resolve(raw: dict) -> dict:
+    """Check a configuration as written and fill in its defaults, in place: reject a
+    non-finite number, a schema error, and a block setting or sweep axis that its
+    one-block policy preset would ignore (a resolved config echoes the defaults)."""
+    where = _nonfinite_path(raw)
+    if where is not None:
+        raise ConfigurationError(f"config field {where}: numbers must be finite")
+    validate_config(raw)
+    pol, defaults = raw.get("policy", {}), DEFAULTS["policy"]
     preset = pol.get("preset", defaults["preset"])
-    swept = {axis["path"] for axis in cfg.get("sweep", {}).get("axes", ())}
+    swept = {axis["path"] for axis in raw.get("sweep", {}).get("axes", ())}
     for key in (("theta_level", "eta_level", "n_time_blocks", "n_age_blocks", "c", "theta",
                  "eta") if preset != "blocks" else ()):
         if pol.get(key, defaults.get(key)) != defaults.get(key) or f"policy.{key}" in swept:
             raise ConfigurationError(f"config field policy.{key}: the {preset} preset ignores it")
+    _merge_defaults(raw, DEFAULTS)  # once: DEFAULTS is schema-valid
+    return raw
 
 
 def resolve_config(cfg: dict) -> dict:
-    """Validate and fill defaults into a copy; the result is the canonical configuration."""
-    _validate_raw(cfg)
-    resolved = copy.deepcopy(cfg)
-    _merge_defaults(resolved, DEFAULTS)
-    return resolved
+    """Validate and fill defaults into a copy, as load_config; the canonical configuration."""
+    return _resolve(copy.deepcopy(cfg))
 
 
 def load_config(path) -> dict:
@@ -469,12 +441,7 @@ def load_config(path) -> dict:
         raise ConfigurationError(f"cannot read config {path}: {err.strerror}") from err
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigurationError(f"config is not valid JSON: {err}") from err
-    where = _nonfinite_path(raw)
-    if where is not None:
-        raise ConfigurationError(f"config field {where}: numbers must be finite")
-    _validate_raw(raw)  # once: DEFAULTS is schema-valid, and raw is ours to fill in place
-    _merge_defaults(raw, DEFAULTS)
-    return raw
+    return _resolve(raw)  # raw is ours to fill in place
 
 
 def _nonfinite_path(node, path=""):
@@ -629,18 +596,6 @@ def _build_kernel(spec: dict, grid: AgeGrid):
          if spec["type"] == "separable" else np.ones(grid.n_age))
     return _named("epidemic.contact", {"m0": "m0", "g": "shape"}, separable_kernel, grid,
                   spec["m0"], g)
-
-
-# type -> class, one table per variant section; each spec holds exactly the class's fields
-_CLASSES = {
-    "production": {"linear": economy.LinearProduction, "ces": economy.CESProduction,
-                   "cobb_douglas": economy.CobbDouglasProduction},
-    "phi": {"power": economy.PowerLockdown, "affine": economy.AffineLockdown},
-    "congestion": {"linear": economy.LinearCongestion,
-                   "concave_power": economy.ConcavePowerCongestion},
-    "utility": {"shifted_crra": objectives.ShiftedCRRAUtility,
-                "separable": objectives.SeparableUtility},
-}
 
 
 def _build(path: str, spec: dict, cls=None):

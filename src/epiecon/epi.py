@@ -1,9 +1,10 @@
 """Controlled age-structured SIR dynamics.
 
 State representation, force of infection, saturation-dependent infected
-mortality, the one-step update, and the one stepping loop: one policy, or a
-stack of policies stepped together as a batch whose rows fail apart, keeping
-every state (trajectory simulation) or only per-node scalars (scoring).  A
+mortality, the one-step update, and the one stepping loop: one policy or
+feedback law, or a stack of policies stepped together as a batch whose rows
+fail apart, keeping every state (trajectory simulation) or only per-node
+scalars (scoring).  A feedback law makes each node's slices from its state.  A
 batch is held component-major, (3, B, n_age) a node, so the kernel works on
 plain (B, n_age) arrays, and the terms of the controls alone are made once
 per control slice, so once per time block when scoring blocks.  A scored
@@ -272,25 +273,17 @@ def _failures(above, n_total, n_floor, state_ok=True, K1=0.0) -> dict:
     return failed
 
 
-def _advance(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams,
-             da: float, dt: float, n_floor: float, out) -> float:
-    """:func:`_node` on one (3, n_age) state: writes the next state to ``out``
-    and returns the next capital, or raises the node's ModelError."""
-    with np.errstate(all="ignore"):
-        _, K1, failed = _node(x, K, c_t, theta_t, eta_t, params, econ, da, dt, n_floor, out)
-    if failed:
-        raise failed[0]
-    return float(K1)
-
-
 def step(state: EpiState, K: float, c_t: np.ndarray, theta_t: np.ndarray,
          eta_t: np.ndarray, params: EpiParams, econ: economy.EconParams,
          dt: float, n_floor: float = 0.0):
-    """Advance the coupled state one step; the simulation kernel on one node."""
+    """Advance the coupled state one step: :func:`_node` on one state, raising its failure."""
     x1 = np.empty((3, state.grid.n_age))
-    K1 = _advance(np.stack(state.as_triple()), K, c_t, theta_t, eta_t, params, econ,
-                  state.grid.da, dt, n_floor, x1)
-    return EpiState(state.grid, *x1, state.time + dt), K1
+    with np.errstate(all="ignore"):
+        _, K1, failed = _node(np.stack(state.as_triple()), K, c_t, theta_t, eta_t, params,
+                              econ, state.grid.da, dt, n_floor, x1)
+    if failed:
+        raise failed[0]
+    return EpiState(state.grid, *x1, state.time + dt), float(K1)
 
 
 @dataclass(eq=False)
@@ -329,22 +322,23 @@ def _checked_run(initial: EpiState, K0, u: np.ndarray, econ: economy.EconParams,
                  time_grid: TimeGrid, n_floor_rel) -> None:
     """The arguments of a run, checked once.
 
-    ``u`` is the float (B, 3, ., .) stack of controls, policies or their
-    blocks, checked for the control box (blocks hold the values they expand to).
+    ``u`` is the float (B, 3, ., .) stack of policies or blocks, checked for the
+    control box (blocks hold the values they expand to), or None for a feedback law.
     """
     grid = initial.grid
     if abs(time_grid.dt - grid.da) > 1e-15 * max(1.0, grid.da):
         raise ConfigurationError(
             f"time step {time_grid.dt} must equal the age cell width {grid.da}")
-    lo, hi = u.min(axis=(0, 2, 3)), u.max(axis=(0, 2, 3))  # per control; a NaN reaches both
-    for name, finite in zip(("c", "theta", "eta"), np.isfinite(lo) & np.isfinite(hi)):
-        if not finite:
-            raise ConfigurationError(f"{name} control: values must be finite")
-    if lo[0] < 0:
-        raise ConfigurationError("consumption control must be nonnegative")
-    for name, low, high in zip(("theta", "eta"), lo[1:], hi[1:]):
-        if low < 0 or high > 1.0:
-            raise ConfigurationError(f"{name} control must lie in [0, 1]")
+    if u is not None:
+        lo, hi = u.min(axis=(0, 2, 3)), u.max(axis=(0, 2, 3))  # per control; a NaN reaches both
+        for name, finite in zip(("c", "theta", "eta"), np.isfinite(lo) & np.isfinite(hi)):
+            if not finite:
+                raise ConfigurationError(f"{name} control: values must be finite")
+        if lo[0] < 0:
+            raise ConfigurationError("consumption control must be nonnegative")
+        for name, low, high in zip(("theta", "eta"), lo[1:], hi[1:]):
+            if low < 0 or high > 1.0:
+                raise ConfigurationError(f"{name} control must lie in [0, 1]")
     if econ.alpha.shape != (grid.n_age,):  # EconParams checks e against alpha
         raise ConfigurationError("economy profiles alpha and e do not match the age grid")
     if not (np.isfinite(K0) and K0 >= 0):
@@ -381,7 +375,8 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
          econ: economy.EconParams, time_grid: TimeGrid, n_floor_rel: float,
          keep_states: bool, flow=None, joins=None) -> BatchRun:
     """The stepping loop: B runs from ``initial`` and ``K0`` stepped together through
-    :func:`_node`, ``controls(k)`` giving the (3, B, n_age) control slices at node k.
+    :func:`_node`, ``controls(k, x, K)`` giving the (3, B, n_age) control slices at node k,
+    x and K the running rows' states and capitals there (a feedback law's input).
 
     The states are held component-major, (3, B, n_age) a node, so the kernel
     reads and writes each component of the running rows as one plain array;
@@ -450,11 +445,11 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
                     rows = np.flatnonzero(running)
                     at, prefix = address(rows)
                     held = None
-            u = controls(k)
+            x, out = state(k)[:, at], None
+            u = controls(k, x, K[at, k])
             if u is not held:
                 held, c, theta, eta = u, u[0, at], u[1, at], u[2, at]
                 terms = _control_terms(c, theta, eta, econ, flow)
-            x, out = state(k)[:, at], None
             if k < n_steps:
                 out = state(k + 1)[:, at] if prefix else np.empty(x.shape)
             agg[:, at, k], K1, failed = _node(x, K[at, k], c, theta, eta, params, econ, da,
@@ -518,7 +513,7 @@ def run_blocks(initial: EpiState, K0: float, blocks: np.ndarray, params: EpiPara
     by_component = u.transpose(1, 0, 2, 3)
     held = [None, None]  # the time block whose slices are expanded, and those slices
 
-    def controls(k):
+    def controls(k, x, K):
         if held[0] != nodes[k]:
             held[:] = nodes[k], np.repeat(by_component[:, :, nodes[k]], width, axis=-1)
         return held[1]
@@ -533,9 +528,9 @@ def simulate(initial: EpiState, K0: float, policy: np.ndarray, params: EpiParams
     """Run the controlled dynamics over the whole time grid.
 
     ``policy`` is one (3, n_steps + 1, n_age) array, rows c >= 0, theta and
-    eta in [0, 1], one control slice per time node, checked here with
-    ``K0`` >= 0 and ``n_floor_rel`` >= 0 (both finite), the one place a
-    run's inputs are checked; :func:`_run` steps it as a batch of one.
+    eta in [0, 1], one control slice per time node, checked with ``K0`` >= 0
+    and ``n_floor_rel`` >= 0 (both finite) by :func:`_checked_run`, the one
+    check of a run's inputs; :func:`_run` steps it as a batch of one.
     Positivity of (s, i, r) is automatic, so the run is flagged infeasible
     only if capital goes negative; negative capital is recorded, not
     clamped, and the squared violation integral is reported for the
@@ -545,10 +540,19 @@ def simulate(initial: EpiState, K0: float, policy: np.ndarray, params: EpiParams
     u = np.asarray(policy, dtype=np.float64)[None]
     if u.shape[1:] != (3, time_grid.n_steps + 1, initial.grid.n_age):
         raise ConfigurationError("policy surfaces do not match the grids")
-    _checked_run(initial, K0, u, econ, time_grid, n_floor_rel)
     by_node = u.transpose(1, 2, 0, 3)  # (3, n_steps + 1, 1, n_age)
-    run = _run(initial, K0, lambda k: by_node[:, k], 1, params, econ, time_grid,
-               n_floor_rel, keep_states=True)
+    return _simulate(initial, K0, lambda k, x, K: by_node[:, k], params, econ, time_grid,
+                     n_floor_rel, u)
+
+
+def _simulate(initial: EpiState, K0: float, controls, params: EpiParams,
+              econ: economy.EconParams, time_grid: TimeGrid, n_floor_rel: float,
+              u: np.ndarray | None = None) -> Trajectory:
+    """:func:`simulate` on ``controls(k, x, K)`` (:func:`_run`'s): a policy's with ``u`` its
+    (1, 3, ., .) stack, or with ``u`` None a feedback law, which must keep the control box."""
+    _checked_run(initial, K0, u, econ, time_grid, n_floor_rel)
+    run = _run(initial, K0, controls, 1, params, econ, time_grid, n_floor_rel,
+               keep_states=True)
     if run.errors:
         raise run.errors[0]
     N, Xi, deaths, L, Y, C, D_cost = run.agg[:, 0]

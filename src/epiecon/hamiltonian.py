@@ -13,8 +13,8 @@ it.  The Hamiltonian pieces and diagnostics take the control problem as one
 ``Scenario``; states enter as (3, n_age) arrays or (s, i, r) triples, like
 traj.X[k], or as a node stack like traj.X with one K per node (see ``hilbert``),
 which gives one value per node, so the diagnostics need no loop over nodes.
-``greedy_policy`` and ``transversality_check`` keep theirs: a rollout is
-sequential, and the trajectories of a transversality check differ in length.
+``transversality_check`` keeps its loop, as its trajectories differ in length;
+``greedy_policy``'s search is the feedback law of one run of the stepping loop.
 The force of infection has the extinction floor of ``simulate``
 (n_floor_rel times the initial population): ``ExtinctPopulation`` at or below it.
 """
@@ -118,10 +118,6 @@ def validate_gradient(v, probes, rel_tol: float = 1e-6) -> float:
 # Hamiltonian pieces
 # ----------------------------------------------------------------------
 
-def _n_floor(scenario: Scenario) -> float:
-    return scenario.n_floor_rel * scenario.initial.total_population()
-
-
 def h0_part(x, K, costate: CostateField, scenario: Scenario):
     """Control-independent Hamiltonian part, one value per node of a node stack.
 
@@ -168,7 +164,7 @@ def h1_evaluator(x, K, costate: CostateField, scenario: Scenario, reward: bool =
     # (n_nodes, 1): both broadcast against (n_nodes, L, n_age) control rows
     state = s, i, r = tuple(x[:, k, None] for k in range(3))
     n_total = da * (s + i + r).sum(axis=-1)
-    epi.extinction_check(n_total, _n_floor(scenario))
+    epi.extinction_check(n_total, scenario.n_floor_rel * scenario.initial.total_population())
     n_total = n_total[..., None]
     K, Q = np.reshape(K, (-1, 1)), np.reshape(costate.Q, (-1, 1))
     p1, p2 = (np.expand_dims(p, -2) for p in (costate.p1, costate.p2))
@@ -586,24 +582,23 @@ def transversality_check(v, trajectories, rho: float) -> TransversalityReport:
 def greedy_policy(v, scenario: Scenario):
     """Roll out the policy that maximizes H1 step by step under v's gradients.
 
-    Starts from the scenario's initial state and capital on its time grid.
-    Returns the (3, n_steps + 1, n_age) policy and its trajectory.  By construction the
+    Starts from the scenario's initial state and capital on its time grid, one
+    run of the stepping loop whose feedback law is :func:`maximize_h1` at each
+    node's state (under the caller's numpy error state).  Returns the (3,
+    n_steps + 1, n_age) policy and the trajectory of that run.  By construction the
     Hamiltonian gap of the result vanishes on its own trajectory, which is
     the constructive side of the sufficiency argument on the control
     lattice.
     """
-    grid, tg = scenario.space.grid, scenario.time_grid
-    policy = np.zeros((3, tg.n_steps + 1, grid.n_age))
-    n_floor = _n_floor(scenario)
+    tg = scenario.time_grid
+    policy = np.zeros((3, tg.n_steps + 1, scenario.space.grid.n_age))
+    caller = np.geterr()
 
-    X = np.empty((tg.n_steps + 1, 3, grid.n_age))
-    X[0] = scenario.initial.as_triple()
-    K = float(scenario.K0)
-    for k in range(tg.n_steps + 1):
-        costate = _costate_at(v, X[k], K)
-        res = maximize_h1(X[k], K, costate, scenario)
+    def feedback(k, x, K):
+        with np.errstate(**caller):
+            res = maximize_h1(x, K, _costate_at(v, x, K), scenario)
         policy[:, k] = res.c, res.theta, res.eta
-        if k < tg.n_steps:
-            K = epi._advance(X[k], K, res.c, res.theta, res.eta, scenario.epi,
-                             scenario.econ, grid.da, tg.dt, n_floor, X[k + 1])
-    return policy, scenario.simulate(policy)
+        return policy[:, k, None]
+
+    return policy, epi._simulate(scenario.initial, scenario.K0, feedback, scenario.epi,
+                                 scenario.econ, tg, scenario.n_floor_rel)

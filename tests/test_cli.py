@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import typing
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -880,6 +882,72 @@ def test_load_config_equals_resolve_config():
         assert raw == json.loads((root / name).read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("section, key", [("output", "snapshot_times"),
+                                          ("verification", "horizon_multipliers")])
+def test_resolve_config_rejects_nonfinite_numbers_as_load_config(tmp_path, section, key):
+    # the API path accepted these: simulate then ended in a bare ValueError from
+    # json.dumps, and check named "nan steps"
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo_covid.json"
+    cfg = json.loads(demo.read_text(encoding="utf-8"))
+    cfg[section][key] = [float("nan")]
+    with pytest.raises(ConfigurationError) as resolved:
+        cfgmod.resolve_config(cfg)
+    assert str(resolved.value) == f"config field {section}.{key}.0: numbers must be finite"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")  # NaN, as json.dumps writes it
+    with pytest.raises(ConfigurationError) as loaded:
+        cfgmod.load_config(path)
+    assert str(loaded.value) == str(resolved.value)
+
+
+def test_variant_branches_follow_their_classes(monkeypatch):
+    # each oneOf branch of a variant section is its type and then its class's
+    # fields in field order, numbers, nullable exactly where the annotation allows
+    # None, required exactly without a default
+    props = cfgmod.SCHEMA["properties"]
+    homes = {"production": "economy", "phi": "economy", "congestion": "economy",
+             "utility": "objective"}
+    assert set(cfgmod._CLASSES) == set(homes)
+
+    def expected(kind, cls):
+        hints, fields = typing.get_type_hints(cls), dataclasses.fields(cls)
+        want = {"type": {"const": kind}}
+        for f in fields:
+            nullable = type(None) in typing.get_args(hints[f.name])
+            want[f.name] = {"type": ["number", "null"] if nullable else "number"}
+        required = ["type"] + [f.name for f in fields if f.default is dataclasses.MISSING]
+        return want, required
+
+    for section, classes in cfgmod._CLASSES.items():
+        branches = props[homes[section]]["properties"][section]["oneOf"]
+        assert len(branches) == len(classes)
+        for branch, (kind, cls) in zip(branches, classes.items()):
+            want, required = expected(kind, cls)
+            assert list(branch["properties"]) == list(want)
+            assert branch["properties"] == want
+            assert branch["required"] == required
+            assert branch["additionalProperties"] is False
+    assert props["economy"]["properties"]["production"]["oneOf"][1]["properties"][
+        "mpk_cap"] == {"type": ["number", "null"]}
+    assert props["epidemic"]["properties"]["saturation"]["properties"] == {
+        f.name: {"type": "number"} for f in dataclasses.fields(ee.SaturationSpec)}
+
+    # a field added to a form's class enters its branch with no schema edit
+    @dataclasses.dataclass(frozen=True)
+    class Extended:
+        scale: float
+        cap: float | None = None
+        floor: float = 0.0
+
+    monkeypatch.setitem(cfgmod._CLASSES, "production", {"extended": Extended})
+    branch, = cfgmod._variants("production")["oneOf"]
+    assert branch == {"properties": {"type": {"const": "extended"},
+                                     "scale": {"type": "number"},
+                                     "cap": {"type": ["number", "null"]},
+                                     "floor": {"type": "number"}},
+                      "required": ["type", "scale"], "additionalProperties": False}
+
+
 def test_shipped_demo_configs_validate():
     root = Path(__file__).resolve().parent.parent / "configs"
     for name in ("demo_covid.json", "demo_sweep.json"):
@@ -1156,8 +1224,14 @@ def test_cli_boundary_exit_codes_and_strict_json(case):
 @given(case=cli_cases())
 def test_resolved_config_is_schema_valid(case):
     # resolving rejects exactly what the schema rejects, with its message, and
-    # filling the defaults keeps a valid document valid
+    # filling the defaults keeps a valid document valid; a non-finite number is
+    # rejected first, as load_config rejects it
     _, cfg = case
+    if not np.isfinite(cfg["economy"]["K0"]):
+        with pytest.raises(ConfigurationError,
+                           match="^config field economy.K0: numbers must be finite$"):
+            cfgmod.resolve_config(cfg)
+        return
     try:
         cfgmod.validate_config(cfg)
     except ConfigurationError as err:

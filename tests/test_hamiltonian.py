@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import epiecon as ee
-from epiecon import config as cfgmod, hamiltonian, objectives
+from epiecon import config as cfgmod, epi, hamiltonian, objectives
 from epiecon.hamiltonian import _costate_at, _optimal_c
 
 from util import build_scenario, fit_order, smooth_bump
@@ -646,6 +646,63 @@ def test_gap_profile_positive_for_random_policy():
     gaps = ee.hamiltonian_gap_profile(v, scen.policy, traj, scen)
     assert np.all(gaps >= -1e-10)
     assert ee.integrated_gap(gaps, traj, scen.obj) > 0.0
+
+
+@pytest.mark.parametrize("table", [False, True])
+@pytest.mark.parametrize("target", ["J1", "composite"])
+def test_greedy_rollout_is_one_run(monkeypatch, table, target):
+    # the search is the feedback law of one run of the stepping loop, whose
+    # trajectory is the policy's own, bit for bit; no second simulation
+    g = np.linspace(0.5, 1.5, 16)
+    kernel = 1.8 * np.outer(g, g[::-1]) if table else ee.RankOneKernel(1.8, g)
+    composite = {"J1": 1.0, "J2": 0.3, "J6": -2.0} if target == "composite" else None
+    # (eta > 0 keeps transmission on; the large value of the susceptible share
+    # makes the search pick interior theta levels)
+    scen = verification_scenario(kernel=kernel, composite=composite, horizon=3.0, i0=0.1,
+                                 eta_levels=(0.5, 1.0))
+    v = ee.LinearValue(scen.space, interior_triple(scen.age_grid, (300.0, 1.0, 1.0)), q=0.4)
+    runs, sims, run, simulate = [], [], epi._run, epi.simulate
+    monkeypatch.setattr(epi, "_run", lambda *a, **kw: runs.append(1) or run(*a, **kw))
+    monkeypatch.setattr(epi, "simulate", lambda *a, **kw: sims.append(1) or simulate(*a, **kw))
+    policy, traj = ee.greedy_policy(v, scen)
+    assert (len(runs), len(sims)) == (1, 0)
+    assert len(np.unique(policy[1])) > 2
+    again = scen.simulate(policy)
+    for name in ("X", "K", "N", "Xi", "L", "Y", "C", "D_cost", "deaths_flow"):
+        assert getattr(traj, name).tobytes() == getattr(again, name).tobytes(), name
+    for k in range(scen.time_grid.n_steps + 1):  # each slice is the search at its node
+        x, K = traj.X[k], traj.K[k]
+        res = ee.maximize_h1(x, K, _costate_at(v, x, K), scen)
+        assert np.stack([res.c, res.theta, res.eta]).tobytes() == policy[:, k].tobytes()
+
+
+def test_greedy_rollout_failure_names_its_step():
+    # J2 with a negative capital price takes c = c_max, and 1e308 overflows capital
+    scen = verification_scenario(which="J2")
+    scen = dataclasses.replace(scen, search=dataclasses.replace(scen.search, c_max=1e308))
+    v = ee.LinearValue(scen.space, interior_triple(scen.age_grid), q=-0.5)
+    with np.errstate(all="ignore"), pytest.raises(ee.NonFiniteState,
+                                                  match="capital update produced") as err:
+        ee.greedy_policy(v, scen)
+    assert err.value.step_index == 0
+
+
+def test_greedy_feedback_keeps_the_callers_error_state(monkeypatch):
+    # the stepping loop ignores numpy errors; the search runs as its caller set them
+    scen = verification_scenario(horizon=2.0)
+    v = ee.LinearValue(scen.space, interior_triple(scen.age_grid), q=0.4)
+    seen, maximize = [], hamiltonian.maximize_h1
+
+    def recording(*args, **kwargs):
+        seen.append(np.geterr())
+        return maximize(*args, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "maximize_h1", recording)
+    with np.errstate(over="raise"):
+        caller = np.geterr()
+        ee.greedy_policy(v, scen)
+    assert caller["over"] == "raise"
+    assert seen == [caller] * (scen.time_grid.n_steps + 1)
 
 
 def looped_gap_profile(v, policy, traj, scen):

@@ -217,7 +217,7 @@ def simulate_batch(initial, K0, policies, params, econ, time_grid, n_floor_rel=1
         raise ee.ConfigurationError("policy surfaces do not match the grids")
     epi._checked_run(initial, K0, u, econ, time_grid, n_floor_rel)
     by_node = u.transpose(1, 2, 0, 3)  # component-major: (3, n_steps + 1, B, n_age)
-    run = epi._run(initial, K0, lambda k: by_node[:, k], len(u), params, econ, time_grid,
+    run = epi._run(initial, K0, lambda k, x, K: by_node[:, k], len(u), params, econ, time_grid,
                    n_floor_rel, keep_states=True)
     N, Xi, deaths, L, Y, C, D_cost = run.agg
     return [run.errors[b] if b in run.errors else

@@ -15,7 +15,7 @@ import argparse
 import copy
 import csv
 import dataclasses
-import json
+import io
 import logging
 import os
 import sys
@@ -55,11 +55,12 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _write_json(path: Path, payload) -> None:
     """Write strict JSON; a non-finite result is a model error, not a NaN in the file."""
+    text = io.StringIO()  # the whole text first: a rejected result writes no file
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        cfgmod._write_json(text, payload)
     except ValueError as err:
         raise NonFiniteState(f"{path.name}: non-finite result ({err})") from err
-    path.write_text(text + "\n", encoding="utf-8")
+    path.write_text(text.getvalue() + "\n", encoding="utf-8")
 
 
 def _out_dir(cfg, override) -> Path:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import json
 import math
 import operator
@@ -28,50 +29,11 @@ from .hilbert import DEFAULT_WEIGHT_FLOOR
 from .optimizer import OptimizerConfig
 from .scenario import Scenario
 
-_FAMILY = {
-    "type": "object",
-    "oneOf": [
-        {"properties": {"type": {"const": "constant"},
-                        "value": {"type": "number"}},
-         "required": ["type", "value"], "additionalProperties": False},
-        {"properties": {"type": {"const": "table"},
-                        "values": {"type": "array", "items": {"type": "number"}}},
-         "required": ["type", "values"], "additionalProperties": False},
-        {"properties": {"type": {"const": "linear"},
-                        "v0": {"type": "number"}, "v1": {"type": "number"}},
-         "required": ["type", "v0", "v1"], "additionalProperties": False},
-        {"properties": {"type": {"const": "logistic"},
-                        "lo": {"type": "number"}, "hi": {"type": "number"},
-                        "midpoint": {"type": "number"},
-                        "width": {"type": "number", "exclusiveMinimum": 0}},
-         "required": ["type", "lo", "hi", "midpoint", "width"],
-         "additionalProperties": False},
-        {"properties": {"type": {"const": "gompertz"},
-                        "base": {"type": "number", "minimum": 0},
-                        "rate": {"type": "number"}},
-         "required": ["type", "base", "rate"], "additionalProperties": False},
-        {"properties": {"type": {"const": "band"},
-                        "lo_age": {"type": "number"}, "hi_age": {"type": "number"},
-                        "value": {"type": "number"},
-                        "background": {"type": "number"}},
-         "required": ["type", "lo_age", "hi_age", "value"],
-         "additionalProperties": False},
-        {"properties": {"type": {"const": "bump"},
-                        "center": {"type": "number"},
-                        "width": {"type": "number", "exclusiveMinimum": 0},
-                        "height": {"type": "number"}},
-         "required": ["type", "center", "width", "height"],
-         "additionalProperties": False},
-    ],
-}
-
 
 def _block_table(**bounds) -> dict:
     """Schema of a policy block table: rows of numbers within ``bounds``."""
     return {"type": "array", "items": {"type": "array", "items": {"type": "number", **bounds}}}
 
-
-_LEVELS = {"type": "array", "items": {"type": "number"}}
 
 # type -> class, one table per variant section; a branch and a spec hold exactly its fields
 _CLASSES = {
@@ -85,24 +47,67 @@ _CLASSES = {
 }
 
 
+_NUMBER_LIST = {"type": "array", "items": {"type": "number"}}
+# annotation -> the schema of a field so annotated, where it is not a number
+_ANNOTATED = {int: {"type": "integer"}, tuple: _NUMBER_LIST}
+
+
 def _numbers(cls) -> dict:
-    """The schema of each field of the dataclass ``cls``, in field order: a number, or also
-    null where its annotation allows None (the parameters of a model form)."""
+    """The schema of each field of the dataclass ``cls``, in field order: an integer for an
+    ``int``, a list of numbers for a ``tuple``, else a number, or also null where its
+    annotation allows None (the parameters of a model form)."""
     hints = typing.get_type_hints(cls)
-    return {f.name: {"type": ["number", "null"] if type(None) in typing.get_args(hints[f.name])
-                     else "number"} for f in dataclasses.fields(cls)}
+    return {f.name: _ANNOTATED.get(hints[f.name]) or {
+        "type": ["number", "null"] if type(None) in typing.get_args(hints[f.name]) else "number"}
+        for f in dataclasses.fields(cls)}
+
+
+def _branch(kind: str, properties: dict, required) -> dict:
+    """A ``oneOf`` branch: the const ``type``, then ``properties``, the keys ``required``."""
+    return {"properties": {"type": {"const": kind}, **properties},
+            "required": ["type", *required], "additionalProperties": False}
 
 
 def _variants(section: str) -> dict:
     """Schema of a variant section: one branch per class of ``_CLASSES[section]``, its
     ``type`` and then the class's fields, required where they have no default."""
     return {"type": "object", "oneOf": [
-        {"properties": {"type": {"const": kind}, **_numbers(cls)},
-         "required": ["type"] + [f.name for f in dataclasses.fields(cls)
-                                 if f.default is dataclasses.MISSING],
-         "additionalProperties": False}
+        _branch(kind, _numbers(cls), [f.name for f in dataclasses.fields(cls)
+                                      if f.default is dataclasses.MISSING])
         for kind, cls in _CLASSES[section].items()]}
 
+
+# type -> sampler of an age-profile family: its values at the grid's nodes a, from the
+# family's parameters (the keys of its spec)
+_FAMILIES = {
+    "constant": lambda grid, a, value: np.full(grid.n_age, float(value)),
+    "table": lambda grid, a, values: np.asarray(values, dtype=np.float64),
+    "linear": lambda grid, a, v0, v1: v0 + (v1 - v0) * a / grid.a_max,
+    "logistic": lambda grid, a, lo, hi, midpoint, width:
+        lo + (hi - lo) / (1.0 + np.exp(-((a - midpoint) / width))),
+    "gompertz": lambda grid, a, base, rate: base * np.exp(rate * a),
+    "band": lambda grid, a, lo_age, hi_age, value, background=0.0:
+        np.where((a >= lo_age) & (a < hi_age), value, background),
+    "bump": lambda grid, a, center, width, height: height * np.exp(-(((a - center) / width) ** 2)),
+}
+# (type, parameter) -> its rules beyond a number: a table's list, bounds no constructor checks
+_FAMILY_RULES = {("table", "values"): _NUMBER_LIST, ("logistic", "width"): {"exclusiveMinimum": 0},
+                 ("gompertz", "base"): {"minimum": 0}, ("bump", "width"): {"exclusiveMinimum": 0}}
+
+
+def _families() -> dict:
+    """Schema of an age profile: one branch per sampler of ``_FAMILIES``, its ``type`` and
+    then the sampler's parameters after (grid, a), each a number within its
+    ``_FAMILY_RULES``, required where it has no default."""
+    params = {kind: list(inspect.signature(sampler).parameters.values())[2:]
+              for kind, sampler in _FAMILIES.items()}
+    return {"type": "object", "oneOf": [
+        _branch(kind, {p.name: {"type": "number", **_FAMILY_RULES.get((kind, p.name), {})}
+                       for p in ps}, [p.name for p in ps if p.default is p.empty])
+        for kind, ps in params.items()]}
+
+
+_FAMILY = _families()
 
 SCHEMA = {
     "type": "object",
@@ -124,23 +129,11 @@ SCHEMA = {
             "properties": {
                 "mu_S": _FAMILY, "mu_R": _FAMILY, "mu_I_base": _FAMILY,
                 "gamma": _FAMILY, "beta": _FAMILY, "xi": _FAMILY,
-                "contact": {
-                    "type": "object",
-                    "oneOf": [
-                        {"properties": {"type": {"const": "constant"},
-                                        "m0": {"type": "number"}},
-                         "required": ["type", "m0"], "additionalProperties": False},
-                        {"properties": {"type": {"const": "separable"},
-                                        "m0": {"type": "number"},
-                                        "shape": _FAMILY},
-                         "required": ["type", "m0", "shape"],
-                         "additionalProperties": False},
-                        {"properties": {"type": {"const": "table"},
-                                        "values": {"type": "array"}},
-                         "required": ["type", "values"],
-                         "additionalProperties": False},
-                    ],
-                },
+                "contact": {"type": "object", "oneOf": [
+                    _branch("constant", {"m0": {"type": "number"}}, ["m0"]),
+                    _branch("separable", {"m0": {"type": "number"}, "shape": _FAMILY},
+                            ["m0", "shape"]),
+                    _branch("table", {"values": {"type": "array"}}, ["values"])]},
                 "saturation": {"type": "object", "additionalProperties": False,
                                "properties": _numbers(epi.SaturationSpec)},
                 "initial": {
@@ -192,11 +185,7 @@ SCHEMA = {
         },
         "search": {
             "type": "object", "additionalProperties": False,
-            "properties": {
-                "theta_levels": _LEVELS, "eta_levels": _LEVELS,
-                "n_age_blocks": {"type": "integer"}, "c_max": {"type": "number"},
-                "max_sweeps": {"type": "integer"},
-            },
+            "properties": _numbers(ControlSearchGrid),
         },
         "optimizer": {
             "type": "object", "additionalProperties": False,
@@ -259,7 +248,7 @@ SCHEMA = {
             "type": "object", "additionalProperties": False,
             "properties": {
                 "dir": {"type": "string"},
-                "snapshot_times": {"type": "array", "items": {"type": "number"}},
+                "snapshot_times": _NUMBER_LIST,
             },
         },
     },
@@ -502,33 +491,18 @@ def dump_config(cfg: dict, path) -> None:
 # ----------------------------------------------------------------------
 
 def sample_family(spec: dict, grid: AgeGrid, field: str) -> np.ndarray:
-    """Sample the family at config ``field`` on the grid nodes (one value per cell).
-    An overflow warns nothing: the caller rejects a value that is not finite."""
+    """Sample the family at config ``field`` on the grid nodes (one value per cell) by its
+    sampler in ``_FAMILIES``.  An overflow warns nothing: the caller rejects a value that
+    is not finite."""
     kind = spec["type"]
-    a = grid.nodes
+    sampler = _FAMILIES.get(kind) if isinstance(kind, str) else None
+    if sampler is None:
+        raise ConfigurationError(f"unknown coefficient family {kind!r}")
     with np.errstate(all="ignore"):
-        if kind == "constant":
-            values = np.full(grid.n_age, float(spec["value"]))
-        elif kind == "table":
-            values = np.asarray(spec["values"], dtype=np.float64)
-            if values.shape != (grid.n_age,):
-                raise ConfigurationError(f"config field {field}: table family has "
-                                         f"{values.size} values, grid needs {grid.n_age}")
-        elif kind == "linear":
-            values = spec["v0"] + (spec["v1"] - spec["v0"]) * a / grid.a_max
-        elif kind == "logistic":
-            z = (a - spec["midpoint"]) / spec["width"]
-            values = spec["lo"] + (spec["hi"] - spec["lo"]) / (1.0 + np.exp(-z))
-        elif kind == "gompertz":
-            values = spec["base"] * np.exp(spec["rate"] * a)
-        elif kind == "band":
-            bg = spec.get("background", 0.0)
-            values = np.where((a >= spec["lo_age"]) & (a < spec["hi_age"]),
-                              spec["value"], bg)
-        elif kind == "bump":
-            values = spec["height"] * np.exp(-(((a - spec["center"]) / spec["width"]) ** 2))
-        else:
-            raise ConfigurationError(f"unknown coefficient family {kind!r}")
+        values = sampler(grid, grid.nodes, **{k: v for k, v in spec.items() if k != "type"})
+    if values.shape != (grid.n_age,):
+        raise ConfigurationError(f"config field {field}: {kind} family has "
+                                 f"{values.size} values, grid needs {grid.n_age}")
     return values
 
 
@@ -696,7 +670,5 @@ def build_value_function(cfg: dict, scenario: Scenario):
     w = tuple(sample_family(spec.get(key, default), grid,
                             f"verification.value_function.{key}")
               for key in ("w1", "w2", "w3"))
-    q = spec.get("q", 1.0)
-    if spec["type"] == "linear":
-        return LinearValue(scenario.space, w, q)
-    return QuadraticValue(scenario.space, w, q)
+    cls = LinearValue if spec["type"] == "linear" else QuadraticValue
+    return cls(scenario.space, w, spec.get("q", 1.0))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import economy
-from .errors import ConfigurationError, ExtinctPopulation, NonFiniteState
+from .errors import ConfigurationError, ExtinctPopulation, ModelError, NonFiniteState
 from .grid import AgeGrid, RankOneKernel, TimeGrid, _nonnegative, block_layout
 from .hilbert import DEFAULT_WEIGHT_FLOOR, HilbertSpace
 
@@ -446,7 +446,11 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
                     at, prefix = address(rows)
                     held = None
             x, out = state(k)[:, at], None
-            u = controls(k, x, K[at, k])
+            try:  # a feedback law that fails at node k fails the run at step k
+                u = controls(k, x, K[at, k])
+            except ModelError as err:
+                err.step_index = k
+                raise
             if u is not held:
                 held, c, theta, eta = u, u[0, at], u[1, at], u[2, at]
                 terms = _control_terms(c, theta, eta, econ, flow)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -842,6 +843,34 @@ def test_dump_config_rejects_non_finite_numbers(tmp_path, bad, where):
         cfgmod.dump_config(cfg, tmp_path / "resolved_config.json")
 
 
+def test_result_writer_writes_what_json_dumps_writes(tmp_path):
+    # the result files go through the echo writer: numpy scalars, tuples, nested and
+    # empty containers, bools and null, as json.dumps renders them
+    payload = {"b": {"x": np.float64(0.1), "n": 3, "t": (1, 2.5),
+                     "row": [0.5] * 3, "empty": [], "none": None, "flag": True},
+               "a": [{"k": -0.0, "z": {}}, 1e-310, "é,: x"], "J": 19763.9}
+    path = tmp_path / "evaluation.json"
+    cli._write_json(path, payload)
+    want = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", ["value", "number_list", "mixed_list", "long_row",
+                                   "numpy_scalar", "nested", "tuple"])
+def test_result_writer_rejects_non_finite_numbers_and_writes_nothing(tmp_path, bad, where):
+    payload = {"value": {"a": bad}, "number_list": {"a": [1.0, bad]},
+               "mixed_list": {"a": [True, 2, bad]},
+               "long_row": {"a": [0.5] * 150 + [bad] + [0.25] * 49},
+               "numpy_scalar": {"a": np.float64(bad)},
+               "nested": {"a": [{"b": {"c": [0.0, bad]}}], "z": 1.0},
+               "tuple": {"a": (0.5, bad)}}[where]
+    path = tmp_path / "check.json"
+    with pytest.raises(ee.NonFiniteState, match=r"^check\.json: non-finite result"):
+        cli._write_json(path, payload)
+    assert not path.exists()
+
+
 _BAD = st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, -(10**400)])
 
 
@@ -946,6 +975,124 @@ def test_variant_branches_follow_their_classes(monkeypatch):
                                      "cap": {"type": ["number", "null"]},
                                      "floor": {"type": "number"}},
                       "required": ["type", "scale"], "additionalProperties": False}
+
+
+def test_family_branches_follow_their_samplers(monkeypatch):
+    # each oneOf branch of an age profile is its type and then its sampler's parameters
+    # after (grid, a), numbers but for a table's list and the three bounds no
+    # constructor checks, required exactly without a default
+    rules = {("table", "values"): {"type": "array", "items": {"type": "number"}},
+             ("logistic", "width"): {"type": "number", "exclusiveMinimum": 0},
+             ("gompertz", "base"): {"type": "number", "minimum": 0},
+             ("bump", "width"): {"type": "number", "exclusiveMinimum": 0}}
+    assert list(cfgmod._FAMILIES) == ["constant", "table", "linear", "logistic", "gompertz",
+                                      "band", "bump"]
+    branches = cfgmod._FAMILY["oneOf"]
+    assert len(branches) == len(cfgmod._FAMILIES)
+    for branch, (kind, sampler) in zip(branches, cfgmod._FAMILIES.items()):
+        params = list(inspect.signature(sampler).parameters.values())
+        assert [p.name for p in params[:2]] == ["grid", "a"]
+        want = {"type": {"const": kind}, **{p.name: rules.get((kind, p.name), {"type": "number"})
+                                           for p in params[2:]}}
+        assert list(branch["properties"]) == list(want)
+        assert branch["properties"] == want
+        assert branch["required"] == ["type"] + [p.name for p in params[2:]
+                                                 if p.default is p.empty]
+        assert branch["additionalProperties"] is False
+    assert [name for b in branches for name in b["properties"]
+            if name not in b["required"]] == ["background"]
+    props = cfgmod.SCHEMA["properties"]
+    assert props["epidemic"]["properties"]["mu_S"] is cfgmod._FAMILY
+    assert props["epidemic"]["properties"]["contact"]["oneOf"][1]["properties"][
+        "shape"] is cfgmod._FAMILY
+
+    # a sampler added to the table gets its own branch, and samples
+    grid = ee.AgeGrid(a_max=8.0, n_age=8)
+    monkeypatch.setitem(cfgmod._FAMILIES, "step",
+                        lambda grid, a, at, lo=0.0: np.where(a < at, lo, 1.0))
+    assert cfgmod._families()["oneOf"][-1] == {
+        "properties": {"type": {"const": "step"}, "at": {"type": "number"},
+                       "lo": {"type": "number"}},
+        "required": ["type", "at"], "additionalProperties": False}
+    spec = {"type": "step", "at": 4.0, "lo": 0.5}
+    assert cfgmod.sample_family(spec, grid, "x").tolist() == [0.5] * 4 + [1.0] * 4
+
+    # an API caller reaches the samplers without the schema: an unknown type is a
+    # config error still
+    for kind in ("cubic", ["constant"], None):
+        with pytest.raises(ConfigurationError, match="unknown coefficient family"):
+            cfgmod.sample_family({"type": kind, "value": 1.0}, grid, "x")
+
+
+def test_search_properties_follow_control_search_grid():
+    props = cfgmod.SCHEMA["properties"]["search"]["properties"]
+    levels = {"type": "array", "items": {"type": "number"}}
+    assert list(props) == [f.name for f in dataclasses.fields(ee.ControlSearchGrid)]
+    assert props == {"theta_levels": levels, "eta_levels": levels,
+                     "n_age_blocks": {"type": "integer"}, "c_max": {"type": "number"},
+                     "max_sweeps": {"type": "integer"}}
+
+
+def _written_sample(spec: dict, grid) -> np.ndarray:
+    """The seven families as their samples were first written, one expression each."""
+    kind, a = spec["type"], grid.nodes
+    if kind == "constant":
+        return np.full(grid.n_age, float(spec["value"]))
+    if kind == "table":
+        return np.asarray(spec["values"], dtype=np.float64)
+    if kind == "linear":
+        return spec["v0"] + (spec["v1"] - spec["v0"]) * a / grid.a_max
+    if kind == "logistic":
+        z = (a - spec["midpoint"]) / spec["width"]
+        return spec["lo"] + (spec["hi"] - spec["lo"]) / (1.0 + np.exp(-z))
+    if kind == "gompertz":
+        return spec["base"] * np.exp(spec["rate"] * a)
+    if kind == "band":
+        return np.where((a >= spec["lo_age"]) & (a < spec["hi_age"]), spec["value"],
+                        spec.get("background", 0.0))
+    assert kind == "bump"
+    return spec["height"] * np.exp(-(((a - spec["center"]) / spec["width"]) ** 2))
+
+
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(-100.0, 100.0), st.integers(-10**6, 10**6))
+_POSITIVE = st.one_of(st.floats(0.0, 1e300, exclude_min=True), st.integers(1, 10**6))
+
+
+@st.composite
+def _family_spec(draw, n_age: int):
+    """A schema-valid spec of each family: any numbers, the bounded ones within
+    bounds, a band with and without its background."""
+    kind = draw(st.sampled_from(["constant", "table", "linear", "logistic", "gompertz",
+                                 "band", "bump"]))
+    names = {"constant": ["value"], "linear": ["v0", "v1"],
+             "logistic": ["lo", "hi", "midpoint"], "gompertz": ["rate"],
+             "band": ["lo_age", "hi_age", "value"], "bump": ["center", "height"]}
+    spec = {"type": kind, **{name: draw(_NUMBER) for name in names.get(kind, [])}}
+    if kind == "table":
+        spec["values"] = draw(st.lists(_NUMBER, min_size=n_age, max_size=n_age))
+    if kind in ("logistic", "bump"):
+        spec["width"] = draw(_POSITIVE)
+    if kind == "gompertz":
+        spec["base"] = draw(st.one_of(st.just(0.0), _POSITIVE))
+    if kind == "band" and draw(st.booleans()):
+        spec["background"] = draw(_NUMBER)
+    return spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_age=st.sampled_from([8, 9, 16, 40]),
+       a_max=st.one_of(st.floats(0.5, 200.0), st.just(100.0)))
+def test_family_samples_are_the_written_expressions(data, n_age, a_max):
+    # bit for bit, dtype included, overflow and all
+    grid = ee.AgeGrid(a_max=a_max, n_age=n_age)
+    spec = data.draw(_family_spec(n_age))
+    assert not list(cfgmod._walk(spec, cfgmod._FAMILY))
+    with np.errstate(all="ignore"):
+        want = _written_sample(spec, grid)
+    got = cfgmod.sample_family(spec, grid, "epidemic.mu_S")
+    assert got.dtype == want.dtype and got.shape == (n_age,)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_shipped_demo_configs_validate():

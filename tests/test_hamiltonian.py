@@ -687,6 +687,18 @@ def test_greedy_rollout_failure_names_its_step():
     assert err.value.step_index == 0
 
 
+def test_greedy_rollout_extinct_node_names_its_step():
+    # the search's floor test meets an extinct node before the kernel's does: the
+    # error still names the node's step, as simulate names it
+    scen = verification_scenario(n_floor_rel=0.9, mu_s=3.0, mu_r=3.0, mu_i=3.0, beta=0.0)
+    v = ee.LinearValue(scen.space, interior_triple(scen.age_grid), q=0.4)
+    with pytest.raises(ee.ExtinctPopulation) as simulated:
+        scen.simulate(scen.policy)
+    with pytest.raises(ee.ExtinctPopulation) as err:
+        ee.greedy_policy(v, scen)
+    assert err.value.step_index == simulated.value.step_index == 1
+
+
 def test_greedy_feedback_keeps_the_callers_error_state(monkeypatch):
     # the stepping loop ignores numpy errors; the search runs as its caller set them
     scen = verification_scenario(horizon=2.0)

@@ -17,7 +17,6 @@ from .grid import (
     AgeGrid,
     RankOneKernel,
     TimeGrid,
-    constant_kernel,
     expand_blocks,
     separable_kernel,
     table_kernel,
@@ -56,7 +55,6 @@ from .objectives import (
     SeparableUtility,
     ShiftedCRRAUtility,
     evaluate,
-    running_reward,
 )
 from .hamiltonian import (
     ControlSearchGrid,
@@ -65,7 +63,6 @@ from .hamiltonian import (
     QuadraticValue,
     TransversalityReport,
     chain_rule_residual,
-    fundamental_identity_residual,
     greedy_policy,
     h0_part,
     h1_evaluator,

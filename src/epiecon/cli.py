@@ -84,6 +84,9 @@ def cmd_simulate(cfg, out_dir=None) -> int:
     log.info("simulating %d steps on %d age cells",
              scenario.time_grid.n_steps, scenario.age_grid.n_age)
     traj = scenario.simulate()
+    tg = traj.time_grid  # each snapshot time takes its nearest node, clipped to [t0, t_end]
+    nodes = [int(round(np.clip((t - tg.t0) / tg.dt, 0, tg.n_steps)))
+             for t in cfg["output"]["snapshot_times"]]
     out = _out_dir(cfg, out_dir)  # each command computes, then writes: a rejection writes nothing
     cfgmod.dump_config(cfg, out / "resolved_config.json")
 
@@ -94,17 +97,14 @@ def cmd_simulate(cfg, out_dir=None) -> int:
                np.column_stack([traj.times, totals, traj.N, traj.Xi, traj.K, traj.L,
                                 traj.Y, traj.C, traj.D_cost, traj.deaths_flow]))
 
-    snap_times = cfg["output"]["snapshot_times"]
-    if snap_times:
-        tg, times = traj.time_grid, traj.times
+    if nodes:
         # a block's rows differ only in (s, i, r): t and the ages are text in its template
         age_rows = [f",{a},{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT}"
                     for a in map(_fmt, scenario.age_grid.nodes.tolist())]
         with open(out / "snapshots.csv", "w", newline="", encoding="utf-8") as fh:
             fh.write("t,a,s,i,r\r\n")
-            for t_req in snap_times:
-                k = int(np.clip(round((t_req - tg.t0) / tg.dt), 0, traj.n_steps))
-                t = _fmt(times[k])
+            for k in nodes:
+                t = _fmt(traj.times[k])
                 block = t + ("\r\n" + t).join(age_rows) + "\r\n"
                 fh.write(block % tuple(traj.X[k].T.ravel().tolist()))
 

@@ -129,10 +129,6 @@ class RankOneKernel:
         return (self.m0 * (x[..., None, :] @ self.g[:, None])[..., 0]) * self.g
 
 
-def constant_kernel(grid: AgeGrid, m0: float) -> RankOneKernel:
-    return RankOneKernel(float(m0), np.ones(grid.n_age))
-
-
 def separable_kernel(grid: AgeGrid, m0: float, shape_values: np.ndarray) -> RankOneKernel:
     """Kernel m(a, tau) = m0 * g(a) * g(tau) with g sampled at the nodes."""
     if np.shape(shape_values) != (grid.n_age,):

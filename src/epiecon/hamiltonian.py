@@ -504,33 +504,6 @@ def _discounted_sum(terms, tg, rho: float):
     return np.cumsum(np.append(0.0, disc * terms))[-1]
 
 
-def discounted_running_payoff(traj, policy, scenario: Scenario) -> float:
-    """Discounted left-endpoint sum of the running reward along a trajectory."""
-    tg, n = traj.time_grid, traj.n_steps
-    u = objectives.running_reward(traj.X[:n], traj.K[:n], *policy[:, :n],
-                                  scenario.epi, scenario.econ, scenario.obj)
-    return float(_discounted_sum(u, tg, scenario.obj.rho) * tg.dt)
-
-
-def fundamental_identity_residual(v, policy, traj, scenario: Scenario) -> float:
-    """Residual of the value decomposition into payoff plus discounted gaps.
-
-    r = v(x_0) - [J + int e^{-rho t} (sup_z H_CV - H_CV(z(t))) dt
-                  + e^{-rho T} v(x_T)]
-
-    computed with v's gradients along the trajectory and the rho-discounted
-    running payoff of the configured target.  The residual vanishes (to
-    discretization order) exactly when v solves the dynamic-programming
-    equation along this trajectory; for arbitrary smooth v use
-    :func:`chain_rule_residual` instead.
-    """
-    tg, obj = traj.time_grid, scenario.obj
-    payoff = discounted_running_payoff(traj, policy, scenario)
-    gap_term = integrated_gap(hamiltonian_gap_profile(v, policy, traj, scenario), traj, obj)
-    terminal = np.exp(-obj.rho * (tg.t_end - tg.t0)) * v.value(traj.X[-1], traj.K[-1])
-    return float(v.value(traj.X[0], float(traj.K[0])) - (payoff + gap_term + terminal))
-
-
 def chain_rule_residual(v, policy, traj, scenario: Scenario) -> float:
     """Discrete chain-rule identity residual for an arbitrary smooth v.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import economy, epi
+from . import epi
 from .errors import ConfigurationError
 from .hilbert import components
 
@@ -195,14 +195,6 @@ def node_reward(x, params: epi.EpiParams, obj: ObjectiveParams):
 
     reward.terms = active, n_nu, deaths
     return reward
-
-
-def running_reward(x, K, c_t, theta_t, eta_t, params, econ, obj: ObjectiveParams):
-    """Reward integrand of the configured target at state ``x`` and controls (c, theta);
-    on a node stack (K and each control with one value or slice per node), one per node."""
-    x = components(x)
-    Y = econ.F(K, economy.labor_supply(x, theta_t, econ, params.grid.da))
-    return node_reward(x, params, obj)(c_t, theta_t, Y)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import copy
+import csv
 import dataclasses
 import inspect
+import io
 import json
 import os
 import re
@@ -256,6 +258,28 @@ def test_simulate_writes_expected_files(tmp_path):
     snap = (out / "snapshots.csv").read_text().strip().splitlines()
     assert len(snap) == 1 + 2 * cfg["grid"]["n_age"]
     assert (out / "resolved_config.json").exists()
+
+
+def test_snapshots_equal_an_independent_writer(tmp_path, capsys):
+    # each time takes its nearest node, clipped to [t0, t_end]: a time whose step
+    # offset overflows to +-inf lands on the first or the last node
+    cfg = small_config()
+    cfg["output"]["snapshot_times"] = [-1e308, 0.0, 2.0, 1e308]
+    path, out = write_config(tmp_path, cfg), tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    scenario = cfgmod.build_scenario(cfgmod.load_config(path))
+    traj = scenario.simulate()
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["t", "a", "s", "i", "r"])
+    for k in (0, 0, 4, cfg["grid"]["n_steps"]):
+        for j, a in enumerate(scenario.age_grid.nodes):
+            writer.writerow(["%.17g" % v for v in (traj.times[k], a, *traj.X[k, :, j])])
+    assert (out / "snapshots.csv").read_bytes() == want.getvalue().encode("utf-8")
 
 
 def test_simulate_zero_steps_single_row(tmp_path):

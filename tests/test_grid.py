@@ -61,7 +61,7 @@ def test_integrate_linearity(alpha, beta, seed):
 
 def test_kernel_zero_field():
     grid = ee.AgeGrid(a_max=10.0, n_age=16)
-    m = ee.constant_kernel(grid, 4.0)
+    m = ee.RankOneKernel(4.0, np.ones(grid.n_age))
     out = _kernel_integral(m, grid, np.zeros(grid.n_age))
     assert np.all(out == 0.0)
 
@@ -71,7 +71,7 @@ def test_kernel_constant_reduces_to_integrate():
     grid = ee.AgeGrid(a_max=10.0, n_age=16)
     f = rng.uniform(0.0, 2.0, grid.n_age)
     m0 = 3.5
-    out = _kernel_integral(ee.constant_kernel(grid, m0), grid, f)
+    out = _kernel_integral(ee.RankOneKernel(m0, np.ones(grid.n_age)), grid, f)
     expected = m0 * _population(grid, f)
     assert np.allclose(out, expected, rtol=1e-12)
 

@@ -1021,17 +1021,6 @@ def looped_chain_rule_residual(v, policy, traj, scen):
     return float(v.value(traj.X[0], float(traj.K[0])) - terminal - acc)
 
 
-def looped_running_payoff(traj, policy, scen):
-    """Reference for discounted_running_payoff: one running_reward call per node."""
-    tg, obj = traj.time_grid, scen.obj
-    total = 0.0
-    for k in range(tg.n_steps):
-        u = ee.running_reward(traj.X[k], float(traj.K[k]), *policy[:, k],
-                              scen.epi, scen.econ, obj)
-        total += np.exp(-obj.rho * (tg.times[k] - tg.t0)) * u
-    return float(total * tg.dt)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_age=st.sampled_from([8, 16]),
        table=st.booleans(), quadratic=st.booleans(), n_steps=st.sampled_from([0, 1, 5, 16]),
@@ -1039,8 +1028,8 @@ def looped_running_payoff(traj, policy, scen):
 def test_chain_rule_residual_equals_looped_single_node_terms(seed, n_age, table, quadratic,
                                                              n_steps, target):
     # one stacked pass over traj.X[:n_steps] gives the per-node loop's residual
-    # and payoff bit for bit, with the overload multiplier active (the load
-    # straddles the capacity) and n_steps = 0 an empty stack
+    # bit for bit, with the overload multiplier active (the load straddles the
+    # capacity) and n_steps = 0 an empty stack
     rng = np.random.default_rng(seed)
     g = rng.uniform(0.1, 2.0, n_age)
     m0 = float(rng.uniform(0.0, 3.0))
@@ -1063,9 +1052,6 @@ def test_chain_rule_residual_equals_looped_single_node_terms(seed, n_age, table,
 
     got = ee.chain_rule_residual(v, policy, traj, scen)
     want = looped_chain_rule_residual(v, policy, traj, scen)
-    assert np.float64(got).tobytes() == np.float64(want).tobytes()
-    got = hamiltonian.discounted_running_payoff(traj, policy, scen)
-    want = looped_running_payoff(traj, policy, scen)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
@@ -1093,7 +1079,7 @@ def degenerate_scalar_setup():
 
 
 def scalar_harness(scen, w, q, c_pol):
-    """Independent scalar implementation of the identity diagnostics.
+    """Independent scalar implementation of the chain-rule residual.
 
     With age-constant coefficients, stationary uniform population, no
     epidemic terms, and constant costate, every field quantity collapses to
@@ -1102,19 +1088,11 @@ def scalar_harness(scen, w, q, c_pol):
     a_max = scen.age_grid.a_max
     dt = scen.time_grid.dt
     n_steps = scen.time_grid.n_steps
-    rho, nu = scen.obj.rho, scen.obj.nu
-    u = scen.obj.utility
+    rho = scen.obj.rho
     n0 = 1.0
     N = n0 * a_max
     L = N
     a_k, a_l, delta = 0.03, 1.0, 0.05
-
-    def u_scalar(c):
-        return 0.5 + (c + 0.01) ** 0.5 / 0.5  # u0 + (c+eps)^{1-sigma}/(1-sigma)
-
-    def c_star():
-        price = n0 ** (1.0 - nu) * q
-        return min(max((1.0 / price) ** 2 - 0.01, 0.0), 5.0)  # (w/price)^{1/sigma}-eps
 
     K = [20.0]
     for _ in range(n_steps):
@@ -1123,51 +1101,23 @@ def scalar_harness(scen, w, q, c_pol):
     def v_of(k):
         return w[0] * n0 * a_max + q * K[k]
 
-    def h1_of(c, k):
-        return ((a_k * K[k] + a_l * L) * q - c * N * q
-                + a_max * n0**nu * u_scalar(c))
-
     chain_acc = 0.0
-    fund_J = 0.0
-    fund_gaps = 0.0
     for k in range(n_steps):
         t = k * dt
         disc = np.exp(-rho * t)
         aterm = -n0 * w[0] - delta * K[k] * q
         bterm = (a_k * K[k] + a_l * L - c_pol * N) * q
         chain_acc += disc * (rho * v_of(k) - aterm - bterm) * dt
-        fund_J += disc * a_max * n0**nu * u_scalar(c_pol) * dt
-        fund_gaps += disc * (h1_of(c_star(), k) - h1_of(c_pol, k)) * dt
     T = n_steps * dt
-    chain = v_of(0) - np.exp(-rho * T) * v_of(n_steps) - chain_acc
-    fundamental = v_of(0) - (fund_J + fund_gaps + np.exp(-rho * T) * v_of(n_steps))
-    return chain, fundamental
+    return v_of(0) - np.exp(-rho * T) * v_of(n_steps) - chain_acc
 
 
 def test_degenerate_scalar_harness_match():
     scen, v, w, q, c_pol = degenerate_scalar_setup()
     traj = scen.simulate()
     chain_pkg = ee.chain_rule_residual(v, scen.policy, traj, scen)
-    fund_pkg = ee.fundamental_identity_residual(v, scen.policy, traj, scen)
-    chain_ref, fund_ref = scalar_harness(scen, w, q, c_pol)
-    scale = max(1.0, abs(chain_ref), abs(fund_ref))
-    assert abs(chain_pkg - chain_ref) / scale < 1e-6
-    assert abs(fund_pkg - fund_ref) / scale < 1e-6
-
-
-def test_fundamental_identity_all_zero_problem():
-    # zero value function, identically zero running reward (deaths target with
-    # mu_I = 0), zero costates: every term of the identity vanishes
-    scen = verification_scenario(
-        n_age=16, horizon=2.0, i0=0.0, c_level=0.0, mu_i=0.0, psi=0.0,
-        production=ee.LinearProduction(a_k=0.0, a_l=0.0),
-        congestion=ee.LinearCongestion(d1=0.0),
-        which="J6", K0=0.0,
-    )
-    v = ee.LinearValue(scen.space, tuple(np.zeros(16) for _ in range(3)), q=0.0)
-    traj = scen.simulate()
-    res = ee.fundamental_identity_residual(v, scen.policy, traj, scen)
-    assert res == pytest.approx(0.0, abs=1e-12)
+    chain_ref = scalar_harness(scen, w, q, c_pol)
+    assert abs(chain_pkg - chain_ref) / max(1.0, abs(chain_ref)) < 1e-6
 
 
 # ----------------------------------------------------------------------

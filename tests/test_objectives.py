@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epiecon as ee
+from epiecon import objectives
+from epiecon.economy import labor_supply
+from epiecon.hilbert import components
 
 from util import build_scenario
 
@@ -32,11 +35,17 @@ def test_static_population_is_stationary():
     assert np.all(np.abs(traj.N - traj.N[0]) <= 1e-12 * traj.N[0])
 
 
+def node_reward(x, K, c_t, theta_t, scen):
+    """Running reward of the scenario's target at state ``x``, as ``h1_evaluator``
+    makes it: ``node_reward`` on the output F(K, L_theta)."""
+    x = components(x)
+    Y = scen.econ.F(K, labor_supply(x, theta_t, scen.econ, scen.age_grid.da))
+    return objectives.node_reward(x, scen.epi, scen.obj)(c_t, theta_t, Y)
+
+
 def reward(scen, c_t, theta_t, K=0.0):
     """Running reward of the scenario's target at its initial state."""
-    ones = np.ones(scen.age_grid.n_age)
-    return ee.running_reward(scen.initial.as_triple(), K, c_t, theta_t, ones,
-                             scen.epi, scen.econ, scen.obj)
+    return node_reward(scen.initial.as_triple(), K, c_t, theta_t, scen)
 
 
 def test_u1_constant_utility_oracle():
@@ -268,10 +277,9 @@ def test_running_reward_stack_rows_equal_single_node_calls(seed, n_nodes, target
                           production=ee.LinearProduction(a_k=0.04, a_l=1.0))
     X = rng.uniform(0.0, 2.0, (n_nodes, 3, 16))
     K = rng.uniform(0.0, 50.0, n_nodes)
-    c, theta, eta = rng.uniform(0.0, 1.0, (3, n_nodes, 16))
-    got = ee.running_reward(X, K, c, theta, eta, scen.epi, scen.econ, scen.obj)
-    want = np.array([ee.running_reward(X[k], float(K[k]), c[k], theta[k], eta[k],
-                                       scen.epi, scen.econ, scen.obj)
+    c, theta = rng.uniform(0.0, 1.0, (2, n_nodes, 16))
+    got = node_reward(X, K, c, theta, scen)
+    want = np.array([node_reward(X[k], float(K[k]), c[k], theta[k], scen)
                      for k in range(n_nodes)])
     assert got.shape == (n_nodes,)
     assert got.tobytes() == want.tobytes()

@@ -322,7 +322,7 @@ def build_scenario(
     tg = ee.TimeGrid.aligned(grid, t0=t0, n_steps=n_steps)
 
     if kernel is None:
-        kernel = ee.constant_kernel(grid, m0)
+        kernel = ee.RankOneKernel(m0, np.ones(n_age))
     params = ee.EpiParams(
         grid=grid,
         mu_S=_field(grid, mu_s),

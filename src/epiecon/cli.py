@@ -1,9 +1,11 @@
 """Command-line interface: simulate | evaluate | optimize | check | sweep.
 
-All commands read one JSON configuration, write their outputs (CSV and
-JSON) under the output directory, and echo the resolved configuration for
-reproducibility.  Outputs are byte-deterministic: fixed float formatting,
-seeds from the configuration, canonical JSON key order.
+All commands read one JSON configuration and render their outputs (CSV and
+JSON) as text; ``main`` writes them under the output directory once all
+have rendered, and echoes the resolved configuration beside them for
+reproducibility, so a command that fails writes nothing.  Outputs are
+byte-deterministic: fixed float formatting, seeds from the configuration,
+canonical JSON key order.
 
 Exit codes: 0 success, 2 configuration error, 3 model runtime error,
 4 optimizer infeasible start.
@@ -15,6 +17,7 @@ import argparse
 import copy
 import csv
 import dataclasses
+import functools
 import io
 import logging
 import os
@@ -40,46 +43,41 @@ def _fmt(x) -> str:
     return _FLOAT_FMT % float(x)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if isinstance(rows, np.ndarray):  # a float table: no cell needs quoting
-            line = ",".join([_FLOAT_FMT] * rows.shape[1]) + writer.dialect.lineterminator
-            fh.writelines(line % tuple(row) for row in rows.tolist())
-            return
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else _fmt(cell)
-                             for cell in row])
+def _csv_text(header, rows) -> str:
+    """A CSV table as text, as ``csv.writer`` writes it."""
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    if isinstance(rows, np.ndarray):  # a float table: no cell needs quoting
+        line = ",".join([_FLOAT_FMT] * rows.shape[1]) + writer.dialect.lineterminator
+        fh.writelines(line % tuple(row) for row in rows.tolist())
+    else:
+        writer.writerows([cell if isinstance(cell, str) else _fmt(cell) for cell in row]
+                         for row in rows)
+    return fh.getvalue()
 
 
-def _write_json(path: Path, payload) -> None:
-    """Write strict JSON; a non-finite result is a model error, not a NaN in the file."""
-    text = io.StringIO()  # the whole text first: a rejected result writes no file
+def _json_text(name: str, payload) -> str:
+    """Strict JSON for the file ``name``; a non-finite result is a model error, not a NaN."""
+    fh = io.StringIO()
     try:
-        cfgmod._write_json(text, payload)
+        cfgmod._write_json(fh, payload)
     except ValueError as err:
-        raise NonFiniteState(f"{path.name}: non-finite result ({err})") from err
-    path.write_text(text.getvalue() + "\n", encoding="utf-8")
+        raise NonFiniteState(f"{name}: non-finite result ({err})") from err
+    return fh.getvalue() + "\n"
 
 
-def _out_dir(cfg, override) -> Path:
-    out = Path(override) if override else Path(cfg["output"]["dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _print_table(rows) -> None:
+def _table(rows) -> str:
     width = max(len(str(k)) for k, _ in rows)
-    for key, value in rows:
-        print(f"{key:<{width}}  {value}")
+    return "\n".join(f"{key:<{width}}  {value}" for key, value in rows)
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its output files as {name: text} and the text
+# it prints; ``out`` is where main will write them
 # ----------------------------------------------------------------------
 
-def cmd_simulate(cfg, out_dir=None) -> int:
+def cmd_simulate(cfg, out: Path) -> tuple[dict, str]:
     scenario = cfgmod.build_scenario(cfg)
     log.info("simulating %d steps on %d age cells",
              scenario.time_grid.n_steps, scenario.age_grid.n_age)
@@ -87,35 +85,28 @@ def cmd_simulate(cfg, out_dir=None) -> int:
     tg = traj.time_grid  # each snapshot time takes its nearest node, clipped to [t0, t_end]
     nodes = [int(round(np.clip((t - tg.t0) / tg.dt, 0, tg.n_steps)))
              for t in cfg["output"]["snapshot_times"]]
-    out = _out_dir(cfg, out_dir)  # each command computes, then writes: a rejection writes nothing
-    cfgmod.dump_config(cfg, out / "resolved_config.json")
-
     totals = scenario.age_grid.da * traj.X.sum(axis=2)  # S, I, R per node
-    _write_csv(out / "trajectory.csv",
-               ["t", "S", "I", "R", "N", "Xi", "K", "L", "Y", "C", "Dcost",
-                "deaths_flow"],
-               np.column_stack([traj.times, totals, traj.N, traj.Xi, traj.K, traj.L,
-                                traj.Y, traj.C, traj.D_cost, traj.deaths_flow]))
-
+    files = {"trajectory.csv": _csv_text(
+        ["t", "S", "I", "R", "N", "Xi", "K", "L", "Y", "C", "Dcost", "deaths_flow"],
+        np.column_stack([traj.times, totals, traj.N, traj.Xi, traj.K, traj.L,
+                         traj.Y, traj.C, traj.D_cost, traj.deaths_flow]))}
     if nodes:
         # a block's rows differ only in (s, i, r): t and the ages are text in its template
         age_rows = [f",{a},{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT}"
                     for a in map(_fmt, scenario.age_grid.nodes.tolist())]
-        with open(out / "snapshots.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write("t,a,s,i,r\r\n")
-            for k in nodes:
-                t = _fmt(traj.times[k])
-                block = t + ("\r\n" + t).join(age_rows) + "\r\n"
-                fh.write(block % tuple(traj.X[k].T.ravel().tolist()))
-
-    _print_table([
+        blocks = ["t,a,s,i,r\r\n"]
+        for k in nodes:
+            t = _fmt(traj.times[k])
+            block = t + ("\r\n" + t).join(age_rows) + "\r\n"
+            blocks.append(block % tuple(traj.X[k].T.ravel().tolist()))
+        files["snapshots.csv"] = "".join(blocks)
+    return files, _table([
         ("steps", traj.n_steps),
         ("final N", _fmt(traj.N[-1])),
         ("final K", _fmt(traj.K[-1])),
         ("feasible", traj.feasible),
         ("outputs", str(out)),
     ])
-    return 0
 
 
 def _evaluation_payload(scenario, traj, report) -> dict:
@@ -130,35 +121,28 @@ def _evaluation_payload(scenario, traj, report) -> dict:
     }
 
 
-def cmd_evaluate(cfg, out_dir=None) -> int:
+def cmd_evaluate(cfg, out: Path) -> tuple[dict, str]:
     scenario = cfgmod.build_scenario(cfg)
     traj = scenario.simulate()
     report = scenario.evaluate(traj=traj)
-    out = _out_dir(cfg, out_dir)
-    cfgmod.dump_config(cfg, out / "resolved_config.json")
     payload = _evaluation_payload(scenario, traj, report)
-    _write_json(out / "evaluation.json", payload)
-    _print_table([
+    return {"evaluation.json": _json_text("evaluation.json", payload)}, _table([
         ("target", payload["target"]),
         ("value", _fmt(report.value)),
         ("feasible", report.feasible),
         ("violation", _fmt(report.violation)),
         ("tail bound", "-" if report.tail_bound is None else _fmt(report.tail_bound)),
     ])
-    return 0
 
 
-def cmd_optimize(cfg, out_dir=None) -> int:
+def cmd_optimize(cfg, out: Path) -> tuple[dict, str]:
     scenario = cfgmod.build_scenario(cfg)
     opt_cfg = cfgmod.build_optimizer_config(cfg)
     value_function = cfgmod.build_value_function(cfg, scenario)
     log.info("optimizing %dx%d control blocks, budget %d iterations",
              opt_cfg.n_time_blocks, opt_cfg.n_age_blocks, opt_cfg.max_iters)
     report = optimizer.optimize(scenario, opt_cfg, value_function=value_function)
-    out = _out_dir(cfg, out_dir)
-    cfgmod.dump_config(cfg, out / "resolved_config.json")
-
-    _write_json(out / "optim_report.json", {
+    files = {"optim_report.json": _json_text("optim_report.json", {
         "objective_trace": list(map(float, report.objective_trace)),
         "violation_trace": list(map(float, report.violation_trace)),
         "feasible": report.feasible,
@@ -168,7 +152,7 @@ def cmd_optimize(cfg, out_dir=None) -> int:
         "integrated_gap_initial": report.integrated_gap_initial,
         "integrated_gap_final": report.integrated_gap_final,
         "seed": report.seed,
-    })
+    })}
 
     blocks = report.blocks
     _, ntb, nab = blocks.shape
@@ -180,11 +164,10 @@ def cmd_optimize(cfg, out_dir=None) -> int:
                          tg.t0 + tb * (tg.n_steps // ntb) * tg.dt,
                          ab * (ag.n_age // nab) * ag.da,
                          *blocks[:, tb, ab]])
-    _write_csv(out / "best_policy.csv",
-               ["t_block", "a_block", "t_start", "a_start", "c", "theta", "eta"],
-               [[str(r[0]), str(r[1])] + r[2:] for r in rows])
-
-    _print_table([
+    files["best_policy.csv"] = _csv_text(
+        ["t_block", "a_block", "t_start", "a_start", "c", "theta", "eta"],
+        [[str(r[0]), str(r[1])] + r[2:] for r in rows])
+    return files, _table([
         ("iterations", report.n_iters),
         ("objective", _fmt(report.objective_trace[-1])),
         ("converged", report.converged),
@@ -192,7 +175,6 @@ def cmd_optimize(cfg, out_dir=None) -> int:
         ("integrated gap", "-" if report.integrated_gap_final is None
          else _fmt(report.integrated_gap_final)),
     ])
-    return 0
 
 
 def _smooth_pairs(space, rng, n_pairs):
@@ -206,7 +188,7 @@ def _smooth_pairs(space, rng, n_pairs):
     return wave[:, 0], wave[:, 1]
 
 
-def cmd_check(cfg, out_dir=None) -> int:
+def cmd_check(cfg, out: Path) -> tuple[dict, str]:
     scenario = cfgmod.build_scenario(cfg)
     ver, n_steps = cfg["verification"], cfg["grid"]["n_steps"]
     steps = [cfgmod.step_count(n_steps * mult, scenario.age_grid.n_age,
@@ -269,11 +251,7 @@ def cmd_check(cfg, out_dir=None) -> int:
 
     payload = {"adjoint_identity": adjoint, "chain_rule_identity": chain,
                "hamiltonian_gap": gap, "transversality": transversality}
-    out = _out_dir(cfg, out_dir)
-    cfgmod.dump_config(cfg, out / "resolved_config.json")
-    _write_json(out / "check.json", payload)
-
-    _print_table([
+    return {"check.json": _json_text("check.json", payload)}, _table([
         ("adjoint max residual", _fmt(adjoint["max_rel_residual"])),
         ("adjoint bound (5 da)", _fmt(adjoint["bound_5da"])),
         ("chain-rule residual", _fmt(chain["residual"])),
@@ -281,7 +259,6 @@ def cmd_check(cfg, out_dir=None) -> int:
         ("gap integrated", _fmt(gap["integrated"])),
         ("transversality decaying", transversality["decaying"]),
     ])
-    return 0
 
 
 def _head(traj, n_steps: int):
@@ -381,14 +358,11 @@ def _sweep_results(cfg, tasks, jobs: int) -> list:
     return results
 
 
-def _write_sweep(cfg, out_dir, points, results) -> Path:
-    """Write the echo and the sweep tables of ``points`` (value pairs) and their rows."""
+def _sweep_files(cfg, points, results) -> dict:
+    """The sweep tables of ``points`` (value pairs) and their rows, by file name."""
     axes = cfg["sweep"]["axes"]
     values0 = axes[0]["values"]
     values1 = axes[1]["values"] if len(axes) > 1 else [None]
-    out = _out_dir(cfg, out_dir)
-    cfgmod.dump_config(cfg, out / "resolved_config.json")
-
     grid_vals = np.array([[r["value"] if r["value"] is not None else np.nan
                            for r in results[i * len(values1):(i + 1) * len(values1)]]
                           for i in range(len(values0))])
@@ -397,20 +371,17 @@ def _write_sweep(cfg, out_dir, points, results) -> Path:
     header += [("" if v is None else _fmt(v)) for v in values1]
     rows = [[_fmt(v0)] + [_fmt(grid_vals[i, j]) for j in range(len(values1))]
             for i, v0 in enumerate(values0)]
-    _write_csv(out / "sweep.csv", header, rows)
-
     detail_rows = [[_fmt(v0), "" if v1 is None else _fmt(v1),
                     "" if r["value"] is None else _fmt(r["value"]), str(r["feasible"]),
                     "" if r["violation"] is None else _fmt(r["violation"]),
                     r["error"] or ""]
                    for (v0, v1), r in zip(points, results)]
-    _write_csv(out / "sweep_details.csv",
-               ["axis0", "axis1", "value", "feasible", "violation", "error"],
-               detail_rows)
-    return out
+    return {"sweep.csv": _csv_text(header, rows),
+            "sweep_details.csv": _csv_text(
+                ["axis0", "axis1", "value", "feasible", "violation", "error"], detail_rows)}
 
 
-def cmd_sweep(cfg, out_dir=None, jobs=1) -> int:
+def cmd_sweep(cfg, out: Path, jobs=1) -> tuple[dict, str]:
     if "sweep" not in cfg:
         raise ConfigurationError("config field sweep: required for the sweep command")
     axes = cfg["sweep"]["axes"]
@@ -418,15 +389,14 @@ def cmd_sweep(cfg, out_dir=None, jobs=1) -> int:
               for v1 in (axes[1]["values"] if len(axes) > 1 else [None])]
     paths = [axis["path"] for axis in axes]
     results = _sweep_results(cfg, [list(zip(paths, point)) for point in points], jobs)
-    out = _write_sweep(cfg, out_dir, points, results)
-    print(f"swept {len(points)} points -> {out}")
-    return 0
+    return _sweep_files(cfg, points, results), f"swept {len(points)} points -> {out}"
 
 
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
 
+@functools.cache  # one parser per process: main may run many commands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epiecon",
@@ -450,9 +420,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = cfgmod.load_config(args.config)
-        if args.command == "sweep":
-            return args.fn(cfg, args.out, jobs=args.jobs)
-        return args.fn(cfg, args.out)
+        out = Path(args.out or cfg["output"]["dir"])
+        files, text = args.fn(cfg, out, **({"jobs": args.jobs} if "jobs" in args else {}))
+        try:  # every file is rendered: a command that raised has written nothing
+            out.mkdir(parents=True, exist_ok=True)
+            for name, body in files.items():
+                with open(out / name, "w", newline="", encoding="utf-8") as fh:
+                    fh.write(body)
+            cfgmod.dump_config(cfg, out / "resolved_config.json")
+        except OSError as err:
+            raise ConfigurationError(f"cannot write outputs to {out}: {err.strerror}") from err
+        print(text)
+        return 0
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

@@ -52,9 +52,11 @@ class OptimizerConfig:
                 raise ConfigurationError(f"{name} must be > 0")
         if self.backtrack >= 1.0:
             raise ConfigurationError("backtrack factor must be < 1")
-        for name in ("max_backtracks", "max_iters", "n_age_blocks", "n_time_blocks"):
+        for name in ("max_backtracks", "max_iters", "n_age_blocks", "n_time_blocks", "seed"):
             if getattr(self, name) < 0 or int(getattr(self, name)) != getattr(self, name):
                 raise ConfigurationError(f"{name} must be a nonnegative integer")
+        if not self.jitter >= 0.0:
+            raise ConfigurationError("jitter must be >= 0")
         if self.n_age_blocks < 1 or self.n_time_blocks < 1:
             raise ConfigurationError("block counts must be >= 1")
 

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import errno
 import inspect
 import io
 import json
@@ -686,7 +687,9 @@ def test_sweep_shares_config_read_only(tmp_path, monkeypatch):
         return blocks(point)
 
     monkeypatch.setattr(cfgmod, "policy_blocks", recording_blocks)
-    assert cli.cmd_sweep(cfg, tmp_path / "out") == 0
+    files, _ = cli.cmd_sweep(cfg, tmp_path / "out")
+    assert set(files) == {"sweep.csv", "sweep_details.csv"}
+    assert not (tmp_path / "out").exists()  # the command renders; main writes
     # the one scenario is built from the first point (its policy too), then each
     # point's policy blocks are built
     assert seen == [(0.25, 0.0)] + [(th, et) for th in (0.25, 0.5, 1.0) for et in (0.0, 0.75)]
@@ -743,24 +746,25 @@ def sweep_cases(draw):
     return cfgmod.resolve_config(cfg)
 
 
-def _sweep_outcome(run, cfg, out):
-    """The error message of a rejected sweep, else its two tables as bytes."""
+def _sweep_outcome(run, cfg):
+    """The error message of a rejected sweep, else its two tables as text."""
     try:
-        run(copy.deepcopy(cfg), out)
+        files = run(copy.deepcopy(cfg))
     except ConfigurationError as err:
         return str(err)
-    return [(out / name).read_bytes() for name in ("sweep.csv", "sweep_details.csv")]
+    return [files[name] for name in ("sweep.csv", "sweep_details.csv")]
 
 
 @settings(max_examples=40, deadline=None)
 @given(cfg=sweep_cases())
 def test_grouped_sweep_equals_looped_points(cfg):
-    # grouping points by scenario and scoring each group as one batch writes the
-    # per-point loop's tables byte for byte, and a rejected point raises its message
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+    # grouping points by scenario and scoring each group as one batch renders the
+    # per-point loop's tables character for character, and a rejected point raises
+    # its message
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        grouped = _sweep_outcome(cli.cmd_sweep, cfg, Path(tmp) / "grouped")
-        looped = _sweep_outcome(looped_sweep, cfg, Path(tmp) / "looped")
+        grouped = _sweep_outcome(lambda c: cli.cmd_sweep(c, Path("out"))[0], cfg)
+        looped = _sweep_outcome(looped_sweep, cfg)
     assert grouped == looped
 
 
@@ -867,32 +871,30 @@ def test_dump_config_rejects_non_finite_numbers(tmp_path, bad, where):
         cfgmod.dump_config(cfg, tmp_path / "resolved_config.json")
 
 
-def test_result_writer_writes_what_json_dumps_writes(tmp_path):
+def test_result_writer_writes_what_json_dumps_writes():
     # the result files go through the echo writer: numpy scalars, tuples, nested and
     # empty containers, bools and null, as json.dumps renders them
     payload = {"b": {"x": np.float64(0.1), "n": 3, "t": (1, 2.5),
                      "row": [0.5] * 3, "empty": [], "none": None, "flag": True},
                "a": [{"k": -0.0, "z": {}}, 1e-310, "é,: x"], "J": 19763.9}
-    path = tmp_path / "evaluation.json"
-    cli._write_json(path, payload)
     want = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    assert path.read_bytes() == want.encode("utf-8")
+    assert cli._json_text("evaluation.json", payload) == want
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("where", ["value", "number_list", "mixed_list", "long_row",
                                    "numpy_scalar", "nested", "tuple"])
-def test_result_writer_rejects_non_finite_numbers_and_writes_nothing(tmp_path, bad, where):
+def test_result_writer_rejects_non_finite_numbers_and_writes_nothing(bad, where):
+    # the renderer raises before main makes the output directory (see
+    # test_non_finite_result_exits_3_and_writes_nothing)
     payload = {"value": {"a": bad}, "number_list": {"a": [1.0, bad]},
                "mixed_list": {"a": [True, 2, bad]},
                "long_row": {"a": [0.5] * 150 + [bad] + [0.25] * 49},
                "numpy_scalar": {"a": np.float64(bad)},
                "nested": {"a": [{"b": {"c": [0.0, bad]}}], "z": 1.0},
                "tuple": {"a": (0.5, bad)}}[where]
-    path = tmp_path / "check.json"
     with pytest.raises(ee.NonFiniteState, match=r"^check\.json: non-finite result"):
-        cli._write_json(path, payload)
-    assert not path.exists()
+        cli._json_text("check.json", payload)
 
 
 _BAD = st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, -(10**400)])
@@ -1167,8 +1169,10 @@ def test_nonfinite_config_number_names_field(tmp_path, capsys, command, section,
     ("check", "verification", "horizon_multipliers", [1.0, 1e300]),
     ("check", "verification", "horizon_multipliers", [1e18]),
     ("simulate", "grid", "n_steps", 10**30),
+    ("optimize", "optimizer", "seed", -1),
+    ("optimize", "optimizer", "jitter", -0.5),
 ], ids=["negative_T_num", "no_horizons", "empty_composite", "horizon_1e300", "horizon_1e18",
-        "n_steps_1e30"])
+        "n_steps_1e30", "negative_seed", "negative_jitter"])
 def test_demo_config_out_of_range_names_field(tmp_path, capsys, command, section, key,
                                               value):
     # evaluate would sum a negative T_num's reward rows from the end; check needs a horizon;
@@ -1242,6 +1246,64 @@ def test_constructor_rejection_names_field_and_writes_nothing(tmp_path, capsys, 
     assert err.count("\n") == 1
     assert not recwarn.list
     assert not out.exists()
+
+
+def test_non_finite_result_exits_3_and_writes_nothing(tmp_path, capsys):
+    # a discount rate of 1e-320 overflows the truncation tail bound to inf: the
+    # result is rejected before any output, the config echo included, is written
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo_covid.json"
+    cfg = json.loads(demo.read_text())
+    cfg["objective"]["rho"] = 1e-320
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main(["evaluate", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out)])
+    assert code == 3
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert re.fullmatch(r"model error: evaluation\.json: non-finite result \(.+\)", last)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, renderer", [
+    ("optimize", "_csv_text"),  # after optim_report.json has rendered
+    ("check", "_json_text"), ("simulate", "_csv_text"), ("sweep", "_csv_text")])
+def test_render_failure_after_compute_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                     command, renderer):
+    cfg = small_config()
+    cfg["optimizer"] = {"max_iters": 1}
+    cfg["verification"] = {"adjoint_pairs": 2, "horizon_multipliers": [1.0, 2.0]}
+    cfg["sweep"] = {"axes": [{"path": "policy.c_level", "values": [0.1, 0.2]}]}
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+
+    def failing(*args):
+        raise ee.NonFiniteState("rendered.csv: non-finite result (injected)")
+
+    monkeypatch.setattr(cli, renderer, failing)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "model error: rendered.csv: non-finite result (injected)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, errno_name", [("file", "EEXIST"), ("file/sub", "ENOTDIR")])
+def test_unwritable_out_exits_2_naming_it(tmp_path, capsys, where, errno_name):
+    # an --out that is a file, or lies under one, is a configuration error in one
+    # line of stderr, as an unreadable --config is
+    (tmp_path / "file").write_text("kept")
+    out = tmp_path / where
+    code = cli.main(["simulate", "--config", str(write_config(tmp_path, small_config())),
+                     "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    strerror = os.strerror(getattr(errno, errno_name))
+    assert captured.err == f"configuration error: cannot write outputs to {out}: {strerror}\n"
+    assert captured.out == ""
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_sweep_non_numeric_value_names_field(tmp_path, capsys):
@@ -1385,6 +1447,7 @@ def test_cli_boundary_exit_codes_and_strict_json(case):
             warnings.simplefilter("ignore")
             code = cli.main([command, "--config", str(path), "--out", str(out)])
         assert code in (0, 2, 3, 4)
+        assert out.exists() == (code == 0)  # a command that fails writes nothing
         if not np.isfinite(cfg["economy"]["K0"]):
             assert code == 2
         for produced in out.glob("*.json"):

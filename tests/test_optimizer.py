@@ -455,6 +455,15 @@ def test_optimizer_config_validation():
         ee.OptimizerConfig(n_age_blocks=0)
 
 
+@pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("jitter", -0.5),
+                                          ("jitter", float("nan"))])
+def test_optimizer_config_rejects_negative_seed_and_jitter(field, value):
+    # through the API a negative seed reached numpy's generator as a bare ValueError
+    # and a negative jitter was ignored
+    with pytest.raises(ee.ConfigurationError, match=f"^{field} must be"):
+        ee.OptimizerConfig(**{field: value})
+
+
 def test_optimize_gaps_equal_gaps_of_fresh_runs():
     # the certificate reads the trajectories the search already ran (the start and
     # the last accepted trial), both in one node stack: the same gaps as fresh runs

@@ -430,9 +430,9 @@ def looped_fd_gradient(blocks, scenario, config):
 # serial reference of the grouped sweep
 # ----------------------------------------------------------------------
 
-def looped_sweep(cfg, out_dir):
+def looped_sweep(cfg):
     """Reference for ``cli.cmd_sweep``: one scenario built, simulated and evaluated
-    per point, in point order; writes the same tables."""
+    per point, in point order; renders the same tables."""
     axes = cfg["sweep"]["axes"]
     points = [(v0, v1) for v0 in axes[0]["values"]
               for v1 in (axes[1]["values"] if len(axes) > 1 else [None])]
@@ -447,7 +447,7 @@ def looped_sweep(cfg, out_dir):
         except ee.ModelError as err:
             results.append({"value": None, "feasible": False, "violation": None,
                             "error": str(err)})
-    return cli._write_sweep(cfg, out_dir, points, results)
+    return cli._sweep_files(cfg, points, results)
 
 
 def looped_horizon_runs(scenario, multipliers):

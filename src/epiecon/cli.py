@@ -58,12 +58,14 @@ def _csv_text(header, rows) -> str:
 
 
 def _json_text(name: str, payload) -> str:
-    """Strict JSON for the file ``name``; a non-finite result is a model error, not a NaN."""
+    """Strict JSON for the file ``name``; a non-finite result is a model error naming
+    its first non-finite field, not a NaN."""
     fh = io.StringIO()
     try:
         cfgmod._write_json(fh, payload)
     except ValueError as err:
-        raise NonFiniteState(f"{name}: non-finite result ({err})") from err
+        field = cfgmod._nonfinite_path(payload)
+        raise NonFiniteState(f"{name}: non-finite result ({field}: {err})") from err
     return fh.getvalue() + "\n"
 
 

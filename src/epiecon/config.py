@@ -434,19 +434,20 @@ def load_config(path) -> dict:
 
 
 def _nonfinite_path(node, path=""):
-    """Field path of the first number in a JSON document that is no finite float, else None."""
+    """Field path of the first number in a JSON document (or a result payload, whose
+    rows may be tuples) that is no finite float, else None."""
     if isinstance(node, (int, float)):
         try:
             return None if math.isfinite(node) else path or "<root>"
         except OverflowError:  # an int beyond the float range
             return path or "<root>"
     try:  # a row of numbers in one pass: only a row that fails is walked
-        if isinstance(node, list) and all(map(math.isfinite, node)):
+        if isinstance(node, (list, tuple)) and all(map(math.isfinite, node)):
             return None
     except (TypeError, OverflowError):
         pass
     for key, child in (node.items() if isinstance(node, dict) else
-                       enumerate(node) if isinstance(node, list) else ()):
+                       enumerate(node) if isinstance(node, (list, tuple)) else ()):
         if type(child) is not float or not math.isfinite(child):  # skip finite leaves
             found = _nonfinite_path(child, f"{path}.{key}" if path else str(key))
             if found is not None:

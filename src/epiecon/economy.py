@@ -227,8 +227,10 @@ def labor_supply(x, theta_t: np.ndarray, econ: EconParams, da: float, phi=None):
 def consumption_total(x, c_t: np.ndarray, da: float, n=None):
     """Aggregate consumption C = int c (s + i + r) da; ``n``, when given, is s + i + r
     already made."""
-    s, i, r = x
-    return da * np.add.reduce(c_t * (s + i + r if n is None else n), -1)
+    if n is None:
+        s, i, r = x
+        n = s + i + r
+    return da * np.add.reduce(c_t * n, -1)
 
 
 def testing_cost(x, eta_t: np.ndarray, econ: EconParams, da: float):

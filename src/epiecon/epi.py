@@ -176,7 +176,7 @@ def force_of_infection(i: np.ndarray, n_total, theta_t, eta_t, m, da: float,
 # ----------------------------------------------------------------------
 
 def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams,
-          da: float, dt: float, n_floor: float, out=None, fixed=None, terms=None):
+          da: float, dt: float, n_floor: float, out=None, fixed=None, terms=None, rides=None):
     """The fused kernel: one time node of the coupled dynamics, for one state or a batch.
 
     ``x`` is one (3, n_age) state (rows s, i, r) or a component-major
@@ -191,7 +191,15 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     each batch row is bit for bit that state alone.  ``terms`` are the
     control slices' own terms (:func:`_control_terms`), made here when not
     given; with a flow hook's function among them, its value at the node's
-    population n is an eighth aggregate.
+    population n (and ``rides``) is an eighth aggregate.
+
+    ``rides``, when given, maps each row of ``K`` and ``c_t`` to its state's
+    row of ``x`` (theta and eta are the states'): c and K never enter the
+    epidemic, so rows whose theta and eta are one state's share its
+    epidemic.  Each row takes its state's epidemic aggregates (N, Xi, the
+    deaths flow, L and D_cost) and population n, and makes its own C, Y,
+    flow and next capital, bit for bit as that state stepped alone with the
+    row's c and K.
 
     The third result maps each failed row (0 for one state) to its
     ModelError: the first of the floor test, a non-finite state and a
@@ -206,16 +214,23 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     lam = force_of_infection(i, n_total[..., None], theta_t, eta_t, params.m, da, theta_eta)
     Xi = critical_load(i, params, da)
     mu_i = infection_mortality(params, Xi)
-    L = economy.labor_supply((s, i, r), theta_t, econ, da, phi)
-    C = economy.consumption_total((s, i, r), c_t, da, n)
-    d_cost = economy.testing_cost((s, i, r), eta_t, econ, da)
+    epidemic = (n_total, Xi, deaths_flow(i, mu_i, da),
+                economy.labor_supply((s, i, r), theta_t, econ, da, phi),
+                economy.testing_cost((s, i, r), eta_t, econ, da))
+    n_rows = n
+    if rides is not None:
+        n_rows = n[rides]
+        epidemic = (n_total[rides], Xi[rides], epidemic[2][rides], epidemic[3][rides],
+                    epidemic[4][rides])
+    N, Xi_rows, deaths, L, d_cost = epidemic
+    C = economy.consumption_total(None, c_t, da, n_rows)
     Y = econ.F(K, L)
-    aggregates = (n_total, Xi, deaths_flow(i, mu_i, da), L, Y, C, d_cost)
+    aggregates = (N, Xi_rows, deaths, L, Y, C, d_cost)
     if node_flow is not None:
-        aggregates += (node_flow(n),)
-    above = n_total > n_floor
+        aggregates += (node_flow(n, rides),)
+    above = N > n_floor
     if out is None:
-        return aggregates, None, _failures(above, n_total, n_floor)
+        return aggregates, None, _failures(above, N, n_floor)
 
     keep_r, gamma_pos = fixed or _fixed(params, dt)  # the run's, else made here
     gamma = params.gamma
@@ -239,15 +254,18 @@ def _node(x, K, c_t, theta_t, eta_t, params: EpiParams, econ: economy.EconParams
     out[2, ..., 1:] = r_dec[..., :-1]
     K1 = economy.capital_step(K, Y, C, d_cost, econ, dt)
     finite = np.isfinite(out)  # reduced per row only when some entry is not finite
-    return aggregates, K1, _failures(above, n_total, n_floor,
-                                     np.logical_and.reduce(finite, None)
-                                     or np.logical_and.reduce(finite, (0, -1)), K1)
+    state_ok = np.logical_and.reduce(finite, None) or np.logical_and.reduce(finite, (0, -1))
+    if rides is not None and np.ndim(state_ok):
+        state_ok = state_ok[rides]
+    return aggregates, K1, _failures(above, N, n_floor, state_ok, K1)
 
 
-def _control_terms(c_t, theta_t, eta_t, econ: economy.EconParams, flow=None):
+def _control_terms(c_t, theta_t, eta_t, econ: economy.EconParams, flow=None, theta_c=None):
     """What a node takes from its control slices alone: phi(theta), theta * eta, and
-    the node function ``flow(c, theta)`` of a flow hook (see :func:`_run`), or None."""
-    return econ.phi(theta_t), theta_t * eta_t, None if flow is None else flow(c_t, theta_t)
+    the node function ``flow(c, theta)`` of a flow hook (see :func:`_run`), or None;
+    the flow takes ``theta_c``, the theta of the rows of c, when they are not theta's."""
+    return (econ.phi(theta_t), theta_t * eta_t,
+            None if flow is None else flow(c_t, theta_t if theta_c is None else theta_c))
 
 
 def _fixed(params: EpiParams, dt: float):
@@ -354,7 +372,8 @@ class BatchRun:
 
     ``X`` holds every state, (B, n_steps + 1, 3, n_age), or only the last
     one stepped, (B, 3, n_age), as a view of the loop's component-major
-    states; ``K`` (B, n_steps + 1); ``agg`` the seven aggregates N, Xi,
+    states; ``X0`` every state of row 0, (n_steps + 1, 3, n_age), its
+    record; ``K`` (B, n_steps + 1); ``agg`` the seven aggregates N, Xi,
     deaths flow, L, Y, C, D_cost, (7, B, n_steps + 1); ``flow`` the per-node
     values of the caller's ``flow`` hook, or None; ``errors`` maps each
     failed row to its ModelError (its values are meaningless); and the
@@ -362,6 +381,7 @@ class BatchRun:
     """
 
     X: np.ndarray
+    X0: np.ndarray
     K: np.ndarray
     agg: np.ndarray
     flow: np.ndarray | None
@@ -373,22 +393,24 @@ class BatchRun:
 
 def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
          econ: economy.EconParams, time_grid: TimeGrid, n_floor_rel: float,
-         keep_states: bool, flow=None, joins=None) -> BatchRun:
+         keep_states: bool, flow=None, joins=None, riders=(), head=None) -> BatchRun:
     """The stepping loop: B runs from ``initial`` and ``K0`` stepped together through
     :func:`_node`, ``controls(k, x, K)`` giving the (3, B, n_age) control slices at node k,
-    x and K the running rows' states and capitals there (a feedback law's input).
+    x and K the stepped states and the rows' capitals there (a feedback law's input).
 
-    The states are held component-major, (3, B, n_age) a node, so the kernel
-    reads and writes each component of the running rows as one plain array;
-    ``keep_states`` keeps every node's, else only two nodes' are held.  The
-    terms of the controls alone (:func:`_control_terms`) are made once per
-    control slice object: ``controls`` that return one object for several
-    nodes share them.  ``flow(c, theta)``, if given, returns a node's flow
-    as a function of its population n = s + i + r, evaluated on each node's
-    running rows and kept per node.  A failed row leaves the batch at its
-    failing step, its ModelError with ``step_index`` set; the others go on,
-    each bit for bit its single run, and a batch of one steps its row as
-    one (3, n_age) state.
+    The states are held component-major, (3, E, n_age) a node, so the kernel
+    reads and writes each component of the stepped states as one plain
+    array; ``keep_states`` keeps every node's, else only two nodes' are held,
+    and row 0's every state as its record (``BatchRun.X0``).  The terms of
+    the controls alone (:func:`_control_terms`) are made once per control
+    slice object: ``controls`` that return one object for several nodes
+    share them.  ``flow(c, theta)``, if given, returns a node's flow as a
+    function of the states' population n = s + i + r and each row's state
+    among them (``rides`` of :func:`_node`), evaluated on each node's rows
+    and kept per node.  A failed row leaves the batch at its failing step,
+    its ModelError with ``step_index`` set; the others go on, each bit for
+    bit its single run, and a batch of one steps its row as one (3, n_age)
+    state.
 
     Rows join late when only the last states are kept: ``joins[b]`` is the
     node at which row b joins the batch (0 for row 0), and its controls must
@@ -397,13 +419,25 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
     aggregates and flow values.  A row that joins at n_steps + 1 is row 0's
     whole run, and one that joins after row 0 failed carries a copy of row
     0's ModelError.  Rows in the order of their nodes keep the running rows
-    a prefix of the batch, which the kernel steps in place.
+    and states one range each, which the kernel steps in place.
+
+    The ``riders``, rows whose theta and eta equal row 0's at every node,
+    have no state of their own: they ride row 0's (``rides`` of
+    :func:`_node`), so the kernel steps E = B - len(riders) states, and row
+    0's state steps on after a failure of its capital alone while a rider
+    runs.  ``head``, an earlier run of this loop with the same row 0 and
+    only the last states kept, makes row 0 that run's: its record is read,
+    row 0 is not stepped again, and every row has its own state.
     """
     grid, n_steps = initial.grid, time_grid.n_steps
     n_floor = n_floor_rel * initial.total_population()
     da, dt, fixed = grid.da, time_grid.dt, _fixed(params, time_grid.dt)
+    riders = () if head is not None else riders
+    owner = np.array([b for b in range(B) if b not in riders], dtype=int)  # each state's row
+    slot = np.zeros(B, dtype=int)  # each row's state: its own, or row 0's for a rider
+    slot[owner] = np.arange(len(owner))
 
-    X = np.empty((n_steps + 1 if keep_states else 2, 3, B, grid.n_age))
+    X = np.empty((n_steps + 1 if keep_states else 2, 3, len(owner), grid.n_age))
     state = (lambda k: X[k]) if keep_states else (lambda k: X[k % 2])
     X[0] = np.stack(initial.as_triple())[:, None]
     K = np.empty((B, n_steps + 1))
@@ -411,13 +445,20 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
     # N, Xi, deaths, L, Y, C, D_cost, and the flow hook's values
     agg = np.empty((7 if flow is None else 8, B, n_steps + 1))
     errors = {}
-    rows = np.arange(B)  # the rows still running
+    record = not keep_states and head is None  # row 0's states are copied to X0
+    if keep_states:
+        X0 = X[:, :, 0]
+    elif head is None:
+        X0 = np.empty((n_steps + 1, 3, grid.n_age))
+        X0[0] = X[0, :, 0]
+    else:
+        X0, K[0], agg[:7, 0] = head.X0, head.K[0], head.agg[:, 0]
+        if flow is not None:
+            agg[7, 0] = head.flow[0]
+    head_error = None if head is None else head.errors.get(0)  # raised at its step
     later = {}  # node -> the rows that join there
-    if joins is not None:
-        for b, k in enumerate(joins):
-            if k:
-                later.setdefault(int(k), []).append(b)
-        rows = np.array([b for b in range(B) if not joins[b]])
+    for b, k in enumerate([0] * B if joins is None else joins):
+        later.setdefault(int(k), []).append(b)
 
     def join(new, k):  # rows ``new`` take row 0's run up to node k, or its error
         if 0 in errors:
@@ -425,64 +466,91 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
             return
         K[new, :k + 1] = K[0, :k + 1]
         agg[:, new, :k] = agg[:, :1, :k]
-        state(min(k, n_steps))[:, new] = state(min(k, n_steps))[:, :1]
+        state(min(k, n_steps))[:, slot[[b for b in new if b not in riders]]] = \
+            X0[min(k, n_steps)][:, None]
 
-    def address(rows):  # one state for a batch of one, a prefix as views, else the rows
-        if int(rows[-1]) == len(rows) - 1:
-            return (0 if B == 1 else slice(0, len(rows))), True
-        return rows, False
+    def address(rows):  # one state for a batch of one, a range as views, else the rows
+        if B == 1:
+            return 0, True
+        lo, hi = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
+        return (slice(lo, hi), True) if hi - lo == len(rows) else (rows, False)
 
-    at, prefix = address(rows)
+    def running(rows):
+        """The running rows' address, their states' address (and whether it is a
+        view), those states' rows' address, the states, and each row's state among
+        them when a rider runs (else None)."""
+        if not len(riders):
+            return address(rows)[0], *address(rows), address(rows)[0], rows, None
+        states, rides = np.unique(slot[rows], return_inverse=True)
+        if np.array_equal(rides, np.arange(len(rows))):
+            rides = None
+        return address(rows)[0], *address(states), address(owner[states])[0], states, rides
+
+    rows = np.array([b for b in later.pop(0) if b or head is None], dtype=int)
+    at, eat, prefix, own, states, rides = running(rows)
     held = None  # the control slices whose terms are made, for the rows ``at``
     with np.errstate(all="ignore"):
         for k in range(n_steps + 1):
+            if head_error is not None and k == head_error.step_index + 1:
+                errors[0] = head_error  # row 0 failed at the step before
             if k in later:
                 new = later.pop(k)
                 join(new, k)
                 if 0 not in errors:
-                    running = np.zeros(B, dtype=bool)
-                    running[rows] = running[new] = True
-                    rows = np.flatnonzero(running)
-                    at, prefix = address(rows)
+                    rows = np.union1d(rows, new)
+                    at, eat, prefix, own, states, rides = running(rows)
                     held = None
-            x, out = state(k)[:, at], None
+            if not len(rows):
+                if 0 in errors or not later:
+                    break
+                continue
+            x, out = state(k)[:, eat], None
             try:  # a feedback law that fails at node k fails the run at step k
                 u = controls(k, x, K[at, k])
             except ModelError as err:
                 err.step_index = k
                 raise
             if u is not held:
-                held, c, theta, eta = u, u[0, at], u[1, at], u[2, at]
-                terms = _control_terms(c, theta, eta, econ, flow)
+                held, c, theta, eta = u, u[0, at], u[1, own], u[2, own]
+                terms = _control_terms(c, theta, eta, econ, flow,
+                                       None if rides is None else u[1, at])
             if k < n_steps:
-                out = state(k + 1)[:, at] if prefix else np.empty(x.shape)
+                out = state(k + 1)[:, eat] if prefix else np.empty(x.shape)
             agg[:, at, k], K1, failed = _node(x, K[at, k], c, theta, eta, params, econ, da,
-                                              dt, n_floor, out, fixed, terms)
+                                              dt, n_floor, out, fixed, terms, rides)
             if out is not None:
                 K[at, k + 1] = K1
                 if not prefix:
-                    state(k + 1)[:, rows] = out
+                    state(k + 1)[:, states] = out
+                if record and states[0] == 0:
+                    X0[k + 1] = state(k + 1)[:, 0]
             if failed:
                 for j, err in failed.items():
                     err.step_index = k
                     errors[int(rows[j])] = err
                 rows = np.delete(rows, list(failed))
-                if not len(rows):
-                    break
-                at, prefix = address(rows)
+                at, eat, prefix, own, states, rides = running(rows)
                 held = None
         for k, new in later.items():  # after row 0 failed, or equal to row 0 throughout
             join(new, k)
+        if head_error is not None:
+            errors[0] = head_error
+        if keep_states:
+            kept = X.transpose(2, 0, 1, 3)
+        else:  # each row's last state: its own, or row 0's for a rider
+            kept = (state(n_steps)[:, slot] if len(riders) else state(n_steps)).swapaxes(0, 1)
+            if head is not None:
+                kept[0] = X0[n_steps]
         neg = np.maximum(0.0, -K[:, 1:])
-        kept = X.transpose(2, 0, 1, 3) if keep_states else state(n_steps).swapaxes(0, 1)
-        return BatchRun(X=kept, K=K, agg=agg[:7], flow=None if flow is None else agg[7],
-                        errors=errors, feasible=np.all(K >= 0.0, axis=-1),
+        return BatchRun(X=kept, X0=X0, K=K, agg=agg[:7],
+                        flow=None if flow is None else agg[7], errors=errors,
+                        feasible=np.all(K >= 0.0, axis=-1),
                         k_violation=dt * (neg * neg).sum(axis=-1), min_K=K.min(axis=-1))
 
 
 def run_blocks(initial: EpiState, K0: float, blocks: np.ndarray, params: EpiParams,
                econ: economy.EconParams, time_grid: TimeGrid, n_floor_rel: float = 1e-9,
-               flow=None) -> BatchRun:
+               flow=None, head: BatchRun | None = None) -> BatchRun:
     """Run each policy of a (B, 3, n_time_blocks, n_age_blocks) block stack, keeping
     no trajectory: :func:`_run` with only the last states held.
 
@@ -492,9 +560,12 @@ def run_blocks(initial: EpiState, K0: float, blocks: np.ndarray, params: EpiPara
     n_age) policy stack is never built and the terms of the controls alone
     are made once per time block; each row is bit for bit the run of its
     expanded policy.  A row whose blocks equal row 0's, bit for bit, before
-    time block j joins the batch at j's first node (see :func:`_run`); a row
-    equal to row 0 is not stepped at all.  The blocks are checked as
-    :func:`simulate` checks a policy.
+    time block j joins the batch at j's first node, and a row whose theta
+    and eta blocks equal row 0's rides row 0's epidemic (see :func:`_run`);
+    a row equal to row 0 is not stepped at all.  ``head``, an earlier run
+    of this function whose first row is this stack's, gives row 0's run, so
+    a later batch of one stack's rows steps row 0 no more.  The blocks are
+    checked as :func:`simulate` checks a policy.
     """
     u = np.asarray(blocks, dtype=np.float64)
     if u.ndim != 4 or u.shape[1] != 3 or not len(u):
@@ -523,7 +594,14 @@ def run_blocks(initial: EpiState, K0: float, blocks: np.ndarray, params: EpiPara
         return held[1]
 
     return _run(initial, K0, controls, len(u), params, econ, time_grid, n_floor_rel,
-                keep_states=False, flow=flow, joins=joins)
+                keep_states=False, flow=flow, joins=joins, riders=_riders(u), head=head)
+
+
+def _riders(blocks: np.ndarray) -> list:
+    """The rows of a block stack whose theta and eta blocks equal row 0's, compared as
+    bytes: they share row 0's epidemic, whatever their consumption."""
+    epidemic = blocks[0, 1:].tobytes()
+    return [b for b in range(1, len(blocks)) if blocks[b, 1:].tobytes() == epidemic]
 
 
 def simulate(initial: EpiState, K0: float, policy: np.ndarray, params: EpiParams,
@@ -559,8 +637,13 @@ def _simulate(initial: EpiState, K0: float, controls, params: EpiParams,
                keep_states=True)
     if run.errors:
         raise run.errors[0]
+    return _trajectory(run, initial, time_grid)
+
+
+def _trajectory(run: BatchRun, initial: EpiState, time_grid: TimeGrid) -> Trajectory:
+    """Row 0's Trajectory, from its record and its row of the run."""
     N, Xi, deaths, L, Y, C, D_cost = run.agg[:, 0]
-    return Trajectory(X=run.X[0], initial=initial, K=run.K[0], time_grid=time_grid, N=N, Xi=Xi,
+    return Trajectory(X=run.X0, initial=initial, K=run.K[0], time_grid=time_grid, N=N, Xi=Xi,
                       L=L, Y=Y, C=C, D_cost=D_cost, deaths_flow=deaths,
                       feasible=bool(run.feasible[0]), k_violation=float(run.k_violation[0]),
                       min_K=float(run.min_K[0]))

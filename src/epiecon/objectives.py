@@ -154,10 +154,12 @@ class ObjectiveParams:
 # running rewards
 # ----------------------------------------------------------------------
 
-def _utility_flow(n, utility, obj: ObjectiveParams, da: float):
+def _utility_flow(n, utility, obj: ObjectiveParams, da: float, rides=None):
     """int n^nu u da along the last (age) axis, given the utility values u = u(c, theta);
-    leading axes are time nodes."""
-    return da * (np.power(n, obj.nu) * utility).sum(axis=-1)
+    leading axes are time nodes, or rows, each taking n^nu from row ``rides[row]`` of n
+    when ``rides`` is given."""
+    weight = np.power(n, obj.nu)
+    return da * ((weight if rides is None else weight[rides]) * utility).sum(axis=-1)
 
 
 def node_reward(x, params: epi.EpiParams, obj: ObjectiveParams):
@@ -229,45 +231,69 @@ def evaluate(traj: epi.Trajectory, policy: np.ndarray, params: epi.EpiParams,
                     [traj.feasible], [traj.k_violation], traj.time_grid, da, econ, obj)[0]
 
 
-# Most rows x n_age cells stepped as one batch.  Each batch steps its own row 0 (a
-# gradient's base point) and a row joins only its own batch's row 0, so fewer batches
-# step fewer rows; the cap bounds the working set, each (rows, n_age) temporary of the
-# kernel within 320 KB.  fd_gradient in central mode (interleaved in-process medians of
-# 5-15, shared 2-vCPU Xeon host, 2 MiB L2 a core) at caps of 10,240 / 20,480 / 40,960 /
-# 81,920 cells: 192 probes at n_age 200 over 40 steps 36 / 34 / 30 / 30 ms, 192 at 800
-# over 80 steps 263 / 235 / 226 / 212 ms, 48 at 1600 over 160 steps 300 / 271 / 232 /
-# 271 ms.
+# Most rows x n_age cells stepped as one batch.  Each batch steps the rows that differ
+# from row 0 (a gradient's base point), and the first batch also row 0, whose run the
+# later batches read; the cap bounds the working set, each (rows, n_age) temporary of
+# the kernel within 320 KB.  fd_gradient in central mode (interleaved in-process medians
+# of 5-15, shared 2-vCPU Xeon host, 2 MiB L2 a core) at caps of 10,240 / 20,480 /
+# 40,960 / 81,920 cells, when each batch stepped its own row 0: 192 probes at n_age 200
+# over 40 steps 36 / 34 / 30 / 30 ms, 192 at 800 over 80 steps 263 / 235 / 226 / 212
+# ms, 48 at 1600 over 160 steps 300 / 271 / 232 / 271 ms.
 _BATCH_CELLS = 40_960
+
+
+class Scores(list):
+    """The scores of a block stack's rows, in row order, and ``start``: row 0's
+    Trajectory, from the record the stepping loop keeps of it (None where row 0
+    failed)."""
+
+    start = None
 
 
 def score_blocks(blocks: np.ndarray, initial: epi.EpiState, K0: float,
                  params: epi.EpiParams, econ, time_grid, n_floor_rel: float,
-                 obj: ObjectiveParams) -> list:
+                 obj: ObjectiveParams) -> Scores:
     """Run and score each policy of a (B, 3, n_time_blocks, n_age_blocks) block
     stack, keeping no trajectory (:func:`epi.run_blocks`, on batches of rows
     within ``_BATCH_CELLS``).
 
     Returns one entry per row: its EvalReport, bit for bit :func:`evaluate`
     on the simulated trajectory of its expanded policy, or the ModelError
-    that simulation raises.  The loop keeps per-node scalars only, plus the
-    J1 utility flow of each node when a target needs it and the final
-    states; the targets are summed over all rows of a batch at once.  The
-    flow hook makes u(c, theta) once per time block, and each node's flow
-    from it and the population n the kernel has made.
+    that simulation raises; and row 0's Trajectory as ``start``.  The loop
+    keeps per-node scalars only, plus the J1 utility flow of each node when
+    a target needs it, the final states and row 0's every state; the
+    targets are summed over all rows of a batch at once.  The flow hook
+    makes u(c, theta) once per time block, and each node's flow from it and
+    the population n the kernel has made.  Row 0 is stepped in the first
+    batch only: each later batch takes its run from the first (the
+    ``head`` of :func:`epi.run_blocks`), so its rows join and ride row 0
+    as the first batch's do.
     """
     da, flow = initial.grid.da, None
     if "J1" in obj.target_weights():
         def flow(c, theta):
             utility = obj.utility(c, theta)
-            return lambda n: _utility_flow(n, utility, obj, da)
-    rows, scores = max(1, _BATCH_CELLS // initial.grid.n_age), []
-    for lo in range(0, len(blocks), rows):
-        run = epi.run_blocks(initial, K0, blocks[lo:lo + rows], params, econ, time_grid,
-                             n_floor_rel, flow)
+            return lambda n, rides: _utility_flow(n, utility, obj, da, rides)
+    # the first batch: row 0, every rider (no state of its own) and the first other rows
+    rows = max(1, _BATCH_CELLS // initial.grid.n_age)
+    riders = epi._riders(blocks) if len(blocks) > rows else []
+    others = sorted(set(range(1, len(blocks))) - set(riders))
+    batches = [sorted([0] + riders + others[:rows - 1])] + [
+        [0] + others[lo:lo + rows] for lo in range(rows - 1, len(others), rows)]
+    scores, first = Scores([None] * len(blocks)), None
+    for batch in batches:
+        run = epi.run_blocks(initial, K0, blocks[batch], params, econ, time_grid, n_floor_rel,
+                             flow, first)
         with np.errstate(all="ignore"):  # a failed row's values are meaningless
             reports = _reports(run.K, run.agg[4], run.agg[2], run.flow, run.X, run.feasible,
                                run.k_violation, time_grid, da, econ, obj)
-        scores += [run.errors.get(b, report) for b, report in enumerate(reports)]
+        for i, b in enumerate(batch):
+            if first is None or i:  # a later batch's row 0 is the first batch's
+                scores[b] = run.errors.get(i, reports[i])
+        if first is None:
+            first = run
+    if 0 not in first.errors:
+        scores.start = epi._trajectory(first, initial, time_grid)
     return scores
 
 
@@ -313,5 +339,6 @@ def _target_rows(which, K, Y, deaths, flow, final, tg, da, econ, obj):
     value = (np.exp(-obj.rho * elapsed[:m]) * u_vals).sum(axis=-1) * dt
     tail = None
     if which in ("J1", "J2") and m > 0:
-        tail = np.exp(-obj.rho * (m * dt)) * np.abs(u_vals).max(axis=-1) / obj.rho
+        with np.errstate(over="ignore"):  # a tiny rho: an infinite bound, which the caller names
+            tail = np.exp(-obj.rho * (m * dt)) * np.abs(u_vals).max(axis=-1) / obj.rho
     return value, tail

@@ -4,14 +4,17 @@ The policy is parameterized by piecewise-constant blocks over the age-time
 grid.  Gradients are finite differences of the penalized objective at block
 granularity.  The probes of one gradient are scored from their block
 values without keeping a trajectory (``Scenario.score``; one row per probe,
-each bit for bit its single run); the base point is row 0 and a probe
-joins its run at the probe's time block, so a shared head is stepped once.
-That row re-runs the current point, which the search has already run.
-The start and each line-search trial are simulated with their
-trajectories, which the gap certificate reads, so it simulates nothing.
-The ascent is projected onto the control box with backtracking line search,
-and the capital positivity constraint enters through a smooth quadratic
-penalty.  Everything is deterministic given the configuration and seed.
+each bit for bit its single run); the base point is row 0, a probe joins
+its run at the probe's time block, so a shared head is stepped once, and a
+consumption probe rides its epidemic, which c does not move.  The first
+gradient's row 0 is the start: its score and its trajectory, kept by the
+stepping loop, are the search's start value and the certificate's start
+run, so the start is not simulated on its own.  Each line-search trial is
+simulated with its trajectory, which the gap certificate reads, so it
+simulates nothing.  The ascent is projected onto the control box with
+backtracking line search, and the capital positivity constraint enters
+through a smooth quadratic penalty.  Everything is deterministic given the
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -96,10 +99,10 @@ def penalized_objective(policy: np.ndarray, scenario: Scenario,
     Feasible trajectories return the target exactly; the penalty term
     penalty * sum_k max(0, -K_k)^2 dt has zero value and slope at K = 0.
     Returns (value, trajectory); the violation is ``trajectory.k_violation``.
-    A model error is raised with its step.  :func:`optimize` runs its start
-    and each line-search trial here and keeps the trajectory for the gap
-    certificate; the gradient's probes keep none (``Scenario.score``, the
-    same value bit for bit).
+    A model error is raised with its step.  :func:`optimize` runs each
+    line-search trial here and keeps the trajectory for the gap certificate;
+    the gradient's probes keep none but the base point's (``Scenario.score``,
+    the same value bit for bit).
     """
     traj = scenario.simulate(policy)
     return _penalized(scenario.evaluate(policy, traj), penalty), traj
@@ -120,7 +123,18 @@ class OptimReport:
     seed: int = 0
 
 
-def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig):
+class Gradient(tuple):
+    """What :func:`fd_gradient` returns: it unpacks as ``(grads, warnings)``, and
+    ``scores`` is the scored probe stack, row 0 the base point, with the base
+    point's trajectory as ``scores.start`` (see ``Scenario.score``)."""
+
+    def __new__(cls, grads, warnings, scores):
+        self = super().__new__(cls, (grads, warnings))
+        self.scores = scores
+        return self
+
+
+def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig) -> Gradient:
     """Per-block finite-difference gradient of the penalized objective.
 
     ``blocks`` has shape (3, n_time_blocks, n_age_blocks) with rows c, theta,
@@ -129,14 +143,16 @@ def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig)
     active bounds.  Forward mode probes upward unless the box blocks it and
     takes the base point as the other end.  The base point and the probes
     form one (P, 3, n_time_blocks, n_age_blocks) stack, the base point
-    first and the probes by time block, scored by ``Scenario.score`` in
-    batches of rows, which keeps no trajectory; each row's score is bit for
-    bit its single run's.  A probe runs the base point's run until its time
-    block, so it joins the batch there, and an end at the base point (a
-    one-sided step) is the base point's row.  In central mode the base
-    point's row is left out when nothing reads it: at one time block with
-    no end at the base point.  Failed probes contribute a zero component
-    and a recorded warning naming the block, as ``theta[0, 1]``.
+    first, then the theta and eta probes by time block, then the
+    consumption probes by time block, scored by ``Scenario.score`` in
+    batches of rows, which keeps no trajectory but the base point's; each
+    row's score is bit for bit its single run's.  A probe runs the base
+    point's run until its time block, so it joins the batch there; a
+    consumption probe shares the base point's epidemic and makes only its
+    own capital and utility (``epi.run_blocks``); and an end at the base
+    point (a one-sided step) is the base point's row.  Failed probes
+    contribute a zero component and a recorded warning naming the block,
+    as ``theta[0, 1]``.
     """
     grads = np.zeros_like(blocks)
     forward = config.grad_mode == "forward"
@@ -145,8 +161,8 @@ def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig)
     eps = (config.fd_eps_c, config.fd_eps_theta, config.fd_eps_eta)
 
     probes, plan = [blocks], []  # the probe stack's rows, row 0 the base point
-    # in time-block order: a probe of time block j joins the base point's run at
-    # j's first node (``epi.run_blocks``), and the running rows stay a prefix
+    # in time-block order: a probe of time block j joins the base point's run at j's
+    # first node (``epi.run_blocks``), and the running rows stay a prefix
     for idx in sorted(np.ndindex(blocks.shape), key=lambda idx: idx[1]):
         v, row = blocks[idx], idx[0]
         up, down = min(v + eps[row], hi[row]), max(v - eps[row], 0.0)
@@ -163,15 +179,12 @@ def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig)
                 probes.append(blocks.copy())
                 probes[-1][idx] = x
         plan.append((idx, up, down, ends))
-    if not forward and blocks.shape[1] == 1 and all(0 not in ends for *_, ends in plan):
-        # one time block and no end at the base point: no row would read its run
-        probes = probes[1:]
-        plan = [(idx, up, down, [p - 1 for p in ends]) for idx, up, down, ends in plan]
 
+    scored = scenario.score(np.stack(probes))
     # the penalized objective of each probe row, or its ModelError
-    scores = [_penalized(report, config.penalty) for report in scenario.score(np.stack(probes))]
+    scores = [_penalized(report, config.penalty) for report in scored]
     if forward and isinstance(scores[0], ModelError):
-        return grads, [f"base point: probe failed: {scores[0]}"]
+        return Gradient(grads, [f"base point: probe failed: {scores[0]}"], scored)
 
     warnings = []
     for idx, up, down, ends in sorted(plan):  # in block order
@@ -180,7 +193,7 @@ def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig)
         warnings.extend(f"{names[idx[0]]}{list(idx[1:])}: probe failed: {err}" for err in failed)
         if not failed:
             grads[idx] = (f_up - f_down) / (up - down)
-    return grads, warnings
+    return Gradient(grads, warnings, scored)
 
 
 def optimize(scenario: Scenario, config: OptimizerConfig,
@@ -190,10 +203,13 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
     Starts from the scenario's policy (block means) with optional seeded
     jitter; accepted iterates strictly improve the penalized objective and
     the loop stops on the relative-change tolerance, a failed line search,
-    or the iteration budget.  When a candidate value function is supplied
-    the report carries the integrated Hamiltonian gap of the initial and
-    final policies as an optimality certificate, read from the trajectories
-    of the start and the last accepted trial and searched as one stack.
+    or the iteration budget.  The start's value and trajectory come from
+    the first gradient's batch, whose row 0 it is (a batch of the start
+    alone when the budget is 0 iterations).  When a candidate value
+    function is supplied the report carries the integrated Hamiltonian gap
+    of the initial and final policies as an optimality certificate, read
+    from the trajectories of the start and the last accepted trial and
+    searched as one stack.
     """
     rng = np.random.default_rng(config.seed)
     blocks = block_means(scenario.policy, config.n_time_blocks, config.n_age_blocks)
@@ -203,21 +219,23 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
     tg, ag = scenario.time_grid, scenario.age_grid
     all_warnings = []
 
-    policy = expand_blocks(blocks, tg, ag)
-    try:
-        f, traj = penalized_objective(policy, scenario, config.penalty)
-    except ModelError as err:
+    gradient = fd_gradient(blocks, scenario, config) if config.max_iters else None
+    scored = scenario.score(blocks[None]) if gradient is None else gradient.scores
+    if isinstance(scored[0], ModelError):
+        err = scored[0]
         raise InfeasibleStart("objective undefined at the initial policy "
                               f"(model error at step {err.step_index}: {err})") from err
 
+    policy = expand_blocks(blocks, tg, ag)
+    f, traj = _penalized(scored[0], config.penalty), scored.start
     initial_policy, initial_traj = policy, traj
     trace = [f]
     viol_trace = [traj.k_violation]
     converged = False
     n_iters = 0
 
-    for _ in range(config.max_iters):
-        grads, warns = fd_gradient(blocks, scenario, config)
+    for it in range(config.max_iters):
+        grads, warns = gradient if not it else fd_gradient(blocks, scenario, config)
         all_warnings.extend(warns)
         if not grads.any():
             converged = True

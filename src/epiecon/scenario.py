@@ -35,10 +35,10 @@ class Scenario:
         return epi.simulate(self.initial, self.K0, policy, self.epi, self.econ,
                             self.time_grid, self.n_floor_rel)
 
-    def score(self, blocks: np.ndarray) -> list:
+    def score(self, blocks: np.ndarray) -> objectives.Scores:
         """Each policy of a (B, 3, n_time_blocks, n_age_blocks) block stack run from this
-        scenario's start and scored, keeping no trajectory: one EvalReport or
-        ModelError per row (see :func:`objectives.score_blocks`)."""
+        scenario's start and scored, keeping no trajectory but row 0's: one EvalReport
+        or ModelError per row (see :func:`objectives.score_blocks`)."""
         return objectives.score_blocks(blocks, self.initial, self.K0, self.epi, self.econ,
                                        self.time_grid, self.n_floor_rel, self.obj)
 

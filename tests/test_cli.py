@@ -768,6 +768,33 @@ def test_grouped_sweep_equals_looped_points(cfg):
     assert grouped == looped
 
 
+@pytest.mark.parametrize("n_floor_rel", [1e-9, 0.7])
+def test_consumption_sweep_rides_one_epidemic(monkeypatch, n_floor_rel):
+    # every point of a sweep over the consumption level shares the first point's
+    # theta and eta, so it rides that point's epidemic: the kernel steps one row a
+    # node, and each point equals its own evaluate, capital that consumption 8 drives
+    # negative and 1e308 makes infinite, and a floor all points meet, included
+    cfg = small_config()
+    cfg["policy"] = {"preset": "blocks", "c_level": 0.1, "theta_level": 0.5,
+                     "eta_level": 1.0, "n_time_blocks": 2}
+    cfg["epidemic"]["n_floor_rel"] = n_floor_rel
+    cfg["objective"] = {"which": "J1", "rho": 0.08, "composite": {"J1": 0.5, "J4": 1.0,
+                                                                   "J6": -5.0}}
+    cfg["sweep"] = {"axes": [{"path": "policy.c_level", "values": [0.1, 2.0, 8.0, 1e308]}]}
+    cfg = cfgmod.resolve_config(cfg)
+    rows = []
+    node = epi._node
+    monkeypatch.setattr(epi, "_node", lambda x, *a, **k: rows.append(
+        1 if x.ndim == 2 else x.shape[1]) or node(x, *a, **k))
+    grouped = _sweep_outcome(lambda c: cli.cmd_sweep(c, Path("out"))[0], cfg)
+    assert set(rows) == {1}
+    monkeypatch.setattr(epi, "_node", node)
+    assert grouped == _sweep_outcome(looped_sweep, cfg)
+    details = grouped[1]
+    assert ("capital update produced" in details) and (
+        ("at or below the floor" in details) == (n_floor_rel > 0.5))
+
+
 def test_mixed_sweep_parallel_matches_serial(tmp_path):
     # a policy axis against an epidemic axis: one group per m0, spread over two workers
     cfg = small_config()
@@ -893,7 +920,10 @@ def test_result_writer_rejects_non_finite_numbers_and_writes_nothing(bad, where)
                "numpy_scalar": {"a": np.float64(bad)},
                "nested": {"a": [{"b": {"c": [0.0, bad]}}], "z": 1.0},
                "tuple": {"a": (0.5, bad)}}[where]
-    with pytest.raises(ee.NonFiniteState, match=r"^check\.json: non-finite result"):
+    field = {"value": "a", "number_list": "a.1", "mixed_list": "a.2", "long_row": "a.150",
+             "numpy_scalar": "a", "nested": "a.0.b.c.1", "tuple": "a.1"}[where]
+    with pytest.raises(ee.NonFiniteState,
+                       match=rf"^check\.json: non-finite result \({field}: "):
         cli._json_text("check.json", payload)
 
 
@@ -1263,6 +1293,22 @@ def test_non_finite_result_exits_3_and_writes_nothing(tmp_path, capsys):
     last = capsys.readouterr().err.splitlines()[-1]
     assert re.fullmatch(r"model error: evaluation\.json: non-finite result \(.+\)", last)
     assert not out.exists()
+
+
+def test_tiny_discount_rate_names_the_infinite_tail_bound(tmp_path, capsys):
+    # the truncation tail bound exp(-rho T) max|u| / rho overflows for rho 1e-320:
+    # evaluate exits 3 with one line naming tail_bound, and numpy warns of nothing
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo_covid.json"
+    cfg = json.loads(demo.read_text())
+    cfg["objective"]["rho"] = 1e-320
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["evaluate", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("model error: evaluation.json: non-finite result (tail_bound: ")
 
 
 @pytest.mark.parametrize("command, renderer", [

@@ -10,7 +10,7 @@ import epiecon as ee
 from epiecon import epi, objectives, optimizer
 from epiecon.optimizer import _project_blocks
 
-from util import build_scenario, looped_fd_gradient
+from util import build_scenario, looped_fd_gradient, looped_optimize
 
 
 TOY_AK, TOY_AL, TOY_DELTA = 0.03, 3.0, 0.06
@@ -311,12 +311,13 @@ def test_fd_gradient_equals_looped_probes_over_time_blocks(mode, ntb):
     assert np.count_nonzero(grads) > 0
 
 
-@pytest.mark.parametrize("mode, row_steps", [("central", 21 + 12 * (21 + 16 + 11 + 6)),
-                                             ("forward", 21 + 6 * (21 + 16 + 11 + 6))])
+@pytest.mark.parametrize("mode, row_steps", [("central", 21 + 8 * (21 + 16 + 11 + 6)),
+                                             ("forward", 21 + 4 * (21 + 16 + 11 + 6))])
 def test_fd_gradient_steps_each_probe_from_its_time_block(monkeypatch, mode, row_steps):
-    # 4 x 2 interior blocks over 20 steps: the base point runs all 21 nodes, and a
-    # probe of time block j joins it at node 5 j (669 row-steps in central mode,
-    # where a probe per node would take 48 x 21 = 1008)
+    # 4 x 2 interior blocks over 20 steps: the base point runs all 21 nodes, a theta
+    # or eta probe of time block j joins it at node 5 j, and a consumption probe
+    # rides its epidemic, so the kernel never steps it (453 row-steps in central
+    # mode, where a probe per node would take 48 x 21 = 1008)
     scen = _long_scenario()
     blocks = np.full((3, 4, 2), 0.5)
     rows = []
@@ -327,13 +328,14 @@ def test_fd_gradient_steps_each_probe_from_its_time_block(monkeypatch, mode, row
     assert sum(rows) == row_steps
 
 
-@pytest.mark.parametrize("theta, mode, rows", [(0.5, "central", 12), (1.0, "central", 12),
-                                               (0.5, "forward", 7), (1.0, "forward", 7)])
+@pytest.mark.parametrize("theta, mode, rows", [(0.5, "central", 9), (1.0, "central", 8),
+                                               (0.5, "forward", 5), (1.0, "forward", 5)])
 def test_fd_gradient_at_one_time_block_steps_no_more_rows_than_probes(monkeypatch, theta,
                                                                       mode, rows):
-    # at one time block no probe joins late: central mode scores the base point only
-    # where an end is at it (theta at the box's edge), so the rows are those of a
-    # probe per end, 2 x 3 x 2 in central mode and the base point + 3 x 2 forward
+    # at one time block no probe joins late, and the base point is stepped once to
+    # carry the consumption probes, which ride its epidemic: the base point + a
+    # theta or eta probe per end, 1 + 2 x 2 x 2 in central mode (one fewer with theta
+    # at the box's edge, where that end is the base point) and 1 + 2 x 2 forward
     scen = _long_scenario()
     blocks = np.full((3, 1, 2), 0.5)
     blocks[1, 0, 1] = theta
@@ -346,6 +348,123 @@ def test_fd_gradient_at_one_time_block_steps_no_more_rows_than_probes(monkeypatc
     assert sum(steps) == rows * 21
     want, _ = looped_fd_gradient(blocks, scen, cfg)
     assert grads.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch_rows", [1, 2, 5, 16])
+@pytest.mark.parametrize("mode, row_steps", [("central", 453), ("forward", 237)])
+def test_fd_gradient_in_batches_steps_the_base_point_once(monkeypatch, batch_rows, mode,
+                                                          row_steps):
+    # the probes of later batches join and ride the base point's run as the first
+    # batch recorded it, so every batch size steps the rows of one batch, the base
+    # point's head once, and gives the per-probe loop's gradient bit for bit
+    scen = _long_scenario()
+    blocks = np.random.default_rng(batch_rows).uniform(0.2, 0.8, (3, 4, 2))
+    monkeypatch.setattr(objectives, "_BATCH_CELLS", batch_rows * scen.age_grid.n_age)
+    rows = []
+    node = epi._node
+    monkeypatch.setattr(epi, "_node", lambda x, *a, **k: rows.append(
+        1 if x.ndim == 2 else x.shape[1]) or node(x, *a, **k))
+    cfg = ee.OptimizerConfig(grad_mode=mode)
+    grads, warns = ee.fd_gradient(blocks, scen, cfg)
+    assert sum(rows) == row_steps
+    want, want_warns = looped_fd_gradient(blocks, scen, cfg)
+    assert grads.tobytes() == want.tobytes()
+    assert warns == want_warns
+
+
+def _trajectory_bytes(traj):
+    """A Trajectory's arrays and capital summary as bytes."""
+    return ([getattr(traj, name).tobytes() for name in
+             ("X", "K", "N", "Xi", "L", "Y", "C", "D_cost", "deaths_flow")]
+            + [traj.feasible, np.float64(traj.k_violation).tobytes(),
+               np.float64(traj.min_K).tobytes()])
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the class, text and step of the ModelError it raises
+    (optimize's InfeasibleStart included)."""
+    try:
+        return run()
+    except (ee.ModelError, ee.InfeasibleStart) as err:
+        return type(err).__name__, str(err), getattr(err, "step_index", None)
+
+
+def _raise(err):
+    raise err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # probe sums and means of 1e308
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["central", "forward"]),
+       ntb=st.sampled_from([1, 2, 4]), nab=st.sampled_from([1, 2]),
+       case=st.sampled_from(["edges", "rider_overflow", "row0_capital", "row0_floor"]),
+       batch_rows=st.sampled_from([None, 1, 3]), data=st.data())
+def test_consumption_probes_riding_the_base_point_equal_the_serial_oracle(
+        seed, mode, ntb, nab, case, batch_rows, data):
+    # consumption probes ride the base point's epidemic and the start is the first
+    # gradient's row 0: the gradient, its warnings, the start's trajectory (or its
+    # error), and optimize's traces and both integrated gaps equal the serial
+    # oracle's as bytes.  Layouts: consumption at both box edges; a c_max and an
+    # fd_eps_c of 1e308 whose up probes overflow capital while the down probes (c 0)
+    # live; the same with the base point at 1e308 in one block, so row 0 fails on
+    # capital alone while riders live on; and a floor that row 0 meets, whose error
+    # the riders carry
+    rng = np.random.default_rng(seed)
+    scen = _long_scenario()
+    huge = case in ("rider_overflow", "row0_capital")
+    c_max = 1e308 if huge else scen.search.c_max
+    scen = dataclasses.replace(scen, search=dataclasses.replace(scen.search, c_max=c_max))
+    c = (rng.uniform(0.0, 1.0, (ntb, nab)) if huge else
+         rng.choice([0.0, c_max, 0.3, 2.0], (ntb, nab)))
+    blocks = np.stack([c, rng.choice([0.0, 0.5, 1.0, 0.8], (ntb, nab)),
+                       rng.uniform(0.0, 1.0, (ntb, nab))])
+    if case == "row0_capital":
+        blocks[0, data.draw(st.integers(0, ntb - 1), label="time block of c 1e308"), 0] = 1e308
+    tg, ag = scen.time_grid, scen.age_grid
+    base = ee.expand_blocks(blocks, tg, ag)
+    v = None if huge else ee.LinearValue(scen.space, tuple(
+        np.linspace(0.1, 0.3, ag.n_age) for _ in range(3)), q=0.01)
+    if case == "row0_floor":
+        n_min = scen.simulate(base).N.min() / scen.initial.total_population()
+        scen = dataclasses.replace(scen, n_floor_rel=float(np.nextafter(n_min, 1.0)))
+    cfg = ee.OptimizerConfig(grad_mode=mode, fd_eps_c=1e308 if huge else 1e-4,
+                             fd_eps_theta=1e-3, fd_eps_eta=1e-3, n_time_blocks=ntb,
+                             n_age_blocks=nab, max_iters=2)
+    cells = objectives._BATCH_CELLS
+    if batch_rows is not None:
+        objectives._BATCH_CELLS = batch_rows * ag.n_age
+    try:
+        gradient = ee.fd_gradient(blocks, scen, cfg)
+        report = _outcome(lambda: ee.optimize(dataclasses.replace(scen, policy=base), cfg, v))
+    finally:
+        objectives._BATCH_CELLS = cells
+    want, want_warns = looped_fd_gradient(blocks, scen, cfg)
+    assert gradient[0].tobytes() == want.tobytes()
+    assert gradient[1] == want_warns
+    start, got = _outcome(lambda: scen.simulate(base)), gradient.scores.start
+    if got is None:
+        assert _outcome(lambda: _raise(gradient.scores[0])) == start
+    else:
+        assert _trajectory_bytes(got) == _trajectory_bytes(start)
+    if case == "row0_capital":
+        assert got is None and "capital update" in str(gradient.scores[0])
+    if case == "row0_floor":
+        assert got is None and "at or below the floor" in str(gradient.scores[0])
+
+    oracle = _outcome(lambda: looped_optimize(dataclasses.replace(scen, policy=base), cfg, v))
+    if not isinstance(oracle, dict):
+        assert report == oracle
+        return
+    for name, value in oracle.items():
+        got = getattr(report, name)
+        if isinstance(value, np.ndarray):
+            assert got.tobytes() == value.tobytes()
+        elif name in ("objective_trace", "violation_trace"):
+            assert np.array(got).tobytes() == np.array(value).tobytes()
+        elif name.startswith("integrated_gap") and value is not None:
+            assert np.float64(got).tobytes() == np.float64(value).tobytes()
+        else:
+            assert got == value, name
 
 
 @pytest.mark.parametrize("mode", ["central", "forward"])
@@ -495,7 +614,7 @@ def test_a_failed_line_search_trial_backtracks(monkeypatch):
 
     def failing(policy, scenario, penalty):
         calls.append(policy)
-        if len(calls) == 2:  # the first trial, after the start
+        if len(calls) == 1:  # the first trial: the start is the first gradient's row 0
             raise ee.ModelError("boom")
         return real(policy, scenario, penalty)
 

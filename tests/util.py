@@ -16,6 +16,7 @@ import numpy as np
 
 import epiecon as ee
 from epiecon import cli, config as cfgmod, epi
+from epiecon.optimizer import _project_blocks
 
 
 # ----------------------------------------------------------------------
@@ -424,6 +425,64 @@ def looped_fd_gradient(blocks, scenario, config):
         if f_up is not None and f_down is not None:
             grads[idx] = (f_up - f_down) / (up - down)
     return grads, warnings
+
+
+def looped_optimize(scenario, config, value_function=None) -> dict:
+    """Reference for ``optimize``: the start simulated and evaluated alone, each
+    gradient by ``looped_fd_gradient`` (each probe evaluate(simulate(row))), each
+    line-search trial by ``penalized_objective``, and each integrated gap from a
+    fresh ``hamiltonian_gap_profile``; returns the report's fields."""
+    tg, ag, c_max = scenario.time_grid, scenario.age_grid, scenario.search.c_max
+    blocks = ee.block_means(scenario.policy, config.n_time_blocks, config.n_age_blocks)
+    if config.jitter > 0.0:
+        rng = np.random.default_rng(config.seed)
+        blocks = blocks + config.jitter * rng.standard_normal(blocks.shape)
+    blocks = _project_blocks(blocks, c_max)
+    policy = ee.expand_blocks(blocks, tg, ag)
+    try:
+        f, traj = ee.penalized_objective(policy, scenario, config.penalty)
+    except ee.ModelError as err:
+        raise ee.InfeasibleStart("objective undefined at the initial policy "
+                                 f"(model error at step {err.step_index}: {err})") from err
+    runs = [(policy, traj)]
+    trace, violations, warnings, converged, n_iters = [f], [traj.k_violation], [], False, 0
+    for _ in range(config.max_iters):
+        grads, warns = looped_fd_gradient(blocks, scenario, config)
+        warnings += warns
+        if not grads.any():
+            converged = True
+            break
+        step, ft = config.initial_step, None
+        for _ in range(config.max_backtracks + 1):
+            trial = _project_blocks(blocks + step * grads, c_max)
+            trial_policy = ee.expand_blocks(trial, tg, ag)
+            try:
+                ft, trial_traj = ee.penalized_objective(trial_policy, scenario, config.penalty)
+            except ee.ModelError:
+                ft = None
+            if ft is not None and ft > f:
+                break
+            step *= config.backtrack
+        else:
+            converged = True
+            break
+        n_iters += 1
+        rel_change = abs(ft - f) / max(abs(f), 1.0)
+        blocks, policy, f, traj = trial, trial_policy, ft, trial_traj
+        trace.append(f)
+        violations.append(traj.k_violation)
+        if rel_change < config.tol:
+            converged = True
+            break
+    runs.append((policy, traj))
+    gaps = [None, None]
+    if value_function is not None:
+        gaps = [ee.integrated_gap(ee.hamiltonian_gap_profile(value_function, p, t, scenario), t,
+                                  scenario.obj) for p, t in runs]
+    return {"objective_trace": trace, "violation_trace": violations, "blocks": blocks,
+            "policy": policy, "feasible": traj.feasible, "converged": converged,
+            "n_iters": n_iters, "warnings": warnings, "integrated_gap_initial": gaps[0],
+            "integrated_gap_final": gaps[1]}
 
 
 # ----------------------------------------------------------------------

@@ -432,7 +432,7 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
     grid, n_steps = initial.grid, time_grid.n_steps
     n_floor = n_floor_rel * initial.total_population()
     da, dt, fixed = grid.da, time_grid.dt, _fixed(params, time_grid.dt)
-    riders = () if head is not None else riders
+    riders = set() if head is not None else set(riders)
     owner = np.array([b for b in range(B) if b not in riders], dtype=int)  # each state's row
     slot = np.zeros(B, dtype=int)  # each row's state: its own, or row 0's for a rider
     slot[owner] = np.arange(len(owner))
@@ -479,9 +479,13 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
         """The running rows' address, their states' address (and whether it is a
         view), those states' rows' address, the states, and each row's state among
         them when a rider runs (else None)."""
-        if not len(riders):
-            return address(rows)[0], *address(rows), address(rows)[0], rows, None
-        states, rides = np.unique(slot[rows], return_inverse=True)
+        if not riders:
+            at, prefix = address(rows)
+            return at, at, prefix, at, rows, None
+        live = np.zeros(len(owner), dtype=bool)
+        live[slot[rows]] = True
+        states = np.flatnonzero(live)
+        rides = np.cumsum(live)[slot[rows]] - 1
         if np.array_equal(rides, np.arange(len(rows))):
             rides = None
         return address(rows)[0], *address(states), address(owner[states])[0], states, rides
@@ -497,7 +501,9 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
                 new = later.pop(k)
                 join(new, k)
                 if 0 not in errors:
-                    rows = np.union1d(rows, new)
+                    live = np.zeros(B, dtype=bool)
+                    live[rows] = live[new] = True
+                    rows = np.flatnonzero(live)
                     at, eat, prefix, own, states, rides = running(rows)
                     held = None
             if not len(rows):
@@ -538,7 +544,7 @@ def _run(initial: EpiState, K0: float, controls, B: int, params: EpiParams,
         if keep_states:
             kept = X.transpose(2, 0, 1, 3)
         else:  # each row's last state: its own, or row 0's for a rider
-            kept = (state(n_steps)[:, slot] if len(riders) else state(n_steps)).swapaxes(0, 1)
+            kept = (state(n_steps)[:, slot] if riders else state(n_steps)).swapaxes(0, 1)
             if head is not None:
                 kept[0] = X0[n_steps]
         neg = np.maximum(0.0, -K[:, 1:])

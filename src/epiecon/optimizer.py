@@ -143,8 +143,7 @@ def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig)
     active bounds.  Forward mode probes upward unless the box blocks it and
     takes the base point as the other end.  The base point and the probes
     form one (P, 3, n_time_blocks, n_age_blocks) stack, the base point
-    first, then the theta and eta probes by time block, then the
-    consumption probes by time block, scored by ``Scenario.score`` in
+    first and the probes by time block, scored by ``Scenario.score`` in
     batches of rows, which keeps no trajectory but the base point's; each
     row's score is bit for bit its single run's.  A probe runs the base
     point's run until its time block, so it joins the batch there; a
@@ -161,8 +160,8 @@ def fd_gradient(blocks: np.ndarray, scenario: Scenario, config: OptimizerConfig)
     eps = (config.fd_eps_c, config.fd_eps_theta, config.fd_eps_eta)
 
     probes, plan = [blocks], []  # the probe stack's rows, row 0 the base point
-    # in time-block order: a probe of time block j joins the base point's run at j's
-    # first node (``epi.run_blocks``), and the running rows stay a prefix
+    # in time-block order: a probe of time block j joins the base point's run at
+    # j's first node (``epi.run_blocks``), and the running rows stay a prefix
     for idx in sorted(np.ndindex(blocks.shape), key=lambda idx: idx[1]):
         v, row = blocks[idx], idx[0]
         up, down = min(v + eps[row], hi[row]), max(v - eps[row], 0.0)
@@ -235,7 +234,9 @@ def optimize(scenario: Scenario, config: OptimizerConfig,
     n_iters = 0
 
     for it in range(config.max_iters):
-        grads, warns = gradient if not it else fd_gradient(blocks, scenario, config)
+        if it:  # the first gradient's is the start's batch
+            gradient = fd_gradient(blocks, scenario, config)
+        grads, warns = gradient
         all_warnings.extend(warns)
         if not grads.any():
             converged = True

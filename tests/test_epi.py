@@ -921,6 +921,27 @@ def test_rows_joining_after_row_0_failed_carry_its_error(batch_rows):
     assert len({id(r) for r in scores}) == len(scores)  # each row its own error
 
 
+@pytest.mark.parametrize("batch_rows", [None, 1, 3])
+@pytest.mark.parametrize("which", ["J1", "J3", "J6"])
+@pytest.mark.parametrize("base", range(8))
+def test_riders_fail_where_row_0s_epidemic_fails(base, which, batch_rows):
+    # each failing row of the batch test as row 0, with riders (its theta and eta,
+    # other consumption: lower, higher, a spike of 1e308 at node 3) and a row of
+    # its own: the riders carry row 0's floor or non-finite state, as their own runs
+    # do, fail alone on capital, and take row 0's final state (J3)
+    scen, policies = _failing_rows()
+    scen = dataclasses.replace(scen, obj=dataclasses.replace(scen.obj, which=which))
+    blocks = np.ascontiguousarray(policies[:, :, :-1, :1])
+    stack = np.repeat(blocks[[base]], 5, axis=0)
+    stack[1, 0] = 0.05
+    stack[2, 0] = 0.3
+    stack[3, 0, 3] = 1e308
+    stack[4] = blocks[(base + 3) % len(blocks)]
+    scores = assert_scores_equal(scen, stack, batch_rows)
+    if isinstance(scores[0], ee.ModelError) and "capital" not in str(scores[0]):
+        assert all(str(r) == str(scores[0]) for r in scores[1:3])
+
+
 def test_joined_rows_step_only_from_their_node(monkeypatch):
     # rows that copy row 0 before time block j are stepped from j's first node on
     # (one block per 2 steps); a copy of row 0 is not stepped at all

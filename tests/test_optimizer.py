@@ -398,9 +398,10 @@ def _raise(err):
 @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["central", "forward"]),
        ntb=st.sampled_from([1, 2, 4]), nab=st.sampled_from([1, 2]),
        case=st.sampled_from(["edges", "rider_overflow", "row0_capital", "row0_floor"]),
+       target=st.sampled_from([{"J1": 1.0}, {"J3": 1.0}, {"J1": 1.0, "J3": 0.5, "J6": -2.0}]),
        batch_rows=st.sampled_from([None, 1, 3]), data=st.data())
 def test_consumption_probes_riding_the_base_point_equal_the_serial_oracle(
-        seed, mode, ntb, nab, case, batch_rows, data):
+        seed, mode, ntb, nab, case, target, batch_rows, data):
     # consumption probes ride the base point's epidemic and the start is the first
     # gradient's row 0: the gradient, its warnings, the start's trajectory (or its
     # error), and optimize's traces and both integrated gaps equal the serial
@@ -408,9 +409,11 @@ def test_consumption_probes_riding_the_base_point_equal_the_serial_oracle(
     # fd_eps_c of 1e308 whose up probes overflow capital while the down probes (c 0)
     # live; the same with the base point at 1e308 in one block, so row 0 fails on
     # capital alone while riders live on; and a floor that row 0 meets, whose error
-    # the riders carry
+    # the riders carry.  J3 reads each row's final state
     rng = np.random.default_rng(seed)
     scen = _long_scenario()
+    scen = dataclasses.replace(scen, obj=dataclasses.replace(
+        scen.obj, which=next(iter(target)), composite=target if len(target) > 1 else None))
     huge = case in ("rider_overflow", "row0_capital")
     c_max = 1e308 if huge else scen.search.c_max
     scen = dataclasses.replace(scen, search=dataclasses.replace(scen.search, c_max=c_max))

@@ -22,7 +22,6 @@ import io
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -304,7 +303,10 @@ def _sweep_point(cfg, overrides):
     for path, value in overrides:
         _set_by_path(point, path, value)
     # a swept number may land where the schema wants another type; the builders check values
-    cfgmod.validate_config(point, {path.split(".")[0] for path, _ in overrides})
+    sections = {path.split(".")[0] for path, _ in overrides}
+    cfgmod.validate_config(point, sections)
+    if "optimizer" in sections:  # a section that no scenario builder reads
+        cfgmod._build("optimizer", point["optimizer"], optimizer.OptimizerConfig)
     return point
 
 
@@ -349,6 +351,7 @@ def _sweep_results(cfg, tasks, jobs: int) -> list:
     stacks = [np.stack(blocks) for _, _, blocks in groups.values()]
     workers = min(workers, len(groups))
     if workers > 1:  # a task carries its group's scenario and blocks
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when used
         with ProcessPoolExecutor(max_workers=workers) as pool:
             scored = list(pool.map(_score_group, scenarios, stacks))
     else:
@@ -418,9 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("EPIECON_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
     try:
+        level = os.environ.get("EPIECON_LOG", "WARNING")
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise ConfigurationError(f"EPIECON_LOG {level!r} is not a logging level")
+        logging.basicConfig(level=level.upper())
         cfg = cfgmod.load_config(args.config)
         out = Path(args.out or cfg["output"]["dir"])
         files, text = args.fn(cfg, out, **({"jobs": args.jobs} if "jobs" in args else {}))

@@ -49,15 +49,16 @@ _CLASSES = {
 
 _NUMBER_LIST = {"type": "array", "items": {"type": "number"}}
 # annotation -> the schema of a field so annotated, where it is not a number
-_ANNOTATED = {int: {"type": "integer"}, tuple: _NUMBER_LIST}
+_ANNOTATED = {int: {"type": "integer"}, str: {"type": "string"}, bool: {"type": "boolean"},
+              tuple: _NUMBER_LIST}
 
 
 def _numbers(cls) -> dict:
-    """The schema of each field of the dataclass ``cls``, in field order: an integer for an
-    ``int``, a list of numbers for a ``tuple``, else a number, or also null where its
-    annotation allows None (the parameters of a model form)."""
+    """The schema of each field of the dataclass ``cls``, in field order, each its own
+    dict: the ``_ANNOTATED`` schema of its annotation, else a number, or also null where
+    its annotation allows None (the parameters of a model form)."""
     hints = typing.get_type_hints(cls)
-    return {f.name: _ANNOTATED.get(hints[f.name]) or {
+    return {f.name: dict(_ANNOTATED.get(hints[f.name], ())) or {
         "type": ["number", "null"] if type(None) in typing.get_args(hints[f.name]) else "number"}
         for f in dataclasses.fields(cls)}
 
@@ -159,15 +160,9 @@ SCHEMA = {
         "objective": {
             "type": "object", "additionalProperties": False,
             "required": ["which", "rho"],
-            "properties": {
-                "which": {"type": "string"}, "rho": {"type": "number"},
-                "nu": {"type": "number"}, "T_num": {"type": ["number", "null"]},
-                "utility": _variants("utility"),
-                "j6_discounted": {"type": "boolean"},
-                "j6_sign": {"type": "number"},
-                "composite": {"type": ["object", "null"],
-                              "additionalProperties": {"type": "number"}},
-            },
+            "properties": {**_numbers(objectives.ObjectiveParams), "utility": _variants("utility"),
+                           "composite": {"type": ["object", "null"],
+                                         "additionalProperties": {"type": "number"}}},
         },
         "policy": {
             "type": "object", "additionalProperties": False,
@@ -187,26 +182,8 @@ SCHEMA = {
             "type": "object", "additionalProperties": False,
             "properties": _numbers(ControlSearchGrid),
         },
-        "optimizer": {
-            "type": "object", "additionalProperties": False,
-            "properties": {
-                "initial_step": {"type": "number", "exclusiveMinimum": 0},
-                "backtrack": {"type": "number", "exclusiveMinimum": 0,
-                              "exclusiveMaximum": 1},
-                "max_backtracks": {"type": "integer", "minimum": 0},
-                "max_iters": {"type": "integer", "minimum": 0},
-                "grad_mode": {"enum": ["central", "forward"]},
-                "fd_eps_c": {"type": "number", "exclusiveMinimum": 0},
-                "fd_eps_theta": {"type": "number", "exclusiveMinimum": 0},
-                "fd_eps_eta": {"type": "number", "exclusiveMinimum": 0},
-                "penalty": {"type": "number", "exclusiveMinimum": 0},
-                "n_age_blocks": {"type": "integer", "minimum": 1},
-                "n_time_blocks": {"type": "integer", "minimum": 1},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
-                "jitter": {"type": "number", "minimum": 0},
-            },
-        },
+        "optimizer": {"type": "object", "additionalProperties": False,
+                      "properties": _numbers(OptimizerConfig)},
         "verification": {
             "type": "object", "additionalProperties": False,
             "properties": {
@@ -400,12 +377,14 @@ def validate_config(cfg: dict, sections=None) -> None:
 
 def _resolve(raw: dict) -> dict:
     """Check a configuration as written and fill in its defaults, in place: reject a
-    non-finite number, a schema error, and a block setting or sweep axis that its
-    one-block policy preset would ignore (a resolved config echoes the defaults)."""
+    non-finite number, a schema error, an optimizer value that ``OptimizerConfig``
+    rejects (for every command), and a block setting or sweep axis that its one-block
+    policy preset would ignore (a resolved config echoes the defaults)."""
     where = _nonfinite_path(raw)
     if where is not None:
         raise ConfigurationError(f"config field {where}: numbers must be finite")
     validate_config(raw)
+    _build("optimizer", raw.get("optimizer", {}), OptimizerConfig)
     pol, defaults = raw.get("policy", {}), DEFAULTS["policy"]
     preset = pol.get("preset", defaults["preset"])
     swept = {axis["path"] for axis in raw.get("sweep", {}).get("axes", ())}
@@ -656,12 +635,13 @@ def build_scenario(cfg: dict) -> Scenario:
 
 
 def build_optimizer_config(cfg: dict) -> OptimizerConfig:
+    settings = _build("optimizer", cfg["optimizer"], OptimizerConfig)  # before a count divides
     _check_blocks(cfg, "optimizer")
-    ntb = cfg["optimizer"].get("n_time_blocks", 1)
+    ntb = settings.n_time_blocks
     if cfg["grid"]["n_steps"] == 0 and ntb != 1:  # block means need whole rows
         raise ConfigurationError(f"config field optimizer.n_time_blocks: {ntb} time blocks "
                                  "do not divide the single policy row of a 0-step grid")
-    return OptimizerConfig(**cfg["optimizer"])
+    return settings
 
 
 def build_value_function(cfg: dict, scenario: Scenario):

@@ -46,22 +46,23 @@ class OptimizerConfig:
     seed: int = 0
     jitter: float = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self):  # the one statement of each optimizer value rule
         if self.grad_mode not in ("central", "forward"):
-            raise ConfigurationError(f"unknown gradient mode {self.grad_mode!r}")
+            raise ConfigurationError(f"grad_mode must be 'central' or 'forward', "
+                                     f"got {self.grad_mode!r}")
         for name in ("initial_step", "backtrack", "fd_eps_c", "fd_eps_theta",
                      "fd_eps_eta", "penalty", "tol"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be > 0")
         if self.backtrack >= 1.0:
-            raise ConfigurationError("backtrack factor must be < 1")
-        for name in ("max_backtracks", "max_iters", "n_age_blocks", "n_time_blocks", "seed"):
-            if getattr(self, name) < 0 or int(getattr(self, name)) != getattr(self, name):
-                raise ConfigurationError(f"{name} must be a nonnegative integer")
+            raise ConfigurationError("backtrack must be < 1")
+        for name, least in (("max_backtracks", 0), ("max_iters", 0), ("n_age_blocks", 1),
+                            ("n_time_blocks", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (value >= least and value % 1 == 0):  # NaN and infinity fail too
+                raise ConfigurationError(f"{name} must be an integer >= {least}")
         if not self.jitter >= 0.0:
             raise ConfigurationError("jitter must be >= 0")
-        if self.n_age_blocks < 1 or self.n_time_blocks < 1:
-            raise ConfigurationError("block counts must be >= 1")
 
 
 def block_means(policy: np.ndarray, n_time_blocks: int,

@@ -247,6 +247,13 @@ def test_defaults_match_dataclass_defaults():
     assert cfgmod.build_scenario(cfg).obj.utility == ShiftedCRRAUtility()
 
 
+def test_optimizer_schema_is_its_fields_types():
+    # OptimizerConfig states each optimizer value rule; the schema holds only types
+    section = cfgmod.SCHEMA["properties"]["optimizer"]["properties"]
+    assert list(section) == [f.name for f in dataclasses.fields(OptimizerConfig)]
+    assert all(list(rule) == ["type"] for rule in section.values())
+
+
 def test_simulate_writes_expected_files(tmp_path):
     cfg = small_config()
     out = tmp_path / "out"
@@ -1192,6 +1199,13 @@ def test_nonfinite_config_number_names_field(tmp_path, capsys, command, section,
     assert not out.exists()
 
 
+# every command resolves the whole config, so each rejects a bad optimizer value
+_OPTIMIZER_VALUES = [(command, "optimizer", key, value)
+                     for command in ("simulate", "evaluate", "optimize", "check", "sweep")
+                     for key, value in (("backtrack", 2), ("grad_mode", "secant"),
+                                        ("max_iters", -1), ("n_time_blocks", 0))]
+
+
 @pytest.mark.parametrize("command, section, key, value", [
     ("evaluate", "objective", "T_num", -1),
     ("check", "verification", "horizon_multipliers", []),
@@ -1201,8 +1215,10 @@ def test_nonfinite_config_number_names_field(tmp_path, capsys, command, section,
     ("simulate", "grid", "n_steps", 10**30),
     ("optimize", "optimizer", "seed", -1),
     ("optimize", "optimizer", "jitter", -0.5),
+    *_OPTIMIZER_VALUES,
 ], ids=["negative_T_num", "no_horizons", "empty_composite", "horizon_1e300", "horizon_1e18",
-        "n_steps_1e30", "negative_seed", "negative_jitter"])
+        "n_steps_1e30", "negative_seed", "negative_jitter",
+        *(f"{command}-{key}" for command, _, key, _ in _OPTIMIZER_VALUES)])
 def test_demo_config_out_of_range_names_field(tmp_path, capsys, command, section, key,
                                               value):
     # evaluate would sum a negative T_num's reward rows from the end; check needs a horizon;
@@ -1359,6 +1375,51 @@ def test_sweep_non_numeric_value_names_field(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert "sweep.axes.0.values.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, values", [("optimizer.tol", [1e-6, -1.0]),
+                                           ("optimizer.backtrack", [0.5, 1.0]),
+                                           ("optimizer.n_age_blocks", [1, 0])])
+def test_sweep_rejected_optimizer_value_names_field(tmp_path, capsys, path, values):
+    # no scenario builder reads the optimizer section, so its constructor checks a point
+    cfg = small_config()
+    cfg["sweep"] = {"axes": [{"path": path, "values": values}]}
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 2
+    assert f"config field {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_log_level_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EPIECON_LOG", "bogus")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(write_config(tmp_path, small_config())),
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("configuration error: EPIECON_LOG 'bogus' is not a logging "
+                            "level\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_process_pool_loads_only_for_several_workers(tmp_path):
+    # a fresh interpreter: importing the CLI and a one-worker sweep leave the pool unloaded
+    cfg = small_config()
+    cfg["sweep"] = {"axes": [{"path": "economy.K0", "values": [1.0, 2.0]}]}
+    script = textwrap.dedent("""
+        import sys
+        from epiecon import cli
+        loaded = ["concurrent.futures.process" in sys.modules]
+        code = cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]])
+        print(code, loaded + ["concurrent.futures.process" in sys.modules])
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(write_config(tmp_path, cfg)), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 [False, False]"
 
 
 @pytest.mark.parametrize("section, key", [("grid", "n_age"), ("policy", "n_time_blocks")])
@@ -1728,7 +1789,7 @@ _DELETE = object()
     ({"objective.composite": {"J7": 1.0}}, "objective.composite", True),
     ({"objective.composite": {}}, "objective.composite", True),
     ({"objective.j6_sign": True}, "objective.j6_sign", True),
-    ({"optimizer.penalty": 0}, "optimizer.penalty", False),
+    ({"optimizer.penalty": 0}, "optimizer.penalty", True),
     ({"economy.delta": _DELETE}, "economy.delta", False),
     ({"economy.delta": _DELETE, "economy.alpha": "x"}, "economy.delta", False),
     ({"epidemic.mu_S": {"type": "cubic", "value": 0.02}}, "epidemic.mu_S.type", False),

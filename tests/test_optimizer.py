@@ -577,11 +577,22 @@ def test_optimizer_config_validation():
         ee.OptimizerConfig(n_age_blocks=0)
 
 
-@pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("jitter", -0.5),
-                                          ("jitter", float("nan"))])
+_COUNTS = ("max_backtracks", "max_iters", "n_age_blocks", "n_time_blocks", "seed")
+_FLOATS = tuple(f.name for f in dataclasses.fields(ee.OptimizerConfig)
+                if f.name not in _COUNTS and f.name != "grad_mode")
+_ODD = [("seed", -1), ("seed", 1.5), ("jitter", -0.5), ("jitter", float("nan"))]
+
+
+@pytest.mark.parametrize("field, value", [
+    *_ODD, *((name, float("nan")) for name in _FLOATS if name != "jitter"),
+    *((name, value) for name in _COUNTS for value in (-1, 1.5, float("nan"), float("inf"))
+      if (name, value) not in _ODD),
+    ("grad_mode", "secant")])
 def test_optimizer_config_rejects_negative_seed_and_jitter(field, value):
     # through the API a negative seed reached numpy's generator as a bare ValueError
-    # and a negative jitter was ignored
+    # and a negative jitter was ignored; NaN passed every rule, and a NaN count raised
+    # a bare ValueError.  The constructor is the one check of the config's optimizer
+    # section, and the config names the field its message names first.
     with pytest.raises(ee.ConfigurationError, match=f"^{field} must be"):
         ee.OptimizerConfig(**{field: value})
 

@@ -53,6 +53,20 @@ MOVED_RULES = {
     "search.n_age_blocks": {"minimum": 1},
     "search.c_max": {"exclusiveMinimum": 0},
     "search.max_sweeps": {"minimum": 1},
+    "optimizer.initial_step": {"exclusiveMinimum": 0},
+    "optimizer.backtrack": {"exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    "optimizer.max_backtracks": {"minimum": 0},
+    "optimizer.max_iters": {"minimum": 0},
+    "optimizer.grad_mode": {"enum": ["central", "forward"]},
+    "optimizer.fd_eps_c": {"exclusiveMinimum": 0},
+    "optimizer.fd_eps_theta": {"exclusiveMinimum": 0},
+    "optimizer.fd_eps_eta": {"exclusiveMinimum": 0},
+    "optimizer.penalty": {"exclusiveMinimum": 0},
+    "optimizer.n_age_blocks": {"minimum": 1},
+    "optimizer.n_time_blocks": {"minimum": 1},
+    "optimizer.tol": {"exclusiveMinimum": 0},
+    "optimizer.seed": {"minimum": 0},
+    "optimizer.jitter": {"minimum": 0},
 }
 
 
